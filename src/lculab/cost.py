@@ -54,7 +54,8 @@ class CostReport:
         }
 
 
-def _log_over_loglog(ratio: float) -> float:
+def log_over_loglog(ratio: float) -> float:
+    """ln(r)/lnln(r) with the lnln factor clamped at 1 for r <= e^e (and ln clamped at 0)."""
     log_r = max(math.log(ratio), 0.0)
     loglog = math.log(log_r) if log_r > 1.0 else 0.0
     return log_r / max(loglog, 1.0)
@@ -96,7 +97,7 @@ def theorem1_cost(
     rounds = max(1, math.ceil(constants.amp_round_constant / math.asin(amplitude)))
     tau = t * sum_sqrt_weights
     if tau > 0:
-        factor = _log_over_loglog(tau / eps_prime)
+        factor = log_over_loglog(tau / eps_prime)
         c_w = (
             constants.total_cost_constant
             * (math.log(max(k_terms, 1)) * constants.unitary_gate_cost + max(k_terms, 1))
@@ -150,7 +151,7 @@ def theorem2_cost(
     log_inv = math.log(1.0 / (epsilon * delta_lower))
     t = log_inv / math.sqrt(delta_lower)
     tau = t * d * d
-    factor = _log_over_loglog(tau / eps_prime)
+    factor = log_over_loglog(tau / eps_prime)
     c_w = (
         constants.total_cost_constant
         * (d * math.log(n_states) + constants.sparse_oracle_cost + constants.marked_oracle_cost)
@@ -190,7 +191,7 @@ def theorem2_log_correction(
     eps_prime = hitting_eps_prime(delta_lower, epsilon, constants)
     log_inv = math.log(1.0 / (epsilon * delta_lower))
     tau = log_inv / math.sqrt(delta_lower) * d * d
-    return log_inv * log_inv * _log_over_loglog(tau / eps_prime)
+    return log_inv * log_inv * log_over_loglog(tau / eps_prime)
 
 
 @dataclass(frozen=True)

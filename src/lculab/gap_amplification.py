@@ -4,8 +4,15 @@ Given H presented as a positive combination of projectors, couple each term to
 one ancilla level so that the enlarged operator squares back to H on the
 ancilla-0 sector. Eigenvalue gaps of size g in H become sqrt(g)-size gaps of
 the enlarged operator, which is what makes short evolution times sufficient
-downstream. Also houses the closed-form gate-count model for simulating the
-enlarged evolution.
+downstream.
+
+The pipelines never build the enlarged operator. Every combination they apply
+is an even function of it, and on the ancilla-0 sector an even function of the
+enlarged operator is the same function of sqrt(H), so they work on the
+spectrum of H. The enlarged operator, its unitary expansion and its exact
+evolutions are the reference those sector evaluations are tested against.
+Also houses the closed-form gate-count model for simulating the enlarged
+evolution.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, Constants
+from .cost import log_over_loglog
 from .errors import ValidationError
 from .operators import HermitianOperator, as_square_matrix, hermiticity_defect
 
@@ -285,9 +293,8 @@ def exact_evolution(g: GapAmplifiedHamiltonian, t: float) -> np.ndarray:
 class SimulationCostModel:
     """Inputs of the gate-count formula for one approximate evolution.
 
-    tau is |t| times the sum of decomposition weights. For the construction
-    above the weight sum equals sum_k sqrt(alpha_k) exactly, so the two tau
-    conventions coincide; `tau_source` records which one produced the value.
+    tau is |t| times the sum of decomposition weights, which for the
+    construction above is |t| sum_k sqrt(alpha_k).
     """
 
     tau: float
@@ -295,7 +302,6 @@ class SimulationCostModel:
     k_terms: int = 1
     unitary_gate_cost: float = 1.0
     constants: Constants = field(default=DEFAULT_CONSTANTS)
-    tau_source: str = "weight-sum"
 
     def __post_init__(self):
         if not (self.tau > 0 and math.isfinite(self.tau)):
@@ -306,13 +312,6 @@ class SimulationCostModel:
             raise ValidationError("k_terms must be at least 1")
         if self.unitary_gate_cost <= 0:
             raise ValidationError("unitary_gate_cost must be positive")
-
-
-def log_over_loglog(ratio: float) -> float:
-    """ln(r)/lnln(r) with the lnln factor clamped at 1 for r <= e^e (and ln clamped at 0)."""
-    log_r = max(math.log(ratio), 0.0)
-    loglog = math.log(log_r) if log_r > 1.0 else 0.0
-    return log_r / max(loglog, 1.0)
 
 
 def simulation_query_cost(m: SimulationCostModel) -> tuple[float, float, float]:
@@ -332,17 +331,6 @@ def simulation_query_cost(m: SimulationCostModel) -> tuple[float, float, float]:
         * factor
     )
     return queries, extra_gates, total
-
-
-def evolution_tau(g: GapAmplifiedHamiltonian, t: float, source: str = "weight-sum") -> float:
-    """tau for evolving the enlarged operator for time t under either convention."""
-    if g.source is None:
-        raise ValidationError("tau requires a projector presentation")
-    if source not in ("weight-sum", "sqrt-alpha"):
-        raise ValidationError(f"unknown tau source {source!r}")
-    # weight-sum: sum of unitary-decomposition weights (2K terms of sqrt(alpha)/2 each);
-    # sqrt-alpha: sum_k sqrt(alpha_k). They agree identically for this construction.
-    return abs(t) * g.source.sum_sqrt_weights()
 
 
 def decomposition_to_json(p: ProjectorDecomposition) -> dict:

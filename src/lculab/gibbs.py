@@ -6,6 +6,10 @@ the node grid is symmetric, the sum is an even function of H~ and acts on the
 ancilla-0 sector exactly as the same scalar filter of H, which is what the
 grid calibration certifies sample by sample. Acting on half of a maximally
 entangled pair and tracing the ancillas yields the thermal state.
+
+`prepare_gibbs` evaluates that certified filter on the spectrum of H, so it
+never builds H~ and the dimension cap applies to H itself. `hs_lcu` builds the
+same sum over evolutions of H~ as a reference for the tests.
 """
 
 from __future__ import annotations
@@ -24,11 +28,15 @@ from .gap_amplification import (
     GapAmplifiedHamiltonian,
     ProjectorDecomposition,
     SimulationCostModel,
-    build_tilde_h,
-    evolution_tau,
     simulation_query_cost,
 )
-from .lcu import EvolutionLcu, amplification_rounds, gaussian_cosine_series, gaussian_weights
+from .lcu import (
+    EvolutionLcu,
+    amplification_rounds,
+    gaussian_cosine_series,
+    gaussian_weight_sum,
+    gaussian_weights,
+)
 from .operators import (
     DensityMatrix,
     HermitianOperator,
@@ -69,8 +77,7 @@ class HsGrid:
 
     @property
     def weight_sum(self) -> float:
-        half = gaussian_weights(self.delta_y, self.j_max)
-        return float(half[0] + 2 * half[1:].sum())
+        return gaussian_weight_sum(self.delta_y, self.j_max)
 
     def kernel(self, x) -> np.ndarray:
         """The scalar filter sum_j w_j exp(-i y_j sqrt(beta x)) for x >= 0 (real by symmetry)."""
@@ -231,12 +238,17 @@ def prepare_gibbs(
     ancilla trace of the normalized combination acting on half of a maximally
     entangled pair, and the ledger prices the run as
     rounds * (C_W(t, eps') + n + log2 J).
+
+    On the ancilla-0 sector the combination is the filter f = grid.kernel(H),
+    so the partner-traced state is f(H)^2 / tr f(H)^2 and the success
+    amplitude is ||f(H) (x) 1 |pair>|| / gamma = ||f||_2 / (sqrt(N) gamma),
+    with f evaluated on the eigenvalues of H.
     """
     if mode not in ("desk", "oracle-free"):
         raise ValidationError(f"unknown mode {mode!r}")
     h = task.hamiltonian
     n_dim = h.dim
-    energies, _ = h.eigensystem
+    energies, vectors = h.eigensystem
     z_exact = float(np.sum(np.exp(-task.beta * energies)))
     if mode == "desk":
         z_for_eps = z_exact
@@ -257,23 +269,14 @@ def prepare_gibbs(
     for message in collected:
         warnings.warn(message, PreconditionWarning, stacklevel=2)
 
-    g = build_tilde_h(task.decomposition)
-    combo = hs_lcu(grid, g)
-    anc = g.ancilla_dim
-
-    # Half of a maximally entangled pair, one column per partner index, so the
-    # combination acts on (system x ancilla) while the partner rides along.
-    columns = np.zeros((n_dim * anc, n_dim), dtype=complex)
-    columns[np.arange(n_dim) * anc, np.arange(n_dim)] = 1.0 / math.sqrt(n_dim)
-    image = combo.apply_sum(columns)
-
-    joint_norm = float(np.linalg.norm(image))
-    gamma = combo.gamma_total
-    success_amplitude = min(joint_norm / gamma, 1.0)
+    # Roundoff can put the lowest eigenvalue of a PSD H just below zero,
+    # where the kernel's sqrt(beta x) is undefined.
+    f = grid.kernel(np.maximum(energies, 0.0))
+    f_norm = float(np.linalg.norm(f))
+    success_amplitude = min(f_norm / (math.sqrt(n_dim) * grid.weight_sum), 1.0)
     rounds = amplification_rounds(success_amplitude, constants)
 
-    blocks = image.reshape(n_dim, anc, n_dim)
-    rho = np.einsum("iak,jak->ij", blocks, blocks.conj()) / joint_norm**2
+    rho = (vectors * f**2) @ vectors.conj().T / f_norm**2
     prepared = DensityMatrix((rho + rho.conj().T) / 2)
 
     exact = DensityMatrix(
@@ -284,7 +287,7 @@ def prepare_gibbs(
 
     t_max = grid.y_max * math.sqrt(task.beta)
     k_terms = max(task.decomposition.n_terms, 1)
-    tau = evolution_tau(g, t_max)
+    tau = abs(t_max) * task.decomposition.sum_sqrt_weights()
     if tau > 0:
         model = SimulationCostModel(
             tau=tau,

@@ -6,6 +6,12 @@ integrals expresses H^{-1} as one large positive combination of evolutions of
 the gap-amplified H~. The hitting time is then gamma times the expectation of
 that combination in the stationary state conditioned on the unmarked block,
 estimated by a phase-estimation amplitude sampler at the metrology rate.
+
+The combination is even in H~, so on the ancilla-0 sector it is the certified
+scalar filter `InverseGrid.inverse_filter` of H. The pipeline evaluates that
+filter on the spectrum of H and never builds H~, so the dimension cap applies
+to the unmarked block itself. `inverse_lcu` builds the combination over
+evolutions of H~ as a reference for the tests.
 """
 
 from __future__ import annotations
@@ -22,27 +28,17 @@ from .cost import CostEntry, CostReport, hitting_eps_prime, theorem2_cost
 from .errors import CalibrationError, PreconditionWarning, ValidationError
 from .gap_amplification import (
     GapAmplifiedHamiltonian,
-    build_tilde_h,
-    evolution_tau,
-    psd_split,
     SimulationCostModel,
     simulation_query_cost,
 )
 from .gibbs import calibrate_hs_grid
-from .lcu import (
-    EvolutionLcu,
-    ancilla_zero_block,
-    extended_lcu_state,
-    gaussian_cosine_series,
-    gaussian_weights,
-)
+from .lcu import EvolutionLcu, gaussian_cosine_series, gaussian_weight_sum
 from .markov import (
     DiscriminantPair,
     MarkedPartition,
     exact_hitting_time_inverse,
     expected_mc_cost,
 )
-from .operators import StateVector
 
 logger = logging.getLogger(__name__)
 
@@ -82,13 +78,8 @@ class InverseGrid:
         return self.j_max * self.delta_y
 
     @property
-    def node_weight_sum(self) -> float:
-        w = gaussian_weights(self.delta_y, self.j_max)
-        return float(w[0] + 2 * w[1:].sum())
-
-    @property
     def gamma(self) -> float:
-        return (self.k_max + 1) * self.delta_z * self.node_weight_sum
+        return (self.k_max + 1) * self.delta_z * gaussian_weight_sum(self.delta_y, self.j_max)
 
     def inverse_filter(self, x) -> np.ndarray:
         """The scalar double sum approximating 1/x, evaluated at x >= 0."""
@@ -169,10 +160,7 @@ def calibrate_inverse_grid(
     )
 
 
-def _sector_spectrum_check(grid: InverseGrid, g: GapAmplifiedHamiltonian) -> None:
-    if g.source is None:
-        raise ValidationError("inverse combination needs a projector presentation")
-    eigs = np.linalg.eigvalsh(g.source.sum_matrix())
+def _check_spectrum(grid: InverseGrid, eigs: np.ndarray) -> None:
     live = eigs[np.abs(eigs) > 1e-9]
     if live.size and (
         float(live.min()) < grid.delta_lower - 1e-9 or float(live.max()) > 1.0 + 1e-9
@@ -183,73 +171,43 @@ def _sector_spectrum_check(grid: InverseGrid, g: GapAmplifiedHamiltonian) -> Non
         )
 
 
-def inverse_lcu(
-    grid: InverseGrid, g: GapAmplifiedHamiltonian, time_scale: str = "two-z"
-) -> EvolutionLcu:
+def inverse_lcu(grid: InverseGrid, g: GapAmplifiedHamiltonian) -> EvolutionLcu:
     """The double-grid combination as a structured LCU over evolutions of H~.
 
-    time_scale="two-z" uses exp(-i y_j sqrt(2 z_k) H~), the choice under which
-    the Gaussian identity reproduces exp(-z_k x) exactly on the sector;
-    "plain-z" (sqrt(z_k)) is provided for numeric comparison and converges to
-    the inverse of H/2 instead.
+    Uses exp(-i y_j sqrt(2 z_k) H~), the time scale under which the Gaussian
+    identity reproduces exp(-z_k x) exactly on the sector.
     """
-    _sector_spectrum_check(grid, g)
-    if time_scale == "two-z":
-        scales = np.sqrt(2.0 * grid.z_nodes)
-    elif time_scale == "plain-z":
-        scales = np.sqrt(grid.z_nodes)
-    else:
-        raise ValidationError(f"unknown time_scale {time_scale!r}")
+    if g.source is None:
+        raise ValidationError("inverse combination needs a projector presentation")
+    _check_spectrum(grid, np.linalg.eigvalsh(g.source.sum_matrix()))
     return EvolutionLcu(
         hamiltonian=g,
         delta_y=grid.delta_y,
         j_max=grid.j_max,
-        scales=scales,
+        scales=np.sqrt(2.0 * grid.z_nodes),
         scale_weights=np.full(grid.k_max + 1, grid.delta_z),
     )
 
 
-def _sqrt_pi_sector_state(g: GapAmplifiedHamiltonian, mp: MarkedPartition) -> np.ndarray:
-    if g.system_dim == mp.n_unmarked:
-        vec = mp.sqrt_pi_u.astype(complex)
-    elif g.system_dim == mp.chain.n_states:
-        vec = np.zeros(mp.chain.n_states, dtype=complex)
-        vec[list(mp.unmarked)] = mp.sqrt_pi_u
-    else:
-        raise ValidationError(
-            f"system dimension {g.system_dim} matches neither the unmarked block "
-            f"({mp.n_unmarked}) nor the full chain ({mp.chain.n_states})"
-        )
-    return g.embed_sector_state(vec)
+def t_circuit_expectation(grid: InverseGrid, pair: DiscriminantPair, mp: MarkedPartition) -> float:
+    """(pi_U / gamma) <sqrt(pi_U)| X |sqrt(pi_U)> on the sector spectrum of H.
 
-
-def t_circuit_expectation(
-    grid: InverseGrid,
-    g: GapAmplifiedHamiltonian,
-    mp: MarkedPartition,
-    lcu: EvolutionLcu | None = None,
-    strict: bool = False,
-) -> float:
-    """(pi_U / gamma) Re <sqrt(pi_U)| X |sqrt(pi_U)> through the ancilla-0 block.
-
-    This equals t_h / gamma up to the grid's discretization error. The strict
-    path additionally materializes the coefficient-state dilation on small
-    grids and checks that its ancilla-0 block gives the same number.
+    X acts on the ancilla-0 sector as inverse_filter(H), so with H = sum_i
+    lambda_i |v_i><v_i| the value is pi_U sum_i |<v_i|sqrt(pi_U)>|^2
+    inverse_filter(lambda_i) / gamma. This equals t_h / gamma up to the grid's
+    discretization error.
     """
-    if lcu is None:
-        lcu = inverse_lcu(grid, g)
-    state = _sqrt_pi_sector_state(g, mp)
-    image = lcu.apply_sum(state)
-    value = mp.pi_u * float(np.real(np.vdot(state, image))) / lcu.gamma_total
-    if strict:
-        dilated = extended_lcu_state(lcu, StateVector(state))
-        block = ancilla_zero_block(dilated, lcu.dim, lcu.n_terms)
-        dilated_value = mp.pi_u * float(np.real(np.vdot(state, block)))
-        if abs(dilated_value - value) > 1e-9:
-            raise ValidationError(
-                f"dilation expectation {dilated_value!r} disagrees with block value {value!r}"
-            )
-    return value
+    if pair.h_matrix.dim != mp.n_unmarked:
+        raise ValidationError(
+            f"Hamiltonian dimension {pair.h_matrix.dim} does not match the "
+            f"{mp.n_unmarked} unmarked states"
+        )
+    eigs, vecs = pair.h_matrix.eigensystem
+    _check_spectrum(grid, eigs)
+    weights = np.abs(vecs.conj().T @ mp.sqrt_pi_u) ** 2
+    # Spectator zero modes may sit a roundoff below zero, where sqrt is undefined.
+    filtered = grid.inverse_filter(np.maximum(eigs, 0.0))
+    return mp.pi_u * float(weights @ filtered) / grid.gamma
 
 
 def outcome_distribution(true_value: float, m: int) -> np.ndarray:
@@ -347,39 +305,36 @@ class HittingTimeResult:
 def estimate_hitting_time(
     task: HittingTimeTask,
     seed: int = 0,
-    g: GapAmplifiedHamiltonian | None = None,
     grid: InverseGrid | None = None,
-    lcu: EvolutionLcu | None = None,
-    strict: bool = False,
 ) -> HittingTimeResult:
     """Full pipeline: calibrate the inverse grid, compute the exact circuit
     expectation, sample one amplitude estimate at precision eps', and rescale
     by z_K. The ledger prices one run as queries * (C_W + C_U + C_sqrt_pi + C_B).
 
-    `g`, `grid` and `lcu` accept precomputed pieces so seed sweeps over the
-    same task reuse the deterministic part of the pipeline.
+    `grid` accepts a precomputed grid so seed sweeps over the same task reuse
+    the deterministic part of the pipeline.
     """
     constants = task.constants
     mp = task.partition
     delta = task.delta
     if grid is None:
         grid = calibrate_inverse_grid(delta, task.epsilon)
-    if g is None:
-        g = build_tilde_h(psd_split(task.pair.h_matrix.matrix))
-    if lcu is None:
-        lcu = inverse_lcu(grid, g)
-    amp = t_circuit_expectation(grid, g, mp, lcu=lcu, strict=strict)
+    amp = t_circuit_expectation(grid, task.pair, mp)
     amp_clipped = min(max(amp, 0.0), 1.0)
     estimate_raw, queries = amplitude_estimation(
         amp_clipped, task.epsilon_prime, task.confidence, seed, constants
     )
     t_hat = grid.z_max * estimate_raw
 
+    # The enlarged operator's presentation has one rank-1 projector per
+    # nonzero eigenvalue lambda of H, with weight sqrt(lambda); the sum runs in
+    # ascending order, so the ledger matches that presentation's to the bit.
+    live = [float(x) for x in task.pair.h_matrix.eigensystem[0] if x > 1e-12]
     t_evolve = grid.y_max * math.sqrt(2.0 * grid.z_max)
     model = SimulationCostModel(
-        tau=evolution_tau(g, t_evolve),
+        tau=abs(t_evolve) * sum(math.sqrt(x) for x in live),
         epsilon=task.epsilon_prime,
-        k_terms=max(g.source.n_terms, 1) if g.source is not None else 1,
+        k_terms=max(len(live), 1),
         unitary_gate_cost=constants.unitary_gate_cost,
         constants=constants,
     )

@@ -9,6 +9,11 @@ Two interchangeable term representations:
   sum_l gamma_l cos(t_l E) on the eigenvalues of H~, which is the same sum the
   explicit representation would compute, grouped by eigenvalue.
 
+Both are reference implementations on the enlarged space, as is the exact
+dilation `extended_lcu_state`. The pipelines evaluate the same even filter on
+the spectrum of H directly (`gaussian_cosine_series` at sqrt of each
+eigenvalue), and the tests check them against these objects at small sizes.
+
 Amplitude amplification is modeled by round counting on exact success
 amplitudes rather than by simulating reflection circuits: the round count is
 the only thing downstream cost ledgers consume, and exact amplitudes make it
@@ -40,6 +45,12 @@ def gaussian_weights(delta_y: float, j_max: int) -> np.ndarray:
     """Weights w_j = delta_y exp(-y_j^2/2)/sqrt(2 pi) for j = 0..j_max."""
     j = np.arange(j_max + 1)
     return delta_y / math.sqrt(2 * math.pi) * np.exp(-0.5 * (j * delta_y) ** 2)
+
+
+def gaussian_weight_sum(delta_y: float, j_max: int) -> float:
+    """w_0 + 2 sum_{j>=1} w_j: the total weight of the symmetric grid, close to 1."""
+    w = gaussian_weights(delta_y, j_max)
+    return float(w[0] + 2 * w[1:].sum())
 
 
 def gaussian_cosine_series(a, delta_y: float, j_max: int):
@@ -144,13 +155,8 @@ class EvolutionLcu:
         return len(self.scales) * (2 * self.j_max + 1)
 
     @property
-    def node_weight_sum(self) -> float:
-        w = gaussian_weights(self.delta_y, self.j_max)
-        return float(w[0] + 2 * w[1:].sum())
-
-    @property
     def gamma_total(self) -> float:
-        return float(self.scale_weights.sum()) * self.node_weight_sum
+        return float(self.scale_weights.sum()) * gaussian_weight_sum(self.delta_y, self.j_max)
 
     def filter_values(self, eigenvalues: np.ndarray) -> np.ndarray:
         """F(E) on an array of eigenvalues, chunked over the scale blocks."""

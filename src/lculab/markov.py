@@ -306,8 +306,13 @@ def classical_mc_estimate(
     m = chebyshev_sample_count(mp, epsilon, constants)
     chain = mp.chain
     marked = frozenset(mp.marked)
+    # Rounding can leave a cumulative sum just below 1, and a draw above it
+    # would index past the last state. Dividing by the last entry pins it at 1
+    # and is exact where it already is 1.
     cum_pi = np.cumsum(chain.stationary)
+    cum_pi /= cum_pi[-1]
     cum_cols = np.cumsum(chain.transition, axis=0)
+    cum_cols /= cum_cols[-1]
     total_steps = 0
     total_time = 0
     for i in range(m):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, Constants
-from .cost import CostEntry, CostReport
+from .cost import CostEntry, CostReport, log_over_loglog
 from .errors import ValidationError
 from .gap_amplification import (
     GapAmplifiedHamiltonian,
@@ -404,9 +404,7 @@ def sparse_cost(
         if not (value > 0 and math.isfinite(value)):
             raise ValidationError(f"{name} must be positive and finite")
     tau = abs(t) * d * d
-    log_r = max(math.log(tau / epsilon), 0.0)
-    loglog = math.log(log_r) if log_r > 1.0 else 0.0
-    factor = log_r / max(loglog, 1.0)
+    factor = log_over_loglog(tau / epsilon)
     queries = constants.query_cost_constant * tau * factor
     extra = constants.gate_cost_constant * d * math.log(n_states) * tau * factor
     total = (

@@ -240,13 +240,11 @@ def test_criterion_6_estimator_coverage():
         dp = discriminant_pair(mp)
         task = HittingTimeTask(partition=mp, pair=dp, epsilon=epsilon)
         grid = calibrate_inverse_grid(task.delta, epsilon)
-        g = build_tilde_h(psd_split(dp.h_matrix.matrix))
-        combo = inverse_lcu(grid, g)
         t_exact = exact_hitting_time_inverse(dp, mp)
         hits = 0
         runs = 400
         for seed in range(runs):
-            res = estimate_hitting_time(task, seed=seed, g=g, grid=grid, lcu=combo)
+            res = estimate_hitting_time(task, seed=seed, grid=grid)
             err = abs(res.estimate - t_exact)
             worst_err = max(worst_err, err / epsilon)
             if err <= c_tot * epsilon:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from lculab import cli
 from lculab.cli import main
 from lculab.markov import chain_to_json, symmetric_two_state
 
@@ -174,6 +175,21 @@ class TestSweeps:
         assert rows[0].startswith("delta,epsilon,z_K,K,J")
         values = rows[1].split(",")
         assert float(values[-1]) <= 0.05  # residual within eps/2
+
+    def test_lemma2_points_draw_distinct_operators(self, monkeypatch):
+        # 1/0.3 and 1/0.33 truncate to the same integer; the two points must
+        # still draw different random operators
+        seen = []
+
+        def recording(rng, dim, lo, hi):
+            seen.append(rng.bit_generator.state["state"]["state"])
+            return original(rng, dim, lo, hi)
+
+        original = cli.random_hermitian_with_spectrum
+        monkeypatch.setattr(cli, "random_hermitian_with_spectrum", recording)
+        for delta in (0.3, 0.33):
+            cli._lemma2_point((delta, 0.2, 3, 1, 5))
+        assert len(seen) == 2 and seen[0] != seen[1]
 
     def test_cost_sweep_classical_reports_true_gap(self, tmp_path):
         config = _write_config(

@@ -12,7 +12,6 @@ from lculab.gap_amplification import (
     build_tilde_h,
     decomposition_from_json,
     decomposition_to_json,
-    evolution_tau,
     exact_evolution,
     parse_pauli_lines,
     projectors_from_unitaries,
@@ -188,11 +187,11 @@ class TestSimulationCost:
             SimulationCostModel(tau=1.0, epsilon=0.0)
 
     def test_tau_conventions_agree(self, rng):
+        # the unitary expansion's weight sum is sum_k sqrt(alpha_k), the tau per unit time
         p = random_projector_decomposition(rng, 4, 3)
         g = build_tilde_h(p)
-        assert evolution_tau(g, 2.0, "weight-sum") == pytest.approx(
-            evolution_tau(g, 2.0, "sqrt-alpha")
-        )
+        weights = sum(w for w, _ in tilde_h_unitary_terms(g).terms)
+        assert weights == pytest.approx(g.source.sum_sqrt_weights(), rel=1e-14)
 
 
 class TestPauliParsing:

@@ -243,6 +243,21 @@ class TestPrepareGibbs:
         np.testing.assert_allclose(res.prepared_density.matrix, np.eye(2) / 2, atol=1e-10)
         assert res.trace_dist <= 1e-10
 
+    def test_nine_qubit_tfim(self):
+        # N(K+1) = 512 * 18 would exceed the dimension cap; the pipeline works on N = 512
+        n = 9
+        lines = []
+        for i in range(n - 1):
+            lines.append("-1.0 " + "I" * i + "ZZ" + "I" * (n - i - 2))
+        for i in range(n):
+            lines.append(f"-{0.5 + 0.1 * i} " + "I" * i + "X" + "I" * (n - i - 1))
+        decomposition, _ = projectors_from_unitaries(parse_pauli_lines("\n".join(lines)))
+        h = HermitianOperator(decomposition.sum_matrix())
+        task = GibbsTask(hamiltonian=h, beta=2.0, epsilon=0.05, decomposition=decomposition)
+        res = prepare_gibbs(task)
+        assert res.trace_dist <= 0.05
+        assert trace_distance(res.prepared_density, _exact_thermal(h, 2.0)) <= 0.05
+
     def test_mismatched_decomposition_rejected(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))
         with pytest.raises(ValidationError):

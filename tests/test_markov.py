@@ -286,6 +286,37 @@ class TestClassicalEstimator:
         with pytest.raises(WalkTimeoutError):
             classical_mc_estimate(mp, epsilon=0.5, seed=1, max_total_steps=3)
 
+    def test_draw_below_one_past_short_stationary_table(self, monkeypatch):
+        # this chain's stationary cumulative sum ends below 1; a start draw
+        # between it and 1 must still land on the last state, here marked
+        chain = random_reversible_chain(np.random.default_rng(2), 12)
+        assert np.cumsum(chain.stationary)[-1] < 1.0
+        mp = mark_states(chain, [11])
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _BelowOneDraws())
+        estimate, samples, steps = classical_mc_estimate(mp, epsilon=1.0, seed=0)
+        assert (estimate, steps) == (0.0, 0) and samples >= 1
+
+    def test_draw_below_one_past_short_column_table(self, monkeypatch):
+        # column 0 sums to 1 - 2^-53 in floating point; from state 0 a step
+        # draw just below 1 must land on its last state, here marked
+        p = np.array([[0.7, 0.2, 0.1], [0.2, 0.7, 0.1], [0.1, 0.1, 0.8]])
+        assert np.cumsum(p[:, 0])[-1] < 1.0
+        mp = mark_states(validate_chain(p), [2])
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _BelowOneDraws(first=0.0))
+        estimate, samples, steps = classical_mc_estimate(mp, epsilon=1.0, seed=0)
+        assert estimate == 1.0 and steps == samples
+
+
+class _BelowOneDraws:
+    """A generator stand-in: `first`, then always the largest double below 1."""
+
+    def __init__(self, first: float = float(np.nextafter(1.0, 0.0))):
+        self._next = first
+
+    def random(self) -> float:
+        value, self._next = self._next, float(np.nextafter(1.0, 0.0))
+        return value
+
 
 class TestChainJson:
     def test_round_trip(self, rng):

@@ -5,7 +5,13 @@ import pytest
 import scipy.linalg
 
 from lculab.gap_amplification import unitarity_defect
-from lculab.inverse import HittingTimeTask, estimate_hitting_time
+from lculab.inverse import (
+    HittingTimeTask,
+    calibrate_inverse_grid,
+    estimate_hitting_time,
+    inverse_lcu,
+    t_circuit_expectation,
+)
 from lculab.errors import ValidationError
 from lculab.markov import (
     discriminant_matrix,
@@ -38,6 +44,15 @@ def _pipeline(chain, marked):
     factors = build_sqrt_factors(coloring, oracle)
     decomposition, g = assemble_tilde_h_sparse(factors, coloring, oracle)
     return oracle, terms, h_bar, projected, coloring, factors, decomposition, g
+
+
+def _sparse_expectation(grid, g, mp):
+    """(pi_U / gamma) <sqrt(pi_U)| X |sqrt(pi_U)> with X built over the sparse enlarged operator."""
+    vec = np.zeros(mp.chain.n_states, dtype=complex)
+    vec[list(mp.unmarked)] = mp.sqrt_pi_u
+    state = g.embed_sector_state(vec)
+    combo = inverse_lcu(grid, g)
+    return mp.pi_u * float(np.real(np.vdot(state, combo.apply_sum(state)))) / combo.gamma_total
 
 
 class TestOracle:
@@ -344,15 +359,17 @@ class TestAssembly:
         dp = discriminant_pair(mp)
         _, _, _, _, _, _, _, g = _pipeline(chain, [0])
         task = HittingTimeTask(partition=mp, pair=dp, epsilon=0.1)
-        res = estimate_hitting_time(task, seed=21, g=g)
+        grid = calibrate_inverse_grid(task.delta, task.epsilon)
+        res = estimate_hitting_time(task, seed=21, grid=grid)
         assert abs(res.estimate - res.exact_hitting_time) <= 4 * 0.1
+        # evolving the sparse enlarged operator gives the pipeline's expectation
+        assert _sparse_expectation(grid, g, mp) == pytest.approx(res.exact_amplitude, rel=1e-9)
 
     def test_deterministic_hitting_consistency_random_chains(self, rng):
         # gamma times the circuit expectation through the sparse enlarged
-        # operator reproduces the exact hitting time before sampling noise;
-        # one grid at a shared spectral lower bound serves every chain
-        from lculab.inverse import calibrate_inverse_grid, inverse_lcu, t_circuit_expectation
-
+        # operator reproduces the exact hitting time before sampling noise and
+        # the pipeline's sector value; one grid at a shared spectral lower
+        # bound serves every chain
         epsilon = 0.25
         delta_floor = 0.02
         grid = calibrate_inverse_grid(delta_floor, epsilon)
@@ -371,10 +388,10 @@ class TestAssembly:
             if dp.delta < delta_floor:
                 continue
             _, _, _, _, _, _, _, g = _pipeline(chain, marked)
-            combo = inverse_lcu(grid, g)
-            amp = t_circuit_expectation(grid, g, mp, lcu=combo)
+            amp = _sparse_expectation(grid, g, mp)
             t_exact = exact_hitting_time_inverse(dp, mp)
-            assert abs(amp * combo.gamma_total - t_exact) <= epsilon
+            assert abs(amp * grid.gamma - t_exact) <= epsilon
+            assert amp == pytest.approx(t_circuit_expectation(grid, dp, mp), rel=1e-9)
             checked += 1
         assert checked == 8
 
