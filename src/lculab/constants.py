@@ -9,7 +9,6 @@ so experiments can override them from a JSON file.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,9 +31,11 @@ class Constants:
     hitting_eps_prime_constant: float = 0.5
     # Coefficient-state gate cost C_B = c * ln(1/(Delta*eps)).
     b_gate_cost_constant: float = 1.0
-    # Simulation cost model prefactors (queries / extra gates / total gates).
+    # Prefactors of the query and extra-gate counts of one simulated evolution.
+    # No ledger reports those counts; the two stay accepted as overrides.
     query_cost_constant: float = 1.0
     gate_cost_constant: float = 1.0
+    # Prefactor c of the evolution gate model C_W (cost.evolution_gate_cost).
     total_cost_constant: float = 1.0
     # Per-unitary gate cost C_U of the select oracle.
     unitary_gate_cost: float = 1.0
@@ -59,11 +60,6 @@ class Constants:
             if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
                 raise ValidationError(f"constant {name!r} must be a positive finite number")
         return cls(**{k: float(v) for k, v in values.items()})
-
-    @classmethod
-    def from_json_file(cls, path: str) -> "Constants":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 DEFAULT_CONSTANTS = Constants()

@@ -1,7 +1,11 @@
 """Unified gate-count ledger with explicit constants, plus scaling-fit helpers.
 
 Every entry carries a provenance string naming the closed form it evaluates,
-and totals are recomputable from the entries. Fits are slope-only: multiplying
+and totals are recomputable from the entries. Both theorems price their
+evolutions with one gate model, `evolution_gate_cost`: c u tau ln(tau/eps) /
+lnln(tau/eps) (truncated-Taylor-series simulation), where only the per-unit
+factor u differs between the projector LCU (`select_unit_cost`) and sparse
+access (d ln N + C_P + C_U). Fits are slope-only: multiplying
 all costs by a constant never changes a fitted exponent, and the dominant
 power law can be extracted by dividing out the formula's own explicit
 logarithmic factors before fitting.
@@ -61,6 +65,24 @@ def log_over_loglog(ratio: float) -> float:
     return log_r / max(loglog, 1.0)
 
 
+def evolution_gate_cost(tau: float, epsilon: float, per_unit: float, constants: Constants) -> float:
+    """Gates to simulate an evolution of weighted length tau to precision eps:
+    c * u * tau * ln(tau/eps)/lnln(tau/eps), and 0 at tau = 0."""
+    if not (tau >= 0 and math.isfinite(tau)):
+        raise ValidationError(f"tau must be nonnegative and finite, got {tau!r}")
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ValidationError(f"epsilon must be positive, got {epsilon!r}")
+    if tau == 0:
+        return 0.0
+    return constants.total_cost_constant * per_unit * tau * log_over_loglog(tau / epsilon)
+
+
+def select_unit_cost(k_terms: int, constants: Constants) -> float:
+    """Per-unit factor ln(K) C_U + K of the select oracle over K unitaries (K >= 1)."""
+    k = max(k_terms, 1)
+    return math.log(k) * constants.unitary_gate_cost + k
+
+
 def _check_positive(**values: float) -> None:
     for name, value in values.items():
         if not (value > 0 and math.isfinite(value)):
@@ -95,17 +117,9 @@ def theorem1_cost(
     j_nodes = max(math.sqrt(max(norm_bound * beta, 1.0)) * log_inv, 2.0)
     amplitude = min(math.sqrt(z / n_dim), 1.0)
     rounds = max(1, math.ceil(constants.amp_round_constant / math.asin(amplitude)))
-    tau = t * sum_sqrt_weights
-    if tau > 0:
-        factor = log_over_loglog(tau / eps_prime)
-        c_w = (
-            constants.total_cost_constant
-            * (math.log(max(k_terms, 1)) * constants.unitary_gate_cost + max(k_terms, 1))
-            * tau
-            * factor
-        )
-    else:
-        c_w = 0.0
+    c_w = evolution_gate_cost(
+        t * sum_sqrt_weights, eps_prime, select_unit_cost(k_terms, constants), constants
+    )
     n_qubits = max(1.0, math.ceil(math.log2(n_dim)))
     total = rounds * (c_w + n_qubits + math.log2(j_nodes))
     qubit_arg = math.sqrt(n_dim * max(beta, 1.0) / z) / epsilon
@@ -130,6 +144,12 @@ def hitting_eps_prime(delta_lower: float, epsilon: float, constants: Constants) 
     return constants.hitting_eps_prime_constant * epsilon * delta_lower / max(log_inv, 1.0)
 
 
+def _theorem2_log_and_tau(delta_lower: float, epsilon: float, d: float) -> tuple[float, float]:
+    """ln(1/(eps Delta)) and Theorem 2's tau = |t| d^2 at t = ln(1/(eps Delta))/sqrt(Delta)."""
+    log_inv = math.log(1.0 / (epsilon * delta_lower))
+    return log_inv, log_inv / math.sqrt(delta_lower) * d * d
+
+
 def theorem2_cost(
     delta_lower: float,
     epsilon: float,
@@ -148,16 +168,9 @@ def theorem2_cost(
     if delta_lower > 1:
         raise ValidationError("delta_lower must lie in (0, 1]")
     eps_prime = hitting_eps_prime(delta_lower, epsilon, constants)
-    log_inv = math.log(1.0 / (epsilon * delta_lower))
-    t = log_inv / math.sqrt(delta_lower)
-    tau = t * d * d
-    factor = log_over_loglog(tau / eps_prime)
-    c_w = (
-        constants.total_cost_constant
-        * (d * math.log(n_states) + constants.sparse_oracle_cost + constants.marked_oracle_cost)
-        * tau
-        * factor
-    )
+    log_inv, tau = _theorem2_log_and_tau(delta_lower, epsilon, d)
+    per_unit = d * math.log(n_states) + constants.sparse_oracle_cost + constants.marked_oracle_cost
+    c_w = evolution_gate_cost(tau, eps_prime, per_unit, constants)
     c_b = constants.b_gate_cost_constant * log_inv
     repetitions = constants.ae_query_constant / eps_prime
     per_rep = (
@@ -189,8 +202,7 @@ def theorem2_log_correction(
     """
     _check_positive(delta_lower=delta_lower, epsilon=epsilon, d=d)
     eps_prime = hitting_eps_prime(delta_lower, epsilon, constants)
-    log_inv = math.log(1.0 / (epsilon * delta_lower))
-    tau = log_inv / math.sqrt(delta_lower) * d * d
+    log_inv, tau = _theorem2_log_and_tau(delta_lower, epsilon, d)
     return log_inv * log_inv * log_over_loglog(tau / eps_prime)
 
 

@@ -11,19 +11,16 @@ is an even function of it, and on the ancilla-0 sector an even function of the
 enlarged operator is the same function of sqrt(H), so they work on the
 spectrum of H. The enlarged operator, its unitary expansion and its exact
 evolutions are the reference those sector evaluations are tested against.
-Also houses the closed-form gate-count model for simulating the enlarged
-evolution.
+The gate cost of simulating the enlarged evolution is priced in `cost`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, Constants
-from .cost import log_over_loglog
 from .errors import ValidationError
 from .operators import HermitianOperator, as_square_matrix, hermiticity_defect
 
@@ -110,10 +107,6 @@ class UnitaryDecomposition:
         for alpha, u in self.terms:
             total += alpha * u
         return total
-
-    def one_half_sum(self) -> np.ndarray:
-        """The operator (1/2) sum_k alpha_k U_k presented by this decomposition."""
-        return self.weighted_sum() / 2
 
 
 def parse_pauli_lines(text: str) -> UnitaryDecomposition:
@@ -221,6 +214,15 @@ def _ancilla_coupler(k: int, ancilla_dim: int) -> np.ndarray:
     return a
 
 
+def ancilla_rotations(k: int, ancilla_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair exp(-+ i(pi/2)(|k><0| + |0><k|)) = (1 - support) -+ i coupler on the
+    ancilla, where support is |0><0| + |k><k|."""
+    coupler = _ancilla_coupler(k, ancilla_dim)
+    rest = np.eye(ancilla_dim, dtype=complex)
+    rest[0, 0] = rest[k, k] = 0.0
+    return rest - 1j * coupler, rest + 1j * coupler
+
+
 def assemble_gap_amplified(
     blocks: list[np.ndarray],
     system_dim: int,
@@ -263,12 +265,7 @@ def tilde_h_unitary_terms(g: GapAmplifiedHamiltonian) -> UnitaryDecomposition:
     eye_anc = np.eye(ancilla_dim)
     terms: list[tuple[float, np.ndarray]] = []
     for k, (alpha, proj) in enumerate(p.terms, start=1):
-        coupler = _ancilla_coupler(k, ancilla_dim)
-        support = np.zeros((ancilla_dim, ancilla_dim))
-        support[0, 0] = support[k, k] = 1.0
-        # exp(-+ i(pi/2) coupler) = (1 - support) -+ i * coupler on the ancilla
-        rot_minus = (eye_anc - support) - 1j * coupler
-        rot_plus = (eye_anc - support) + 1j * coupler
+        rot_minus, rot_plus = ancilla_rotations(k, ancilla_dim)
         comp = eye_sys - proj
         u_minus = 1j * (np.kron(proj, rot_minus) + np.kron(comp, eye_anc))
         u_plus = -1j * (np.kron(proj, rot_plus) + np.kron(comp, eye_anc))
@@ -285,73 +282,3 @@ def exact_evolution(g: GapAmplifiedHamiltonian, t: float) -> np.ndarray:
     w, v = g.operator.eigensystem
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
-
-# ---------------------------------------------------------------------------
-# Closed-form cost model for simulating the enlarged evolution.
-
-@dataclass(frozen=True)
-class SimulationCostModel:
-    """Inputs of the gate-count formula for one approximate evolution.
-
-    tau is |t| times the sum of decomposition weights, which for the
-    construction above is |t| sum_k sqrt(alpha_k).
-    """
-
-    tau: float
-    epsilon: float
-    k_terms: int = 1
-    unitary_gate_cost: float = 1.0
-    constants: Constants = field(default=DEFAULT_CONSTANTS)
-
-    def __post_init__(self):
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise ValidationError(f"tau must be positive, got {self.tau!r}")
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon!r}")
-        if self.k_terms < 1:
-            raise ValidationError("k_terms must be at least 1")
-        if self.unitary_gate_cost <= 0:
-            raise ValidationError("unitary_gate_cost must be positive")
-
-
-def simulation_query_cost(m: SimulationCostModel) -> tuple[float, float, float]:
-    """Queries, additional gates, and total gates for one simulated evolution.
-
-    queries ~ tau * ln(tau/eps)/lnln(tau/eps), extra gates carry a factor K,
-    and the total carries (ln(K) C_U + K).
-    """
-    factor = log_over_loglog(m.tau / m.epsilon)
-    c = m.constants
-    queries = c.query_cost_constant * m.tau * factor
-    extra_gates = c.gate_cost_constant * m.k_terms * m.tau * factor
-    total = (
-        c.total_cost_constant
-        * (math.log(m.k_terms) * m.unitary_gate_cost + m.k_terms)
-        * m.tau
-        * factor
-    )
-    return queries, extra_gates, total
-
-
-def decomposition_to_json(p: ProjectorDecomposition) -> dict:
-    from .operators import matrix_to_json
-
-    return {
-        "dim": p.dim,
-        "terms": [
-            {"alpha": alpha, "projector": matrix_to_json(proj)} for alpha, proj in p.terms
-        ],
-    }
-
-
-def decomposition_from_json(obj: dict) -> ProjectorDecomposition:
-    from .operators import matrix_from_json
-
-    try:
-        dim = int(obj["dim"])
-        terms = tuple(
-            (float(term["alpha"]), matrix_from_json(term["projector"])) for term in obj["terms"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed decomposition JSON: {exc}") from exc
-    return ProjectorDecomposition(dim=dim, terms=terms)

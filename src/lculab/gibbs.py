@@ -22,20 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, Constants
-from .cost import CostEntry, CostReport
+from .cost import CostEntry, CostReport, evolution_gate_cost, select_unit_cost
 from .errors import CalibrationError, PreconditionWarning, ValidationError
-from .gap_amplification import (
-    GapAmplifiedHamiltonian,
-    ProjectorDecomposition,
-    SimulationCostModel,
-    simulation_query_cost,
-)
+from .gap_amplification import GapAmplifiedHamiltonian, ProjectorDecomposition
 from .lcu import (
     EvolutionLcu,
     amplification_rounds,
     gaussian_cosine_series,
     gaussian_weight_sum,
-    gaussian_weights,
 )
 from .operators import (
     DensityMatrix,
@@ -65,15 +59,6 @@ class HsGrid:
     @property
     def y_max(self) -> float:
         return self.j_max * self.delta_y
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.arange(-self.j_max, self.j_max + 1) * self.delta_y
-
-    @property
-    def weights(self) -> np.ndarray:
-        half = gaussian_weights(self.delta_y, self.j_max)
-        return np.concatenate([half[:0:-1], half])
 
     @property
     def weight_sum(self) -> float:
@@ -286,19 +271,12 @@ def prepare_gibbs(
     dist = trace_distance(prepared, exact)
 
     t_max = grid.y_max * math.sqrt(task.beta)
-    k_terms = max(task.decomposition.n_terms, 1)
-    tau = abs(t_max) * task.decomposition.sum_sqrt_weights()
-    if tau > 0:
-        model = SimulationCostModel(
-            tau=tau,
-            epsilon=eps_prime,
-            k_terms=k_terms,
-            unitary_gate_cost=constants.unitary_gate_cost,
-            constants=constants,
-        )
-        _, _, c_w = simulation_query_cost(model)
-    else:
-        c_w = 0.0
+    c_w = evolution_gate_cost(
+        abs(t_max) * task.decomposition.sum_sqrt_weights(),
+        eps_prime,
+        select_unit_cost(task.decomposition.n_terms, constants),
+        constants,
+    )
     n_qubits = max(1, math.ceil(math.log2(n_dim)))
     log_j = math.log2(max(grid.j_max, 2))
     total = rounds * (c_w + n_qubits + log_j)

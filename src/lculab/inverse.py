@@ -24,13 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, Constants
-from .cost import CostEntry, CostReport, hitting_eps_prime, theorem2_cost
-from .errors import CalibrationError, PreconditionWarning, ValidationError
-from .gap_amplification import (
-    GapAmplifiedHamiltonian,
-    SimulationCostModel,
-    simulation_query_cost,
+from .cost import (
+    CostEntry,
+    CostReport,
+    evolution_gate_cost,
+    hitting_eps_prime,
+    select_unit_cost,
 )
+from .errors import CalibrationError, PreconditionWarning, ValidationError
+from .gap_amplification import GapAmplifiedHamiltonian
 from .gibbs import calibrate_hs_grid
 from .lcu import EvolutionLcu, gaussian_cosine_series, gaussian_weight_sum
 from .markov import (
@@ -331,14 +333,12 @@ def estimate_hitting_time(
     # ascending order, so the ledger matches that presentation's to the bit.
     live = [float(x) for x in task.pair.h_matrix.eigensystem[0] if x > 1e-12]
     t_evolve = grid.y_max * math.sqrt(2.0 * grid.z_max)
-    model = SimulationCostModel(
-        tau=abs(t_evolve) * sum(math.sqrt(x) for x in live),
-        epsilon=task.epsilon_prime,
-        k_terms=max(len(live), 1),
-        unitary_gate_cost=constants.unitary_gate_cost,
-        constants=constants,
+    c_w = evolution_gate_cost(
+        abs(t_evolve) * sum(math.sqrt(x) for x in live),
+        task.epsilon_prime,
+        select_unit_cost(len(live), constants),
+        constants,
     )
-    _, _, c_w = simulation_query_cost(model)
     c_b = constants.b_gate_cost_constant * math.log(1.0 / (delta * task.epsilon))
     per_rep = c_w + constants.marked_oracle_cost + constants.sqrt_pi_oracle_cost + c_b
     cost = CostReport.build(
@@ -362,8 +362,3 @@ def estimate_hitting_time(
         classical_cost_comparison=classical,
         exact_hitting_time=exact_hitting_time_inverse(task.pair, mp),
     )
-
-
-def theorem2_reference_cost(task: HittingTimeTask, d: int, n_states: int) -> CostReport:
-    """The closed-form ledger for this task's parameters (no pipeline run)."""
-    return theorem2_cost(task.delta, task.epsilon, d, n_states, task.constants)

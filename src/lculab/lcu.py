@@ -311,24 +311,3 @@ def ancilla_zero_block(state: StateVector, system_dim: int, n_terms: int) -> np.
     psi = state.amplitudes.reshape(system_dim, n_terms)
     return np.array(psi[:, 0])
 
-
-def lcu_to_json(x: LcuOperator) -> dict:
-    from .operators import matrix_to_json
-
-    return {
-        "dim": x.dim,
-        "terms": [{"gamma": gamma, "unitary": matrix_to_json(u)} for gamma, u in x.terms],
-    }
-
-
-def lcu_from_json(obj: dict) -> LcuOperator:
-    from .operators import matrix_from_json
-
-    try:
-        dim = int(obj["dim"])
-        terms = tuple(
-            (float(term["gamma"]), matrix_from_json(term["unitary"])) for term in obj["terms"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed LCU JSON: {exc}") from exc
-    return LcuOperator(dim=dim, terms=terms)

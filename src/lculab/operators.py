@@ -83,11 +83,6 @@ class HermitianOperator:
         return float(np.max(np.abs(w))) if w.size else 0.0
 
 
-def eig(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvector matrix of a Hermitian operator."""
-    return h.eigensystem
-
-
 def matrix_function(h: HermitianOperator, f: Callable[[float], complex]) -> np.ndarray:
     """Apply a scalar function to a Hermitian operator through its spectrum.
 
@@ -136,15 +131,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-
-def normalized_state(raw: np.ndarray) -> tuple[StateVector, float]:
-    """Split a raw vector into (unit state, Euclidean norm)."""
-    raw = np.asarray(raw, dtype=complex).reshape(-1)
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
-        raise ValidationError("cannot normalize the zero vector")
-    return StateVector(raw / norm), norm
 
 
 @dataclass(frozen=True)
@@ -223,24 +209,3 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     if re.shape != (dim * dim,) or im.shape != (dim * dim,):
         raise ValidationError("matrix JSON entry count does not match dim*dim")
     return as_square_matrix((re + 1j * im).reshape(dim, dim))
-
-
-def state_to_json(vec: np.ndarray) -> dict:
-    a = np.asarray(vec, dtype=complex).reshape(-1)
-    return {
-        "dim": int(a.shape[0]),
-        "re": [float(x) for x in a.real],
-        "im": [float(x) for x in a.imag],
-    }
-
-
-def state_from_json(obj: dict) -> np.ndarray:
-    try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed state JSON: {exc}") from exc
-    if re.shape != (dim,) or im.shape != (dim,):
-        raise ValidationError("state JSON entry count does not match dim")
-    return re + 1j * im

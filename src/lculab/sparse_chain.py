@@ -8,8 +8,8 @@ orthogonal projectors, whose square root is exactly expressible through a
 single diagonal-in-the-group unitary Z_k. A separate diagonal factor handles
 the boundary term. The colored square-root blocks assemble into the enlarged
 operator whose square restricts to the walk Hamiltonian, together with its
-presentation as a positive combination of unitaries and the sparse-access cost
-model.
+presentation as a positive combination of unitaries. The sparse-access gate
+cost of simulating it is priced by `cost.theorem2_cost`.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, Constants
-from .cost import CostEntry, CostReport, log_over_loglog
 from .errors import ValidationError
 from .gap_amplification import (
     GapAmplifiedHamiltonian,
     ProjectorDecomposition,
     UnitaryDecomposition,
+    ancilla_rotations,
     assemble_gap_amplified,
 )
 from .markov import MarkovChain
@@ -69,6 +68,8 @@ def sparse_oracle(chain: MarkovChain, marked) -> SparseChainOracle:
     marked = tuple(sorted(set(int(s) for s in marked)))
     if not marked or len(marked) >= chain.n_states:
         raise ValidationError("marked set must be nonempty and proper")
+    if marked[0] < 0 or marked[-1] >= chain.n_states:
+        raise ValidationError("marked state out of range")
     p = chain.transition
     listing = []
     for s in range(chain.n_states):
@@ -180,10 +181,7 @@ def project_h(terms: list[MuState], oracle: SparseChainOracle) -> ProjectedWalkH
             edge_map[key] = (mu.alpha_bar, mu.normalized())
     boundary = np.zeros(n)
     for sp in unmarked:
-        # probability of leaving sp into the marked set: sum of Pr(s | sp)
-        boundary[sp] = sum(
-            p_from for (s, _, p_from) in oracle.neighbors[sp] if s in marked
-        )
+        boundary[sp] = _boundary_weight(oracle, sp)
     total = np.zeros((n, n), dtype=complex)
     for (_, _), (alpha_bar, mu_bar) in edge_map.items():
         total += 2.0 * alpha_bar * np.outer(mu_bar, mu_bar.conj())
@@ -249,11 +247,13 @@ def color_edges(oracle: SparseChainOracle) -> EdgeColoring:
 @dataclass(frozen=True)
 class ColorSqrtFactor:
     """One color class: its projector sum h_k and the unitary Z_k whose imaginary
-    part is the square root, sin(delta_e) = sqrt(alpha_bar_e) per edge."""
+    part is the square root, sin(delta_e) = sqrt(alpha_bar_e) per edge. `edges`
+    holds each edge's (alpha_bar, normalized mu state) in class order."""
 
     color: int
     h_matrix: np.ndarray
     z_unitary: np.ndarray
+    edges: tuple[tuple[float, np.ndarray], ...]
 
     @property
     def sqrt_h(self) -> np.ndarray:
@@ -262,12 +262,12 @@ class ColorSqrtFactor:
 
 @dataclass(frozen=True)
 class DiagonalSqrtFactor:
-    """Boundary factor: diagonal phases with cos(theta_s) = sqrt(boundary weight)
+    """Boundary factor: diagonal phases with cos(theta_s) = sqrt(boundary[s])
     on unmarked states and phase i on marked ones."""
 
     u_diagonal: np.ndarray
     thetas: np.ndarray
-    h_matrix: np.ndarray
+    boundary: np.ndarray
 
     @property
     def sqrt_h(self) -> np.ndarray:
@@ -292,42 +292,26 @@ def build_sqrt_factors(
     for k, edge_class in enumerate(coloring.classes):
         h_k = np.zeros((n, n), dtype=complex)
         z_k = eye.copy()
+        edges = []
         for a, b in edge_class:
             # orientation (sigma=a, sigma'=b): the projector is orientation-free
             mu = _mu_state(n, a, b, float(p[a, b]), float(p[b, a]))
-            alpha_bar = mu.alpha_bar
-            if alpha_bar > 1 + 1e-12:
-                raise ValidationError("edge weight exceeds 1")
-            proj = np.outer(mu.normalized(), mu.normalized().conj())
-            h_k += alpha_bar * proj
-            delta = math.asin(min(math.sqrt(alpha_bar), 1.0))
+            mu_bar = mu.normalized()
+            proj = np.outer(mu_bar, mu_bar.conj())
+            h_k += mu.alpha_bar * proj
+            delta = math.asin(min(math.sqrt(mu.alpha_bar), 1.0))
             z_k += (np.exp(1j * delta) - 1.0) * proj
-        colors.append(ColorSqrtFactor(color=k, h_matrix=h_k, z_unitary=z_k))
+            edges.append((mu.alpha_bar, mu_bar))
+        colors.append(ColorSqrtFactor(color=k, h_matrix=h_k, z_unitary=z_k, edges=tuple(edges)))
     thetas = np.zeros(n)
     phases = np.full(n, 1j, dtype=complex)
     boundary = np.zeros(n)
     for s in oracle.unmarked:
-        weight = _boundary_weight(oracle, s)
-        boundary[s] = weight
-        thetas[s] = math.acos(min(math.sqrt(weight), 1.0))
+        boundary[s] = _boundary_weight(oracle, s)
+        thetas[s] = math.acos(min(math.sqrt(boundary[s]), 1.0))
         phases[s] = np.exp(1j * thetas[s])
-    diagonal = DiagonalSqrtFactor(
-        u_diagonal=np.diag(phases),
-        thetas=thetas,
-        h_matrix=np.diag(boundary.astype(complex)),
-    )
+    diagonal = DiagonalSqrtFactor(u_diagonal=np.diag(phases), thetas=thetas, boundary=boundary)
     return SqrtFactors(colors=tuple(colors), diagonal=diagonal)
-
-
-def _ancilla_rotations(k: int, ancilla_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    eye = np.eye(ancilla_dim, dtype=complex)
-    coupler = np.zeros((ancilla_dim, ancilla_dim))
-    coupler[k, 0] = coupler[0, k] = 1.0
-    support = np.zeros((ancilla_dim, ancilla_dim))
-    support[0, 0] = support[k, k] = 1.0
-    rot_minus = (eye - support) - 1j * coupler
-    rot_plus = (eye - support) + 1j * coupler
-    return rot_minus, rot_plus
 
 
 def assemble_tilde_h_sparse(
@@ -339,21 +323,19 @@ def assemble_tilde_h_sparse(
     the square recovers the doubled (ordered-pair) edge weights; the boundary
     block enters unscaled. Every block also expands into four unitaries
     through the one-level ancilla rotations, giving at most 4(K'+1) terms whose
-    weighted sum equals the enlarged operator exactly.
+    weighted sum equals the enlarged operator exactly. The projector
+    presentation reads each edge's weight and mu state, and each boundary
+    weight, from `factors`, which already carry `coloring`'s edges.
     """
     n = oracle.n_states
     color_blocks = [math.sqrt(2.0) * f.sqrt_h for f in factors.colors]
     blocks = color_blocks + [factors.diagonal.sqrt_h]
     source_terms: list[tuple[float, np.ndarray]] = []
-    for key, edge_class in enumerate(coloring.classes):
-        for a, b in edge_class:
-            mu = _mu_state(
-                n, a, b, float(oracle.chain.transition[a, b]), float(oracle.chain.transition[b, a])
-            )
-            mu_bar = mu.normalized()
-            source_terms.append((2.0 * mu.alpha_bar, np.outer(mu_bar, mu_bar.conj())))
+    for factor in factors.colors:
+        for alpha_bar, mu_bar in factor.edges:
+            source_terms.append((2.0 * alpha_bar, np.outer(mu_bar, mu_bar.conj())))
     for s in oracle.unmarked:
-        weight = _boundary_weight(oracle, s)
+        weight = factors.diagonal.boundary[s]
         if weight > 1e-14:
             proj = np.zeros((n, n), dtype=complex)
             proj[s, s] = 1.0
@@ -364,7 +346,7 @@ def assemble_tilde_h_sparse(
     ancilla_dim = g.ancilla_dim
     terms: list[tuple[float, np.ndarray]] = []
     for k, factor in enumerate(factors.colors, start=1):
-        rot_minus, rot_plus = _ancilla_rotations(k, ancilla_dim)
+        rot_minus, rot_plus = ancilla_rotations(k, ancilla_dim)
         z = factor.z_unitary
         weight = math.sqrt(2.0) / 4
         terms.append((weight, np.kron(z, rot_minus)))
@@ -372,7 +354,7 @@ def assemble_tilde_h_sparse(
         terms.append((weight, -np.kron(z.conj().T, rot_minus)))
         terms.append((weight, np.kron(z.conj().T, rot_plus)))
     k_diag = len(factors.colors) + 1
-    rot_minus, rot_plus = _ancilla_rotations(k_diag, ancilla_dim)
+    rot_minus, rot_plus = ancilla_rotations(k_diag, ancilla_dim)
     u_d = factors.diagonal.u_diagonal
     for mat, rot, sign in (
         (u_d, rot_minus, 1j),
@@ -387,39 +369,6 @@ def assemble_tilde_h_sparse(
     if residual > _ATOL:
         raise ValidationError(f"unitary expansion misses the enlarged operator by {residual:.3e}")
     return decomposition, g
-
-
-def sparse_cost(
-    d: float,
-    n_states: float,
-    t: float,
-    epsilon: float,
-    c_p: float = 1.0,
-    c_u: float = 1.0,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> CostReport:
-    """Gate model for simulating the enlarged evolution from sparse access:
-    (d ln N + C_P + C_U) tau ln(tau/eps)/lnln(tau/eps) with tau = |t| d^2."""
-    for name, value in (("d", d), ("n_states", n_states), ("t", t), ("epsilon", epsilon)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValidationError(f"{name} must be positive and finite")
-    tau = abs(t) * d * d
-    factor = log_over_loglog(tau / epsilon)
-    queries = constants.query_cost_constant * tau * factor
-    extra = constants.gate_cost_constant * d * math.log(n_states) * tau * factor
-    total = (
-        constants.total_cost_constant * (d * math.log(n_states) + c_p + c_u) * tau * factor
-    )
-    return CostReport.build(
-        entries={
-            "queries": CostEntry(queries, "oracle queries, tau ln(tau/eps)/lnln"),
-            "extra_gates": CostEntry(extra, "d ln(N) tau ln(tau/eps)/lnln"),
-            "C_P": CostEntry(c_p, "neighbor-list oracle"),
-            "C_U": CostEntry(c_u, "marked-membership oracle"),
-        },
-        total=total,
-        total_formula="(d ln N + C_P + C_U) tau ln(tau/eps)/lnln(tau/eps)",
-    )
 
 
 def decomposition_manifest(oracle: SparseChainOracle) -> dict:

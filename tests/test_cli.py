@@ -5,7 +5,7 @@ import pytest
 
 from lculab import cli
 from lculab.cli import main
-from lculab.markov import chain_to_json, symmetric_two_state
+from lculab.markov import chain_to_json, lazy_cycle, symmetric_two_state
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -136,6 +136,16 @@ class TestAppendixVerify:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["reconstruction_residual"] <= 1e-10
         assert manifest["terms"] == len(manifest["alpha_list"])
+
+    @pytest.mark.parametrize("marked", [[99], [-1]])
+    def test_out_of_range_marked_exits_three(self, tmp_path, marked):
+        chain = chain_to_json(lazy_cycle(3, 0.5), marked)
+        config = _write_config(
+            tmp_path,
+            {"command": "appendix-verify", "chain": chain, "out": str(tmp_path / "out")},
+        )
+        assert main(["--config", config]) == 3
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 class TestSweeps:

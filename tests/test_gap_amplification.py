@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from lculab.constants import DEFAULT_CONSTANTS
+from lculab.cost import evolution_gate_cost, select_unit_cost
 from lculab.errors import ValidationError
 from lculab.gap_amplification import (
     ProjectorDecomposition,
-    SimulationCostModel,
     UnitaryDecomposition,
     build_tilde_h,
-    decomposition_from_json,
-    decomposition_to_json,
     exact_evolution,
     parse_pauli_lines,
     projectors_from_unitaries,
     psd_split,
-    simulation_query_cost,
     tilde_h_unitary_terms,
     unitarity_defect,
 )
@@ -157,34 +155,35 @@ class TestExactEvolution:
         np.testing.assert_allclose(exact_evolution(g, t), reference, atol=1e-10)
 
 
+def _gates(tau, epsilon, k_terms=1):
+    unit = select_unit_cost(k_terms, DEFAULT_CONSTANTS)
+    return evolution_gate_cost(tau, epsilon, unit, DEFAULT_CONSTANTS)
+
+
 class TestSimulationCost:
+    """The gate cost of simulating the enlarged evolution, `cost.evolution_gate_cost`."""
+
     def test_direct_formula_value(self):
-        m = SimulationCostModel(tau=10.0, epsilon=1e-3)
-        queries, extra, total = simulation_query_cost(m)
         expected = 10.0 * math.log(1e4) / math.log(math.log(1e4))
-        assert queries == pytest.approx(expected)
-        assert queries == pytest.approx(41.48, abs=0.01)
-        # K = 1: extra gates track queries, total = (ln(1)*C_U + 1) * same
-        assert extra == pytest.approx(expected)
-        assert total == pytest.approx(expected)
+        # K = 1: the select factor ln(1) C_U + 1 is 1
+        assert select_unit_cost(1, DEFAULT_CONSTANTS) == 1.0
+        assert _gates(10.0, 1e-3) == pytest.approx(expected)
+        assert _gates(10.0, 1e-3) == pytest.approx(41.48, abs=0.01)
+        assert _gates(10.0, 1e-3, k_terms=4) == pytest.approx((math.log(4) + 4) * expected)
 
     def test_loglog_clamp(self):
-        m = SimulationCostModel(tau=2.0, epsilon=1.0)  # tau/eps = 2 < e^e
-        queries, _, _ = simulation_query_cost(m)
-        assert queries == pytest.approx(2.0 * math.log(2.0))
+        assert _gates(2.0, 1.0) == pytest.approx(2.0 * math.log(2.0))  # tau/eps = 2 < e^e
 
     def test_doubling_tau_ratio(self):
         for tau in [10.0, 100.0, 1000.0]:
-            q1, _, _ = simulation_query_cost(SimulationCostModel(tau=tau, epsilon=1e-3))
-            q2, _, _ = simulation_query_cost(SimulationCostModel(tau=2 * tau, epsilon=1e-3))
-            ratio = q2 / q1
+            ratio = _gates(2 * tau, 1e-3) / _gates(tau, 1e-3)
             assert 2.0 < ratio < 2.0 * math.log(2 * tau / 1e-3) / math.log(tau / 1e-3)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValidationError):
-            SimulationCostModel(tau=-1.0, epsilon=0.1)
-        with pytest.raises(ValidationError):
-            SimulationCostModel(tau=1.0, epsilon=0.0)
+        assert _gates(0.0, 0.1) == 0.0
+        for tau, epsilon in [(-1.0, 0.1), (math.inf, 0.1), (math.nan, 0.1), (1.0, 0.0), (1.0, -1.0)]:
+            with pytest.raises(ValidationError):
+                _gates(tau, epsilon)
 
     def test_tau_conventions_agree(self, rng):
         # the unitary expansion's weight sum is sum_k sqrt(alpha_k), the tau per unit time
@@ -199,12 +198,12 @@ class TestPauliParsing:
         ud = parse_pauli_lines("0.5 XZ")
         assert ud.dim == 4
         expected = 0.5 * np.kron([[0, 1], [1, 0]], [[1, 0], [0, -1]])
-        np.testing.assert_allclose(ud.one_half_sum(), expected, atol=1e-14)
+        np.testing.assert_allclose(ud.weighted_sum() / 2, expected, atol=1e-14)
 
     def test_negative_coefficient_absorbed(self):
         ud = parse_pauli_lines("-0.25 Z\n1.0 X")
         expected = -0.25 * PAULI_Z + 1.0 * np.array([[0, 1], [1, 0]])
-        np.testing.assert_allclose(ud.one_half_sum(), expected, atol=1e-14)
+        np.testing.assert_allclose(ud.weighted_sum() / 2, expected, atol=1e-14)
         assert all(alpha > 0 for alpha, _ in ud.terms)
 
     def test_comments_and_blank_lines(self):
@@ -216,20 +215,3 @@ class TestPauliParsing:
             parse_pauli_lines("0.5 XQ")
         with pytest.raises(ValidationError):
             parse_pauli_lines("not_a_number XX")
-
-
-class TestDecompositionJson:
-    def test_exact_round_trip(self, rng):
-        import json
-
-        p = random_projector_decomposition(rng, 5, 3)
-        blob = json.dumps(decomposition_to_json(p))
-        back = decomposition_from_json(json.loads(blob))
-        assert back.dim == p.dim
-        for (a1, m1), (a2, m2) in zip(p.terms, back.terms):
-            assert a1 == a2
-            assert np.array_equal(m1, m2)
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ValidationError):
-            decomposition_from_json({"dim": 2, "terms": [{"alpha": 1.0}]})

@@ -19,7 +19,7 @@ from lculab.gibbs import (
     maximally_entangled_state,
     prepare_gibbs,
 )
-from lculab.lcu import LcuOperator, amplification_rounds
+from lculab.lcu import LcuOperator, amplification_rounds, gaussian_weights
 from lculab.operators import (
     DensityMatrix,
     HermitianOperator,
@@ -53,10 +53,18 @@ class TestGridCalibration:
             calibrate_hs_grid(1.0, 2.0, EPS4, strict=True)
 
     def test_weights_symmetric(self):
+        # the kernel is the explicit sum over the symmetric grid j = -J..J,
+        # whose imaginary part cancels
         grid = calibrate_hs_grid(1.0, 5.0, EPS4)
-        w = grid.weights
-        np.testing.assert_allclose(w, w[::-1], atol=1e-15)
-        assert grid.nodes[0] == -grid.y_max
+        half = gaussian_weights(grid.delta_y, grid.j_max)
+        w = np.concatenate([half[:0:-1], half])
+        y = np.arange(-grid.j_max, grid.j_max + 1) * grid.delta_y
+        assert y[0] == -grid.y_max
+        x = np.linspace(0.0, 1.0, 7)
+        explicit = np.exp(-1j * np.outer(np.sqrt(grid.beta * x), y)) @ w
+        np.testing.assert_allclose(explicit.imag, 0.0, atol=1e-12)
+        np.testing.assert_allclose(grid.kernel(x), explicit.real, atol=1e-12)
+        assert grid.weight_sum == pytest.approx(w.sum(), rel=1e-14)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError):

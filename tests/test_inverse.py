@@ -14,7 +14,6 @@ from lculab.inverse import (
     inverse_lcu,
     outcome_distribution,
     t_circuit_expectation,
-    theorem2_reference_cost,
 )
 from lculab.markov import (
     discriminant_pair,
@@ -289,9 +288,11 @@ class TestEstimateHittingTime:
         mp = mark_states(chain, [1])
         dp = discriminant_pair(mp)
         task = HittingTimeTask(partition=mp, pair=dp, epsilon=0.1)
-        report = theorem2_reference_cost(task, d=2, n_states=2)
-        direct = theorem2_cost(dp.delta, 0.1, 2, 2)
-        assert report.total == pytest.approx(direct.total)
+        # the closed-form ledger and the pipeline run at the same eps'
+        report = theorem2_cost(task.delta, task.epsilon, 2, 2, task.constants)
+        assert report.value("ae_repetitions") == pytest.approx(
+            task.constants.ae_query_constant / task.epsilon_prime, rel=1e-15
+        )
 
     def test_delta_lower_bound_override(self):
         chain = symmetric_two_state()

@@ -10,8 +10,6 @@ from lculab.gap_amplification import ProjectorDecomposition, build_tilde_h
 from lculab.gibbs import HsGrid, hs_lcu
 from lculab.lcu import (
     LcuOperator,
-    lcu_from_json,
-    lcu_to_json,
     amplification_rounds,
     amplification_rounds_linear,
     ancilla_zero_block,
@@ -36,10 +34,10 @@ class TestBState:
         np.testing.assert_allclose(s.amplitudes, [math.sqrt(3) / 2, 0.5], atol=1e-15)
 
     def test_gaussian_grid_weights(self):
-        grid = HsGrid(j_max=12, delta_y=0.3, beta=2.0, epsilon_prime=0.01)
-        s = b_state(grid.weights)
+        half = gaussian_weights(0.3, 12)
+        w = np.concatenate([half[:0:-1], half])
+        s = b_state(w)
         assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0, abs=1e-12)
-        w = grid.weights
         ratio = (s.amplitudes[3] / s.amplitudes[7]) ** 2
         assert ratio == pytest.approx(w[3] / w[7], rel=1e-12)
 
@@ -225,23 +223,6 @@ class TestEvolutionLcu:
         combo = self._small_combo(rng)
         total = sum(w for w, _ in combo.iter_terms())
         assert total == pytest.approx(combo.gamma_total, rel=1e-12)
-
-
-class TestLcuJson:
-    def test_exact_round_trip(self, rng):
-        import json
-
-        terms = tuple((float(rng.uniform(0.2, 1.0)), random_unitary(rng, 3)) for _ in range(3))
-        x = LcuOperator(dim=3, terms=terms)
-        back = lcu_from_json(json.loads(json.dumps(lcu_to_json(x))))
-        assert back.dim == x.dim
-        for (g1, u1), (g2, u2) in zip(x.terms, back.terms):
-            assert g1 == g2
-            assert np.array_equal(u1, u2)
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ValidationError):
-            lcu_from_json({"dim": 2, "terms": [{"gamma": 1.0}]})
 
 
 class TestAmplitudeSaturation:

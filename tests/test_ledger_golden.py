@@ -1,0 +1,94 @@
+"""Golden ledgers: the four cost ledgers, pinned bit for bit.
+
+Every entry and total is compared through `float.hex`, so any change in how a
+closed form is evaluated (operand order included) shows up here. The inputs
+are the `cost-sweep` defaults for the two theorem ledgers and the README's two
+example configs for the pipeline ledgers.
+"""
+
+import math
+
+import numpy as np
+
+from lculab.cost import theorem1_cost, theorem2_cost
+from lculab.gap_amplification import parse_pauli_lines, projectors_from_unitaries
+from lculab.gibbs import GibbsTask, prepare_gibbs
+from lculab.inverse import HittingTimeTask, estimate_hitting_time
+from lculab.markov import chain_from_json, discriminant_pair, mark_states
+from lculab.operators import HermitianOperator
+
+THEOREM1_DEFAULTS = {
+    "C_B": "0x1.6dcf55202f73cp+1",
+    "C_W": "0x1.79735e04f8ef9p+3",
+    "amplification_rounds": "0x1.0000000000000p+1",
+    "qubit_form": "0x1.8a56a1219e67ap+5",
+    "state_prep": "0x1.8000000000000p+1",
+    "total": "0x1.1a7399a682664p+5",
+}
+THEOREM2_DEFAULTS = {
+    "C_B": "0x1.d82d33b32720dp+1",
+    "C_U": "0x1.0000000000000p+0",
+    "C_W": "0x1.bbea6bd1083f2p+11",
+    "C_sqrt_pi": "0x1.0000000000000p+0",
+    "ae_repetitions": "0x1.cf8eea5f07d67p+9",
+    "total": "0x1.928f37c07d69cp+21",
+}
+README_GIBBS = {
+    "C_B": "0x1.1d6753e032ea1p+2",
+    "C_W": "0x1.a7ae7fad62e5dp+8",
+    "amplification_rounds": "0x1.8000000000000p+1",
+    "state_prep": "0x1.8000000000000p+1",
+    "total": "0x1.435b15bdaac52p+10",
+}
+README_HITTING = {
+    "C_B": "0x1.7f7427b73e391p+1",
+    "C_U": "0x1.0000000000000p+0",
+    "C_W": "0x1.6bdf7a1933376p+5",
+    "C_sqrt_pi": "0x1.0000000000000p+0",
+    "ae_repetitions": "0x1.7a00000000000p+8",
+    "total": "0x1.2a258939bf5eep+14",
+}
+
+
+def _hex_ledger(report) -> dict:
+    ledger = {name: float(entry.value).hex() for name, entry in report.entries.items()}
+    ledger["total"] = float(report.total).hex()
+    return ledger
+
+
+def test_theorem1_at_cost_sweep_defaults():
+    # the `gibbs` cost-sweep model: a linear spectrum on [0, 1], N = 8, beta 4, eps 0.1
+    z = float(np.sum(np.exp(-4.0 * np.linspace(0.0, 1.0, 8))))
+    assert _hex_ledger(theorem1_cost(8, z, 4.0, 0.1, norm_bound=1.0)) == THEOREM1_DEFAULTS
+
+
+def test_theorem2_at_cost_sweep_defaults():
+    assert _hex_ledger(theorem2_cost(0.25, 0.1, 3.0, 32.0)) == THEOREM2_DEFAULTS
+
+
+def test_prepare_gibbs_on_readme_config():
+    decomposition, _ = projectors_from_unitaries(
+        parse_pauli_lines("1.0 ZZI\n0.7 IZZ\n0.4 XIX\n0.3 IXI")
+    )
+    task = GibbsTask(
+        hamiltonian=HermitianOperator(decomposition.sum_matrix()),
+        beta=2.0,
+        epsilon=0.05,
+        decomposition=decomposition,
+    )
+    assert _hex_ledger(prepare_gibbs(task).cost) == README_GIBBS
+
+
+def test_estimate_hitting_time_on_readme_config():
+    chain, marked = chain_from_json(
+        {
+            "n_states": 2,
+            "entries": [[0, 0, 0.5], [1, 0, 0.5], [0, 1, 0.5], [1, 1, 0.5]],
+            "marked": [1],
+        }
+    )
+    mp = mark_states(chain, marked)
+    task = HittingTimeTask(
+        partition=mp, pair=discriminant_pair(mp), epsilon=0.1, confidence=8 / math.pi**2
+    )
+    assert _hex_ledger(estimate_hitting_time(task, seed=7).cost) == README_HITTING

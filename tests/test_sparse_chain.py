@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from lculab.constants import DEFAULT_CONSTANTS
+from lculab.cost import evolution_gate_cost, theorem2_cost
 from lculab.gap_amplification import unitarity_defect
 from lculab.inverse import (
     HittingTimeTask,
@@ -30,7 +32,6 @@ from lculab.sparse_chain import (
     color_edges,
     decomposition_manifest,
     project_h,
-    sparse_cost,
     sparse_oracle,
     assemble_tilde_h_sparse,
 )
@@ -73,6 +74,11 @@ class TestOracle:
     def test_marked_membership(self):
         oracle = sparse_oracle(symmetric_two_state(), [1])
         assert oracle.is_marked(1) and not oracle.is_marked(0)
+
+    @pytest.mark.parametrize("marked", [[99], [-1], [0, 3]])
+    def test_out_of_range_marked_rejected(self, marked):
+        with pytest.raises(ValidationError, match="out of range"):
+            sparse_oracle(lazy_cycle(3, 0.5), marked)
 
 
 class TestBuildHBar:
@@ -403,22 +409,39 @@ class TestAssembly:
         assert manifest["terms"] == len(manifest["alpha_list"])
 
 
+def _sparse_unit(d, n_states):
+    c = DEFAULT_CONSTANTS
+    return d * math.log(n_states) + c.sparse_oracle_cost + c.marked_oracle_cost
+
+
 class TestSparseCost:
+    """The sparse-access C_W: the evolution gate model with u = d ln N + C_P + C_U
+    at tau = |t| d^2, as `theorem2_cost` prices it."""
+
     def test_arithmetic_example(self):
-        report = sparse_cost(d=2, n_states=8, t=10.0, epsilon=1e-3, c_p=1.0, c_u=1.0)
-        tau = 40.0
+        tau = 10.0 * 2 * 2
+        c_w = evolution_gate_cost(tau, 1e-3, _sparse_unit(2, 8), DEFAULT_CONSTANTS)
         factor = math.log(tau / 1e-3) / math.log(math.log(tau / 1e-3))
-        assert report.total == pytest.approx((2 * math.log(8) + 2) * tau * factor)
-        assert report.value("queries") == pytest.approx(tau * factor)
+        assert c_w == pytest.approx((2 * math.log(8) + 2) * tau * factor)
+
+    def test_theorem2_prices_its_evolution_with_the_sparse_unit(self):
+        delta, epsilon, d, n = 0.25, 0.1, 3, 32
+        eps_prime = DEFAULT_CONSTANTS.hitting_eps_prime_constant * epsilon * delta / math.log(
+            1 / (epsilon * delta)
+        )
+        tau = math.log(1 / (epsilon * delta)) / math.sqrt(delta) * d * d
+        expected = evolution_gate_cost(tau, eps_prime, _sparse_unit(d, n), DEFAULT_CONSTANTS)
+        assert theorem2_cost(delta, epsilon, d, n).value("C_W") == pytest.approx(expected, rel=1e-15)
 
     def test_doubling_d_quadruples_tau(self):
-        r1 = sparse_cost(d=2, n_states=16, t=5.0, epsilon=1e-3)
-        r2 = sparse_cost(d=4, n_states=16, t=5.0, epsilon=1e-3)
-        assert r2.value("queries") / r1.value("queries") > 4.0  # tau quadruples, log grows
+        r1 = theorem2_cost(0.25, 0.1, 2, 16).value("C_W") / _sparse_unit(2, 16)
+        r2 = theorem2_cost(0.25, 0.1, 4, 16).value("C_W") / _sparse_unit(4, 16)
+        assert r2 / r1 > 4.0  # tau quadruples, log grows
 
     def test_monotone_in_each_argument(self):
-        base = sparse_cost(d=3, n_states=32, t=4.0, epsilon=1e-3).total
-        assert sparse_cost(d=4, n_states=32, t=4.0, epsilon=1e-3).total > base
-        assert sparse_cost(d=3, n_states=64, t=4.0, epsilon=1e-3).total > base
-        assert sparse_cost(d=3, n_states=32, t=8.0, epsilon=1e-3).total > base
-        assert sparse_cost(d=3, n_states=32, t=4.0, epsilon=1e-4).total > base
+        # t = ln(1/(eps Delta))/sqrt(Delta) grows as Delta falls
+        base = theorem2_cost(0.25, 0.1, 3, 32).value("C_W")
+        assert theorem2_cost(0.25, 0.1, 4, 32).value("C_W") > base
+        assert theorem2_cost(0.25, 0.1, 3, 64).value("C_W") > base
+        assert theorem2_cost(0.0625, 0.1, 3, 32).value("C_W") > base
+        assert theorem2_cost(0.25, 0.01, 3, 32).value("C_W") > base
