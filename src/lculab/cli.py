@@ -2,11 +2,13 @@
 JSON summaries plus CSV tables and plot data.
 
 One entry point reads a config JSON whose "command" field selects the
-experiment; --seed, --out and --constants override the matching config fields.
-Outputs are byte-identical for identical (config, seed) pairs: sweep points
-may run in a worker pool, but results are merged in sorted order before
-anything is written. Exit codes: 0 success, 1 malformed config, 2 a stated
-precondition was violated during the run, 3 domain validation failure.
+experiment; --seed, --out and --jobs override the matching config fields
+before the schema check, and --constants overrides the constants. `gibbs` and
+`lemma1-sweep` run one thermal point function. Outputs are byte-identical for
+identical (config, seed) pairs: sweep points may run in a worker pool, but
+results are merged in sorted order before anything is written. Exit codes:
+0 success, 1 malformed config, 2 a stated precondition was violated during
+the run, 3 domain validation failure.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import csv
 import json
 import logging
 import math
+import multiprocessing
 import os
 import sys
 import warnings
@@ -26,13 +29,13 @@ import jsonschema
 import numpy as np
 
 from . import cost as cost_mod
-from .constants import DEFAULT_CONSTANTS, Constants
+from .constants import Constants
 from .errors import LculabError, PreconditionWarning, ValidationError
 from .gap_amplification import parse_pauli_lines, projectors_from_unitaries, psd_split
-from .gibbs import GibbsTask, prepare_gibbs
+from .gibbs import GibbsResult, GibbsTask, prepare_gibbs
 from .inverse import HittingTimeTask, calibrate_inverse_grid, estimate_hitting_time
 from .markov import chain_from_json, discriminant_pair, expected_mc_cost, lazy_cycle, mark_states
-from .operators import HermitianOperator, matrix_from_json, matrix_to_json
+from .operators import HermitianOperator, matrix_from_json
 from .rand import random_hermitian_with_spectrum, random_state
 from .sparse_chain import decomposition_manifest, sparse_oracle
 
@@ -86,94 +89,65 @@ _COMMON = {
     "out": {"type": "string"},
     "constants": {"type": "object"},
 }
+_OPEN_UNIT = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
+_JOBS = {"type": "integer", "minimum": 1}
+_MODE = {"enum": ["desk", "oracle-free"]}
+
+
+def _nonempty_array(items: dict) -> dict:
+    return {"type": "array", "items": items, "minItems": 1}
+
+
+def _command_schema(required: list[str], **properties: dict) -> dict:
+    return {
+        "type": "object",
+        "properties": {**_COMMON, **properties},
+        "required": ["command", *required],
+        "additionalProperties": False,
+    }
+
 
 _SCHEMAS = {
-    "gibbs": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "hamiltonian": _HAMILTONIAN_SCHEMA,
-            "beta": {"type": "number", "minimum": 0},
-            "epsilon": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            "mode": {"enum": ["desk", "oracle-free"]},
-            "z_lower_bound": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "required": ["command", "hamiltonian", "beta", "epsilon"],
-        "additionalProperties": False,
-    },
-    "hitting": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "chain": _CHAIN_SCHEMA,
-            "epsilon": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            "confidence": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            "mode": {"enum": ["desk", "oracle-free"]},
-            "delta_lower_bound": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "required": ["command", "chain", "epsilon"],
-        "additionalProperties": False,
-    },
-    "appendix-verify": {
-        "type": "object",
-        "properties": {**_COMMON, "chain": _CHAIN_SCHEMA},
-        "required": ["command", "chain"],
-        "additionalProperties": False,
-    },
-    "lemma1-sweep": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "hamiltonian": _HAMILTONIAN_SCHEMA,
-            "betas": {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1},
-            "epsilons": {
-                "type": "array",
-                "items": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "minItems": 1,
-            },
-            "jobs": {"type": "integer", "minimum": 1},
-        },
-        "required": ["command", "hamiltonian", "betas", "epsilons"],
-        "additionalProperties": False,
-    },
-    "lemma2-sweep": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "deltas": {
-                "type": "array",
-                "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "minItems": 1,
-            },
-            "epsilons": {
-                "type": "array",
-                "items": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "minItems": 1,
-            },
-            "dim": {"type": "integer", "minimum": 1, "maximum": 64},
-            "samples": {"type": "integer", "minimum": 1, "maximum": 64},
-            "jobs": {"type": "integer", "minimum": 1},
-        },
-        "required": ["command", "deltas", "epsilons"],
-        "additionalProperties": False,
-    },
-    "cost-sweep": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "model": {"enum": ["hitting-quantum", "hitting-classical", "gibbs"]},
-            "sweep_var": {"enum": ["delta", "epsilon", "beta"]},
-            "values": {
-                "type": "array",
-                "items": {"type": "number", "exclusiveMinimum": 0},
-                "minItems": 1,
-            },
-            "fixed": {"type": "object"},
-            "jobs": {"type": "integer", "minimum": 1},
-        },
-        "required": ["command", "model", "sweep_var", "values"],
-        "additionalProperties": False,
-    },
+    "gibbs": _command_schema(
+        ["hamiltonian", "beta", "epsilon"],
+        hamiltonian=_HAMILTONIAN_SCHEMA,
+        beta={"type": "number", "minimum": 0},
+        epsilon=_OPEN_UNIT,
+        mode=_MODE,
+        z_lower_bound={"type": "number", "exclusiveMinimum": 0},
+    ),
+    "hitting": _command_schema(
+        ["chain", "epsilon"],
+        chain=_CHAIN_SCHEMA,
+        epsilon=_OPEN_UNIT,
+        confidence=_OPEN_UNIT,
+        mode=_MODE,
+        delta_lower_bound={"type": "number", "exclusiveMinimum": 0},
+    ),
+    "appendix-verify": _command_schema(["chain"], chain=_CHAIN_SCHEMA),
+    "lemma1-sweep": _command_schema(
+        ["hamiltonian", "betas", "epsilons"],
+        hamiltonian=_HAMILTONIAN_SCHEMA,
+        betas=_nonempty_array({"type": "number", "minimum": 0}),
+        epsilons=_nonempty_array(_OPEN_UNIT),
+        jobs=_JOBS,
+    ),
+    "lemma2-sweep": _command_schema(
+        ["deltas", "epsilons"],
+        deltas=_nonempty_array({"type": "number", "exclusiveMinimum": 0, "maximum": 1}),
+        epsilons=_nonempty_array(_OPEN_UNIT),
+        dim={"type": "integer", "minimum": 1, "maximum": 64},
+        samples={"type": "integer", "minimum": 1, "maximum": 64},
+        jobs=_JOBS,
+    ),
+    "cost-sweep": _command_schema(
+        ["model", "sweep_var", "values"],
+        model={"enum": ["hitting-quantum", "hitting-classical", "gibbs"]},
+        sweep_var={"enum": ["delta", "epsilon", "beta"]},
+        values=_nonempty_array({"type": "number", "exclusiveMinimum": 0}),
+        fixed={"type": "object"},
+        jobs=_JOBS,
+    ),
 }
 
 
@@ -215,23 +189,20 @@ def _write_plot(path: Path, xs, ys) -> None:
     _write_csv(path, ["x", "y"], [[float(x), float(y)] for x, y in zip(xs, ys)])
 
 
-def _run_gibbs(config: dict, constants: Constants, out: Path, seed: int) -> dict:
-    h, decomposition = _hamiltonian_from_config(config["hamiltonian"])
-    task = GibbsTask(
-        hamiltonian=h,
-        beta=float(config["beta"]),
-        epsilon=float(config["epsilon"]),
-        decomposition=decomposition,
-    )
-    result = prepare_gibbs(
-        task,
-        constants=constants,
-        mode=config.get("mode", "desk"),
-        z_lower_bound=config.get("z_lower_bound"),
-    )
-    summary = {
-        "command": "gibbs",
-        "seed": seed,
+def _thermal_point(
+    spec: dict,
+    beta: float,
+    epsilon: float,
+    constants: Constants,
+    mode: str = "desk",
+    z_lower_bound: float | None = None,
+) -> tuple[GibbsResult, dict]:
+    """Prepare the thermal state of a config's Hamiltonian at one (beta, eps),
+    priced on the config's own presentation; returns the result and its row."""
+    h, decomposition = _hamiltonian_from_config(spec)
+    task = GibbsTask(hamiltonian=h, beta=beta, epsilon=epsilon, decomposition=decomposition)
+    result = prepare_gibbs(task, constants=constants, mode=mode, z_lower_bound=z_lower_bound)
+    row = {
         "beta": task.beta,
         "epsilon": task.epsilon,
         "eps_prime": result.epsilon_prime,
@@ -240,8 +211,21 @@ def _run_gibbs(config: dict, constants: Constants, out: Path, seed: int) -> dict
         "trace_dist": result.trace_dist,
         "success_amp": result.success_amplitude,
         "rounds": result.amplification_rounds,
-        "partition_function": result.partition_function,
         "total_gate_model": result.cost.total,
+    }
+    return result, row
+
+
+def _run_gibbs(config: dict, constants: Constants, out: Path, seed: int) -> dict:
+    result, row = _thermal_point(
+        config["hamiltonian"], float(config["beta"]), float(config["epsilon"]), constants,
+        config.get("mode", "desk"), config.get("z_lower_bound"),
+    )
+    summary = {
+        "command": "gibbs",
+        "seed": seed,
+        **row,
+        "partition_function": result.partition_function,
         "cost": result.cost.to_json(),
         "precondition_warnings": list(result.precondition_warnings),
     }
@@ -249,55 +233,69 @@ def _run_gibbs(config: dict, constants: Constants, out: Path, seed: int) -> dict
     return summary
 
 
+def _recording_warnings(args: tuple) -> tuple:
+    worker, payload = args
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = worker(payload)
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+def _map_points(worker, payloads: list, jobs: int) -> list:
+    """worker over the payloads in order: serially, or in a pool of min(jobs, points)
+    processes whose warnings are raised again here, so both runs exit alike."""
+    jobs = min(jobs, len(payloads))
+    if jobs <= 1:
+        return [worker(p) for p in payloads]
+    # spawn, not fork: numpy's BLAS threads are already running here
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+        results = list(pool.map(_recording_warnings, [(worker, p) for p in payloads]))
+    for _, caught in results:
+        for category, message in caught:
+            warnings.warn(message, category, stacklevel=2)
+    return [value for value, _ in results]
+
+
+def _sweep_points(xs, ys) -> list[tuple[float, float]]:
+    return sorted((float(x), float(y)) for x in xs for y in ys)
+
+
+def _write_sweep(
+    out: Path, command: str, seed: int, table: str, header: list, rows: list[dict], plots: dict
+) -> dict:
+    """The sweep's CSV table, one (x, y) plot file per entry of plots, and summary.json."""
+    _write_csv(out / table, header, [[row[k] for k in header] for row in rows])
+    for name, (x, y) in plots.items():
+        _write_plot(out / name, [r[x] for r in rows], [r[y] for r in rows])
+    summary = {"command": command, "seed": seed, "points": len(rows), "rows": rows}
+    _write_json(out / "summary.json", summary)
+    return summary
+
+
 def _lemma1_point(args: tuple) -> dict:
-    matrix_json, beta, epsilon, constants_dict = args
-    h = HermitianOperator(matrix_from_json(matrix_json))
-    constants = Constants.from_dict(constants_dict)
-    task = GibbsTask(
-        hamiltonian=h, beta=beta, epsilon=epsilon, decomposition=psd_split(h.matrix)
-    )
-    result = prepare_gibbs(task, constants=constants)
-    return {
-        "beta": beta,
-        "epsilon": epsilon,
-        "eps_prime": result.epsilon_prime,
-        "J": result.grid.j_max,
-        "delta_y": result.grid.delta_y,
-        "trace_dist": result.trace_dist,
-        "success_amp": result.success_amplitude,
-        "rounds": result.amplification_rounds,
-        "total_gate_model": result.cost.total,
-        "warnings": len(result.precondition_warnings),
-    }
+    spec, beta, epsilon, constants = args
+    result, row = _thermal_point(spec, beta, epsilon, constants)
+    return {**row, "warnings": len(result.precondition_warnings)}
 
 
 def _run_lemma1_sweep(config: dict, constants: Constants, out: Path, seed: int) -> dict:
-    h, _ = _hamiltonian_from_config(config["hamiltonian"])
-    matrix_json = matrix_to_json(h.matrix)
-    points = sorted(
-        (float(beta), float(eps))
-        for beta in config["betas"]
-        for eps in config["epsilons"]
-    )
-    jobs = int(config.get("jobs", 1))
-    payloads = [(matrix_json, beta, eps, constants.to_dict()) for beta, eps in points]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_lemma1_point, payloads))
-    else:
-        rows = [_lemma1_point(p) for p in payloads]
+    payloads = [
+        (config["hamiltonian"], beta, eps, constants)
+        for beta, eps in _sweep_points(config["betas"], config["epsilons"])
+    ]
+    rows = _map_points(_lemma1_point, payloads, int(config.get("jobs", 1)))
     header = [
         "beta", "epsilon", "eps_prime", "J", "delta_y",
         "trace_dist", "success_amp", "rounds", "total_gate_model",
     ]
-    _write_csv(out / "lemma1_sweep.csv", header, [[row[k] for k in header] for row in rows])
-    _write_plot(out / "plot_error_vs_beta.csv", [r["beta"] for r in rows], [r["trace_dist"] for r in rows])
-    _write_plot(
-        out / "plot_cost_vs_beta.csv", [r["beta"] for r in rows], [r["total_gate_model"] for r in rows]
+    return _write_sweep(
+        out, "lemma1-sweep", seed, "lemma1_sweep.csv", header, rows,
+        {
+            "plot_error_vs_beta.csv": ("beta", "trace_dist"),
+            "plot_cost_vs_beta.csv": ("beta", "total_gate_model"),
+        },
     )
-    summary = {"command": "lemma1-sweep", "seed": seed, "points": len(rows), "rows": rows}
-    _write_json(out / "summary.json", summary)
-    return summary
 
 
 def _run_hitting(config: dict, constants: Constants, out: Path, seed: int) -> dict:
@@ -385,94 +383,84 @@ def _lemma2_point(args: tuple) -> dict:
 def _run_lemma2_sweep(config: dict, constants: Constants, out: Path, seed: int) -> dict:
     dim = int(config.get("dim", 8))
     n_samples = int(config.get("samples", 10))
-    points = sorted(
-        (float(d), float(e)) for d in config["deltas"] for e in config["epsilons"]
-    )
+    points = _sweep_points(config["deltas"], config["epsilons"])
     payloads = [(d, e, dim, n_samples, seed) for d, e in points]
-    jobs = int(config.get("jobs", 1))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_lemma2_point, payloads))
-    else:
-        rows = [_lemma2_point(p) for p in payloads]
+    rows = _map_points(_lemma2_point, payloads, int(config.get("jobs", 1)))
     header = [
         "delta", "epsilon", "z_K", "K", "J", "delta_z", "delta_y",
         "gamma", "gamma_gap", "residual_max",
     ]
-    _write_csv(out / "lemma2_sweep.csv", header, [[row[k] for k in header] for row in rows])
-    _write_plot(
-        out / "plot_error_vs_delta.csv", [r["delta"] for r in rows], [r["residual_max"] for r in rows]
+    return _write_sweep(
+        out, "lemma2-sweep", seed, "lemma2_sweep.csv", header, rows,
+        {"plot_error_vs_delta.csv": ("delta", "residual_max")},
     )
-    summary = {"command": "lemma2-sweep", "seed": seed, "points": len(rows), "rows": rows}
-    _write_json(out / "summary.json", summary)
-    return summary
+
+
+def _cost_point(args: tuple) -> tuple[float, cost_mod.CostReport]:
+    """One cost-sweep point: the reported x value and the model's ledger there."""
+    model, sweep_var, value, fixed, constants = args
+    if model == "hitting-quantum":
+        delta = value if sweep_var == "delta" else float(fixed.get("delta", 0.25))
+        epsilon = value if sweep_var == "epsilon" else float(fixed.get("epsilon", 0.1))
+        return value, cost_mod.theorem2_cost(
+            delta, epsilon, float(fixed.get("d", 3)), float(fixed.get("n_states", 32)), constants
+        )
+    if model == "hitting-classical":
+        # lazy-cycle family: a delta sweep varies the laziness 1 - stay
+        # and reports the chain's actual spectral gap as the x value
+        n = int(fixed.get("n_states", 16))
+        if sweep_var == "delta":
+            if not 0.0 < value <= 0.5:
+                raise ValidationError("laziness sweep values must lie in (0, 0.5]")
+            stay = 1.0 - value
+        else:
+            stay = float(fixed.get("stay", 0.75))
+        mp = mark_states(lazy_cycle(n, stay), [0])
+        reported_value = discriminant_pair(mp).delta if sweep_var == "delta" else value
+        epsilon = value if sweep_var == "epsilon" else float(fixed.get("epsilon", 1.0))
+        samples, steps = expected_mc_cost(mp, epsilon, constants)
+        return reported_value, cost_mod.CostReport.build(
+            entries={
+                "samples": cost_mod.CostEntry(samples, "ceil(c var / eps^2)"),
+                "expected_steps": cost_mod.CostEntry(steps, "samples * t_h"),
+            },
+            total=steps,
+            total_formula="samples * t_h",
+        )
+    # self-consistent thermal model: a linear spectrum on [0, norm]
+    # supplies the partition function at each beta
+    beta = value if sweep_var == "beta" else float(fixed.get("beta", 4.0))
+    epsilon = value if sweep_var == "epsilon" else float(fixed.get("epsilon", 0.1))
+    n_dim = int(fixed.get("n_dim", 8))
+    norm = float(fixed.get("norm", 1.0))
+    z = float(np.sum(np.exp(-beta * np.linspace(0.0, norm, n_dim))))
+    return value, cost_mod.theorem1_cost(
+        n_dim, z, beta, epsilon, norm_bound=norm, constants=constants
+    )
 
 
 def _run_cost_sweep(config: dict, constants: Constants, out: Path, seed: int) -> dict:
-    model = config["model"]
+    model, sweep_var = config["model"], config["sweep_var"]
     fixed = dict(config.get("fixed", {}))
-    values = sorted(float(v) for v in config["values"])
-    rows = []
-    entry_names: list[str] = []
-    for value in values:
-        reported_value = value
-        if model == "hitting-quantum":
-            delta = value if config["sweep_var"] == "delta" else float(fixed.get("delta", 0.25))
-            epsilon = value if config["sweep_var"] == "epsilon" else float(fixed.get("epsilon", 0.1))
-            report = cost_mod.theorem2_cost(
-                delta, epsilon, float(fixed.get("d", 3)), float(fixed.get("n_states", 32)), constants
-            )
-        elif model == "hitting-classical":
-            # lazy-cycle family: a delta sweep varies the laziness 1 - stay
-            # and reports the chain's actual spectral gap as the x value
-            n = int(fixed.get("n_states", 16))
-            if config["sweep_var"] == "delta":
-                if not 0.0 < value <= 0.5:
-                    raise ValidationError("laziness sweep values must lie in (0, 0.5]")
-                stay = 1.0 - value
-            else:
-                stay = float(fixed.get("stay", 0.75))
-            chain = lazy_cycle(n, stay)
-            mp = mark_states(chain, [0])
-            if config["sweep_var"] == "delta":
-                reported_value = discriminant_pair(mp).delta
-            epsilon = value if config["sweep_var"] == "epsilon" else float(fixed.get("epsilon", 1.0))
-            samples, steps = expected_mc_cost(mp, epsilon, constants)
-            report = cost_mod.CostReport.build(
-                entries={
-                    "samples": cost_mod.CostEntry(samples, "ceil(c var / eps^2)"),
-                    "expected_steps": cost_mod.CostEntry(steps, "samples * t_h"),
-                },
-                total=steps,
-                total_formula="samples * t_h",
-            )
-        else:
-            # self-consistent thermal model: a linear spectrum on [0, norm]
-            # supplies the partition function at each beta
-            beta = value if config["sweep_var"] == "beta" else float(fixed.get("beta", 4.0))
-            epsilon = value if config["sweep_var"] == "epsilon" else float(fixed.get("epsilon", 0.1))
-            n_dim = int(fixed.get("n_dim", 8))
-            norm = float(fixed.get("norm", 1.0))
-            energies = np.linspace(0.0, norm, n_dim)
-            z = float(np.sum(np.exp(-beta * energies)))
-            report = cost_mod.theorem1_cost(
-                n_dim, z, beta, epsilon, norm_bound=norm, constants=constants
-            )
-        if not entry_names:
-            entry_names = sorted(report.entries)
-        rows.append(
-            [config["sweep_var"], reported_value]
-            + [report.entries[name].value for name in entry_names]
-            + [report.total]
-        )
-    header = ["sweep_var", "value"] + entry_names + ["total"]
-    _write_csv(out / "cost_sweep.csv", header, rows)
+    payloads = [
+        (model, sweep_var, value, fixed, constants)
+        for value in sorted(float(v) for v in config["values"])
+    ]
+    points = _map_points(_cost_point, payloads, int(config.get("jobs", 1)))
+    entry_names = sorted(points[0][1].entries)
+    rows = [
+        [sweep_var, reported_value]
+        + [report.entries[name].value for name in entry_names]
+        + [report.total]
+        for reported_value, report in points
+    ]
+    _write_csv(out / "cost_sweep.csv", ["sweep_var", "value"] + entry_names + ["total"], rows)
     _write_plot(out / "plot_cost_vs_value.csv", [r[1] for r in rows], [r[-1] for r in rows])
     summary = {
         "command": "cost-sweep",
         "seed": seed,
         "model": model,
-        "sweep_var": config["sweep_var"],
+        "sweep_var": sweep_var,
         "points": len(rows),
     }
     _write_json(out / "summary.json", summary)
@@ -489,7 +477,9 @@ _RUNNERS = {
 }
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, overrides: dict | None = None) -> dict:
+    """Read a config, apply the non-None overrides its command's schema
+    accepts (so --jobs reaches sweeps only), and validate the result."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -502,7 +492,11 @@ def load_config(path: str) -> dict:
         raise ValidationError(
             f"unknown command {command!r}; expected one of {sorted(_SCHEMAS)}"
         )
-    jsonschema.validate(config, _SCHEMAS[command])
+    schema = _SCHEMAS[command]
+    for key, value in (overrides or {}).items():
+        if value is not None and key in schema["properties"]:
+            config[key] = value
+    jsonschema.validate(config, schema)
     return config
 
 
@@ -520,33 +514,26 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args.config)
+        config = load_config(args.config, {"seed": args.seed, "out": args.out, "jobs": args.jobs})
     except (ValidationError, jsonschema.ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.out is not None:
-        config["out"] = args.out
-    if args.jobs is not None and config["command"].endswith("sweep"):
-        config["jobs"] = args.jobs
-
-    constants = DEFAULT_CONSTANTS
     overrides = dict(config.get("constants", {}))
-    if args.constants:
-        try:
+    try:
+        if args.constants:
             with open(args.constants, "r", encoding="utf-8") as fh:
-                overrides.update(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: cannot read constants: {exc}", file=sys.stderr)
-            return 1
-    if overrides:
-        try:
-            constants = DEFAULT_CONSTANTS.replace(**Constants.from_dict(overrides).to_dict())
-        except (ValidationError, TypeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
+                loaded = json.load(fh)
+            if not isinstance(loaded, dict):
+                raise ValidationError("constants file must hold a JSON object")
+            overrides.update(loaded)
+        constants = Constants.from_dict(overrides)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"config error: cannot read constants: {exc}", file=sys.stderr)
+        return 1
+    except ValidationError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
 
     seed = int(config.get("seed", 0))
     out = Path(config.get("out", "lculab_out"))

@@ -31,10 +31,6 @@ class Constants:
     hitting_eps_prime_constant: float = 0.5
     # Coefficient-state gate cost C_B = c * ln(1/(Delta*eps)).
     b_gate_cost_constant: float = 1.0
-    # Prefactors of the query and extra-gate counts of one simulated evolution.
-    # No ledger reports those counts; the two stay accepted as overrides.
-    query_cost_constant: float = 1.0
-    gate_cost_constant: float = 1.0
     # Prefactor c of the evolution gate model C_W (cost.evolution_gate_cost).
     total_cost_constant: float = 1.0
     # Per-unitary gate cost C_U of the select oracle.
@@ -43,12 +39,6 @@ class Constants:
     sparse_oracle_cost: float = 1.0
     marked_oracle_cost: float = 1.0
     sqrt_pi_oracle_cost: float = 1.0
-
-    def replace(self, **overrides: float) -> "Constants":
-        return dataclasses.replace(self, **overrides)
-
-    def to_dict(self) -> dict[str, float]:
-        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, values: dict[str, float]) -> "Constants":

@@ -20,6 +20,7 @@ import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, Constants
 from .errors import ValidationError
+from .lcu import amplification_rounds
 
 
 @dataclass(frozen=True)
@@ -111,12 +112,12 @@ def theorem1_cost(
         raise ValidationError(f"beta must be nonnegative, got {beta!r}")
     if z > n_dim * (1 + 1e-9):
         raise ValidationError("partition function exceeds dimension; shift the spectrum first")
-    eps_prime = constants.gibbs_eps_prime_constant * epsilon * math.sqrt(z / n_dim)
+    eps_prime = gibbs_eps_prime(epsilon, z, n_dim, constants)
     log_inv = math.log(1.0 / eps_prime)
     t = math.sqrt(max(beta, 1e-300) * log_inv)
     j_nodes = max(math.sqrt(max(norm_bound * beta, 1.0)) * log_inv, 2.0)
     amplitude = min(math.sqrt(z / n_dim), 1.0)
-    rounds = max(1, math.ceil(constants.amp_round_constant / math.asin(amplitude)))
+    rounds = amplification_rounds(amplitude, constants)
     c_w = evolution_gate_cost(
         t * sum_sqrt_weights, eps_prime, select_unit_cost(k_terms, constants), constants
     )
@@ -137,6 +138,11 @@ def theorem1_cost(
         total=total,
         total_formula="rounds * (C_W + n + log2 J)",
     )
+
+
+def gibbs_eps_prime(epsilon: float, z: float, n_dim: float, constants: Constants) -> float:
+    """Internal precision of the thermal pipeline: eps' = c eps sqrt(Z/N)."""
+    return constants.gibbs_eps_prime_constant * epsilon * math.sqrt(z / n_dim)
 
 
 def hitting_eps_prime(delta_lower: float, epsilon: float, constants: Constants) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, Constants
-from .cost import CostEntry, CostReport, evolution_gate_cost, select_unit_cost
+from .cost import CostEntry, CostReport, evolution_gate_cost, gibbs_eps_prime, select_unit_cost
 from .errors import CalibrationError, PreconditionWarning, ValidationError
 from .gap_amplification import GapAmplifiedHamiltonian, ProjectorDecomposition
 from .lcu import (
@@ -86,7 +86,6 @@ def calibrate_hs_grid(
     norm_bound: float,
     beta: float,
     epsilon_prime: float,
-    strict: bool = False,
     max_doublings: int = _MAX_DOUBLINGS,
 ) -> HsGrid:
     """Choose (delta_y, J) so the scalar filter reproduces exp(-beta x/2) on [0, norm_bound].
@@ -110,8 +109,6 @@ def calibrate_hs_grid(
             f"outside the stated validity window: norm*beta = {norm_bound * beta:.3g} "
             f"(want >= 4), ln(1/eps') = {log_inv:.3g} (want >= 4)"
         )
-        if strict:
-            raise ValidationError(message)
         warnings.warn(message, PreconditionWarning, stacklevel=2)
 
     # The spacing seed needs beta > 0; at beta = 0 every node grid works and
@@ -241,7 +238,7 @@ def prepare_gibbs(
         if z_lower_bound is None or z_lower_bound <= 0:
             raise ValidationError("oracle-free mode needs a positive z_lower_bound")
         z_for_eps = min(float(z_lower_bound), float(n_dim) * math.exp(-task.beta * energies[0]))
-    eps_prime = constants.gibbs_eps_prime_constant * task.epsilon * math.sqrt(z_for_eps / n_dim)
+    eps_prime = gibbs_eps_prime(task.epsilon, z_for_eps, n_dim, constants)
 
     norm_bound = max(float(np.max(np.abs(energies))), 1e-9)
     collected: list[str] = []

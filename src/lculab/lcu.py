@@ -35,7 +35,6 @@ from .gap_amplification import GapAmplifiedHamiltonian, unitarity_defect
 from .operators import StateVector, as_square_matrix
 
 UNITARY_ATOL = 1e-10
-ANNIHILATION_ATOL = 1e-14
 _DILATION_TERM_CAP = 1024
 _DILATION_SIZE_CAP = 1 << 18
 _FILTER_CHUNK = 1 << 22
@@ -216,56 +215,6 @@ def amplification_rounds(success_amplitude: float, constants: Constants = DEFAUL
     return max(1, math.ceil(constants.amp_round_constant / math.asin(a)))
 
 
-def amplification_rounds_linear(
-    success_amplitude: float, constants: Constants = DEFAULT_CONSTANTS
-) -> int:
-    """ceil(c / a): the small-angle form of the same count."""
-    a = min(max(success_amplitude, 0.0), 1.0)
-    if a == 0.0:
-        raise AnnihilationError("cannot amplify a zero amplitude")
-    return max(1, math.ceil(constants.amp_round_constant / a))
-
-
-@dataclass(frozen=True)
-class LcuRunResult:
-    output_state: StateVector
-    success_amplitude: float
-    amplification_rounds: int
-    rounds_linear: int
-    effective_queries: int
-
-
-def apply_lcu(
-    x: LcuOperator | EvolutionLcu,
-    phi: StateVector,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> LcuRunResult:
-    """Act with X = sum gamma_l V_l on phi and normalize.
-
-    success_amplitude is ||X phi|| / gamma; the query count charges one select
-    application per term and 2L+1 per amplification round.
-    """
-    if phi.dim != x.dim:
-        raise ValidationError(f"dimension mismatch: operator {x.dim}, state {phi.dim}")
-    raw = x.apply_sum(phi.amplitudes)
-    norm = float(np.linalg.norm(raw))
-    gamma = x.gamma_total
-    if norm < ANNIHILATION_ATOL:
-        raise AnnihilationError(f"state lies in the kernel of the combination (norm {norm:.2e})")
-    amplitude = norm / gamma
-    if amplitude > 1 + 1e-9:
-        raise ValidationError(f"success amplitude {amplitude!r} exceeds 1")
-    amplitude = min(amplitude, 1.0)
-    rounds = amplification_rounds(amplitude, constants)
-    return LcuRunResult(
-        output_state=StateVector(raw / norm),
-        success_amplitude=amplitude,
-        amplification_rounds=rounds,
-        rounds_linear=amplification_rounds_linear(amplitude, constants),
-        effective_queries=rounds * (2 * x.n_terms + 1),
-    )
-
-
 def coefficient_unitary(weights) -> np.ndarray:
     """Real unitary whose first column is the coefficient state (a Householder reflection)."""
     b = b_state(weights).amplitudes.real
@@ -282,9 +231,8 @@ def coefficient_unitary(weights) -> np.ndarray:
 def extended_lcu_state(x: LcuOperator | EvolutionLcu, phi: StateVector) -> StateVector:
     """The exact dilated state (B^dagger (x) 1) SELECT (B (x) 1) |phi>|0>.
 
-    System-major layout of dimension dim * L. Projecting the ancilla-0 block
-    and renormalizing reproduces apply_lcu's output; the block itself equals
-    (X/gamma)|phi>. Only sensible for small term counts, so grid-family LCUs
+    System-major layout of dimension dim * L. The ancilla-0 block equals
+    (X/gamma)|phi>, so its norm is the LCU success amplitude. Only sensible for small term counts, so grid-family LCUs
     must be coarse enough to materialize.
     """
     if phi.dim != x.dim:

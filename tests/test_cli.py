@@ -168,6 +168,42 @@ class TestSweeps:
         assert (tmp_path / "out" / "plot_error_vs_beta.csv").exists()
         assert (tmp_path / "out" / "plot_cost_vs_beta.csv").exists()
 
+    def test_lemma1_sweep_prices_pauli_presentation_as_gibbs(self, tmp_path):
+        # both commands price the config's own presentation: five projector
+        # terms here, not the spectral split of the summed matrix
+        hamiltonian = {"pauli": "1.0 ZZI\n1.0 IZZ\n0.5 XII\n0.5 IXI\n0.5 IIX"}
+        sweep = _write_config(
+            tmp_path,
+            {
+                "command": "lemma1-sweep",
+                "hamiltonian": hamiltonian,
+                "betas": [2.0, 1.0],
+                "epsilons": [0.05],
+                "out": str(tmp_path / "sweep"),
+            },
+            "sweep.json",
+        )
+        assert main(["--config", sweep]) == 0
+        rows = json.loads((tmp_path / "sweep" / "summary.json").read_text())["rows"]
+        assert [row["beta"] for row in rows] == [1.0, 2.0]
+        for row in rows:
+            name = f"gibbs-{row['beta']}"
+            config = _write_config(
+                tmp_path,
+                {
+                    "command": "gibbs",
+                    "hamiltonian": hamiltonian,
+                    "beta": row["beta"],
+                    "epsilon": 0.05,
+                    "out": str(tmp_path / name),
+                },
+                f"{name}.json",
+            )
+            assert main(["--config", config]) == 0
+            summary = json.loads((tmp_path / name / "summary.json").read_text())
+            for key in ("eps_prime", "J", "trace_dist", "success_amp", "rounds", "total_gate_model"):
+                assert row[key] == summary[key], key
+
     def test_lemma2_sweep(self, tmp_path):
         config = _write_config(
             tmp_path,
@@ -322,3 +358,91 @@ class TestConfigHandling:
         a = (tmp_path / "serial" / "lemma1_sweep.csv").read_bytes()
         b = (tmp_path / "pool" / "lemma1_sweep.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize(
+        "payload, table",
+        [
+            (
+                {
+                    "command": "cost-sweep",
+                    "model": "hitting-classical",
+                    "sweep_var": "delta",
+                    "values": [0.5, 0.25, 0.125],
+                    "fixed": {"n_states": 8},
+                },
+                "cost_sweep.csv",
+            ),
+            (
+                {
+                    "command": "lemma2-sweep",
+                    "deltas": [0.5, 0.25],
+                    "epsilons": [0.2],
+                    "dim": 4,
+                    "samples": 2,
+                },
+                "lemma2_sweep.csv",
+            ),
+        ],
+    )
+    def test_jobs_flag_keeps_every_sweep_identical(self, tmp_path, payload, table):
+        c1 = _write_config(tmp_path, {**payload, "out": str(tmp_path / "serial")}, "s.json")
+        c2 = _write_config(tmp_path, {**payload, "out": str(tmp_path / "pool")}, "p.json")
+        assert main(["--config", c1]) == 0
+        assert main(["--config", c2, "--jobs", "2"]) == 0
+        for name in (table, "summary.json"):
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
+
+    def test_pool_sweep_reports_precondition_warnings(self, tmp_path, one_qubit_matrix):
+        # both points sit outside the validity window, in the pool as serially
+        payload = {
+            "command": "lemma1-sweep",
+            "hamiltonian": {"matrix": one_qubit_matrix},
+            "betas": [1.0, 2.0],
+            "epsilons": [0.3],
+        }
+        c1 = _write_config(tmp_path, {**payload, "out": str(tmp_path / "serial")}, "s.json")
+        c2 = _write_config(tmp_path, {**payload, "out": str(tmp_path / "pool")}, "p.json")
+        assert main(["--config", c1]) == 2
+        assert main(["--config", c2, "--jobs", "2"]) == 2
+        a = (tmp_path / "serial" / "summary.json").read_bytes()
+        assert a == (tmp_path / "pool" / "summary.json").read_bytes()
+
+    @pytest.mark.parametrize("flag, field", [("--seed", "seed"), ("--jobs", "jobs")])
+    def test_invalid_overrides_rejected_like_config_fields(self, tmp_path, flag, field):
+        payload = {
+            "command": "lemma2-sweep",
+            "deltas": [0.5],
+            "epsilons": [0.2],
+            "dim": 2,
+            "samples": 1,
+            "out": str(tmp_path / "out"),
+        }
+        bad = -1 if field == "seed" else 0
+        in_config = _write_config(tmp_path, {**payload, field: bad}, "field.json")
+        assert main(["--config", in_config]) == 1
+        plain = _write_config(tmp_path, payload, "plain.json")
+        assert main(["--config", plain, flag, str(bad)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"query_cost_constant": 2.0}, "unknown constants"),
+            ({"gate_cost_constant": 2.0}, "unknown constants"),
+            ([["mc_sample_constant", 8.0]], "must hold a JSON object"),
+        ],
+    )
+    def test_bad_constants_file_rejected(self, tmp_path, capsys, overrides, message):
+        constants = tmp_path / "constants.json"
+        constants.write_text(json.dumps(overrides))
+        config = _write_config(
+            tmp_path,
+            {
+                "command": "hitting",
+                "chain": _two_state_chain_json(),
+                "epsilon": 0.2,
+                "out": str(tmp_path / "out"),
+            },
+        )
+        assert main(["--config", config, "--constants", str(constants)]) == 1
+        assert message in capsys.readouterr().err

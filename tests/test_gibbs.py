@@ -48,10 +48,6 @@ class TestGridCalibration:
         with pytest.warns(PreconditionWarning):
             calibrate_hs_grid(1.0, 2.0, EPS4)
 
-    def test_strict_mode_raises(self):
-        with pytest.raises(ValidationError):
-            calibrate_hs_grid(1.0, 2.0, EPS4, strict=True)
-
     def test_weights_symmetric(self):
         # the kernel is the explicit sum over the symmetric grid j = -J..J,
         # whose imaginary part cancels
