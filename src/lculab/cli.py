@@ -167,7 +167,7 @@ def _hamiltonian_from_config(spec: dict) -> tuple[HermitianOperator, "object"]:
         decomposition, _ = projectors_from_unitaries(unitaries)
         return HermitianOperator(decomposition.sum_matrix()), decomposition
     h = HermitianOperator(matrix_from_json(spec["matrix"]))
-    return h, psd_split(h.matrix)
+    return h, psd_split(h)
 
 
 def _write_json(path: Path, payload: dict) -> None:

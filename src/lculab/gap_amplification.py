@@ -160,9 +160,15 @@ def projectors_from_unitaries(u: UnitaryDecomposition) -> tuple[ProjectorDecompo
     return ProjectorDecomposition(dim=u.dim, terms=terms), offset
 
 
-def psd_split(matrix: np.ndarray, tol: float = 1e-12) -> ProjectorDecomposition:
-    """Canonical rank-1 split of a PSD matrix: eigenvectors as projectors, eigenvalues as weights."""
-    h = HermitianOperator(matrix)
+def psd_split(h: HermitianOperator | np.ndarray, tol: float = 1e-12) -> ProjectorDecomposition:
+    """Canonical rank-1 split of a PSD operator: eigenvectors as projectors, eigenvalues as weights.
+
+    A `HermitianOperator` lends its cached eigensystem, so the caller that
+    goes on to use it pays for one eigendecomposition; a matrix is wrapped in
+    a new one.
+    """
+    if not isinstance(h, HermitianOperator):
+        h = HermitianOperator(h)
     w, v = h.eigensystem
     if float(w.min()) < -1e-10:
         raise ValidationError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")

@@ -82,12 +82,7 @@ def _sample_points(norm_bound: float) -> np.ndarray:
     return np.concatenate([lin, geo])
 
 
-def calibrate_hs_grid(
-    norm_bound: float,
-    beta: float,
-    epsilon_prime: float,
-    max_doublings: int = _MAX_DOUBLINGS,
-) -> HsGrid:
+def calibrate_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> HsGrid:
     """Choose (delta_y, J) so the scalar filter reproduces exp(-beta x/2) on [0, norm_bound].
 
     Starts from the unit-constant seed delta_y = 1/sqrt(norm * beta * ln(1/eps'))
@@ -120,7 +115,7 @@ def calibrate_hs_grid(
     target = _TARGET_MARGIN * epsilon_prime / 2
 
     err = _grid_error(delta_y, y_max, beta, samples)
-    for iteration in range(max_doublings):
+    for iteration in range(_MAX_DOUBLINGS):
         if err <= target:
             break
         err_half = _grid_error(delta_y / 2, y_max, beta, samples)
@@ -137,7 +132,8 @@ def calibrate_hs_grid(
         )
     else:
         raise CalibrationError(
-            f"node grid failed to reach {target:.3e} in {max_doublings} refinements (err={err:.3e})"
+            f"node grid failed to reach {target:.3e} in {_MAX_DOUBLINGS} refinements "
+            f"(err={err:.3e})"
         )
     return HsGrid(
         j_max=max(1, math.ceil(y_max / delta_y)),

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from lculab import cli
@@ -149,6 +150,26 @@ class TestAppendixVerify:
 
 
 class TestSweeps:
+    def test_matrix_lemma1_point_takes_one_eigendecomposition(
+        self, tmp_path, one_qubit_matrix, monkeypatch
+    ):
+        # the Hamiltonian's cached eigensystem serves both psd_split and prepare_gibbs
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        config = _write_config(
+            tmp_path,
+            {
+                "command": "lemma1-sweep",
+                "hamiltonian": {"matrix": one_qubit_matrix},
+                "betas": [6.0, 8.0],
+                "epsilons": [0.02, 0.05],
+                "out": str(tmp_path / "out"),
+            },
+        )
+        assert main(["--config", config]) == 0
+        assert len(calls) == 4
+
     def test_lemma1_sweep_csv_columns(self, tmp_path, one_qubit_matrix):
         config = _write_config(
             tmp_path,

@@ -18,6 +18,7 @@ from lculab.gap_amplification import (
     tilde_h_unitary_terms,
     unitarity_defect,
 )
+from lculab.operators import HermitianOperator
 from lculab.rand import random_involution, random_projector, random_psd, random_state
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -76,6 +77,20 @@ class TestBuildTildeH:
         g = build_tilde_h(psd_split(h))
         sq = g.sector_block(g.operator.matrix @ g.operator.matrix)
         np.testing.assert_allclose(sq, h, atol=1e-10)
+
+    def test_split_of_an_operator_reuses_its_eigensystem(self, rng, monkeypatch):
+        h = random_psd(rng, 5, norm=1.5)
+        from_matrix = psd_split(h)
+        op = HermitianOperator(h)
+        _ = op.eigensystem  # fill the cache before counting
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        from_operator = psd_split(op)
+        assert calls == []
+        assert len(from_operator.terms) == len(from_matrix.terms)
+        for (a1, p1), (a2, p2) in zip(from_operator.terms, from_matrix.terms):
+            assert a1 == a2 and np.array_equal(p1, p2)
 
     def test_square_property_on_states(self, rng):
         for _ in range(30):

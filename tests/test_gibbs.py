@@ -83,7 +83,7 @@ class TestHsLcu:
 
     def test_thermal_kernel_on_diagonal_hamiltonian(self, rng):
         h = HermitianOperator(np.diag([0.0, 1.0]))
-        g = build_tilde_h(psd_split(h.matrix))
+        g = build_tilde_h(psd_split(h))
         grid = calibrate_hs_grid(1.0, 8.0, EPS4)
         combo = hs_lcu(grid, g)
         target = matrix_function(h, lambda x: math.exp(-8.0 * x / 2))
@@ -114,7 +114,7 @@ class TestHsLcu:
         # replacing each evolution by an eps'/4-close unitary keeps the total
         # error within eps'
         h = HermitianOperator(np.diag([0.0, 1.0]))
-        g = build_tilde_h(psd_split(h.matrix))
+        g = build_tilde_h(psd_split(h))
         grid = calibrate_hs_grid(1.0, 8.0, EPS4)
         combo = hs_lcu(grid, g)
         target = matrix_function(h, lambda x: math.exp(-8.0 * x / 2))
@@ -172,7 +172,7 @@ def _exact_thermal(h: HermitianOperator, beta: float) -> DensityMatrix:
 class TestPrepareGibbs:
     def test_infinite_temperature(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))
-        task = GibbsTask(hamiltonian=h, beta=0.0, epsilon=0.05, decomposition=psd_split(h.matrix))
+        task = GibbsTask(hamiltonian=h, beta=0.0, epsilon=0.05, decomposition=psd_split(h))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PreconditionWarning)
             res = prepare_gibbs(task)
@@ -182,7 +182,7 @@ class TestPrepareGibbs:
 
     def test_one_qubit_diagonal(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))
-        task = GibbsTask(hamiltonian=h, beta=8.0, epsilon=0.05, decomposition=psd_split(h.matrix))
+        task = GibbsTask(hamiltonian=h, beta=8.0, epsilon=0.05, decomposition=psd_split(h))
         res = prepare_gibbs(task)
         assert res.trace_dist <= 0.05
         exact = _exact_thermal(h, 8.0)
@@ -205,7 +205,7 @@ class TestPrepareGibbs:
 
     def test_rounds_track_amplitude_target(self):
         h = HermitianOperator(np.diag([0.0, 0.5, 0.75, 1.0]))
-        dec = psd_split(h.matrix)
+        dec = psd_split(h)
         for beta in [4.5, 6.0, 9.0, 12.0]:
             task = GibbsTask(hamiltonian=h, beta=beta, epsilon=0.05, decomposition=dec)
             res = prepare_gibbs(task)
@@ -215,7 +215,7 @@ class TestPrepareGibbs:
 
     def test_oracle_free_mode(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))
-        task = GibbsTask(hamiltonian=h, beta=8.0, epsilon=0.05, decomposition=psd_split(h.matrix))
+        task = GibbsTask(hamiltonian=h, beta=8.0, epsilon=0.05, decomposition=psd_split(h))
         z_true = 1.0 + math.exp(-8.0)
         res = prepare_gibbs(task, mode="oracle-free", z_lower_bound=0.5 * z_true)
         assert res.trace_dist <= 0.05
@@ -224,7 +224,7 @@ class TestPrepareGibbs:
 
     def test_precondition_flagged_not_masked(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))
-        task = GibbsTask(hamiltonian=h, beta=2.0, epsilon=0.3, decomposition=psd_split(h.matrix))
+        task = GibbsTask(hamiltonian=h, beta=2.0, epsilon=0.3, decomposition=psd_split(h))
         with pytest.warns(PreconditionWarning):
             res = prepare_gibbs(task)
         assert res.precondition_warnings

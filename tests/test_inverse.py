@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from lculab.errors import ValidationError
+from lculab.errors import PreconditionWarning, ValidationError
 from lculab.gap_amplification import build_tilde_h, psd_split
+from lculab.gibbs import calibrate_hs_grid
 from lculab.inverse import (
     HittingTimeTask,
+    InverseGrid,
     amplitude_estimation,
     calibrate_inverse_grid,
     estimate_hitting_time,
@@ -25,6 +28,44 @@ from lculab.markov import (
 )
 from lculab.rand import perturbed_unitary, random_hermitian_with_spectrum, random_state
 from lculab.lcu import LcuOperator
+
+
+def _full_exit_calibration(delta_lower, epsilon):
+    """The calibration loop with its exit test run on all samples in one call."""
+    kappa = 1.0 / delta_lower
+    z_target = kappa * math.log(kappa / epsilon)
+    delta_z = epsilon
+    samples = np.unique(
+        np.concatenate([np.geomspace(delta_lower, 1.0, 32), np.linspace(delta_lower, 1.0, 32)])
+    )
+    target = 0.9 * epsilon / 2
+    for _ in range(20):
+        k_max = max(1, math.ceil(z_target / delta_z))
+        z_max = k_max * delta_z
+        inner_eps = epsilon / (2.0 * z_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PreconditionWarning)
+            inner = calibrate_hs_grid(1.0, 2.0 * z_max, inner_eps)
+        grid = InverseGrid(
+            delta_lower=delta_lower,
+            epsilon=epsilon,
+            delta_z=delta_z,
+            k_max=k_max,
+            delta_y=inner.delta_y,
+            j_max=inner.j_max,
+            inner_epsilon=inner_eps,
+        )
+        if float(np.max(np.abs(1.0 / samples - grid.inverse_filter(samples)))) <= target:
+            return grid
+        if math.exp(-z_max * delta_lower) / delta_lower > epsilon / 8:
+            z_target *= 2
+        else:
+            delta_z /= 2
+    raise AssertionError("reference calibration did not converge")
+
+
+def _cycle_delta():
+    return discriminant_pair(mark_states(lazy_cycle(8), [0])).delta
 
 
 class TestGridCalibration:
@@ -50,6 +91,43 @@ class TestGridCalibration:
         for delta, eps in [(0.5, 0.1), (0.25, 0.05), (0.125, 0.05)]:
             grid = calibrate_inverse_grid(delta, eps)
             assert abs(grid.gamma - grid.z_max) <= grid.z_max * eps / 4
+
+    @pytest.mark.parametrize(
+        "delta, eps",
+        [
+            (None, 0.1),  # the lazy 8-cycle marked at 0: two rejected rounds
+            (0.5, 0.35),  # accepted on the first round
+            (0.25, 0.2),  # a lemma2-sweep point
+            (0.5, 0.2),  # a round rejected on its seventh block
+            (1.0, 0.5),  # a single sample
+        ],
+    )
+    def test_block_exit_test_picks_the_full_test_grid(self, delta, eps):
+        delta = _cycle_delta() if delta is None else delta
+        grid = calibrate_inverse_grid(delta, eps)
+        assert grid.__dict__ == _full_exit_calibration(delta, eps).__dict__
+
+    def test_filter_on_a_block_matches_the_full_call(self):
+        grid = calibrate_inverse_grid(_cycle_delta(), 0.1)
+        xs = np.random.default_rng(5).uniform(grid.delta_lower, 1.0, size=62)
+        full = grid.inverse_filter(xs)
+        for start in range(0, xs.size, 8):
+            block = xs[start : start + 8]
+            assert np.array_equal(grid.inverse_filter(block), full[start : start + block.size])
+
+    def test_rejected_round_evaluates_one_block(self, monkeypatch):
+        calls = []
+        original = InverseGrid.inverse_filter
+
+        def counting(grid, x):
+            calls.append((grid, np.size(x)))
+            return original(grid, x)
+
+        monkeypatch.setattr(InverseGrid, "inverse_filter", counting)
+        accepted = calibrate_inverse_grid(_cycle_delta(), 0.1)
+        rejected = [size for grid, size in calls if grid != accepted]
+        assert rejected == [8, 8]
+        assert sum(size for grid, size in calls if grid == accepted) == 62
 
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError):

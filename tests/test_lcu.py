@@ -15,6 +15,7 @@ from lculab.lcu import (
     b_state,
     coefficient_unitary,
     extended_lcu_state,
+    _COSINE_BLOCK,
     gaussian_cosine_series,
     gaussian_weights,
 )
@@ -117,6 +118,41 @@ class TestDilation:
         np.testing.assert_allclose(b[:, 0], b_state([3.0, 1.0, 4.0]).amplitudes.real, atol=1e-12)
 
 
+def _unblocked_series(a, delta_y, j_max):
+    """The recurrence on the whole argument at once, with fresh arrays per step."""
+    a = np.asarray(a, dtype=float)
+    w = gaussian_weights(delta_y, j_max)
+    c = np.cos(delta_y * a)
+    acc = np.full_like(c, w[0])
+    t_prev = np.ones_like(c)
+    t_cur = c
+    for j in range(1, j_max + 1):
+        wj = w[j]
+        if wj == 0.0:
+            break
+        acc += (2.0 * wj) * t_cur
+        t_prev, t_cur = t_cur, 2.0 * c * t_cur - t_prev
+    return acc
+
+
+def _series_cases():
+    rng = np.random.default_rng(17)
+    z = np.arange(401) * 0.05
+    x = np.unique(np.concatenate([np.geomspace(0.04, 1.0, 32), np.linspace(0.04, 1.0, 32)]))
+    grid_args = np.sqrt(2.0 * np.outer(z, x))
+    wide = rng.uniform(0.0, 40.0, size=(90, 700))
+    return {
+        "scalar": (1.7, 0.05, 300),
+        "empty": (np.empty(0), 0.05, 300),
+        "long-1d": (rng.uniform(0.0, 40.0, size=2 * _COSINE_BLOCK + 37), 0.03, 400),
+        "grid-2d": (grid_args, 0.014, 315),
+        "strided-view": (wide[::3, 1::2], 0.05, 200),
+        "transposed-view": (wide.T, 0.05, 200),
+        "j-max-zero": (rng.uniform(0.0, 40.0, size=100), 0.05, 0),
+        "weights-underflow": (rng.uniform(0.0, 40.0, size=5000), 0.05, 1000),
+    }
+
+
 class TestGaussianSeries:
     def test_matches_direct_sum(self, rng):
         delta_y, j_max = 0.21, 25
@@ -132,6 +168,21 @@ class TestGaussianSeries:
         a = np.linspace(0.0, 3.0, 30)
         out = gaussian_cosine_series(a, 0.05, 200)
         np.testing.assert_allclose(out, np.exp(-0.5 * a * a), atol=1e-8)
+
+    @pytest.mark.parametrize("case", list(_series_cases()))
+    def test_blocked_kernel_is_bit_identical(self, case):
+        # the blocked in-place recurrence does each element's arithmetic in
+        # the same order, so equality is exact, not within a tolerance
+        a, delta_y, j_max = _series_cases()[case]
+        got = gaussian_cosine_series(a, delta_y, j_max)
+        want = _unblocked_series(a, delta_y, j_max)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == np.shape(a)
+        assert np.array_equal(got, want)
+
+    def test_underflow_case_reaches_the_early_break(self):
+        _, delta_y, j_max = _series_cases()["weights-underflow"]
+        assert gaussian_weights(delta_y, j_max)[-1] == 0.0
 
 
 class TestEvolutionLcu:

@@ -94,7 +94,7 @@ def test_hitting_matches_enlarged_oracle():
         task = HittingTimeTask(partition=mp, pair=dp, epsilon=0.2, delta_lower=grid.delta_lower)
         res = estimate_hitting_time(task, seed=checked, grid=grid)
 
-        g = build_tilde_h(psd_split(dp.h_matrix.matrix))
+        g = build_tilde_h(psd_split(dp.h_matrix))
         combo = inverse_lcu(grid, g)
         state = g.embed_sector_state(mp.sqrt_pi_u)
         image = combo.apply_sum(state)
@@ -110,7 +110,7 @@ def test_dilation_block_matches_sector_value():
     mp = mark_states(symmetric_two_state(), [1])
     dp = discriminant_pair(mp)
     grid = calibrate_inverse_grid(dp.delta, 0.35)  # coarse grid keeps the term count small
-    g = build_tilde_h(psd_split(dp.h_matrix.matrix))
+    g = build_tilde_h(psd_split(dp.h_matrix))
     combo = inverse_lcu(grid, g)
     state = g.embed_sector_state(mp.sqrt_pi_u)
     dilated = extended_lcu_state(combo, StateVector(state))
