@@ -5,7 +5,7 @@ temperature sweep and print the verification summary per point."""
 import argparse
 import math
 
-from lculab.gap_amplification import parse_pauli_lines, projectors_from_unitaries
+from lculab.gap_amplification import parse_pauli_lines
 from lculab.gibbs import GibbsTask, prepare_gibbs
 from lculab.operators import HermitianOperator
 
@@ -19,7 +19,7 @@ def main() -> None:
     parser.add_argument("--betas", type=float, nargs="+", default=None)
     args = parser.parse_args()
 
-    decomposition, offset = projectors_from_unitaries(parse_pauli_lines(args.pauli))
+    decomposition, offset = parse_pauli_lines(args.pauli)
     h = HermitianOperator(decomposition.sum_matrix())
     norm = h.spectral_norm
     betas = args.betas or [round(x / norm, 4) for x in (4.0, 6.0, 8.0, 12.0)]

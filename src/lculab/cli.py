@@ -31,7 +31,7 @@ import numpy as np
 from . import cost as cost_mod
 from .constants import Constants
 from .errors import LculabError, PreconditionWarning, ValidationError
-from .gap_amplification import parse_pauli_lines, projectors_from_unitaries, psd_split
+from .gap_amplification import parse_pauli_lines, psd_split
 from .gibbs import GibbsResult, GibbsTask, prepare_gibbs
 from .inverse import HittingTimeTask, calibrate_inverse_grid, estimate_hitting_time
 from .markov import chain_from_json, discriminant_pair, expected_mc_cost, lazy_cycle, mark_states
@@ -107,6 +107,44 @@ def _command_schema(required: list[str], **properties: dict) -> dict:
     }
 
 
+# Per cost-sweep model: the variables it can sweep, and the parameters
+# `fixed` may set, with their defaults.
+_COST_MODELS = {
+    "hitting-quantum": (
+        ["delta", "epsilon"], {"delta": 0.25, "epsilon": 0.1, "d": 3, "n_states": 32}
+    ),
+    "hitting-classical": (["delta", "epsilon"], {"n_states": 16, "stay": 0.75, "epsilon": 1.0}),
+    "gibbs": (["beta", "epsilon"], {"beta": 4.0, "epsilon": 0.1, "n_dim": 8, "norm": 1.0}),
+}
+
+
+def _cost_sweep_schema() -> dict:
+    schema = _command_schema(
+        ["model", "sweep_var", "values"],
+        model={"enum": sorted(_COST_MODELS)},
+        sweep_var={"enum": ["delta", "epsilon", "beta"]},
+        values=_nonempty_array({"type": "number", "exclusiveMinimum": 0}),
+        fixed={"type": "object"},
+        jobs=_JOBS,
+    )
+    schema["allOf"] = [
+        {
+            "if": {"properties": {"model": {"const": model}}},
+            "then": {
+                "properties": {
+                    "sweep_var": {"enum": sweep_vars},
+                    "fixed": {
+                        "properties": {key: {"type": "number"} for key in defaults},
+                        "additionalProperties": False,
+                    },
+                },
+            },
+        }
+        for model, (sweep_vars, defaults) in _COST_MODELS.items()
+    ]
+    return schema
+
+
 _SCHEMAS = {
     "gibbs": _command_schema(
         ["hamiltonian", "beta", "epsilon"],
@@ -140,14 +178,7 @@ _SCHEMAS = {
         samples={"type": "integer", "minimum": 1, "maximum": 64},
         jobs=_JOBS,
     ),
-    "cost-sweep": _command_schema(
-        ["model", "sweep_var", "values"],
-        model={"enum": ["hitting-quantum", "hitting-classical", "gibbs"]},
-        sweep_var={"enum": ["delta", "epsilon", "beta"]},
-        values=_nonempty_array({"type": "number", "exclusiveMinimum": 0}),
-        fixed={"type": "object"},
-        jobs=_JOBS,
-    ),
+    "cost-sweep": _cost_sweep_schema(),
 }
 
 
@@ -161,10 +192,9 @@ def _configure_logging() -> None:
 
 def _hamiltonian_from_config(spec: dict) -> tuple[HermitianOperator, "object"]:
     if "pauli" in spec:
-        unitaries = parse_pauli_lines(spec["pauli"])
         # The pipeline works with the PSD presentation, whose spectrum sits
         # at the parsed operator's plus the discarded identity offset.
-        decomposition, _ = projectors_from_unitaries(unitaries)
+        decomposition, _ = parse_pauli_lines(spec["pauli"])
         return HermitianOperator(decomposition.sum_matrix()), decomposition
     h = HermitianOperator(matrix_from_json(spec["matrix"]))
     return h, psd_split(h)
@@ -399,25 +429,22 @@ def _run_lemma2_sweep(config: dict, constants: Constants, out: Path, seed: int) 
 def _cost_point(args: tuple) -> tuple[float, cost_mod.CostReport]:
     """One cost-sweep point: the reported x value and the model's ledger there."""
     model, sweep_var, value, fixed, constants = args
+    params = {**_COST_MODELS[model][1], **fixed, sweep_var: value}
+    epsilon = float(params["epsilon"])
     if model == "hitting-quantum":
-        delta = value if sweep_var == "delta" else float(fixed.get("delta", 0.25))
-        epsilon = value if sweep_var == "epsilon" else float(fixed.get("epsilon", 0.1))
         return value, cost_mod.theorem2_cost(
-            delta, epsilon, float(fixed.get("d", 3)), float(fixed.get("n_states", 32)), constants
+            float(params["delta"]), epsilon, float(params["d"]), float(params["n_states"]),
+            constants,
         )
     if model == "hitting-classical":
         # lazy-cycle family: a delta sweep varies the laziness 1 - stay
         # and reports the chain's actual spectral gap as the x value
-        n = int(fixed.get("n_states", 16))
         if sweep_var == "delta":
             if not 0.0 < value <= 0.5:
                 raise ValidationError("laziness sweep values must lie in (0, 0.5]")
-            stay = 1.0 - value
-        else:
-            stay = float(fixed.get("stay", 0.75))
-        mp = mark_states(lazy_cycle(n, stay), [0])
+            params["stay"] = 1.0 - value
+        mp = mark_states(lazy_cycle(int(params["n_states"]), float(params["stay"])), [0])
         reported_value = discriminant_pair(mp).delta if sweep_var == "delta" else value
-        epsilon = value if sweep_var == "epsilon" else float(fixed.get("epsilon", 1.0))
         samples, steps = expected_mc_cost(mp, epsilon, constants)
         return reported_value, cost_mod.CostReport.build(
             entries={
@@ -429,10 +456,7 @@ def _cost_point(args: tuple) -> tuple[float, cost_mod.CostReport]:
         )
     # self-consistent thermal model: a linear spectrum on [0, norm]
     # supplies the partition function at each beta
-    beta = value if sweep_var == "beta" else float(fixed.get("beta", 4.0))
-    epsilon = value if sweep_var == "epsilon" else float(fixed.get("epsilon", 0.1))
-    n_dim = int(fixed.get("n_dim", 8))
-    norm = float(fixed.get("norm", 1.0))
+    beta, n_dim, norm = float(params["beta"]), int(params["n_dim"]), float(params["norm"])
     z = float(np.sum(np.exp(-beta * np.linspace(0.0, norm, n_dim))))
     return value, cost_mod.theorem1_cost(
         n_dim, z, beta, epsilon, norm_bound=norm, constants=constants

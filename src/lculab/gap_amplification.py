@@ -6,6 +6,10 @@ ancilla-0 sector. Eigenvalue gaps of size g in H become sqrt(g)-size gaps of
 the enlarged operator, which is what makes short evolution times sufficient
 downstream.
 
+Each input has one projector presentation: Pauli text is parsed straight into
+projectors, and a matrix is split into rank-1 eigenprojectors by the rule
+`split_indices` that the hitting ledger reads too.
+
 The pipelines never build the enlarged operator. Every combination they apply
 is an even function of it, and on the ancilla-0 sector an even function of the
 enlarged operator is the same function of sqrt(H), so they work on the
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .operators import HermitianOperator, as_square_matrix, hermiticity_defect
+from .operators import DIMENSION_CAP, HermitianOperator, as_square_matrix, hermiticity_defect
 
 PROJECTOR_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
@@ -77,23 +81,19 @@ class ProjectorDecomposition:
 
 @dataclass(frozen=True)
 class UnitaryDecomposition:
-    """Weighted sum of unitaries. With involutory=True every term must square to 1."""
+    """Weighted sum of unitaries."""
 
     dim: int
     terms: tuple[tuple[float, np.ndarray], ...]
-    involutory: bool = True
 
     def __post_init__(self):
         checked = []
-        eye = np.eye(self.dim)
         for i, (alpha, u) in enumerate(self.terms):
             if not (alpha > 0 and math.isfinite(alpha)):
                 raise ValidationError(f"term {i}: weight must be positive, got {alpha!r}")
             m = as_square_matrix(u, self.dim)
             if unitarity_defect(m) > UNITARY_ATOL:
                 raise ValidationError(f"term {i}: matrix is not unitary")
-            if self.involutory and np.max(np.abs(m @ m - eye)) > UNITARY_ATOL:
-                raise ValidationError(f"term {i}: unitary is not involutory")
             m.flags.writeable = False
             checked.append((float(alpha), m))
         object.__setattr__(self, "terms", tuple(checked))
@@ -109,14 +109,17 @@ class UnitaryDecomposition:
         return total
 
 
-def parse_pauli_lines(text: str) -> UnitaryDecomposition:
-    """Parse lines of "coeff PAULI_STRING" (e.g. "0.5 XZI") into a reflection decomposition.
+def parse_pauli_lines(text: str) -> tuple[ProjectorDecomposition, float]:
+    """Parse lines of "coeff PAULI_STRING" (e.g. "0.5 XZI") into a projector decomposition.
 
-    The parsed operator is (1/2) sum alpha_k U_k = sum coeff_l P_l, so alpha_k
-    carries a factor 2 and signs are absorbed into the unitaries.
+    Each nonzero line c P becomes weight 2|c| on the projector
+    (sign(c) P + 1)/2. Returns the decomposition together with the discarded
+    identity offset sum(alpha_k)/2, so that sum c_l P_l = sum alpha_k Pi_k - offset.
+    `ProjectorDecomposition` checks each projector once: it is Hermitian and
+    idempotent exactly when sign(c) P is a Hermitian involution.
     """
     terms = []
-    dim = None
+    n_qubits = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -133,34 +136,27 @@ def parse_pauli_lines(text: str) -> UnitaryDecomposition:
             raise ValidationError(f"line {lineno}: bad Pauli string {parts[1]!r}")
         if coeff == 0.0:
             continue
+        if n_qubits is None:
+            n_qubits = len(word)
+        elif len(word) != n_qubits:
+            raise ValidationError(f"line {lineno}: inconsistent qubit count")
         mat = np.array([[1.0 + 0j]])
         for c in word:
             mat = np.kron(mat, _PAULI[c])
-        if dim is None:
-            dim = mat.shape[0]
-        elif mat.shape[0] != dim:
-            raise ValidationError(f"line {lineno}: inconsistent qubit count")
-        terms.append((2 * abs(coeff), math.copysign(1.0, coeff) * mat))
+        proj = (math.copysign(1.0, coeff) * mat + np.eye(mat.shape[0])) / 2
+        terms.append((2 * abs(coeff), proj))
     if not terms:
         raise ValidationError("no Pauli terms found")
-    return UnitaryDecomposition(dim=dim, terms=tuple(terms), involutory=True)
+    offset = sum(alpha for alpha, _ in terms) / 2
+    return ProjectorDecomposition(dim=2**n_qubits, terms=tuple(terms)), offset
 
 
-def projectors_from_unitaries(u: UnitaryDecomposition) -> tuple[ProjectorDecomposition, float]:
-    """Rescale a reflection decomposition into projectors Pi_k = (U_k + 1)/2.
-
-    Returns the projector decomposition together with the discarded identity
-    offset sum(alpha_k)/2, so that (1/2) sum alpha_k U_k = sum alpha_k Pi_k - offset.
-    """
-    if not u.involutory:
-        raise ValidationError("projector rescaling requires involutory unitaries")
-    eye = np.eye(u.dim)
-    terms = tuple((alpha, (mat + eye) / 2) for alpha, mat in u.terms)
-    offset = sum(alpha for alpha, _ in u.terms) / 2
-    return ProjectorDecomposition(dim=u.dim, terms=terms), offset
+def split_indices(eigenvalues: np.ndarray) -> np.ndarray:
+    """Indices of the eigenvalues that the rank-1 split keeps as terms, in ascending order."""
+    return np.flatnonzero(eigenvalues > 1e-12)
 
 
-def psd_split(h: HermitianOperator | np.ndarray, tol: float = 1e-12) -> ProjectorDecomposition:
+def psd_split(h: HermitianOperator | np.ndarray) -> ProjectorDecomposition:
     """Canonical rank-1 split of a PSD operator: eigenvectors as projectors, eigenvalues as weights.
 
     A `HermitianOperator` lends its cached eigensystem, so the caller that
@@ -173,10 +169,9 @@ def psd_split(h: HermitianOperator | np.ndarray, tol: float = 1e-12) -> Projecto
     if float(w.min()) < -1e-10:
         raise ValidationError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
     terms = []
-    for i in range(h.dim):
-        if w[i] > tol:
-            col = v[:, i : i + 1]
-            terms.append((float(w[i]), col @ col.conj().T))
+    for i in split_indices(w):
+        col = v[:, i : i + 1]
+        terms.append((float(w[i]), col @ col.conj().T))
     return ProjectorDecomposition(dim=h.dim, terms=tuple(terms))
 
 
@@ -185,13 +180,11 @@ class GapAmplifiedHamiltonian:
     """The enlarged operator sum_k B_k (x) (|k><0| + |0><k|) with B_k = sqrt(alpha_k) Pi_k.
 
     Indexing is system-major: basis index = system_index * ancilla_dim + ancilla_index.
-    `source` records the sector Hamiltonian's projector presentation when one exists.
     """
 
     system_dim: int
     ancilla_dim: int
     operator: HermitianOperator
-    source: ProjectorDecomposition | None = None
 
     @property
     def dim(self) -> int:
@@ -229,33 +222,33 @@ def ancilla_rotations(k: int, ancilla_dim: int) -> tuple[np.ndarray, np.ndarray]
     return rest - 1j * coupler, rest + 1j * coupler
 
 
-def assemble_gap_amplified(
-    blocks: list[np.ndarray],
-    system_dim: int,
-    source: ProjectorDecomposition | None = None,
-) -> GapAmplifiedHamiltonian:
+def assemble_gap_amplified(blocks: list[np.ndarray], system_dim: int) -> GapAmplifiedHamiltonian:
     """Couple each Hermitian block to its own ancilla level; block k contributes
-    block (x) (|k><0| + |0><k|) for k = 1..len(blocks)."""
+    block (x) (|k><0| + |0><k|) for k = 1..len(blocks). The enlarged dimension
+    is checked against the cap before the operator is allocated."""
     ancilla_dim = len(blocks) + 1
-    total = np.zeros((system_dim * ancilla_dim,) * 2, dtype=complex)
+    dim = system_dim * ancilla_dim
+    if dim > DIMENSION_CAP:
+        raise ValidationError(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
+    total = np.zeros((dim, dim), dtype=complex)
     for k, block in enumerate(blocks, start=1):
         total += np.kron(as_square_matrix(block, system_dim), _ancilla_coupler(k, ancilla_dim))
     return GapAmplifiedHamiltonian(
         system_dim=system_dim,
         ancilla_dim=ancilla_dim,
         operator=HermitianOperator(total),
-        source=source,
     )
 
 
 def build_tilde_h(p: ProjectorDecomposition) -> GapAmplifiedHamiltonian:
     """Gap-amplify a projector decomposition: blocks sqrt(alpha_k) Pi_k, one ancilla level each."""
     blocks = [math.sqrt(alpha) * proj for alpha, proj in p.terms]
-    return assemble_gap_amplified(blocks, p.dim, source=p)
+    return assemble_gap_amplified(blocks, p.dim)
 
 
-def tilde_h_unitary_terms(g: GapAmplifiedHamiltonian) -> UnitaryDecomposition:
-    """Decompose the enlarged operator as a positive combination of 2K unitaries.
+def tilde_h_unitary_terms(p: ProjectorDecomposition) -> UnitaryDecomposition:
+    """Decompose the enlarged operator of `build_tilde_h(p)` as a positive
+    combination of 2K unitaries.
 
     Each projector contributes a pair of ancilla rotations
     exp(-+ i(pi/2)(|k><0| + |0><k|)) acting where the projector acts (identity on
@@ -263,10 +256,7 @@ def tilde_h_unitary_terms(g: GapAmplifiedHamiltonian) -> UnitaryDecomposition:
     weights stay positive at sqrt(alpha_k)/2 each. The weighted sum equals the
     enlarged operator exactly.
     """
-    if g.source is None:
-        raise ValidationError("unitary terms require a projector presentation")
-    p = g.source
-    ancilla_dim = g.ancilla_dim
+    ancilla_dim = p.n_terms + 1
     eye_sys = np.eye(p.dim)
     eye_anc = np.eye(ancilla_dim)
     terms: list[tuple[float, np.ndarray]] = []
@@ -278,7 +268,7 @@ def tilde_h_unitary_terms(g: GapAmplifiedHamiltonian) -> UnitaryDecomposition:
         w = math.sqrt(alpha) / 2
         terms.append((w, u_minus))
         terms.append((w, u_plus))
-    return UnitaryDecomposition(dim=g.dim, terms=tuple(terms), involutory=False)
+    return UnitaryDecomposition(dim=p.dim * ancilla_dim, terms=tuple(terms))
 
 
 def exact_evolution(g: GapAmplifiedHamiltonian, t: float) -> np.ndarray:

@@ -15,8 +15,9 @@ evolutions of H~ as a reference for the tests.
 
 Grid calibration dominates a run. Its exit test checks the filter on the
 samples a few at a time and rejects a grid at the first miss, so rejected
-rounds cost a fraction of an accepted one; the grids it accepts are those of
-a test on all samples at once.
+rounds cost a fraction of an accepted one. A filter value does not depend on
+how many points share the call, so the grids it accepts are those of a test
+on all samples at once.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .cost import (
     select_unit_cost,
 )
 from .errors import CalibrationError, PreconditionWarning, ValidationError
-from .gap_amplification import GapAmplifiedHamiltonian
+from .gap_amplification import GapAmplifiedHamiltonian, split_indices
 from .gibbs import calibrate_hs_grid
 from .lcu import EvolutionLcu, gaussian_cosine_series, gaussian_weight_sum
 from .markov import (
@@ -90,11 +91,12 @@ class InverseGrid:
         return (self.k_max + 1) * self.delta_z * gaussian_weight_sum(self.delta_y, self.j_max)
 
     def inverse_filter(self, x) -> np.ndarray:
-        """The scalar double sum approximating 1/x, evaluated at x >= 0."""
+        """The scalar double sum approximating 1/x at x >= 0. The z-series is summed
+        in row order at every x, so a value does not depend on the call's width."""
         x = np.asarray(x, dtype=float)
         args = np.sqrt(2.0 * np.outer(self.z_nodes, x))
         series = gaussian_cosine_series(args, self.delta_y, self.j_max)
-        return self.delta_z * series.sum(axis=0)
+        return self.delta_z * np.cumsum(series, axis=0, out=series)[-1]
 
 
 def exponential_grid_error(delta_z: float, k_max: int, x: float) -> float:
@@ -113,9 +115,9 @@ def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
     of [Delta, 1]: a grid is accepted only when every sample is within
     target. The samples are checked in ascending blocks of at most
     `_EXIT_BLOCK` and a round stops at the first block that misses, so a
-    rejected grid costs little. A block's filter values equal the matching
-    values of one call on all samples, bit for bit, so the rounds, the
-    accepted grid and its error are those of the full test.
+    rejected grid costs little. The filter's values do not depend on the
+    width of a call, so the rounds, the accepted grid and its error are those
+    of the full test.
     """
     if not (0 < delta_lower <= 1):
         raise ValidationError(f"delta_lower must be in (0, 1], got {delta_lower!r}")
@@ -132,9 +134,7 @@ def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
             ]
         )
     )
-    # At most _EXIT_BLOCK samples each, and never a lone sample unless there
-    # is only one: inverse_filter sums a single column in another order.
-    blocks = np.array_split(samples, -(-samples.size // _EXIT_BLOCK))
+    blocks = [samples[i : i + _EXIT_BLOCK] for i in range(0, samples.size, _EXIT_BLOCK)]
     target = _TARGET_MARGIN * epsilon / 2
 
     for iteration in range(_MAX_ITERATIONS):
@@ -193,11 +193,10 @@ def inverse_lcu(grid: InverseGrid, g: GapAmplifiedHamiltonian) -> EvolutionLcu:
     """The double-grid combination as a structured LCU over evolutions of H~.
 
     Uses exp(-i y_j sqrt(2 z_k) H~), the time scale under which the Gaussian
-    identity reproduces exp(-z_k x) exactly on the sector.
+    identity reproduces exp(-z_k x) exactly on the sector. The spectrum guard
+    reads H's nonzero eigenvalues as those of H~^2, on H~'s own eigensystem.
     """
-    if g.source is None:
-        raise ValidationError("inverse combination needs a projector presentation")
-    _check_spectrum(grid, np.linalg.eigvalsh(g.source.sum_matrix()))
+    _check_spectrum(grid, g.operator.eigensystem[0] ** 2)
     return EvolutionLcu(
         hamiltonian=g,
         delta_y=grid.delta_y,
@@ -344,10 +343,11 @@ def estimate_hitting_time(
     )
     t_hat = grid.z_max * estimate_raw
 
-    # The enlarged operator's presentation has one rank-1 projector per
-    # nonzero eigenvalue lambda of H, with weight sqrt(lambda); the sum runs in
-    # ascending order, so the ledger matches that presentation's to the bit.
-    live = [float(x) for x in task.pair.h_matrix.eigensystem[0] if x > 1e-12]
+    # H's presentation is its rank-1 split: sqrt(lambda) per eigenvalue that
+    # `split_indices` keeps, summed in ascending order, so the ledger matches
+    # that presentation's to the bit.
+    eigs = task.pair.h_matrix.eigensystem[0]
+    live = [float(eigs[i]) for i in split_indices(eigs)]
     t_evolve = grid.y_max * math.sqrt(2.0 * grid.z_max)
     c_w = evolution_gate_cost(
         abs(t_evolve) * sum(math.sqrt(x) for x in live),

@@ -37,10 +37,9 @@ import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, Constants
 from .errors import AnnihilationError, ValidationError
-from .gap_amplification import GapAmplifiedHamiltonian, unitarity_defect
+from .gap_amplification import UNITARY_ATOL, GapAmplifiedHamiltonian, unitarity_defect
 from .operators import StateVector, as_square_matrix
 
-UNITARY_ATOL = 1e-10
 _DILATION_TERM_CAP = 1024
 _DILATION_SIZE_CAP = 1 << 18
 _FILTER_CHUNK = 1 << 22

@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, Constants
 from .errors import ValidationError, WalkTimeoutError
-from .operators import HermitianOperator
+from .operators import DIMENSION_CAP, HermitianOperator
 
 COLUMN_SUM_ATOL = 1e-12
 DETAILED_BALANCE_ATOL = 1e-10
@@ -476,6 +476,11 @@ def chain_from_json(obj: dict) -> tuple[MarkovChain, tuple[int, ...]]:
         marked = tuple(int(s) for s in obj["marked"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed chain JSON: {exc}") from exc
+    # Every command needs at least the unmarked block under the cap, so check
+    # it before the n x n matrix is allocated.
+    n_unmarked = n - len({s for s in marked if 0 <= s < n})
+    if n_unmarked > DIMENSION_CAP:
+        raise ValidationError(f"{n_unmarked} unmarked states exceed cap {DIMENSION_CAP}")
     p = np.zeros((n, n))
     for item in entries:
         if len(item) != 3:

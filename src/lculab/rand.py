@@ -41,14 +41,6 @@ def random_projector(rng: np.random.Generator, dim: int, rank: int) -> np.ndarra
     return v @ v.conj().T
 
 
-def random_involution(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
-    """Random Hermitian unitary with eigenvalues +-1 (a reflection)."""
-    if rank is None:
-        rank = int(rng.integers(1, dim + 1))
-    p = random_projector(rng, dim, rank)
-    return 2 * p - np.eye(dim)
-
-
 def random_hermitian_with_spectrum(
     rng: np.random.Generator, dim: int, lo: float, hi: float
 ) -> np.ndarray:

@@ -8,8 +8,10 @@ orthogonal projectors, whose square root is exactly expressible through a
 single diagonal-in-the-group unitary Z_k. A separate diagonal factor handles
 the boundary term. The colored square-root blocks assemble into the enlarged
 operator whose square restricts to the walk Hamiltonian, together with its
-presentation as a positive combination of unitaries. The sparse-access gate
-cost of simulating it is priced by `cost.theorem2_cost`.
+presentation as a positive combination of unitaries; that unitary expansion
+is the construction's only presentation, and the assembly checks it against
+the enlarged operator. The sparse-access gate cost of simulating it is priced
+by `cost.theorem2_cost`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 from .errors import ValidationError
 from .gap_amplification import (
     GapAmplifiedHamiltonian,
-    ProjectorDecomposition,
     UnitaryDecomposition,
     ancilla_rotations,
     assemble_gap_amplified,
@@ -247,13 +248,11 @@ def color_edges(oracle: SparseChainOracle) -> EdgeColoring:
 @dataclass(frozen=True)
 class ColorSqrtFactor:
     """One color class: its projector sum h_k and the unitary Z_k whose imaginary
-    part is the square root, sin(delta_e) = sqrt(alpha_bar_e) per edge. `edges`
-    holds each edge's (alpha_bar, normalized mu state) in class order."""
+    part is the square root, sin(delta_e) = sqrt(alpha_bar_e) per edge."""
 
     color: int
     h_matrix: np.ndarray
     z_unitary: np.ndarray
-    edges: tuple[tuple[float, np.ndarray], ...]
 
     @property
     def sqrt_h(self) -> np.ndarray:
@@ -262,12 +261,12 @@ class ColorSqrtFactor:
 
 @dataclass(frozen=True)
 class DiagonalSqrtFactor:
-    """Boundary factor: diagonal phases with cos(theta_s) = sqrt(boundary[s])
-    on unmarked states and phase i on marked ones."""
+    """Boundary factor: diagonal phases with cos(theta_s) = sqrt(b_s) on
+    unmarked states, b_s the probability of stepping from s into the marked
+    set, and phase i on marked ones."""
 
     u_diagonal: np.ndarray
     thetas: np.ndarray
-    boundary: np.ndarray
 
     @property
     def sqrt_h(self) -> np.ndarray:
@@ -292,7 +291,6 @@ def build_sqrt_factors(
     for k, edge_class in enumerate(coloring.classes):
         h_k = np.zeros((n, n), dtype=complex)
         z_k = eye.copy()
-        edges = []
         for a, b in edge_class:
             # orientation (sigma=a, sigma'=b): the projector is orientation-free
             mu = _mu_state(n, a, b, float(p[a, b]), float(p[b, a]))
@@ -301,16 +299,13 @@ def build_sqrt_factors(
             h_k += mu.alpha_bar * proj
             delta = math.asin(min(math.sqrt(mu.alpha_bar), 1.0))
             z_k += (np.exp(1j * delta) - 1.0) * proj
-            edges.append((mu.alpha_bar, mu_bar))
-        colors.append(ColorSqrtFactor(color=k, h_matrix=h_k, z_unitary=z_k, edges=tuple(edges)))
+        colors.append(ColorSqrtFactor(color=k, h_matrix=h_k, z_unitary=z_k))
     thetas = np.zeros(n)
     phases = np.full(n, 1j, dtype=complex)
-    boundary = np.zeros(n)
     for s in oracle.unmarked:
-        boundary[s] = _boundary_weight(oracle, s)
-        thetas[s] = math.acos(min(math.sqrt(boundary[s]), 1.0))
+        thetas[s] = math.acos(min(math.sqrt(_boundary_weight(oracle, s)), 1.0))
         phases[s] = np.exp(1j * thetas[s])
-    diagonal = DiagonalSqrtFactor(u_diagonal=np.diag(phases), thetas=thetas, boundary=boundary)
+    diagonal = DiagonalSqrtFactor(u_diagonal=np.diag(phases), thetas=thetas)
     return SqrtFactors(colors=tuple(colors), diagonal=diagonal)
 
 
@@ -323,25 +318,11 @@ def assemble_tilde_h_sparse(
     the square recovers the doubled (ordered-pair) edge weights; the boundary
     block enters unscaled. Every block also expands into four unitaries
     through the one-level ancilla rotations, giving at most 4(K'+1) terms whose
-    weighted sum equals the enlarged operator exactly. The projector
-    presentation reads each edge's weight and mu state, and each boundary
-    weight, from `factors`, which already carry `coloring`'s edges.
+    weighted sum equals the enlarged operator exactly.
     """
-    n = oracle.n_states
     color_blocks = [math.sqrt(2.0) * f.sqrt_h for f in factors.colors]
     blocks = color_blocks + [factors.diagonal.sqrt_h]
-    source_terms: list[tuple[float, np.ndarray]] = []
-    for factor in factors.colors:
-        for alpha_bar, mu_bar in factor.edges:
-            source_terms.append((2.0 * alpha_bar, np.outer(mu_bar, mu_bar.conj())))
-    for s in oracle.unmarked:
-        weight = factors.diagonal.boundary[s]
-        if weight > 1e-14:
-            proj = np.zeros((n, n), dtype=complex)
-            proj[s, s] = 1.0
-            source_terms.append((weight, proj))
-    source = ProjectorDecomposition(dim=n, terms=tuple(source_terms)) if source_terms else None
-    g = assemble_gap_amplified(blocks, n, source=source)
+    g = assemble_gap_amplified(blocks, oracle.n_states)
 
     ancilla_dim = g.ancilla_dim
     terms: list[tuple[float, np.ndarray]] = []
@@ -363,7 +344,7 @@ def assemble_tilde_h_sparse(
         (u_d.conj().T, rot_plus, -1j),
     ):
         terms.append((0.25, sign * np.kron(mat, rot)))
-    decomposition = UnitaryDecomposition(dim=g.dim, terms=tuple(terms), involutory=False)
+    decomposition = UnitaryDecomposition(dim=g.dim, terms=tuple(terms))
 
     residual = float(np.max(np.abs(decomposition.weighted_sum() - g.operator.matrix)))
     if residual > _ATOL:

@@ -12,7 +12,6 @@ from lculab.gap_amplification import (
     ProjectorDecomposition,
     build_tilde_h,
     parse_pauli_lines,
-    projectors_from_unitaries,
     psd_split,
 )
 from lculab.gibbs import GibbsTask, calibrate_hs_grid, hs_lcu, prepare_gibbs
@@ -123,7 +122,7 @@ def _qubit_hamiltonians():
         ("2-qubit", "0.8 ZI\n0.6 IZ\n0.5 ZZ"),
         ("3-qubit", "1.0 ZZI\n0.7 IZZ\n0.4 XIX\n0.3 IXI"),
     ):
-        decomposition, _ = projectors_from_unitaries(parse_pauli_lines(text))
+        decomposition, _ = parse_pauli_lines(text)
         yield label, HermitianOperator(decomposition.sum_matrix()), decomposition
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +123,16 @@ class TestHittingCommand:
             {"command": "hitting", "chain": bad, "epsilon": 0.1, "out": str(tmp_path / "o")},
         )
         assert main(["--config", config]) == 3
+
+
+    def test_unmarked_block_over_cap_rejected_before_allocation(self, tmp_path, capsys):
+        chain = {"n_states": 4098, "entries": [], "marked": [0]}
+        config = _write_config(
+            tmp_path,
+            {"command": "hitting", "chain": chain, "epsilon": 0.1, "out": str(tmp_path / "o")},
+        )
+        assert main(["--config", config]) == 3
+        assert "4097 unmarked states exceed cap 4096" in capsys.readouterr().err
 
 
 class TestAppendixVerify:
@@ -311,6 +323,34 @@ class TestSweeps:
         assert header.endswith(",total")
 
 
+    @pytest.mark.parametrize(
+        "model, sweep_var, fixed",
+        [
+            ("hitting-quantum", "delta", {"d": "x"}),
+            ("hitting-quantum", "delta", {"n_sates": 32}),
+            ("gibbs", "beta", {"delta": 0.2}),
+            ("hitting-quantum", "beta", {}),
+            ("hitting-classical", "beta", {}),
+            ("gibbs", "delta", {}),
+        ],
+        ids=["non-number", "unknown-key", "key-of-another-model", "hq-beta", "hc-beta", "gibbs-delta"],
+    )
+    def test_cost_sweep_config_errors(self, tmp_path, model, sweep_var, fixed):
+        config = _write_config(
+            tmp_path,
+            {
+                "command": "cost-sweep",
+                "model": model,
+                "sweep_var": sweep_var,
+                "values": [0.5, 0.25],
+                "fixed": fixed,
+                "out": str(tmp_path / "out"),
+            },
+        )
+        assert main(["--config", config]) == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigHandling:
     def test_empty_config_rejected(self, tmp_path):
         config = _write_config(tmp_path, {})
@@ -467,3 +507,15 @@ class TestConfigHandling:
         )
         assert main(["--config", config, "--constants", str(constants)]) == 1
         assert message in capsys.readouterr().err
+
+
+def _readme_configs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    return [b for b in blocks if "command" in b]
+
+
+@pytest.mark.parametrize("payload", _readme_configs(), ids=lambda p: p["command"])
+def test_readme_example_runs(tmp_path, payload):
+    config = _write_config(tmp_path, {**payload, "out": str(tmp_path / "out")})
+    assert main(["--config", config]) == 0

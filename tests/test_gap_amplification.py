@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,17 +10,16 @@ from lculab.cost import evolution_gate_cost, select_unit_cost
 from lculab.errors import ValidationError
 from lculab.gap_amplification import (
     ProjectorDecomposition,
-    UnitaryDecomposition,
+    assemble_gap_amplified,
     build_tilde_h,
     exact_evolution,
     parse_pauli_lines,
-    projectors_from_unitaries,
     psd_split,
     tilde_h_unitary_terms,
     unitarity_defect,
 )
-from lculab.operators import HermitianOperator
-from lculab.rand import random_involution, random_projector, random_psd, random_state
+from lculab.operators import DIMENSION_CAP, HermitianOperator
+from lculab.rand import random_projector, random_psd, random_state
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -30,33 +30,6 @@ def random_projector_decomposition(rng, dim, k):
         for _ in range(k)
     )
     return ProjectorDecomposition(dim=dim, terms=terms)
-
-
-class TestProjectorsFromUnitaries:
-    def test_pauli_z_gives_up_projector(self):
-        u = UnitaryDecomposition(dim=2, terms=((1.0, PAULI_Z),))
-        p, offset = projectors_from_unitaries(u)
-        np.testing.assert_allclose(p.terms[0][1], np.diag([1.0, 0.0]), atol=1e-14)
-        assert offset == pytest.approx(0.5)
-
-    def test_identity_term(self):
-        u = UnitaryDecomposition(dim=3, terms=((2.0, np.eye(3)),))
-        p, offset = projectors_from_unitaries(u)
-        np.testing.assert_allclose(p.terms[0][1], np.eye(3), atol=1e-14)
-        assert offset == pytest.approx(1.0)
-
-    def test_householder_reflection_idempotent(self, rng):
-        refl = random_involution(rng, 6)
-        p, _ = projectors_from_unitaries(
-            UnitaryDecomposition(dim=6, terms=((0.7, refl),))
-        )
-        proj = p.terms[0][1]
-        assert np.max(np.abs(proj @ proj - proj)) <= 1e-12
-
-    def test_non_involutory_rejected(self, rng):
-        phase_gate = np.diag([1.0, 1j])
-        with pytest.raises(ValidationError):
-            UnitaryDecomposition(dim=2, terms=((1.0, phase_gate),))
 
 
 class TestBuildTildeH:
@@ -115,11 +88,23 @@ class TestBuildTildeH:
         with pytest.raises(ValidationError):
             ProjectorDecomposition(dim=2, terms=((0.0, np.eye(2)),))
 
+    def test_cap_checked_before_allocation(self):
+        # 1025 * 4 = 4100 > 4096: the enlarged operator would take 269 MB
+        system_dim = DIMENSION_CAP // 4 + 1
+        block = np.zeros((system_dim, system_dim))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="exceeds cap"):
+                assemble_gap_amplified([block] * 3, system_dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6 < (4 * system_dim) ** 2 * 16
+
 
 class TestUnitaryTerms:
     def test_scalar_case_sums_to_coupler(self):
-        g = build_tilde_h(ProjectorDecomposition(dim=1, terms=((1.0, np.eye(1)),)))
-        ud = tilde_h_unitary_terms(g)
+        ud = tilde_h_unitary_terms(ProjectorDecomposition(dim=1, terms=((1.0, np.eye(1)),)))
         assert ud.n_terms == 2
         np.testing.assert_allclose(ud.weighted_sum(), [[0, 1], [1, 0]], atol=1e-12)
 
@@ -132,7 +117,7 @@ class TestUnitaryTerms:
     def test_random_reconstruction_and_unitarity(self, rng):
         p = random_projector_decomposition(rng, 4, 3)
         g = build_tilde_h(p)
-        ud = tilde_h_unitary_terms(g)
+        ud = tilde_h_unitary_terms(p)
         assert ud.n_terms == 2 * p.n_terms
         assert np.max(np.abs(ud.weighted_sum() - g.operator.matrix)) <= 1e-10
         for _, u in ud.terms:
@@ -203,30 +188,84 @@ class TestSimulationCost:
     def test_tau_conventions_agree(self, rng):
         # the unitary expansion's weight sum is sum_k sqrt(alpha_k), the tau per unit time
         p = random_projector_decomposition(rng, 4, 3)
-        g = build_tilde_h(p)
-        weights = sum(w for w, _ in tilde_h_unitary_terms(g).terms)
-        assert weights == pytest.approx(g.source.sum_sqrt_weights(), rel=1e-14)
+        weights = sum(w for w, _ in tilde_h_unitary_terms(p).terms)
+        assert weights == pytest.approx(p.sum_sqrt_weights(), rel=1e-14)
+
+
+_PAULI_LETTERS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+_BENCH_TFIM_6 = (
+    "-1.0 ZZIIII\n-1.0 IZZIII\n-1.0 IIZZII\n-1.0 IIIZZI\n-1.0 IIIIZZ\n"
+    "-0.6599899729332885 XIIIII\n-0.9200957879425051 IXIIII\n-0.909532777346238 IIXIII\n"
+    "-0.8470933994985628 IIIXII\n-0.94749726079068 IIIIXI\n-0.8027418202173167 IIIIIX\n"
+)
+
+
+def _reflection_route(text):
+    """Projectors through the reflection U = sign(c) P: the kron of the letters,
+    times copysign(1, c), then (U + 1)/2."""
+    terms = []
+    for line in text.strip().splitlines():
+        coeff, word = float(line.split()[0]), line.split()[1]
+        mat = np.array([[1.0 + 0j]])
+        for c in word:
+            mat = np.kron(mat, _PAULI_LETTERS[c])
+        u = math.copysign(1.0, coeff) * mat
+        terms.append((2 * abs(coeff), (u + np.eye(u.shape[0])) / 2))
+    return ProjectorDecomposition(dim=terms[0][1].shape[0], terms=tuple(terms))
 
 
 class TestPauliParsing:
     def test_single_line(self):
-        ud = parse_pauli_lines("0.5 XZ")
-        assert ud.dim == 4
+        p, offset = parse_pauli_lines("0.5 XZ")
+        assert p.dim == 4
         expected = 0.5 * np.kron([[0, 1], [1, 0]], [[1, 0], [0, -1]])
-        np.testing.assert_allclose(ud.weighted_sum() / 2, expected, atol=1e-14)
+        np.testing.assert_allclose(p.sum_matrix() - offset * np.eye(4), expected, atol=1e-14)
 
     def test_negative_coefficient_absorbed(self):
-        ud = parse_pauli_lines("-0.25 Z\n1.0 X")
+        p, offset = parse_pauli_lines("-0.25 Z\n1.0 X")
         expected = -0.25 * PAULI_Z + 1.0 * np.array([[0, 1], [1, 0]])
-        np.testing.assert_allclose(ud.weighted_sum() / 2, expected, atol=1e-14)
-        assert all(alpha > 0 for alpha, _ in ud.terms)
+        np.testing.assert_allclose(p.sum_matrix() - offset * np.eye(2), expected, atol=1e-14)
+        assert all(alpha > 0 for alpha, _ in p.terms)
+
+    def test_pauli_z_gives_up_projector(self):
+        p, offset = parse_pauli_lines("0.5 Z")
+        assert p.terms[0][0] == 1.0
+        np.testing.assert_allclose(p.terms[0][1], np.diag([1.0, 0.0]), atol=1e-14)
+        assert offset == pytest.approx(0.5)
+
+    def test_identity_term(self):
+        p, offset = parse_pauli_lines("1.0 III")
+        np.testing.assert_allclose(p.terms[0][1], np.eye(8), atol=1e-14)
+        assert offset == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1.0 ZZI\n0.7 IZZ\n0.4 XIX\n0.3 IXI",
+            "0.8 XYI\n-0.6 IZY\n0.5 YYZ\n-0.3 XIX\n-0.2 IYI",
+            _BENCH_TFIM_6,
+        ],
+    )
+    def test_matches_reflection_route_bit_for_bit(self, text):
+        p, _ = parse_pauli_lines(text)
+        ref = _reflection_route(text)
+        assert p.n_terms == ref.n_terms
+        for (a1, p1), (a2, p2) in zip(p.terms, ref.terms):
+            assert a1 == a2 and np.array_equal(p1, p2)
+        assert np.array_equal(p.sum_matrix(), ref.sum_matrix())
+        assert p.sum_sqrt_weights() == ref.sum_sqrt_weights()
 
     def test_comments_and_blank_lines(self):
-        ud = parse_pauli_lines("# two qubits\n\n0.5 XX  # coupling\n0.5 ZI\n")
-        assert ud.n_terms == 2
+        p, _ = parse_pauli_lines("# two qubits\n\n0.5 XX  # coupling\n0.5 ZI\n")
+        assert p.n_terms == 2
 
     def test_bad_string_rejected(self):
-        with pytest.raises(ValidationError):
-            parse_pauli_lines("0.5 XQ")
-        with pytest.raises(ValidationError):
-            parse_pauli_lines("not_a_number XX")
+        for text in ("0.5 XQ", "not_a_number XX", "0.5 XX extra", "0.5 XX\n0.5 Z", "0.0 XX"):
+            with pytest.raises(ValidationError):
+                parse_pauli_lines(text)

@@ -9,7 +9,6 @@ from lculab.gap_amplification import (
     ProjectorDecomposition,
     build_tilde_h,
     parse_pauli_lines,
-    projectors_from_unitaries,
     psd_split,
 )
 from lculab.gibbs import (
@@ -193,7 +192,7 @@ class TestPrepareGibbs:
     def test_three_qubit_pauli_hamiltonian(self, rng):
         # shifted two-local Hamiltonian, beta chosen so that norm * beta = 8
         text = "1.0 ZZI\n0.7 IZZ\n0.4 XIX\n0.3 IXI\n2.4 III"
-        decomposition, offset = projectors_from_unitaries(parse_pauli_lines(text))
+        decomposition, offset = parse_pauli_lines(text)
         h = HermitianOperator(decomposition.sum_matrix())
         norm = h.spectral_norm
         beta = 8.0 / norm
@@ -255,7 +254,7 @@ class TestPrepareGibbs:
             lines.append("-1.0 " + "I" * i + "ZZ" + "I" * (n - i - 2))
         for i in range(n):
             lines.append(f"-{0.5 + 0.1 * i} " + "I" * i + "X" + "I" * (n - i - 1))
-        decomposition, _ = projectors_from_unitaries(parse_pauli_lines("\n".join(lines)))
+        decomposition, _ = parse_pauli_lines("\n".join(lines))
         h = HermitianOperator(decomposition.sum_matrix())
         task = GibbsTask(hamiltonian=h, beta=2.0, epsilon=0.05, decomposition=decomposition)
         res = prepare_gibbs(task)

@@ -115,6 +115,15 @@ class TestGridCalibration:
             block = xs[start : start + 8]
             assert np.array_equal(grid.inverse_filter(block), full[start : start + block.size])
 
+    def test_filter_value_does_not_depend_on_call_width(self):
+        # a lone column is summed in the same order as a column among others
+        grid = calibrate_inverse_grid(0.5, 0.1)
+        xs = np.unique(np.concatenate([np.geomspace(0.5, 1.0, 32), np.linspace(0.5, 1.0, 32)]))
+        full = grid.inverse_filter(xs)
+        for i, x in enumerate(xs):
+            assert grid.inverse_filter(xs[i : i + 1])[0] == full[i]
+            assert grid.inverse_filter(x)[0] == full[i]
+
     def test_rejected_round_evaluates_one_block(self, monkeypatch):
         calls = []
         original = InverseGrid.inverse_filter

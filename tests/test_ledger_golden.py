@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from lculab.cost import theorem1_cost, theorem2_cost
-from lculab.gap_amplification import parse_pauli_lines, projectors_from_unitaries
+from lculab.gap_amplification import parse_pauli_lines
 from lculab.gibbs import GibbsTask, prepare_gibbs
 from lculab.inverse import HittingTimeTask, estimate_hitting_time
 from lculab.markov import chain_from_json, discriminant_pair, mark_states
@@ -67,9 +67,7 @@ def test_theorem2_at_cost_sweep_defaults():
 
 
 def test_prepare_gibbs_on_readme_config():
-    decomposition, _ = projectors_from_unitaries(
-        parse_pauli_lines("1.0 ZZI\n0.7 IZZ\n0.4 XIX\n0.3 IXI")
-    )
+    decomposition, _ = parse_pauli_lines("1.0 ZZI\n0.7 IZZ\n0.4 XIX\n0.3 IXI")
     task = GibbsTask(
         hamiltonian=HermitianOperator(decomposition.sum_matrix()),
         beta=2.0,
