@@ -116,6 +116,8 @@ _COST_MODELS = {
     "hitting-classical": (["delta", "epsilon"], {"n_states": 16, "stay": 0.75, "epsilon": 1.0}),
     "gibbs": (["beta", "epsilon"], {"beta": 4.0, "epsilon": 0.1, "n_dim": 8, "norm": 1.0}),
 }
+# The parameters that count states; a non-integer count is a config error.
+_COUNTS = ("n_states", "n_dim")
 
 
 def _cost_sweep_schema() -> dict:
@@ -134,7 +136,10 @@ def _cost_sweep_schema() -> dict:
                 "properties": {
                     "sweep_var": {"enum": sweep_vars},
                     "fixed": {
-                        "properties": {key: {"type": "number"} for key in defaults},
+                        "properties": {
+                            key: {"type": "integer" if key in _COUNTS else "number"}
+                            for key in defaults
+                        },
                         "additionalProperties": False,
                     },
                 },

@@ -207,7 +207,7 @@ class GapAmplifiedHamiltonian:
         return mat[np.ix_(idx, idx)]
 
 
-def _ancilla_coupler(k: int, ancilla_dim: int) -> np.ndarray:
+def ancilla_coupler(k: int, ancilla_dim: int) -> np.ndarray:
     a = np.zeros((ancilla_dim, ancilla_dim))
     a[k, 0] = a[0, k] = 1.0
     return a
@@ -216,7 +216,7 @@ def _ancilla_coupler(k: int, ancilla_dim: int) -> np.ndarray:
 def ancilla_rotations(k: int, ancilla_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The pair exp(-+ i(pi/2)(|k><0| + |0><k|)) = (1 - support) -+ i coupler on the
     ancilla, where support is |0><0| + |k><k|."""
-    coupler = _ancilla_coupler(k, ancilla_dim)
+    coupler = ancilla_coupler(k, ancilla_dim)
     rest = np.eye(ancilla_dim, dtype=complex)
     rest[0, 0] = rest[k, k] = 0.0
     return rest - 1j * coupler, rest + 1j * coupler
@@ -232,7 +232,7 @@ def assemble_gap_amplified(blocks: list[np.ndarray], system_dim: int) -> GapAmpl
         raise ValidationError(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
     total = np.zeros((dim, dim), dtype=complex)
     for k, block in enumerate(blocks, start=1):
-        total += np.kron(as_square_matrix(block, system_dim), _ancilla_coupler(k, ancilla_dim))
+        total += np.kron(as_square_matrix(block, system_dim), ancilla_coupler(k, ancilla_dim))
     return GapAmplifiedHamiltonian(
         system_dim=system_dim,
         ancilla_dim=ancilla_dim,

@@ -5,33 +5,48 @@ From neighbor-list access to a reversible chain, the symmetrized walk operator
 one per ordered neighbor pair. Restricting to the unmarked block and grouping
 the surviving pairs by a proper edge coloring makes each group a sum of
 orthogonal projectors, whose square root is exactly expressible through a
-single diagonal-in-the-group unitary Z_k. A separate diagonal factor handles
-the boundary term. The colored square-root blocks assemble into the enlarged
-operator whose square restricts to the walk Hamiltonian, together with its
-presentation as a positive combination of unitaries; that unitary expansion
-is the construction's only presentation, and the assembly checks it against
-the enlarged operator. The sparse-access gate cost of simulating it is priced
-by `cost.theorem2_cost`.
+single unitary Z_k that is the identity apart from one 2x2 block per edge. A
+separate diagonal factor handles the boundary term. The colored square-root
+blocks assemble into the enlarged operator whose square restricts to the walk
+Hamiltonian, together with its presentation as a positive combination of
+unitaries; that unitary expansion is the construction's only presentation.
+
+All of it is kept as per-edge data, which `decomposition_manifest` (the
+`appendix-verify` path) checks in O(N d) without any N x N or enlarged matrix.
+The dense matrices are views of the same data, built only when read, and serve
+as test oracles. The sparse-access gate cost of simulating the construction is
+priced by `cost.theorem2_cost`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
 from .gap_amplification import (
+    UNITARY_ATOL,
     GapAmplifiedHamiltonian,
     UnitaryDecomposition,
+    ancilla_coupler,
     ancilla_rotations,
     assemble_gap_amplified,
+    unitarity_defect,
 )
 from .markov import MarkovChain
 from .operators import HermitianOperator
 
 _ATOL = 1e-10
+# Each square-root factor F at ancilla level k enters the enlarged operator as
+# B_k = scale * sqrt_h and expands into four unitaries sign * (F_t (x) R_t) of
+# one weight, with F_t = F, F, F^dagger, F^dagger and R_t = R_-, R_+, R_-, R_+
+# the ancilla rotations of level k. Entries are (scale, weight, signs).
+_COLOR_TERMS = (math.sqrt(2.0), math.sqrt(2.0) / 4, (1, -1, -1, 1))
+_BOUNDARY_TERMS = (1.0, 0.25, (1j, -1j, 1j, -1j))
 
 
 @dataclass(frozen=True)
@@ -49,11 +64,7 @@ class SparseChainOracle:
     d: int
 
     def is_marked(self, state: int) -> bool:
-        return state in self._marked_set
-
-    @property
-    def _marked_set(self) -> frozenset:
-        return frozenset(self.marked)
+        return state in self.marked
 
     @property
     def n_states(self) -> int:
@@ -61,8 +72,21 @@ class SparseChainOracle:
 
     @property
     def unmarked(self) -> tuple[int, ...]:
-        m = self._marked_set
-        return tuple(s for s in range(self.n_states) if s not in m)
+        return tuple(np.flatnonzero(~self.marked_mask).tolist())
+
+    @cached_property
+    def marked_mask(self) -> np.ndarray:
+        mask = np.zeros(self.n_states, dtype=bool)
+        mask[list(self.marked)] = True
+        return mask
+
+    @cached_property
+    def pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The listed pairs (s, s'), s != s', by s then s', with Pr(s|s') and Pr(s'|s)."""
+        p = self.chain.transition
+        pairs = np.argwhere(p)
+        s, sp = pairs[pairs[:, 0] != pairs[:, 1]].T
+        return np.stack([s, sp], axis=1), p[s, sp], p[sp, s]
 
 
 def sparse_oracle(chain: MarkovChain, marked) -> SparseChainOracle:
@@ -72,137 +96,124 @@ def sparse_oracle(chain: MarkovChain, marked) -> SparseChainOracle:
     if marked[0] < 0 or marked[-1] >= chain.n_states:
         raise ValidationError("marked state out of range")
     p = chain.transition
-    listing = []
-    for s in range(chain.n_states):
-        row = []
-        for sp in range(chain.n_states):
-            to_s = float(p[s, sp])   # Pr(s | s')
-            from_s = float(p[sp, s])  # Pr(s' | s)
-            if to_s != 0.0 or from_s != 0.0:
-                if to_s == 0.0 or from_s == 0.0:
-                    raise ValidationError("support is not symmetric; chain is not reversible")
-                row.append((sp, to_s, from_s))
-        listing.append(tuple(row))
+    # candidates of s: Pr(s|s') != 0 along row s and Pr(s'|s) != 0 down column s
+    states, others = np.nonzero(p)
+    mirrored = np.nonzero(p.T)
+    if not (np.array_equal(states, mirrored[0]) and np.array_equal(others, mirrored[1])):
+        raise ValidationError("support is not symmetric; chain is not reversible")
+    columns = (others.tolist(), p[states, others].tolist(), p[others, states].tolist())
+    bounds = np.searchsorted(states, np.arange(chain.n_states + 1)).tolist()
+    listing = tuple(
+        tuple(zip(*(c[lo:hi] for c in columns))) for lo, hi in zip(bounds, bounds[1:])
+    )
     d = max(len(row) for row in listing)
     if d != chain.sparsity:
         raise ValidationError("neighbor lists disagree with the dense sparsity")
-    return SparseChainOracle(chain=chain, marked=marked, neighbors=tuple(listing), d=d)
+    return SparseChainOracle(chain=chain, marked=marked, neighbors=listing, d=d)
 
 
-@dataclass(frozen=True)
-class MuState:
-    """Unnormalized two-coordinate vector attached to an ordered neighbor pair.
-
-    vector = (sqrt(Pr(s|s'))|s'> - sqrt(Pr(s'|s))|s>)/sqrt(2); its squared norm
-    is alpha_bar = (Pr(s|s') + Pr(s'|s))/2.
-    """
-
-    sigma: int
-    sigma_prime: int
-    vector: np.ndarray
-    alpha_bar: float
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.alpha_bar)
-
-    def normalized(self) -> np.ndarray:
-        return self.vector / self.norm
-
-
-def _mu_state(n: int, sigma: int, sigma_prime: int, p_to: float, p_from: float) -> MuState:
-    vec = np.zeros(n, dtype=complex)
-    vec[sigma_prime] += math.sqrt(p_to / 2)
-    vec[sigma] -= math.sqrt(p_from / 2)
+def _pair_data(p_to: np.ndarray, p_from: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per ordered pair (sigma, sigma'), the squared norm alpha_bar of
+    mu = (sqrt(Pr(sigma|sigma'))|sigma'> - sqrt(Pr(sigma'|sigma))|sigma>)/sqrt(2)
+    and the normalized coefficients of mu on (sigma, sigma')."""
     alpha_bar = (p_to + p_from) / 2
-    if alpha_bar > 1 + 1e-12:
+    if np.any(alpha_bar > 1 + 1e-12):
         raise ValidationError("pair weight exceeds 1; transition rows are not substochastic")
-    return MuState(sigma=sigma, sigma_prime=sigma_prime, vector=vec, alpha_bar=alpha_bar)
+    mu = np.stack([-np.sqrt(p_from / 2), np.sqrt(p_to / 2)], axis=-1)
+    return alpha_bar, mu / np.sqrt(alpha_bar)[:, None]
 
 
-def build_h_bar(oracle: SparseChainOracle) -> tuple[list[MuState], HermitianOperator]:
-    """All ordered-pair projector states and their sum, which reproduces 1 - S.
+def _outer(mu_bar: np.ndarray) -> np.ndarray:
+    return mu_bar[:, :, None] * mu_bar[:, None, :]
 
-    Ordered pairs (s, s'), s != s', each orientation contributing once: the
-    off-diagonal entries come out as -sqrt(Pr(s|s')Pr(s'|s)) and the diagonal
-    as 1 - Pr(s|s).
-    """
-    n = oracle.n_states
-    terms: list[MuState] = []
-    for s in range(n):
-        for sp, p_to, p_from in oracle.neighbors[s]:
-            if sp == s:
-                continue
-            terms.append(_mu_state(n, s, sp, p_to, p_from))
-    total = np.zeros((n, n), dtype=complex)
-    for mu in terms:
-        total += np.outer(mu.vector, mu.vector.conj())
-    return terms, HermitianOperator(total)
+
+def _dense(n: int, pairs: np.ndarray, blocks: np.ndarray, diagonal=0.0) -> np.ndarray:
+    """Dense view: diag(diagonal) with each 2x2 block added in at its index pair."""
+    m = np.diag(np.broadcast_to(np.asarray(diagonal, dtype=complex), (n,)))
+    np.add.at(m, (pairs[:, :, None], pairs[:, None, :]), blocks)
+    return m
 
 
 @dataclass(frozen=True)
-class ProjectedWalkHamiltonian:
-    """The unmarked-block restriction of 1 - S, split into edge and boundary parts.
-
-    `edges` maps each unordered unmarked pair to its alpha_bar and normalized
-    two-coordinate vector; `boundary` holds, per unmarked state, the total
-    transition probability into the marked set. Both parts live on the full
-    state space with support inside the unmarked block.
-    """
+class EdgeSum:
+    """sum_e weights_e |mu_e><mu_e| + diag(diagonal), each mu_e a normalized
+    two-coordinate vector with coefficients mu_bar_e on the index pair pairs_e."""
 
     n_states: int
-    unmarked: tuple[int, ...]
-    edges: tuple[tuple[tuple[int, int], float, np.ndarray], ...]
-    boundary: np.ndarray
-    matrix: HermitianOperator
+    pairs: np.ndarray
+    weights: np.ndarray
+    mu_bar: np.ndarray
+    diagonal: np.ndarray | float
+
+    @property
+    def blocks(self) -> np.ndarray:
+        return self.weights[:, None, None] * _outer(self.mu_bar)
+
+    @cached_property
+    def matrix(self) -> HermitianOperator:
+        return HermitianOperator(_dense(self.n_states, self.pairs, self.blocks, self.diagonal))
+
+
+def pair_states(oracle: SparseChainOracle) -> EdgeSum:
+    """All ordered-pair projector states of h-bar: pairs (s, s'), s != s', each
+    orientation contributing once with weight alpha_bar."""
+    pairs, p_to, p_from = oracle.pair_table
+    alpha_bar, mu_bar = _pair_data(p_to, p_from)
+    return EdgeSum(oracle.n_states, pairs, alpha_bar, mu_bar, 0.0)
+
+
+def build_h_bar(oracle: SparseChainOracle) -> tuple[EdgeSum, HermitianOperator]:
+    """The ordered-pair states and their dense sum (a test oracle), which reproduces
+    1 - S: off-diagonal entries -sqrt(Pr(s|s')Pr(s'|s)), diagonal 1 - Pr(s|s)."""
+    terms = pair_states(oracle)
+    return terms, terms.matrix
+
+
+@dataclass(frozen=True)
+class ProjectedWalkHamiltonian(EdgeSum):
+    """The unmarked-block restriction of 1 - S: per unmarked edge (a, b), a < b,
+    weight 2 alpha_bar; on the diagonal, per state, the total transition
+    probability from it into the marked set (0 on marked states)."""
+
+    unmarked: tuple[int, ...] = ()
+
+    @property
+    def boundary(self) -> np.ndarray:
+        return self.diagonal
 
     def restricted(self) -> np.ndarray:
         idx = list(self.unmarked)
         return self.matrix.matrix[np.ix_(idx, idx)]
 
 
-def project_h(terms: list[MuState], oracle: SparseChainOracle) -> ProjectedWalkHamiltonian:
+def project_h(terms: EdgeSum, oracle: SparseChainOracle) -> ProjectedWalkHamiltonian:
     """Restrict the ordered-pair sum to the unmarked block.
 
     Pairs inside the block survive with doubled weight (both orientations share
-    one projector); pairs straddling the boundary collapse onto the diagonal
-    term sum_{marked s} Pr(s|s') |s'><s'|.
+    one projector, kept in the orientation a < b); pairs straddling the
+    boundary collapse onto the diagonal term sum_{marked s} Pr(s|s') |s'><s'|.
     """
-    n = oracle.n_states
-    marked = set(oracle.marked)
-    unmarked = oracle.unmarked
-    if not unmarked or not marked:
+    if not oracle.unmarked or not oracle.marked:
         raise ValidationError("both blocks must be nonempty")
-    edge_map: dict[tuple[int, int], tuple[float, np.ndarray]] = {}
-    for mu in terms:
-        if mu.sigma in marked or mu.sigma_prime in marked:
-            continue
-        key = (min(mu.sigma, mu.sigma_prime), max(mu.sigma, mu.sigma_prime))
-        if key not in edge_map:
-            edge_map[key] = (mu.alpha_bar, mu.normalized())
-    boundary = np.zeros(n)
-    for sp in unmarked:
-        boundary[sp] = _boundary_weight(oracle, sp)
-    total = np.zeros((n, n), dtype=complex)
-    for (_, _), (alpha_bar, mu_bar) in edge_map.items():
-        total += 2.0 * alpha_bar * np.outer(mu_bar, mu_bar.conj())
-    total += np.diag(boundary.astype(complex))
-    edges = tuple(
-        (key, alpha_bar, mu_bar) for key, (alpha_bar, mu_bar) in sorted(edge_map.items())
-    )
+    keep = _unmarked_edges(oracle, terms.pairs)
     return ProjectedWalkHamiltonian(
-        n_states=n,
-        unmarked=unmarked,
-        edges=edges,
-        boundary=boundary,
-        matrix=HermitianOperator(total),
+        oracle.n_states, terms.pairs[keep], 2.0 * terms.weights[keep], terms.mu_bar[keep],
+        _boundary_weights(oracle), unmarked=oracle.unmarked,
     )
 
 
-def _boundary_weight(oracle: SparseChainOracle, state: int) -> float:
-    """Total probability of stepping from `state` into the marked set."""
-    marked = set(oracle.marked)
-    return sum(p_from for (s, _, p_from) in oracle.neighbors[state] if s in marked)
+def _unmarked_edges(oracle: SparseChainOracle, pairs: np.ndarray) -> np.ndarray:
+    """Mask of the pairs (a, b), a < b, with both ends unmarked: one per unmarked edge."""
+    a, b = pairs.T
+    return (a < b) & ~oracle.marked_mask[a] & ~oracle.marked_mask[b]
+
+
+def _boundary_weights(oracle: SparseChainOracle) -> np.ndarray:
+    """Per state, the total probability of stepping from it into the marked set; 0 if marked."""
+    pairs, _, p_from = oracle.pair_table
+    s, sp = pairs.T
+    leaving = ~oracle.marked_mask[s] & oracle.marked_mask[sp]
+    return np.bincount(s[leaving], weights=p_from[leaving], minlength=oracle.n_states)
 
 
 @dataclass(frozen=True)
@@ -219,22 +230,13 @@ class EdgeColoring:
 
 def color_edges(oracle: SparseChainOracle) -> EdgeColoring:
     """Greedy proper edge coloring over the sorted edge list; at most 2d-1 colors."""
-    marked = set(oracle.marked)
-    edges = sorted(
-        {
-            (min(s, sp), max(s, sp))
-            for s in oracle.unmarked
-            for (sp, _, _) in oracle.neighbors[s]
-            if sp != s and sp not in marked
-        }
-    )
-    vertex_colors: dict[int, set[int]] = {}
+    pairs = oracle.pair_table[0]
+    edges = [tuple(e) for e in pairs[_unmarked_edges(oracle, pairs)].tolist()]
+    vertex_colors: dict[int, set[int]] = defaultdict(set)
     assignment: list[int] = []
     for a, b in edges:
-        used = vertex_colors.setdefault(a, set()) | vertex_colors.setdefault(b, set())
-        color = 0
-        while color in used:
-            color += 1
+        used = vertex_colors[a] | vertex_colors[b]
+        color = min(set(range(len(used) + 1)) - used)
         assignment.append(color)
         vertex_colors[a].add(color)
         vertex_colors[b].add(color)
@@ -245,32 +247,81 @@ def color_edges(oracle: SparseChainOracle) -> EdgeColoring:
     return EdgeColoring(edges=tuple(edges), classes=classes)
 
 
+# An operator F given by its parts (pairs, blocks, off): 2x2 blocks on disjoint
+# index pairs, `off` on the diagonal elsewhere, zero everywhere else.
+def _adjoint(blocks: np.ndarray) -> np.ndarray:
+    return blocks.conj().transpose(0, 2, 1)
+
+
+def _combine(parts: tuple, p: complex, q: complex) -> tuple:
+    """The parts of p F + q F^dagger."""
+    pairs, blocks, off = parts
+    return pairs, p * blocks + q * _adjoint(blocks), p * off + q * np.conj(off)
+
+
+def _max_entry(parts: tuple) -> float:
+    _, blocks, off = parts
+    return float(max(np.max(np.abs(blocks), initial=0.0), np.max(np.abs(off))))
+
+
+def _dense_parts(n: int, parts: tuple) -> np.ndarray:
+    pairs, blocks, off = parts
+    m = np.diag(np.broadcast_to(np.asarray(off, dtype=complex), (n,)))
+    m[pairs[:, :, None], pairs[:, None, :]] = blocks
+    return m
+
+
 @dataclass(frozen=True)
 class ColorSqrtFactor:
-    """One color class: its projector sum h_k and the unitary Z_k whose imaginary
-    part is the square root, sin(delta_e) = sqrt(alpha_bar_e) per edge."""
+    """One color class: its projector sum h_k = sum_e alpha_bar_e |mu_e><mu_e| and,
+    per edge, the angle delta_e = asin(sqrt(alpha_bar_e)) and the 2x2 block of
+    Z_k = exp(i sum_e delta_e |mu_e><mu_e|). Z_k is the identity off the blocks,
+    and its imaginary part (-i Z_k + i Z_k^dagger)/2 is the square root of h_k."""
 
     color: int
-    h_matrix: np.ndarray
-    z_unitary: np.ndarray
+    h: EdgeSum
+    deltas: np.ndarray
+    z_blocks: np.ndarray
+    sqrt_coefficients = (-0.5j, 0.5j)
+
+    @property
+    def parts(self) -> tuple:
+        return self.h.pairs, self.z_blocks, 1.0
+
+    @property
+    def h_matrix(self) -> np.ndarray:
+        return self.h.matrix.matrix
+
+    @property
+    def z_unitary(self) -> np.ndarray:
+        return _dense_parts(self.h.n_states, self.parts)
 
     @property
     def sqrt_h(self) -> np.ndarray:
-        return (-1j * self.z_unitary + 1j * self.z_unitary.conj().T) / 2
+        return _dense_parts(self.h.n_states, _combine(self.parts, *self.sqrt_coefficients))
 
 
 @dataclass(frozen=True)
 class DiagonalSqrtFactor:
     """Boundary factor: diagonal phases with cos(theta_s) = sqrt(b_s) on
     unmarked states, b_s the probability of stepping from s into the marked
-    set, and phase i on marked ones."""
+    set, and phase i on marked ones; its square root block is (U + U^dagger)/2."""
 
-    u_diagonal: np.ndarray
+    phases: np.ndarray
     thetas: np.ndarray
+    sqrt_coefficients = (0.5, 0.5)
+
+    @property
+    def parts(self) -> tuple:
+        return np.zeros((0, 2), dtype=int), np.zeros((0, 2, 2), dtype=complex), self.phases
+
+    @property
+    def u_diagonal(self) -> np.ndarray:
+        return np.diag(self.phases)
 
     @property
     def sqrt_h(self) -> np.ndarray:
-        return (self.u_diagonal + self.u_diagonal.conj().T) / 2
+        return _dense_parts(len(self.phases), _combine(self.parts, *self.sqrt_coefficients))
 
 
 @dataclass(frozen=True)
@@ -287,65 +338,116 @@ def build_sqrt_factors(
     n = oracle.n_states
     p = oracle.chain.transition
     colors = []
-    eye = np.eye(n, dtype=complex)
     for k, edge_class in enumerate(coloring.classes):
-        h_k = np.zeros((n, n), dtype=complex)
-        z_k = eye.copy()
-        for a, b in edge_class:
-            # orientation (sigma=a, sigma'=b): the projector is orientation-free
-            mu = _mu_state(n, a, b, float(p[a, b]), float(p[b, a]))
-            mu_bar = mu.normalized()
-            proj = np.outer(mu_bar, mu_bar.conj())
-            h_k += mu.alpha_bar * proj
-            delta = math.asin(min(math.sqrt(mu.alpha_bar), 1.0))
-            z_k += (np.exp(1j * delta) - 1.0) * proj
-        colors.append(ColorSqrtFactor(color=k, h_matrix=h_k, z_unitary=z_k))
+        pairs = np.array(edge_class, dtype=int).reshape(-1, 2)
+        # orientation (sigma=a, sigma'=b): the projector is orientation-free
+        alpha_bar, mu_bar = _pair_data(p[pairs[:, 0], pairs[:, 1]], p[pairs[:, 1], pairs[:, 0]])
+        deltas = np.arcsin(np.minimum(np.sqrt(alpha_bar), 1.0))
+        z_blocks = np.eye(2) + (np.exp(1j * deltas) - 1.0)[:, None, None] * _outer(mu_bar)
+        h = EdgeSum(n, pairs, alpha_bar, mu_bar, 0.0)
+        colors.append(ColorSqrtFactor(k, h, deltas, z_blocks))
+    unmarked = list(oracle.unmarked)
     thetas = np.zeros(n)
+    thetas[unmarked] = np.arccos(np.minimum(np.sqrt(_boundary_weights(oracle)[unmarked]), 1.0))
     phases = np.full(n, 1j, dtype=complex)
-    for s in oracle.unmarked:
-        thetas[s] = math.acos(min(math.sqrt(_boundary_weight(oracle, s)), 1.0))
-        phases[s] = np.exp(1j * thetas[s])
-    diagonal = DiagonalSqrtFactor(u_diagonal=np.diag(phases), thetas=thetas)
-    return SqrtFactors(colors=tuple(colors), diagonal=diagonal)
+    phases[unmarked] = np.exp(1j * thetas[unmarked])
+    return SqrtFactors(colors=tuple(colors), diagonal=DiagonalSqrtFactor(phases, thetas))
+
+
+def _levels(factors: SqrtFactors) -> list:
+    """(ancilla level, factor, (scale, weight, signs)): colors at 1..K', the boundary last."""
+    levels = [(k, f, _COLOR_TERMS) for k, f in enumerate(factors.colors, start=1)]
+    return levels + [(len(levels) + 1, factors.diagonal, _BOUNDARY_TERMS)]
+
+
+def _unitarity_defect(parts: tuple, adjoint: bool) -> float:
+    """`unitarity_defect` of F, or of F^dagger, from the parts of F."""
+    pairs, blocks, off = parts
+    gram = blocks @ _adjoint(blocks) if adjoint else _adjoint(blocks) @ blocks
+    return _max_entry((pairs, gram - np.eye(2), np.abs(off) ** 2 - 1.0))
+
+
+def check_unitary_expansion(factors: SqrtFactors) -> list[float]:
+    """Check the 4(K'+1) unitary terms from their factors; return their weights.
+
+    A term sign * (F_t (x) R_t) has unitarity defect at most
+    (1 + d_sign)(1 + d_F)(1 + d_R) - 1, from the defects of its factors: F_t's
+    per block and on the diagonal, R_t's once per level. The terms of factor k
+    sum to F (x) X + F^dagger (x) Y, so they miss
+    B_k (x) C_k = F (x) b C + F^dagger (x) b' C by the largest entry of
+    (X - b C)_ij F + (Y - b' C)_ij F^dagger over the ancilla entries ij.
+    """
+    ancilla_dim = len(factors.colors) + 2
+    weights: list[float] = []
+    for k, factor, (scale, weight, signs) in _levels(factors):
+        rotations = ancilla_rotations(k, ancilla_dim)
+        for t, sign in enumerate(signs):
+            d_f = _unitarity_defect(factor.parts, adjoint=t >= 2)
+            d_r = unitarity_defect(rotations[t % 2])
+            if (1 + abs(abs(sign) ** 2 - 1)) * (1 + d_f) * (1 + d_r) - 1 > UNITARY_ATOL:
+                raise ValidationError(f"term {len(weights)}: matrix is not unitary")
+            weights.append(weight)
+        coupler = ancilla_coupler(k, ancilla_dim)
+        b, b_adjoint = (scale * c * coupler for c in factor.sqrt_coefficients)
+        x = weight * (signs[0] * rotations[0] + signs[1] * rotations[1]) - b
+        y = weight * (signs[2] * rotations[0] + signs[3] * rotations[1]) - b_adjoint
+        miss = max(
+            (_max_entry(_combine(factor.parts, p, q)) for p, q in zip(x.flat, y.flat) if p or q),
+            default=0.0,
+        )
+        if miss > _ATOL:
+            raise ValidationError(f"unitary expansion misses the enlarged operator by {miss:.3e}")
+    return weights
+
+
+def reconstruction_residual(projected: ProjectedWalkHamiltonian, factors: SqrtFactors) -> float:
+    """max |sum_k B_k^2 - H| over the edge blocks and the diagonal, H the projected
+    walk Hamiltonian and sum_k B_k^2 the ancilla-0 sector of the squared
+    enlarged operator. The color classes are matchings, so both sides vanish
+    elsewhere."""
+    n = projected.n_states
+    pairs, squares, diagonal = [], [], np.zeros(n, dtype=complex)
+    for _, factor, (scale, _, _) in _levels(factors):
+        coefficients = (scale * c for c in factor.sqrt_coefficients)
+        f_pairs, blocks, off = _combine(factor.parts, *coefficients)
+        square = blocks @ blocks
+        on_diagonal = np.broadcast_to(off * off, (n,)).astype(complex)
+        on_diagonal[f_pairs] = np.diagonal(square, axis1=1, axis2=2)
+        diagonal += on_diagonal
+        pairs.append(f_pairs)
+        squares.append(square)
+    pairs, squares = np.concatenate(pairs), np.concatenate(squares)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    if not np.array_equal(pairs[order], projected.pairs):
+        raise ValidationError("color classes do not partition the unmarked edges")
+    target = projected.blocks
+    target_diagonal = projected.diagonal + np.bincount(
+        projected.pairs.ravel(), np.diagonal(target, axis1=1, axis2=2).ravel(), minlength=n
+    )
+    off_diagonal = squares[order][:, [0, 1], [1, 0]] - target[:, [0, 1], [1, 0]]
+    misses = (np.abs(off_diagonal).max(initial=0.0), np.abs(diagonal - target_diagonal).max())
+    return float(max(misses))
 
 
 def assemble_tilde_h_sparse(
     factors: SqrtFactors, coloring: EdgeColoring, oracle: SparseChainOracle
 ) -> tuple[UnitaryDecomposition, GapAmplifiedHamiltonian]:
-    """Assemble the enlarged operator from the colored square roots.
-
-    Each color block enters as sqrt(2) * sqrt(h_k) so the ancilla-0 sector of
-    the square recovers the doubled (ordered-pair) edge weights; the boundary
-    block enters unscaled. Every block also expands into four unitaries
-    through the one-level ancilla rotations, giving at most 4(K'+1) terms whose
-    weighted sum equals the enlarged operator exactly.
+    """Dense oracle: the enlarged operator and its 4(K'+1) unitaries as matrices,
+    built from the factors' dense views and the expansion table of
+    `check_unitary_expansion`. Each color block enters as sqrt(2) * sqrt(h_k) so
+    the ancilla-0 sector of the square recovers the doubled (ordered-pair) edge
+    weights; the boundary block enters unscaled. The weighted sum is checked
+    against the enlarged operator.
     """
-    color_blocks = [math.sqrt(2.0) * f.sqrt_h for f in factors.colors]
-    blocks = color_blocks + [factors.diagonal.sqrt_h]
+    levels = _levels(factors)
+    blocks = [scale * factor.sqrt_h for _, factor, (scale, _, _) in levels]
     g = assemble_gap_amplified(blocks, oracle.n_states)
-
-    ancilla_dim = g.ancilla_dim
     terms: list[tuple[float, np.ndarray]] = []
-    for k, factor in enumerate(factors.colors, start=1):
-        rot_minus, rot_plus = ancilla_rotations(k, ancilla_dim)
-        z = factor.z_unitary
-        weight = math.sqrt(2.0) / 4
-        terms.append((weight, np.kron(z, rot_minus)))
-        terms.append((weight, -np.kron(z, rot_plus)))
-        terms.append((weight, -np.kron(z.conj().T, rot_minus)))
-        terms.append((weight, np.kron(z.conj().T, rot_plus)))
-    k_diag = len(factors.colors) + 1
-    rot_minus, rot_plus = ancilla_rotations(k_diag, ancilla_dim)
-    u_d = factors.diagonal.u_diagonal
-    for mat, rot, sign in (
-        (u_d, rot_minus, 1j),
-        (u_d, rot_plus, -1j),
-        (u_d.conj().T, rot_minus, 1j),
-        (u_d.conj().T, rot_plus, -1j),
-    ):
-        terms.append((0.25, sign * np.kron(mat, rot)))
+    for k, factor, (_, weight, signs) in levels:
+        u = _dense_parts(oracle.n_states, factor.parts)
+        for t, (sign, rotation) in enumerate(zip(signs, 2 * ancilla_rotations(k, g.ancilla_dim))):
+            terms.append((weight, sign * np.kron(u.conj().T if t >= 2 else u, rotation)))
     decomposition = UnitaryDecomposition(dim=g.dim, terms=tuple(terms))
-
     residual = float(np.max(np.abs(decomposition.weighted_sum() - g.operator.matrix)))
     if residual > _ATOL:
         raise ValidationError(f"unitary expansion misses the enlarged operator by {residual:.3e}")
@@ -353,17 +455,19 @@ def assemble_tilde_h_sparse(
 
 
 def decomposition_manifest(oracle: SparseChainOracle) -> dict:
-    """Run the full sparse construction and summarize it for the manifest JSON."""
-    terms, h_bar = build_h_bar(oracle)
-    projected = project_h(terms, oracle)
+    """Run the sparse construction on its per-edge data and summarize it for the manifest JSON."""
+    projected = project_h(pair_states(oracle), oracle)
     coloring = color_edges(oracle)
     factors = build_sqrt_factors(coloring, oracle)
-    decomposition, g = assemble_tilde_h_sparse(factors, coloring, oracle)
-    sector = g.sector_block(g.operator.matrix @ g.operator.matrix)
-    residual = float(np.max(np.abs(sector - projected.matrix.matrix)))
+    weights = check_unitary_expansion(factors)
+    residual = reconstruction_residual(projected, factors)
+    if residual > _ATOL:
+        raise ValidationError(
+            f"squared blocks miss the projected walk Hamiltonian by {residual:.3e}"
+        )
     return {
         "colors": coloring.n_colors,
-        "terms": decomposition.n_terms,
-        "alpha_list": [float(alpha) for alpha, _ in decomposition.terms],
+        "terms": len(weights),
+        "alpha_list": weights,
         "reconstruction_residual": residual,
     }

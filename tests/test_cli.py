@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,12 @@ import pytest
 
 from lculab import cli
 from lculab.cli import main
-from lculab.markov import chain_to_json, lazy_cycle, symmetric_two_state
+from lculab.markov import (
+    chain_to_json,
+    lazy_cycle,
+    random_sparse_dyadic_chain,
+    symmetric_two_state,
+)
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -149,6 +155,29 @@ class TestAppendixVerify:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["reconstruction_residual"] <= 1e-10
         assert manifest["terms"] == len(manifest["alpha_list"])
+
+    def test_runs_past_the_old_enlarged_cap(self, tmp_path):
+        # N * (colors + 2) is about 8000, over the 4096 cap that the enlarged
+        # space once had; the cap now applies to N, and nothing enlarged is built
+        chain = random_sparse_dyadic_chain(np.random.default_rng(7), 1000, degree=4)
+        config = _write_config(
+            tmp_path,
+            {
+                "command": "appendix-verify",
+                "chain": chain_to_json(chain, [0, 1, 2]),
+                "out": str(tmp_path / "out"),
+            },
+        )
+        tracemalloc.start()
+        try:
+            assert main(["--config", config]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert 1000 * (manifest["colors"] + 2) > 4096
+        assert manifest["reconstruction_residual"] <= 1e-10
+        assert peak < 150e6
 
     @pytest.mark.parametrize("marked", [[99], [-1]])
     def test_out_of_range_marked_exits_three(self, tmp_path, marked):
@@ -332,8 +361,13 @@ class TestSweeps:
             ("hitting-quantum", "beta", {}),
             ("hitting-classical", "beta", {}),
             ("gibbs", "delta", {}),
+            ("gibbs", "beta", {"n_dim": 8.7}),
+            ("hitting-classical", "epsilon", {"n_states": 16.5}),
         ],
-        ids=["non-number", "unknown-key", "key-of-another-model", "hq-beta", "hc-beta", "gibbs-delta"],
+        ids=[
+            "non-number", "unknown-key", "key-of-another-model", "hq-beta", "hc-beta",
+            "gibbs-delta", "fractional-n_dim", "fractional-n_states",
+        ],
     )
     def test_cost_sweep_config_errors(self, tmp_path, model, sweep_var, fixed):
         config = _write_config(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,9 @@ from lculab.inverse import (
     t_circuit_expectation,
 )
 from lculab.errors import ValidationError
+from lculab import sparse_chain
 from lculab.markov import (
+    MarkovChain,
     discriminant_matrix,
     discriminant_pair,
     exact_hitting_time_inverse,
@@ -31,7 +34,9 @@ from lculab.sparse_chain import (
     build_sqrt_factors,
     color_edges,
     decomposition_manifest,
+    pair_states,
     project_h,
+    reconstruction_residual,
     sparse_oracle,
     assemble_tilde_h_sparse,
 )
@@ -45,6 +50,40 @@ def _pipeline(chain, marked):
     factors = build_sqrt_factors(coloring, oracle)
     decomposition, g = assemble_tilde_h_sparse(factors, coloring, oracle)
     return oracle, terms, h_bar, projected, coloring, factors, decomposition, g
+
+
+def _scan_neighbors(chain):
+    """The O(N^2) neighbor scan `sparse_oracle` used to run, as its reference."""
+    p = chain.transition
+    listing = []
+    for s in range(chain.n_states):
+        row = []
+        for sp in range(chain.n_states):
+            to_s = float(p[s, sp])   # Pr(s | s')
+            from_s = float(p[sp, s])  # Pr(s' | s)
+            if to_s != 0.0 or from_s != 0.0:
+                if to_s == 0.0 or from_s == 0.0:
+                    raise ValidationError("support is not symmetric; chain is not reversible")
+                row.append((sp, to_s, from_s))
+        listing.append(tuple(row))
+    return tuple(listing)
+
+
+def _dense_manifest(oracle):
+    """The manifest computed on the dense oracle views: the enlarged operator and its
+    Kronecker terms, with the residual read from the sector of its square."""
+    terms, _ = build_h_bar(oracle)
+    projected = project_h(terms, oracle)
+    coloring = color_edges(oracle)
+    factors = build_sqrt_factors(coloring, oracle)
+    decomposition, g = assemble_tilde_h_sparse(factors, coloring, oracle)
+    sector = g.sector_block(g.operator.matrix @ g.operator.matrix)
+    return {
+        "colors": coloring.n_colors,
+        "terms": decomposition.n_terms,
+        "alpha_list": [float(alpha) for alpha, _ in decomposition.terms],
+        "reconstruction_residual": float(np.max(np.abs(sector - projected.matrix.matrix))),
+    }
 
 
 def _sparse_expectation(grid, g, mp):
@@ -80,17 +119,38 @@ class TestOracle:
         with pytest.raises(ValidationError, match="out of range"):
             sparse_oracle(lazy_cycle(3, 0.5), marked)
 
+    def test_neighbors_equal_the_quadratic_scan(self, rng):
+        for i in range(12):
+            n = int(rng.integers(2, 40))
+            if i % 2:
+                chain = random_reversible_chain(rng, n, max_degree=4)
+            else:
+                chain = random_sparse_dyadic_chain(rng, n, degree=int(rng.integers(1, 5)))
+            listing = sparse_oracle(chain, [0]).neighbors
+            assert listing == _scan_neighbors(chain)
+            for row in listing:
+                assert all(type(sp) is int and type(to_s) is float and type(from_s) is float
+                           for sp, to_s, from_s in row)
+
+    def test_asymmetric_support_rejected_like_the_scan(self):
+        p = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
+        p[2, 0], p[2, 1] = 0.25, 0.25  # Pr(2|0) != 0 but Pr(0|2) == 0
+        chain = MarkovChain(transition=p, stationary=np.full(3, 1 / 3), sparsity=3)
+        with pytest.raises(ValidationError, match="support is not symmetric"):
+            _scan_neighbors(chain)
+        with pytest.raises(ValidationError, match="support is not symmetric"):
+            sparse_oracle(chain, [1])
+
 
 class TestBuildHBar:
     def test_two_state_hand_value(self):
         oracle = sparse_oracle(symmetric_two_state(), [1])
         terms, h_bar = build_h_bar(oracle)
         np.testing.assert_allclose(h_bar.matrix, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-14)
-        # both orientations of the single pair appear
-        assert len(terms) == 2
-        mu = terms[0]
-        assert mu.norm == pytest.approx(math.sqrt(0.5))
-        assert np.count_nonzero(mu.vector) == 2
+        # both orientations of the single pair appear, each a two-coordinate state
+        assert terms.pairs.tolist() == [[0, 1], [1, 0]]
+        assert terms.weights[0] == pytest.approx(0.5)
+        assert np.count_nonzero(terms.mu_bar[0]) == 2
 
     def test_isolated_self_loop_state(self):
         # state 2 talks only to itself apart from a weak bridge to keep the
@@ -121,7 +181,7 @@ class TestProjectH:
         terms, _ = build_h_bar(oracle)
         projected = project_h(terms, oracle)
         np.testing.assert_allclose(projected.restricted(), [[0.5]], atol=1e-14)
-        assert projected.edges == ()
+        assert len(projected.pairs) == 0
 
     def test_matches_dense_restriction(self, rng):
         for _ in range(10):
@@ -407,6 +467,98 @@ class TestAssembly:
         manifest = decomposition_manifest(oracle)
         assert manifest["reconstruction_residual"] <= 1e-10
         assert manifest["terms"] == len(manifest["alpha_list"])
+
+
+class TestEdgeLevelManifest:
+    """`decomposition_manifest` checks per-edge data only; the dense views are its oracle."""
+
+    def test_matches_dense_oracle_on_random_chains(self, rng):
+        checked = 0
+        while checked < 20:
+            n = int(rng.integers(4, 41))
+            if checked % 2:
+                chain = random_reversible_chain(rng, n, max_degree=4)
+            else:
+                chain = random_sparse_dyadic_chain(rng, n, degree=int(rng.integers(2, 5)))
+            n_marked = int(rng.integers(1, max(2, n // 4)))
+            marked = sorted(rng.choice(n, size=n_marked, replace=False))
+            try:
+                oracle = sparse_oracle(chain, marked)
+            except ValidationError:
+                continue
+            edge = decomposition_manifest(oracle)
+            dense = _dense_manifest(oracle)
+            for key in ("colors", "terms", "alpha_list"):
+                assert edge[key] == dense[key]
+            assert edge["reconstruction_residual"] <= 1e-10
+            assert dense["reconstruction_residual"] <= 1e-10
+            assert abs(edge["reconstruction_residual"] - dense["reconstruction_residual"]) <= 1e-13
+            checked += 1
+
+    @staticmethod
+    def _oracle(rng):
+        return sparse_oracle(random_sparse_dyadic_chain(rng, 24, degree=4), [0, 7])
+
+    def test_non_unitary_z_block_fires(self, rng, monkeypatch):
+        build = sparse_chain.build_sqrt_factors
+
+        def broken(coloring, oracle):
+            factors = build(coloring, oracle)
+            color = factors.colors[0]
+            z_blocks = color.z_blocks.copy()
+            z_blocks[0] *= 1.0 + 1e-6
+            colors = (dataclasses.replace(color, z_blocks=z_blocks),) + factors.colors[1:]
+            return dataclasses.replace(factors, colors=colors)
+
+        monkeypatch.setattr(sparse_chain, "build_sqrt_factors", broken)
+        with pytest.raises(ValidationError, match="term 0: matrix is not unitary"):
+            decomposition_manifest(self._oracle(rng))
+
+    def test_mis_scaled_term_weight_fires(self, rng, monkeypatch):
+        scale, weight, signs = sparse_chain._COLOR_TERMS
+        monkeypatch.setattr(sparse_chain, "_COLOR_TERMS", (scale, weight * (1.0 + 1e-6), signs))
+        with pytest.raises(ValidationError, match="expansion misses the enlarged operator"):
+            decomposition_manifest(self._oracle(rng))
+
+    def test_rotation_that_breaks_the_cancellation_fires(self, rng, monkeypatch):
+        # a rest entry of R_+ off by a phase: each term stays unitary and the
+        # coupler entries are right, but the rest parts no longer cancel
+        rotations = sparse_chain.ancilla_rotations
+
+        def broken(k, ancilla_dim):
+            rot_minus, rot_plus = rotations(k, ancilla_dim)
+            rot_plus = rot_plus.copy()
+            rot_plus[-1, -1] *= np.exp(1e-6j)  # a rest entry on every level but the last
+            return rot_minus, rot_plus
+
+        monkeypatch.setattr(sparse_chain, "ancilla_rotations", broken)
+        with pytest.raises(ValidationError, match="expansion misses the enlarged operator"):
+            decomposition_manifest(self._oracle(rng))
+
+    @pytest.mark.parametrize("field", ["weights", "mu_bar", "diagonal"])
+    def test_perturbed_edge_fires(self, rng, monkeypatch, field):
+        # an edge weight off by 1e-6; the sign of one coordinate of an edge
+        # vector flipped, which only the off-diagonal entries see; or a
+        # boundary weight off by 1e-6, which only the diagonal sees
+        oracle = self._oracle(rng)
+        project = sparse_chain.project_h
+
+        def perturbed(terms, oracle):
+            projected = project(terms, oracle)
+            values = getattr(projected, field).copy()
+            if field == "mu_bar":
+                values[len(values) // 2, 0] *= -1.0
+            else:
+                values[len(values) // 2] += 1e-6
+            return dataclasses.replace(projected, **{field: values})
+
+        coloring = color_edges(oracle)
+        factors = build_sqrt_factors(coloring, oracle)
+        assert reconstruction_residual(project(pair_states(oracle), oracle), factors) <= 1e-13
+        assert reconstruction_residual(perturbed(pair_states(oracle), oracle), factors) > 1e-10
+        monkeypatch.setattr(sparse_chain, "project_h", perturbed)
+        with pytest.raises(ValidationError, match="miss the projected walk Hamiltonian"):
+            decomposition_manifest(oracle)
 
 
 def _sparse_unit(d, n_states):
