@@ -262,10 +262,12 @@ def amplitude_estimation(
     level 8/pi^2 is bought by median boosting; returns (estimate, total grover
     queries).
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValidationError("epsilon must be positive")
     if not (0.0 < confidence < 1.0):
         raise ValidationError("confidence must be in (0, 1)")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     m = math.ceil(constants.ae_query_constant / epsilon)
     m += m % 2
     probs = outcome_distribution(true_value, m)

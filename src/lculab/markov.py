@@ -5,6 +5,12 @@ classical Monte-Carlo baseline.
 Transition matrices are column-stochastic: entry (s', s) is Pr(s'|s). The
 stationary vector, detailed balance, irreducibility, aperiodicity and spectrum
 nonnegativity are all checked at construction; nothing downstream re-validates.
+
+The Monte-Carlo baseline advances its walks in lockstep, one numpy step per
+round for every live walk on a fixed number of lanes, and walk i still draws
+only from its own stream default_rng([seed, i]). So its estimates are those of
+a walk-by-walk loop, bit for bit, and the live streams stay within the lane
+width however many walks a run takes.
 """
 
 from __future__ import annotations
@@ -22,6 +28,10 @@ COLUMN_SUM_ATOL = 1e-12
 DETAILED_BALANCE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 MAX_TOTAL_WALK_STEPS = 10**9
+# Lockstep Monte-Carlo sizes: live streams and draw buffers stay within the
+# lane width whatever the number of walks.
+_WALK_LANES = 256
+_DRAW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -277,7 +287,7 @@ def exact_variance(mp: MarkedPartition) -> float:
 def chebyshev_sample_count(
     mp: MarkedPartition, epsilon: float, constants: Constants = DEFAULT_CONSTANTS
 ) -> int:
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValidationError("epsilon must be positive")
     return max(1, math.ceil(constants.mc_sample_constant * exact_variance(mp) / epsilon**2))
 
@@ -302,10 +312,24 @@ def classical_mc_estimate(
     Walk i draws from its own stream default_rng([seed, i]), so samples can be
     partitioned across workers and merged by averaging without changing the
     result. Returns (estimate, samples_used, total P applications).
+
+    The walks run in lockstep on a fixed set of lanes: each lane runs one walk
+    at a time, takes its uniforms from the walk's stream a block at a time,
+    and starts the next walk when its walk reaches a marked state. A block
+    holds the same values as that many scalar draws, and every walk uses its
+    draws in order (the first picks the start, each later one a step), so the
+    walks are the ones a walk-by-walk loop takes. A step costs O(sparsity)
+    through a per-state table of the column's support. The step total is an
+    integer sum over walks, so the result does not depend on the order in
+    which walks finish. WalkTimeoutError is raised when the total step count
+    passes max_total_steps.
     """
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     m = chebyshev_sample_count(mp, epsilon, constants)
     chain = mp.chain
-    marked = frozenset(mp.marked)
+    is_marked = np.zeros(chain.n_states, dtype=bool)
+    is_marked[list(mp.marked)] = True
     # Rounding can leave a cumulative sum just below 1, and a draw above it
     # would index past the last state. Dividing by the last entry pins it at 1
     # and is exact where it already is 1.
@@ -313,20 +337,73 @@ def classical_mc_estimate(
     cum_pi /= cum_pi[-1]
     cum_cols = np.cumsum(chain.transition, axis=0)
     cum_cols /= cum_cols[-1]
+    targets, thresholds = _step_table(chain, cum_cols)
+
+    block = _DRAW_BLOCK
+    width = min(_WALK_LANES, m)
+    streams: list = [None] * width
+    draws = np.empty((width, block))
+    used = np.zeros(width, dtype=np.intp)
+    state = np.zeros(width, dtype=np.intp)
+    next_walk = 0
+
+    def start_walks(lanes: np.ndarray) -> np.ndarray:
+        """Start the next walks on these lanes; return the lanes left walking."""
+        nonlocal next_walk
+        walking = [lanes[:0]]
+        while lanes.size and next_walk < m:
+            lanes = lanes[: m - next_walk]
+            for lane in lanes:
+                streams[lane] = np.random.default_rng([seed, next_walk])
+                draws[lane] = streams[lane].random(block)
+                next_walk += 1
+            used[lanes] = 1
+            state[lanes] = np.searchsorted(cum_pi, draws[lanes, 0], side="right")
+            hit = is_marked[state[lanes]]
+            walking.append(lanes[~hit])
+            lanes = lanes[hit]
+        return np.concatenate(walking)
+
     total_steps = 0
-    total_time = 0
-    for i in range(m):
-        g = np.random.default_rng([seed, i])
-        state = int(np.searchsorted(cum_pi, g.random(), side="right"))
-        t = 0
-        while state not in marked:
-            t += 1
-            total_steps += 1
-            if total_steps > max_total_steps:
-                raise WalkTimeoutError(f"exceeded {max_total_steps} total walk steps")
-            state = int(np.searchsorted(cum_cols[:, state], g.random(), side="right"))
-        total_time += t
-    return total_time / m, m, total_steps
+    live = start_walks(np.arange(width))
+    while live.size:
+        spent = live[used[live] == block]
+        for lane in spent:
+            draws[lane] = streams[lane].random(block)
+        used[spent] = 0
+        u = draws[live, used[live]]
+        used[live] += 1
+        s = state[live]
+        s = targets[s, np.count_nonzero(thresholds[s] <= u[:, None], axis=1)]
+        state[live] = s
+        total_steps += live.size
+        if total_steps > max_total_steps:
+            raise WalkTimeoutError(f"exceeded {max_total_steps} total walk steps")
+        hit = is_marked[s]
+        if hit.any():
+            live = np.concatenate([live[~hit], start_walks(live[hit])])
+    # every step adds one to one walk's hitting time, so the times sum to it
+    return total_steps / m, m, total_steps
+
+
+def _step_table(chain: MarkovChain, cum_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state support of each column and its cumulative sums, padded to the sparsity.
+
+    Row s lists the states reachable from s in ascending order (targets) and
+    cum_cols at those states (thresholds), padded with +inf. A step from s on
+    draw u < 1 goes to targets[s, k] with k the count of thresholds <= u: zero
+    entries add 0.0 exactly to a cumulative sum, so this is the state that
+    searchsorted(cum_cols[:, s], u, side="right") picks, found in
+    O(sparsity) work.
+    """
+    cols, rows = np.nonzero(chain.transition.T)
+    counts = np.bincount(cols, minlength=chain.n_states)
+    rank = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    targets = np.zeros((chain.n_states, chain.sparsity), dtype=np.intp)
+    thresholds = np.full((chain.n_states, chain.sparsity), np.inf)
+    targets[cols, rank] = rows
+    thresholds[cols, rank] = cum_cols[rows, cols]
+    return targets, thresholds
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lculab import markov
+from lculab.constants import DEFAULT_CONSTANTS
 from lculab.errors import ValidationError, WalkTimeoutError
+from lculab.inverse import amplitude_estimation
 from lculab.markov import (
+    MAX_TOTAL_WALK_STEPS,
     chain_from_json,
     chain_to_json,
     classical_mc_estimate,
@@ -306,16 +310,182 @@ class TestClassicalEstimator:
         estimate, samples, steps = classical_mc_estimate(mp, epsilon=1.0, seed=0)
         assert estimate == 1.0 and steps == samples
 
+    def test_rejects_nan_epsilon_and_negative_seed(self, two_state):
+        with pytest.raises(ValidationError):
+            chebyshev_sample_count(two_state, float("nan"))
+        with pytest.raises(ValidationError):
+            classical_mc_estimate(two_state, epsilon=float("nan"), seed=0)
+        with pytest.raises(ValidationError):
+            classical_mc_estimate(two_state, epsilon=0.5, seed=-1)
+        with pytest.raises(ValidationError):
+            amplitude_estimation(0.3, float("nan"))
+        with pytest.raises(ValidationError):
+            amplitude_estimation(0.3, 0.1, seed=-1)
+
+
+def _walk_by_walk_estimate(
+    mp, epsilon, seed, constants=DEFAULT_CONSTANTS, max_total_steps=MAX_TOTAL_WALK_STEPS
+):
+    """One walk at a time, one scalar draw and one searchsorted per step: the
+    reference that the lockstep walker must match bit for bit."""
+    m = chebyshev_sample_count(mp, epsilon, constants)
+    chain = mp.chain
+    marked = frozenset(mp.marked)
+    cum_pi = np.cumsum(chain.stationary)
+    cum_pi /= cum_pi[-1]
+    cum_cols = np.cumsum(chain.transition, axis=0)
+    cum_cols /= cum_cols[-1]
+    total_steps = 0
+    total_time = 0
+    for i in range(m):
+        g = np.random.default_rng([seed, i])
+        state = int(np.searchsorted(cum_pi, g.random(), side="right"))
+        t = 0
+        while state not in marked:
+            t += 1
+            total_steps += 1
+            if total_steps > max_total_steps:
+                raise WalkTimeoutError(f"exceeded {max_total_steps} total walk steps")
+            state = int(np.searchsorted(cum_cols[:, state], g.random(), side="right"))
+        total_time += t
+    return total_time / m, m, total_steps
+
+
+def _cycle8():
+    return mark_states(lazy_cycle(8, 0.5), [0])
+
+
+def _two_state():
+    return mark_states(symmetric_two_state(), [1])
+
+
+def _random_reversible():
+    return mark_states(random_reversible_chain(np.random.default_rng(5), 10), [3, 7])
+
+
+def _sparse_dyadic():
+    # 200 states of sparsity 5: the step table is far narrower than a column
+    chain = random_sparse_dyadic_chain(np.random.default_rng(3), 200, 4, edge_cap_divisor=2)
+    return mark_states(chain, range(0, 200, 10))
+
+
+_MC_CASES = [
+    *[pytest.param(_cycle8, 2.0, seed, id=f"lazy-8-cycle-{seed}") for seed in range(501, 506)],
+    pytest.param(_two_state, 0.1, 3, id="two-state"),
+    pytest.param(_random_reversible, 0.5, 8, id="random-reversible"),
+    pytest.param(_sparse_dyadic, 200.0, 1, id="sparse-dyadic-200"),
+]
+
+# Smaller runs of the same chains, for lane widths that force lane reuse and
+# block refills at nearly every round.
+_SMALL_MC_CASES = [
+    pytest.param(_cycle8, 4.0, 501, id="lazy-8-cycle"),
+    pytest.param(_two_state, 0.3, 3, id="two-state"),
+    pytest.param(_random_reversible, 1.0, 8, id="random-reversible"),
+    pytest.param(_sparse_dyadic, 200.0, 1, id="sparse-dyadic-200"),
+]
+
+
+class TestLockstepWalker:
+    @pytest.mark.parametrize("make, epsilon, seed", _MC_CASES)
+    def test_matches_walk_by_walk_loop(self, make, epsilon, seed):
+        mp = make()
+        assert classical_mc_estimate(mp, epsilon, seed) == _walk_by_walk_estimate(mp, epsilon, seed)
+
+    @pytest.mark.parametrize("lanes, block", [(3, 2), (1, 1)])
+    @pytest.mark.parametrize("make, epsilon, seed", _SMALL_MC_CASES)
+    def test_matches_with_tiny_lanes(self, monkeypatch, make, epsilon, seed, lanes, block):
+        mp = make()
+        monkeypatch.setattr(markov, "_WALK_LANES", lanes)
+        monkeypatch.setattr(markov, "_DRAW_BLOCK", block)
+        assert classical_mc_estimate(mp, epsilon, seed) == _walk_by_walk_estimate(mp, epsilon, seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        chain_seed=st.integers(0, 10_000),
+        n=st.integers(2, 9),
+        marked_draw=st.integers(0, 2**16),
+        scale=st.floats(0.5, 4.0),
+        seed=st.integers(0, 2**32),
+        lanes=st.integers(1, 6),
+        block=st.integers(1, 5),
+    )
+    def test_matches_walk_by_walk_loop_property(
+        self, chain_seed, n, marked_draw, scale, seed, lanes, block
+    ):
+        chain = random_reversible_chain(np.random.default_rng(chain_seed), n)
+        picks = np.random.default_rng(marked_draw)
+        marked = picks.choice(n, size=int(picks.integers(1, n)), replace=False)
+        mp = mark_states(chain, marked)
+        # epsilon in units of the hitting time's standard deviation keeps the
+        # run at most 64 walks
+        epsilon = scale * math.sqrt(exact_variance(mp)) + 0.01
+        expected = _walk_by_walk_estimate(mp, epsilon, seed)
+        assert classical_mc_estimate(mp, epsilon, seed) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(markov, "_WALK_LANES", lanes)
+            patch.setattr(markov, "_DRAW_BLOCK", block)
+            assert classical_mc_estimate(mp, epsilon, seed) == expected
+
+    @pytest.mark.parametrize("lanes, block", [(256, 32), (3, 2)])
+    def test_step_cap_boundary(self, monkeypatch, lanes, block):
+        monkeypatch.setattr(markov, "_WALK_LANES", lanes)
+        monkeypatch.setattr(markov, "_DRAW_BLOCK", block)
+        mp = _cycle8()
+        reference = _walk_by_walk_estimate(mp, 4.0, 501)
+        cap = reference[2]
+        assert _walk_by_walk_estimate(mp, 4.0, 501, max_total_steps=cap) == reference
+        assert classical_mc_estimate(mp, 4.0, 501, max_total_steps=cap) == reference
+        with pytest.raises(WalkTimeoutError):
+            _walk_by_walk_estimate(mp, 4.0, 501, max_total_steps=cap - 1)
+        with pytest.raises(WalkTimeoutError):
+            classical_mc_estimate(mp, 4.0, 501, max_total_steps=cap - 1)
+
+    @pytest.mark.parametrize("lanes, block", [(256, 32), (3, 2)])
+    def test_draws_on_the_cumulative_sums(self, monkeypatch, lanes, block):
+        # quarter-point draws land exactly on the lazy 4-cycle's cumulative
+        # sums, where a step must pass over the entry equal to the draw
+        mp = mark_states(lazy_cycle(4, 0.5), [0])
+        monkeypatch.setattr(np.random, "default_rng", _QuarterDraws)
+        monkeypatch.setattr(markov, "_WALK_LANES", lanes)
+        monkeypatch.setattr(markov, "_DRAW_BLOCK", block)
+        assert classical_mc_estimate(mp, 0.5, 9) == _walk_by_walk_estimate(mp, 0.5, 9)
+
+
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
 
 class _BelowOneDraws:
-    """A generator stand-in: `first`, then always the largest double below 1."""
+    """A generator stand-in: `first`, then always the largest double below 1.
 
-    def __init__(self, first: float = float(np.nextafter(1.0, 0.0))):
+    random(size) returns the next `size` draws as an array, as Generator does.
+    """
+
+    def __init__(self, first: float = _BELOW_ONE):
         self._next = first
 
-    def random(self) -> float:
-        value, self._next = self._next, float(np.nextafter(1.0, 0.0))
+    def random(self, size=None):
+        if size is not None:
+            values = np.full(size, _BELOW_ONE)
+            if size:
+                values[0] = self.random()
+            return values
+        value, self._next = self._next, _BELOW_ONE
         return value
+
+
+class _QuarterDraws:
+    """A generator stand-in whose draws are multiples of 1/4.
+
+    They come from a real generator's uniforms, so a block of them equals as
+    many scalar draws.
+    """
+
+    def __init__(self, seed):
+        self._uniforms = np.random.Generator(np.random.PCG64(seed))
+
+    def random(self, size=None):
+        return np.floor(self._uniforms.random(size) * 4) / 4
 
 
 class TestChainJson:
