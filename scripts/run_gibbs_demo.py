@@ -28,7 +28,7 @@ def main() -> None:
           f"{'success_amp':>12} {'sqrt(Z/N)':>10} {'rounds':>7}")
     for beta in betas:
         task = GibbsTask(
-            hamiltonian=h, beta=beta, epsilon=args.epsilon, decomposition=decomposition
+            hamiltonian=h, beta=beta, epsilon=args.epsilon, weights=decomposition.weights
         )
         res = prepare_gibbs(task)
         target = math.sqrt(res.partition_function / h.dim)

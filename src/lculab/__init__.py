@@ -11,7 +11,7 @@ from .errors import (
     ValidationError,
     WalkTimeoutError,
 )
-from .gap_amplification import build_tilde_h, parse_pauli_lines, psd_split
+from .gap_amplification import parse_pauli_lines
 from .gibbs import GibbsTask, calibrate_hs_grid, prepare_gibbs
 from .inverse import (
     HittingTimeTask,
@@ -37,8 +37,6 @@ __all__ = [
     "HermitianOperator",
     "StateVector",
     "trace_distance",
-    "build_tilde_h",
-    "psd_split",
     "parse_pauli_lines",
     "GibbsTask",
     "calibrate_hs_grid",

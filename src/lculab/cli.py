@@ -31,7 +31,7 @@ import numpy as np
 from . import cost as cost_mod
 from .constants import Constants
 from .errors import LculabError, PreconditionWarning, ValidationError
-from .gap_amplification import parse_pauli_lines, psd_split
+from .gap_amplification import parse_pauli_lines, split_indices
 from .gibbs import GibbsResult, GibbsTask, prepare_gibbs
 from .inverse import HittingTimeTask, calibrate_inverse_grid, estimate_hitting_time
 from .markov import chain_from_json, discriminant_pair, expected_mc_cost, lazy_cycle, mark_states
@@ -195,14 +195,15 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _hamiltonian_from_config(spec: dict) -> tuple[HermitianOperator, "object"]:
+def _hamiltonian_from_config(spec: dict) -> tuple[HermitianOperator, tuple[float, ...]]:
     if "pauli" in spec:
         # The pipeline works with the PSD presentation, whose spectrum sits
         # at the parsed operator's plus the discarded identity offset.
         decomposition, _ = parse_pauli_lines(spec["pauli"])
-        return HermitianOperator(decomposition.sum_matrix()), decomposition
+        return HermitianOperator(decomposition.sum_matrix()), decomposition.weights
     h = HermitianOperator(matrix_from_json(spec["matrix"]))
-    return h, psd_split(h)
+    energies = h.eigensystem[0]
+    return h, tuple(map(float, energies[split_indices(energies)]))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -234,8 +235,8 @@ def _thermal_point(
 ) -> tuple[GibbsResult, dict]:
     """Prepare the thermal state of a config's Hamiltonian at one (beta, eps),
     priced on the config's own presentation; returns the result and its row."""
-    h, decomposition = _hamiltonian_from_config(spec)
-    task = GibbsTask(hamiltonian=h, beta=beta, epsilon=epsilon, decomposition=decomposition)
+    h, weights = _hamiltonian_from_config(spec)
+    task = GibbsTask(hamiltonian=h, beta=beta, epsilon=epsilon, weights=weights)
     result = prepare_gibbs(task, constants=constants, mode=mode, z_lower_bound=z_lower_bound)
     row = {
         "beta": task.beta,

@@ -5,15 +5,16 @@ and totals are recomputable from the entries. Both theorems price their
 evolutions with one gate model, `evolution_gate_cost`: c u tau ln(tau/eps) /
 lnln(tau/eps) (truncated-Taylor-series simulation), where only the per-unit
 factor u differs between the projector LCU (`select_unit_cost`) and sparse
-access (d ln N + C_P + C_U). Fits are slope-only: multiplying
-all costs by a constant never changes a fitted exponent, and the dominant
-power law can be extracted by dividing out the formula's own explicit
-logarithmic factors before fitting.
+access (d ln N + C_P + C_U); `presentation_gate_cost` prices a projector LCU
+from its weights alone. Fits are slope-only: multiplying all costs by a constant
+never changes a fitted exponent, and the dominant power law can be extracted by
+dividing out the formula's own explicit logarithmic factors before fitting.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,15 @@ def select_unit_cost(k_terms: int, constants: Constants) -> float:
     return math.log(k) * constants.unitary_gate_cost + k
 
 
+def presentation_gate_cost(
+    t: float, weights: Sequence[float], epsilon: float, constants: Constants
+) -> float:
+    """C_W of evolving H = sum_k alpha_k Pi_k for time t, from the weights alone:
+    tau = |t| sum_k sqrt(alpha_k), summed in list order, over K = len(weights) terms."""
+    tau = abs(t) * sum(math.sqrt(alpha) for alpha in weights)
+    return evolution_gate_cost(tau, epsilon, select_unit_cost(len(weights), constants), constants)
+
+
 def _check_positive(**values: float) -> None:
     for name, value in values.items():
         if not (value > 0 and math.isfinite(value)):
@@ -95,17 +105,16 @@ def theorem1_cost(
     z: float,
     beta: float,
     epsilon: float,
-    k_terms: int = 1,
-    sum_sqrt_weights: float = 1.0,
     norm_bound: float = 1.0,
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> CostReport:
     """Closed-form ledger for the thermal-preparation pipeline.
 
-    rounds ~ ceil(c/asin(sqrt(Z/N))); per round one simulated evolution at
-    t = sqrt(beta ln(1/eps')) plus n gates of state preparation and log2 J
-    gates for the coefficient state. A companion entry evaluates the
-    qubit-Hamiltonian specialization sqrt(N beta / Z) polylog for comparison.
+    rounds ~ ceil(c/asin(sqrt(Z/N))); per round one simulated evolution of a
+    single unit-weight projector at t = sqrt(beta ln(1/eps')), plus n gates of
+    state preparation and log2 J gates for the coefficient state. A companion
+    entry evaluates the qubit-Hamiltonian specialization sqrt(N beta / Z)
+    polylog for comparison.
     """
     _check_positive(n_dim=n_dim, z=z, epsilon=epsilon)
     if beta < 0 or not math.isfinite(beta):
@@ -118,9 +127,7 @@ def theorem1_cost(
     j_nodes = max(math.sqrt(max(norm_bound * beta, 1.0)) * log_inv, 2.0)
     amplitude = min(math.sqrt(z / n_dim), 1.0)
     rounds = amplification_rounds(amplitude, constants)
-    c_w = evolution_gate_cost(
-        t * sum_sqrt_weights, eps_prime, select_unit_cost(k_terms, constants), constants
-    )
+    c_w = presentation_gate_cost(t, (1.0,), eps_prime, constants)
     n_qubits = max(1.0, math.ceil(math.log2(n_dim)))
     total = rounds * (c_w + n_qubits + math.log2(j_nodes))
     qubit_arg = math.sqrt(n_dim * max(beta, 1.0) / z) / epsilon

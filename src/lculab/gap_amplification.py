@@ -6,9 +6,9 @@ ancilla-0 sector. Eigenvalue gaps of size g in H become sqrt(g)-size gaps of
 the enlarged operator, which is what makes short evolution times sufficient
 downstream.
 
-Each input has one projector presentation: Pauli text is parsed straight into
-projectors, and a matrix is split into rank-1 eigenprojectors by the rule
-`split_indices` that the hitting ledger reads too.
+Each input has one projector presentation, of which the pipelines read only
+the weights: Pauli text is parsed straight into projectors, and a matrix's
+rank-1 split is read off its spectrum (`psd_split` builds it as a test oracle).
 
 The pipelines never build the enlarged operator. Every combination they apply
 is an even function of it, and on the ancilla-0 sector an even function of the
@@ -43,6 +43,13 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
+def check_weight(index: int, alpha: float) -> float:
+    """A term's weight as a float, rejected unless positive and finite."""
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValidationError(f"term {index}: weight must be positive, got {alpha!r}")
+    return float(alpha)
+
+
 @dataclass(frozen=True)
 class ProjectorDecomposition:
     """Positive weights alpha_k attached to orthogonal projectors, summing to a PSD operator."""
@@ -53,8 +60,7 @@ class ProjectorDecomposition:
     def __post_init__(self):
         checked = []
         for i, (alpha, proj) in enumerate(self.terms):
-            if not (alpha > 0 and math.isfinite(alpha)):
-                raise ValidationError(f"term {i}: weight must be positive, got {alpha!r}")
+            alpha = check_weight(i, alpha)
             p = as_square_matrix(proj, self.dim)
             if hermiticity_defect(p) > PROJECTOR_ATOL:
                 raise ValidationError(f"term {i}: projector is not Hermitian")
@@ -62,12 +68,8 @@ class ProjectorDecomposition:
                 raise ValidationError(f"term {i}: matrix is not idempotent")
             p = (p + p.conj().T) / 2
             p.flags.writeable = False
-            checked.append((float(alpha), p))
+            checked.append((alpha, p))
         object.__setattr__(self, "terms", tuple(checked))
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
 
     def sum_matrix(self) -> np.ndarray:
         total = np.zeros((self.dim, self.dim), dtype=complex)
@@ -75,8 +77,9 @@ class ProjectorDecomposition:
             total += alpha * proj
         return total
 
-    def sum_sqrt_weights(self) -> float:
-        return sum(math.sqrt(alpha) for alpha, _ in self.terms)
+    @property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(alpha for alpha, _ in self.terms)
 
 
 @dataclass(frozen=True)
@@ -89,13 +92,12 @@ class UnitaryDecomposition:
     def __post_init__(self):
         checked = []
         for i, (alpha, u) in enumerate(self.terms):
-            if not (alpha > 0 and math.isfinite(alpha)):
-                raise ValidationError(f"term {i}: weight must be positive, got {alpha!r}")
+            alpha = check_weight(i, alpha)
             m = as_square_matrix(u, self.dim)
             if unitarity_defect(m) > UNITARY_ATOL:
                 raise ValidationError(f"term {i}: matrix is not unitary")
             m.flags.writeable = False
-            checked.append((float(alpha), m))
+            checked.append((alpha, m))
         object.__setattr__(self, "terms", tuple(checked))
 
     @property
@@ -151,6 +153,12 @@ def parse_pauli_lines(text: str) -> tuple[ProjectorDecomposition, float]:
     return ProjectorDecomposition(dim=2**n_qubits, terms=tuple(terms)), offset
 
 
+def require_psd(eigenvalues: np.ndarray) -> None:
+    """Reject a spectrum whose lowest eigenvalue lies below -1e-10."""
+    if float(eigenvalues.min()) < -1e-10:
+        raise ValidationError(f"matrix is not PSD: min eigenvalue {eigenvalues.min():.3e}")
+
+
 def split_indices(eigenvalues: np.ndarray) -> np.ndarray:
     """Indices of the eigenvalues that the rank-1 split keeps as terms, in ascending order."""
     return np.flatnonzero(eigenvalues > 1e-12)
@@ -166,8 +174,7 @@ def psd_split(h: HermitianOperator | np.ndarray) -> ProjectorDecomposition:
     if not isinstance(h, HermitianOperator):
         h = HermitianOperator(h)
     w, v = h.eigensystem
-    if float(w.min()) < -1e-10:
-        raise ValidationError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
+    require_psd(w)
     terms = []
     for i in split_indices(w):
         col = v[:, i : i + 1]
@@ -256,7 +263,7 @@ def tilde_h_unitary_terms(p: ProjectorDecomposition) -> UnitaryDecomposition:
     weights stay positive at sqrt(alpha_k)/2 each. The weighted sum equals the
     enlarged operator exactly.
     """
-    ancilla_dim = p.n_terms + 1
+    ancilla_dim = len(p.terms) + 1
     eye_sys = np.eye(p.dim)
     eye_anc = np.eye(ancilla_dim)
     terms: list[tuple[float, np.ndarray]] = []

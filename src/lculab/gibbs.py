@@ -8,8 +8,9 @@ grid calibration certifies sample by sample. Acting on half of a maximally
 entangled pair and tracing the ancillas yields the thermal state.
 
 `prepare_gibbs` evaluates that certified filter on the spectrum of H, so it
-never builds H~ and the dimension cap applies to H itself. `hs_lcu` builds the
-same sum over evolutions of H~ as a reference for the tests.
+never builds H~ and the dimension cap applies to H itself; its ledger reads
+only the weights of H's projector presentation. `hs_lcu` builds the same sum
+over evolutions of H~ as a reference for the tests.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, Constants
-from .cost import CostEntry, CostReport, evolution_gate_cost, gibbs_eps_prime, select_unit_cost
+from .cost import CostEntry, CostReport, gibbs_eps_prime, presentation_gate_cost
 from .errors import CalibrationError, PreconditionWarning, ValidationError
-from .gap_amplification import GapAmplifiedHamiltonian, ProjectorDecomposition
+from .gap_amplification import GapAmplifiedHamiltonian, check_weight, require_psd
 from .lcu import (
     EvolutionLcu,
     amplification_rounds,
@@ -166,27 +167,26 @@ def maximally_entangled_state(n_qubits: int) -> StateVector:
 
 @dataclass(frozen=True)
 class GibbsTask:
-    """A thermal-preparation problem: Hamiltonian, presentation, temperature, precision."""
+    """A thermal-preparation problem: Hamiltonian, temperature, precision, and the
+    weights alpha_k of a presentation H = sum_k alpha_k Pi_k, which is all the
+    ledger reads of it. H must be PSD with lambda_max(H) <= sum_k alpha_k."""
 
     hamiltonian: HermitianOperator
     beta: float
     epsilon: float
-    decomposition: ProjectorDecomposition
+    weights: tuple[float, ...]
 
     def __post_init__(self):
         if self.beta < 0 or not math.isfinite(self.beta):
             raise ValidationError(f"beta must be nonnegative, got {self.beta!r}")
         if not (0 < self.epsilon < 1):
             raise ValidationError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
-        if self.decomposition.dim != self.hamiltonian.dim:
-            raise ValidationError("decomposition dimension mismatch")
-        residual = np.max(
-            np.abs(self.decomposition.sum_matrix() - self.hamiltonian.matrix)
-        )
-        if residual > 1e-8:
-            raise ValidationError(
-                f"decomposition does not reproduce the Hamiltonian (residual {residual:.3e})"
-            )
+        weights = tuple(check_weight(i, alpha) for i, alpha in enumerate(self.weights))
+        object.__setattr__(self, "weights", weights)
+        energies = self.hamiltonian.eigensystem[0]
+        require_psd(energies)
+        if sum(weights) < energies[-1] - 1e-8:
+            raise ValidationError(f"weights sum below lambda_max(H) = {energies[-1]:.6g}")
 
 
 @dataclass(frozen=True)
@@ -264,12 +264,7 @@ def prepare_gibbs(
     dist = trace_distance(prepared, exact)
 
     t_max = grid.y_max * math.sqrt(task.beta)
-    c_w = evolution_gate_cost(
-        abs(t_max) * task.decomposition.sum_sqrt_weights(),
-        eps_prime,
-        select_unit_cost(task.decomposition.n_terms, constants),
-        constants,
-    )
+    c_w = presentation_gate_cost(t_max, task.weights, eps_prime, constants)
     n_qubits = max(1, math.ceil(math.log2(n_dim)))
     log_j = math.log2(max(grid.j_max, 2))
     total = rounds * (c_w + n_qubits + log_j)

@@ -30,13 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, Constants
-from .cost import (
-    CostEntry,
-    CostReport,
-    evolution_gate_cost,
-    hitting_eps_prime,
-    select_unit_cost,
-)
+from .cost import CostEntry, CostReport, hitting_eps_prime, presentation_gate_cost
 from .errors import CalibrationError, PreconditionWarning, ValidationError
 from .gap_amplification import GapAmplifiedHamiltonian, split_indices
 from .gibbs import calibrate_hs_grid
@@ -44,6 +38,7 @@ from .lcu import EvolutionLcu, gaussian_cosine_series, gaussian_weight_sum
 from .markov import (
     DiscriminantPair,
     MarkedPartition,
+    check_seed,
     exact_hitting_time_inverse,
     expected_mc_cost,
 )
@@ -266,8 +261,7 @@ def amplitude_estimation(
         raise ValidationError("epsilon must be positive")
     if not (0.0 < confidence < 1.0):
         raise ValidationError("confidence must be in (0, 1)")
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
+    check_seed(seed)
     m = math.ceil(constants.ae_query_constant / epsilon)
     m += m % 2
     probs = outcome_distribution(true_value, m)
@@ -345,18 +339,9 @@ def estimate_hitting_time(
     )
     t_hat = grid.z_max * estimate_raw
 
-    # H's presentation is its rank-1 split: sqrt(lambda) per eigenvalue that
-    # `split_indices` keeps, summed in ascending order, so the ledger matches
-    # that presentation's to the bit.
-    eigs = task.pair.h_matrix.eigensystem[0]
-    live = [float(eigs[i]) for i in split_indices(eigs)]
     t_evolve = grid.y_max * math.sqrt(2.0 * grid.z_max)
-    c_w = evolution_gate_cost(
-        abs(t_evolve) * sum(math.sqrt(x) for x in live),
-        task.epsilon_prime,
-        select_unit_cost(len(live), constants),
-        constants,
-    )
+    eigs = task.pair.h_matrix.eigensystem[0]
+    c_w = presentation_gate_cost(t_evolve, eigs[split_indices(eigs)], task.epsilon_prime, constants)
     c_b = constants.b_gate_cost_constant * math.log(1.0 / (delta * task.epsilon))
     per_rep = c_w + constants.marked_oracle_cost + constants.sqrt_pi_oracle_cost + c_b
     cost = CostReport.build(

@@ -300,6 +300,12 @@ def expected_mc_cost(
     return m, m * exact_hitting_time_resolvent(mp)
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed that is not a nonnegative integer, before numpy sees it."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def classical_mc_estimate(
     mp: MarkedPartition,
     epsilon: float,
@@ -324,8 +330,7 @@ def classical_mc_estimate(
     which walks finish. WalkTimeoutError is raised when the total step count
     passes max_total_steps.
     """
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
+    check_seed(seed)
     m = chebyshev_sample_count(mp, epsilon, constants)
     chain = mp.chain
     is_marked = np.zeros(chain.n_states, dtype=bool)

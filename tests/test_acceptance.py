@@ -132,7 +132,7 @@ def test_criterion_3_gibbs_end_to_end():
         beta = 8.0 / h.spectral_norm
         for epsilon in (0.1, 0.05):
             task = GibbsTask(
-                hamiltonian=h, beta=beta, epsilon=epsilon, decomposition=decomposition
+                hamiltonian=h, beta=beta, epsilon=epsilon, weights=decomposition.weights
             )
             res = prepare_gibbs(task)
             energies, _ = h.eigensystem
@@ -148,7 +148,7 @@ def test_criterion_3_gibbs_end_to_end():
     for target_nb in (4.0, 6.0, 8.0, 10.0, 12.0):
         beta = target_nb / norm
         res = prepare_gibbs(
-            GibbsTask(hamiltonian=h2, beta=beta, epsilon=0.05, decomposition=dec2)
+            GibbsTask(hamiltonian=h2, beta=beta, epsilon=0.05, weights=dec2.weights)
         )
         amplitude = math.sqrt(res.partition_function / h2.dim)
         target = amplification_rounds(min(amplitude, 1.0))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lculab import cli
+from lculab import cli, gap_amplification
 from lculab.cli import main
 from lculab.markov import (
     chain_to_json,
@@ -63,6 +63,42 @@ class TestGibbsCommand:
             },
         )
         assert main(["--config", config]) == 2
+
+    def test_non_psd_matrix_exits_three(self, tmp_path):
+        matrix = {"dim": 2, "re": [-1.0, 0.0, 0.0, 1.0], "im": [0.0, 0.0, 0.0, 0.0]}
+        config = _write_config(
+            tmp_path,
+            {
+                "command": "gibbs",
+                "hamiltonian": {"matrix": matrix},
+                "beta": 2.0,
+                "epsilon": 0.1,
+                "out": str(tmp_path / "out"),
+            },
+        )
+        assert main(["--config", config]) == 3
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"command": "gibbs", "beta": 8.0, "epsilon": 0.05},
+            {"command": "lemma1-sweep", "betas": [6.0, 8.0], "epsilons": [0.05]},
+        ],
+    )
+    def test_matrix_input_builds_no_projector(self, tmp_path, payload, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the matrix front door built a projector")
+
+        monkeypatch.setattr(gap_amplification, "psd_split", refuse)
+        monkeypatch.setattr(gap_amplification.ProjectorDecomposition, "__post_init__", refuse)
+        matrix = {"dim": 3, "re": [2.0, 1.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.5], "im": [0.0] * 9}
+        config = _write_config(
+            tmp_path,
+            {**payload, "hamiltonian": {"matrix": matrix}, "out": str(tmp_path / "out")},
+        )
+        assert main(["--config", config]) == 0
+        assert (tmp_path / "out" / "summary.json").exists()
 
     def test_pauli_input(self, tmp_path):
         config = _write_config(
@@ -194,7 +230,8 @@ class TestSweeps:
     def test_matrix_lemma1_point_takes_one_eigendecomposition(
         self, tmp_path, one_qubit_matrix, monkeypatch
     ):
-        # the Hamiltonian's cached eigensystem serves both psd_split and prepare_gibbs
+        # the Hamiltonian's cached eigensystem serves the split weights, the
+        # task's checks and prepare_gibbs
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))

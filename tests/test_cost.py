@@ -9,6 +9,7 @@ from lculab.cost import (
     CostEntry,
     fit_scaling,
     hitting_eps_prime,
+    presentation_gate_cost,
     theorem1_cost,
     theorem2_cost,
     theorem2_log_correction,
@@ -28,6 +29,17 @@ class TestCostReport:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValidationError):
             CostEntry(-1.0, "nope")
+
+
+class TestPresentationGateCost:
+    def test_reads_only_the_weights(self):
+        # sum sqrt(alpha) = 3 and K = 3; a negative time prices as its magnitude
+        tau = 2.0 * 3.0
+        factor = math.log(tau / 1e-3) / math.log(math.log(tau / 1e-3))
+        expected = (math.log(3) + 3) * tau * factor
+        cost = presentation_gate_cost(-2.0, (0.25, 1.0, 2.25), 1e-3, DEFAULT_CONSTANTS)
+        assert cost == pytest.approx(expected, rel=1e-14)
+        assert presentation_gate_cost(1.0, (), 0.1, DEFAULT_CONSTANTS) == 0.0
 
 
 class TestTheorem1:
@@ -53,12 +65,12 @@ class TestTheorem1:
         )
 
     def test_unit_constant_arithmetic(self):
-        report = theorem1_cost(8.0, 4.0, 8.0, 0.05, k_terms=3, sum_sqrt_weights=2.0)
+        # one unit-weight term: K = 1 and tau = t
+        report = theorem1_cost(8.0, 4.0, 8.0, 0.05)
         eps_prime = 0.5 * 0.05 * math.sqrt(4.0 / 8.0)
-        t = math.sqrt(8.0 * math.log(1 / eps_prime))
-        tau = 2.0 * t
+        tau = math.sqrt(8.0 * math.log(1 / eps_prime))
         factor = math.log(tau / eps_prime) / math.log(math.log(tau / eps_prime))
-        c_w = (math.log(3) * 1.0 + 3) * tau * factor
+        c_w = tau * factor
         assert report.value("C_W") == pytest.approx(c_w)
 
     def test_z_sanity_check(self):

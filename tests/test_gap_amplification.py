@@ -15,6 +15,7 @@ from lculab.gap_amplification import (
     exact_evolution,
     parse_pauli_lines,
     psd_split,
+    split_indices,
     tilde_h_unitary_terms,
     unitarity_defect,
 )
@@ -60,7 +61,10 @@ class TestBuildTildeH:
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
         from_operator = psd_split(op)
+        eigs = op.eigensystem[0]
+        weights = tuple(map(float, eigs[split_indices(eigs)]))
         assert calls == []
+        assert weights == from_operator.weights
         assert len(from_operator.terms) == len(from_matrix.terms)
         for (a1, p1), (a2, p2) in zip(from_operator.terms, from_matrix.terms):
             assert a1 == a2 and np.array_equal(p1, p2)
@@ -81,7 +85,7 @@ class TestBuildTildeH:
         g = build_tilde_h(p)
         tilde_norm = g.operator.spectral_norm
         h_norm = float(np.linalg.norm(p.sum_matrix(), ord=2))
-        assert tilde_norm <= p.sum_sqrt_weights() + 1e-9
+        assert tilde_norm <= sum(map(math.sqrt, p.weights)) + 1e-9
         assert tilde_norm**2 >= h_norm - 1e-9
 
     def test_nonpositive_weight_rejected(self):
@@ -118,12 +122,12 @@ class TestUnitaryTerms:
         p = random_projector_decomposition(rng, 4, 3)
         g = build_tilde_h(p)
         ud = tilde_h_unitary_terms(p)
-        assert ud.n_terms == 2 * p.n_terms
+        assert ud.n_terms == 2 * len(p.terms)
         assert np.max(np.abs(ud.weighted_sum() - g.operator.matrix)) <= 1e-10
         for _, u in ud.terms:
             assert unitarity_defect(u) <= 1e-10
         # weight-sum convention matches sum of sqrt(alpha) exactly
-        assert sum(w for w, _ in ud.terms) == pytest.approx(p.sum_sqrt_weights())
+        assert sum(w for w, _ in ud.terms) == pytest.approx(sum(map(math.sqrt, p.weights)))
 
 
 class TestExactEvolution:
@@ -189,7 +193,7 @@ class TestSimulationCost:
         # the unitary expansion's weight sum is sum_k sqrt(alpha_k), the tau per unit time
         p = random_projector_decomposition(rng, 4, 3)
         weights = sum(w for w, _ in tilde_h_unitary_terms(p).terms)
-        assert weights == pytest.approx(p.sum_sqrt_weights(), rel=1e-14)
+        assert weights == pytest.approx(sum(map(math.sqrt, p.weights)), rel=1e-14)
 
 
 _PAULI_LETTERS = {
@@ -255,15 +259,15 @@ class TestPauliParsing:
     def test_matches_reflection_route_bit_for_bit(self, text):
         p, _ = parse_pauli_lines(text)
         ref = _reflection_route(text)
-        assert p.n_terms == ref.n_terms
+        assert len(p.terms) == len(ref.terms)
         for (a1, p1), (a2, p2) in zip(p.terms, ref.terms):
             assert a1 == a2 and np.array_equal(p1, p2)
         assert np.array_equal(p.sum_matrix(), ref.sum_matrix())
-        assert p.sum_sqrt_weights() == ref.sum_sqrt_weights()
+        assert p.weights == ref.weights
 
     def test_comments_and_blank_lines(self):
         p, _ = parse_pauli_lines("# two qubits\n\n0.5 XX  # coupling\n0.5 ZI\n")
-        assert p.n_terms == 2
+        assert len(p.terms) == 2
 
     def test_bad_string_rejected(self):
         for text in ("0.5 XQ", "not_a_number XX", "0.5 XX extra", "0.5 XX\n0.5 Z", "0.0 XX"):

@@ -171,7 +171,7 @@ def _exact_thermal(h: HermitianOperator, beta: float) -> DensityMatrix:
 class TestPrepareGibbs:
     def test_infinite_temperature(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))
-        task = GibbsTask(hamiltonian=h, beta=0.0, epsilon=0.05, decomposition=psd_split(h))
+        task = GibbsTask(hamiltonian=h, beta=0.0, epsilon=0.05, weights=psd_split(h).weights)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PreconditionWarning)
             res = prepare_gibbs(task)
@@ -181,7 +181,7 @@ class TestPrepareGibbs:
 
     def test_one_qubit_diagonal(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))
-        task = GibbsTask(hamiltonian=h, beta=8.0, epsilon=0.05, decomposition=psd_split(h))
+        task = GibbsTask(hamiltonian=h, beta=8.0, epsilon=0.05, weights=psd_split(h).weights)
         res = prepare_gibbs(task)
         assert res.trace_dist <= 0.05
         exact = _exact_thermal(h, 8.0)
@@ -196,7 +196,7 @@ class TestPrepareGibbs:
         h = HermitianOperator(decomposition.sum_matrix())
         norm = h.spectral_norm
         beta = 8.0 / norm
-        task = GibbsTask(hamiltonian=h, beta=beta, epsilon=0.1, decomposition=decomposition)
+        task = GibbsTask(hamiltonian=h, beta=beta, epsilon=0.1, weights=decomposition.weights)
         res = prepare_gibbs(task)
         assert res.trace_dist <= 0.1
         exact = _exact_thermal(h, beta)
@@ -206,7 +206,7 @@ class TestPrepareGibbs:
         h = HermitianOperator(np.diag([0.0, 0.5, 0.75, 1.0]))
         dec = psd_split(h)
         for beta in [4.5, 6.0, 9.0, 12.0]:
-            task = GibbsTask(hamiltonian=h, beta=beta, epsilon=0.05, decomposition=dec)
+            task = GibbsTask(hamiltonian=h, beta=beta, epsilon=0.05, weights=dec.weights)
             res = prepare_gibbs(task)
             target = amplification_rounds(math.sqrt(res.partition_function / 4))
             assert res.amplification_rounds <= 2 * target
@@ -214,7 +214,7 @@ class TestPrepareGibbs:
 
     def test_oracle_free_mode(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))
-        task = GibbsTask(hamiltonian=h, beta=8.0, epsilon=0.05, decomposition=psd_split(h))
+        task = GibbsTask(hamiltonian=h, beta=8.0, epsilon=0.05, weights=psd_split(h).weights)
         z_true = 1.0 + math.exp(-8.0)
         res = prepare_gibbs(task, mode="oracle-free", z_lower_bound=0.5 * z_true)
         assert res.trace_dist <= 0.05
@@ -223,7 +223,7 @@ class TestPrepareGibbs:
 
     def test_precondition_flagged_not_masked(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))
-        task = GibbsTask(hamiltonian=h, beta=2.0, epsilon=0.3, decomposition=psd_split(h))
+        task = GibbsTask(hamiltonian=h, beta=2.0, epsilon=0.3, weights=psd_split(h).weights)
         with pytest.warns(PreconditionWarning):
             res = prepare_gibbs(task)
         assert res.precondition_warnings
@@ -231,15 +231,10 @@ class TestPrepareGibbs:
         assert res.trace_dist <= 0.3
 
     def test_zero_hamiltonian_end_to_end(self):
-        # empty decomposition: all evolutions are the identity and the
+        # empty presentation: all evolutions are the identity and the
         # prepared state is exactly maximally mixed
         h = HermitianOperator(np.zeros((2, 2)))
-        task = GibbsTask(
-            hamiltonian=h,
-            beta=3.0,
-            epsilon=0.1,
-            decomposition=ProjectorDecomposition(dim=2, terms=()),
-        )
+        task = GibbsTask(hamiltonian=h, beta=3.0, epsilon=0.1, weights=())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PreconditionWarning)
             res = prepare_gibbs(task)
@@ -256,17 +251,43 @@ class TestPrepareGibbs:
             lines.append(f"-{0.5 + 0.1 * i} " + "I" * i + "X" + "I" * (n - i - 1))
         decomposition, _ = parse_pauli_lines("\n".join(lines))
         h = HermitianOperator(decomposition.sum_matrix())
-        task = GibbsTask(hamiltonian=h, beta=2.0, epsilon=0.05, decomposition=decomposition)
+        task = GibbsTask(hamiltonian=h, beta=2.0, epsilon=0.05, weights=decomposition.weights)
         res = prepare_gibbs(task)
         assert res.trace_dist <= 0.05
         assert trace_distance(res.prepared_density, _exact_thermal(h, 2.0)) <= 0.05
 
-    def test_mismatched_decomposition_rejected(self):
-        h = HermitianOperator(np.diag([0.0, 1.0]))
-        with pytest.raises(ValidationError):
+    def test_weights_below_top_eigenvalue_rejected(self):
+        # sum_k alpha_k Pi_k <= sum_k alpha_k, so no projectors with these
+        # weights reach lambda_max = 2
+        h = HermitianOperator(np.diag([0.0, 2.0]))
+        with pytest.raises(ValidationError, match="below lambda_max"):
             GibbsTask(
                 hamiltonian=h,
                 beta=4.0,
                 epsilon=0.1,
-                decomposition=psd_split(np.diag([0.0, 2.0])),
+                weights=psd_split(np.diag([0.0, 1.0])).weights,
             )
+        for weights in ((2.0,), (1.0, 1.0), (2.0 - 1e-9,)):
+            task = GibbsTask(hamiltonian=h, beta=4.0, epsilon=0.1, weights=weights)
+            assert task.weights == weights
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_weight_rejected_like_a_decomposition(self, alpha):
+        h = HermitianOperator(np.diag([0.0, 1.0]))
+        with pytest.raises(ValidationError, match="term 1: weight must be positive") as from_task:
+            GibbsTask(hamiltonian=h, beta=4.0, epsilon=0.1, weights=(1.0, alpha))
+        with pytest.raises(ValidationError) as from_decomposition:
+            ProjectorDecomposition(dim=2, terms=((1.0, np.eye(2)), (alpha, np.eye(2))))
+        assert str(from_task.value) == str(from_decomposition.value)
+
+    def test_non_psd_hamiltonian_rejected_like_psd_split(self):
+        h = HermitianOperator(np.diag([-1e-9, 1.0]))
+        with pytest.raises(ValidationError, match="not PSD") as from_task:
+            GibbsTask(hamiltonian=h, beta=4.0, epsilon=0.1, weights=(1.0,))
+        with pytest.raises(ValidationError) as from_split:
+            psd_split(h)
+        assert str(from_task.value) == str(from_split.value)
+        # roundoff below zero passes both
+        h = HermitianOperator(np.diag([-1e-11, 1.0]))
+        assert GibbsTask(hamiltonian=h, beta=4.0, epsilon=0.1, weights=(1.0,)).weights == (1.0,)
+        assert psd_split(h).weights == (1.0,)

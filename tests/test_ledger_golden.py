@@ -2,14 +2,17 @@
 
 Every entry and total is compared through `float.hex`, so any change in how a
 closed form is evaluated (operand order included) shows up here. The inputs
-are the `cost-sweep` defaults for the two theorem ledgers and the README's two
-example configs for the pipeline ledgers.
+are the `cost-sweep` defaults for the two theorem ledgers, the README's two
+example configs for the pipeline ledgers, and a literal 4x4 matrix for the
+thermal pipeline's matrix front door.
 """
 
 import math
 
 import numpy as np
 
+from lculab import cli
+from lculab.constants import DEFAULT_CONSTANTS
 from lculab.cost import theorem1_cost, theorem2_cost
 from lculab.gap_amplification import parse_pauli_lines
 from lculab.gibbs import GibbsTask, prepare_gibbs
@@ -40,6 +43,14 @@ README_GIBBS = {
     "state_prep": "0x1.8000000000000p+1",
     "total": "0x1.435b15bdaac52p+10",
 }
+MATRIX_GIBBS = {
+    "C_B": "0x1.0000000000000p+2",
+    "C_W": "0x1.ff3ca32a54ee0p+7",
+    "amplification_rounds": "0x1.0000000000000p+1",
+    "state_prep": "0x1.0000000000000p+1",
+    "total": "0x1.059e51952a770p+9",
+}
+MATRIX_GIBBS_TRACE_DIST = "0x1.bcd6e4b0969ccp-13"
 README_HITTING = {
     "C_B": "0x1.7f7427b73e391p+1",
     "C_U": "0x1.0000000000000p+0",
@@ -72,9 +83,24 @@ def test_prepare_gibbs_on_readme_config():
         hamiltonian=HermitianOperator(decomposition.sum_matrix()),
         beta=2.0,
         epsilon=0.05,
-        decomposition=decomposition,
+        weights=decomposition.weights,
     )
     assert _hex_ledger(prepare_gibbs(task).cost) == README_GIBBS
+
+
+def test_prepare_gibbs_on_matrix_config():
+    # spectrum {0, 1, 1.25, 3} with complex entries; the zero eigenvalue is
+    # dropped from the presentation, so the ledger prices K = 3 terms
+    spec = {
+        "matrix": {
+            "dim": 4,
+            "re": [2.0, 1.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.25],
+            "im": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.5, 0.0, 0.0, 0.5, 0.0],
+        }
+    }
+    result, _ = cli._thermal_point(spec, 2.0, 0.05, DEFAULT_CONSTANTS)
+    assert _hex_ledger(result.cost) == MATRIX_GIBBS
+    assert float(result.trace_dist).hex() == MATRIX_GIBBS_TRACE_DIST
 
 
 def test_estimate_hitting_time_on_readme_config():

@@ -315,12 +315,14 @@ class TestClassicalEstimator:
             chebyshev_sample_count(two_state, float("nan"))
         with pytest.raises(ValidationError):
             classical_mc_estimate(two_state, epsilon=float("nan"), seed=0)
-        with pytest.raises(ValidationError):
-            classical_mc_estimate(two_state, epsilon=0.5, seed=-1)
+        for seed in (-1, 1.5):
+            with pytest.raises(ValidationError):
+                classical_mc_estimate(two_state, epsilon=0.5, seed=seed)
         with pytest.raises(ValidationError):
             amplitude_estimation(0.3, float("nan"))
-        with pytest.raises(ValidationError):
-            amplitude_estimation(0.3, 0.1, seed=-1)
+        for seed in (-1, 1.5):
+            with pytest.raises(ValidationError):
+                amplitude_estimation(0.3, 0.1, seed=seed)
 
 
 def _walk_by_walk_estimate(

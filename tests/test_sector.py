@@ -55,7 +55,7 @@ def test_gibbs_matches_enlarged_oracle():
         decomposition = ProjectorDecomposition(dim=dim, terms=terms)
         h = HermitianOperator(decomposition.sum_matrix())
         beta = float(rng.uniform(4.0, 8.0)) / h.spectral_norm
-        task = GibbsTask(hamiltonian=h, beta=beta, epsilon=0.05, decomposition=decomposition)
+        task = GibbsTask(hamiltonian=h, beta=beta, epsilon=0.05, weights=decomposition.weights)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PreconditionWarning)
             res = prepare_gibbs(task)
