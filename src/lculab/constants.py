@@ -47,7 +47,8 @@ class Constants:
         if unknown:
             raise ValidationError(f"unknown constants: {sorted(unknown)}")
         for name, value in values.items():
-            if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not number or not math.isfinite(value) or value <= 0:
                 raise ValidationError(f"constant {name!r} must be a positive finite number")
         return cls(**{k: float(v) for k, v in values.items()})
 

@@ -9,8 +9,8 @@ entangled pair and tracing the ancillas yields the thermal state.
 
 `prepare_gibbs` evaluates that certified filter on the spectrum of H, so it
 never builds H~ and the dimension cap applies to H itself; its ledger reads
-only the weights of H's projector presentation. `hs_lcu` builds the same sum
-over evolutions of H~ as a reference for the tests.
+only the weights of H's projector presentation. The tests build the same sum
+over evolutions of H~ as the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -25,26 +25,18 @@ import numpy as np
 from .constants import DEFAULT_CONSTANTS, Constants
 from .cost import CostEntry, CostReport, gibbs_eps_prime, presentation_gate_cost
 from .errors import CalibrationError, PreconditionWarning, ValidationError
-from .gap_amplification import GapAmplifiedHamiltonian, check_weight, require_psd
-from .lcu import (
-    EvolutionLcu,
-    amplification_rounds,
-    gaussian_cosine_series,
-    gaussian_weight_sum,
-)
-from .operators import (
-    DensityMatrix,
-    HermitianOperator,
-    StateVector,
-    matrix_function,
-    trace_distance,
-)
+from .gap_amplification import check_weight, require_psd
+from .lcu import amplification_rounds, gaussian_cosine_series, gaussian_weight_sum
+from .operators import DensityMatrix, HermitianOperator, matrix_function, trace_distance
 
 logger = logging.getLogger(__name__)
 
 _N_SAMPLES = 64
 _MAX_DOUBLINGS = 20
 _TARGET_MARGIN = 0.9
+# Largest J a trial grid may take (Gibbs on "1.0 Z" at beta = 1e12 reaches 9.5e6);
+# past it, or at a spacing of 0, calibration fails before allocating a node array.
+_MAX_J = 10**7
 
 
 @dataclass(frozen=True)
@@ -72,6 +64,10 @@ class HsGrid:
 
 
 def _grid_error(delta_y: float, y_max: float, beta: float, samples: np.ndarray) -> float:
+    if not (delta_y > 0 and y_max / delta_y <= _MAX_J):
+        raise CalibrationError(
+            f"node grid delta_y={delta_y:.3g}, y_max={y_max:.3g} needs over {_MAX_J} nodes"
+        )
     j_max = max(1, math.ceil(y_max / delta_y))
     approx = gaussian_cosine_series(np.sqrt(beta * samples), delta_y, j_max)
     return float(np.max(np.abs(np.exp(-beta * samples / 2) - approx)))
@@ -142,27 +138,6 @@ def calibrate_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> H
         beta=beta,
         epsilon_prime=epsilon_prime,
     )
-
-
-def hs_lcu(grid: HsGrid, g: GapAmplifiedHamiltonian) -> EvolutionLcu:
-    """The combination sum_j w_j exp(-i y_j sqrt(beta) H~) as a structured LCU."""
-    return EvolutionLcu(
-        hamiltonian=g,
-        delta_y=grid.delta_y,
-        j_max=grid.j_max,
-        scales=np.array([math.sqrt(grid.beta)]),
-        scale_weights=np.array([1.0]),
-    )
-
-
-def maximally_entangled_state(n_qubits: int) -> StateVector:
-    """(1/sqrt(N)) sum_s |s>|s> on n_qubits + n_qubits, N = 2^n."""
-    if n_qubits < 1:
-        raise ValidationError("need at least one qubit")
-    n = 2**n_qubits
-    vec = np.zeros(n * n, dtype=complex)
-    vec[np.arange(n) * n + np.arange(n)] = 1.0 / math.sqrt(n)
-    return StateVector(vec)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ estimated by a phase-estimation amplitude sampler at the metrology rate.
 The combination is even in H~, so on the ancilla-0 sector it is the certified
 scalar filter `InverseGrid.inverse_filter` of H. The pipeline evaluates that
 filter on the spectrum of H and never builds H~, so the dimension cap applies
-to the unmarked block itself. `inverse_lcu` builds the combination over
-evolutions of H~ as a reference for the tests.
+to the unmarked block itself. The tests build the combination over evolutions
+of H~ as the reference it is checked against.
 
 Grid calibration dominates a run. Its exit test checks the filter on the
 samples a few at a time and rejects a grid at the first miss, so rejected
@@ -32,9 +32,9 @@ import numpy as np
 from .constants import DEFAULT_CONSTANTS, Constants
 from .cost import CostEntry, CostReport, hitting_eps_prime, presentation_gate_cost
 from .errors import CalibrationError, PreconditionWarning, ValidationError
-from .gap_amplification import GapAmplifiedHamiltonian, split_indices
+from .gap_amplification import split_indices
 from .gibbs import calibrate_hs_grid
-from .lcu import EvolutionLcu, gaussian_cosine_series, gaussian_weight_sum
+from .lcu import gaussian_cosine_series, gaussian_weight_sum
 from .markov import (
     DiscriminantPair,
     MarkedPartition,
@@ -92,12 +92,6 @@ class InverseGrid:
         args = np.sqrt(2.0 * np.outer(self.z_nodes, x))
         series = gaussian_cosine_series(args, self.delta_y, self.j_max)
         return self.delta_z * np.cumsum(series, axis=0, out=series)[-1]
-
-
-def exponential_grid_error(delta_z: float, k_max: int, x: float) -> float:
-    """|1/x - delta_z sum_k exp(-k delta_z x)| for the z-grid alone (j-grid exact)."""
-    k = np.arange(k_max + 1)
-    return abs(1.0 / x - delta_z * float(np.exp(-k * delta_z * x).sum()))
 
 
 def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
@@ -182,23 +176,6 @@ def _check_spectrum(grid: InverseGrid, eigs: np.ndarray) -> None:
             f"sector spectrum [{live.min():.4g}, {live.max():.4g}] leaves "
             f"[{grid.delta_lower:.4g}, 1]; zero modes are allowed only as spectators"
         )
-
-
-def inverse_lcu(grid: InverseGrid, g: GapAmplifiedHamiltonian) -> EvolutionLcu:
-    """The double-grid combination as a structured LCU over evolutions of H~.
-
-    Uses exp(-i y_j sqrt(2 z_k) H~), the time scale under which the Gaussian
-    identity reproduces exp(-z_k x) exactly on the sector. The spectrum guard
-    reads H's nonzero eigenvalues as those of H~^2, on H~'s own eigensystem.
-    """
-    _check_spectrum(grid, g.operator.eigensystem[0] ** 2)
-    return EvolutionLcu(
-        hamiltonian=g,
-        delta_y=grid.delta_y,
-        j_max=grid.j_max,
-        scales=np.sqrt(2.0 * grid.z_nodes),
-        scale_weights=np.full(grid.k_max + 1, grid.delta_z),
-    )
 
 
 def t_circuit_expectation(grid: InverseGrid, pair: DiscriminantPair, mp: MarkedPartition) -> float:

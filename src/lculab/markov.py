@@ -1,6 +1,6 @@
 """Reversible Markov chains with marked subsets: validation, exact hitting
-times through both closed forms, survival probabilities, variances, and the
-classical Monte-Carlo baseline.
+times through both closed forms, variances, and the classical Monte-Carlo
+baseline.
 
 Transition matrices are column-stochastic: entry (s', s) is Pr(s'|s). The
 stationary vector, detailed balance, irreducibility, aperiodicity and spectrum
@@ -146,12 +146,6 @@ def discriminant_matrix(p: np.ndarray) -> np.ndarray:
     return np.sqrt(np.asarray(p) * np.asarray(p).T)
 
 
-def lazify(p) -> np.ndarray:
-    """(P + 1)/2: shifts the spectrum into [0, 1] while keeping the fixed point."""
-    mat = np.asarray(p, dtype=float)
-    return (mat + np.eye(mat.shape[0])) / 2
-
-
 @dataclass(frozen=True)
 class MarkedPartition:
     """A chain split into unmarked (U) and marked (M) blocks."""
@@ -245,14 +239,6 @@ def discriminant_pair(mp: MarkedPartition) -> DiscriminantPair:
         raise ValidationError("restricted Hamiltonian exceeds 1; chain spectrum has negatives")
     s.flags.writeable = False
     return DiscriminantPair(s_matrix=s, h_matrix=h, delta=delta)
-
-
-def survival_probability(mp: MarkedPartition, t_prime: int) -> float:
-    """pi_U <1_U| (P_UU)^t |pi_U>: probability the walk is still unmarked after t steps."""
-    if t_prime < 0:
-        raise ValidationError("t_prime must be nonnegative")
-    power = np.linalg.matrix_power(mp.p_uu, t_prime)
-    return float(mp.pi_u * np.ones(mp.n_unmarked) @ power @ mp.pi_u_conditioned)
 
 
 def exact_hitting_time_resolvent(mp: MarkedPartition) -> float:
@@ -414,10 +400,6 @@ def _step_table(chain: MarkovChain, cum_cols: np.ndarray) -> tuple[np.ndarray, n
 # ---------------------------------------------------------------------------
 # Chain families.
 
-def symmetric_two_state() -> MarkovChain:
-    return validate_chain(np.full((2, 2), 0.5))
-
-
 def lazy_cycle(n: int, stay: float = 0.5) -> MarkovChain:
     """Cycle walk that stays put with probability `stay` and hops to a random neighbor
     otherwise. stay >= 1/2 keeps the spectrum nonnegative."""
@@ -434,122 +416,8 @@ def lazy_cycle(n: int, stay: float = 0.5) -> MarkovChain:
     return validate_chain(p)
 
 
-def random_reversible_chain(
-    rng: np.random.Generator,
-    n: int,
-    extra_edges: int | None = None,
-    laziness: float = 0.5,
-    max_degree: int | None = None,
-) -> MarkovChain:
-    """Random walk on a random connected weighted graph, lazified into validity.
-
-    Symmetric edge weights give detailed balance with pi proportional to the
-    weighted degree; the laziness shift keeps the spectrum nonnegative. The
-    transition matrix itself is generally not symmetric (degrees differ).
-    An optional per-node degree cap bounds the sparsity at max_degree + 1.
-    """
-    if n < 2:
-        raise ValidationError("need at least two states")
-    if max_degree is not None and max_degree < 2:
-        raise ValidationError("max_degree below 2 cannot stay connected")
-    w = np.zeros((n, n))
-    degree = np.zeros(n, dtype=int)
-    order = rng.permutation(n)
-    for i in range(1, n):
-        a = order[i]
-        if max_degree is None:
-            b = order[rng.integers(0, i)]
-        else:
-            candidates = [order[j] for j in range(i) if degree[order[j]] < max_degree]
-            b = candidates[rng.integers(0, len(candidates))] if candidates else order[rng.integers(0, i)]
-        w[a, b] = w[b, a] = rng.uniform(0.2, 1.0)
-        degree[a] += 1
-        degree[b] += 1
-    if extra_edges is None:
-        extra_edges = n
-    for _ in range(extra_edges):
-        a, b = rng.integers(0, n, size=2)
-        if a == b or w[a, b] > 0:
-            continue
-        if max_degree is not None and (degree[a] >= max_degree or degree[b] >= max_degree):
-            continue
-        w[a, b] = w[b, a] = rng.uniform(0.2, 1.0)
-        degree[a] += 1
-        degree[b] += 1
-    deg = w.sum(axis=0)
-    p = w / deg[None, :]
-    if laziness > 0:
-        p = laziness * np.eye(n) + (1 - laziness) * p
-    return validate_chain(p)
-
-
-def random_sparse_dyadic_chain(
-    rng: np.random.Generator,
-    n: int,
-    degree: int,
-    bits: int = 10,
-    edge_cap_divisor: int = 4,
-) -> MarkovChain:
-    """Sparse reversible chain whose probabilities are exact dyadic rationals k/2^bits.
-
-    Built from integer symmetric edge weights on a bounded-degree connected
-    graph, padded with self-loop weight so every column totals 2^bits; the
-    self-loop majority keeps the spectrum nonnegative. Row/column sparsity is
-    at most degree + 1 (neighbors plus the self-loop). Per-edge weights are
-    capped at 2^bits/(edge_cap_divisor * degree); the default keeps plenty of
-    laziness, and divisor 2 trades laziness for larger spectral gaps (still
-    validated, so a rare unlucky draw raises instead of slipping through).
-    """
-    if degree < 1 or n < 2:
-        raise ValidationError("need degree >= 1 and n >= 2")
-    if edge_cap_divisor < 2:
-        raise ValidationError("edge_cap_divisor below 2 abandons the self-loop majority")
-    denom = 1 << bits
-    w = np.zeros((n, n), dtype=np.int64)
-    neighbor_count = np.zeros(n, dtype=int)
-    order = rng.permutation(n)
-    cap = denom // (edge_cap_divisor * degree)
-    for i in range(1, n):
-        a = order[i]
-        candidates = [order[j] for j in range(i) if neighbor_count[order[j]] < degree]
-        b = candidates[rng.integers(0, len(candidates))] if candidates else order[rng.integers(0, i)]
-        weight = int(rng.integers(1, cap))
-        w[a, b] += weight
-        w[b, a] += weight
-        neighbor_count[a] += 1
-        neighbor_count[b] += 1
-    for _ in range(n):
-        a, b = rng.integers(0, n, size=2)
-        if a != b and neighbor_count[a] < degree and neighbor_count[b] < degree and w[a, b] == 0:
-            weight = int(rng.integers(1, cap))
-            w[a, b] += weight
-            w[b, a] += weight
-            neighbor_count[a] += 1
-            neighbor_count[b] += 1
-    p = np.zeros((n, n))
-    for s in range(n):
-        off = int(w[:, s].sum())
-        if off >= denom:
-            raise ValidationError("edge weights overflow the dyadic budget")
-        p[:, s] = w[:, s] / denom
-        p[s, s] = (denom - off) / denom
-    return validate_chain(p)
-
-
 # ---------------------------------------------------------------------------
 # Sparse-triplet JSON wire format.
-
-def chain_to_json(chain: MarkovChain, marked) -> dict:
-    rows, cols = np.nonzero(chain.transition)
-    entries = [
-        [int(r), int(c), float(chain.transition[r, c])] for r, c in zip(rows, cols)
-    ]
-    return {
-        "n_states": int(chain.n_states),
-        "entries": entries,
-        "marked": [int(s) for s in sorted(set(marked))],
-    }
-
 
 def chain_from_json(obj: dict) -> tuple[MarkovChain, tuple[int, ...]]:
     try:
@@ -571,4 +439,6 @@ def chain_from_json(obj: dict) -> tuple[MarkovChain, tuple[int, ...]]:
         if not (0 <= r < n and 0 <= c < n):
             raise ValidationError(f"triplet index out of range: {item!r}")
         p[r, c] = prob
+    if len({(int(r), int(c)) for r, c, _ in entries}) < len(entries):
+        raise ValidationError("a (row, col) index repeats in the triplets")
     return validate_chain(p), marked

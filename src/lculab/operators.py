@@ -18,7 +18,6 @@ import numpy as np
 from .errors import SingularityError, ValidationError
 
 HERMITICITY_ATOL = 1e-12
-STATE_NORM_ATOL = 1e-12
 DENSITY_ATOL = 1e-12
 DIMENSION_CAP = 4096
 
@@ -102,37 +101,6 @@ def matrix_function(h: HermitianOperator, f: Callable[[float], complex]) -> np.n
     return (v * values) @ v.conj().T
 
 
-def spectral_projector(h: HermitianOperator, eigenvalue: float, atol: float = 1e-8) -> np.ndarray:
-    """Orthogonal projector onto the eigenspace of the eigenvalues within atol."""
-    w, v = h.eigensystem
-    cols = v[:, np.abs(w - eigenvalue) <= atol]
-    if cols.shape[1] == 0:
-        raise ValidationError(f"no eigenvalue within {atol:g} of {eigenvalue}")
-    return cols @ cols.conj().T
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """A unit-norm complex vector. Unnormalized data travels as raw arrays."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if a.size == 0:
-            raise ValidationError("empty state vector")
-        if not np.all(np.isfinite(a)):
-            raise ValidationError("state has non-finite amplitudes")
-        norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > STATE_NORM_ATOL:
-            raise ValidationError(f"state norm {norm!r} deviates from 1 beyond {STATE_NORM_ATOL:g}")
-        object.__setattr__(self, "amplitudes", _freeze(a))
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix."""
@@ -157,11 +125,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def pure_density(state: StateVector) -> DensityMatrix:
-    a = state.amplitudes
-    return DensityMatrix(np.outer(a, a.conj()))
-
-
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of a - b; lies in [0, 1]."""
     if a.dim != b.dim:
@@ -171,33 +134,9 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def reduced_density(vector: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Partial trace of a pure bipartite state over the discarded factor.
-
-    `vector` has length dims[0]*dims[1] with the first factor major; keep is
-    0 or 1 for which subsystem survives.
-    """
-    d0, d1 = dims
-    psi = np.asarray(vector, dtype=complex).reshape(d0, d1)
-    if keep == 0:
-        return psi @ psi.conj().T
-    if keep == 1:
-        return psi.T @ psi.conj()
-    raise ValidationError("keep must be 0 or 1")
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format: {"dim": n, "re": [...], "im": [...]} in row-major order.
 # Double-precision values round-trip exactly (json uses shortest repr).
-
-def matrix_to_json(a: np.ndarray) -> dict:
-    a = as_square_matrix(a)
-    return {
-        "dim": int(a.shape[0]),
-        "re": [float(x) for x in a.real.reshape(-1)],
-        "im": [float(x) for x in a.imag.reshape(-1)],
-    }
-
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:

@@ -1,28 +1,13 @@
-"""Seeded generators for random operators and states used across tests and sweeps."""
+"""Seeded generators for the random operators and states of `lemma2-sweep`."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
-
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (a + a.conj().T) / 2
-
-
-def random_psd(rng: np.random.Generator, dim: int, norm: float = 1.0) -> np.ndarray:
-    """Random positive-semidefinite matrix rescaled to the requested spectral norm."""
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = a @ a.conj().T
-    top = float(np.linalg.eigvalsh(m).max())
-    return m * (norm / top)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -32,13 +17,6 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases
-
-
-def random_projector(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
-    if not 0 < rank <= dim:
-        raise ValidationError(f"rank must be in 1..{dim}")
-    v = random_unitary(rng, dim)[:, :rank]
-    return v @ v.conj().T
 
 
 def random_hermitian_with_spectrum(
@@ -53,17 +31,3 @@ def random_hermitian_with_spectrum(
     return (v * w) @ v.conj().T
 
 
-def perturbed_unitary(rng: np.random.Generator, u: np.ndarray, magnitude: float) -> np.ndarray:
-    """Unitary at spectral distance exactly `magnitude` from u (for magnitude <= 2)."""
-    if magnitude <= 0:
-        return u
-    dim = u.shape[0]
-    g = random_hermitian(rng, dim)
-    w, v = np.linalg.eigh(g)
-    top = float(np.max(np.abs(w)))
-    if top == 0.0:
-        return u
-    w = w / top
-    delta = 2 * np.arcsin(min(magnitude, 2.0) / 2)
-    rot = (v * np.exp(-1j * delta * w)) @ v.conj().T
-    return u @ rot

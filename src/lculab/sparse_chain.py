@@ -28,15 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .gap_amplification import (
-    UNITARY_ATOL,
-    GapAmplifiedHamiltonian,
-    UnitaryDecomposition,
-    ancilla_coupler,
-    ancilla_rotations,
-    assemble_gap_amplified,
-    unitarity_defect,
-)
+from .gap_amplification import UNITARY_ATOL, ancilla_coupler, ancilla_rotations, unitarity_defect
 from .markov import MarkovChain
 from .operators import HermitianOperator
 
@@ -160,13 +152,6 @@ def pair_states(oracle: SparseChainOracle) -> EdgeSum:
     pairs, p_to, p_from = oracle.pair_table
     alpha_bar, mu_bar = _pair_data(p_to, p_from)
     return EdgeSum(oracle.n_states, pairs, alpha_bar, mu_bar, 0.0)
-
-
-def build_h_bar(oracle: SparseChainOracle) -> tuple[EdgeSum, HermitianOperator]:
-    """The ordered-pair states and their dense sum (a test oracle), which reproduces
-    1 - S: off-diagonal entries -sqrt(Pr(s|s')Pr(s'|s)), diagonal 1 - Pr(s|s)."""
-    terms = pair_states(oracle)
-    return terms, terms.matrix
 
 
 @dataclass(frozen=True)
@@ -427,31 +412,6 @@ def reconstruction_residual(projected: ProjectedWalkHamiltonian, factors: SqrtFa
     off_diagonal = squares[order][:, [0, 1], [1, 0]] - target[:, [0, 1], [1, 0]]
     misses = (np.abs(off_diagonal).max(initial=0.0), np.abs(diagonal - target_diagonal).max())
     return float(max(misses))
-
-
-def assemble_tilde_h_sparse(
-    factors: SqrtFactors, coloring: EdgeColoring, oracle: SparseChainOracle
-) -> tuple[UnitaryDecomposition, GapAmplifiedHamiltonian]:
-    """Dense oracle: the enlarged operator and its 4(K'+1) unitaries as matrices,
-    built from the factors' dense views and the expansion table of
-    `check_unitary_expansion`. Each color block enters as sqrt(2) * sqrt(h_k) so
-    the ancilla-0 sector of the square recovers the doubled (ordered-pair) edge
-    weights; the boundary block enters unscaled. The weighted sum is checked
-    against the enlarged operator.
-    """
-    levels = _levels(factors)
-    blocks = [scale * factor.sqrt_h for _, factor, (scale, _, _) in levels]
-    g = assemble_gap_amplified(blocks, oracle.n_states)
-    terms: list[tuple[float, np.ndarray]] = []
-    for k, factor, (_, weight, signs) in levels:
-        u = _dense_parts(oracle.n_states, factor.parts)
-        for t, (sign, rotation) in enumerate(zip(signs, 2 * ancilla_rotations(k, g.ancilla_dim))):
-            terms.append((weight, sign * np.kron(u.conj().T if t >= 2 else u, rotation)))
-    decomposition = UnitaryDecomposition(dim=g.dim, terms=tuple(terms))
-    residual = float(np.max(np.abs(decomposition.weighted_sum() - g.operator.matrix)))
-    if residual > _ATOL:
-        raise ValidationError(f"unitary expansion misses the enlarged operator by {residual:.3e}")
-    return decomposition, g
 
 
 def decomposition_manifest(oracle: SparseChainOracle) -> dict:

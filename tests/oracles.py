@@ -1,0 +1,635 @@
+"""Reference code the tests check the package against.
+
+The pipelines evaluate their certified filters on the spectrum of H and never
+build the enlarged space. Everything that does lives here: the dense
+gap-amplified operator, its unitary expansion and exact evolutions, the
+weighted-unitary and evolution-family LCUs with the exact dilation, the dense
+sparse-chain assembly, and the random operators and chain families the tests
+draw from. Each object is small, dense and exact, and nothing in `lculab`
+imports it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
+
+import numpy as np
+
+from lculab.errors import ValidationError
+from lculab.gap_amplification import (
+    UNITARY_ATOL,
+    ProjectorDecomposition,
+    ancilla_coupler,
+    ancilla_rotations,
+    check_weight,
+    require_psd,
+    split_indices,
+    unitarity_defect,
+)
+from lculab.gibbs import HsGrid
+from lculab.inverse import InverseGrid, _check_spectrum
+from lculab.lcu import gaussian_cosine_series, gaussian_weight_sum, gaussian_weights
+from lculab.markov import MarkedPartition, MarkovChain, validate_chain
+from lculab.operators import DIMENSION_CAP, DensityMatrix, HermitianOperator, as_square_matrix
+from lculab.rand import random_unitary
+from lculab.sparse_chain import (
+    _ATOL,
+    EdgeColoring,
+    EdgeSum,
+    SparseChainOracle,
+    SqrtFactors,
+    _dense_parts,
+    _levels,
+    pair_states,
+)
+
+STATE_NORM_ATOL = 1e-12
+_DILATION_TERM_CAP = 1024
+_DILATION_SIZE_CAP = 1 << 18
+_FILTER_CHUNK = 1 << 22
+
+
+# ---------------------------------------------------------------------------
+# Random operators, states, densities and the matrix JSON writer.
+
+def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return scale * (a + a.conj().T) / 2
+
+
+def random_psd(rng: np.random.Generator, dim: int, norm: float = 1.0) -> np.ndarray:
+    """Random positive-semidefinite matrix rescaled to the requested spectral norm."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = a @ a.conj().T
+    top = float(np.linalg.eigvalsh(m).max())
+    return m * (norm / top)
+
+
+def random_projector(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
+    if not 0 < rank <= dim:
+        raise ValidationError(f"rank must be in 1..{dim}")
+    v = random_unitary(rng, dim)[:, :rank]
+    return v @ v.conj().T
+
+
+def perturbed_unitary(rng: np.random.Generator, u: np.ndarray, magnitude: float) -> np.ndarray:
+    """Unitary at spectral distance exactly `magnitude` from u (for 0 < magnitude <= 2)."""
+    dim = u.shape[0]
+    g = random_hermitian(rng, dim)
+    w, v = np.linalg.eigh(g)
+    w = w / float(np.max(np.abs(w)))
+    delta = 2 * np.arcsin(min(magnitude, 2.0) / 2)
+    rot = (v * np.exp(-1j * delta * w)) @ v.conj().T
+    return u @ rot
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """A unit-norm complex vector. Unnormalized data travels as raw arrays."""
+
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        a = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        if a.size == 0:
+            raise ValidationError("empty state vector")
+        if not np.all(np.isfinite(a)):
+            raise ValidationError("state has non-finite amplitudes")
+        norm = float(np.linalg.norm(a))
+        if abs(norm - 1.0) > STATE_NORM_ATOL:
+            raise ValidationError(f"state norm {norm!r} deviates from 1 beyond {STATE_NORM_ATOL:g}")
+        a.flags.writeable = False
+        object.__setattr__(self, "amplitudes", a)
+
+    @property
+    def dim(self) -> int:
+        return self.amplitudes.shape[0]
+
+
+def spectral_projector(h: HermitianOperator, eigenvalue: float, atol: float = 1e-8) -> np.ndarray:
+    """Orthogonal projector onto the eigenspace of the eigenvalues within atol."""
+    w, v = h.eigensystem
+    cols = v[:, np.abs(w - eigenvalue) <= atol]
+    if cols.shape[1] == 0:
+        raise ValidationError(f"no eigenvalue within {atol:g} of {eigenvalue}")
+    return cols @ cols.conj().T
+
+
+def pure_density(state: StateVector) -> DensityMatrix:
+    a = state.amplitudes
+    return DensityMatrix(np.outer(a, a.conj()))
+
+
+def reduced_density(vector: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
+    """Partial trace of a pure bipartite state over the discarded factor.
+
+    `vector` has length dims[0]*dims[1] with the first factor major; keep is
+    0 or 1 for which subsystem survives.
+    """
+    d0, d1 = dims
+    psi = np.asarray(vector, dtype=complex).reshape(d0, d1)
+    if keep == 0:
+        return psi @ psi.conj().T
+    if keep == 1:
+        return psi.T @ psi.conj()
+    raise ValidationError("keep must be 0 or 1")
+
+
+def matrix_to_json(a: np.ndarray) -> dict:
+    """The {"dim", "re", "im"} form `operators.matrix_from_json` reads back exactly."""
+    a = as_square_matrix(a)
+    return {
+        "dim": int(a.shape[0]),
+        "re": [float(x) for x in a.real.reshape(-1)],
+        "im": [float(x) for x in a.imag.reshape(-1)],
+    }
+
+
+# ---------------------------------------------------------------------------
+# The enlarged space: the gap-amplified operator, its unitary expansion and
+# exact evolutions.
+
+def psd_split(h: HermitianOperator | np.ndarray) -> ProjectorDecomposition:
+    """Canonical rank-1 split of a PSD operator: eigenvectors as projectors, eigenvalues as weights.
+
+    A `HermitianOperator` lends its cached eigensystem, so the caller that
+    goes on to use it pays for one eigendecomposition; a matrix is wrapped in
+    a new one.
+    """
+    if not isinstance(h, HermitianOperator):
+        h = HermitianOperator(h)
+    w, v = h.eigensystem
+    require_psd(w)
+    terms = []
+    for i in split_indices(w):
+        col = v[:, i : i + 1]
+        terms.append((float(w[i]), col @ col.conj().T))
+    return ProjectorDecomposition(dim=h.dim, terms=tuple(terms))
+
+
+@dataclass(frozen=True)
+class GapAmplifiedHamiltonian:
+    """The enlarged operator sum_k B_k (x) (|k><0| + |0><k|) with B_k = sqrt(alpha_k) Pi_k.
+
+    Indexing is system-major: basis index = system_index * ancilla_dim + ancilla_index.
+    """
+
+    system_dim: int
+    ancilla_dim: int
+    operator: HermitianOperator
+
+    @property
+    def dim(self) -> int:
+        return self.system_dim * self.ancilla_dim
+
+    def sector_indices(self) -> np.ndarray:
+        return np.arange(self.system_dim) * self.ancilla_dim
+
+    def embed_sector_state(self, phi: np.ndarray) -> np.ndarray:
+        """Lift a system vector into the ancilla-0 sector of the enlarged space."""
+        phi = np.asarray(phi, dtype=complex).reshape(-1)
+        if phi.shape[0] != self.system_dim:
+            raise ValidationError("system dimension mismatch")
+        out = np.zeros(self.dim, dtype=complex)
+        out[self.sector_indices()] = phi
+        return out
+
+    def sector_block(self, mat: np.ndarray) -> np.ndarray:
+        idx = self.sector_indices()
+        return mat[np.ix_(idx, idx)]
+
+
+def assemble_gap_amplified(blocks: list[np.ndarray], system_dim: int) -> GapAmplifiedHamiltonian:
+    """Couple each Hermitian block to its own ancilla level; block k contributes
+    block (x) (|k><0| + |0><k|) for k = 1..len(blocks). The enlarged dimension
+    is checked against the cap before the operator is allocated."""
+    ancilla_dim = len(blocks) + 1
+    dim = system_dim * ancilla_dim
+    if dim > DIMENSION_CAP:
+        raise ValidationError(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
+    total = np.zeros((dim, dim), dtype=complex)
+    for k, block in enumerate(blocks, start=1):
+        total += np.kron(as_square_matrix(block, system_dim), ancilla_coupler(k, ancilla_dim))
+    return GapAmplifiedHamiltonian(
+        system_dim=system_dim,
+        ancilla_dim=ancilla_dim,
+        operator=HermitianOperator(total),
+    )
+
+
+def build_tilde_h(p: ProjectorDecomposition) -> GapAmplifiedHamiltonian:
+    """Gap-amplify a projector decomposition: blocks sqrt(alpha_k) Pi_k, one ancilla level each."""
+    blocks = [math.sqrt(alpha) * proj for alpha, proj in p.terms]
+    return assemble_gap_amplified(blocks, p.dim)
+
+
+def tilde_h_unitary_terms(p: ProjectorDecomposition) -> LcuOperator:
+    """Decompose the enlarged operator of `build_tilde_h(p)` as a positive
+    combination of 2K unitaries.
+
+    Each projector contributes a pair of ancilla rotations
+    exp(-+ i(pi/2)(|k><0| + |0><k|)) acting where the projector acts (identity on
+    its complement), with the +-i phases folded into the unitaries so all
+    weights stay positive at sqrt(alpha_k)/2 each. The weighted sum equals the
+    enlarged operator exactly.
+    """
+    ancilla_dim = len(p.terms) + 1
+    terms: list[tuple[float, np.ndarray]] = []
+    for k, (alpha, proj) in enumerate(p.terms, start=1):
+        rest = np.kron(np.eye(p.dim) - proj, np.eye(ancilla_dim))
+        for phase, rotation in zip((1j, -1j), ancilla_rotations(k, ancilla_dim)):
+            terms.append((math.sqrt(alpha) / 2, phase * (np.kron(proj, rotation) + rest)))
+    return LcuOperator(dim=p.dim * ancilla_dim, terms=tuple(terms))
+
+
+def exact_evolution(g: GapAmplifiedHamiltonian, t: float) -> np.ndarray:
+    """exp(-i t H~) through the cached eigendecomposition; exact up to roundoff."""
+    if not math.isfinite(t):
+        raise ValidationError("evolution time must be finite")
+    w, v = g.operator.eigensystem
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
+# ---------------------------------------------------------------------------
+# Linear combinations of unitaries on the enlarged space, and the dilation.
+
+@dataclass(frozen=True)
+class LcuOperator:
+    """sum_l gamma_l V_l over explicit unitary matrices V_l with positive finite
+    weights gamma_l; gamma_total is the weight sum."""
+
+    dim: int
+    terms: tuple[tuple[float, np.ndarray], ...]
+
+    def __post_init__(self):
+        if not self.terms:
+            raise ValidationError("an LCU needs at least one term")
+        checked = []
+        for i, (gamma, u) in enumerate(self.terms):
+            gamma = check_weight(i, gamma)
+            m = as_square_matrix(u, self.dim)
+            if unitarity_defect(m) > UNITARY_ATOL:
+                raise ValidationError(f"term {i}: matrix is not unitary")
+            m.flags.writeable = False
+            checked.append((gamma, m))
+        object.__setattr__(self, "terms", tuple(checked))
+
+    @property
+    def n_terms(self) -> int:
+        return len(self.terms)
+
+    @property
+    def gamma_total(self) -> float:
+        return sum(gamma for gamma, _ in self.terms)
+
+    def iter_terms(self) -> Iterator[tuple[float, np.ndarray]]:
+        return iter(self.terms)
+
+    def weighted_sum(self) -> np.ndarray:
+        return sum(gamma * u for gamma, u in self.terms)
+
+    def apply_sum(self, x: np.ndarray) -> np.ndarray:
+        """sum_l gamma_l V_l x for a vector or a matrix of column vectors."""
+        return self.weighted_sum() @ np.asarray(x, dtype=complex)
+
+
+@dataclass(frozen=True)
+class EvolutionLcu:
+    """LCU whose unitaries are exp(-i y_j s_b H~) over a symmetric Gaussian grid.
+
+    Term (b, j) has weight scale_weights[b] * w_j and time y_j * scales[b].
+    Because the grid is symmetric in j, the summed operator is the real even
+    filter F(H~) with F(E) = sum_b scale_weights[b] * S_b(E), where S_b is the
+    Gaussian cosine series at argument scales[b] * E. Acting on a state
+    evaluates F on the eigenvalues of H~; `iter_terms` materializes the terms.
+    """
+
+    hamiltonian: GapAmplifiedHamiltonian
+    delta_y: float
+    j_max: int
+    scales: np.ndarray
+    scale_weights: np.ndarray
+
+    def __post_init__(self):
+        scales = np.array(self.scales, dtype=float).reshape(-1)
+        weights = np.array([check_weight(i, w) for i, w in enumerate(np.ravel(self.scale_weights))])
+        if scales.shape != weights.shape or scales.size == 0:
+            raise ValidationError("scales and scale_weights must be matching nonempty arrays")
+        if not (self.delta_y > 0 and self.j_max >= 0):
+            raise ValidationError("need delta_y > 0 and j_max >= 0")
+        scales.flags.writeable = False
+        weights.flags.writeable = False
+        object.__setattr__(self, "scales", scales)
+        object.__setattr__(self, "scale_weights", weights)
+
+    @property
+    def dim(self) -> int:
+        return self.hamiltonian.dim
+
+    @property
+    def n_terms(self) -> int:
+        return len(self.scales) * (2 * self.j_max + 1)
+
+    @property
+    def gamma_total(self) -> float:
+        return float(self.scale_weights.sum()) * gaussian_weight_sum(self.delta_y, self.j_max)
+
+    def filter_values(self, eigenvalues: np.ndarray) -> np.ndarray:
+        """F(E) on an array of eigenvalues, chunked over the scale blocks."""
+        eigs = np.asarray(eigenvalues, dtype=float).reshape(-1)
+        out = np.zeros_like(eigs)
+        block = max(1, _FILTER_CHUNK // max(1, eigs.size))
+        for start in range(0, len(self.scales), block):
+            s = self.scales[start : start + block]
+            b = self.scale_weights[start : start + block]
+            a = np.outer(s, eigs)
+            out += b @ gaussian_cosine_series(a, self.delta_y, self.j_max)
+        return out
+
+    @cached_property
+    def _own_filter(self) -> np.ndarray:
+        w, _ = self.hamiltonian.operator.eigensystem
+        return self.filter_values(w)
+
+    def apply_sum(self, x: np.ndarray) -> np.ndarray:
+        _, v = self.hamiltonian.operator.eigensystem
+        return (v * self._own_filter) @ (v.conj().T @ np.asarray(x, dtype=complex))
+
+    def iter_terms(self) -> Iterator[tuple[float, np.ndarray]]:
+        """Materialize terms one at a time, block-major then j = -J..J."""
+        node_w = gaussian_weights(self.delta_y, self.j_max)
+        for s, b in zip(self.scales, self.scale_weights):
+            for j in range(-self.j_max, self.j_max + 1):
+                t = j * self.delta_y * s
+                yield float(b * node_w[abs(j)]), exact_evolution(self.hamiltonian, t)
+
+    def to_dense(self) -> LcuOperator:
+        _check_materializable(self)
+        return LcuOperator(dim=self.dim, terms=tuple(self.iter_terms()))
+
+
+def _check_materializable(x: LcuOperator | EvolutionLcu) -> None:
+    """Refuse to materialize more terms, or term columns, than a small test can hold."""
+    if x.n_terms > _DILATION_TERM_CAP or x.n_terms * x.dim > _DILATION_SIZE_CAP:
+        raise ValidationError(
+            f"dilation with {x.n_terms} terms on dimension {x.dim} exceeds the materialization cap"
+        )
+
+
+def b_state(weights) -> StateVector:
+    """Coefficient state with amplitudes sqrt(gamma_l / gamma)."""
+    w = np.array([check_weight(i, gamma) for i, gamma in enumerate(np.ravel(weights))])
+    if w.size == 0:
+        raise ValidationError("empty weight list")
+    return StateVector(np.sqrt(w / w.sum()).astype(complex))
+
+
+def coefficient_unitary(weights) -> np.ndarray:
+    """Real unitary whose first column is the coefficient state (a Householder reflection)."""
+    b = b_state(weights).amplitudes.real
+    eye = np.eye(b.shape[0])
+    v = eye[0] - b
+    vv = float(v @ v)
+    if vv < 1e-28:
+        return eye
+    return eye - 2.0 * np.outer(v, v) / vv
+
+
+def extended_lcu_state(x: LcuOperator | EvolutionLcu, phi: StateVector) -> StateVector:
+    """The exact dilated state (B^dagger (x) 1) SELECT (B (x) 1) |phi>|0>.
+
+    System-major layout of dimension dim * L. The ancilla-0 block equals
+    (X/gamma)|phi>, so its norm is the LCU success amplitude. Only sensible for
+    small term counts, so grid-family LCUs must be coarse enough to materialize.
+    """
+    if phi.dim != x.dim:
+        raise ValidationError(f"dimension mismatch: operator {x.dim}, state {phi.dim}")
+    _check_materializable(x)
+    gammas, columns = zip(*((gamma, u @ phi.amplitudes) for gamma, u in x.iter_terms()))
+    b = coefficient_unitary(gammas)
+    # After B: psi[i, l] = phi_i b_l; SELECT applies V_l per ancilla column.
+    psi = np.column_stack(columns) * b[:, 0]
+    psi = psi @ b.conj()
+    return StateVector(psi.reshape(-1))
+
+
+def ancilla_zero_block(state: StateVector, system_dim: int, n_terms: int) -> np.ndarray:
+    """Extract the ancilla-0 system block from a dilated state (system-major layout)."""
+    psi = state.amplitudes.reshape(system_dim, n_terms)
+    return np.array(psi[:, 0])
+
+
+def hs_lcu(grid: HsGrid, g: GapAmplifiedHamiltonian) -> EvolutionLcu:
+    """The combination sum_j w_j exp(-i y_j sqrt(beta) H~) as a structured LCU."""
+    return EvolutionLcu(
+        hamiltonian=g,
+        delta_y=grid.delta_y,
+        j_max=grid.j_max,
+        scales=np.array([math.sqrt(grid.beta)]),
+        scale_weights=np.array([1.0]),
+    )
+
+
+def maximally_entangled_state(n_qubits: int) -> StateVector:
+    """(1/sqrt(N)) sum_s |s>|s> on n_qubits + n_qubits, N = 2^n."""
+    if n_qubits < 1:
+        raise ValidationError("need at least one qubit")
+    n = 2**n_qubits
+    vec = np.zeros(n * n, dtype=complex)
+    vec[np.arange(n) * n + np.arange(n)] = 1.0 / math.sqrt(n)
+    return StateVector(vec)
+
+
+def inverse_lcu(grid: InverseGrid, g: GapAmplifiedHamiltonian) -> EvolutionLcu:
+    """The double-grid combination as a structured LCU over evolutions of H~.
+
+    Uses exp(-i y_j sqrt(2 z_k) H~), the time scale under which the Gaussian
+    identity reproduces exp(-z_k x) exactly on the sector. The spectrum guard
+    reads H's nonzero eigenvalues as those of H~^2, on H~'s own eigensystem.
+    """
+    _check_spectrum(grid, g.operator.eigensystem[0] ** 2)
+    return EvolutionLcu(
+        hamiltonian=g,
+        delta_y=grid.delta_y,
+        j_max=grid.j_max,
+        scales=np.sqrt(2.0 * grid.z_nodes),
+        scale_weights=np.full(grid.k_max + 1, grid.delta_z),
+    )
+
+
+def exponential_grid_error(delta_z: float, k_max: int, x: float) -> float:
+    """|1/x - delta_z sum_k exp(-k delta_z x)| for the z-grid alone (j-grid exact)."""
+    k = np.arange(k_max + 1)
+    return abs(1.0 / x - delta_z * float(np.exp(-k * delta_z * x).sum()))
+
+
+# ---------------------------------------------------------------------------
+# Chain families, the chain JSON writer and survival probabilities.
+
+def lazify(p) -> np.ndarray:
+    """(P + 1)/2: shifts the spectrum into [0, 1] while keeping the fixed point."""
+    mat = np.asarray(p, dtype=float)
+    return (mat + np.eye(mat.shape[0])) / 2
+
+
+def symmetric_two_state() -> MarkovChain:
+    return validate_chain(np.full((2, 2), 0.5))
+
+
+def random_reversible_chain(
+    rng: np.random.Generator,
+    n: int,
+    extra_edges: int | None = None,
+    laziness: float = 0.5,
+    max_degree: int | None = None,
+) -> MarkovChain:
+    """Random walk on a random connected weighted graph, lazified into validity.
+
+    Symmetric edge weights give detailed balance with pi proportional to the
+    weighted degree; the laziness shift keeps the spectrum nonnegative. The
+    transition matrix itself is generally not symmetric (degrees differ).
+    An optional per-node degree cap bounds the sparsity at max_degree + 1.
+    """
+    if n < 2:
+        raise ValidationError("need at least two states")
+    if max_degree is not None and max_degree < 2:
+        raise ValidationError("max_degree below 2 cannot stay connected")
+    w = np.zeros((n, n))
+    degree = np.zeros(n, dtype=int)
+    order = rng.permutation(n)
+
+    def link(a, b):
+        w[a, b] = w[b, a] = rng.uniform(0.2, 1.0)
+        degree[[a, b]] += 1
+
+    for i in range(1, n):
+        if max_degree is None:
+            b = order[rng.integers(0, i)]
+        else:
+            candidates = [order[j] for j in range(i) if degree[order[j]] < max_degree]
+            b = candidates[rng.integers(0, len(candidates))] if candidates else order[rng.integers(0, i)]
+        link(order[i], b)
+    if extra_edges is None:
+        extra_edges = n
+    for _ in range(extra_edges):
+        a, b = rng.integers(0, n, size=2)
+        if a == b or w[a, b] > 0:
+            continue
+        if max_degree is not None and (degree[a] >= max_degree or degree[b] >= max_degree):
+            continue
+        link(a, b)
+    deg = w.sum(axis=0)
+    p = w / deg[None, :]
+    if laziness > 0:
+        p = laziness * np.eye(n) + (1 - laziness) * p
+    return validate_chain(p)
+
+
+def random_sparse_dyadic_chain(
+    rng: np.random.Generator,
+    n: int,
+    degree: int,
+    bits: int = 10,
+    edge_cap_divisor: int = 4,
+) -> MarkovChain:
+    """Sparse reversible chain whose probabilities are exact dyadic rationals k/2^bits.
+
+    Built from integer symmetric edge weights on a bounded-degree connected
+    graph, padded with self-loop weight so every column totals 2^bits; the
+    self-loop majority keeps the spectrum nonnegative. Row/column sparsity is
+    at most degree + 1 (neighbors plus the self-loop). Per-edge weights are
+    capped at 2^bits/(edge_cap_divisor * degree); the default keeps plenty of
+    laziness, and divisor 2 trades laziness for larger spectral gaps (still
+    validated, so a rare unlucky draw raises instead of slipping through).
+    """
+    if degree < 1 or n < 2:
+        raise ValidationError("need degree >= 1 and n >= 2")
+    if edge_cap_divisor < 2:
+        raise ValidationError("edge_cap_divisor below 2 abandons the self-loop majority")
+    denom = 1 << bits
+    w = np.zeros((n, n), dtype=np.int64)
+    neighbor_count = np.zeros(n, dtype=int)
+    order = rng.permutation(n)
+    cap = denom // (edge_cap_divisor * degree)
+
+    def link(a, b):
+        weight = int(rng.integers(1, cap))
+        w[a, b] += weight
+        w[b, a] += weight
+        neighbor_count[[a, b]] += 1
+
+    for i in range(1, n):
+        candidates = [order[j] for j in range(i) if neighbor_count[order[j]] < degree]
+        b = candidates[rng.integers(0, len(candidates))] if candidates else order[rng.integers(0, i)]
+        link(order[i], b)
+    for _ in range(n):
+        a, b = rng.integers(0, n, size=2)
+        if a != b and neighbor_count[a] < degree and neighbor_count[b] < degree and w[a, b] == 0:
+            link(a, b)
+    p = np.zeros((n, n))
+    for s in range(n):
+        off = int(w[:, s].sum())
+        if off >= denom:
+            raise ValidationError("edge weights overflow the dyadic budget")
+        p[:, s] = w[:, s] / denom
+        p[s, s] = (denom - off) / denom
+    return validate_chain(p)
+
+
+def chain_to_json(chain: MarkovChain, marked) -> dict:
+    """The sparse-triplet form `markov.chain_from_json` reads."""
+    rows, cols = np.nonzero(chain.transition)
+    entries = [
+        [int(r), int(c), float(chain.transition[r, c])] for r, c in zip(rows, cols)
+    ]
+    return {
+        "n_states": int(chain.n_states),
+        "entries": entries,
+        "marked": [int(s) for s in sorted(set(marked))],
+    }
+
+
+def survival_probability(mp: MarkedPartition, t_prime: int) -> float:
+    """pi_U <1_U| (P_UU)^t |pi_U>: probability the walk is still unmarked after t steps."""
+    if t_prime < 0:
+        raise ValidationError("t_prime must be nonnegative")
+    power = np.linalg.matrix_power(mp.p_uu, t_prime)
+    return float(mp.pi_u * np.ones(mp.n_unmarked) @ power @ mp.pi_u_conditioned)
+
+
+# ---------------------------------------------------------------------------
+# Dense assembly of the sparse-access construction.
+
+def build_h_bar(oracle: SparseChainOracle) -> tuple[EdgeSum, HermitianOperator]:
+    """The ordered-pair states and their dense sum, which reproduces 1 - S:
+    off-diagonal entries -sqrt(Pr(s|s')Pr(s'|s)), diagonal 1 - Pr(s|s)."""
+    terms = pair_states(oracle)
+    return terms, terms.matrix
+
+
+def assemble_tilde_h_sparse(
+    factors: SqrtFactors, coloring: EdgeColoring, oracle: SparseChainOracle
+) -> tuple[LcuOperator, GapAmplifiedHamiltonian]:
+    """The enlarged operator and its 4(K'+1) unitaries as matrices, built from
+    the factors' dense views and the expansion table of
+    `sparse_chain.check_unitary_expansion`. Each color block enters as
+    sqrt(2) * sqrt(h_k) so the ancilla-0 sector of the square recovers the
+    doubled (ordered-pair) edge weights; the boundary block enters unscaled.
+    The weighted sum is checked against the enlarged operator.
+    """
+    levels = _levels(factors)
+    blocks = [scale * factor.sqrt_h for _, factor, (scale, _, _) in levels]
+    g = assemble_gap_amplified(blocks, oracle.n_states)
+    terms: list[tuple[float, np.ndarray]] = []
+    for k, factor, (_, weight, signs) in levels:
+        u = _dense_parts(oracle.n_states, factor.parts)
+        for t, (sign, rotation) in enumerate(zip(signs, 2 * ancilla_rotations(k, g.ancilla_dim))):
+            terms.append((weight, sign * np.kron(u.conj().T if t >= 2 else u, rotation)))
+    decomposition = LcuOperator(dim=g.dim, terms=tuple(terms))
+    residual = float(np.max(np.abs(decomposition.weighted_sum() - g.operator.matrix)))
+    if residual > _ATOL:
+        raise ValidationError(f"unitary expansion misses the enlarged operator by {residual:.3e}")
+    return decomposition, g

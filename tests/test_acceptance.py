@@ -8,18 +8,12 @@ import math
 
 import numpy as np
 
-from lculab.gap_amplification import (
-    ProjectorDecomposition,
-    build_tilde_h,
-    parse_pauli_lines,
-    psd_split,
-)
-from lculab.gibbs import GibbsTask, calibrate_hs_grid, hs_lcu, prepare_gibbs
+from lculab.gap_amplification import ProjectorDecomposition, parse_pauli_lines
+from lculab.gibbs import GibbsTask, calibrate_hs_grid, prepare_gibbs
 from lculab.inverse import (
     HittingTimeTask,
     calibrate_inverse_grid,
     estimate_hitting_time,
-    inverse_lcu,
     outcome_distribution,
 )
 from lculab.cost import fit_scaling, theorem2_cost, theorem2_log_correction
@@ -33,24 +27,22 @@ from lculab.markov import (
     expected_mc_cost,
     lazy_cycle,
     mark_states,
+)
+from lculab.operators import DensityMatrix, HermitianOperator, matrix_function, trace_distance
+from lculab.rand import random_hermitian_with_spectrum, random_state
+from lculab.sparse_chain import build_sqrt_factors, color_edges, project_h, sparse_oracle
+from oracles import (
+    assemble_tilde_h_sparse,
+    build_h_bar,
+    build_tilde_h,
+    hs_lcu,
+    inverse_lcu,
+    psd_split,
+    random_projector,
+    random_psd,
     random_reversible_chain,
     random_sparse_dyadic_chain,
     symmetric_two_state,
-)
-from lculab.operators import DensityMatrix, HermitianOperator, matrix_function, trace_distance
-from lculab.rand import (
-    random_hermitian_with_spectrum,
-    random_projector,
-    random_psd,
-    random_state,
-)
-from lculab.sparse_chain import (
-    assemble_tilde_h_sparse,
-    build_h_bar,
-    build_sqrt_factors,
-    color_edges,
-    project_h,
-    sparse_oracle,
 )
 
 SEED = 20260810

@@ -9,12 +9,8 @@ import pytest
 
 from lculab import cli, gap_amplification
 from lculab.cli import main
-from lculab.markov import (
-    chain_to_json,
-    lazy_cycle,
-    random_sparse_dyadic_chain,
-    symmetric_two_state,
-)
+from lculab.markov import lazy_cycle
+from oracles import chain_to_json, random_sparse_dyadic_chain, symmetric_two_state
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -90,7 +86,6 @@ class TestGibbsCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("the matrix front door built a projector")
 
-        monkeypatch.setattr(gap_amplification, "psd_split", refuse)
         monkeypatch.setattr(gap_amplification.ProjectorDecomposition, "__post_init__", refuse)
         matrix = {"dim": 3, "re": [2.0, 1.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.5], "im": [0.0] * 9}
         config = _write_config(
@@ -99,6 +94,14 @@ class TestGibbsCommand:
         )
         assert main(["--config", config]) == 0
         assert (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("beta", [1e50, 1e308])
+    def test_huge_beta_is_a_calibration_error(self, tmp_path, capsys, beta):
+        # the node grid needs more nodes than the cap, or its spacing underflows to 0
+        payload = {"command": "gibbs", "hamiltonian": {"pauli": "1.0 Z"}, "beta": beta}
+        config = _write_config(tmp_path, {**payload, "epsilon": 0.1, "out": str(tmp_path / "out")})
+        assert main(["--config", config]) == 3
+        assert "run failed: node grid" in capsys.readouterr().err
 
     def test_pauli_input(self, tmp_path):
         config = _write_config(
@@ -539,6 +542,22 @@ class TestConfigHandling:
         a = (tmp_path / "serial" / "summary.json").read_bytes()
         assert a == (tmp_path / "pool" / "summary.json").read_bytes()
 
+    @pytest.mark.parametrize("command", ["hitting", "appendix-verify"])
+    @pytest.mark.parametrize(
+        "triplet",
+        [["a", 0, 0.5], [None, 0, 0.5], [0, 0, None], [0.7, 0, 0.5], [0, 0, "0.5"]],
+        ids=["string-row", "null-row", "null-probability", "fractional-row", "string-probability"],
+    )
+    def test_chain_triplets_are_typed(self, tmp_path, capsys, command, triplet):
+        chain = _two_state_chain_json()
+        chain["entries"][0] = triplet
+        payload = {"command": command, "chain": chain, "epsilon": 0.1, "out": str(tmp_path / "out")}
+        if command == "appendix-verify":
+            del payload["epsilon"]
+        assert main(["--config", _write_config(tmp_path, payload)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag, field", [("--seed", "seed"), ("--jobs", "jobs")])
     def test_invalid_overrides_rejected_like_config_fields(self, tmp_path, flag, field):
         payload = {
@@ -562,6 +581,7 @@ class TestConfigHandling:
             ({"query_cost_constant": 2.0}, "unknown constants"),
             ({"gate_cost_constant": 2.0}, "unknown constants"),
             ([["mc_sample_constant", 8.0]], "must hold a JSON object"),
+            ({"total_cost_constant": True}, "must be a positive finite number"),
         ],
     )
     def test_bad_constants_file_rejected(self, tmp_path, capsys, overrides, message):

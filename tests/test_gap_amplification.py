@@ -10,17 +10,21 @@ from lculab.cost import evolution_gate_cost, select_unit_cost
 from lculab.errors import ValidationError
 from lculab.gap_amplification import (
     ProjectorDecomposition,
-    assemble_gap_amplified,
-    build_tilde_h,
-    exact_evolution,
     parse_pauli_lines,
-    psd_split,
     split_indices,
-    tilde_h_unitary_terms,
     unitarity_defect,
 )
 from lculab.operators import DIMENSION_CAP, HermitianOperator
-from lculab.rand import random_projector, random_psd, random_state
+from lculab.rand import random_state
+from oracles import (
+    assemble_gap_amplified,
+    build_tilde_h,
+    exact_evolution,
+    psd_split,
+    random_projector,
+    random_psd,
+    tilde_h_unitary_terms,
+)
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 

@@ -5,28 +5,21 @@ import numpy as np
 import pytest
 
 from lculab.errors import PreconditionWarning, ValidationError
-from lculab.gap_amplification import (
-    ProjectorDecomposition,
+from lculab.gap_amplification import ProjectorDecomposition, parse_pauli_lines
+from lculab.gibbs import GibbsTask, calibrate_hs_grid, prepare_gibbs
+from lculab.lcu import amplification_rounds, gaussian_weights
+from lculab.operators import DensityMatrix, HermitianOperator, matrix_function, trace_distance
+from lculab.rand import random_state
+from oracles import (
+    LcuOperator,
     build_tilde_h,
-    parse_pauli_lines,
-    psd_split,
-)
-from lculab.gibbs import (
-    GibbsTask,
-    calibrate_hs_grid,
     hs_lcu,
     maximally_entangled_state,
-    prepare_gibbs,
-)
-from lculab.lcu import LcuOperator, amplification_rounds, gaussian_weights
-from lculab.operators import (
-    DensityMatrix,
-    HermitianOperator,
-    matrix_function,
+    perturbed_unitary,
+    psd_split,
+    random_psd,
     reduced_density,
-    trace_distance,
 )
-from lculab.rand import perturbed_unitary, random_psd, random_state
 
 EPS4 = math.exp(-4)
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from lculab.errors import PreconditionWarning, ValidationError
-from lculab.gap_amplification import build_tilde_h, psd_split
 from lculab.gibbs import calibrate_hs_grid
 from lculab.inverse import (
     HittingTimeTask,
@@ -13,8 +12,6 @@ from lculab.inverse import (
     amplitude_estimation,
     calibrate_inverse_grid,
     estimate_hitting_time,
-    exponential_grid_error,
-    inverse_lcu,
     outcome_distribution,
     t_circuit_expectation,
 )
@@ -23,11 +20,18 @@ from lculab.markov import (
     exact_hitting_time_inverse,
     lazy_cycle,
     mark_states,
-    symmetric_two_state,
     validate_chain,
 )
-from lculab.rand import perturbed_unitary, random_hermitian_with_spectrum, random_state
-from lculab.lcu import LcuOperator
+from lculab.rand import random_hermitian_with_spectrum, random_state
+from oracles import (
+    LcuOperator,
+    build_tilde_h,
+    exponential_grid_error,
+    inverse_lcu,
+    perturbed_unitary,
+    psd_split,
+    symmetric_two_state,
+)
 
 
 def _full_exit_calibration(delta_lower, epsilon):

@@ -6,21 +6,26 @@ from hypothesis import given, settings, strategies as st
 
 from lculab.constants import DEFAULT_CONSTANTS
 from lculab.errors import AnnihilationError, ValidationError
-from lculab.gap_amplification import ProjectorDecomposition, build_tilde_h
-from lculab.gibbs import HsGrid, hs_lcu
+from lculab.gap_amplification import ProjectorDecomposition
+from lculab.gibbs import HsGrid
 from lculab.lcu import (
-    LcuOperator,
     amplification_rounds,
-    ancilla_zero_block,
-    b_state,
-    coefficient_unitary,
-    extended_lcu_state,
     _COSINE_BLOCK,
     gaussian_cosine_series,
     gaussian_weights,
 )
-from lculab.operators import StateVector
-from lculab.rand import random_projector, random_state, random_unitary
+from lculab.rand import random_state, random_unitary
+from oracles import (
+    LcuOperator,
+    StateVector,
+    ancilla_zero_block,
+    b_state,
+    build_tilde_h,
+    coefficient_unitary,
+    extended_lcu_state,
+    hs_lcu,
+    random_projector,
+)
 
 
 class TestBState:

@@ -11,7 +11,6 @@ from lculab.inverse import amplitude_estimation
 from lculab.markov import (
     MAX_TOTAL_WALK_STEPS,
     chain_from_json,
-    chain_to_json,
     classical_mc_estimate,
     chebyshev_sample_count,
     discriminant_matrix,
@@ -20,14 +19,17 @@ from lculab.markov import (
     exact_hitting_time_resolvent,
     exact_variance,
     expected_mc_cost,
-    lazify,
     lazy_cycle,
     mark_states,
+    validate_chain,
+)
+from oracles import (
+    chain_to_json,
+    lazify,
     random_reversible_chain,
     random_sparse_dyadic_chain,
     survival_probability,
     symmetric_two_state,
-    validate_chain,
 )
 
 
@@ -501,3 +503,10 @@ class TestChainJson:
     def test_malformed_rejected(self):
         with pytest.raises(ValidationError):
             chain_from_json({"n_states": 2, "entries": [[0, 0]], "marked": []})
+
+    def test_repeated_index_rejected(self):
+        # the later value would otherwise overwrite the first without a word
+        blob = chain_to_json(symmetric_two_state(), [1])
+        blob["entries"].insert(0, [0, 0, 0.9])
+        with pytest.raises(ValidationError, match="index repeats"):
+            chain_from_json(blob)

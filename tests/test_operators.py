@@ -9,16 +9,19 @@ from lculab.errors import SingularityError, ValidationError
 from lculab.operators import (
     DensityMatrix,
     HermitianOperator,
-    StateVector,
     matrix_from_json,
     matrix_function,
-    matrix_to_json,
-    pure_density,
-    reduced_density,
-    spectral_projector,
     trace_distance,
 )
-from lculab.rand import random_hermitian, random_state, random_unitary
+from lculab.rand import random_state, random_unitary
+from oracles import (
+    StateVector,
+    matrix_to_json,
+    pure_density,
+    random_hermitian,
+    reduced_density,
+    spectral_projector,
+)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 

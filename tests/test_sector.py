@@ -14,24 +14,28 @@ import numpy as np
 import pytest
 
 from lculab.errors import PreconditionWarning, ValidationError
-from lculab.gap_amplification import ProjectorDecomposition, build_tilde_h, psd_split
-from lculab.gibbs import GibbsTask, hs_lcu, prepare_gibbs
+from lculab.gap_amplification import ProjectorDecomposition
+from lculab.gibbs import GibbsTask, prepare_gibbs
 from lculab.inverse import (
     HittingTimeTask,
     calibrate_inverse_grid,
     estimate_hitting_time,
-    inverse_lcu,
     t_circuit_expectation,
 )
-from lculab.lcu import ancilla_zero_block, extended_lcu_state
-from lculab.markov import (
-    discriminant_pair,
-    mark_states,
+from lculab.markov import discriminant_pair, mark_states
+from lculab.operators import HermitianOperator
+from oracles import (
+    StateVector,
+    ancilla_zero_block,
+    build_tilde_h,
+    extended_lcu_state,
+    hs_lcu,
+    inverse_lcu,
+    psd_split,
+    random_projector,
     random_reversible_chain,
     symmetric_two_state,
 )
-from lculab.operators import HermitianOperator, StateVector
-from lculab.rand import random_projector
 
 SEED = 20261018
 TOL = 1e-12

@@ -12,7 +12,6 @@ from lculab.inverse import (
     HittingTimeTask,
     calibrate_inverse_grid,
     estimate_hitting_time,
-    inverse_lcu,
     t_circuit_expectation,
 )
 from lculab.errors import ValidationError
@@ -24,13 +23,9 @@ from lculab.markov import (
     exact_hitting_time_inverse,
     lazy_cycle,
     mark_states,
-    random_reversible_chain,
-    random_sparse_dyadic_chain,
-    symmetric_two_state,
     validate_chain,
 )
 from lculab.sparse_chain import (
-    build_h_bar,
     build_sqrt_factors,
     color_edges,
     decomposition_manifest,
@@ -38,7 +33,14 @@ from lculab.sparse_chain import (
     project_h,
     reconstruction_residual,
     sparse_oracle,
+)
+from oracles import (
     assemble_tilde_h_sparse,
+    build_h_bar,
+    inverse_lcu,
+    random_reversible_chain,
+    random_sparse_dyadic_chain,
+    symmetric_two_state,
 )
 
 
