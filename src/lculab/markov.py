@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,56 +37,61 @@ _DRAW_BLOCK = 32
 
 @dataclass(frozen=True)
 class MarkovChain:
-    """Validated reversible, irreducible, aperiodic chain with nonnegative spectrum."""
+    """Validated reversible, irreducible, aperiodic chain with nonnegative spectrum.
+
+    `edges` lists the pairs (a, b) with Pr(b|a) > 0, ordered by a and then b;
+    it is the chain's sparsity pattern, read once from the matrix.
+    """
 
     transition: np.ndarray
     stationary: np.ndarray
-    sparsity: int
+    edges: np.ndarray
 
     @property
     def n_states(self) -> int:
         return self.transition.shape[0]
 
-
-def _support_components(adj: np.ndarray) -> bool:
-    """True when the (symmetric) support graph is connected."""
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for u in np.nonzero(adj[v])[0]:
-            if not seen[u]:
-                seen[u] = True
-                stack.append(int(u))
-    return bool(seen.all())
+    @cached_property
+    def sparsity(self) -> int:
+        """The most states one state can step to (itself included)."""
+        return int(np.bincount(self.edges[:, 0]).max())
 
 
-def _is_bipartite(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    color = np.full(n, -1, dtype=int)
-    color[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in np.nonzero(adj[v])[0]:
-            if u == v:
-                return False
-            if color[u] == -1:
-                color[u] = 1 - color[v]
-                stack.append(int(u))
-            elif color[u] == color[v]:
-                return False
-    return True
+def _breadth_first(n: int, a: np.ndarray, b: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """Breadth-first search from state 0 along the edges (a, b), sorted by a.
+
+    Returns the reached states in the order reached, and per state its depth
+    (-1 if not reached) and its parent in the search tree.
+    """
+    bounds = np.searchsorted(a, np.arange(n + 1)).tolist()
+    targets = b.tolist()
+    depth = [-1] * n
+    parent = [0] * n
+    depth[0] = 0
+    order = [0]
+    for v in order:
+        for u in targets[bounds[v] : bounds[v + 1]]:
+            if depth[u] < 0:
+                depth[u] = depth[v] + 1
+                parent[u] = v
+                order.append(u)
+    return order, np.array(depth), np.array(parent)
 
 
 def validate_chain(p, require_nonnegative_spectrum: bool = True) -> MarkovChain:
     """Build a MarkovChain from a raw column-stochastic matrix, or reject it.
 
-    Checks, in order: shape and nonnegativity, column sums, connectivity of
-    the support, the fixed point, detailed balance, aperiodicity, and
-    nonnegativity of the spectrum (through the symmetrized similar matrix).
+    The nonzeros of P are read once, as the edges (a, b) with Pr(b|a) > 0.
+    One breadth-first search from state 0 over them gives connectivity,
+    bipartiteness and a spanning tree, along which pi follows from
+    pi_b / pi_a = Pr(b|a) / Pr(a|b); detailed balance on every edge then
+    certifies pi (Kolmogorov's criterion).
+
+    Checks, in order: shape and nonnegativity, column sums, that every state
+    is reached, a symmetric support, detailed balance on every edge, the
+    fixed-point residual, aperiodicity (some edge, self-loops included, joins
+    two depths of equal parity), and nonnegativity of the spectrum (through
+    the symmetrized similar matrix).
 
     A state with no self-loop whose neighbors are all outside its block forces
     a negative eigenvalue, so the classical hitting-time formulas are also
@@ -95,7 +101,8 @@ def validate_chain(p, require_nonnegative_spectrum: bool = True) -> MarkovChain:
     mat = np.array(p, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"transition matrix must be square, got shape {mat.shape}")
-    if mat.shape[0] < 2:
+    n = mat.shape[0]
+    if n < 2:
         raise ValidationError("need at least two states")
     if not np.all(np.isfinite(mat)) or np.any(mat < 0):
         raise ValidationError("transition probabilities must be finite and nonnegative")
@@ -103,28 +110,30 @@ def validate_chain(p, require_nonnegative_spectrum: bool = True) -> MarkovChain:
     if np.max(np.abs(col_sums - 1.0)) > COLUMN_SUM_ATOL:
         raise ValidationError("columns must sum to 1 (column-stochastic convention)")
 
-    support = mat > 0
-    if not _support_components(support | support.T):
+    a, b = np.nonzero(mat.T)
+    order, depth, parent = _breadth_first(n, a, b)
+    if len(order) < n:
         raise ValidationError("chain is reducible (support graph not connected)")
+    forward, backward = mat[b, a], mat[a, b]
+    if not np.all(backward > 0):
+        raise ValidationError("support is not symmetric")
 
-    w, vecs = np.linalg.eig(mat)
-    idx = int(np.argmin(np.abs(w - 1.0)))
-    if abs(w[idx] - 1.0) > 1e-9:
-        raise ValidationError("no eigenvalue 1: not a stochastic fixed point")
-    pi = np.real(vecs[:, idx])
-    pi = pi / pi.sum()
-    if np.any(pi <= 0):
+    child = np.array(order[1:])
+    up = parent[child]
+    ratio = mat[child, up] / mat[up, child]
+    pi = [1.0] * n
+    for s, q, r in zip(child.tolist(), up.tolist(), ratio.tolist()):
+        pi[s] = pi[q] * r
+    pi = np.array(pi)
+    pi /= pi.sum()
+    if not np.all(pi > 0):
         raise ValidationError("stationary vector is not strictly positive")
+    if np.max(np.abs(forward * pi[a] - backward * pi[b])) > DETAILED_BALANCE_ATOL:
+        raise ValidationError("detailed balance fails: chain is not reversible")
     if np.max(np.abs(mat @ pi - pi)) > 1e-9:
         raise ValidationError("fixed-point residual too large")
 
-    balance = mat * pi[None, :]
-    if np.max(np.abs(balance - balance.T)) > DETAILED_BALANCE_ATOL:
-        raise ValidationError("detailed balance fails: chain is not reversible")
-    if not np.allclose(support, support.T):
-        raise ValidationError("support is not symmetric")
-
-    if not np.any(np.diag(mat) > 0) and _is_bipartite(support):
+    if np.all(depth[a] % 2 != depth[b] % 2):
         raise ValidationError("chain is periodic (bipartite support, no self-loops)")
 
     if require_nonnegative_spectrum:
@@ -135,10 +144,10 @@ def validate_chain(p, require_nonnegative_spectrum: bool = True) -> MarkovChain:
                 f"spectrum has negative eigenvalue {eigs.min():.3e}; lazify the chain first"
             )
 
-    mat.flags.writeable = False
-    pi.flags.writeable = False
-    sparsity = int(max(np.count_nonzero(mat, axis=0).max(), np.count_nonzero(mat, axis=1).max()))
-    return MarkovChain(transition=mat, stationary=pi, sparsity=sparsity)
+    edges = np.stack([a, b], axis=1)
+    for arr in (mat, pi, edges):
+        arr.flags.writeable = False
+    return MarkovChain(transition=mat, stationary=pi, edges=edges)
 
 
 def discriminant_matrix(p: np.ndarray) -> np.ndarray:
@@ -212,7 +221,6 @@ class DiscriminantPair:
     smallest eigenvalue, and 1/delta upper-bounds t_h / pi_U.
     """
 
-    s_matrix: np.ndarray
     h_matrix: HermitianOperator
     delta: float
 
@@ -237,8 +245,7 @@ def discriminant_pair(mp: MarkedPartition) -> DiscriminantPair:
         raise ValidationError(f"restricted Hamiltonian is not positive: delta = {delta:.3e}")
     if float(h.eigensystem[0][-1]) > 1.0 + 1e-9:
         raise ValidationError("restricted Hamiltonian exceeds 1; chain spectrum has negatives")
-    s.flags.writeable = False
-    return DiscriminantPair(s_matrix=s, h_matrix=h, delta=delta)
+    return DiscriminantPair(h_matrix=h, delta=delta)
 
 
 def exact_hitting_time_resolvent(mp: MarkedPartition) -> float:
@@ -387,7 +394,7 @@ def _step_table(chain: MarkovChain, cum_cols: np.ndarray) -> tuple[np.ndarray, n
     searchsorted(cum_cols[:, s], u, side="right") picks, found in
     O(sparsity) work.
     """
-    cols, rows = np.nonzero(chain.transition.T)
+    cols, rows = chain.edges.T
     counts = np.bincount(cols, minlength=chain.n_states)
     rank = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
     targets = np.zeros((chain.n_states, chain.sparsity), dtype=np.intp)
@@ -419,6 +426,26 @@ def lazy_cycle(n: int, stay: float = 0.5) -> MarkovChain:
 # ---------------------------------------------------------------------------
 # Sparse-triplet JSON wire format.
 
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def parse_triplet(item) -> tuple[int, int, float]:
+    """(row, col, Pr(row|col)) from a chain entry [integer, integer, number].
+
+    Python and numpy integers and floats are numbers; bools, strings, nulls
+    and fractional indices raise ValidationError.
+    """
+    if (
+        not isinstance(item, (list, tuple))
+        or len(item) != 3
+        or not all(isinstance(x, _NUMBERS) and type(x) is not bool for x in item)
+        or item[0] % 1
+        or item[1] % 1
+    ):
+        raise ValidationError(f"chain entry {item!r} is not [integer, integer, number]")
+    return int(item[0]), int(item[1]), float(item[2])
+
+
 def chain_from_json(obj: dict) -> tuple[MarkovChain, tuple[int, ...]]:
     try:
         n = int(obj["n_states"])
@@ -432,13 +459,13 @@ def chain_from_json(obj: dict) -> tuple[MarkovChain, tuple[int, ...]]:
     if n_unmarked > DIMENSION_CAP:
         raise ValidationError(f"{n_unmarked} unmarked states exceed cap {DIMENSION_CAP}")
     p = np.zeros((n, n))
+    seen = set()
     for item in entries:
-        if len(item) != 3:
-            raise ValidationError(f"bad triplet {item!r}")
-        r, c, prob = int(item[0]), int(item[1]), float(item[2])
+        r, c, prob = parse_triplet(item)
         if not (0 <= r < n and 0 <= c < n):
             raise ValidationError(f"triplet index out of range: {item!r}")
+        if (r, c) in seen:
+            raise ValidationError("a (row, col) index repeats in the triplets")
+        seen.add((r, c))
         p[r, c] = prob
-    if len({(int(r), int(c)) for r, c, _ in entries}) < len(entries):
-        raise ValidationError("a (row, col) index repeats in the triplets")
     return validate_chain(p), marked

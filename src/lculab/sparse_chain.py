@@ -1,8 +1,8 @@
 """Sparse-access construction of the gap-amplified walk Hamiltonian.
 
-From neighbor-list access to a reversible chain, the symmetrized walk operator
-1 - S is assembled as a sum of rank-1 projectors onto two-coordinate states,
-one per ordered neighbor pair. Restricting to the unmarked block and grouping
+From edge-list access to a reversible chain and its marked set, the
+symmetrized walk operator 1 - S is assembled as a sum of rank-1 projectors
+onto two-coordinate states, one per ordered edge. Restricting to the unmarked block and grouping
 the surviving pairs by a proper edge coloring makes each group a sum of
 orthogonal projectors, whose square root is exactly expressible through a
 single unitary Z_k that is the identity apart from one 2x2 block per edge. A
@@ -43,20 +43,10 @@ _BOUNDARY_TERMS = (1.0, 0.25, (1j, -1j, 1j, -1j))
 
 @dataclass(frozen=True)
 class SparseChainOracle:
-    """Neighbor-list access to a reversible chain plus marked membership.
-
-    For each state s, `neighbors[s]` lists (s', Pr(s|s'), Pr(s'|s)) over the
-    states s' with a nonzero transition either way; reversibility makes the
-    listing symmetric. Sparsity d is the largest list length.
-    """
+    """Sparse access to a validated chain, through its edge list, plus marked membership."""
 
     chain: MarkovChain
     marked: tuple[int, ...]
-    neighbors: tuple[tuple[tuple[int, float, float], ...], ...]
-    d: int
-
-    def is_marked(self, state: int) -> bool:
-        return state in self.marked
 
     @property
     def n_states(self) -> int:
@@ -74,10 +64,10 @@ class SparseChainOracle:
 
     @cached_property
     def pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The listed pairs (s, s'), s != s', by s then s', with Pr(s|s') and Pr(s'|s)."""
+        """The chain's edges (s, s'), s != s', by s then s', with Pr(s|s') and Pr(s'|s)."""
         p = self.chain.transition
-        pairs = np.argwhere(p)
-        s, sp = pairs[pairs[:, 0] != pairs[:, 1]].T
+        edges = self.chain.edges
+        s, sp = edges[edges[:, 0] != edges[:, 1]].T
         return np.stack([s, sp], axis=1), p[s, sp], p[sp, s]
 
 
@@ -87,21 +77,7 @@ def sparse_oracle(chain: MarkovChain, marked) -> SparseChainOracle:
         raise ValidationError("marked set must be nonempty and proper")
     if marked[0] < 0 or marked[-1] >= chain.n_states:
         raise ValidationError("marked state out of range")
-    p = chain.transition
-    # candidates of s: Pr(s|s') != 0 along row s and Pr(s'|s) != 0 down column s
-    states, others = np.nonzero(p)
-    mirrored = np.nonzero(p.T)
-    if not (np.array_equal(states, mirrored[0]) and np.array_equal(others, mirrored[1])):
-        raise ValidationError("support is not symmetric; chain is not reversible")
-    columns = (others.tolist(), p[states, others].tolist(), p[others, states].tolist())
-    bounds = np.searchsorted(states, np.arange(chain.n_states + 1)).tolist()
-    listing = tuple(
-        tuple(zip(*(c[lo:hi] for c in columns))) for lo, hi in zip(bounds, bounds[1:])
-    )
-    d = max(len(row) for row in listing)
-    if d != chain.sparsity:
-        raise ValidationError("neighbor lists disagree with the dense sparsity")
-    return SparseChainOracle(chain=chain, marked=marked, neighbors=listing, d=d)
+    return SparseChainOracle(chain=chain, marked=marked)
 
 
 def _pair_data(p_to: np.ndarray, p_from: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,10 +138,6 @@ class ProjectedWalkHamiltonian(EdgeSum):
 
     unmarked: tuple[int, ...] = ()
 
-    @property
-    def boundary(self) -> np.ndarray:
-        return self.diagonal
-
     def restricted(self) -> np.ndarray:
         idx = list(self.unmarked)
         return self.matrix.matrix[np.ix_(idx, idx)]
@@ -205,7 +177,6 @@ def _boundary_weights(oracle: SparseChainOracle) -> np.ndarray:
 class EdgeColoring:
     """Proper coloring of the unmarked-block edges: classes are matchings."""
 
-    edges: tuple[tuple[int, int], ...]
     classes: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
@@ -229,7 +200,7 @@ def color_edges(oracle: SparseChainOracle) -> EdgeColoring:
     classes = tuple(
         tuple(e for e, c in zip(edges, assignment) if c == k) for k in range(n_colors)
     )
-    return EdgeColoring(edges=tuple(edges), classes=classes)
+    return EdgeColoring(classes=classes)
 
 
 # An operator F given by its parts (pairs, blocks, off): 2x2 blocks on disjoint

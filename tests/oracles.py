@@ -4,8 +4,8 @@ The pipelines evaluate their certified filters on the spectrum of H and never
 build the enlarged space. Everything that does lives here: the dense
 gap-amplified operator, its unitary expansion and exact evolutions, the
 weighted-unitary and evolution-family LCUs with the exact dilation, the dense
-sparse-chain assembly, and the random operators and chain families the tests
-draw from. Each object is small, dense and exact, and nothing in `lculab`
+sparse-chain assembly, the eigenvector-based chain validation, and the random
+operators and chain families the tests draw from. Each object is small, dense and exact, and nothing in `lculab`
 imports it.
 """
 
@@ -32,7 +32,15 @@ from lculab.gap_amplification import (
 from lculab.gibbs import HsGrid
 from lculab.inverse import InverseGrid, _check_spectrum
 from lculab.lcu import gaussian_cosine_series, gaussian_weight_sum, gaussian_weights
-from lculab.markov import MarkedPartition, MarkovChain, validate_chain
+from lculab.markov import (
+    COLUMN_SUM_ATOL,
+    DETAILED_BALANCE_ATOL,
+    EIGENVALUE_FLOOR,
+    MarkedPartition,
+    MarkovChain,
+    discriminant_matrix,
+    validate_chain,
+)
 from lculab.operators import DIMENSION_CAP, DensityMatrix, HermitianOperator, as_square_matrix
 from lculab.rand import random_unitary
 from lculab.sparse_chain import (
@@ -467,6 +475,95 @@ def exponential_grid_error(delta_z: float, k_max: int, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Chain validation through the eigenvector of eigenvalue 1.
+
+def _support_connected(adj: np.ndarray) -> bool:
+    """True when the (symmetric) support graph is connected."""
+    n = adj.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        v = stack.pop()
+        for u in np.nonzero(adj[v])[0]:
+            if not seen[u]:
+                seen[u] = True
+                stack.append(int(u))
+    return bool(seen.all())
+
+
+def _is_bipartite(adj: np.ndarray) -> bool:
+    n = adj.shape[0]
+    color = np.full(n, -1, dtype=int)
+    color[0] = 0
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for u in np.nonzero(adj[v])[0]:
+            if u == v:
+                return False
+            if color[u] == -1:
+                color[u] = 1 - color[v]
+                stack.append(int(u))
+            elif color[u] == color[v]:
+                return False
+    return True
+
+
+def eig_validate_chain(p, require_nonnegative_spectrum: bool = True) -> MarkovChain:
+    """The dense validation `markov.validate_chain` replaced, as its reference.
+
+    pi is the eigenvector of eigenvalue 1 from a nonsymmetric `np.linalg.eig`
+    of P; connectivity and bipartiteness are scans of the dense support, and
+    detailed balance is checked on the whole N x N flow matrix. Checks, in
+    order: shape and nonnegativity, column sums, connectivity of the support,
+    the fixed point, detailed balance, a symmetric support, aperiodicity and
+    the spectrum.
+    """
+    mat = np.array(p, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValidationError(f"transition matrix must be square, got shape {mat.shape}")
+    if mat.shape[0] < 2:
+        raise ValidationError("need at least two states")
+    if not np.all(np.isfinite(mat)) or np.any(mat < 0):
+        raise ValidationError("transition probabilities must be finite and nonnegative")
+    if np.max(np.abs(mat.sum(axis=0) - 1.0)) > COLUMN_SUM_ATOL:
+        raise ValidationError("columns must sum to 1 (column-stochastic convention)")
+
+    support = mat > 0
+    if not _support_connected(support | support.T):
+        raise ValidationError("chain is reducible (support graph not connected)")
+
+    w, vecs = np.linalg.eig(mat)
+    idx = int(np.argmin(np.abs(w - 1.0)))
+    if abs(w[idx] - 1.0) > 1e-9:
+        raise ValidationError("no eigenvalue 1: not a stochastic fixed point")
+    pi = np.real(vecs[:, idx])
+    pi = pi / pi.sum()
+    if np.any(pi <= 0):
+        raise ValidationError("stationary vector is not strictly positive")
+    if np.max(np.abs(mat @ pi - pi)) > 1e-9:
+        raise ValidationError("fixed-point residual too large")
+
+    balance = mat * pi[None, :]
+    if np.max(np.abs(balance - balance.T)) > DETAILED_BALANCE_ATOL:
+        raise ValidationError("detailed balance fails: chain is not reversible")
+    if not np.array_equal(support, support.T):
+        raise ValidationError("support is not symmetric")
+
+    if not np.any(np.diag(mat) > 0) and _is_bipartite(support):
+        raise ValidationError("chain is periodic (bipartite support, no self-loops)")
+
+    if require_nonnegative_spectrum:
+        eigs = np.linalg.eigvalsh(discriminant_matrix(mat))
+        if float(eigs.min()) < EIGENVALUE_FLOOR:
+            raise ValidationError(
+                f"spectrum has negative eigenvalue {eigs.min():.3e}; lazify the chain first"
+            )
+    return MarkovChain(transition=mat, stationary=pi, edges=np.argwhere(mat.T))
+
+
+# ---------------------------------------------------------------------------
 # Chain families, the chain JSON writer and survival probabilities.
 
 def lazify(p) -> np.ndarray:
@@ -479,14 +576,19 @@ def symmetric_two_state() -> MarkovChain:
     return validate_chain(np.full((2, 2), 0.5))
 
 
-def random_reversible_chain(
+def random_reversible_chain(rng: np.random.Generator, n: int, **kwargs) -> MarkovChain:
+    return validate_chain(random_reversible_matrix(rng, n, **kwargs))
+
+
+def random_reversible_matrix(
     rng: np.random.Generator,
     n: int,
     extra_edges: int | None = None,
     laziness: float = 0.5,
     max_degree: int | None = None,
-) -> MarkovChain:
-    """Random walk on a random connected weighted graph, lazified into validity.
+) -> np.ndarray:
+    """Transition matrix of a random walk on a random connected weighted graph,
+    lazified into validity.
 
     Symmetric edge weights give detailed balance with pi proportional to the
     weighted degree; the laziness shift keeps the spectrum nonnegative. The
@@ -525,25 +627,33 @@ def random_reversible_chain(
     p = w / deg[None, :]
     if laziness > 0:
         p = laziness * np.eye(n) + (1 - laziness) * p
-    return validate_chain(p)
+    return p
 
 
 def random_sparse_dyadic_chain(
+    rng: np.random.Generator, n: int, degree: int, **kwargs
+) -> MarkovChain:
+    return validate_chain(random_sparse_dyadic_matrix(rng, n, degree, **kwargs))
+
+
+def random_sparse_dyadic_matrix(
     rng: np.random.Generator,
     n: int,
     degree: int,
     bits: int = 10,
     edge_cap_divisor: int = 4,
-) -> MarkovChain:
-    """Sparse reversible chain whose probabilities are exact dyadic rationals k/2^bits.
+) -> np.ndarray:
+    """Transition matrix of a sparse reversible chain whose probabilities are
+    exact dyadic rationals k/2^bits.
 
     Built from integer symmetric edge weights on a bounded-degree connected
     graph, padded with self-loop weight so every column totals 2^bits; the
     self-loop majority keeps the spectrum nonnegative. Row/column sparsity is
     at most degree + 1 (neighbors plus the self-loop). Per-edge weights are
     capped at 2^bits/(edge_cap_divisor * degree); the default keeps plenty of
-    laziness, and divisor 2 trades laziness for larger spectral gaps (still
-    validated, so a rare unlucky draw raises instead of slipping through).
+    laziness, and divisor 2 trades laziness for larger spectral gaps
+    (`random_sparse_dyadic_chain` validates the result, so a rare unlucky
+    draw raises instead of slipping through).
     """
     if degree < 1 or n < 2:
         raise ValidationError("need degree >= 1 and n >= 2")
@@ -576,7 +686,7 @@ def random_sparse_dyadic_chain(
             raise ValidationError("edge weights overflow the dyadic budget")
         p[:, s] = w[:, s] / denom
         p[s, s] = (denom - off) / denom
-    return validate_chain(p)
+    return p
 
 
 def chain_to_json(chain: MarkovChain, marked) -> dict:

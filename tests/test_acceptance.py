@@ -316,7 +316,7 @@ def test_criterion_8_sparse_reconstruction():
         assert gap <= 1e-10
         worst = max(worst, gap)
         coloring = color_edges(oracle)
-        assert coloring.n_colors <= 2 * oracle.d - 1
+        assert coloring.n_colors <= 2 * chain.sparsity - 1
         for edge_class in coloring.classes:
             vertices = [v for e in edge_class for v in e]
             assert len(vertices) == len(set(vertices))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,9 +26,12 @@ from lculab.markov import (
 )
 from oracles import (
     chain_to_json,
+    eig_validate_chain,
     lazify,
     random_reversible_chain,
+    random_reversible_matrix,
     random_sparse_dyadic_chain,
+    random_sparse_dyadic_matrix,
     survival_probability,
     symmetric_two_state,
 )
@@ -95,6 +99,127 @@ class TestValidateChain:
         scaled = chain.transition * (1 << 10)
         np.testing.assert_array_equal(scaled, np.round(scaled))
         assert chain.sparsity <= 6
+
+
+def _family_matrix(family: str, seed: int) -> np.ndarray:
+    """A raw transition matrix from one of the chain families the validation
+    must sort: valid, periodic, reducible, irreversible, or with an asymmetric
+    support."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 13))
+    extra = int(rng.integers(0, n + 1))
+    if family in ("reversible", "lazy-reversible"):
+        # without laziness the walk may be periodic or have negative eigenvalues
+        laziness = 0.5 if family == "lazy-reversible" else 0.0
+        return random_reversible_matrix(rng, n, extra_edges=extra, laziness=laziness)
+    if family == "dyadic":
+        return random_sparse_dyadic_matrix(rng, n, degree=int(rng.integers(1, 5)))
+    if family == "bipartite":
+        # the walk on a tree, with no self-loops
+        return random_reversible_matrix(rng, n, extra_edges=0, laziness=0.0)
+    if family == "reducible":
+        k = int(rng.integers(1, n - 1))
+        p = np.zeros((n, n))
+        p[:k, :k] = lazify(np.full((k, k), 1 / k))
+        p[k:, k:] = random_reversible_matrix(rng, n - k)
+        return p
+    if family == "directed-3-cycle":
+        # stay, step forward and step back, in eighths
+        stay, forward = sorted(int(x) for x in rng.integers(0, 9, size=2))
+        forward -= stay
+        p = np.zeros((3, 3))
+        for s in range(3):
+            p[s, s] += stay / 8
+            p[(s + 1) % 3, s] += forward / 8
+            p[(s - 1) % 3, s] += (8 - stay - forward) / 8
+        return p
+    if family == "one-way-edge":
+        # a tree walk plus one edge a -> b with no way back: still irreducible
+        p = random_reversible_matrix(rng, n, extra_edges=0)
+        b, a = np.argwhere(p == 0)[rng.integers(0, np.count_nonzero(p == 0))]
+        p[a, a] /= 2
+        p[b, a] = p[a, a]
+        return p
+    raise KeyError(family)
+
+
+_FAMILIES = (
+    "reversible", "lazy-reversible", "dyadic", "bipartite", "reducible",
+    "directed-3-cycle", "one-way-edge",
+)
+
+
+def _verdict(validate, p):
+    """The stationary vector of an accepted chain, or the rejection message."""
+    try:
+        return validate(p).stationary
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _exact_stationary(p: np.ndarray) -> list[Fraction]:
+    """The exact stationary vector of a float matrix whose columns sum to 1
+    exactly: (P - 1) pi = 0 with the last row replaced by sum(pi) = 1, by
+    Gauss-Jordan elimination over the rationals."""
+    n = p.shape[0]
+    rows = [
+        [Fraction(float(p[i, j])) - (i == j) for j in range(n)] + [Fraction(0)]
+        for i in range(n - 1)
+    ]
+    rows.append([Fraction(1)] * (n + 1))
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+class TestTreeStationaryVector:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_FAMILIES), st.integers(0, 10**6))
+    def test_same_verdict_as_the_eigenvector_reference(self, family, seed):
+        p = _family_matrix(family, seed)
+        support = p > 0
+        if not np.array_equal(support, support.T):
+            with pytest.raises(ValidationError, match="^support is not symmetric$"):
+                validate_chain(p)
+            return
+        new, ref = _verdict(validate_chain, p), _verdict(eig_validate_chain, p)
+        assert type(new) is type(ref)
+        if isinstance(ref, str):
+            assert new == ref
+        else:
+            np.testing.assert_allclose(new, ref, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            *(lazy_cycle(n, stay).transition for n in (3, 4, 7, 12) for stay in (0.5, 0.75)),
+            *(
+                random_sparse_dyadic_matrix(np.random.default_rng(seed), n, degree=3)
+                for seed, n in ((1, 2), (2, 5), (3, 9), (4, 12), (5, 12))
+            ),
+        ],
+    )
+    def test_no_further_from_exact_than_the_reference(self, p):
+        exact = _exact_stationary(p)
+
+        def distance(pi):
+            return max(abs(Fraction(float(x)) - e) for x, e in zip(pi, exact))
+
+        assert distance(validate_chain(p).stationary) <= distance(
+            eig_validate_chain(p).stationary
+        )
+
+    def test_edges_are_the_sorted_nonzeros(self, rng):
+        chain = random_reversible_chain(rng, 9, max_degree=3)
+        a, b = chain.edges.T
+        assert np.all(chain.transition[b, a] > 0)
+        assert chain.edges.tolist() == np.argwhere(chain.transition.T).tolist()
+        assert chain.sparsity == np.count_nonzero(chain.transition, axis=0).max()
 
 
 class TestMarkedPartition:
@@ -295,7 +420,7 @@ class TestClassicalEstimator:
     def test_draw_below_one_past_short_stationary_table(self, monkeypatch):
         # this chain's stationary cumulative sum ends below 1; a start draw
         # between it and 1 must still land on the last state, here marked
-        chain = random_reversible_chain(np.random.default_rng(2), 12)
+        chain = random_reversible_chain(np.random.default_rng(0), 12)
         assert np.cumsum(chain.stationary)[-1] < 1.0
         mp = mark_states(chain, [11])
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _BelowOneDraws())
@@ -503,6 +628,24 @@ class TestChainJson:
     def test_malformed_rejected(self):
         with pytest.raises(ValidationError):
             chain_from_json({"n_states": 2, "entries": [[0, 0]], "marked": []})
+
+    @pytest.mark.parametrize(
+        "triplet",
+        [["a", 0, 0.5], [0, 0, None], [1.7, 0, 0.5], [True, 0, 0.5], ["1", 0, "0.5"]],
+        ids=["string-row", "null-probability", "fractional-row", "bool-row", "strings"],
+    )
+    def test_triplets_are_typed(self, triplet):
+        # each stands in for [1, 0, 0.5], which the last three coerce to
+        blob = chain_to_json(symmetric_two_state(), [1])
+        blob["entries"][blob["entries"].index([1, 0, 0.5])] = triplet
+        with pytest.raises(ValidationError, match=r"is not \[integer, integer, number\]"):
+            chain_from_json(blob)
+
+    def test_numpy_numbers_accepted(self):
+        blob = chain_to_json(symmetric_two_state(), [1])
+        blob["entries"] = [[np.int64(r), np.int64(c), np.float64(v)] for r, c, v in blob["entries"]]
+        chain, _ = chain_from_json(blob)
+        np.testing.assert_array_equal(chain.transition, symmetric_two_state().transition)
 
     def test_repeated_index_rejected(self):
         # the later value would otherwise overwrite the first without a word

@@ -17,7 +17,7 @@ from lculab.inverse import (
 from lculab.errors import ValidationError
 from lculab import sparse_chain
 from lculab.markov import (
-    MarkovChain,
+    chain_from_json,
     discriminant_matrix,
     discriminant_pair,
     exact_hitting_time_inverse,
@@ -40,6 +40,7 @@ from oracles import (
     inverse_lcu,
     random_reversible_chain,
     random_sparse_dyadic_chain,
+    random_sparse_dyadic_matrix,
     symmetric_two_state,
 )
 
@@ -54,13 +55,14 @@ def _pipeline(chain, marked):
     return oracle, terms, h_bar, projected, coloring, factors, decomposition, g
 
 
-def _scan_neighbors(chain):
-    """The O(N^2) neighbor scan `sparse_oracle` used to run, as its reference."""
-    p = chain.transition
+def _scan_neighbors(p):
+    """The O(N^2) neighbor scan of a transition matrix: per state s, the
+    (s', Pr(s|s'), Pr(s'|s)) with a nonzero transition either way."""
+    n = p.shape[0]
     listing = []
-    for s in range(chain.n_states):
+    for s in range(n):
         row = []
-        for sp in range(chain.n_states):
+        for sp in range(n):
             to_s = float(p[s, sp])   # Pr(s | s')
             from_s = float(p[sp, s])  # Pr(s' | s)
             if to_s != 0.0 or from_s != 0.0:
@@ -100,21 +102,18 @@ def _sparse_expectation(grid, g, mp):
 class TestOracle:
     def test_lookup_matches_dense(self, rng):
         chain = random_sparse_dyadic_chain(rng, 10, degree=3)
-        oracle = sparse_oracle(chain, [0])
+        pairs, to_s, from_s = sparse_oracle(chain, [0]).pair_table
         p = chain.transition
-        for s in range(10):
-            for sp, to_s, from_s in oracle.neighbors[s]:
-                assert to_s == p[s, sp]
-                assert from_s == p[sp, s]
+        for (s, sp), to, frm in zip(pairs.tolist(), to_s, from_s):
+            assert to == p[s, sp]
+            assert frm == p[sp, s]
         # symmetric closure
-        for s in range(10):
-            listed = {sp for sp, _, _ in oracle.neighbors[s]}
-            for sp in listed:
-                assert s in {q for q, _, _ in oracle.neighbors[sp]}
+        listed = set(map(tuple, pairs.tolist()))
+        assert listed == {(sp, s) for s, sp in listed}
 
     def test_marked_membership(self):
         oracle = sparse_oracle(symmetric_two_state(), [1])
-        assert oracle.is_marked(1) and not oracle.is_marked(0)
+        assert oracle.marked_mask.tolist() == [False, True]
 
     @pytest.mark.parametrize("marked", [[99], [-1], [0, 3]])
     def test_out_of_range_marked_rejected(self, marked):
@@ -128,20 +127,22 @@ class TestOracle:
                 chain = random_reversible_chain(rng, n, max_degree=4)
             else:
                 chain = random_sparse_dyadic_chain(rng, n, degree=int(rng.integers(1, 5)))
-            listing = sparse_oracle(chain, [0]).neighbors
-            assert listing == _scan_neighbors(chain)
-            for row in listing:
-                assert all(type(sp) is int and type(to_s) is float and type(from_s) is float
-                           for sp, to_s, from_s in row)
+            pairs, to_s, from_s = sparse_oracle(chain, [0]).pair_table
+            scanned = [
+                ((s, sp), to, frm)
+                for s, row in enumerate(_scan_neighbors(chain.transition))
+                for sp, to, frm in row
+                if sp != s
+            ]
+            assert list(zip(map(tuple, pairs.tolist()), to_s.tolist(), from_s.tolist())) == scanned
 
     def test_asymmetric_support_rejected_like_the_scan(self):
-        p = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
-        p[2, 0], p[2, 1] = 0.25, 0.25  # Pr(2|0) != 0 but Pr(0|2) == 0
-        chain = MarkovChain(transition=p, stationary=np.full(3, 1 / 3), sparsity=3)
+        # Pr(2|0) != 0 but Pr(0|2) == 0; every state still reaches every other
+        p = np.array([[0.5, 0.5, 0.0], [0.25, 0.0, 0.5], [0.25, 0.5, 0.5]])
         with pytest.raises(ValidationError, match="support is not symmetric"):
-            _scan_neighbors(chain)
+            _scan_neighbors(p)
         with pytest.raises(ValidationError, match="support is not symmetric"):
-            sparse_oracle(chain, [1])
+            validate_chain(p)
 
 
 class TestBuildHBar:
@@ -237,7 +238,7 @@ class TestProjectH:
         oracle = sparse_oracle(chain, [1])
         terms, _ = build_h_bar(oracle)
         projected = project_h(terms, oracle)
-        assert projected.boundary[0] == pytest.approx(0.3)  # Pr(1|0), not Pr(0|1)
+        assert projected.diagonal[0] == pytest.approx(0.3)  # Pr(1|0), not Pr(0|1)
         dp = discriminant_pair(mark_states(chain, [1]))
         np.testing.assert_allclose(projected.restricted(), dp.h_matrix.matrix, atol=1e-12)
         factors = build_sqrt_factors(color_edges(oracle), oracle)
@@ -250,8 +251,8 @@ class TestProjectH:
         terms, _ = build_h_bar(oracle)
         projected = project_h(terms, oracle)
         interior = [s for s in oracle.unmarked if s not in (1, 7)]
-        assert np.all(projected.boundary[interior] == 0.0)
-        assert projected.boundary[1] > 0 and projected.boundary[7] > 0
+        assert np.all(projected.diagonal[interior] == 0.0)
+        assert projected.diagonal[1] > 0 and projected.diagonal[7] > 0
 
 
 class TestColoring:
@@ -266,7 +267,7 @@ class TestColoring:
         oracle = sparse_oracle(chain, [0])
         coloring = color_edges(oracle)
         assert coloring.n_colors == 1
-        assert coloring.edges == ((1, 2),)
+        assert coloring.classes == (((1, 2),),)
 
     def test_proper_by_exhaustive_scan(self, rng):
         for _ in range(10):
@@ -276,7 +277,7 @@ class TestColoring:
             for edge_class in coloring.classes:
                 vertices = [v for e in edge_class for v in e]
                 assert len(vertices) == len(set(vertices))
-            assert coloring.n_colors <= 2 * oracle.d - 1
+            assert coloring.n_colors <= 2 * chain.sparsity - 1
 
     def test_deterministic(self, rng):
         chain = random_sparse_dyadic_chain(rng, 12, degree=3)
@@ -295,7 +296,7 @@ class TestSqrtFactors:
         factors = build_sqrt_factors(coloring, oracle)
         factor = factors.colors[0]
         # independent oracle: scipy expm of the generator
-        a, b = coloring.edges[0]
+        (a, b), = coloring.classes[0]
         p = chain.transition
         vec = np.zeros(3, dtype=complex)
         vec[b] += math.sqrt(p[a, b] / 2)
@@ -376,10 +377,7 @@ class TestSqrtFactors:
         factors = build_sqrt_factors(coloring, oracle)
         from lculab.sparse_chain import EdgeColoring
 
-        shuffled = EdgeColoring(
-            edges=coloring.edges,
-            classes=tuple(tuple(reversed(c)) for c in coloring.classes),
-        )
+        shuffled = EdgeColoring(classes=tuple(tuple(reversed(c)) for c in coloring.classes))
         factors_shuffled = build_sqrt_factors(shuffled, oracle)
         for a, b in zip(factors.colors, factors_shuffled.colors):
             np.testing.assert_array_equal(a.z_unitary, b.z_unitary)
@@ -496,6 +494,23 @@ class TestEdgeLevelManifest:
             assert dense["reconstruction_residual"] <= 1e-10
             assert abs(edge["reconstruction_residual"] - dense["reconstruction_residual"]) <= 1e-13
             checked += 1
+
+    def test_dyadic_2000_through_the_json_reader(self):
+        n = 2000
+        p = random_sparse_dyadic_matrix(np.random.default_rng(7), n, degree=4)
+        rows, cols = np.nonzero(p)
+        blob = {
+            "n_states": n,
+            "entries": [[r, c, float(p[r, c])] for r, c in zip(rows.tolist(), cols.tolist())],
+            "marked": list(range(0, n, 100)),
+        }
+        chain, marked = chain_from_json(blob)
+        manifest = decomposition_manifest(sparse_oracle(chain, marked))
+        assert manifest["reconstruction_residual"] <= 1e-10
+        # every column of a dyadic chain's symmetric weights sums to one, so pi is uniform
+        pi = chain.stationary
+        np.testing.assert_allclose(pi, 1 / n, rtol=1e-13)
+        assert np.max(np.abs(chain.transition @ pi - pi)) <= 1e-15
 
     @staticmethod
     def _oracle(rng):
