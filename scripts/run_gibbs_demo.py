@@ -19,17 +19,15 @@ def main() -> None:
     parser.add_argument("--betas", type=float, nargs="+", default=None)
     args = parser.parse_args()
 
-    decomposition, offset = parse_pauli_lines(args.pauli)
-    h = HermitianOperator(decomposition.sum_matrix())
+    matrix, weights, offset = parse_pauli_lines(args.pauli)
+    h = HermitianOperator(matrix)
     norm = h.spectral_norm
     betas = args.betas or [round(x / norm, 4) for x in (4.0, 6.0, 8.0, 12.0)]
     print(f"dim = {h.dim}, spectral norm = {norm:.4f}, identity offset = {offset:.4f}")
     print(f"{'beta':>8} {'eps_prime':>10} {'J':>5} {'trace_dist':>11} "
           f"{'success_amp':>12} {'sqrt(Z/N)':>10} {'rounds':>7}")
     for beta in betas:
-        task = GibbsTask(
-            hamiltonian=h, beta=beta, epsilon=args.epsilon, weights=decomposition.weights
-        )
+        task = GibbsTask(hamiltonian=h, beta=beta, epsilon=args.epsilon, weights=weights)
         res = prepare_gibbs(task)
         target = math.sqrt(res.partition_function / h.dim)
         print(f"{beta:8.3f} {res.epsilon_prime:10.2e} {res.grid.j_max:5d} "

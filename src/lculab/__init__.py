@@ -20,7 +20,7 @@ from .inverse import (
     estimate_hitting_time,
 )
 from .markov import discriminant_pair, mark_states, validate_chain
-from .operators import HermitianOperator, trace_distance
+from .operators import HermitianOperator
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,6 @@ __all__ = [
     "WalkTimeoutError",
     "PreconditionWarning",
     "HermitianOperator",
-    "trace_distance",
     "parse_pauli_lines",
     "GibbsTask",
     "calibrate_hs_grid",

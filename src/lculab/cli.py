@@ -201,8 +201,8 @@ def _hamiltonian_from_config(spec: dict) -> tuple[HermitianOperator, tuple[float
     if "pauli" in spec:
         # The pipeline works with the PSD presentation, whose spectrum sits
         # at the parsed operator's plus the discarded identity offset.
-        decomposition, _ = parse_pauli_lines(spec["pauli"])
-        return HermitianOperator(decomposition.sum_matrix()), decomposition.weights
+        matrix, weights, _ = parse_pauli_lines(spec["pauli"])
+        return HermitianOperator(matrix), weights
     h = HermitianOperator(matrix_from_json(spec["matrix"]))
     energies = h.eigensystem[0]
     return h, tuple(map(float, energies[split_indices(energies)]))

@@ -2,9 +2,10 @@
 gap amplification.
 
 Each input has one presentation H = sum_k alpha_k Pi_k, of which the pipelines
-read only the weights: Pauli text is parsed straight into projectors, and a
-matrix's rank-1 split is read off its spectrum (`split_indices`). The weight
-and PSD rules of every presentation are written once here.
+read only the weights and the summed matrix. Pauli text is parsed into words
+(bit masks), and H is summed from them by index arithmetic without building a
+projector; a matrix's rank-1 split is read off its spectrum (`split_indices`).
+The weight and PSD rules of every presentation are written once here.
 
 Gap amplification couples term k to ancilla level k, so that the enlarged
 operator sum_k sqrt(alpha_k) Pi_k (x) (|k><0| + |0><k|) squares back to H on
@@ -17,22 +18,13 @@ unitarity check that `sparse_chain` runs on each term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .operators import as_square_matrix, hermiticity_defect
+from .operators import DIMENSION_CAP
 
-PROJECTOR_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
-
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -46,48 +38,16 @@ def check_weight(index: int, alpha: float) -> float:
     return float(alpha)
 
 
-@dataclass(frozen=True)
-class ProjectorDecomposition:
-    """Positive weights alpha_k attached to orthogonal projectors, summing to a PSD operator."""
+def parse_pauli_lines(text: str) -> tuple[np.ndarray, tuple[float, ...], float]:
+    """Parse lines of "coeff PAULI_STRING" (e.g. "0.5 XZI") into the PSD matrix
+    H = sum_k alpha_k Pi_k, its weights alpha_k and the discarded identity offset.
 
-    dim: int
-    terms: tuple[tuple[float, np.ndarray], ...]
-
-    def __post_init__(self):
-        checked = []
-        for i, (alpha, proj) in enumerate(self.terms):
-            alpha = check_weight(i, alpha)
-            p = as_square_matrix(proj, self.dim)
-            if hermiticity_defect(p) > PROJECTOR_ATOL:
-                raise ValidationError(f"term {i}: projector is not Hermitian")
-            if np.max(np.abs(p @ p - p)) > PROJECTOR_ATOL:
-                raise ValidationError(f"term {i}: matrix is not idempotent")
-            p = (p + p.conj().T) / 2
-            p.flags.writeable = False
-            checked.append((alpha, p))
-        object.__setattr__(self, "terms", tuple(checked))
-
-    def sum_matrix(self) -> np.ndarray:
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for alpha, proj in self.terms:
-            total += alpha * proj
-        return total
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(alpha for alpha, _ in self.terms)
-
-
-def parse_pauli_lines(text: str) -> tuple[ProjectorDecomposition, float]:
-    """Parse lines of "coeff PAULI_STRING" (e.g. "0.5 XZI") into a projector decomposition.
-
-    Each nonzero line c P becomes weight 2|c| on the projector
-    (sign(c) P + 1)/2. Returns the decomposition together with the discarded
-    identity offset sum(alpha_k)/2, so that sum c_l P_l = sum alpha_k Pi_k - offset.
-    `ProjectorDecomposition` checks each projector once: it is Hermitian and
-    idempotent exactly when sign(c) P is a Hermitian involution.
+    Each nonzero line c P becomes weight 2|c| on the projector (sign(c) P + 1)/2,
+    so that sum c_l P_l = H - offset with offset = sum(alpha_k)/2. A word is an
+    x-mask, a z-mask and a Y count, with P|c> = i^{n_Y} (-1)^{|c & z|} |c ^ x>
+    (Y sets both masks), so H is summed by index arithmetic in line order.
     """
-    terms = []
+    words = []
     n_qubits = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -101,7 +61,7 @@ def parse_pauli_lines(text: str) -> tuple[ProjectorDecomposition, float]:
         except ValueError as exc:
             raise ValidationError(f"line {lineno}: bad coefficient {parts[0]!r}") from exc
         word = parts[1].upper()
-        if any(c not in _PAULI for c in word):
+        if any(c not in "IXYZ" for c in word):
             raise ValidationError(f"line {lineno}: bad Pauli string {parts[1]!r}")
         if coeff == 0.0:
             continue
@@ -109,15 +69,29 @@ def parse_pauli_lines(text: str) -> tuple[ProjectorDecomposition, float]:
             n_qubits = len(word)
         elif len(word) != n_qubits:
             raise ValidationError(f"line {lineno}: inconsistent qubit count")
-        mat = np.array([[1.0 + 0j]])
+        x = z = 0
         for c in word:
-            mat = np.kron(mat, _PAULI[c])
-        proj = (math.copysign(1.0, coeff) * mat + np.eye(mat.shape[0])) / 2
-        terms.append((2 * abs(coeff), proj))
-    if not terms:
+            x, z = 2 * x + (c in "XY"), 2 * z + (c in "YZ")
+        words.append((coeff, x, z, word.count("Y")))
+    if not words:
         raise ValidationError("no Pauli terms found")
-    offset = sum(alpha for alpha, _ in terms) / 2
-    return ProjectorDecomposition(dim=2**n_qubits, terms=tuple(terms)), offset
+    weights = tuple(check_weight(i, 2 * abs(coeff)) for i, (coeff, *_) in enumerate(words))
+    dim = 1 << n_qubits
+    if dim > DIMENSION_CAP:
+        raise ValidationError(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
+    cols = np.arange(dim)
+    odd = np.zeros(dim, dtype=int)  # parity of each index's set bits
+    for bit in range(n_qubits):
+        odd ^= (cols >> bit) & 1
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for alpha, (coeff, x, z, n_y) in zip(weights, words):
+        sign = math.copysign(1.0, coeff) * (1.0 - 2.0 * odd[cols & z])
+        if x == 0:
+            matrix[cols, cols] += alpha * ((1 + sign) / 2)
+        else:
+            matrix[cols, cols] += alpha / 2
+            matrix[cols ^ x, cols] += alpha / 2 * 1j**n_y * sign
+    return matrix, weights, sum(weights) / 2
 
 
 def require_psd(eigenvalues: np.ndarray) -> None:

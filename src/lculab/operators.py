@@ -1,10 +1,10 @@
-"""Dense complex linear algebra and the exact computations used as oracles.
+"""Dense complex linear algebra: Hermitian operators and density matrices.
 
 Everything here routes through the eigendecomposition of a Hermitian matrix,
-which is the universal reference: operator exponentials, inverses and trace
-distances computed this way are what every discretized approximation in the
-package is checked against. Values are immutable after construction and safe
-to share across workers.
+which is computed once per operator and cached: the pipelines read their
+filters off its spectrum, and `matrix_function` applies a scalar function
+through it. Values are immutable after construction and safe to share across
+workers.
 """
 
 from __future__ import annotations
@@ -123,15 +123,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of a - b; lies in [0, 1]."""
-    if a.dim != b.dim:
-        raise ValidationError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    w = np.linalg.eigvalsh(a.matrix - b.matrix)
-    value = 0.5 * float(np.sum(np.abs(w)))
-    return min(max(value, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Reference code the tests check the package against.
 
 The pipelines evaluate their certified filters on the spectrum of H and never
-build the enlarged space. Everything that does lives here: the dense
-gap-amplified operator, its unitary expansion and exact evolutions, the
-weighted-unitary and evolution-family LCUs with the exact dilation, the dense
-sparse-chain assembly, the eigenvector-based chain validation, and the random
-operators and chain families the tests draw from. Each object is small, dense and exact, and nothing in `lculab`
-imports it.
+build the enlarged space or a projector. Everything that does lives here: the
+dense projector decomposition and the Kronecker-product parse of Pauli text,
+the dense trace distance, the gap-amplified operator, its unitary expansion
+and exact evolutions, the weighted-unitary and evolution-family LCUs with the
+exact dilation, the dense sparse-chain assembly, the eigenvector-based chain
+validation, and the random operators and chain families the tests draw from.
+Each object is small, dense and exact, and nothing in `lculab` imports it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from lculab.errors import ValidationError
 from lculab.gap_amplification import (
     UNITARY_ATOL,
-    ProjectorDecomposition,
     ancilla_coupler,
     ancilla_rotations,
     check_weight,
@@ -41,7 +41,13 @@ from lculab.markov import (
     discriminant_matrix,
     validate_chain,
 )
-from lculab.operators import DIMENSION_CAP, DensityMatrix, HermitianOperator, as_square_matrix
+from lculab.operators import (
+    DIMENSION_CAP,
+    DensityMatrix,
+    HermitianOperator,
+    as_square_matrix,
+    hermiticity_defect,
+)
 from lculab.rand import random_unitary
 from lculab.sparse_chain import (
     _ATOL,
@@ -146,6 +152,15 @@ def reduced_density(vector: np.ndarray, dims: tuple[int, int], keep: int) -> np.
     raise ValidationError("keep must be 0 or 1")
 
 
+def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Half the trace norm of a - b; lies in [0, 1]."""
+    if a.dim != b.dim:
+        raise ValidationError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    w = np.linalg.eigvalsh(a.matrix - b.matrix)
+    value = 0.5 * float(np.sum(np.abs(w)))
+    return min(max(value, 0.0), 1.0)
+
+
 def matrix_to_json(a: np.ndarray) -> dict:
     """The {"dim", "re", "im"} form `operators.matrix_from_json` reads back exactly."""
     a = as_square_matrix(a)
@@ -154,6 +169,95 @@ def matrix_to_json(a: np.ndarray) -> dict:
         "re": [float(x) for x in a.real.reshape(-1)],
         "im": [float(x) for x in a.imag.reshape(-1)],
     }
+
+
+# ---------------------------------------------------------------------------
+# Dense projector presentations and the Kronecker-product parse of Pauli text.
+
+PROJECTOR_ATOL = 1e-10
+
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+@dataclass(frozen=True)
+class ProjectorDecomposition:
+    """Positive weights alpha_k attached to orthogonal projectors, summing to a PSD operator."""
+
+    dim: int
+    terms: tuple[tuple[float, np.ndarray], ...]
+
+    def __post_init__(self):
+        checked = []
+        for i, (alpha, proj) in enumerate(self.terms):
+            alpha = check_weight(i, alpha)
+            p = as_square_matrix(proj, self.dim)
+            if hermiticity_defect(p) > PROJECTOR_ATOL:
+                raise ValidationError(f"term {i}: projector is not Hermitian")
+            if np.max(np.abs(p @ p - p)) > PROJECTOR_ATOL:
+                raise ValidationError(f"term {i}: matrix is not idempotent")
+            p = (p + p.conj().T) / 2
+            p.flags.writeable = False
+            checked.append((alpha, p))
+        object.__setattr__(self, "terms", tuple(checked))
+
+    def sum_matrix(self) -> np.ndarray:
+        total = np.zeros((self.dim, self.dim), dtype=complex)
+        for alpha, proj in self.terms:
+            total += alpha * proj
+        return total
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(alpha for alpha, _ in self.terms)
+
+
+def pauli_projectors(text: str) -> tuple[ProjectorDecomposition, float]:
+    """Parse lines of "coeff PAULI_STRING" into dense projectors, one Kronecker
+    product per line: the reference `gap_amplification.parse_pauli_lines` is
+    checked against.
+
+    Each nonzero line c P becomes weight 2|c| on the projector
+    (sign(c) P + 1)/2. Returns the decomposition together with the discarded
+    identity offset sum(alpha_k)/2, so that sum c_l P_l = sum alpha_k Pi_k - offset.
+    `ProjectorDecomposition` checks each projector once: it is Hermitian and
+    idempotent exactly when sign(c) P is a Hermitian involution.
+    """
+    terms = []
+    n_qubits = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValidationError(f"line {lineno}: expected 'coeff PAULI_STRING', got {raw!r}")
+        try:
+            coeff = float(parts[0])
+        except ValueError as exc:
+            raise ValidationError(f"line {lineno}: bad coefficient {parts[0]!r}") from exc
+        word = parts[1].upper()
+        if any(c not in _PAULI for c in word):
+            raise ValidationError(f"line {lineno}: bad Pauli string {parts[1]!r}")
+        if coeff == 0.0:
+            continue
+        if n_qubits is None:
+            n_qubits = len(word)
+        elif len(word) != n_qubits:
+            raise ValidationError(f"line {lineno}: inconsistent qubit count")
+        mat = np.array([[1.0 + 0j]])
+        for c in word:
+            mat = np.kron(mat, _PAULI[c])
+        proj = (math.copysign(1.0, coeff) * mat + np.eye(mat.shape[0])) / 2
+        terms.append((2 * abs(coeff), proj))
+    if not terms:
+        raise ValidationError("no Pauli terms found")
+    offset = sum(alpha for alpha, _ in terms) / 2
+    return ProjectorDecomposition(dim=2**n_qubits, terms=tuple(terms)), offset
 
 
 # ---------------------------------------------------------------------------

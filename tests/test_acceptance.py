@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from lculab.gap_amplification import ProjectorDecomposition, parse_pauli_lines
+from lculab.gap_amplification import parse_pauli_lines
 from lculab.gibbs import GibbsTask, calibrate_hs_grid, prepare_gibbs
 from lculab.inverse import (
     HittingTimeTask,
@@ -28,10 +28,11 @@ from lculab.markov import (
     lazy_cycle,
     mark_states,
 )
-from lculab.operators import DensityMatrix, HermitianOperator, matrix_function, trace_distance
+from lculab.operators import DensityMatrix, HermitianOperator, matrix_function
 from lculab.rand import random_hermitian_with_spectrum, random_state
 from lculab.sparse_chain import build_sqrt_factors, color_edges, project_h, sparse_oracle
 from oracles import (
+    ProjectorDecomposition,
     assemble_tilde_h_sparse,
     build_h_bar,
     build_tilde_h,
@@ -43,6 +44,7 @@ from oracles import (
     random_reversible_chain,
     random_sparse_dyadic_chain,
     symmetric_two_state,
+    trace_distance,
 )
 
 SEED = 20260810
@@ -109,23 +111,21 @@ def test_criterion_2_thermal_kernel_bound():
 
 def _qubit_hamiltonians():
     one = HermitianOperator(np.diag([0.0, 1.0]))
-    yield "1-qubit", one, psd_split(one.matrix)
+    yield "1-qubit", one, psd_split(one.matrix).weights
     for label, text in (
         ("2-qubit", "0.8 ZI\n0.6 IZ\n0.5 ZZ"),
         ("3-qubit", "1.0 ZZI\n0.7 IZZ\n0.4 XIX\n0.3 IXI"),
     ):
-        decomposition, _ = parse_pauli_lines(text)
-        yield label, HermitianOperator(decomposition.sum_matrix()), decomposition
+        matrix, weights, _ = parse_pauli_lines(text)
+        yield label, HermitianOperator(matrix), weights
 
 
 def test_criterion_3_gibbs_end_to_end():
     worst = 0.0
-    for label, h, decomposition in _qubit_hamiltonians():
+    for label, h, weights in _qubit_hamiltonians():
         beta = 8.0 / h.spectral_norm
         for epsilon in (0.1, 0.05):
-            task = GibbsTask(
-                hamiltonian=h, beta=beta, epsilon=epsilon, weights=decomposition.weights
-            )
+            task = GibbsTask(hamiltonian=h, beta=beta, epsilon=epsilon, weights=weights)
             res = prepare_gibbs(task)
             energies, _ = h.eigensystem
             z = float(np.sum(np.exp(-beta * (energies - energies[0]))))
@@ -135,12 +135,12 @@ def test_criterion_3_gibbs_end_to_end():
             assert res.trace_dist <= epsilon
             worst = max(worst, dist / epsilon)
     # round counts across a beta sweep track the closed-form target within 2x
-    _, h2, dec2 = list(_qubit_hamiltonians())[1]
+    _, h2, weights2 = list(_qubit_hamiltonians())[1]
     norm = h2.spectral_norm
     for target_nb in (4.0, 6.0, 8.0, 10.0, 12.0):
         beta = target_nb / norm
         res = prepare_gibbs(
-            GibbsTask(hamiltonian=h2, beta=beta, epsilon=0.05, weights=dec2.weights)
+            GibbsTask(hamiltonian=h2, beta=beta, epsilon=0.05, weights=weights2)
         )
         amplitude = math.sqrt(res.partition_function / h2.dim)
         target = amplification_rounds(min(amplitude, 1.0))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lculab import cli, gap_amplification
+from lculab import cli
 from lculab.cli import main
 from lculab.markov import lazy_cycle
 from oracles import chain_to_json, random_sparse_dyadic_chain, symmetric_two_state
@@ -82,11 +82,9 @@ class TestGibbsCommand:
             {"command": "lemma1-sweep", "betas": [6.0, 8.0], "epsilons": [0.05]},
         ],
     )
-    def test_matrix_input_builds_no_projector(self, tmp_path, payload, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the matrix front door built a projector")
-
-        monkeypatch.setattr(gap_amplification.ProjectorDecomposition, "__post_init__", refuse)
+    def test_matrix_input_builds_no_projector(self, tmp_path, payload):
+        # no projector type is left in the package to build; this keeps the
+        # matrix front door's runs and their outputs
         matrix = {"dim": 3, "re": [2.0, 1.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.5], "im": [0.0] * 9}
         config = _write_config(
             tmp_path,
@@ -102,6 +100,52 @@ class TestGibbsCommand:
         config = _write_config(tmp_path, {**payload, "epsilon": 0.1, "out": str(tmp_path / "out")})
         assert main(["--config", config]) == 3
         assert "run failed: node grid" in capsys.readouterr().err
+
+    def test_pauli_run_takes_one_eigendecomposition(self, tmp_path, monkeypatch):
+        # the trace distance is read off the spectrum of H, so the one eigh of
+        # H serves the whole run and no density matrix is diagonalized
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        payload = {"command": "gibbs", "hamiltonian": {"pauli": "1.0 ZZI\n0.7 IZZ\n0.4 XIX\n0.3 IXI"}}
+        config = _write_config(
+            tmp_path, {**payload, "beta": 2.0, "epsilon": 0.05, "out": str(tmp_path / "out")}
+        )
+        assert main(["--config", config]) == 0
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+
+    def test_ten_qubit_tfim(self, tmp_path):
+        n = 10
+        lines = [f"1.0 {'I' * i}ZZ{'I' * (n - i - 2)}" for i in range(n - 1)]
+        lines += [f"0.7 {'I' * i}X{'I' * (n - i - 1)}" for i in range(n)]
+        config = _write_config(
+            tmp_path,
+            {
+                "command": "gibbs",
+                "hamiltonian": {"pauli": "\n".join(lines)},
+                "beta": 2.0,
+                "epsilon": 0.05,
+                "out": str(tmp_path / "out"),
+            },
+        )
+        assert main(["--config", config]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["trace_dist"] <= 0.05
+
+    @pytest.mark.parametrize("n_qubits", [13, 20])
+    def test_pauli_word_over_cap_exits_three(self, tmp_path, capsys, n_qubits):
+        payload = {"command": "gibbs", "hamiltonian": {"pauli": "1.0 " + "Z" * n_qubits}}
+        config = _write_config(
+            tmp_path, {**payload, "beta": 2.0, "epsilon": 0.05, "out": str(tmp_path / "out")}
+        )
+        assert main(["--config", config]) == 3
+        assert f"dimension {2**n_qubits} exceeds cap 4096" in capsys.readouterr().err
 
     def test_pauli_input(self, tmp_path):
         config = _write_config(

@@ -4,22 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from lculab.constants import DEFAULT_CONSTANTS
 from lculab.cost import evolution_gate_cost, select_unit_cost
 from lculab.errors import ValidationError
-from lculab.gap_amplification import (
-    ProjectorDecomposition,
-    parse_pauli_lines,
-    split_indices,
-    unitarity_defect,
-)
+from lculab.gap_amplification import parse_pauli_lines, split_indices, unitarity_defect
 from lculab.operators import DIMENSION_CAP, HermitianOperator
 from lculab.rand import random_state
 from oracles import (
+    ProjectorDecomposition,
     assemble_gap_amplified,
     build_tilde_h,
     exact_evolution,
+    pauli_projectors,
     psd_split,
     random_projector,
     random_psd,
@@ -200,13 +198,6 @@ class TestSimulationCost:
         assert weights == pytest.approx(sum(map(math.sqrt, p.weights)), rel=1e-14)
 
 
-_PAULI_LETTERS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 _BENCH_TFIM_6 = (
     "-1.0 ZZIIII\n-1.0 IZZIII\n-1.0 IIZZII\n-1.0 IIIZZI\n-1.0 IIIIZZ\n"
     "-0.6599899729332885 XIIIII\n-0.9200957879425051 IXIIII\n-0.909532777346238 IIXIII\n"
@@ -214,42 +205,45 @@ _BENCH_TFIM_6 = (
 )
 
 
-def _reflection_route(text):
-    """Projectors through the reflection U = sign(c) P: the kron of the letters,
-    times copysign(1, c), then (U + 1)/2."""
-    terms = []
-    for line in text.strip().splitlines():
-        coeff, word = float(line.split()[0]), line.split()[1]
-        mat = np.array([[1.0 + 0j]])
-        for c in word:
-            mat = np.kron(mat, _PAULI_LETTERS[c])
-        u = math.copysign(1.0, coeff) * mat
-        terms.append((2 * abs(coeff), (u + np.eye(u.shape[0])) / 2))
-    return ProjectorDecomposition(dim=terms[0][1].shape[0], terms=tuple(terms))
+@st.composite
+def pauli_texts(draw):
+    """Word sets of 1-8 qubits: I/X/Y/Z letters, signed and zero coefficients
+    (zero lines are skipped), repeated words, comments and blank lines."""
+    n = draw(st.integers(1, 8))
+    letters = st.text(st.sampled_from("IXYZ"), min_size=n, max_size=n)
+    words = draw(st.lists(letters, min_size=1, max_size=4))
+    nonzero = draw(st.floats(0.01, 3.0)) * draw(st.sampled_from([-1, 1]))
+    lines = [f"{nonzero!r} {words[0]}"]
+    for _ in range(draw(st.integers(0, 5))):
+        coeff = draw(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))
+        comment = "  # comment" if draw(st.booleans()) else ""
+        lines.append(f"{coeff!r} {draw(st.sampled_from(words))}{comment}")
+    return "# a word set\n\n" + "\n".join(draw(st.permutations(lines))) + "\n"
 
 
 class TestPauliParsing:
     def test_single_line(self):
-        p, offset = parse_pauli_lines("0.5 XZ")
-        assert p.dim == 4
+        h, weights, offset = parse_pauli_lines("0.5 XZ")
+        assert h.shape == (4, 4) and weights == (1.0,)
         expected = 0.5 * np.kron([[0, 1], [1, 0]], [[1, 0], [0, -1]])
-        np.testing.assert_allclose(p.sum_matrix() - offset * np.eye(4), expected, atol=1e-14)
+        np.testing.assert_allclose(h - offset * np.eye(4), expected, atol=1e-14)
 
     def test_negative_coefficient_absorbed(self):
-        p, offset = parse_pauli_lines("-0.25 Z\n1.0 X")
+        h, weights, offset = parse_pauli_lines("-0.25 Z\n1.0 X")
         expected = -0.25 * PAULI_Z + 1.0 * np.array([[0, 1], [1, 0]])
-        np.testing.assert_allclose(p.sum_matrix() - offset * np.eye(2), expected, atol=1e-14)
-        assert all(alpha > 0 for alpha, _ in p.terms)
+        np.testing.assert_allclose(h - offset * np.eye(2), expected, atol=1e-14)
+        assert weights == (0.5, 2.0)
 
     def test_pauli_z_gives_up_projector(self):
-        p, offset = parse_pauli_lines("0.5 Z")
-        assert p.terms[0][0] == 1.0
-        np.testing.assert_allclose(p.terms[0][1], np.diag([1.0, 0.0]), atol=1e-14)
+        h, weights, offset = parse_pauli_lines("0.5 Z")
+        assert weights == (1.0,)
+        np.testing.assert_allclose(h, np.diag([1.0, 0.0]), atol=1e-14)
         assert offset == pytest.approx(0.5)
 
     def test_identity_term(self):
-        p, offset = parse_pauli_lines("1.0 III")
-        np.testing.assert_allclose(p.terms[0][1], np.eye(8), atol=1e-14)
+        h, weights, offset = parse_pauli_lines("1.0 III")
+        assert weights == (2.0,)
+        np.testing.assert_allclose(h, 2.0 * np.eye(8), atol=1e-14)
         assert offset == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
@@ -260,20 +254,35 @@ class TestPauliParsing:
             _BENCH_TFIM_6,
         ],
     )
-    def test_matches_reflection_route_bit_for_bit(self, text):
-        p, _ = parse_pauli_lines(text)
-        ref = _reflection_route(text)
-        assert len(p.terms) == len(ref.terms)
-        for (a1, p1), (a2, p2) in zip(p.terms, ref.terms):
-            assert a1 == a2 and np.array_equal(p1, p2)
-        assert np.array_equal(p.sum_matrix(), ref.sum_matrix())
-        assert p.weights == ref.weights
+    @settings(max_examples=20, deadline=None)
+    @given(drawn=pauli_texts())
+    def test_matches_reflection_route_bit_for_bit(self, text, drawn):
+        # the reference builds each projector (sign(c) P + 1)/2 from Kronecker
+        # products of the letters and sums them in line order
+        for t in (text, drawn):
+            h, weights, offset = parse_pauli_lines(t)
+            ref, ref_offset = pauli_projectors(t)
+            assert h.tobytes() == ref.sum_matrix().tobytes()
+            assert weights == ref.weights and offset == ref_offset
 
     def test_comments_and_blank_lines(self):
-        p, _ = parse_pauli_lines("# two qubits\n\n0.5 XX  # coupling\n0.5 ZI\n")
-        assert len(p.terms) == 2
+        _, weights, _ = parse_pauli_lines("# two qubits\n\n0.5 XX  # coupling\n0.5 ZI\n")
+        assert len(weights) == 2
 
     def test_bad_string_rejected(self):
         for text in ("0.5 XQ", "not_a_number XX", "0.5 XX extra", "0.5 XX\n0.5 Z", "0.0 XX"):
             with pytest.raises(ValidationError):
                 parse_pauli_lines(text)
+
+    @pytest.mark.parametrize("n_qubits", [13, 20])
+    def test_cap_checked_before_allocation(self, n_qubits):
+        # a 13-qubit matrix would take 1 GiB, a 20-qubit one 16 TiB
+        text = "1.0 " + "Z" * n_qubits + "\n0.5 " + "X" * n_qubits
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"dimension {2**n_qubits} exceeds cap 4096"):
+                parse_pauli_lines(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6

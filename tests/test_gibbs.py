@@ -1,17 +1,19 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from lculab.errors import PreconditionWarning, ValidationError
-from lculab.gap_amplification import ProjectorDecomposition, parse_pauli_lines
+from lculab.gap_amplification import parse_pauli_lines
 from lculab.gibbs import GibbsTask, calibrate_hs_grid, prepare_gibbs
 from lculab.lcu import amplification_rounds, gaussian_weights
-from lculab.operators import DensityMatrix, HermitianOperator, matrix_function, trace_distance
+from lculab.operators import DensityMatrix, HermitianOperator, matrix_function
 from lculab.rand import random_state
 from oracles import (
     LcuOperator,
+    ProjectorDecomposition,
     build_tilde_h,
     hs_lcu,
     maximally_entangled_state,
@@ -19,6 +21,7 @@ from oracles import (
     psd_split,
     random_psd,
     reduced_density,
+    trace_distance,
 )
 
 EPS4 = math.exp(-4)
@@ -178,22 +181,26 @@ class TestPrepareGibbs:
         res = prepare_gibbs(task)
         assert res.trace_dist <= 0.05
         exact = _exact_thermal(h, 8.0)
-        assert trace_distance(res.prepared_density, exact) <= 0.05
+        dense = trace_distance(res.prepared_density, exact)
+        assert dense <= 0.05
+        assert res.trace_dist == pytest.approx(dense, abs=1e-14)
         expected_amp = math.sqrt(res.partition_function / 2)
         assert abs(res.success_amplitude - expected_amp) <= 2 * res.epsilon_prime
 
     def test_three_qubit_pauli_hamiltonian(self, rng):
         # shifted two-local Hamiltonian, beta chosen so that norm * beta = 8
         text = "1.0 ZZI\n0.7 IZZ\n0.4 XIX\n0.3 IXI\n2.4 III"
-        decomposition, offset = parse_pauli_lines(text)
-        h = HermitianOperator(decomposition.sum_matrix())
+        matrix, weights, offset = parse_pauli_lines(text)
+        h = HermitianOperator(matrix)
         norm = h.spectral_norm
         beta = 8.0 / norm
-        task = GibbsTask(hamiltonian=h, beta=beta, epsilon=0.1, weights=decomposition.weights)
+        task = GibbsTask(hamiltonian=h, beta=beta, epsilon=0.1, weights=weights)
         res = prepare_gibbs(task)
         assert res.trace_dist <= 0.1
         exact = _exact_thermal(h, beta)
-        assert trace_distance(res.prepared_density, exact) <= 0.1
+        dense = trace_distance(res.prepared_density, exact)
+        assert dense <= 0.1
+        assert res.trace_dist == pytest.approx(dense, abs=1e-14)
 
     def test_rounds_track_amplitude_target(self):
         h = HermitianOperator(np.diag([0.0, 0.5, 0.75, 1.0]))
@@ -242,12 +249,14 @@ class TestPrepareGibbs:
             lines.append("-1.0 " + "I" * i + "ZZ" + "I" * (n - i - 2))
         for i in range(n):
             lines.append(f"-{0.5 + 0.1 * i} " + "I" * i + "X" + "I" * (n - i - 1))
-        decomposition, _ = parse_pauli_lines("\n".join(lines))
-        h = HermitianOperator(decomposition.sum_matrix())
-        task = GibbsTask(hamiltonian=h, beta=2.0, epsilon=0.05, weights=decomposition.weights)
+        matrix, weights, _ = parse_pauli_lines("\n".join(lines))
+        h = HermitianOperator(matrix)
+        task = GibbsTask(hamiltonian=h, beta=2.0, epsilon=0.05, weights=weights)
         res = prepare_gibbs(task)
         assert res.trace_dist <= 0.05
-        assert trace_distance(res.prepared_density, _exact_thermal(h, 2.0)) <= 0.05
+        dense = trace_distance(res.prepared_density, _exact_thermal(h, 2.0))
+        assert dense <= 0.05
+        assert res.trace_dist == pytest.approx(dense, abs=1e-14)
 
     def test_weights_below_top_eigenvalue_rejected(self):
         # sum_k alpha_k Pi_k <= sum_k alpha_k, so no projectors with these
@@ -284,3 +293,57 @@ class TestPrepareGibbs:
         h = HermitianOperator(np.diag([-1e-11, 1.0]))
         assert GibbsTask(hamiltonian=h, beta=4.0, epsilon=0.1, weights=(1.0,)).weights == (1.0,)
         assert psd_split(h).weights == (1.0,)
+
+
+def _criterion_3_hamiltonians():
+    one = HermitianOperator(np.diag([0.0, 1.0]))
+    yield one, psd_split(one).weights
+    for text in ("0.8 ZI\n0.6 IZ\n0.5 ZZ", "1.0 ZZI\n0.7 IZZ\n0.4 XIX\n0.3 IXI"):
+        matrix, weights, _ = parse_pauli_lines(text)
+        yield HermitianOperator(matrix), weights
+
+
+class TestSpectralTraceDistance:
+    """`trace_dist` is read off the spectrum of H; the dense oracle diagonalizes
+    the difference of the two density matrices."""
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.05])
+    def test_matches_dense_oracle_on_criterion_3_hamiltonians(self, epsilon):
+        for h, weights in _criterion_3_hamiltonians():
+            beta = 8.0 / h.spectral_norm
+            task = GibbsTask(hamiltonian=h, beta=beta, epsilon=epsilon, weights=weights)
+            with warnings.catch_warnings():
+                # criterion 3 runs one point outside the validity window on purpose
+                warnings.simplefilter("ignore", PreconditionWarning)
+                res = prepare_gibbs(task)
+            dense = trace_distance(res.prepared_density, _exact_thermal(h, beta))
+            assert res.trace_dist == pytest.approx(dense, abs=1e-14)
+
+    @staticmethod
+    def _mpmath_trace_distance(h: HermitianOperator, grid, beta: float):
+        """Half the l1 distance between the two populations on spec(H), at 40 digits."""
+        with mpmath.workdps(40):
+            a = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in h.matrix])
+            spectrum, _ = mpmath.eighe(a)
+            energies = [spectrum[i] for i in range(h.dim)]
+            dy, b = mpmath.mpf(grid.delta_y), mpmath.mpf(beta)
+            w = [dy * mpmath.exp(-((j * dy) ** 2) / 2) / mpmath.sqrt(2 * mpmath.pi)
+                 for j in range(grid.j_max + 1)]
+
+            def kernel(x):
+                arg = mpmath.sqrt(b * max(x, 0))
+                return w[0] + 2 * mpmath.fsum(w[j] * mpmath.cos(j * dy * arg) for j in range(1, len(w)))
+
+            prepared = [kernel(x) ** 2 for x in energies]
+            exact = [mpmath.exp(-b * (x - min(energies))) for x in energies]
+            p_sum, q_sum = mpmath.fsum(prepared), mpmath.fsum(exact)
+            return mpmath.fsum(abs(p / p_sum - q / q_sum) for p, q in zip(prepared, exact)) / 2
+
+    @pytest.mark.parametrize("text", ["1.0 Z\n0.5 X", "1.0 ZI\n0.5 XX\n0.3 IY"])
+    def test_matches_forty_digit_evaluation(self, text):
+        # the dense route read 5.8e-12 relative on the first Hamiltonian
+        matrix, weights, _ = parse_pauli_lines(text)
+        h = HermitianOperator(matrix)
+        res = prepare_gibbs(GibbsTask(hamiltonian=h, beta=4.0, epsilon=0.1, weights=weights))
+        reference = self._mpmath_trace_distance(h, res.grid, 4.0)
+        assert float(abs(res.trace_dist - reference) / reference) <= 2e-12

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from lculab.constants import DEFAULT_CONSTANTS
 from lculab.errors import AnnihilationError, ValidationError
-from lculab.gap_amplification import ProjectorDecomposition
 from lculab.gibbs import HsGrid
 from lculab.lcu import (
     amplification_rounds,
@@ -17,6 +16,7 @@ from lculab.lcu import (
 from lculab.rand import random_state, random_unitary
 from oracles import (
     LcuOperator,
+    ProjectorDecomposition,
     StateVector,
     ancilla_zero_block,
     b_state,

@@ -50,7 +50,7 @@ MATRIX_GIBBS = {
     "state_prep": "0x1.0000000000000p+1",
     "total": "0x1.059e51952a770p+9",
 }
-MATRIX_GIBBS_TRACE_DIST = "0x1.bcd6e4b0969ccp-13"
+MATRIX_GIBBS_TRACE_DIST = "0x1.bcd6e4b097450p-13"
 README_HITTING = {
     "C_B": "0x1.7f7427b73e391p+1",
     "C_U": "0x1.0000000000000p+0",
@@ -78,13 +78,8 @@ def test_theorem2_at_cost_sweep_defaults():
 
 
 def test_prepare_gibbs_on_readme_config():
-    decomposition, _ = parse_pauli_lines("1.0 ZZI\n0.7 IZZ\n0.4 XIX\n0.3 IXI")
-    task = GibbsTask(
-        hamiltonian=HermitianOperator(decomposition.sum_matrix()),
-        beta=2.0,
-        epsilon=0.05,
-        weights=decomposition.weights,
-    )
+    matrix, weights, _ = parse_pauli_lines("1.0 ZZI\n0.7 IZZ\n0.4 XIX\n0.3 IXI")
+    task = GibbsTask(hamiltonian=HermitianOperator(matrix), beta=2.0, epsilon=0.05, weights=weights)
     assert _hex_ledger(prepare_gibbs(task).cost) == README_GIBBS
 
 

@@ -11,7 +11,6 @@ from lculab.operators import (
     HermitianOperator,
     matrix_from_json,
     matrix_function,
-    trace_distance,
 )
 from lculab.rand import random_state, random_unitary
 from oracles import (
@@ -21,6 +20,7 @@ from oracles import (
     random_hermitian,
     reduced_density,
     spectral_projector,
+    trace_distance,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

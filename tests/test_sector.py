@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from lculab.errors import PreconditionWarning, ValidationError
-from lculab.gap_amplification import ProjectorDecomposition
 from lculab.gibbs import GibbsTask, prepare_gibbs
 from lculab.inverse import (
     HittingTimeTask,
@@ -25,6 +24,7 @@ from lculab.inverse import (
 from lculab.markov import discriminant_pair, mark_states
 from lculab.operators import HermitianOperator
 from oracles import (
+    ProjectorDecomposition,
     StateVector,
     ancilla_zero_block,
     build_tilde_h,
