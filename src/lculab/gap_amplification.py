@@ -12,7 +12,8 @@ operator sum_k sqrt(alpha_k) Pi_k (x) (|k><0| + |0><k|) squares back to H on
 the ancilla-0 sector. The pipelines never build it: their combinations are
 even in it, hence functions of sqrt(H) on that sector. What stays here are the
 couplers, the rotation pair that expands a coupling into unitaries, and the
-unitarity check that `sparse_chain` runs on each term.
+unitarity defect; `sparse_chain` bounds each of its unitary terms by the
+rotation's defect and its factor's, level by level, without forming a term.
 """
 
 from __future__ import annotations

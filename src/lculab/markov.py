@@ -163,11 +163,7 @@ class MarkedPartition:
     marked: tuple[int, ...]
     unmarked: tuple[int, ...]
     p_uu: np.ndarray
-    p_um: np.ndarray
-    p_mu: np.ndarray
-    p_mm: np.ndarray
     pi_u: float
-    pi_m: float
 
     @property
     def n_unmarked(self) -> int:
@@ -184,33 +180,37 @@ class MarkedPartition:
         return np.sqrt(self.chain.stationary[list(self.unmarked)] / self.pi_u)
 
 
-def mark_states(chain: MarkovChain, marked) -> MarkedPartition:
-    marked = tuple(sorted(set(int(s) for s in marked)))
-    n = chain.n_states
-    if not marked:
+def read_marked(marked, n_states: int) -> tuple[int, ...]:
+    """The sorted distinct states of a marked set over n_states states.
+
+    A state is an integer, a numpy integer or an integral float, as in
+    `parse_triplet`. Anything else, an empty or full set, or a state out of
+    range raises ValidationError.
+    """
+    try:
+        items = list(marked)
+    except TypeError:
+        raise ValidationError(f"marked set {marked!r} is not a list of states") from None
+    if not all(_is_integer(s) for s in items):
+        raise ValidationError(f"marked set {marked!r} is not a list of integers")
+    states = tuple(sorted({int(s) for s in items}))
+    if not states:
         raise ValidationError("marked set must be nonempty")
-    if any(s < 0 or s >= n for s in marked):
+    if states[0] < 0 or states[-1] >= n_states:
         raise ValidationError("marked state out of range")
-    unmarked = tuple(s for s in range(n) if s not in set(marked))
-    if not unmarked:
+    if len(states) == n_states:
         raise ValidationError("unmarked set must be nonempty")
-    p = chain.transition
-    u, m = list(unmarked), list(marked)
-    p_uu = p[np.ix_(u, u)]
-    p_um = p[np.ix_(u, m)]
-    p_mu = p[np.ix_(m, u)]
-    p_mm = p[np.ix_(m, m)]
-    if not np.any(p_um > 0) or not np.any(p_mu > 0):
-        raise ValidationError("both cross blocks must be nonzero")
+    return states
+
+
+def mark_states(chain: MarkovChain, marked) -> MarkedPartition:
+    marked = read_marked(marked, chain.n_states)
+    unmarked = tuple(sorted(set(range(chain.n_states)).difference(marked)))
+    u = list(unmarked)
+    p_uu = chain.transition[np.ix_(u, u)]
+    p_uu.flags.writeable = False
     pi_u = float(chain.stationary[u].sum())
-    pi_m = float(chain.stationary[m].sum())
-    for a in (p_uu, p_um, p_mu, p_mm):
-        a.flags.writeable = False
-    return MarkedPartition(
-        chain=chain, marked=marked, unmarked=unmarked,
-        p_uu=p_uu, p_um=p_um, p_mu=p_mu, p_mm=p_mm,
-        pi_u=pi_u, pi_m=pi_m,
-    )
+    return MarkedPartition(chain=chain, marked=marked, unmarked=unmarked, p_uu=p_uu, pi_u=pi_u)
 
 
 @dataclass(frozen=True)
@@ -429,6 +429,16 @@ def lazy_cycle(n: int, stay: float = 0.5) -> MarkovChain:
 _NUMBERS = (int, float, np.integer, np.floating)
 
 
+def _is_number(x) -> bool:
+    """A Python or numpy integer or float; never a bool."""
+    return isinstance(x, _NUMBERS) and type(x) is not bool
+
+
+def _is_integer(x) -> bool:
+    """A number with no fractional part: an integer, a numpy integer or an integral float."""
+    return _is_number(x) and x % 1 == 0
+
+
 def parse_triplet(item) -> tuple[int, int, float]:
     """(row, col, Pr(row|col)) from a chain entry [integer, integer, number].
 
@@ -438,9 +448,7 @@ def parse_triplet(item) -> tuple[int, int, float]:
     if (
         not isinstance(item, (list, tuple))
         or len(item) != 3
-        or not all(isinstance(x, _NUMBERS) and type(x) is not bool for x in item)
-        or item[0] % 1
-        or item[1] % 1
+        or not (_is_integer(item[0]) and _is_integer(item[1]) and _is_number(item[2]))
     ):
         raise ValidationError(f"chain entry {item!r} is not [integer, integer, number]")
     return int(item[0]), int(item[1]), float(item[2])
@@ -448,16 +456,17 @@ def parse_triplet(item) -> tuple[int, int, float]:
 
 def chain_from_json(obj: dict) -> tuple[MarkovChain, tuple[int, ...]]:
     try:
-        n = int(obj["n_states"])
-        entries = obj["entries"]
-        marked = tuple(int(s) for s in obj["marked"])
+        n, entries, marked = obj["n_states"], list(obj["entries"]), obj["marked"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed chain JSON: {exc}") from exc
+    if not _is_integer(n):
+        raise ValidationError(f"malformed chain JSON: n_states {n!r} is not an integer")
+    n = int(n)
+    marked = read_marked(marked, n)
     # Every command needs at least the unmarked block under the cap, so check
     # it before the n x n matrix is allocated.
-    n_unmarked = n - len({s for s in marked if 0 <= s < n})
-    if n_unmarked > DIMENSION_CAP:
-        raise ValidationError(f"{n_unmarked} unmarked states exceed cap {DIMENSION_CAP}")
+    if n - len(marked) > DIMENSION_CAP:
+        raise ValidationError(f"{n - len(marked)} unmarked states exceed cap {DIMENSION_CAP}")
     p = np.zeros((n, n))
     seen = set()
     for item in entries:

@@ -134,7 +134,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         dim = int(obj["dim"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed matrix JSON: {exc}") from exc
     if re.shape != (dim * dim,) or im.shape != (dim * dim,):
         raise ValidationError("matrix JSON entry count does not match dim*dim")

@@ -49,16 +49,8 @@ from lculab.operators import (
     hermiticity_defect,
 )
 from lculab.rand import random_unitary
-from lculab.sparse_chain import (
-    _ATOL,
-    EdgeColoring,
-    EdgeSum,
-    SparseChainOracle,
-    SqrtFactors,
-    _dense_parts,
-    _levels,
-    pair_states,
-)
+from lculab import sparse_chain
+from lculab.sparse_chain import SparseChainOracle
 
 STATE_NORM_ATOL = 1e-12
 _DILATION_TERM_CAP = 1024
@@ -815,35 +807,124 @@ def survival_probability(mp: MarkedPartition, t_prime: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dense assembly of the sparse-access construction.
+# Dense views and assembly of the sparse-access construction.
+
+def _dense(n: int, pairs: np.ndarray, blocks: np.ndarray, diagonal=0.0) -> np.ndarray:
+    """diag(diagonal) with each 2x2 block added in at its index pair."""
+    m = np.diag(np.broadcast_to(np.asarray(diagonal, dtype=complex), (n,)))
+    np.add.at(m, (pairs[:, :, None], pairs[:, None, :]), blocks)
+    return m
+
+
+def dense_parts(n: int, parts: tuple) -> np.ndarray:
+    """The operator F given by the parts (pairs, blocks, off) of a `sparse_chain.Level`."""
+    pairs, blocks, off = parts
+    m = np.diag(np.broadcast_to(np.asarray(off, dtype=complex), (n,)))
+    m[pairs[:, :, None], pairs[:, None, :]] = blocks
+    return m
+
+
+@dataclass(frozen=True)
+class EdgeSum:
+    """sum_e weights_e |mu_e><mu_e| + diag(diagonal), each mu_e a normalized
+    two-coordinate vector with coefficients mu_bar_e on the index pair pairs_e."""
+
+    n_states: int
+    pairs: np.ndarray
+    weights: np.ndarray
+    mu_bar: np.ndarray
+    diagonal: np.ndarray | float
+
+    @property
+    def blocks(self) -> np.ndarray:
+        return self.weights[:, None, None] * sparse_chain._outer(self.mu_bar)
+
+    @cached_property
+    def matrix(self) -> HermitianOperator:
+        return HermitianOperator(_dense(self.n_states, self.pairs, self.blocks, self.diagonal))
+
 
 def build_h_bar(oracle: SparseChainOracle) -> tuple[EdgeSum, HermitianOperator]:
-    """The ordered-pair states and their dense sum, which reproduces 1 - S:
-    off-diagonal entries -sqrt(Pr(s|s')Pr(s'|s)), diagonal 1 - Pr(s|s)."""
-    terms = pair_states(oracle)
+    """The ordered-pair states of 1 - S, each orientation of each edge once with
+    weight alpha_bar, and their dense sum, which reproduces 1 - S: off-diagonal
+    entries -sqrt(Pr(s|s')Pr(s'|s)), diagonal 1 - Pr(s|s)."""
+    pairs, p_to, p_from = oracle.pair_table
+    terms = EdgeSum(oracle.chain.n_states, pairs, *sparse_chain._pair_data(p_to, p_from), 0.0)
     return terms, terms.matrix
 
 
+@dataclass(frozen=True)
+class SparseConstruction:
+    """What `decomposition_manifest` builds, from its own helpers: the projected
+    walk Hamiltonian on the edge table, the color of each edge, and the
+    ancilla levels (the colors, then the boundary), with dense views."""
+
+    projected: EdgeSum
+    colors: np.ndarray
+    levels: list
+
+    @property
+    def n_colors(self) -> int:
+        return len(self.levels) - 1
+
+    @property
+    def classes(self) -> tuple:
+        """The edges (a, b) of each color, in edge-table order."""
+        return tuple(
+            tuple(map(tuple, self.projected.pairs[self.colors == k].tolist()))
+            for k in range(self.n_colors)
+        )
+
+    def restricted(self, unmarked) -> np.ndarray:
+        idx = list(unmarked)
+        return self.projected.matrix.matrix[np.ix_(idx, idx)]
+
+    def factor(self, k: int) -> np.ndarray:
+        """The unitary F of level k + 1: Z_k for a color, the boundary diagonal last."""
+        return dense_parts(self.projected.n_states, self.levels[k].parts)
+
+    def sqrt_block(self, k: int) -> np.ndarray:
+        """p F + q F^dagger for level k + 1, the square root of its part of H."""
+        level = self.levels[k]
+        parts = sparse_chain._combine(level.parts, *level.coefficients)
+        return dense_parts(self.projected.n_states, parts)
+
+    def class_h(self, k: int) -> np.ndarray:
+        """The projector sum sum_e alpha_bar_e |mu_e><mu_e| of color k."""
+        p = self.projected
+        edges = self.colors == k
+        return _dense(p.n_states, p.pairs[edges], p.blocks[edges] / 2)
+
+
+def sparse_construction(oracle: SparseChainOracle) -> SparseConstruction:
+    pairs, alpha_bar, mu_bar, colors = sparse_chain._edge_table(oracle)
+    boundary = sparse_chain._boundary_weights(oracle)
+    levels = sparse_chain._levels(oracle, pairs, alpha_bar, mu_bar, colors, boundary)
+    projected = sparse_chain.walk_hamiltonian(alpha_bar, mu_bar, boundary)
+    return SparseConstruction(EdgeSum(oracle.chain.n_states, pairs, *projected), colors, levels)
+
+
 def assemble_tilde_h_sparse(
-    factors: SqrtFactors, coloring: EdgeColoring, oracle: SparseChainOracle
+    construction: SparseConstruction,
 ) -> tuple[LcuOperator, GapAmplifiedHamiltonian]:
     """The enlarged operator and its 4(K'+1) unitaries as matrices, built from
-    the factors' dense views and the expansion table of
+    the levels' dense views and the expansion table of
     `sparse_chain.check_unitary_expansion`. Each color block enters as
     sqrt(2) * sqrt(h_k) so the ancilla-0 sector of the square recovers the
     doubled (ordered-pair) edge weights; the boundary block enters unscaled.
     The weighted sum is checked against the enlarged operator.
     """
-    levels = _levels(factors)
-    blocks = [scale * factor.sqrt_h for _, factor, (scale, _, _) in levels]
-    g = assemble_gap_amplified(blocks, oracle.n_states)
+    levels = construction.levels
+    blocks = [level.terms[0] * construction.sqrt_block(k) for k, level in enumerate(levels)]
+    g = assemble_gap_amplified(blocks, construction.projected.n_states)
     terms: list[tuple[float, np.ndarray]] = []
-    for k, factor, (_, weight, signs) in levels:
-        u = _dense_parts(oracle.n_states, factor.parts)
+    for k, level in enumerate(levels, start=1):
+        _, weight, signs = level.terms
+        u = construction.factor(k - 1)
         for t, (sign, rotation) in enumerate(zip(signs, 2 * ancilla_rotations(k, g.ancilla_dim))):
             terms.append((weight, sign * np.kron(u.conj().T if t >= 2 else u, rotation)))
     decomposition = LcuOperator(dim=g.dim, terms=tuple(terms))
     residual = float(np.max(np.abs(decomposition.weighted_sum() - g.operator.matrix)))
-    if residual > _ATOL:
+    if residual > sparse_chain._ATOL:
         raise ValidationError(f"unitary expansion misses the enlarged operator by {residual:.3e}")
     return decomposition, g

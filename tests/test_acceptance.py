@@ -30,11 +30,10 @@ from lculab.markov import (
 )
 from lculab.operators import DensityMatrix, HermitianOperator, matrix_function
 from lculab.rand import random_hermitian_with_spectrum, random_state
-from lculab.sparse_chain import build_sqrt_factors, color_edges, project_h, sparse_oracle
+from lculab.sparse_chain import sparse_oracle
 from oracles import (
     ProjectorDecomposition,
     assemble_tilde_h_sparse,
-    build_h_bar,
     build_tilde_h,
     hs_lcu,
     inverse_lcu,
@@ -43,6 +42,7 @@ from oracles import (
     random_psd,
     random_reversible_chain,
     random_sparse_dyadic_chain,
+    sparse_construction,
     symmetric_two_state,
     trace_distance,
 )
@@ -309,25 +309,22 @@ def test_criterion_8_sparse_reconstruction():
         except ValidationError:
             continue
         dp = discriminant_pair(mp)
-        oracle = sparse_oracle(chain, marked)
-        terms, _ = build_h_bar(oracle)
-        projected = project_h(terms, oracle)
-        gap = float(np.max(np.abs(projected.restricted() - dp.h_matrix.matrix)))
+        construction = sparse_construction(sparse_oracle(chain, marked))
+        gap = float(np.max(np.abs(construction.restricted(mp.unmarked) - dp.h_matrix.matrix)))
         assert gap <= 1e-10
         worst = max(worst, gap)
-        coloring = color_edges(oracle)
-        assert coloring.n_colors <= 2 * chain.sparsity - 1
-        for edge_class in coloring.classes:
+        assert construction.n_colors <= 2 * chain.sparsity - 1
+        for edge_class in construction.classes:
             vertices = [v for e in edge_class for v in e]
             assert len(vertices) == len(set(vertices))
-        factors = build_sqrt_factors(coloring, oracle)
-        for factor in factors.colors:
-            assert unitarity_defect(factor.z_unitary) <= 1e-10
-            sq_gap = float(np.max(np.abs(factor.sqrt_h @ factor.sqrt_h - factor.h_matrix)))
+        for k in range(construction.n_colors):
+            assert unitarity_defect(construction.factor(k)) <= 1e-10
+            sqrt_h = construction.sqrt_block(k)
+            sq_gap = float(np.max(np.abs(sqrt_h @ sqrt_h - construction.class_h(k))))
             assert sq_gap <= 1e-10
-        _, g = assemble_tilde_h_sparse(factors, coloring, oracle)
+        _, g = assemble_tilde_h_sparse(construction)
         sector = g.sector_block(g.operator.matrix @ g.operator.matrix)
-        assert float(np.max(np.abs(sector - projected.matrix.matrix))) <= 1e-10
+        assert float(np.max(np.abs(sector - construction.projected.matrix.matrix))) <= 1e-10
         checked += 1
     _report(
         8,

@@ -1,10 +1,13 @@
-"""Golden ledgers: the four cost ledgers, pinned bit for bit.
+"""Golden ledgers: the four cost ledgers and the `appendix-verify` manifest,
+pinned bit for bit.
 
 Every entry and total is compared through `float.hex`, so any change in how a
 closed form is evaluated (operand order included) shows up here. The inputs
 are the `cost-sweep` defaults for the two theorem ledgers, the README's two
 example configs for the pipeline ledgers, and a literal 4x4 matrix for the
-thermal pipeline's matrix front door.
+thermal pipeline's matrix front door. The manifest is pinned on the README
+two-state chain, a seeded 80-state dyadic chain and an asymmetric reversible
+chain.
 """
 
 import math
@@ -17,8 +20,10 @@ from lculab.cost import theorem1_cost, theorem2_cost
 from lculab.gap_amplification import parse_pauli_lines
 from lculab.gibbs import GibbsTask, prepare_gibbs
 from lculab.inverse import HittingTimeTask, estimate_hitting_time
-from lculab.markov import chain_from_json, discriminant_pair, mark_states
+from lculab.markov import chain_from_json, discriminant_pair, mark_states, validate_chain
 from lculab.operators import HermitianOperator
+from lculab.sparse_chain import decomposition_manifest, sparse_oracle
+from oracles import random_reversible_chain, random_sparse_dyadic_matrix
 
 THEOREM1_DEFAULTS = {
     "C_B": "0x1.6dcf55202f73cp+1",
@@ -60,6 +65,33 @@ README_HITTING = {
     "total": "0x1.2a258939bf5eep+14",
 }
 
+README_CHAIN = {
+    "n_states": 2,
+    "entries": [[0, 0, 0.5], [1, 0, 0.5], [0, 1, 0.5], [1, 1, 0.5]],
+    "marked": [1],
+}
+# appendix-verify term weights: sqrt(2)/4 per color term, 1/4 per boundary term
+COLOR_WEIGHT = "0x1.6a09e667f3bcdp-2"
+BOUNDARY_WEIGHT = "0x1.0000000000000p-2"
+README_MANIFEST = {
+    "colors": 0,
+    "terms": 4,
+    "alpha_list": [BOUNDARY_WEIGHT] * 4,
+    "reconstruction_residual": "0x1.0000000000000p-53",
+}
+DYADIC_80_MANIFEST = {
+    "colors": 6,
+    "terms": 28,
+    "alpha_list": [COLOR_WEIGHT] * 24 + [BOUNDARY_WEIGHT] * 4,
+    "reconstruction_residual": "0x1.0000000000000p-54",
+}
+REVERSIBLE_20_MANIFEST = {
+    "colors": 5,
+    "terms": 24,
+    "alpha_list": [COLOR_WEIGHT] * 20 + [BOUNDARY_WEIGHT] * 4,
+    "reconstruction_residual": "0x1.0000000000000p-53",
+}
+
 
 def _hex_ledger(report) -> dict:
     ledger = {name: float(entry.value).hex() for name, entry in report.entries.items()}
@@ -99,15 +131,34 @@ def test_prepare_gibbs_on_matrix_config():
 
 
 def test_estimate_hitting_time_on_readme_config():
-    chain, marked = chain_from_json(
-        {
-            "n_states": 2,
-            "entries": [[0, 0, 0.5], [1, 0, 0.5], [0, 1, 0.5], [1, 1, 0.5]],
-            "marked": [1],
-        }
-    )
+    chain, marked = chain_from_json(README_CHAIN)
     mp = mark_states(chain, marked)
     task = HittingTimeTask(
         partition=mp, pair=discriminant_pair(mp), epsilon=0.1, confidence=8 / math.pi**2
     )
     assert _hex_ledger(estimate_hitting_time(task, seed=7).cost) == README_HITTING
+
+
+def _hex_manifest(chain, marked) -> dict:
+    manifest = decomposition_manifest(sparse_oracle(chain, marked))
+    return {
+        "colors": manifest["colors"],
+        "terms": manifest["terms"],
+        "alpha_list": [float(alpha).hex() for alpha in manifest["alpha_list"]],
+        "reconstruction_residual": float(manifest["reconstruction_residual"]).hex(),
+    }
+
+
+def test_appendix_manifest_on_readme_chain():
+    assert _hex_manifest(*chain_from_json(README_CHAIN)) == README_MANIFEST
+
+
+def test_appendix_manifest_on_dyadic_80_chain():
+    p = random_sparse_dyadic_matrix(np.random.default_rng(80), 80, degree=4)
+    assert _hex_manifest(validate_chain(p), [0, 17, 53]) == DYADIC_80_MANIFEST
+
+
+def test_appendix_manifest_on_asymmetric_chain():
+    chain = random_reversible_chain(np.random.default_rng(12), 20, max_degree=4)
+    assert np.max(np.abs(chain.transition - chain.transition.T)) > 0.1
+    assert _hex_manifest(chain, [3, 11]) == REVERSIBLE_20_MANIFEST

@@ -24,6 +24,7 @@ from lculab.markov import (
     mark_states,
     validate_chain,
 )
+from lculab.sparse_chain import sparse_oracle
 from oracles import (
     chain_to_json,
     eig_validate_chain,
@@ -235,6 +236,35 @@ class TestMarkedPartition:
         with pytest.raises(ValidationError):
             mark_states(chain, [0, 1])
 
+    @pytest.mark.parametrize(
+        "marked", [[1.5], ["1"], [True], [None], [float("nan")], 3],
+        ids=["fractional", "string", "bool", "null", "nan", "bare-integer"],
+    )
+    def test_marked_states_are_typed(self, marked):
+        # each of these once marked state 1 or raised TypeError
+        with pytest.raises(ValidationError, match="marked set .* is not a list of"):
+            mark_states(symmetric_two_state(), marked)
+
+    @pytest.mark.parametrize(
+        "marked", [[1], [np.int64(1)], [1.0], (1, 1), range(1, 2), np.array([1])],
+        ids=["int", "numpy-int", "integral-float", "repeated", "range", "array"],
+    )
+    def test_marked_integers_accepted(self, marked):
+        mp = mark_states(symmetric_two_state(), marked)
+        assert mp.marked == (1,) and mp.unmarked == (0,)
+
+    def test_one_reader_for_every_marked_set(self):
+        # mark_states, sparse_oracle and chain_from_json read a marked set alike
+        chain = lazy_cycle(4, 0.5)
+        blob = chain_to_json(chain, [0])
+        for marked, message in [([], "nonempty"), ([4], "out of range"), ([0, 1, 2, 3], "unmarked set"),
+                                ([0.5], "not a list of integers")]:
+            blob["marked"] = marked
+            for read in (lambda: mark_states(chain, marked), lambda: sparse_oracle(chain, marked),
+                         lambda: chain_from_json(blob)):
+                with pytest.raises(ValidationError, match=message):
+                    read()
+
 
 class TestHittingTimeFormulas:
     def test_two_state_resolvent_equals_one(self, two_state):
@@ -309,8 +339,8 @@ class TestHittingTimeFormulas:
 class TestSurvival:
     def test_time_zero_is_pi_u(self, two_state):
         assert survival_probability(two_state, 0) == pytest.approx(two_state.pi_u)
-        # equivalently Pr(t = 0) = pi_M
-        assert 1 - survival_probability(two_state, 0) == pytest.approx(two_state.pi_m)
+        # equivalently Pr(t = 0) = pi_M = 1 - pi_U
+        assert 1 - survival_probability(two_state, 0) == pytest.approx(1 - two_state.pi_u)
 
     def test_two_state_one_step(self, two_state):
         assert survival_probability(two_state, 1) == pytest.approx(0.25)
@@ -628,6 +658,16 @@ class TestChainJson:
     def test_malformed_rejected(self):
         with pytest.raises(ValidationError):
             chain_from_json({"n_states": 2, "entries": [[0, 0]], "marked": []})
+
+    @pytest.mark.parametrize(
+        "field, value", [("n_states", "x"), ("n_states", 2.5), ("entries", 5)],
+        ids=["string-n-states", "fractional-n-states", "integer-entries"],
+    )
+    def test_unreadable_field_is_a_validation_error(self, field, value):
+        blob = chain_to_json(symmetric_two_state(), [1])
+        blob[field] = value
+        with pytest.raises(ValidationError, match="malformed chain JSON"):
+            chain_from_json(blob)
 
     @pytest.mark.parametrize(
         "triplet",

@@ -173,3 +173,12 @@ class TestJsonRoundTrip:
     def test_malformed_matrix_rejected(self):
         with pytest.raises(ValidationError):
             matrix_from_json({"dim": 2, "re": [1.0], "im": [0.0]})
+
+    @pytest.mark.parametrize(
+        "field, value", [("dim", "x"), ("re", [1.0, "a", 0.0, 1.0])], ids=["string-dim", "string-entry"]
+    )
+    def test_unreadable_field_is_a_validation_error(self, field, value):
+        obj = {"dim": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
+        obj[field] = value
+        with pytest.raises(ValidationError, match="malformed matrix JSON"):
+            matrix_from_json(obj)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,34 +26,24 @@ from lculab.markov import (
     mark_states,
     validate_chain,
 )
-from lculab.sparse_chain import (
-    build_sqrt_factors,
-    color_edges,
-    decomposition_manifest,
-    pair_states,
-    project_h,
-    reconstruction_residual,
-    sparse_oracle,
-)
+from lculab.sparse_chain import decomposition_manifest, reconstruction_residual, sparse_oracle
 from oracles import (
+    SparseConstruction,
     assemble_tilde_h_sparse,
     build_h_bar,
     inverse_lcu,
     random_reversible_chain,
     random_sparse_dyadic_chain,
     random_sparse_dyadic_matrix,
+    sparse_construction,
     symmetric_two_state,
 )
 
 
 def _pipeline(chain, marked):
-    oracle = sparse_oracle(chain, marked)
-    terms, h_bar = build_h_bar(oracle)
-    projected = project_h(terms, oracle)
-    coloring = color_edges(oracle)
-    factors = build_sqrt_factors(coloring, oracle)
-    decomposition, g = assemble_tilde_h_sparse(factors, coloring, oracle)
-    return oracle, terms, h_bar, projected, coloring, factors, decomposition, g
+    construction = sparse_construction(sparse_oracle(chain, marked))
+    decomposition, g = assemble_tilde_h_sparse(construction)
+    return construction, decomposition, g
 
 
 def _scan_neighbors(p):
@@ -76,17 +67,15 @@ def _scan_neighbors(p):
 def _dense_manifest(oracle):
     """The manifest computed on the dense oracle views: the enlarged operator and its
     Kronecker terms, with the residual read from the sector of its square."""
-    terms, _ = build_h_bar(oracle)
-    projected = project_h(terms, oracle)
-    coloring = color_edges(oracle)
-    factors = build_sqrt_factors(coloring, oracle)
-    decomposition, g = assemble_tilde_h_sparse(factors, coloring, oracle)
+    construction = sparse_construction(oracle)
+    decomposition, g = assemble_tilde_h_sparse(construction)
     sector = g.sector_block(g.operator.matrix @ g.operator.matrix)
+    residual = np.max(np.abs(sector - construction.projected.matrix.matrix))
     return {
-        "colors": coloring.n_colors,
+        "colors": construction.n_colors,
         "terms": decomposition.n_terms,
         "alpha_list": [float(alpha) for alpha, _ in decomposition.terms],
-        "reconstruction_residual": float(np.max(np.abs(sector - projected.matrix.matrix))),
+        "reconstruction_residual": float(residual),
     }
 
 
@@ -180,11 +169,9 @@ class TestBuildHBar:
 
 class TestProjectH:
     def test_two_state_boundary_only(self):
-        oracle = sparse_oracle(symmetric_two_state(), [1])
-        terms, _ = build_h_bar(oracle)
-        projected = project_h(terms, oracle)
-        np.testing.assert_allclose(projected.restricted(), [[0.5]], atol=1e-14)
-        assert len(projected.pairs) == 0
+        construction = sparse_construction(sparse_oracle(symmetric_two_state(), [1]))
+        np.testing.assert_allclose(construction.restricted([0]), [[0.5]], atol=1e-14)
+        assert len(construction.projected.pairs) == 0
 
     def test_matches_dense_restriction(self, rng):
         for _ in range(10):
@@ -196,10 +183,9 @@ class TestProjectH:
             except ValidationError:
                 continue
             dp = discriminant_pair(mp)
-            oracle = sparse_oracle(chain, marked)
-            terms, _ = build_h_bar(oracle)
-            projected = project_h(terms, oracle)
-            assert np.max(np.abs(projected.restricted() - dp.h_matrix.matrix)) <= 1e-10
+            construction = sparse_construction(sparse_oracle(chain, marked))
+            restricted = construction.restricted(mp.unmarked)
+            assert np.max(np.abs(restricted - dp.h_matrix.matrix)) <= 1e-10
 
     def test_matches_dense_on_asymmetric_chains(self, rng):
         # reversible does not mean symmetric: unequal degrees make
@@ -215,16 +201,15 @@ class TestProjectH:
                 continue
             dp = discriminant_pair(mp)
             oracle = sparse_oracle(chain, marked)
-            terms, h_bar = build_h_bar(oracle)
+            _, h_bar = build_h_bar(oracle)
             expected_h_bar = np.eye(n) - discriminant_matrix(chain.transition)
             assert np.max(np.abs(h_bar.matrix - expected_h_bar)) <= 1e-10
-            projected = project_h(terms, oracle)
-            assert np.max(np.abs(projected.restricted() - dp.h_matrix.matrix)) <= 1e-10
-            coloring = color_edges(oracle)
-            factors = build_sqrt_factors(coloring, oracle)
-            _, g = assemble_tilde_h_sparse(factors, coloring, oracle)
+            construction = sparse_construction(oracle)
+            restricted = construction.restricted(mp.unmarked)
+            assert np.max(np.abs(restricted - dp.h_matrix.matrix)) <= 1e-10
+            _, g = assemble_tilde_h_sparse(construction)
             sq = g.sector_block(g.operator.matrix @ g.operator.matrix)
-            assert np.max(np.abs(sq - projected.matrix.matrix)) <= 1e-10
+            assert np.max(np.abs(sq - construction.projected.matrix.matrix)) <= 1e-10
 
     def test_boundary_direction_on_two_state_asymmetric_chain(self):
         # boundary weight is the probability of leaving U, not of entering it
@@ -235,68 +220,54 @@ class TestProjectH:
             ]
         )
         chain = validate_chain(p)
-        oracle = sparse_oracle(chain, [1])
-        terms, _ = build_h_bar(oracle)
-        projected = project_h(terms, oracle)
-        assert projected.diagonal[0] == pytest.approx(0.3)  # Pr(1|0), not Pr(0|1)
+        construction = sparse_construction(sparse_oracle(chain, [1]))
+        assert construction.projected.diagonal[0] == pytest.approx(0.3)  # Pr(1|0), not Pr(0|1)
         dp = discriminant_pair(mark_states(chain, [1]))
-        np.testing.assert_allclose(projected.restricted(), dp.h_matrix.matrix, atol=1e-12)
-        factors = build_sqrt_factors(color_edges(oracle), oracle)
-        assert factors.diagonal.sqrt_h[0, 0].real == pytest.approx(np.sqrt(0.3))
+        np.testing.assert_allclose(construction.restricted([0]), dp.h_matrix.matrix, atol=1e-12)
+        assert construction.sqrt_block(-1)[0, 0].real == pytest.approx(np.sqrt(0.3))
 
     def test_boundary_support(self):
         # boundary weights vanish on unmarked states with no marked neighbor
         chain = lazy_cycle(8, 0.5)
-        oracle = sparse_oracle(chain, [0])
-        terms, _ = build_h_bar(oracle)
-        projected = project_h(terms, oracle)
-        interior = [s for s in oracle.unmarked if s not in (1, 7)]
-        assert np.all(projected.diagonal[interior] == 0.0)
-        assert projected.diagonal[1] > 0 and projected.diagonal[7] > 0
+        diagonal = sparse_construction(sparse_oracle(chain, [0])).projected.diagonal
+        assert np.all(diagonal[2:7] == 0.0)
+        assert diagonal[1] > 0 and diagonal[7] > 0
 
 
 class TestColoring:
     def test_path_needs_two_colors(self):
         chain = lazy_cycle(4, 0.5)
         oracle = sparse_oracle(chain, [0])  # unmarked block is a path 1-2-3
-        coloring = color_edges(oracle)
-        assert coloring.n_colors == 2
+        assert sparse_construction(oracle).n_colors == 2
 
     def test_single_edge(self):
         chain = lazy_cycle(3, 0.5)
-        oracle = sparse_oracle(chain, [0])
-        coloring = color_edges(oracle)
-        assert coloring.n_colors == 1
-        assert coloring.classes == (((1, 2),),)
+        construction = sparse_construction(sparse_oracle(chain, [0]))
+        assert construction.n_colors == 1
+        assert construction.classes == (((1, 2),),)
 
     def test_proper_by_exhaustive_scan(self, rng):
         for _ in range(10):
             chain = random_sparse_dyadic_chain(rng, 16, degree=4)
-            oracle = sparse_oracle(chain, [0, 5])
-            coloring = color_edges(oracle)
-            for edge_class in coloring.classes:
+            construction = sparse_construction(sparse_oracle(chain, [0, 5]))
+            for edge_class in construction.classes:
                 vertices = [v for e in edge_class for v in e]
                 assert len(vertices) == len(set(vertices))
-            assert coloring.n_colors <= 2 * chain.sparsity - 1
+            assert construction.n_colors <= 2 * chain.sparsity - 1
 
     def test_deterministic(self, rng):
         chain = random_sparse_dyadic_chain(rng, 12, degree=3)
         oracle = sparse_oracle(chain, [2])
-        a = color_edges(oracle)
-        b = color_edges(oracle)
-        assert a.classes == b.classes
+        assert sparse_construction(oracle).classes == sparse_construction(oracle).classes
 
 
 class TestSqrtFactors:
     def test_single_edge_quarter_angle(self):
         # alpha_bar = 1/2 gives delta = pi/4; check against the matrix exponential
         chain = lazy_cycle(3, 0.5)  # edge (1,2) has Pr = 0.25 each way -> alpha_bar = 1/4
-        oracle = sparse_oracle(chain, [0])
-        coloring = color_edges(oracle)
-        factors = build_sqrt_factors(coloring, oracle)
-        factor = factors.colors[0]
+        construction = sparse_construction(sparse_oracle(chain, [0]))
         # independent oracle: scipy expm of the generator
-        (a, b), = coloring.classes[0]
+        (a, b), = construction.classes[0]
         p = chain.transition
         vec = np.zeros(3, dtype=complex)
         vec[b] += math.sqrt(p[a, b] / 2)
@@ -306,30 +277,27 @@ class TestSqrtFactors:
         proj = np.outer(mu_bar, mu_bar.conj())
         delta = math.asin(math.sqrt(alpha_bar))
         z_ref = scipy.linalg.expm(1j * delta * proj)
-        np.testing.assert_allclose(factor.z_unitary, z_ref, atol=1e-12)
+        np.testing.assert_allclose(construction.factor(0), z_ref, atol=1e-12)
         np.testing.assert_allclose(
-            factor.sqrt_h, math.sqrt(alpha_bar) * proj, atol=1e-12
+            construction.sqrt_block(0), math.sqrt(alpha_bar) * proj, atol=1e-12
         )
 
     def test_sqrt_identity_per_color(self, rng):
         chain = random_sparse_dyadic_chain(rng, 14, degree=4)
-        oracle = sparse_oracle(chain, [3])
-        coloring = color_edges(oracle)
-        factors = build_sqrt_factors(coloring, oracle)
-        for factor in factors.colors:
-            assert unitarity_defect(factor.z_unitary) <= 1e-10
-            assert np.max(np.abs(factor.sqrt_h @ factor.sqrt_h - factor.h_matrix)) <= 1e-10
+        construction = sparse_construction(sparse_oracle(chain, [3]))
+        for k in range(construction.n_colors):
+            assert unitarity_defect(construction.factor(k)) <= 1e-10
+            sqrt_h = construction.sqrt_block(k)
+            assert np.max(np.abs(sqrt_h @ sqrt_h - construction.class_h(k))) <= 1e-10
 
     def test_diagonal_factor_angles(self):
         # full boundary weight -> theta = 0 and diagonal entry 1;
         # zero boundary weight -> theta = pi/2 and entry 0
         chain = lazy_cycle(8, 0.5)
-        oracle = sparse_oracle(chain, [0])
-        factors = build_sqrt_factors(color_edges(oracle), oracle)
-        diag = factors.diagonal
-        sqrt_h = diag.sqrt_h
+        construction = sparse_construction(sparse_oracle(chain, [0]))
+        sqrt_h = construction.sqrt_block(-1)
         assert sqrt_h[4, 4].real == pytest.approx(0.0, abs=1e-15)  # no marked neighbor
-        assert diag.thetas[4] == pytest.approx(math.pi / 2)
+        assert np.angle(construction.factor(-1)[4, 4]) == pytest.approx(math.pi / 2)
         # marked state itself carries phase i, so the symmetrized entry is 0
         assert sqrt_h[0, 0].real == pytest.approx(0.0, abs=1e-15)
         sq = sqrt_h @ sqrt_h
@@ -347,19 +315,16 @@ class TestSqrtFactors:
             ]
         )
         chain = validate_chain(p, require_nonnegative_spectrum=False)
-        oracle = sparse_oracle(chain, [1, 2])
-        factors = build_sqrt_factors(color_edges(oracle), oracle)
-        diag = factors.diagonal
-        assert diag.thetas[0] == pytest.approx(0.0)
-        assert diag.u_diagonal[0, 0] == pytest.approx(1.0)
-        assert diag.sqrt_h[0, 0].real == pytest.approx(1.0)
+        construction = sparse_construction(sparse_oracle(chain, [1, 2]))
+        assert np.angle(construction.factor(-1)[0, 0]) == pytest.approx(0.0)
+        assert construction.factor(-1)[0, 0] == pytest.approx(1.0)
+        assert construction.sqrt_block(-1)[0, 0].real == pytest.approx(1.0)
 
     def test_orthogonality_within_color(self, rng):
         chain = random_sparse_dyadic_chain(rng, 16, degree=4)
-        oracle = sparse_oracle(chain, [1])
-        coloring = color_edges(oracle)
+        construction = sparse_construction(sparse_oracle(chain, [1]))
         p = chain.transition
-        for edge_class in coloring.classes:
+        for edge_class in construction.classes:
             vectors = []
             for a, b in edge_class:
                 vec = np.zeros(16, dtype=complex)
@@ -371,37 +336,42 @@ class TestSqrtFactors:
                     assert np.vdot(vectors[i], vectors[j]) == 0.0
 
     def test_z_invariant_under_edge_permutation(self, rng):
+        # the levels built from a shuffled edge table (colors kept per edge)
+        # have the same dense factors: each Z_k is assembled edge by edge
         chain = random_sparse_dyadic_chain(rng, 12, degree=4)
         oracle = sparse_oracle(chain, [4])
-        coloring = color_edges(oracle)
-        factors = build_sqrt_factors(coloring, oracle)
-        from lculab.sparse_chain import EdgeColoring
-
-        shuffled = EdgeColoring(classes=tuple(tuple(reversed(c)) for c in coloring.classes))
-        factors_shuffled = build_sqrt_factors(shuffled, oracle)
-        for a, b in zip(factors.colors, factors_shuffled.colors):
-            np.testing.assert_array_equal(a.z_unitary, b.z_unitary)
+        construction = sparse_construction(oracle)
+        pairs, alpha_bar, mu_bar, colors = sparse_chain._edge_table(oracle)
+        boundary = sparse_chain._boundary_weights(oracle)
+        order = rng.permutation(len(pairs))
+        levels = sparse_chain._levels(
+            oracle, pairs[order], alpha_bar[order], mu_bar[order], colors[order], boundary
+        )
+        shuffled = SparseConstruction(construction.projected, construction.colors, levels)
+        assert construction.n_colors == shuffled.n_colors >= 3
+        for k in range(construction.n_colors + 1):
+            np.testing.assert_array_equal(construction.factor(k), shuffled.factor(k))
 
 
 class TestAssembly:
     def test_two_state_sector(self):
-        _, _, _, projected, _, _, decomposition, g = _pipeline(symmetric_two_state(), [1])
+        _, decomposition, g = _pipeline(symmetric_two_state(), [1])
         sq = g.sector_block(g.operator.matrix @ g.operator.matrix)
         np.testing.assert_allclose(sq[0, 0], 0.5, atol=1e-12)
         assert decomposition.n_terms == 4  # no colors, diagonal block only
 
     def test_lazy_cycle_square_property(self):
         chain = lazy_cycle(8, 0.5)
-        _, _, _, projected, coloring, _, decomposition, g = _pipeline(chain, [0])
+        construction, decomposition, g = _pipeline(chain, [0])
         sq = g.sector_block(g.operator.matrix @ g.operator.matrix)
-        assert np.max(np.abs(sq - projected.matrix.matrix)) <= 1e-10
-        assert decomposition.n_terms == 4 * (coloring.n_colors + 1)
+        assert np.max(np.abs(sq - construction.projected.matrix.matrix)) <= 1e-10
+        assert decomposition.n_terms == 4 * (construction.n_colors + 1)
         for _, u in decomposition.terms:
             assert unitarity_defect(u) <= 1e-10
 
     def test_weighted_sum_is_exact(self, rng):
         chain = random_sparse_dyadic_chain(rng, 10, degree=3)
-        _, _, _, _, _, _, decomposition, g = _pipeline(chain, [0, 4])
+        _, decomposition, g = _pipeline(chain, [0, 4])
         assert np.max(np.abs(decomposition.weighted_sum() - g.operator.matrix)) <= 1e-10
 
     def test_sparse_matches_dense_pipeline(self, rng):
@@ -414,7 +384,7 @@ class TestAssembly:
             except ValidationError:
                 continue
             dp = discriminant_pair(mp)
-            _, _, _, projected, _, _, _, g = _pipeline(chain, marked)
+            _, _, g = _pipeline(chain, marked)
             u_idx = list(mp.unmarked)
             sq = g.sector_block(g.operator.matrix @ g.operator.matrix)
             assert np.max(np.abs(sq[np.ix_(u_idx, u_idx)] - dp.h_matrix.matrix)) <= 1e-10
@@ -423,7 +393,7 @@ class TestAssembly:
         chain = lazy_cycle(8, 0.5)
         mp = mark_states(chain, [0])
         dp = discriminant_pair(mp)
-        _, _, _, _, _, _, _, g = _pipeline(chain, [0])
+        _, _, g = _pipeline(chain, [0])
         task = HittingTimeTask(partition=mp, pair=dp, epsilon=0.1)
         grid = calibrate_inverse_grid(task.delta, task.epsilon)
         res = estimate_hitting_time(task, seed=21, grid=grid)
@@ -453,7 +423,7 @@ class TestAssembly:
             dp = discriminant_pair(mp)
             if dp.delta < delta_floor:
                 continue
-            _, _, _, _, _, _, _, g = _pipeline(chain, marked)
+            _, _, g = _pipeline(chain, marked)
             amp = _sparse_expectation(grid, g, mp)
             t_exact = exact_hitting_time_inverse(dp, mp)
             assert abs(amp * grid.gamma - t_exact) <= epsilon
@@ -512,22 +482,45 @@ class TestEdgeLevelManifest:
         np.testing.assert_allclose(pi, 1 / n, rtol=1e-13)
         assert np.max(np.abs(chain.transition @ pi - pi)) <= 1e-15
 
+    def test_one_pass_over_the_edge_table(self, monkeypatch):
+        # alpha_bar, mu_bar and the boundary weights are computed once per
+        # manifest, and nothing of size N x N is allocated (N^2 bytes is 4 MB)
+        n = 2000
+        p = random_sparse_dyadic_matrix(np.random.default_rng(7), n, degree=4)
+        oracle = sparse_oracle(validate_chain(p), range(0, n, 100))
+        calls = []
+        for name in ("_pair_data", "_boundary_weights"):
+            original = getattr(sparse_chain, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(sparse_chain, name, counted)
+        tracemalloc.start()
+        try:
+            decomposition_manifest(oracle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(calls) == ["_boundary_weights", "_pair_data"]
+        assert peak < n * n
+
     @staticmethod
     def _oracle(rng):
         return sparse_oracle(random_sparse_dyadic_chain(rng, 24, degree=4), [0, 7])
 
     def test_non_unitary_z_block_fires(self, rng, monkeypatch):
-        build = sparse_chain.build_sqrt_factors
+        build = sparse_chain._levels
 
-        def broken(coloring, oracle):
-            factors = build(coloring, oracle)
-            color = factors.colors[0]
-            z_blocks = color.z_blocks.copy()
+        def broken(*args):
+            levels = build(*args)
+            pairs, z_blocks, off = levels[0].parts
+            z_blocks = z_blocks.copy()
             z_blocks[0] *= 1.0 + 1e-6
-            colors = (dataclasses.replace(color, z_blocks=z_blocks),) + factors.colors[1:]
-            return dataclasses.replace(factors, colors=colors)
+            return [dataclasses.replace(levels[0], parts=(pairs, z_blocks, off))] + levels[1:]
 
-        monkeypatch.setattr(sparse_chain, "build_sqrt_factors", broken)
+        monkeypatch.setattr(sparse_chain, "_levels", broken)
         with pytest.raises(ValidationError, match="term 0: matrix is not unitary"):
             decomposition_manifest(self._oracle(rng))
 
@@ -558,22 +551,27 @@ class TestEdgeLevelManifest:
         # vector flipped, which only the off-diagonal entries see; or a
         # boundary weight off by 1e-6, which only the diagonal sees
         oracle = self._oracle(rng)
-        project = sparse_chain.project_h
+        project = sparse_chain.walk_hamiltonian
+        index = ("weights", "mu_bar", "diagonal").index(field)
 
-        def perturbed(terms, oracle):
-            projected = project(terms, oracle)
-            values = getattr(projected, field).copy()
+        def perturbed(*args):
+            projected = list(project(*args))
+            values = projected[index].copy()
             if field == "mu_bar":
                 values[len(values) // 2, 0] *= -1.0
             else:
                 values[len(values) // 2] += 1e-6
-            return dataclasses.replace(projected, **{field: values})
+            projected[index] = values
+            return tuple(projected)
 
-        coloring = color_edges(oracle)
-        factors = build_sqrt_factors(coloring, oracle)
-        assert reconstruction_residual(project(pair_states(oracle), oracle), factors) <= 1e-13
-        assert reconstruction_residual(perturbed(pair_states(oracle), oracle), factors) > 1e-10
-        monkeypatch.setattr(sparse_chain, "project_h", perturbed)
+        pairs, alpha_bar, mu_bar, colors = sparse_chain._edge_table(oracle)
+        boundary = sparse_chain._boundary_weights(oracle)
+        levels = sparse_chain._levels(oracle, pairs, alpha_bar, mu_bar, colors, boundary)
+        projected = project(alpha_bar, mu_bar, boundary)
+        assert reconstruction_residual(pairs, projected, levels) <= 1e-13
+        projected = perturbed(alpha_bar, mu_bar, boundary)
+        assert reconstruction_residual(pairs, projected, levels) > 1e-10
+        monkeypatch.setattr(sparse_chain, "walk_hamiltonian", perturbed)
         with pytest.raises(ValidationError, match="miss the projected walk Hamiltonian"):
             decomposition_manifest(oracle)
 
