@@ -27,6 +27,7 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+from jsonschema.validators import validator_for
 
 from . import cost as cost_mod
 from .constants import Constants
@@ -37,7 +38,7 @@ from .inverse import HittingTimeTask, calibrate_inverse_grid, estimate_hitting_t
 from .markov import (
     chain_from_json, discriminant_pair, expected_mc_cost, lazy_cycle, mark_states, parse_triplet,
 )
-from .operators import HermitianOperator, matrix_from_json
+from .operators import HermitianOperator, check_numbers, matrix_from_json
 from .rand import random_hermitian_with_spectrum, random_state
 from .sparse_chain import decomposition_manifest, sparse_oracle
 
@@ -47,8 +48,8 @@ _MATRIX_SCHEMA = {
     "type": "object",
     "properties": {
         "dim": {"type": "integer", "minimum": 1},
-        "re": {"type": "array", "items": {"type": "number"}},
-        "im": {"type": "array", "items": {"type": "number"}},
+        "re": {"type": "array"},
+        "im": {"type": "array"},
     },
     "required": ["dim", "re", "im"],
     "additionalProperties": False,
@@ -75,10 +76,7 @@ _CHAIN_SCHEMA = {
     "type": "object",
     "properties": {
         "n_states": {"type": "integer", "minimum": 2},
-        "entries": {
-            "type": "array",
-            "items": {"type": "array", "minItems": 3, "maxItems": 3},
-        },
+        "entries": {"type": "array"},
         "marked": {"type": "array", "items": {"type": "integer"}},
     },
     "required": ["n_states", "entries", "marked"],
@@ -187,6 +185,9 @@ _SCHEMAS = {
     ),
     "cost-sweep": _cost_sweep_schema(),
 }
+# One validator per command, of the class `jsonschema.validate` picks; the
+# schemas are constants, so their meta-schema check is a test, not a per-run cost.
+_VALIDATORS = {command: validator_for(schema)(schema) for command, schema in _SCHEMAS.items()}
 
 
 def _configure_logging() -> None:
@@ -528,11 +529,16 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     for key, value in (overrides or {}).items():
         if value is not None and key in schema["properties"]:
             config[key] = value
-    jsonschema.validate(config, schema)
-    # Chain entries are typed in a loop: per-item schema keywords cost
-    # jsonschema 3.5 ms on a 316-entry chain.
+    error = jsonschema.exceptions.best_match(_VALIDATORS[command].iter_errors(config))
+    if error is not None:
+        raise error
+    # The schema checks the config's shape; the readers type each chain entry
+    # and matrix number (as schema keywords, 2.8 s on a 384 x 384 matrix).
     for item in config.get("chain", {}).get("entries", ()):
         parse_triplet(item)
+    matrix = config.get("hamiltonian", {}).get("matrix", {})
+    for key in ("re", "im") if matrix else ():
+        check_numbers(matrix[key], key)
     return config
 
 

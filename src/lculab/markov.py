@@ -23,7 +23,7 @@ import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, Constants
 from .errors import ValidationError, WalkTimeoutError
-from .operators import DIMENSION_CAP, HermitianOperator
+from .operators import DIMENSION_CAP, HermitianOperator, is_integer, is_number
 
 COLUMN_SUM_ATOL = 1e-12
 DETAILED_BALANCE_ATOL = 1e-10
@@ -191,7 +191,7 @@ def read_marked(marked, n_states: int) -> tuple[int, ...]:
         items = list(marked)
     except TypeError:
         raise ValidationError(f"marked set {marked!r} is not a list of states") from None
-    if not all(_is_integer(s) for s in items):
+    if not all(is_integer(s) for s in items):
         raise ValidationError(f"marked set {marked!r} is not a list of integers")
     states = tuple(sorted({int(s) for s in items}))
     if not states:
@@ -426,19 +426,6 @@ def lazy_cycle(n: int, stay: float = 0.5) -> MarkovChain:
 # ---------------------------------------------------------------------------
 # Sparse-triplet JSON wire format.
 
-_NUMBERS = (int, float, np.integer, np.floating)
-
-
-def _is_number(x) -> bool:
-    """A Python or numpy integer or float; never a bool."""
-    return isinstance(x, _NUMBERS) and type(x) is not bool
-
-
-def _is_integer(x) -> bool:
-    """A number with no fractional part: an integer, a numpy integer or an integral float."""
-    return _is_number(x) and x % 1 == 0
-
-
 def parse_triplet(item) -> tuple[int, int, float]:
     """(row, col, Pr(row|col)) from a chain entry [integer, integer, number].
 
@@ -448,7 +435,7 @@ def parse_triplet(item) -> tuple[int, int, float]:
     if (
         not isinstance(item, (list, tuple))
         or len(item) != 3
-        or not (_is_integer(item[0]) and _is_integer(item[1]) and _is_number(item[2]))
+        or not (is_integer(item[0]) and is_integer(item[1]) and is_number(item[2]))
     ):
         raise ValidationError(f"chain entry {item!r} is not [integer, integer, number]")
     return int(item[0]), int(item[1]), float(item[2])
@@ -459,7 +446,7 @@ def chain_from_json(obj: dict) -> tuple[MarkovChain, tuple[int, ...]]:
         n, entries, marked = obj["n_states"], list(obj["entries"]), obj["marked"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed chain JSON: {exc}") from exc
-    if not _is_integer(n):
+    if not is_integer(n):
         raise ValidationError(f"malformed chain JSON: n_states {n!r} is not an integer")
     n = int(n)
     marked = read_marked(marked, n)

@@ -129,13 +129,39 @@ class DensityMatrix:
 # JSON wire format: {"dim": n, "re": [...], "im": [...]} in row-major order.
 # Double-precision values round-trip exactly (json uses shortest repr).
 
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def is_number(x) -> bool:
+    """A Python or numpy integer or float; never a bool."""
+    return isinstance(x, _NUMBERS) and type(x) is not bool
+
+
+def is_integer(x) -> bool:
+    """A number with no fractional part: an integer, a numpy integer or an integral float."""
+    return is_number(x) and x % 1 == 0
+
+
+def check_numbers(values, name: str) -> None:
+    """Raise ValidationError unless `values` is a list (or tuple) of numbers; a
+    JSON-loaded list holds only ints and floats, which its set of types shows."""
+    if not isinstance(values, (list, tuple)) or not (
+        set(map(type, values)) <= {int, float} or all(map(is_number, values))
+    ):
+        raise ValidationError(f"malformed matrix JSON: {name} is not a list of numbers")
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        dim, re, im = obj["dim"], obj["re"], obj["im"]
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed matrix JSON: {exc}") from exc
-    if re.shape != (dim * dim,) or im.shape != (dim * dim,):
+    if not (is_integer(dim) and dim >= 1):
+        raise ValidationError(f"malformed matrix JSON: dim {dim!r} is not a positive integer")
+    check_numbers(re, "re")
+    check_numbers(im, "im")
+    dim = int(dim)
+    if len(re) != dim * dim or len(im) != dim * dim:
         raise ValidationError("matrix JSON entry count does not match dim*dim")
-    return as_square_matrix((re + 1j * im).reshape(dim, dim))
+    a = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    return as_square_matrix(a.reshape(dim, dim))

@@ -4,13 +4,16 @@ import re
 import tracemalloc
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from lculab import cli
 from lculab.cli import main
 from lculab.markov import lazy_cycle
-from oracles import chain_to_json, random_sparse_dyadic_chain, symmetric_two_state
+from oracles import (
+    chain_to_json, matrix_to_json, random_sparse_dyadic_chain, symmetric_two_state,
+)
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -589,8 +592,14 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command", ["hitting", "appendix-verify"])
     @pytest.mark.parametrize(
         "triplet",
-        [["a", 0, 0.5], [None, 0, 0.5], [0, 0, None], [0.7, 0, 0.5], [0, 0, "0.5"]],
-        ids=["string-row", "null-row", "null-probability", "fractional-row", "string-probability"],
+        [
+            ["a", 0, 0.5], [None, 0, 0.5], [0, 0, None], [0.7, 0, 0.5], [0, 0, "0.5"],
+            [0, 1], [0, 1, 0.5, 2], "x", {},
+        ],
+        ids=[
+            "string-row", "null-row", "null-probability", "fractional-row", "string-probability",
+            "short", "long", "string-entry", "object-entry",
+        ],
     )
     def test_chain_triplets_are_typed(self, tmp_path, capsys, command, triplet):
         chain = _two_state_chain_json()
@@ -598,6 +607,28 @@ class TestConfigHandling:
         payload = {"command": command, "chain": chain, "epsilon": 0.1, "out": str(tmp_path / "out")}
         if command == "appendix-verify":
             del payload["epsilon"]
+        assert main(["--config", _write_config(tmp_path, payload)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["gibbs", "lemma1-sweep"])
+    @pytest.mark.parametrize("field", ["re", "im"])
+    @pytest.mark.parametrize(
+        "value", ["0.5", True, None, [0.0]], ids=["string", "bool", "null", "nested-list"]
+    )
+    def test_matrix_numbers_are_typed(
+        self, tmp_path, capsys, one_qubit_matrix, command, field, value
+    ):
+        one_qubit_matrix[field][1] = value
+        payload = {
+            "command": command,
+            "hamiltonian": {"matrix": one_qubit_matrix},
+            "out": str(tmp_path / "out"),
+        }
+        if command == "gibbs":
+            payload.update(beta=1.0, epsilon=0.1)
+        else:
+            payload.update(betas=[1.0], epsilons=[0.1])
         assert main(["--config", _write_config(tmp_path, payload)]) == 1
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -642,6 +673,90 @@ class TestConfigHandling:
         )
         assert main(["--config", config, "--constants", str(constants)]) == 1
         assert message in capsys.readouterr().err
+
+
+_LEMMA2 = {"command": "lemma2-sweep", "deltas": [0.5], "epsilons": [0.2], "dim": 2, "samples": 1}
+_PAULI_GIBBS = {"command": "gibbs", "hamiltonian": {"pauli": "1.0 Z"}, "beta": 1.0, "epsilon": 0.1}
+
+
+class TestSchemaValidation:
+    @pytest.mark.parametrize(
+        "payload, overrides",
+        [
+            ({**_PAULI_GIBBS, "typo_field": 1}, {}),
+            ({k: v for k, v in _PAULI_GIBBS.items() if k != "beta"}, {}),
+            ({**_PAULI_GIBBS, "epsilon": "0.1"}, {}),
+            ({**_PAULI_GIBBS, "hamiltonian": {"pauli": "1.0 Z", "matrix": {}}}, {}),
+            (
+                {
+                    "command": "cost-sweep", "model": "gibbs", "sweep_var": "delta",
+                    "values": [0.5], "fixed": {},
+                },
+                {},
+            ),
+            (_LEMMA2, {"seed": -1}),
+            (_LEMMA2, {"jobs": 0}),
+        ],
+        ids=[
+            "unknown-field", "missing-field", "wrong-type", "neither-hamiltonian",
+            "cost-sweep-if-then", "seed-override", "jobs-override",
+        ],
+    )
+    def test_schema_errors_keep_their_messages(self, tmp_path, payload, overrides):
+        with pytest.raises(jsonschema.ValidationError) as got:
+            cli.load_config(_write_config(tmp_path, payload), overrides)
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate({**payload, **overrides}, cli._SCHEMAS[payload["command"]])
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("command", sorted(cli._SCHEMAS))
+    def test_schema_is_valid(self, command):
+        schema = cli._SCHEMAS[command]
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    def test_load_config_checks_no_schema(self, tmp_path, monkeypatch):
+        def refuse(cls, schema):
+            raise AssertionError("load_config re-checked a constant schema")
+
+        cls = jsonschema.validators.validator_for(cli._SCHEMAS["gibbs"])
+        monkeypatch.setattr(cls, "check_schema", classmethod(refuse))
+        assert cli.load_config(_write_config(tmp_path, _PAULI_GIBBS))["beta"] == 1.0
+
+    @staticmethod
+    def _descend_calls(tmp_path, monkeypatch, payload) -> int:
+        cls = jsonschema.validators.validator_for(cli._SCHEMAS[payload["command"]])
+        descend, calls = cls.descend, []
+
+        def counting(self, *args, **kwargs):
+            calls.append(None)
+            return descend(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "descend", counting)
+        cli.load_config(_write_config(tmp_path, payload))
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_schema_work_does_not_grow_with_the_chain(self, tmp_path, monkeypatch):
+        counts = [
+            self._descend_calls(
+                tmp_path,
+                monkeypatch,
+                {"command": "hitting", "chain": chain_to_json(chain, [1]), "epsilon": 0.1},
+            )
+            for chain in (symmetric_two_state(), lazy_cycle(80))
+        ]
+        assert counts[0] == counts[1] > 0
+
+    def test_schema_work_does_not_grow_with_the_matrix(self, tmp_path, monkeypatch):
+        counts = [
+            self._descend_calls(
+                tmp_path,
+                monkeypatch,
+                {**_PAULI_GIBBS, "hamiltonian": {"matrix": matrix_to_json(np.eye(dim))}},
+            )
+            for dim in (1, 64)
+        ]
+        assert counts[0] == counts[1] > 0
 
 
 def _readme_configs():

@@ -175,10 +175,28 @@ class TestJsonRoundTrip:
             matrix_from_json({"dim": 2, "re": [1.0], "im": [0.0]})
 
     @pytest.mark.parametrize(
-        "field, value", [("dim", "x"), ("re", [1.0, "a", 0.0, 1.0])], ids=["string-dim", "string-entry"]
+        "field, value",
+        [
+            ("dim", "x"),
+            ("re", [1.0, "a", 0.0, 1.0]),
+            ("dim", 2.5),
+            ("dim", True),
+            ("dim", -1),
+            ("re", [1.0, True, 0.0, 1.0]),
+            ("im", [0.0, "1.5", 0.0, 0.0]),
+            ("re", [1.0, None, 0.0, 1.0]),
+        ],
+        ids=[
+            "string-dim", "string-entry", "fractional-dim", "bool-dim", "negative-dim",
+            "bool-entry", "string-im-entry", "null-entry",
+        ],
     )
     def test_unreadable_field_is_a_validation_error(self, field, value):
         obj = {"dim": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
         obj[field] = value
         with pytest.raises(ValidationError, match="malformed matrix JSON"):
             matrix_from_json(obj)
+
+    def test_numpy_numbers_are_numbers(self):
+        obj = {"dim": np.int64(1), "re": [np.float64(2.0)], "im": [np.int32(0)]}
+        assert np.array_equal(matrix_from_json(obj), [[2.0]])
