@@ -27,7 +27,6 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
-from jsonschema.validators import validator_for
 
 from . import cost as cost_mod
 from .constants import Constants
@@ -185,9 +184,8 @@ _SCHEMAS = {
     ),
     "cost-sweep": _cost_sweep_schema(),
 }
-# One validator per command, of the class `jsonschema.validate` picks; the
-# schemas are constants, so their meta-schema check is a test, not a per-run cost.
-_VALIDATORS = {command: validator_for(schema)(schema) for command, schema in _SCHEMAS.items()}
+# Of the class `jsonschema.validate` picks; the meta-schema check of these constants is a test.
+_VALIDATORS = {c: jsonschema.validators.validator_for(s)(s) for c, s in _SCHEMAS.items()}
 
 
 def _configure_logging() -> None:

@@ -143,11 +143,10 @@ def is_integer(x) -> bool:
 
 
 def check_numbers(values, name: str) -> None:
-    """Raise ValidationError unless `values` is a list (or tuple) of numbers; a
-    JSON-loaded list holds only ints and floats, which its set of types shows."""
-    if not isinstance(values, (list, tuple)) or not (
-        set(map(type, values)) <= {int, float} or all(map(is_number, values))
-    ):
+    """Raise ValidationError unless `values` is a list, tuple or 1-D array of numbers."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if not (isinstance(values, (list, tuple)) and all(map(is_number, values))):
         raise ValidationError(f"malformed matrix JSON: {name} is not a list of numbers")
 
 

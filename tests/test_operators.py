@@ -200,3 +200,14 @@ class TestJsonRoundTrip:
     def test_numpy_numbers_are_numbers(self):
         obj = {"dim": np.int64(1), "re": [np.float64(2.0)], "im": [np.int32(0)]}
         assert np.array_equal(matrix_from_json(obj), [[2.0]])
+
+    def test_numpy_arrays_are_lists_of_numbers(self):
+        obj = {"dim": 2, "re": np.array([1.0, 2.0, 2.0, 3.0]), "im": np.zeros(4, dtype=np.int64)}
+        assert np.array_equal(matrix_from_json(obj), [[1.0, 2.0], [2.0, 3.0]])
+
+    @pytest.mark.parametrize(
+        "re", [np.ones((2, 2)), np.ones(4, dtype=bool)], ids=["two-dimensional", "bool-array"]
+    )
+    def test_array_that_is_not_a_list_of_numbers_is_refused(self, re):
+        with pytest.raises(ValidationError, match="re is not a list of numbers"):
+            matrix_from_json({"dim": 2, "re": re, "im": [0.0] * 4})
