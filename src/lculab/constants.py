@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -48,7 +49,9 @@ class Constants:
             raise ValidationError(f"unknown constants: {sorted(unknown)}")
         for name, value in values.items():
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not number or not math.isfinite(value) or value <= 0:
+            # exact comparisons: an integer past the double range is rejected,
+            # not overflowed
+            if not number or not 0 < value <= sys.float_info.max:
                 raise ValidationError(f"constant {name!r} must be a positive finite number")
         return cls(**{k: float(v) for k, v in values.items()})
 

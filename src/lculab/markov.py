@@ -7,10 +7,11 @@ stationary vector, detailed balance, irreducibility, aperiodicity and spectrum
 nonnegativity are all checked at construction; nothing downstream re-validates.
 
 The Monte-Carlo baseline advances its walks in lockstep, one numpy step per
-round for every live walk on a fixed number of lanes, and walk i still draws
-only from its own stream default_rng([seed, i]). So its estimates are those of
-a walk-by-walk loop, bit for bit, and the live streams stay within the lane
-width however many walks a run takes.
+round for every live walk on a fixed number of lanes. Its uniforms come from a
+stateless counter stream (SplitMix64): draw d of walk w is a pure function of
+(seed, w, d), evaluated for all live lanes at once. So its estimates are those
+of a walk-by-walk loop, bit for bit, and a lane holds only two counters
+however many walks a run takes.
 """
 
 from __future__ import annotations
@@ -29,10 +30,16 @@ COLUMN_SUM_ATOL = 1e-12
 DETAILED_BALANCE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 MAX_TOTAL_WALK_STEPS = 10**9
-# Lockstep Monte-Carlo sizes: live streams and draw buffers stay within the
-# lane width whatever the number of walks.
+# A sample count this close to a whole number is that number (see
+# chebyshev_sample_count).
+_SNAP_ULPS = 64
+# Lockstep Monte-Carlo lanes: the live walks stay within this width whatever
+# the number of walks.
 _WALK_LANES = 256
-_DRAW_BLOCK = 32
+# SplitMix64 constants for the walk stream, as uint64 so that array
+# arithmetic on them wraps modulo 2^64.
+_GAMMA, _MIX1, _MIX2 = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_ONE, _U11, _U27, _U30, _U31, _U32 = map(np.uint64, (1, 11, 27, 30, 31, 32))
 
 
 @dataclass(frozen=True)
@@ -282,7 +289,15 @@ def chebyshev_sample_count(
 ) -> int:
     if not epsilon > 0:
         raise ValidationError("epsilon must be positive")
-    return max(1, math.ceil(constants.mc_sample_constant * exact_variance(mp) / epsilon**2))
+    # The product is often a whole number up to rounding, which the solves in
+    # exact_variance leave 5 ulps off on the lazy 8-cycle at epsilon 0.1, 14
+    # on the lazy 16-cycle at stay 0.9 and epsilon 1, and 49 on the lazy
+    # 32-cycle at stay 0.75 and epsilon 0.1. Taking it as that number keeps a
+    # one-ulp move of the variance from moving the count by one.
+    x = constants.mc_sample_constant * exact_variance(mp) / epsilon**2
+    if math.isfinite(x) and abs(x - round(x)) <= _SNAP_ULPS * math.ulp(x):
+        x = round(x)
+    return max(1, math.ceil(x))
 
 
 def expected_mc_cost(
@@ -299,6 +314,28 @@ def check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer, a bijection on [0, 2^64), on a uint64 array:
+    array arithmetic wraps silently under numpy 1.x and 2.x, scalars warn."""
+    z = (z ^ (z >> _U30)) * _MIX1
+    z = (z ^ (z >> _U27)) * _MIX2
+    return z ^ (z >> _U31)
+
+
+def stream_uniforms(key: np.ndarray, walk: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """Uniform draw `draw` of walk `walk` in [0, 1), elementwise over uint64 arrays.
+
+    z = mix64(key + (walk * 2^32 + draw + 1) * gamma mod 2^64) is output
+    walk * 2^32 + draw of the SplitMix64 sequence from state key, and
+    u = (z >> 11) * 2^-53, as numpy's Generator.random converts. A seed's key
+    is mix64(seed), a bijection, so distinct seeds have distinct keys, and
+    seed 0 reads the sequence from state 0. walk and draw + 1 must stay below
+    2^32.
+    """
+    z = _mix64(key + ((walk << _U32) + draw + _ONE) * _GAMMA)
+    return (z >> _U11) * 2.0**-53
+
+
 def classical_mc_estimate(
     mp: MarkedPartition,
     epsilon: float,
@@ -308,23 +345,32 @@ def classical_mc_estimate(
 ) -> tuple[float, int, int]:
     """Monte-Carlo hitting-time estimate from seeded stationary-start walks.
 
-    Walk i draws from its own stream default_rng([seed, i]), so samples can be
-    partitioned across workers and merged by averaging without changing the
-    result. Returns (estimate, samples_used, total P applications).
+    Walk i reads draw 0 (its start) and draw t (its step t) from
+    stream_uniforms under the seed's key, so samples can be partitioned
+    across workers and merged by averaging without changing the result.
+    Returns (estimate, samples_used, total P applications).
 
     The walks run in lockstep on a fixed set of lanes: each lane runs one walk
-    at a time, takes its uniforms from the walk's stream a block at a time,
-    and starts the next walk when its walk reaches a marked state. A block
-    holds the same values as that many scalar draws, and every walk uses its
-    draws in order (the first picks the start, each later one a step), so the
-    walks are the ones a walk-by-walk loop takes. A step costs O(sparsity)
-    through a per-state table of the column's support. The step total is an
-    integer sum over walks, so the result does not depend on the order in
-    which walks finish. WalkTimeoutError is raised when the total step count
-    passes max_total_steps.
+    at a time, holding only its walk and draw index, draws for every live
+    lane in one call, and starts the next walk when its walk reaches a marked
+    state. A draw depends on nothing but (seed, walk, draw), so the walks are
+    the ones a walk-by-walk loop takes. A step costs O(sparsity) through a
+    per-state table of the column's support. The step total is an integer sum
+    over walks, so the result does not depend on the lane count or on the
+    order in which walks finish. WalkTimeoutError is raised when the total
+    step count passes max_total_steps.
     """
     check_seed(seed)
+    if seed >= 2**64:
+        raise ValidationError(f"seed must be below 2^64, got {seed!r}")
+    key = _mix64(np.array([seed], dtype=np.uint64))
     m = chebyshev_sample_count(mp, epsilon, constants)
+    if m >= 2**32:
+        raise ValidationError(f"{m} walks exceed the stream's 2^32 walk indices")
+    # A walk's draw index is at most max_total_steps + 1, so draw + 1 stays
+    # below 2^32 under the default cap MAX_TOTAL_WALK_STEPS = 10^9.
+    if max_total_steps >= 2**32 - 2:
+        raise ValidationError(f"max_total_steps {max_total_steps} must be below 2^32 - 2")
     chain = mp.chain
     is_marked = np.zeros(chain.n_states, dtype=bool)
     is_marked[list(mp.marked)] = True
@@ -337,11 +383,9 @@ def classical_mc_estimate(
     cum_cols /= cum_cols[-1]
     targets, thresholds = _step_table(chain, cum_cols)
 
-    block = _DRAW_BLOCK
     width = min(_WALK_LANES, m)
-    streams: list = [None] * width
-    draws = np.empty((width, block))
-    used = np.zeros(width, dtype=np.intp)
+    walk = np.zeros(width, dtype=np.uint64)
+    draw = np.zeros(width, dtype=np.uint64)
     state = np.zeros(width, dtype=np.intp)
     next_walk = 0
 
@@ -351,12 +395,11 @@ def classical_mc_estimate(
         walking = [lanes[:0]]
         while lanes.size and next_walk < m:
             lanes = lanes[: m - next_walk]
-            for lane in lanes:
-                streams[lane] = np.random.default_rng([seed, next_walk])
-                draws[lane] = streams[lane].random(block)
-                next_walk += 1
-            used[lanes] = 1
-            state[lanes] = np.searchsorted(cum_pi, draws[lanes, 0], side="right")
+            walk[lanes] = np.arange(next_walk, next_walk + lanes.size)
+            next_walk += lanes.size
+            u = stream_uniforms(key, walk[lanes], np.zeros(lanes.size, dtype=np.uint64))
+            draw[lanes] = 1
+            state[lanes] = np.searchsorted(cum_pi, u, side="right")
             hit = is_marked[state[lanes]]
             walking.append(lanes[~hit])
             lanes = lanes[hit]
@@ -365,12 +408,9 @@ def classical_mc_estimate(
     total_steps = 0
     live = start_walks(np.arange(width))
     while live.size:
-        spent = live[used[live] == block]
-        for lane in spent:
-            draws[lane] = streams[lane].random(block)
-        used[spent] = 0
-        u = draws[live, used[live]]
-        used[live] += 1
+        d = draw[live]
+        u = stream_uniforms(key, walk[live], d)
+        draw[live] = d + _ONE
         s = state[live]
         s = targets[s, np.count_nonzero(thresholds[s] <= u[:, None], axis=1)]
         state[live] = s
@@ -429,8 +469,9 @@ def lazy_cycle(n: int, stay: float = 0.5) -> MarkovChain:
 def parse_triplet(item) -> tuple[int, int, float]:
     """(row, col, Pr(row|col)) from a chain entry [integer, integer, number].
 
-    Python and numpy integers and floats are numbers; bools, strings, nulls
-    and fractional indices raise ValidationError.
+    Python and numpy integers and floats are numbers; bools, strings, nulls,
+    fractional indices and integers too large for a double raise
+    ValidationError.
     """
     if (
         not isinstance(item, (list, tuple))
@@ -438,7 +479,11 @@ def parse_triplet(item) -> tuple[int, int, float]:
         or not (is_integer(item[0]) and is_integer(item[1]) and is_number(item[2]))
     ):
         raise ValidationError(f"chain entry {item!r} is not [integer, integer, number]")
-    return int(item[0]), int(item[1]), float(item[2])
+    try:
+        return int(item[0]), int(item[1]), float(item[2])
+    except OverflowError:
+        message = f"chain entry ({item[0]}, {item[1]}): probability too large for a double"
+        raise ValidationError(message) from None
 
 
 def chain_from_json(obj: dict) -> tuple[MarkovChain, tuple[int, ...]]:

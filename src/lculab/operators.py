@@ -162,5 +162,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     dim = int(dim)
     if len(re) != dim * dim or len(im) != dim * dim:
         raise ValidationError("matrix JSON entry count does not match dim*dim")
-    a = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    try:
+        a = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    except OverflowError:
+        raise ValidationError("malformed matrix JSON: an entry is too large for a double") from None
     return as_square_matrix(a.reshape(dim, dim))

@@ -650,6 +650,31 @@ class TestConfigHandling:
         assert main(["--config", plain, flag, str(bad)]) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_probability_past_the_double_range_is_a_config_error(self, tmp_path, capsys):
+        chain = _two_state_chain_json()
+        chain["entries"][0][2] = 10**400
+        payload = {"command": "hitting", "chain": chain, "epsilon": 0.1, "out": str(tmp_path / "out")}
+        assert main(["--config", _write_config(tmp_path, payload)]) == 1
+        assert "too large for a double" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text", [b'{"epsilon": ' + b"9" * 5000 + b"}", b'{"command": "\xff"}'],
+        ids=["5000-digit-integer", "not-utf-8"],
+    )
+    @pytest.mark.parametrize("target", ["config", "constants"])
+    def test_unparsable_file_is_a_config_error(self, tmp_path, capsys, target, text):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        payload = {"command": "hitting", "chain": _two_state_chain_json(), "epsilon": 0.2}
+        good = _write_config(tmp_path, {**payload, "out": str(tmp_path / "out")})
+        argv = ["--config", str(bad)]
+        if target == "constants":
+            argv = ["--config", good, "--constants", str(bad)]
+        assert main(argv) == 1
+        assert not (tmp_path / "out").exists()
+        assert "config error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "overrides, message",
         [
@@ -657,6 +682,7 @@ class TestConfigHandling:
             ({"gate_cost_constant": 2.0}, "unknown constants"),
             ([["mc_sample_constant", 8.0]], "must hold a JSON object"),
             ({"total_cost_constant": True}, "must be a positive finite number"),
+            ({"total_cost_constant": 10**400}, "must be a positive finite number"),
         ],
     )
     def test_bad_constants_file_rejected(self, tmp_path, capsys, overrides, message):

@@ -431,6 +431,29 @@ class TestClassicalEstimator:
         m = chebyshev_sample_count(two_state, 0.05)
         assert m == math.ceil(16.0 * 2.0 / 0.05**2)
 
+    @pytest.mark.parametrize(
+        "chain, marked, epsilon",
+        [(lazy_cycle(8, 0.5), 0, 0.1), (lazy_cycle(8, 0.5), 0, 2.0)]
+        + [(symmetric_two_state(), 1, epsilon) for epsilon in (0.1, 0.5, 2.0)]
+        + [(lazy_cycle(16, 0.9), 0, 1.0), (lazy_cycle(32, 0.75), 0, 0.1)],
+        ids=[
+            "lazy-8-cycle-0.1", "lazy-8-cycle-2", "two-state-0.1", "two-state-0.5", "two-state-2",
+            "lazy-16-cycle-stay-0.9", "lazy-32-cycle-stay-0.75",
+        ],
+    )
+    def test_sample_count_steady_under_an_ulp_of_variance(
+        self, monkeypatch, chain, marked, epsilon
+    ):
+        # each product is a whole number up to rounding: 1008000, 2520, 3200,
+        # 128, 8, 4093600 (a plain ceil reads 4093601) and 1044278400
+        mp = mark_states(chain, [marked])
+        m = chebyshev_sample_count(mp, epsilon)
+        assert m == round(16 * exact_variance(mp) / epsilon**2)
+        v = exact_variance(mp)
+        for nudged in (math.nextafter(v, -math.inf), math.nextafter(v, math.inf)):
+            monkeypatch.setattr(markov, "exact_variance", lambda _, value=nudged: value)
+            assert chebyshev_sample_count(mp, epsilon) == m
+
     def test_expected_cost(self, two_state):
         samples, steps = expected_mc_cost(two_state, 0.1)
         assert samples == chebyshev_sample_count(two_state, 0.1)
@@ -453,7 +476,7 @@ class TestClassicalEstimator:
         chain = random_reversible_chain(np.random.default_rng(0), 12)
         assert np.cumsum(chain.stationary)[-1] < 1.0
         mp = mark_states(chain, [11])
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: _BelowOneDraws())
+        monkeypatch.setattr(markov, "stream_uniforms", _BelowOneDraws())
         estimate, samples, steps = classical_mc_estimate(mp, epsilon=1.0, seed=0)
         assert (estimate, steps) == (0.0, 0) and samples >= 1
 
@@ -463,7 +486,7 @@ class TestClassicalEstimator:
         p = np.array([[0.7, 0.2, 0.1], [0.2, 0.7, 0.1], [0.1, 0.1, 0.8]])
         assert np.cumsum(p[:, 0])[-1] < 1.0
         mp = mark_states(validate_chain(p), [2])
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: _BelowOneDraws(first=0.0))
+        monkeypatch.setattr(markov, "stream_uniforms", _BelowOneDraws(first=0.0))
         estimate, samples, steps = classical_mc_estimate(mp, epsilon=1.0, seed=0)
         assert estimate == 1.0 and steps == samples
 
@@ -482,11 +505,34 @@ class TestClassicalEstimator:
                 amplitude_estimation(0.3, 0.1, seed=seed)
 
 
+_MASK64 = 2**64 - 1
+
+
+def _mix64_int(z):
+    """The SplitMix64 finalizer on a Python int in [0, 2^64)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+def _splitmix_z(seed, walk, draw):
+    """The 64-bit output behind draw `draw` of walk `walk`: what splitmix64.c
+    returns from state mix64(seed) + (walk * 2^32 + draw) * gamma."""
+    state = (_mix64_int(seed) + (walk * 2**32 + draw + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    return _mix64_int(state)
+
+
+def _splitmix_uniform(seed, walk, draw):
+    return (_splitmix_z(seed, walk, draw) >> 11) * 2.0**-53
+
+
 def _walk_by_walk_estimate(
-    mp, epsilon, seed, constants=DEFAULT_CONSTANTS, max_total_steps=MAX_TOTAL_WALK_STEPS
+    mp, epsilon, seed, constants=DEFAULT_CONSTANTS, max_total_steps=MAX_TOTAL_WALK_STEPS,
+    uniform=_splitmix_uniform,
 ):
     """One walk at a time, one scalar draw and one searchsorted per step: the
-    reference that the lockstep walker must match bit for bit."""
+    reference that the lockstep walker must match bit for bit. Walk i takes
+    draw 0 for its start and draw t for step t from `uniform(seed, i, draw)`."""
     m = chebyshev_sample_count(mp, epsilon, constants)
     chain = mp.chain
     marked = frozenset(mp.marked)
@@ -497,15 +543,14 @@ def _walk_by_walk_estimate(
     total_steps = 0
     total_time = 0
     for i in range(m):
-        g = np.random.default_rng([seed, i])
-        state = int(np.searchsorted(cum_pi, g.random(), side="right"))
+        state = int(np.searchsorted(cum_pi, uniform(seed, i, 0), side="right"))
         t = 0
         while state not in marked:
             t += 1
             total_steps += 1
             if total_steps > max_total_steps:
                 raise WalkTimeoutError(f"exceeded {max_total_steps} total walk steps")
-            state = int(np.searchsorted(cum_cols[:, state], g.random(), side="right"))
+            state = int(np.searchsorted(cum_cols[:, state], uniform(seed, i, t), side="right"))
         total_time += t
     return total_time / m, m, total_steps
 
@@ -535,8 +580,8 @@ _MC_CASES = [
     pytest.param(_sparse_dyadic, 200.0, 1, id="sparse-dyadic-200"),
 ]
 
-# Smaller runs of the same chains, for lane widths that force lane reuse and
-# block refills at nearly every round.
+# Smaller runs of the same chains, for lane widths that force lane reuse at
+# nearly every round.
 _SMALL_MC_CASES = [
     pytest.param(_cycle8, 4.0, 501, id="lazy-8-cycle"),
     pytest.param(_two_state, 0.3, 3, id="two-state"),
@@ -545,18 +590,23 @@ _SMALL_MC_CASES = [
 ]
 
 
+# Lane counts. The ids are the (lanes, draw block) pairs these cases ran when
+# each lane also buffered a block of draws, which the counter stream has not.
+_LANES = [pytest.param(256, id="256-32"), pytest.param(3, id="3-2")]
+_TINY_LANES = [pytest.param(3, id="3-2"), pytest.param(1, id="1-1")]
+
+
 class TestLockstepWalker:
     @pytest.mark.parametrize("make, epsilon, seed", _MC_CASES)
     def test_matches_walk_by_walk_loop(self, make, epsilon, seed):
         mp = make()
         assert classical_mc_estimate(mp, epsilon, seed) == _walk_by_walk_estimate(mp, epsilon, seed)
 
-    @pytest.mark.parametrize("lanes, block", [(3, 2), (1, 1)])
+    @pytest.mark.parametrize("lanes", _TINY_LANES)
     @pytest.mark.parametrize("make, epsilon, seed", _SMALL_MC_CASES)
-    def test_matches_with_tiny_lanes(self, monkeypatch, make, epsilon, seed, lanes, block):
+    def test_matches_with_tiny_lanes(self, monkeypatch, make, epsilon, seed, lanes):
         mp = make()
         monkeypatch.setattr(markov, "_WALK_LANES", lanes)
-        monkeypatch.setattr(markov, "_DRAW_BLOCK", block)
         assert classical_mc_estimate(mp, epsilon, seed) == _walk_by_walk_estimate(mp, epsilon, seed)
 
     @settings(max_examples=25, deadline=None)
@@ -567,10 +617,9 @@ class TestLockstepWalker:
         scale=st.floats(0.5, 4.0),
         seed=st.integers(0, 2**32),
         lanes=st.integers(1, 6),
-        block=st.integers(1, 5),
     )
     def test_matches_walk_by_walk_loop_property(
-        self, chain_seed, n, marked_draw, scale, seed, lanes, block
+        self, chain_seed, n, marked_draw, scale, seed, lanes
     ):
         chain = random_reversible_chain(np.random.default_rng(chain_seed), n)
         picks = np.random.default_rng(marked_draw)
@@ -583,13 +632,11 @@ class TestLockstepWalker:
         assert classical_mc_estimate(mp, epsilon, seed) == expected
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(markov, "_WALK_LANES", lanes)
-            patch.setattr(markov, "_DRAW_BLOCK", block)
             assert classical_mc_estimate(mp, epsilon, seed) == expected
 
-    @pytest.mark.parametrize("lanes, block", [(256, 32), (3, 2)])
-    def test_step_cap_boundary(self, monkeypatch, lanes, block):
+    @pytest.mark.parametrize("lanes", _LANES)
+    def test_step_cap_boundary(self, monkeypatch, lanes):
         monkeypatch.setattr(markov, "_WALK_LANES", lanes)
-        monkeypatch.setattr(markov, "_DRAW_BLOCK", block)
         mp = _cycle8()
         reference = _walk_by_walk_estimate(mp, 4.0, 501)
         cap = reference[2]
@@ -600,51 +647,93 @@ class TestLockstepWalker:
         with pytest.raises(WalkTimeoutError):
             classical_mc_estimate(mp, 4.0, 501, max_total_steps=cap - 1)
 
-    @pytest.mark.parametrize("lanes, block", [(256, 32), (3, 2)])
-    def test_draws_on_the_cumulative_sums(self, monkeypatch, lanes, block):
+    @pytest.mark.parametrize("lanes", _LANES)
+    def test_draws_on_the_cumulative_sums(self, monkeypatch, lanes):
         # quarter-point draws land exactly on the lazy 4-cycle's cumulative
         # sums, where a step must pass over the entry equal to the draw
         mp = mark_states(lazy_cycle(4, 0.5), [0])
-        monkeypatch.setattr(np.random, "default_rng", _QuarterDraws)
+        monkeypatch.setattr(markov, "stream_uniforms", _QuarterDraws(markov.stream_uniforms))
         monkeypatch.setattr(markov, "_WALK_LANES", lanes)
-        monkeypatch.setattr(markov, "_DRAW_BLOCK", block)
-        assert classical_mc_estimate(mp, 0.5, 9) == _walk_by_walk_estimate(mp, 0.5, 9)
+        expected = _walk_by_walk_estimate(mp, 0.5, 9, uniform=_QuarterDraws(_splitmix_uniform))
+        assert classical_mc_estimate(mp, 0.5, 9) == expected
 
 
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 class _BelowOneDraws:
-    """A generator stand-in: `first`, then always the largest double below 1.
-
-    random(size) returns the next `size` draws as an array, as Generator does.
-    """
+    """A stream stand-in: `first` for every start draw (draw 0), and the
+    largest double below 1 for every step."""
 
     def __init__(self, first: float = _BELOW_ONE):
-        self._next = first
+        self._first = first
 
-    def random(self, size=None):
-        if size is not None:
-            values = np.full(size, _BELOW_ONE)
-            if size:
-                values[0] = self.random()
-            return values
-        value, self._next = self._next, _BELOW_ONE
-        return value
+    def __call__(self, key, walk, draw):
+        return np.where(draw == 0, self._first, _BELOW_ONE)
 
 
 class _QuarterDraws:
-    """A generator stand-in whose draws are multiples of 1/4.
+    """A stream stand-in whose draws are multiples of 1/4: floor(4u) / 4 of
+    the uniforms u that `uniforms` gives for the same arguments."""
 
-    They come from a real generator's uniforms, so a block of them equals as
-    many scalar draws.
-    """
+    def __init__(self, uniforms):
+        self._uniforms = uniforms
 
-    def __init__(self, seed):
-        self._uniforms = np.random.Generator(np.random.PCG64(seed))
+    def __call__(self, *args):
+        return np.floor(self._uniforms(*args) * 4) / 4
 
-    def random(self, size=None):
-        return np.floor(self._uniforms.random(size) * 4) / 4
+
+def _array_key(seed):
+    return markov._mix64(np.array([seed], dtype=np.uint64))
+
+
+class TestWalkStream:
+    def test_seed_zero_walk_zero_reads_the_reference_outputs(self):
+        # splitmix64.c from state 0
+        golden = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert [_splitmix_z(0, 0, d) for d in range(3)] == golden
+        walk, draw = np.zeros(3, dtype=np.uint64), np.arange(3, dtype=np.uint64)
+        uniforms = markov.stream_uniforms(_array_key(0), walk, draw)
+        assert uniforms.tolist() == [(z >> 11) * 2.0**-53 for z in golden]
+
+    @pytest.mark.parametrize("seed", [0, 1, 501, 2**63, 2**64 - 1])
+    def test_array_stream_equals_the_scalar_one(self, seed):
+        walks = [0, 1, 7, 2**31, 2**32 - 1]
+        draws = [0, 1, 2, 10**6, 10**9 + 1]
+        walk = np.array([w for w in walks for _ in draws], dtype=np.uint64)
+        draw = np.array(draws * len(walks), dtype=np.uint64)
+        got = markov.stream_uniforms(_array_key(seed), walk, draw).tolist()
+        assert got == [_splitmix_uniform(seed, w, d) for w in walks for d in draws]
+        assert all(0.0 <= u < 1.0 for u in got)
+
+    def test_consecutive_seeds_have_distinct_keys(self):
+        seeds = np.arange(10**5, dtype=np.uint64)
+        keys = markov._mix64(seeds)
+        assert np.unique(keys).size == seeds.size
+        assert [int(keys[s]) for s in (0, 1, 99_999)] == [_mix64_int(s) for s in (0, 1, 99_999)]
+
+    def test_seed_beyond_64_bits_rejected(self, two_state):
+        classical_mc_estimate(two_state, epsilon=0.5, seed=2**64 - 1)
+        with pytest.raises(ValidationError, match=r"below 2\^64"):
+            classical_mc_estimate(two_state, epsilon=0.5, seed=2**64)
+
+    def test_walk_count_beyond_32_bits_rejected_before_any_walk(self, two_state, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a walk ran")
+
+        monkeypatch.setattr(markov, "stream_uniforms", no_draws)
+        # 16 * 2 / eps^2 = 1.28e10 walks
+        with pytest.raises(ValidationError, match="walks exceed"):
+            classical_mc_estimate(two_state, epsilon=5e-5, seed=0)
+        # the first count past the 2^32 walk indices
+        monkeypatch.setattr(markov, "chebyshev_sample_count", lambda *args: 2**32)
+        with pytest.raises(ValidationError, match="walks exceed"):
+            classical_mc_estimate(two_state, epsilon=0.5, seed=0)
+
+    def test_step_cap_beyond_the_draw_field_rejected(self, two_state):
+        with pytest.raises(ValidationError, match="max_total_steps"):
+            classical_mc_estimate(two_state, epsilon=0.5, seed=0, max_total_steps=2**32 - 2)
+        classical_mc_estimate(two_state, epsilon=0.5, seed=0, max_total_steps=2**32 - 3)
 
 
 class TestChainJson:
@@ -679,6 +768,12 @@ class TestChainJson:
         blob = chain_to_json(symmetric_two_state(), [1])
         blob["entries"][blob["entries"].index([1, 0, 0.5])] = triplet
         with pytest.raises(ValidationError, match=r"is not \[integer, integer, number\]"):
+            chain_from_json(blob)
+
+    def test_probability_past_the_double_range_rejected(self):
+        blob = chain_to_json(symmetric_two_state(), [1])
+        blob["entries"][0][2] = 10**400
+        with pytest.raises(ValidationError, match="too large for a double"):
             chain_from_json(blob)
 
     def test_numpy_numbers_accepted(self):

@@ -197,6 +197,13 @@ class TestJsonRoundTrip:
         with pytest.raises(ValidationError, match="malformed matrix JSON"):
             matrix_from_json(obj)
 
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_integer_past_the_double_range_is_a_validation_error(self, field):
+        obj = {"dim": 1, "re": [0], "im": [0]}
+        obj[field] = [10**400]
+        with pytest.raises(ValidationError, match="too large for a double"):
+            matrix_from_json(obj)
+
     def test_numpy_numbers_are_numbers(self):
         obj = {"dim": np.int64(1), "re": [np.float64(2.0)], "im": [np.int32(0)]}
         assert np.array_equal(matrix_from_json(obj), [[2.0]])
