@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -486,14 +487,32 @@ def parse_triplet(item) -> tuple[int, int, float]:
         raise ValidationError(message) from None
 
 
-def chain_from_json(obj: dict) -> tuple[MarkovChain, tuple[int, ...]]:
-    try:
-        n, entries, marked = obj["n_states"], list(obj["entries"]), obj["marked"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed chain JSON: {exc}") from exc
-    if not is_integer(n):
-        raise ValidationError(f"malformed chain JSON: n_states {n!r} is not an integer")
-    n = int(n)
+class ChainJson(NamedTuple):
+    """The sparse-triplet JSON form of a chain as `read_chain` types it."""
+
+    n_states: int
+    entries: list[tuple[int, int, float]]
+    marked: list[int]
+
+
+def read_chain(obj) -> ChainJson:
+    """Type a {"n_states", "entries", "marked"} object: n_states an integer >= 2, each
+    entry by `parse_triplet`, marked a list of integers; `chain_from_json` checks ranges."""
+    if not (isinstance(obj, dict) and obj.keys() == {"n_states", "entries", "marked"}):
+        raise ValidationError("malformed chain JSON: the fields are not n_states, entries, marked")
+    n, entries, marked = obj["n_states"], obj["entries"], obj["marked"]
+    if not (is_integer(n) and n >= 2):
+        raise ValidationError(f"malformed chain JSON: n_states {n!r} is not an integer >= 2")
+    if not isinstance(entries, (list, tuple)):
+        raise ValidationError(f"malformed chain JSON: entries {entries!r} is not a list")
+    if not (isinstance(marked, (list, tuple)) and all(map(is_integer, marked))):
+        raise ValidationError(f"marked set {marked!r} is not a list of integers")
+    return ChainJson(int(n), [parse_triplet(item) for item in entries], [int(s) for s in marked])
+
+
+def chain_from_json(obj) -> tuple[MarkovChain, tuple[int, ...]]:
+    """The chain and marked set of a JSON object, or of a `ChainJson` already read from one."""
+    n, entries, marked = obj if isinstance(obj, ChainJson) else read_chain(obj)
     marked = read_marked(marked, n)
     # Every command needs at least the unmarked block under the cap, so check
     # it before the n x n matrix is allocated.
@@ -501,10 +520,9 @@ def chain_from_json(obj: dict) -> tuple[MarkovChain, tuple[int, ...]]:
         raise ValidationError(f"{n - len(marked)} unmarked states exceed cap {DIMENSION_CAP}")
     p = np.zeros((n, n))
     seen = set()
-    for item in entries:
-        r, c, prob = parse_triplet(item)
+    for r, c, prob in entries:
         if not (0 <= r < n and 0 <= c < n):
-            raise ValidationError(f"triplet index out of range: {item!r}")
+            raise ValidationError(f"triplet index out of range: {[r, c, prob]!r}")
         if (r, c) in seen:
             raise ValidationError("a (row, col) index repeats in the triplets")
         seen.add((r, c))

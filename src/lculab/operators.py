@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -150,16 +150,30 @@ def check_numbers(values, name: str) -> None:
         raise ValidationError(f"malformed matrix JSON: {name} is not a list of numbers")
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
-    try:
-        dim, re, im = obj["dim"], obj["re"], obj["im"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed matrix JSON: {exc}") from exc
+class MatrixJson(NamedTuple):
+    """The JSON wire format of a matrix as `read_matrix` types it."""
+
+    dim: int
+    re: list
+    im: list
+
+
+def read_matrix(obj) -> MatrixJson:
+    """Type a {"dim", "re", "im"} object: dim an integer >= 1, re and im lists of
+    numbers; `matrix_from_json` checks their lengths."""
+    if not (isinstance(obj, dict) and obj.keys() == {"dim", "re", "im"}):
+        raise ValidationError("malformed matrix JSON: the fields are not dim, re and im")
+    dim = obj["dim"]
     if not (is_integer(dim) and dim >= 1):
         raise ValidationError(f"malformed matrix JSON: dim {dim!r} is not a positive integer")
-    check_numbers(re, "re")
-    check_numbers(im, "im")
-    dim = int(dim)
+    check_numbers(obj["re"], "re")
+    check_numbers(obj["im"], "im")
+    return MatrixJson(int(dim), obj["re"], obj["im"])
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    """The matrix of a JSON object, or of a `MatrixJson` already read from one."""
+    dim, re, im = obj if isinstance(obj, MatrixJson) else read_matrix(obj)
     if len(re) != dim * dim or len(im) != dim * dim:
         raise ValidationError("matrix JSON entry count does not match dim*dim")
     try:

@@ -8,6 +8,8 @@ and exact evolutions, the weighted-unitary and evolution-family LCUs with the
 exact dilation, the dense sparse-chain assembly, the eigenvector-based chain
 validation, and the random operators and chain families the tests draw from.
 Each object is small, dense and exact, and nothing in `lculab` imports it.
+The JSON Schemas of the CLI configs live here too: the CLI's field readers
+are held to the verdicts of these schemas and the typing that followed them.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
+import jsonschema
 import numpy as np
 
+from lculab.cli import _COST_MODELS
 from lculab.errors import ValidationError
 from lculab.gap_amplification import (
     UNITARY_ATOL,
@@ -39,6 +43,7 @@ from lculab.markov import (
     MarkedPartition,
     MarkovChain,
     discriminant_matrix,
+    parse_triplet,
     validate_chain,
 )
 from lculab.operators import (
@@ -46,6 +51,7 @@ from lculab.operators import (
     DensityMatrix,
     HermitianOperator,
     as_square_matrix,
+    check_numbers,
     hermiticity_defect,
 )
 from lculab.rand import random_unitary
@@ -928,3 +934,162 @@ def assemble_tilde_h_sparse(
     if residual > sparse_chain._ATOL:
         raise ValidationError(f"unitary expansion misses the enlarged operator by {residual:.3e}")
     return decomposition, g
+
+
+# ---------------------------------------------------------------------------
+# CLI configs as JSON Schema (Draft 2020-12): the shape each command accepts.
+
+_MATRIX_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "dim": {"type": "integer", "minimum": 1},
+        "re": {"type": "array"},
+        "im": {"type": "array"},
+    },
+    "required": ["dim", "re", "im"],
+    "additionalProperties": False,
+}
+
+_HAMILTONIAN_SCHEMA = {
+    "oneOf": [
+        {
+            "type": "object",
+            "properties": {"pauli": {"type": "string"}},
+            "required": ["pauli"],
+            "additionalProperties": False,
+        },
+        {
+            "type": "object",
+            "properties": {"matrix": _MATRIX_SCHEMA},
+            "required": ["matrix"],
+            "additionalProperties": False,
+        },
+    ]
+}
+
+_CHAIN_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "n_states": {"type": "integer", "minimum": 2},
+        "entries": {"type": "array"},
+        "marked": {"type": "array", "items": {"type": "integer"}},
+    },
+    "required": ["n_states", "entries", "marked"],
+    "additionalProperties": False,
+}
+
+_COMMON = {
+    "command": {"type": "string"},
+    "seed": {"type": "integer", "minimum": 0},
+    "out": {"type": "string"},
+    "constants": {"type": "object"},
+}
+_OPEN_UNIT = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
+_JOBS = {"type": "integer", "minimum": 1}
+_MODE = {"enum": ["desk", "oracle-free"]}
+# The cost-sweep parameters that count states; a non-integer count is a config error.
+_COUNTS = ("n_states", "n_dim")
+
+
+def _nonempty_array(items: dict) -> dict:
+    return {"type": "array", "items": items, "minItems": 1}
+
+
+def _command_schema(required: list[str], **properties: dict) -> dict:
+    return {
+        "type": "object",
+        "properties": {**_COMMON, **properties},
+        "required": ["command", *required],
+        "additionalProperties": False,
+    }
+
+
+def _cost_sweep_schema() -> dict:
+    schema = _command_schema(
+        ["model", "sweep_var", "values"],
+        model={"enum": sorted(_COST_MODELS)},
+        sweep_var={"enum": ["delta", "epsilon", "beta"]},
+        values=_nonempty_array({"type": "number", "exclusiveMinimum": 0}),
+        fixed={"type": "object"},
+        jobs=_JOBS,
+    )
+    schema["allOf"] = [
+        {
+            "if": {"properties": {"model": {"const": model}}},
+            "then": {
+                "properties": {
+                    "sweep_var": {"enum": sweep_vars},
+                    "fixed": {
+                        "properties": {
+                            key: {"type": "integer" if key in _COUNTS else "number"}
+                            for key in defaults
+                        },
+                        "additionalProperties": False,
+                    },
+                },
+            },
+        }
+        for model, (sweep_vars, defaults) in _COST_MODELS.items()
+    ]
+    return schema
+
+
+_SCHEMAS = {
+    "gibbs": _command_schema(
+        ["hamiltonian", "beta", "epsilon"],
+        hamiltonian=_HAMILTONIAN_SCHEMA,
+        beta={"type": "number", "minimum": 0},
+        epsilon=_OPEN_UNIT,
+        mode=_MODE,
+        z_lower_bound={"type": "number", "exclusiveMinimum": 0},
+    ),
+    "hitting": _command_schema(
+        ["chain", "epsilon"],
+        chain=_CHAIN_SCHEMA,
+        epsilon=_OPEN_UNIT,
+        confidence=_OPEN_UNIT,
+        mode=_MODE,
+        delta_lower_bound={"type": "number", "exclusiveMinimum": 0},
+    ),
+    "appendix-verify": _command_schema(["chain"], chain=_CHAIN_SCHEMA),
+    "lemma1-sweep": _command_schema(
+        ["hamiltonian", "betas", "epsilons"],
+        hamiltonian=_HAMILTONIAN_SCHEMA,
+        betas=_nonempty_array({"type": "number", "minimum": 0}),
+        epsilons=_nonempty_array(_OPEN_UNIT),
+        jobs=_JOBS,
+    ),
+    "lemma2-sweep": _command_schema(
+        ["deltas", "epsilons"],
+        deltas=_nonempty_array({"type": "number", "exclusiveMinimum": 0, "maximum": 1}),
+        epsilons=_nonempty_array(_OPEN_UNIT),
+        dim={"type": "integer", "minimum": 1, "maximum": 64},
+        samples={"type": "integer", "minimum": 1, "maximum": 64},
+        jobs=_JOBS,
+    ),
+    "cost-sweep": _cost_sweep_schema(),
+}
+_VALIDATORS = {c: jsonschema.validators.validator_for(s)(s) for c, s in _SCHEMAS.items()}
+
+
+def schema_accepts(config, overrides: dict | None = None) -> bool:
+    """Whether a config, with the non-None overrides its command's schema lists,
+    passes that schema and then the typing of each chain entry (`parse_triplet`)
+    and of a matrix's numbers (`check_numbers`)."""
+    if not isinstance(config, dict) or config.get("command") not in list(_SCHEMAS):
+        return False
+    schema = _SCHEMAS[config["command"]]
+    for key, value in (overrides or {}).items():
+        if value is not None and key in schema["properties"]:
+            config = {**config, key: value}
+    if not _VALIDATORS[config["command"]].is_valid(config):
+        return False
+    try:
+        for item in config.get("chain", {}).get("entries", ()):
+            parse_triplet(item)
+        matrix = config.get("hamiltonian", {}).get("matrix", {})
+        for key in ("re", "im") if matrix else ():
+            check_numbers(matrix[key], key)
+    except ValidationError:
+        return False
+    return True

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -7,12 +8,15 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from lculab import cli
+from lculab import cli, markov, operators
 from lculab.cli import main
+from lculab.errors import ValidationError
 from lculab.markov import lazy_cycle
 from oracles import (
-    chain_to_json, matrix_to_json, random_sparse_dyadic_chain, symmetric_two_state,
+    _SCHEMAS, chain_to_json, random_sparse_dyadic_chain, schema_accepts, symmetric_two_state,
 )
 
 
@@ -24,6 +28,36 @@ def _write_config(tmp_path, payload, name="config.json"):
 
 def _two_state_chain_json():
     return chain_to_json(symmetric_two_state(), [1])
+
+
+_PAULI_GIBBS = {"command": "gibbs", "hamiltonian": {"pauli": "1.0 Z"}, "beta": 1.0, "epsilon": 0.1}
+_PAULI_GIBBS_SWEEP = {
+    "command": "lemma1-sweep", "hamiltonian": {"pauli": "1.0 Z"}, "betas": [1.0], "epsilons": [0.1],
+}
+_GIBBS_COST_SWEEP = {"command": "cost-sweep", "model": "gibbs", "sweep_var": "beta", "values": [1.0]}
+_COST_SWEEP_ERRORS = [
+    ("hitting-quantum", "delta", {"d": "x"}),
+    ("hitting-quantum", "delta", {"n_sates": 32}),
+    ("gibbs", "beta", {"delta": 0.2}),
+    ("hitting-quantum", "beta", {}),
+    ("hitting-classical", "beta", {}),
+    ("gibbs", "delta", {}),
+    ("gibbs", "beta", {"n_dim": 8.7}),
+    ("hitting-classical", "epsilon", {"n_states": 16.5}),
+]
+_COST_SWEEP_IDS = [
+    "non-number", "unknown-key", "key-of-another-model", "hq-beta", "hc-beta",
+    "gibbs-delta", "fractional-n_dim", "fractional-n_states",
+]
+_BAD_TRIPLETS = [
+    ["a", 0, 0.5], [None, 0, 0.5], [0, 0, None], [0.7, 0, 0.5], [0, 0, "0.5"],
+    [0, 1], [0, 1, 0.5, 2], "x", {},
+]
+_BAD_TRIPLET_IDS = [
+    "string-row", "null-row", "null-probability", "fractional-row", "string-probability",
+    "short", "long", "string-entry", "object-entry",
+]
+_BAD_NUMBERS = ["0.5", True, None, [0.0]]
 
 
 @pytest.fixture
@@ -439,23 +473,7 @@ class TestSweeps:
         assert header.endswith(",total")
 
 
-    @pytest.mark.parametrize(
-        "model, sweep_var, fixed",
-        [
-            ("hitting-quantum", "delta", {"d": "x"}),
-            ("hitting-quantum", "delta", {"n_sates": 32}),
-            ("gibbs", "beta", {"delta": 0.2}),
-            ("hitting-quantum", "beta", {}),
-            ("hitting-classical", "beta", {}),
-            ("gibbs", "delta", {}),
-            ("gibbs", "beta", {"n_dim": 8.7}),
-            ("hitting-classical", "epsilon", {"n_states": 16.5}),
-        ],
-        ids=[
-            "non-number", "unknown-key", "key-of-another-model", "hq-beta", "hc-beta",
-            "gibbs-delta", "fractional-n_dim", "fractional-n_states",
-        ],
-    )
+    @pytest.mark.parametrize("model, sweep_var, fixed", _COST_SWEEP_ERRORS, ids=_COST_SWEEP_IDS)
     def test_cost_sweep_config_errors(self, tmp_path, model, sweep_var, fixed):
         config = _write_config(
             tmp_path,
@@ -470,6 +488,15 @@ class TestSweeps:
         )
         assert main(["--config", config]) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n_dim", [-1, 0])
+    def test_cost_sweep_gibbs_count_below_one_exits_three(self, tmp_path, capsys, n_dim):
+        payload = {
+            "command": "cost-sweep", "model": "gibbs", "sweep_var": "beta", "values": [1.0],
+            "fixed": {"n_dim": n_dim}, "out": str(tmp_path / "out"),
+        }
+        assert main(["--config", _write_config(tmp_path, payload)]) == 3
+        assert "n_dim must be positive and finite" in capsys.readouterr().err
 
 
 class TestConfigHandling:
@@ -590,17 +617,7 @@ class TestConfigHandling:
         assert a == (tmp_path / "pool" / "summary.json").read_bytes()
 
     @pytest.mark.parametrize("command", ["hitting", "appendix-verify"])
-    @pytest.mark.parametrize(
-        "triplet",
-        [
-            ["a", 0, 0.5], [None, 0, 0.5], [0, 0, None], [0.7, 0, 0.5], [0, 0, "0.5"],
-            [0, 1], [0, 1, 0.5, 2], "x", {},
-        ],
-        ids=[
-            "string-row", "null-row", "null-probability", "fractional-row", "string-probability",
-            "short", "long", "string-entry", "object-entry",
-        ],
-    )
+    @pytest.mark.parametrize("triplet", _BAD_TRIPLETS, ids=_BAD_TRIPLET_IDS)
     def test_chain_triplets_are_typed(self, tmp_path, capsys, command, triplet):
         chain = _two_state_chain_json()
         chain["entries"][0] = triplet
@@ -613,9 +630,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command", ["gibbs", "lemma1-sweep"])
     @pytest.mark.parametrize("field", ["re", "im"])
-    @pytest.mark.parametrize(
-        "value", ["0.5", True, None, [0.0]], ids=["string", "bool", "null", "nested-list"]
-    )
+    @pytest.mark.parametrize("value", _BAD_NUMBERS, ids=["string", "bool", "null", "nested-list"])
     def test_matrix_numbers_are_typed(
         self, tmp_path, capsys, one_qubit_matrix, command, field, value
     ):
@@ -648,6 +663,22 @@ class TestConfigHandling:
         assert main(["--config", in_config]) == 1
         plain = _write_config(tmp_path, payload, "plain.json")
         assert main(["--config", plain, flag, str(bad)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({**_PAULI_GIBBS, "beta": 10**400}, "beta"),
+            ({**_PAULI_GIBBS_SWEEP, "betas": [1.0, 10**400]}, "betas[1]"),
+            ({**_GIBBS_COST_SWEEP, "values": [10**400]}, "values[0]"),
+            ({**_GIBBS_COST_SWEEP, "fixed": {"norm": 10**400}}, "fixed.norm"),
+        ],
+        ids=["gibbs-beta", "lemma1-betas", "cost-sweep-values", "cost-sweep-fixed"],
+    )
+    def test_number_past_the_double_range_is_a_config_error(self, tmp_path, capsys, payload, field):
+        config = _write_config(tmp_path, {**payload, "out": str(tmp_path / "out")})
+        assert main(["--config", config]) == 1
+        assert f"config error: {field} is too large for a double" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_probability_past_the_double_range_is_a_config_error(self, tmp_path, capsys):
@@ -702,87 +733,219 @@ class TestConfigHandling:
 
 
 _LEMMA2 = {"command": "lemma2-sweep", "deltas": [0.5], "epsilons": [0.2], "dim": 2, "samples": 1}
-_PAULI_GIBBS = {"command": "gibbs", "hamiltonian": {"pauli": "1.0 Z"}, "beta": 1.0, "epsilon": 0.1}
+_TWO_STATE = {
+    "n_states": 2, "entries": [[0, 0, 0.5], [1, 0, 0.5], [0, 1, 0.5], [1, 1, 0.5]], "marked": [1],
+}
+# One valid config per command (and per cost-sweep model), with every optional field set.
+_VALID_CONFIGS = [
+    {**_PAULI_GIBBS, "mode": "desk", "z_lower_bound": 0.5, "seed": 3, "out": "o", "constants": {}},
+    {**_PAULI_GIBBS, "hamiltonian": {"matrix": {"dim": 1, "re": [1.0], "im": [0.0]}}},
+    {
+        "command": "hitting", "chain": _TWO_STATE, "epsilon": 0.1, "confidence": 0.8,
+        "mode": "oracle-free", "delta_lower_bound": 0.5,
+    },
+    {"command": "appendix-verify", "chain": _TWO_STATE},
+    {"command": "lemma1-sweep", "hamiltonian": {"pauli": "1.0 Z"}, "betas": [1.0, 0.0],
+     "epsilons": [0.1], "jobs": 2},
+    {**_LEMMA2, "jobs": 1},
+    *(
+        {"command": "cost-sweep", "model": model, "sweep_var": sweep_vars[-1], "values": [0.5],
+         "fixed": dict(defaults), "jobs": 1}
+        for model, (sweep_vars, defaults) in cli._COST_MODELS.items()
+    ),
+]
+# What a mutation may put in a config: wrong types, numbers on and past every
+# bound, non-finite and huge numbers, and values that belong to other fields.
+_MUTANT_VALUES = [
+    None, True, False, "x", "0.5", [], {}, [0.5], [1, 2], {"a": 1}, [0, 0, 0.5], [0, 0],
+    0, 1, 2, -1, 64, 65, 2.0, 0.0, -0.0, 0.5, 1.0, 1.5, 1e-300, 1e308, 10**400, -(10**400),
+    math.nan, math.inf, -math.inf, "desk", "oracle-free", "delta", "beta", "epsilon", "gibbs",
+    "hitting-classical", "1.0 Z", {"pauli": "1.0 Z"}, {"dim": 1, "re": [1.0], "im": [0.0]},
+    {"matrix": {"dim": 2, "re": [0.5], "im": [0]}}, _TWO_STATE,
+]
+# Every bound a field has, each side of it, and the numbers no bound excludes.
+_BOUND_VALUES = [
+    0, -0.0, 1e-300, 0.5, 1, 1.0, 1.5, 2, 2.0, 64, 65, -1, -1e-300, 1e308, 10**400, -(10**400),
+    math.nan, math.inf, -math.inf, True,
+]
+_MUTANT_KEYS = ["typo", "delta", "n_sates", "stay", "norm", "d", "n_dim", "n_states", "beta",
+                "pauli", "matrix", "seed", "jobs", "dim", "mode", "fixed", "marked"]
+
+
+def _places(node, path=()):
+    """(path, key) for each value inside a config, and (path, None) for each container."""
+    yield path, None
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path, key
+        if isinstance(value, (dict, list)):
+            yield from _places(value, path + (key,))
+
+
+def _at(config, path):
+    for step in path:
+        config = config[step]
+    return config
+
+
+def _reader_verdict(tmp_path, config, overrides=None) -> tuple[bool, str]:
+    try:
+        cli.load_config(_write_config(tmp_path, config), overrides)
+    except ValidationError as exc:
+        return False, str(exc)
+    return True, ""
+
+
+def _assert_schema_verdict(tmp_path, config, overrides=None):
+    """The readers accept what the schema and the typing loop accept, except an
+    integer past the double range in a number field, which only they refuse."""
+    accepted, message = _reader_verdict(tmp_path, config, overrides)
+    reference = schema_accepts(json.loads(json.dumps(config)), overrides)
+    if reference and not accepted:
+        assert "too large for a double" in message
+    else:
+        assert accepted == reference, message
 
 
 class TestSchemaValidation:
     @pytest.mark.parametrize(
-        "payload, overrides",
+        "payload, overrides, field",
         [
-            ({**_PAULI_GIBBS, "typo_field": 1}, {}),
-            ({k: v for k, v in _PAULI_GIBBS.items() if k != "beta"}, {}),
-            ({**_PAULI_GIBBS, "epsilon": "0.1"}, {}),
-            ({**_PAULI_GIBBS, "hamiltonian": {"pauli": "1.0 Z", "matrix": {}}}, {}),
+            ({**_PAULI_GIBBS, "typo_field": 1}, {}, "typo_field"),
+            ({k: v for k, v in _PAULI_GIBBS.items() if k != "beta"}, {}, "beta"),
+            ({**_PAULI_GIBBS, "epsilon": "0.1"}, {}, "epsilon"),
+            ({**_PAULI_GIBBS, "hamiltonian": {"pauli": "1.0 Z", "matrix": {}}}, {}, "hamiltonian"),
             (
                 {
                     "command": "cost-sweep", "model": "gibbs", "sweep_var": "delta",
                     "values": [0.5], "fixed": {},
                 },
                 {},
+                "sweep_var",
             ),
-            (_LEMMA2, {"seed": -1}),
-            (_LEMMA2, {"jobs": 0}),
+            (_LEMMA2, {"seed": -1}, "seed"),
+            (_LEMMA2, {"jobs": 0}, "jobs"),
         ],
         ids=[
             "unknown-field", "missing-field", "wrong-type", "neither-hamiltonian",
             "cost-sweep-if-then", "seed-override", "jobs-override",
         ],
     )
-    def test_schema_errors_keep_their_messages(self, tmp_path, payload, overrides):
-        with pytest.raises(jsonschema.ValidationError) as got:
+    def test_config_errors_name_their_field(self, tmp_path, payload, overrides, field):
+        with pytest.raises(ValidationError, match=field):
             cli.load_config(_write_config(tmp_path, payload), overrides)
-        with pytest.raises(jsonschema.ValidationError) as want:
-            jsonschema.validate({**payload, **overrides}, cli._SCHEMAS[payload["command"]])
-        assert str(got.value) == str(want.value)
+        assert not schema_accepts(payload, overrides)
 
-    @pytest.mark.parametrize("command", sorted(cli._SCHEMAS))
+    @pytest.mark.parametrize("command", sorted(_SCHEMAS))
     def test_schema_is_valid(self, command):
-        schema = cli._SCHEMAS[command]
+        schema = _SCHEMAS[command]
         jsonschema.validators.validator_for(schema).check_schema(schema)
 
-    def test_load_config_checks_no_schema(self, tmp_path, monkeypatch):
-        def refuse(cls, schema):
-            raise AssertionError("load_config re-checked a constant schema")
+    def test_every_command_has_readers_for_its_schema_fields(self):
+        for command, schema in _SCHEMAS.items():
+            fields = cli._READERS[command]
+            if callable(fields):
+                fields = fields({"model": "gibbs"})
+            assert list(fields) == list(schema["properties"]), command
 
-        cls = jsonschema.validators.validator_for(cli._SCHEMAS["gibbs"])
-        monkeypatch.setattr(cls, "check_schema", classmethod(refuse))
-        assert cli.load_config(_write_config(tmp_path, _PAULI_GIBBS))["beta"] == 1.0
+    @pytest.mark.parametrize("config", _VALID_CONFIGS, ids=lambda c: c.get("model", c["command"]))
+    def test_valid_configs_are_typed_with_defaults_filled(self, tmp_path, config):
+        typed = cli.load_config(_write_config(tmp_path, config))
+        fields = cli._READERS[config["command"]]
+        assert list(typed) == list(fields if not callable(fields) else fields(config))
+        assert schema_accepts(config)
+
+    def test_each_number_on_each_bound_gets_the_schema_verdict(self, tmp_path):
+        for base in _VALID_CONFIGS:
+            for path, key in _places(base):
+                if key is None or isinstance(_at(base, path)[key], (bool, str, list, dict)):
+                    continue
+                for value in _BOUND_VALUES:
+                    config = copy.deepcopy(base)
+                    _at(config, path)[key] = value
+                    _assert_schema_verdict(tmp_path, config)
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_readers_agree_with_the_schema(self, tmp_path, data):
+        config = copy.deepcopy(data.draw(st.sampled_from(_VALID_CONFIGS)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            path, key = data.draw(st.sampled_from(list(_places(config))))
+            container = _at(config, path)
+            value = copy.deepcopy(data.draw(st.sampled_from(_MUTANT_VALUES)))
+            if key is None and isinstance(container, list):
+                container.append(value)
+            elif key is None:
+                container[data.draw(st.sampled_from(_MUTANT_KEYS))] = value
+            elif data.draw(st.booleans()):
+                del container[key]
+            else:
+                container[key] = value
+        overrides = data.draw(st.fixed_dictionaries({
+            "seed": st.sampled_from([None, -1, 0, 7, 10**30]),
+            "out": st.sampled_from([None, "elsewhere"]),
+            "jobs": st.sampled_from([None, 0, 1, 2]),
+        }))
+        _assert_schema_verdict(tmp_path, config, overrides)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            *({**_GIBBS_COST_SWEEP, "model": m, "sweep_var": v, "fixed": f}
+              for m, v, f in _COST_SWEEP_ERRORS),
+            *({"command": c, "chain": {**_TWO_STATE, "entries": [t, *_TWO_STATE["entries"][1:]]},
+               **({"epsilon": 0.1} if c == "hitting" else {})}
+              for c in ("hitting", "appendix-verify") for t in _BAD_TRIPLETS),
+            *({**base, "hamiltonian": {"matrix": {"dim": 2, "re": [0.0, v, 0.0, 1.0], "im": [0] * 4}}}
+              for base in (_PAULI_GIBBS, _PAULI_GIBBS_SWEEP) for v in _BAD_NUMBERS),
+            {"command": "gibbs", "typo_field": 1, **_PAULI_GIBBS},
+            {"command": "nonsense"},
+            {},
+            [],
+        ],
+    )
+    def test_existing_invalid_configs_get_the_schema_verdict(self, tmp_path, config):
+        _assert_schema_verdict(tmp_path, config)
+        assert not _reader_verdict(tmp_path, config)[0]
+
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("jobs", 0)])
+    def test_invalid_overrides_get_the_schema_verdict(self, tmp_path, field, value):
+        _assert_schema_verdict(tmp_path, _LEMMA2, {field: value})
+        _assert_schema_verdict(tmp_path, {**_LEMMA2, field: value})
+        assert not _reader_verdict(tmp_path, _LEMMA2, {field: value})[0]
 
     @staticmethod
-    def _descend_calls(tmp_path, monkeypatch, payload) -> int:
-        cls = jsonschema.validators.validator_for(cli._SCHEMAS[payload["command"]])
-        descend, calls = cls.descend, []
+    def _count_calls(monkeypatch, name: str, *modules) -> list:
+        """Count calls to `name` through each module that holds it, so a direct
+        import of the function is counted as well."""
+        calls = []
+        for module in modules:
+            original = getattr(module, name, None)
+            if original is not None:
+                def counting(*args, _original=original, **kwargs):
+                    calls.append(None)
+                    return _original(*args, **kwargs)
 
-        def counting(self, *args, **kwargs):
-            calls.append(None)
-            return descend(self, *args, **kwargs)
+                monkeypatch.setattr(module, name, counting)
+        return calls
 
-        monkeypatch.setattr(cls, "descend", counting)
-        cli.load_config(_write_config(tmp_path, payload))
-        monkeypatch.undo()
-        return len(calls)
+    def test_chain_entries_are_typed_once(self, tmp_path, monkeypatch):
+        calls = self._count_calls(monkeypatch, "parse_triplet", cli, markov)
+        chain = chain_to_json(lazy_cycle(8), [0])
+        assert len(chain["entries"]) == 24
+        payload = {"command": "hitting", "chain": chain, "epsilon": 0.1, "out": str(tmp_path / "out")}
+        assert main(["--config", _write_config(tmp_path, payload)]) == 0
+        assert len(calls) == 24
 
-    def test_schema_work_does_not_grow_with_the_chain(self, tmp_path, monkeypatch):
-        counts = [
-            self._descend_calls(
-                tmp_path,
-                monkeypatch,
-                {"command": "hitting", "chain": chain_to_json(chain, [1]), "epsilon": 0.1},
-            )
-            for chain in (symmetric_two_state(), lazy_cycle(80))
-        ]
-        assert counts[0] == counts[1] > 0
-
-    def test_schema_work_does_not_grow_with_the_matrix(self, tmp_path, monkeypatch):
-        counts = [
-            self._descend_calls(
-                tmp_path,
-                monkeypatch,
-                {**_PAULI_GIBBS, "hamiltonian": {"matrix": matrix_to_json(np.eye(dim))}},
-            )
-            for dim in (1, 64)
-        ]
-        assert counts[0] == counts[1] > 0
+    def test_matrix_numbers_are_typed_once(self, tmp_path, monkeypatch, one_qubit_matrix):
+        calls = self._count_calls(monkeypatch, "check_numbers", cli, operators)
+        payload = {
+            "command": "lemma1-sweep", "hamiltonian": {"matrix": one_qubit_matrix},
+            "betas": [4.0, 6.0, 8.0], "epsilons": [0.05], "out": str(tmp_path / "out"),
+        }
+        assert main(["--config", _write_config(tmp_path, payload)]) == 0
+        assert len(calls) == 2
 
 
 def _readme_configs():
