@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from lculab.cost import fit_scaling, theorem2_cost, theorem2_log_correction
-from lculab.markov import discriminant_pair, expected_mc_cost, lazy_cycle, mark_states
+from lculab.markov import expected_mc_cost, lazy_cycle, mark_states
 
 
 def main() -> None:
@@ -34,14 +34,13 @@ def main() -> None:
         stay = 1.0 - 2.0**-k
         chain = lazy_cycle(args.n_states, stay)
         mp = mark_states(chain, [0])
-        dp = discriminant_pair(mp)
         samples, steps = expected_mc_cost(mp, args.mc_epsilon)
-        report = theorem2_cost(dp.delta, args.epsilon, 3, args.n_states)
-        corrected = report.total / theorem2_log_correction(dp.delta, args.epsilon, 3)
-        rows.append([stay, dp.delta, samples, steps, report.total, corrected])
-        classical.append((dp.delta, steps))
-        quantum.append((dp.delta, corrected))
-        quantum_raw.append((dp.delta, report.total))
+        report = theorem2_cost(mp.delta, args.epsilon, 3, args.n_states)
+        corrected = report.total / theorem2_log_correction(mp.delta, args.epsilon, 3)
+        rows.append([stay, mp.delta, samples, steps, report.total, corrected])
+        classical.append((mp.delta, steps))
+        quantum.append((mp.delta, corrected))
+        quantum_raw.append((mp.delta, report.total))
 
     eps_points = []
     for eps in np.geomspace(args.epsilon, args.epsilon / 50, 8):

@@ -19,7 +19,7 @@ from .inverse import (
     calibrate_inverse_grid,
     estimate_hitting_time,
 )
-from .markov import discriminant_pair, mark_states, validate_chain
+from .markov import mark_states, validate_chain
 from .operators import HermitianOperator
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ __all__ = [
     "prepare_gibbs",
     "validate_chain",
     "mark_states",
-    "discriminant_pair",
     "HittingTimeTask",
     "calibrate_inverse_grid",
     "estimate_hitting_time",

@@ -34,10 +34,10 @@ from .errors import LculabError, PreconditionWarning, ValidationError
 from .gap_amplification import parse_pauli_lines, split_indices
 from .gibbs import GibbsResult, GibbsTask, prepare_gibbs
 from .inverse import HittingTimeTask, calibrate_inverse_grid, estimate_hitting_time
-from .markov import (
-    chain_from_json, discriminant_pair, expected_mc_cost, lazy_cycle, mark_states, read_chain,
+from .markov import chain_from_json, expected_mc_cost, lazy_cycle, mark_states, read_chain
+from .operators import (
+    DIMENSION_CAP, HermitianOperator, is_integer, is_number, matrix_from_json, read_matrix,
 )
-from .operators import HermitianOperator, is_integer, is_number, matrix_from_json, read_matrix
 from .rand import random_hermitian_with_spectrum, random_state
 from .sparse_chain import decomposition_manifest, sparse_oracle
 
@@ -315,13 +315,12 @@ def _run_lemma1_sweep(config: dict, constants: Constants, out: Path, seed: int) 
 def _run_hitting(config: dict, constants: Constants, out: Path, seed: int) -> dict:
     chain, marked = chain_from_json(config["chain"])
     mp = mark_states(chain, marked)
-    dp = discriminant_pair(mp)
+    mp.delta  # builds and checks H_U before the mode is checked
     oracle_free = config["mode"] == "oracle-free"
     if oracle_free and config["delta_lower_bound"] is None:
         raise ValidationError("oracle-free mode needs delta_lower_bound")
     task = HittingTimeTask(
         partition=mp,
-        pair=dp,
         epsilon=config["epsilon"],
         confidence=config["confidence"],
         delta_lower=config["delta_lower_bound"] if oracle_free else None,
@@ -423,7 +422,7 @@ def _cost_point(args: tuple) -> tuple[float, cost_mod.CostReport]:
                 raise ValidationError("laziness sweep values must lie in (0, 0.5]")
             params["stay"] = 1.0 - value
         mp = mark_states(lazy_cycle(params["n_states"], params["stay"]), [0])
-        reported_value = discriminant_pair(mp).delta if sweep_var == "delta" else value
+        reported_value = mp.delta if sweep_var == "delta" else value
         samples, steps = expected_mc_cost(mp, epsilon, constants)
         return reported_value, cost_mod.CostReport.build(
             entries={
@@ -437,6 +436,8 @@ def _cost_point(args: tuple) -> tuple[float, cost_mod.CostReport]:
     # supplies the partition function at each beta; a count below 1 gives an
     # empty spectrum, and theorem1_cost rejects the count itself
     beta, n_dim, norm = params["beta"], params["n_dim"], params["norm"]
+    if n_dim > DIMENSION_CAP:
+        raise ValidationError(f"dimension {n_dim} exceeds cap {DIMENSION_CAP}")
     z = float(np.sum(np.exp(-beta * np.linspace(0.0, norm, max(n_dim, 0)))))
     return value, cost_mod.theorem1_cost(
         n_dim, z, beta, epsilon, norm_bound=norm, constants=constants

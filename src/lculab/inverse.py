@@ -7,11 +7,13 @@ the gap-amplified H~. The hitting time is then gamma times the expectation of
 that combination in the stationary state conditioned on the unmarked block,
 estimated by a phase-estimation amplitude sampler at the metrology rate.
 
-The combination is even in H~, so on the ancilla-0 sector it is the certified
-scalar filter `InverseGrid.inverse_filter` of H. The pipeline evaluates that
-filter on the spectrum of H and never builds H~, so the dimension cap applies
-to the unmarked block itself. The tests build the combination over evolutions
-of H~ as the reference it is checked against.
+Every chain quantity comes from one `MarkedPartition`: its walk Hamiltonian
+H_U, the spectrum and gap delta of H_U, and the exact hitting time. The
+combination is even in H~, so on the ancilla-0 sector it is the certified
+scalar filter `InverseGrid.inverse_filter` of H_U. The pipeline evaluates that
+filter on the spectrum of H_U and never builds H~, so the dimension cap
+applies to the unmarked block itself. The tests build the combination over
+evolutions of H~ as the reference it is checked against.
 
 Grid calibration dominates a run. Its exit test checks the filter on the
 samples a few at a time and rejects a grid at the first miss, so rejected
@@ -35,13 +37,7 @@ from .errors import CalibrationError, PreconditionWarning, ValidationError
 from .gap_amplification import split_indices
 from .gibbs import calibrate_hs_grid
 from .lcu import gaussian_cosine_series, gaussian_weight_sum
-from .markov import (
-    DiscriminantPair,
-    MarkedPartition,
-    check_seed,
-    exact_hitting_time_inverse,
-    expected_mc_cost,
-)
+from .markov import MarkedPartition, check_seed, exact_hitting_time_inverse, expected_mc_cost
 
 logger = logging.getLogger(__name__)
 
@@ -178,20 +174,15 @@ def _check_spectrum(grid: InverseGrid, eigs: np.ndarray) -> None:
         )
 
 
-def t_circuit_expectation(grid: InverseGrid, pair: DiscriminantPair, mp: MarkedPartition) -> float:
-    """(pi_U / gamma) <sqrt(pi_U)| X |sqrt(pi_U)> on the sector spectrum of H.
+def t_circuit_expectation(grid: InverseGrid, mp: MarkedPartition) -> float:
+    """(pi_U / gamma) <sqrt(pi_U)| X |sqrt(pi_U)> on the sector spectrum of H_U.
 
     X acts on the ancilla-0 sector as inverse_filter(H), so with H = sum_i
     lambda_i |v_i><v_i| the value is pi_U sum_i |<v_i|sqrt(pi_U)>|^2
     inverse_filter(lambda_i) / gamma. This equals t_h / gamma up to the grid's
     discretization error.
     """
-    if pair.h_matrix.dim != mp.n_unmarked:
-        raise ValidationError(
-            f"Hamiltonian dimension {pair.h_matrix.dim} does not match the "
-            f"{mp.n_unmarked} unmarked states"
-        )
-    eigs, vecs = pair.h_matrix.eigensystem
+    eigs, vecs = mp.h_matrix.eigensystem
     _check_spectrum(grid, eigs)
     weights = np.abs(vecs.conj().T @ mp.sqrt_pi_u) ** 2
     # Spectator zero modes may sit a roundoff below zero, where sqrt is undefined.
@@ -260,7 +251,6 @@ class HittingTimeTask:
     """A hitting-time estimation problem at absolute precision epsilon."""
 
     partition: MarkedPartition
-    pair: DiscriminantPair
     epsilon: float
     confidence: float = _BASE_CONFIDENCE
     delta_lower: float | None = None
@@ -269,12 +259,14 @@ class HittingTimeTask:
     def __post_init__(self):
         if not (0 < self.epsilon < 1):
             raise ValidationError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
-        if self.delta_lower is not None and not (0 < self.delta_lower <= self.pair.delta + 1e-12):
+        if self.delta_lower is not None and not (
+            0 < self.delta_lower <= self.partition.delta + 1e-12
+        ):
             raise ValidationError("delta_lower must be a positive lower bound on the gap")
 
     @property
     def delta(self) -> float:
-        return self.delta_lower if self.delta_lower is not None else self.pair.delta
+        return self.delta_lower if self.delta_lower is not None else self.partition.delta
 
     @property
     def epsilon_prime(self) -> float:
@@ -309,7 +301,7 @@ def estimate_hitting_time(
     delta = task.delta
     if grid is None:
         grid = calibrate_inverse_grid(delta, task.epsilon)
-    amp = t_circuit_expectation(grid, task.pair, mp)
+    amp = t_circuit_expectation(grid, mp)
     amp_clipped = min(max(amp, 0.0), 1.0)
     estimate_raw, queries = amplitude_estimation(
         amp_clipped, task.epsilon_prime, task.confidence, seed, constants
@@ -317,7 +309,7 @@ def estimate_hitting_time(
     t_hat = grid.z_max * estimate_raw
 
     t_evolve = grid.y_max * math.sqrt(2.0 * grid.z_max)
-    eigs = task.pair.h_matrix.eigensystem[0]
+    eigs = mp.h_matrix.eigensystem[0]
     c_w = presentation_gate_cost(t_evolve, eigs[split_indices(eigs)], task.epsilon_prime, constants)
     c_b = constants.b_gate_cost_constant * math.log(1.0 / (delta * task.epsilon))
     per_rep = c_w + constants.marked_oracle_cost + constants.sqrt_pi_oracle_cost + c_b
@@ -340,5 +332,5 @@ def estimate_hitting_time(
         grover_queries=queries,
         cost=cost,
         classical_cost_comparison=classical,
-        exact_hitting_time=exact_hitting_time_inverse(task.pair, mp),
+        exact_hitting_time=exact_hitting_time_inverse(mp),
     )

@@ -1,10 +1,16 @@
-"""Reversible Markov chains with marked subsets: validation, exact hitting
-times through both closed forms, variances, and the classical Monte-Carlo
-baseline.
+"""Reversible Markov chains with marked subsets: validation, the marked
+partition, exact hitting times through both closed forms, variances, and the
+classical Monte-Carlo baseline.
 
 Transition matrices are column-stochastic: entry (s', s) is Pr(s'|s). The
 stationary vector, detailed balance, irreducibility, aperiodicity and spectrum
 nonnegativity are all checked at construction; nothing downstream re-validates.
+
+A `MarkedPartition` is the one object the hitting-time pipeline reads. It
+builds the walk Hamiltonian H_U = 1 - sqrt(P_UU o P_UU^T) from the unmarked
+block alone, never the N x N discriminant, and caches it with its lowest
+eigenvalue delta and the solve of (1 - P_UU) x = pi_U / pi_U, which the exact
+hitting time, the variance and the Monte-Carlo sample count share.
 
 The Monte-Carlo baseline advances its walks in lockstep, one numpy step per
 round for every live walk on a fixed number of lanes. Its uniforms come from a
@@ -165,7 +171,8 @@ def discriminant_matrix(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MarkedPartition:
-    """A chain split into unmarked (U) and marked (M) blocks."""
+    """A chain split into unmarked (U) and marked (M) blocks; H_U, delta and
+    the resolvent are built from the U-block on first read."""
 
     chain: MarkovChain
     marked: tuple[int, ...]
@@ -186,6 +193,33 @@ class MarkedPartition:
     def sqrt_pi_u(self) -> np.ndarray:
         """Unit vector with entries sqrt(pi(s))/sqrt(pi_U) over U."""
         return np.sqrt(self.chain.stationary[list(self.unmarked)] / self.pi_u)
+
+    @cached_property
+    def h_matrix(self) -> HermitianOperator:
+        """H_U = 1 - D_U^{-1} P_UU D_U = 1 - sqrt(P_UU o P_UU^T), with D_U = diag(sqrt(pi_U)).
+
+        Its spectrum must lie in (0, 1]: delta > 0 for an irreducible chain,
+        and the top stays at 1 only if the chain's spectrum is nonnegative.
+        """
+        h = HermitianOperator(np.eye(self.n_unmarked) - discriminant_matrix(self.p_uu))
+        eigs = h.eigensystem[0]
+        if float(eigs[0]) <= 0:
+            raise ValidationError(f"restricted Hamiltonian is not positive: delta = {eigs[0]:.3e}")
+        if float(eigs[-1]) > 1.0 + 1e-9:
+            raise ValidationError("restricted Hamiltonian exceeds 1; chain spectrum has negatives")
+        return h
+
+    @cached_property
+    def delta(self) -> float:
+        """The smallest eigenvalue of H_U; 1/delta upper-bounds t_h / pi_U."""
+        return float(self.h_matrix.eigensystem[0][0])
+
+    @cached_property
+    def resolvent(self) -> np.ndarray:
+        """x = (1 - P_UU)^{-1} |pi_U> / pi_U by one dense solve."""
+        x = np.linalg.solve(np.eye(self.n_unmarked) - self.p_uu, self.pi_u_conditioned)
+        x.flags.writeable = False
+        return x
 
 
 def read_marked(marked, n_states: int) -> tuple[int, ...]:
@@ -221,52 +255,15 @@ def mark_states(chain: MarkovChain, marked) -> MarkedPartition:
     return MarkedPartition(chain=chain, marked=marked, unmarked=unmarked, p_uu=p_uu, pi_u=pi_u)
 
 
-@dataclass(frozen=True)
-class DiscriminantPair:
-    """The symmetric discriminant of a partitioned chain and its U-block Hamiltonian.
-
-    h_matrix = 1 - D_U^{-1} P_UU D_U on the unmarked block; delta is its
-    smallest eigenvalue, and 1/delta upper-bounds t_h / pi_U.
-    """
-
-    h_matrix: HermitianOperator
-    delta: float
-
-
-def discriminant_pair(mp: MarkedPartition) -> DiscriminantPair:
-    chain = mp.chain
-    p = chain.transition
-    s = discriminant_matrix(p)
-    d = np.sqrt(chain.stationary)
-    similar = (p * d[None, :]) / d[:, None]
-    if np.max(np.abs(s - similar)) > 1e-10:
-        raise ValidationError("discriminant does not match the similarity transform")
-    u = list(mp.unmarked)
-    h_block = np.eye(len(u)) - s[np.ix_(u, u)]
-    d_u = d[u]
-    direct = np.eye(len(u)) - (mp.p_uu * d_u[None, :]) / d_u[:, None]
-    if np.max(np.abs(h_block - direct)) > 1e-10:
-        raise ValidationError("restricted Hamiltonian mismatch between constructions")
-    h = HermitianOperator(h_block)
-    delta = float(h.eigensystem[0][0])
-    if delta <= 0:
-        raise ValidationError(f"restricted Hamiltonian is not positive: delta = {delta:.3e}")
-    if float(h.eigensystem[0][-1]) > 1.0 + 1e-9:
-        raise ValidationError("restricted Hamiltonian exceeds 1; chain spectrum has negatives")
-    return DiscriminantPair(h_matrix=h, delta=delta)
-
-
 def exact_hitting_time_resolvent(mp: MarkedPartition) -> float:
-    """t_h = pi_U <1_U| (1 - P_UU)^{-1} |pi_U> by dense solve."""
-    rhs = mp.pi_u_conditioned
-    sol = np.linalg.solve(np.eye(mp.n_unmarked) - mp.p_uu, rhs)
-    return float(mp.pi_u * sol.sum())
+    """t_h = pi_U <1_U| (1 - P_UU)^{-1} |pi_U>, read off the partition's resolvent."""
+    return float(mp.pi_u * mp.resolvent.sum())
 
 
-def exact_hitting_time_inverse(dp: DiscriminantPair, mp: MarkedPartition) -> float:
-    """t_h = pi_U <sqrt(pi_U)| H^{-1} |sqrt(pi_U)> on the unmarked block."""
+def exact_hitting_time_inverse(mp: MarkedPartition) -> float:
+    """t_h = pi_U <sqrt(pi_U)| H_U^{-1} |sqrt(pi_U)> on the unmarked block."""
     v = mp.sqrt_pi_u
-    sol = np.linalg.solve(dp.h_matrix.matrix, v)
+    sol = np.linalg.solve(mp.h_matrix.matrix, v)
     return float(mp.pi_u * np.real(v @ sol))
 
 
@@ -277,9 +274,7 @@ def exact_variance(mp: MarkedPartition) -> float:
     sum_t t x^t = x/(1-x)^2 termwise on the block.
     """
     t_h = exact_hitting_time_resolvent(mp)
-    eye = np.eye(mp.n_unmarked)
-    first = np.linalg.solve(eye - mp.p_uu, mp.pi_u_conditioned)
-    second = np.linalg.solve(eye - mp.p_uu, first)
+    second = np.linalg.solve(np.eye(mp.n_unmarked) - mp.p_uu, mp.resolvent)
     series = float(np.ones(mp.n_unmarked) @ (mp.p_uu @ second))
     var = 2 * mp.pi_u * series + t_h - t_h * t_h
     return max(var, 0.0)
@@ -453,6 +448,8 @@ def lazy_cycle(n: int, stay: float = 0.5) -> MarkovChain:
     otherwise. stay >= 1/2 keeps the spectrum nonnegative."""
     if n < 3:
         raise ValidationError("cycle needs at least 3 states")
+    if n > DIMENSION_CAP:
+        raise ValidationError(f"{n} states exceed cap {DIMENSION_CAP}")
     if not 0.5 <= stay < 1.0:
         raise ValidationError("stay probability must lie in [0.5, 1)")
     p = np.zeros((n, n))

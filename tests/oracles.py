@@ -6,7 +6,9 @@ dense projector decomposition and the Kronecker-product parse of Pauli text,
 the dense trace distance, the gap-amplified operator, its unitary expansion
 and exact evolutions, the weighted-unitary and evolution-family LCUs with the
 exact dilation, the dense sparse-chain assembly, the eigenvector-based chain
-validation, and the random operators and chain families the tests draw from.
+validation, the walk Hamiltonian H_U cut from the full discriminant and
+checked against two other constructions, and the random operators and chain
+families the tests draw from.
 Each object is small, dense and exact, and nothing in `lculab` imports it.
 The JSON Schemas of the CLI configs live here too: the CLI's field readers
 are held to the verdicts of these schemas and the typing that followed them.
@@ -810,6 +812,61 @@ def survival_probability(mp: MarkedPartition, t_prime: int) -> float:
         raise ValidationError("t_prime must be nonnegative")
     power = np.linalg.matrix_power(mp.p_uu, t_prime)
     return float(mp.pi_u * np.ones(mp.n_unmarked) @ power @ mp.pi_u_conditioned)
+
+
+# ---------------------------------------------------------------------------
+# The walk Hamiltonian H_U through the full N x N discriminant.
+
+@dataclass(frozen=True)
+class DiscriminantPair:
+    """H_U built the two ways that are cross-checked, and the values read off it.
+
+    The reference for `MarkedPartition.h_matrix`, `delta`,
+    `markov.exact_hitting_time_inverse` and `inverse.t_circuit_expectation`.
+    """
+
+    h_matrix: HermitianOperator
+    delta: float
+
+    def t_exact(self, mp: MarkedPartition) -> float:
+        v = mp.sqrt_pi_u
+        return float(mp.pi_u * np.real(v @ np.linalg.solve(self.h_matrix.matrix, v)))
+
+    def exact_amplitude(self, grid: InverseGrid, mp: MarkedPartition) -> float:
+        eigs, vecs = self.h_matrix.eigensystem
+        _check_spectrum(grid, eigs)
+        weights = np.abs(vecs.conj().T @ mp.sqrt_pi_u) ** 2
+        filtered = grid.inverse_filter(np.maximum(eigs, 0.0))
+        return mp.pi_u * float(weights @ filtered) / grid.gamma
+
+
+def discriminant_pair(mp: MarkedPartition) -> DiscriminantPair:
+    """H_U as the U-block of the full N x N discriminant, checked two ways.
+
+    The discriminant sqrt(P o P^T) must match the similarity transform
+    D^{-1} P D with D = diag(sqrt(pi)), and its U-block 1 - S_UU must match
+    the direct 1 - D_U^{-1} P_UU D_U; then the spectrum must lie in (0, 1].
+    """
+    chain = mp.chain
+    p = chain.transition
+    s = discriminant_matrix(p)
+    d = np.sqrt(chain.stationary)
+    similar = (p * d[None, :]) / d[:, None]
+    if np.max(np.abs(s - similar)) > 1e-10:
+        raise ValidationError("discriminant does not match the similarity transform")
+    u = list(mp.unmarked)
+    h_block = np.eye(len(u)) - s[np.ix_(u, u)]
+    d_u = d[u]
+    direct = np.eye(len(u)) - (mp.p_uu * d_u[None, :]) / d_u[:, None]
+    if np.max(np.abs(h_block - direct)) > 1e-10:
+        raise ValidationError("restricted Hamiltonian mismatch between constructions")
+    h = HermitianOperator(h_block)
+    delta = float(h.eigensystem[0][0])
+    if delta <= 0:
+        raise ValidationError(f"restricted Hamiltonian is not positive: delta = {delta:.3e}")
+    if float(h.eigensystem[0][-1]) > 1.0 + 1e-9:
+        raise ValidationError("restricted Hamiltonian exceeds 1; chain spectrum has negatives")
+    return DiscriminantPair(h_matrix=h, delta=delta)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from lculab.errors import ValidationError
 from lculab.gap_amplification import unitarity_defect
 from lculab.lcu import amplification_rounds
 from lculab.markov import (
-    discriminant_pair,
     exact_hitting_time_inverse,
     exact_hitting_time_resolvent,
     expected_mc_cost,
@@ -166,9 +165,8 @@ def test_criterion_4_hitting_time_formula_equivalence():
             mp = mark_states(chain, marked)
         except ValidationError:
             continue
-        dp = discriminant_pair(mp)
         t1 = exact_hitting_time_resolvent(mp)
-        t2 = exact_hitting_time_inverse(dp, mp)
+        t2 = exact_hitting_time_inverse(mp)
         rel = abs(t1 - t2) / max(abs(t1), 1e-300)
         worst = max(worst, rel)
         assert rel <= 1e-9
@@ -228,10 +226,9 @@ def test_criterion_6_estimator_coverage():
     worst_err = 0.0
     for label, chain, marked in chains:
         mp = mark_states(chain, marked)
-        dp = discriminant_pair(mp)
-        task = HittingTimeTask(partition=mp, pair=dp, epsilon=epsilon)
+        task = HittingTimeTask(partition=mp, epsilon=epsilon)
         grid = calibrate_inverse_grid(task.delta, epsilon)
-        t_exact = exact_hitting_time_inverse(dp, mp)
+        t_exact = exact_hitting_time_inverse(mp)
         hits = 0
         runs = 400
         for seed in range(runs):
@@ -261,13 +258,12 @@ def test_criterion_7_scaling_exponents():
         stay = 1.0 - 2.0**-k
         chain = lazy_cycle(16, stay)
         mp = mark_states(chain, [0])
-        dp = discriminant_pair(mp)
-        deltas.append(dp.delta)
+        deltas.append(mp.delta)
         _, steps = expected_mc_cost(mp, 0.5)
-        classical_points.append((dp.delta, steps))
-        total = theorem2_cost(dp.delta, 0.1, 3, 16).total
-        quantum_points.append((dp.delta, total / theorem2_log_correction(dp.delta, 0.1, 3)))
-        quantum_raw.append((dp.delta, total))
+        classical_points.append((mp.delta, steps))
+        total = theorem2_cost(mp.delta, 0.1, 3, 16).total
+        quantum_points.append((mp.delta, total / theorem2_log_correction(mp.delta, 0.1, 3)))
+        quantum_raw.append((mp.delta, total))
     decades = math.log10(max(deltas) / min(deltas))
     assert decades >= 1.5
     classical_fit = fit_scaling(classical_points)
@@ -308,9 +304,8 @@ def test_criterion_8_sparse_reconstruction():
             mp = mark_states(chain, marked)
         except ValidationError:
             continue
-        dp = discriminant_pair(mp)
         construction = sparse_construction(sparse_oracle(chain, marked))
-        gap = float(np.max(np.abs(construction.restricted(mp.unmarked) - dp.h_matrix.matrix)))
+        gap = float(np.max(np.abs(construction.restricted(mp.unmarked) - mp.h_matrix.matrix)))
         assert gap <= 1e-10
         worst = max(worst, gap)
         assert construction.n_colors <= 2 * chain.sparsity - 1

@@ -251,6 +251,24 @@ class TestHittingCommand:
         assert main(["--config", config]) == 3
 
 
+    def test_run_takes_three_solves_and_one_eigendecomposition(self, tmp_path, monkeypatch):
+        # H_U is built and diagonalized once, and the partition's one resolvent
+        # solve serves the exact hitting time, the variance and the sample
+        # count; the variance's second solve and the inverse form make three
+        calls = {"solve": 0, "eigh": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        payload = {"command": "hitting", "chain": chain_to_json(lazy_cycle(8), [0]), "epsilon": 0.1}
+        config = _write_config(tmp_path, {**payload, "out": str(tmp_path / "out")})
+        assert main(["--config", config]) == 0
+        assert calls == {"solve": 3, "eigh": 1}
+
     def test_unmarked_block_over_cap_rejected_before_allocation(self, tmp_path, capsys):
         chain = {"n_states": 4098, "entries": [], "marked": [0]}
         config = _write_config(
@@ -497,6 +515,20 @@ class TestSweeps:
         }
         assert main(["--config", _write_config(tmp_path, payload)]) == 3
         assert "n_dim must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [operators.DIMENSION_CAP + 1, 10**15])
+    @pytest.mark.parametrize(
+        "model, field", [("hitting-classical", "n_states"), ("gibbs", "n_dim")]
+    )
+    def test_cost_sweep_count_over_cap_exits_three(self, tmp_path, capsys, model, field, count):
+        # checked against the cap before the chain or the spectrum is allocated
+        payload = {
+            "command": "cost-sweep", "model": model, "sweep_var": "epsilon", "values": [0.5],
+            "fixed": {field: count}, "out": str(tmp_path / "out"),
+        }
+        assert main(["--config", _write_config(tmp_path, payload)]) == 3
+        err = capsys.readouterr().err
+        assert re.search(rf"\b{count} .*exceeds? cap {operators.DIMENSION_CAP}", err)
 
 
 class TestConfigHandling:

@@ -16,7 +16,6 @@ from lculab.inverse import (
     t_circuit_expectation,
 )
 from lculab.markov import (
-    discriminant_pair,
     exact_hitting_time_inverse,
     lazy_cycle,
     mark_states,
@@ -69,7 +68,7 @@ def _full_exit_calibration(delta_lower, epsilon):
 
 
 def _cycle_delta():
-    return discriminant_pair(mark_states(lazy_cycle(8), [0])).delta
+    return mark_states(lazy_cycle(8), [0]).delta
 
 
 class TestGridCalibration:
@@ -215,9 +214,8 @@ class TestCircuitExpectation:
     def test_two_state_value(self):
         chain = symmetric_two_state()
         mp = mark_states(chain, [1])
-        dp = discriminant_pair(mp)
-        grid = calibrate_inverse_grid(dp.delta, 0.02)
-        value = t_circuit_expectation(grid, dp, mp)
+        grid = calibrate_inverse_grid(mp.delta, 0.02)
+        value = t_circuit_expectation(grid, mp)
         # equals t_h / gamma up to the discretization budget
         assert abs(value - 1.0 / grid.gamma) <= 0.02 / grid.gamma * 2
 
@@ -232,25 +230,16 @@ class TestCircuitExpectation:
         )
         chain = validate_chain(p)
         mp = mark_states(chain, [1, 2])
-        dp = discriminant_pair(mp)
-        grid = calibrate_inverse_grid(dp.delta, 0.02)
-        value = t_circuit_expectation(grid, dp, mp)
-        t_h = exact_hitting_time_inverse(dp, mp)
+        grid = calibrate_inverse_grid(mp.delta, 0.02)
+        value = t_circuit_expectation(grid, mp)
+        t_h = exact_hitting_time_inverse(mp)
         assert value * grid.gamma == pytest.approx(t_h, abs=0.02 * mp.pi_u * 2)
-
-    def test_pair_of_another_partition_rejected(self):
-        mp = mark_states(symmetric_two_state(), [1])
-        other = discriminant_pair(mark_states(lazy_cycle(8, 0.5), [0]))
-        grid = calibrate_inverse_grid(0.05, 0.2)
-        with pytest.raises(ValidationError):
-            t_circuit_expectation(grid, other, mp)
 
     def test_z_max_substitution_changes_little(self):
         chain = symmetric_two_state()
         mp = mark_states(chain, [1])
-        dp = discriminant_pair(mp)
-        grid = calibrate_inverse_grid(dp.delta, 0.04)
-        value = t_circuit_expectation(grid, dp, mp)
+        grid = calibrate_inverse_grid(mp.delta, 0.04)
+        value = t_circuit_expectation(grid, mp)
         substituted = value * grid.gamma / grid.z_max
         assert abs(substituted - value) <= 0.04 / 4 * abs(value) + 1e-12
 
@@ -305,8 +294,7 @@ class TestEstimateHittingTime:
     def test_two_state_coverage(self):
         chain = symmetric_two_state()
         mp = mark_states(chain, [1])
-        dp = discriminant_pair(mp)
-        task = HittingTimeTask(partition=mp, pair=dp, epsilon=0.1)
+        task = HittingTimeTask(partition=mp, epsilon=0.1)
         grid = calibrate_inverse_grid(task.delta, task.epsilon)
         hits = 0
         runs = 200
@@ -327,9 +315,8 @@ class TestEstimateHittingTime:
         )
         chain = validate_chain(p, require_nonnegative_spectrum=False)
         mp = mark_states(chain, [1, 2])
-        dp = discriminant_pair(mp)
-        np.testing.assert_allclose(dp.h_matrix.matrix, [[1.0]])
-        task = HittingTimeTask(partition=mp, pair=dp, epsilon=0.05)
+        np.testing.assert_allclose(mp.h_matrix.matrix, [[1.0]])
+        task = HittingTimeTask(partition=mp, epsilon=0.05)
         res = estimate_hitting_time(task, seed=5)
         assert abs(res.estimate - mp.pi_u) <= 4 * 0.05
 
@@ -337,11 +324,10 @@ class TestEstimateHittingTime:
         # gamma * amplitude reproduces t_h before any estimation noise
         chain = lazy_cycle(8, 0.5)
         mp = mark_states(chain, [0])
-        dp = discriminant_pair(mp)
         eps = 0.1
-        grid = calibrate_inverse_grid(dp.delta, eps)
-        amp = t_circuit_expectation(grid, dp, mp)
-        t_h = exact_hitting_time_inverse(dp, mp)
+        grid = calibrate_inverse_grid(mp.delta, eps)
+        amp = t_circuit_expectation(grid, mp)
+        t_h = exact_hitting_time_inverse(mp)
         assert abs(amp * grid.gamma - t_h) <= eps
 
     def test_lazy_96_cycle(self):
@@ -349,17 +335,15 @@ class TestEstimateHittingTime:
         # 72 * 73, above the cap; the pipeline works on the 72-state block
         chain = lazy_cycle(96, 0.5)
         mp = mark_states(chain, list(range(0, 96, 4)))
-        dp = discriminant_pair(mp)
         assert mp.n_unmarked == 72
-        task = HittingTimeTask(partition=mp, pair=dp, epsilon=0.1)
+        task = HittingTimeTask(partition=mp, epsilon=0.1)
         res = estimate_hitting_time(task, seed=0)
         assert abs(res.z_max * res.exact_amplitude - res.exact_hitting_time) <= 0.1
 
     def test_cost_ledger_fields(self):
         chain = symmetric_two_state()
         mp = mark_states(chain, [1])
-        dp = discriminant_pair(mp)
-        task = HittingTimeTask(partition=mp, pair=dp, epsilon=0.1)
+        task = HittingTimeTask(partition=mp, epsilon=0.1)
         res = estimate_hitting_time(task, seed=0)
         for name in ("C_W", "C_U", "C_sqrt_pi", "C_B", "ae_repetitions"):
             assert name in res.cost.entries
@@ -377,8 +361,7 @@ class TestEstimateHittingTime:
 
         chain = symmetric_two_state()
         mp = mark_states(chain, [1])
-        dp = discriminant_pair(mp)
-        task = HittingTimeTask(partition=mp, pair=dp, epsilon=0.1)
+        task = HittingTimeTask(partition=mp, epsilon=0.1)
         # the closed-form ledger and the pipeline run at the same eps'
         report = theorem2_cost(task.delta, task.epsilon, 2, 2, task.constants)
         assert report.value("ae_repetitions") == pytest.approx(
@@ -388,8 +371,7 @@ class TestEstimateHittingTime:
     def test_delta_lower_bound_override(self):
         chain = symmetric_two_state()
         mp = mark_states(chain, [1])
-        dp = discriminant_pair(mp)
-        task = HittingTimeTask(partition=mp, pair=dp, epsilon=0.1, delta_lower=0.25)
+        task = HittingTimeTask(partition=mp, epsilon=0.1, delta_lower=0.25)
         assert task.delta == 0.25
         with pytest.raises(ValidationError):
-            HittingTimeTask(partition=mp, pair=dp, epsilon=0.1, delta_lower=0.9)
+            HittingTimeTask(partition=mp, epsilon=0.1, delta_lower=0.9)

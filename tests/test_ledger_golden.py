@@ -20,7 +20,7 @@ from lculab.cost import theorem1_cost, theorem2_cost
 from lculab.gap_amplification import parse_pauli_lines
 from lculab.gibbs import GibbsTask, prepare_gibbs
 from lculab.inverse import HittingTimeTask, estimate_hitting_time
-from lculab.markov import chain_from_json, discriminant_pair, mark_states, validate_chain
+from lculab.markov import chain_from_json, mark_states, validate_chain
 from lculab.operators import HermitianOperator
 from lculab.sparse_chain import decomposition_manifest, sparse_oracle
 from oracles import random_reversible_chain, random_sparse_dyadic_matrix
@@ -133,9 +133,7 @@ def test_prepare_gibbs_on_matrix_config():
 def test_estimate_hitting_time_on_readme_config():
     chain, marked = chain_from_json(README_CHAIN)
     mp = mark_states(chain, marked)
-    task = HittingTimeTask(
-        partition=mp, pair=discriminant_pair(mp), epsilon=0.1, confidence=8 / math.pi**2
-    )
+    task = HittingTimeTask(partition=mp, epsilon=0.1, confidence=8 / math.pi**2)
     assert _hex_ledger(estimate_hitting_time(task, seed=7).cost) == README_HITTING
 
 

@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 from lculab import markov
 from lculab.constants import DEFAULT_CONSTANTS
 from lculab.errors import ValidationError, WalkTimeoutError
-from lculab.inverse import amplitude_estimation
+from lculab.inverse import InverseGrid, amplitude_estimation, t_circuit_expectation
 from lculab.markov import (
     MAX_TOTAL_WALK_STEPS,
     chain_from_json,
     classical_mc_estimate,
     chebyshev_sample_count,
     discriminant_matrix,
-    discriminant_pair,
     exact_hitting_time_inverse,
     exact_hitting_time_resolvent,
     exact_variance,
@@ -27,6 +26,7 @@ from lculab.markov import (
 from lculab.sparse_chain import sparse_oracle
 from oracles import (
     chain_to_json,
+    discriminant_pair,
     eig_validate_chain,
     lazify,
     random_reversible_chain,
@@ -266,6 +266,42 @@ class TestMarkedPartition:
                     read()
 
 
+    def test_hamiltonian_matches_the_two_way_reference(self, rng):
+        # H_U cut from P_UU alone equals, bit for bit, the U-block of the full
+        # discriminant, which the reference checks against the similarity
+        # transform and against D_U^{-1} P_UU D_U; so does every value read
+        # off it. The grid is coarse and uncalibrated: only the bits compare.
+        grid = InverseGrid(
+            delta_lower=1e-3, epsilon=0.5, delta_z=0.5, k_max=16,
+            delta_y=0.5, j_max=12, inner_epsilon=0.1,
+        )
+        checked = 0
+        for i in range(40):
+            n = int(rng.integers(3, 13))
+            try:
+                chain = (random_reversible_chain(rng, n) if i % 2 else
+                         random_sparse_dyadic_chain(rng, n, 3, edge_cap_divisor=2))
+            except ValidationError:
+                continue
+            mp = mark_states(chain, rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+            ref = discriminant_pair(mp)
+            assert np.array_equal(mp.h_matrix.matrix, ref.h_matrix.matrix)
+            assert mp.delta == ref.delta
+            assert exact_hitting_time_inverse(mp) == ref.t_exact(mp)
+            assert t_circuit_expectation(grid, mp) == ref.exact_amplitude(grid, mp)
+            checked += 1
+        assert checked >= 20
+
+    def test_hamiltonian_above_one_rejected(self):
+        # the 5-cycle without self-loops is aperiodic but has negative
+        # eigenvalues, so H_U on its unmarked path tops out above 1
+        p = np.zeros((5, 5))
+        for s in range(5):
+            p[(s + 1) % 5, s] = p[(s - 1) % 5, s] = 0.5
+        mp = mark_states(validate_chain(p, require_nonnegative_spectrum=False), [0])
+        with pytest.raises(ValidationError, match="restricted Hamiltonian exceeds 1"):
+            mp.h_matrix
+
 class TestHittingTimeFormulas:
     def test_two_state_resolvent_equals_one(self, two_state):
         assert exact_hitting_time_resolvent(two_state) == pytest.approx(1.0)
@@ -289,25 +325,22 @@ class TestHittingTimeFormulas:
         chain = validate_chain(p, require_nonnegative_spectrum=False)
         mp = mark_states(chain, [1, 2])
         assert exact_hitting_time_resolvent(mp) == pytest.approx(mp.pi_u)
-        dp = discriminant_pair(mp)
-        assert exact_hitting_time_inverse(dp, mp) == pytest.approx(mp.pi_u)
+        assert exact_hitting_time_inverse(mp) == pytest.approx(mp.pi_u)
 
     def test_two_state_inverse_formula(self, two_state):
-        dp = discriminant_pair(two_state)
-        np.testing.assert_allclose(dp.h_matrix.matrix, [[0.5]])
-        assert exact_hitting_time_inverse(dp, two_state) == pytest.approx(1.0)
+        np.testing.assert_allclose(two_state.h_matrix.matrix, [[0.5]])
+        assert exact_hitting_time_inverse(two_state) == pytest.approx(1.0)
 
     def test_lazy_cycle_series_oracle(self):
         chain = lazy_cycle(8, 0.5)
         mp = mark_states(chain, [0])
-        dp = discriminant_pair(mp)
         t_resolvent = exact_hitting_time_resolvent(mp)
         # independent oracle: truncated survival series plus a spectral tail bound
         t_trunc = 0
-        horizon = int(20 / dp.delta)
+        horizon = int(20 / mp.delta)
         for t in range(horizon):
             t_trunc += survival_probability(mp, t)
-        tail = mp.pi_u * (1 - dp.delta) ** horizon / dp.delta
+        tail = mp.pi_u * (1 - mp.delta) ** horizon / mp.delta
         assert abs(t_resolvent - t_trunc) <= tail + 1e-8
 
     def test_formula_equivalence_random_chains(self, rng):
@@ -320,20 +353,18 @@ class TestHittingTimeFormulas:
                 mp = mark_states(chain, marked)
             except ValidationError:
                 continue
-            dp = discriminant_pair(mp)
             t1 = exact_hitting_time_resolvent(mp)
-            t2 = exact_hitting_time_inverse(dp, mp)
+            t2 = exact_hitting_time_inverse(mp)
             assert abs(t1 - t2) <= 1e-9 * max(1.0, abs(t1))
 
     def test_spectrum_similarity(self, rng):
         chain = random_reversible_chain(rng, 10)
         mp = mark_states(chain, [0, 3])
-        dp = discriminant_pair(mp)
-        h_spec = np.sort(np.linalg.eigvalsh(dp.h_matrix.matrix))
+        h_spec = np.sort(np.linalg.eigvalsh(mp.h_matrix.matrix))
         p_spec = np.sort(1.0 - np.linalg.eigvals(mp.p_uu).real)
         np.testing.assert_allclose(h_spec, p_spec, atol=1e-9)
-        assert dp.delta == pytest.approx(1.0 - np.linalg.eigvals(mp.p_uu).real.max(), abs=1e-9)
-        assert 1.0 / dp.delta >= exact_hitting_time_resolvent(mp) / mp.pi_u - 1e-9
+        assert mp.delta == pytest.approx(1.0 - np.linalg.eigvals(mp.p_uu).real.max(), abs=1e-9)
+        assert 1.0 / mp.delta >= exact_hitting_time_resolvent(mp) / mp.pi_u - 1e-9
 
 
 class TestSurvival:
@@ -348,9 +379,8 @@ class TestSurvival:
     def test_spectral_decay_bound(self, rng):
         chain = random_reversible_chain(rng, 8)
         mp = mark_states(chain, [2])
-        dp = discriminant_pair(mp)
         for t in [1, 5, 20, 80]:
-            assert survival_probability(mp, t) <= mp.pi_u * (1 - dp.delta) ** t + 1e-12
+            assert survival_probability(mp, t) <= mp.pi_u * (1 - mp.delta) ** t + 1e-12
 
     def test_monotone_nonincreasing(self, rng):
         chain = random_reversible_chain(rng, 6)

@@ -21,7 +21,7 @@ from lculab.inverse import (
     estimate_hitting_time,
     t_circuit_expectation,
 )
-from lculab.markov import discriminant_pair, mark_states
+from lculab.markov import mark_states
 from lculab.operators import HermitianOperator
 from oracles import (
     ProjectorDecomposition,
@@ -89,16 +89,15 @@ def test_hitting_matches_enlarged_oracle():
         marked = rng.choice(n, size=int(rng.integers(max(1, n - 8), n)), replace=False)
         try:
             mp = mark_states(random_reversible_chain(rng, n), marked)
-            dp = discriminant_pair(mp)
         except ValidationError:
             continue
-        if dp.delta < grid.delta_lower:
+        if mp.delta < grid.delta_lower:
             continue
         assert mp.n_unmarked <= 8
-        task = HittingTimeTask(partition=mp, pair=dp, epsilon=0.2, delta_lower=grid.delta_lower)
+        task = HittingTimeTask(partition=mp, epsilon=0.2, delta_lower=grid.delta_lower)
         res = estimate_hitting_time(task, seed=checked, grid=grid)
 
-        g = build_tilde_h(psd_split(dp.h_matrix))
+        g = build_tilde_h(psd_split(mp.h_matrix))
         combo = inverse_lcu(grid, g)
         state = g.embed_sector_state(mp.sqrt_pi_u)
         image = combo.apply_sum(state)
@@ -112,12 +111,11 @@ def test_dilation_block_matches_sector_value():
     # the materialized coefficient-state dilation's ancilla-0 block carries
     # the same expectation as the sector evaluation
     mp = mark_states(symmetric_two_state(), [1])
-    dp = discriminant_pair(mp)
-    grid = calibrate_inverse_grid(dp.delta, 0.35)  # coarse grid keeps the term count small
-    g = build_tilde_h(psd_split(dp.h_matrix))
+    grid = calibrate_inverse_grid(mp.delta, 0.35)  # coarse grid keeps the term count small
+    g = build_tilde_h(psd_split(mp.h_matrix))
     combo = inverse_lcu(grid, g)
     state = g.embed_sector_state(mp.sqrt_pi_u)
     dilated = extended_lcu_state(combo, StateVector(state))
     block = ancilla_zero_block(dilated, combo.dim, combo.n_terms)
     value = mp.pi_u * float(np.real(np.vdot(state, block)))
-    assert value == pytest.approx(t_circuit_expectation(grid, dp, mp), rel=1e-9)
+    assert value == pytest.approx(t_circuit_expectation(grid, mp), rel=1e-9)

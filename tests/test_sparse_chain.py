@@ -20,7 +20,6 @@ from lculab import sparse_chain
 from lculab.markov import (
     chain_from_json,
     discriminant_matrix,
-    discriminant_pair,
     exact_hitting_time_inverse,
     lazy_cycle,
     mark_states,
@@ -182,10 +181,9 @@ class TestProjectH:
                 mp = mark_states(chain, marked)
             except ValidationError:
                 continue
-            dp = discriminant_pair(mp)
             construction = sparse_construction(sparse_oracle(chain, marked))
             restricted = construction.restricted(mp.unmarked)
-            assert np.max(np.abs(restricted - dp.h_matrix.matrix)) <= 1e-10
+            assert np.max(np.abs(restricted - mp.h_matrix.matrix)) <= 1e-10
 
     def test_matches_dense_on_asymmetric_chains(self, rng):
         # reversible does not mean symmetric: unequal degrees make
@@ -199,14 +197,13 @@ class TestProjectH:
                 mp = mark_states(chain, marked)
             except ValidationError:
                 continue
-            dp = discriminant_pair(mp)
             oracle = sparse_oracle(chain, marked)
             _, h_bar = build_h_bar(oracle)
             expected_h_bar = np.eye(n) - discriminant_matrix(chain.transition)
             assert np.max(np.abs(h_bar.matrix - expected_h_bar)) <= 1e-10
             construction = sparse_construction(oracle)
             restricted = construction.restricted(mp.unmarked)
-            assert np.max(np.abs(restricted - dp.h_matrix.matrix)) <= 1e-10
+            assert np.max(np.abs(restricted - mp.h_matrix.matrix)) <= 1e-10
             _, g = assemble_tilde_h_sparse(construction)
             sq = g.sector_block(g.operator.matrix @ g.operator.matrix)
             assert np.max(np.abs(sq - construction.projected.matrix.matrix)) <= 1e-10
@@ -222,8 +219,8 @@ class TestProjectH:
         chain = validate_chain(p)
         construction = sparse_construction(sparse_oracle(chain, [1]))
         assert construction.projected.diagonal[0] == pytest.approx(0.3)  # Pr(1|0), not Pr(0|1)
-        dp = discriminant_pair(mark_states(chain, [1]))
-        np.testing.assert_allclose(construction.restricted([0]), dp.h_matrix.matrix, atol=1e-12)
+        mp = mark_states(chain, [1])
+        np.testing.assert_allclose(construction.restricted([0]), mp.h_matrix.matrix, atol=1e-12)
         assert construction.sqrt_block(-1)[0, 0].real == pytest.approx(np.sqrt(0.3))
 
     def test_boundary_support(self):
@@ -383,18 +380,16 @@ class TestAssembly:
                 mp = mark_states(chain, marked)
             except ValidationError:
                 continue
-            dp = discriminant_pair(mp)
             _, _, g = _pipeline(chain, marked)
             u_idx = list(mp.unmarked)
             sq = g.sector_block(g.operator.matrix @ g.operator.matrix)
-            assert np.max(np.abs(sq[np.ix_(u_idx, u_idx)] - dp.h_matrix.matrix)) <= 1e-10
+            assert np.max(np.abs(sq[np.ix_(u_idx, u_idx)] - mp.h_matrix.matrix)) <= 1e-10
 
     def test_hitting_time_through_sparse_path(self):
         chain = lazy_cycle(8, 0.5)
         mp = mark_states(chain, [0])
-        dp = discriminant_pair(mp)
         _, _, g = _pipeline(chain, [0])
-        task = HittingTimeTask(partition=mp, pair=dp, epsilon=0.1)
+        task = HittingTimeTask(partition=mp, epsilon=0.1)
         grid = calibrate_inverse_grid(task.delta, task.epsilon)
         res = estimate_hitting_time(task, seed=21, grid=grid)
         assert abs(res.estimate - res.exact_hitting_time) <= 4 * 0.1
@@ -420,14 +415,13 @@ class TestAssembly:
                 mp = mark_states(chain, marked)
             except ValidationError:
                 continue
-            dp = discriminant_pair(mp)
-            if dp.delta < delta_floor:
+            if mp.delta < delta_floor:
                 continue
             _, _, g = _pipeline(chain, marked)
             amp = _sparse_expectation(grid, g, mp)
-            t_exact = exact_hitting_time_inverse(dp, mp)
+            t_exact = exact_hitting_time_inverse(mp)
             assert abs(amp * grid.gamma - t_exact) <= epsilon
-            assert amp == pytest.approx(t_circuit_expectation(grid, dp, mp), rel=1e-9)
+            assert amp == pytest.approx(t_circuit_expectation(grid, mp), rel=1e-9)
             checked += 1
         assert checked == 8
 
