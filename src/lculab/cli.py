@@ -39,7 +39,7 @@ from .operators import (
     DIMENSION_CAP, HermitianOperator, is_integer, is_number, matrix_from_json, read_matrix,
 )
 from .rand import random_hermitian_with_spectrum, random_state
-from .sparse_chain import decomposition_manifest, sparse_oracle
+from .sparse_chain import decomposition_manifest
 
 logger = logging.getLogger("lculab.cli")
 
@@ -354,8 +354,7 @@ def _run_hitting(config: dict, constants: Constants, out: Path, seed: int) -> di
 
 def _run_appendix_verify(config: dict, constants: Constants, out: Path, seed: int) -> dict:
     chain, marked = chain_from_json(config["chain"])
-    oracle = sparse_oracle(chain, marked)
-    manifest = decomposition_manifest(oracle)
+    manifest = decomposition_manifest(mark_states(chain, marked))
     summary = {"command": "appendix-verify", "seed": seed, **manifest}
     _write_json(out / "manifest.json", summary)
     return summary

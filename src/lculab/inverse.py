@@ -8,12 +8,13 @@ that combination in the stationary state conditioned on the unmarked block,
 estimated by a phase-estimation amplitude sampler at the metrology rate.
 
 Every chain quantity comes from one `MarkedPartition`: its walk Hamiltonian
-H_U, the spectrum and gap delta of H_U, and the exact hitting time. The
+H_U, the spectrum and gap delta of H_U, and the exact hitting time, read off
+the resolvent solve that the classical cost comparison shares. The
 combination is even in H~, so on the ancilla-0 sector it is the certified
 scalar filter `InverseGrid.inverse_filter` of H_U. The pipeline evaluates that
-filter on the spectrum of H_U and never builds H~, so the dimension cap
-applies to the unmarked block itself. The tests build the combination over
-evolutions of H~ as the reference it is checked against.
+filter on the spectrum of H_U and never builds H~, so nothing is larger than
+the chain itself, whose N the dimension cap bounds. The tests build the
+combination over evolutions of H~ as the reference it is checked against.
 
 Grid calibration dominates a run. Its exit test checks the filter on the
 samples a few at a time and rejects a grid at the first miss, so rejected
@@ -37,7 +38,7 @@ from .errors import CalibrationError, PreconditionWarning, ValidationError
 from .gap_amplification import split_indices
 from .gibbs import calibrate_hs_grid
 from .lcu import gaussian_cosine_series, gaussian_weight_sum
-from .markov import MarkedPartition, check_seed, exact_hitting_time_inverse, expected_mc_cost
+from .markov import MarkedPartition, check_seed, exact_hitting_time_resolvent, expected_mc_cost
 
 logger = logging.getLogger(__name__)
 
@@ -332,5 +333,5 @@ def estimate_hitting_time(
         grover_queries=queries,
         cost=cost,
         classical_cost_comparison=classical,
-        exact_hitting_time=exact_hitting_time_inverse(mp),
+        exact_hitting_time=exact_hitting_time_resolvent(mp),
     )

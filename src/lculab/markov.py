@@ -1,16 +1,19 @@
 """Reversible Markov chains with marked subsets: validation, the marked
-partition, exact hitting times through both closed forms, variances, and the
-classical Monte-Carlo baseline.
+partition, the exact hitting time, variances, and the classical Monte-Carlo
+baseline.
 
 Transition matrices are column-stochastic: entry (s', s) is Pr(s'|s). The
 stationary vector, detailed balance, irreducibility, aperiodicity and spectrum
 nonnegativity are all checked at construction; nothing downstream re-validates.
 
-A `MarkedPartition` is the one object the hitting-time pipeline reads. It
-builds the walk Hamiltonian H_U = 1 - sqrt(P_UU o P_UU^T) from the unmarked
-block alone, never the N x N discriminant, and caches it with its lowest
-eigenvalue delta and the solve of (1 - P_UU) x = pi_U / pi_U, which the exact
-hitting time, the variance and the Monte-Carlo sample count share.
+A `MarkedPartition` is the one object that pairs a chain with its marked set,
+and every chain command reads it; `mark_states` is the one reader of a marked
+set. Everything else on it is built on first read: the marked mask, the
+unmarked block P_UU and its weight pi_U, the walk Hamiltonian
+H_U = 1 - sqrt(P_UU o P_UU^T) cut from that block alone (never the N x N
+discriminant) with its lowest eigenvalue delta, and the solve of
+(1 - P_UU) x = pi_U / pi_U, which the exact hitting time, the variance and the
+Monte-Carlo sample count share.
 
 The Monte-Carlo baseline advances its walks in lockstep, one numpy step per
 round for every live walk on a fixed number of lanes. Its uniforms come from a
@@ -171,18 +174,35 @@ def discriminant_matrix(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MarkedPartition:
-    """A chain split into unmarked (U) and marked (M) blocks; H_U, delta and
-    the resolvent are built from the U-block on first read."""
+    """A chain split into unmarked (U) and marked (M) blocks; the mask, the
+    U-block and everything read off it are built on first read."""
 
     chain: MarkovChain
     marked: tuple[int, ...]
     unmarked: tuple[int, ...]
-    p_uu: np.ndarray
-    pi_u: float
 
     @property
     def n_unmarked(self) -> int:
         return len(self.unmarked)
+
+    @cached_property
+    def marked_mask(self) -> np.ndarray:
+        """Per state, whether it is marked."""
+        mask = np.zeros(self.chain.n_states, dtype=bool)
+        mask[list(self.marked)] = True
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def p_uu(self) -> np.ndarray:
+        u = list(self.unmarked)
+        p_uu = self.chain.transition[np.ix_(u, u)]
+        p_uu.flags.writeable = False
+        return p_uu
+
+    @cached_property
+    def pi_u(self) -> float:
+        return float(self.chain.stationary[list(self.unmarked)].sum())
 
     @property
     def pi_u_conditioned(self) -> np.ndarray:
@@ -248,23 +268,12 @@ def read_marked(marked, n_states: int) -> tuple[int, ...]:
 def mark_states(chain: MarkovChain, marked) -> MarkedPartition:
     marked = read_marked(marked, chain.n_states)
     unmarked = tuple(sorted(set(range(chain.n_states)).difference(marked)))
-    u = list(unmarked)
-    p_uu = chain.transition[np.ix_(u, u)]
-    p_uu.flags.writeable = False
-    pi_u = float(chain.stationary[u].sum())
-    return MarkedPartition(chain=chain, marked=marked, unmarked=unmarked, p_uu=p_uu, pi_u=pi_u)
+    return MarkedPartition(chain=chain, marked=marked, unmarked=unmarked)
 
 
 def exact_hitting_time_resolvent(mp: MarkedPartition) -> float:
     """t_h = pi_U <1_U| (1 - P_UU)^{-1} |pi_U>, read off the partition's resolvent."""
     return float(mp.pi_u * mp.resolvent.sum())
-
-
-def exact_hitting_time_inverse(mp: MarkedPartition) -> float:
-    """t_h = pi_U <sqrt(pi_U)| H_U^{-1} |sqrt(pi_U)> on the unmarked block."""
-    v = mp.sqrt_pi_u
-    sol = np.linalg.solve(mp.h_matrix.matrix, v)
-    return float(mp.pi_u * np.real(v @ sol))
 
 
 def exact_variance(mp: MarkedPartition) -> float:
@@ -368,8 +377,7 @@ def classical_mc_estimate(
     if max_total_steps >= 2**32 - 2:
         raise ValidationError(f"max_total_steps {max_total_steps} must be below 2^32 - 2")
     chain = mp.chain
-    is_marked = np.zeros(chain.n_states, dtype=bool)
-    is_marked[list(mp.marked)] = True
+    is_marked = mp.marked_mask
     # Rounding can leave a cumulative sum just below 1, and a draw above it
     # would index past the last state. Dividing by the last entry pins it at 1
     # and is exact where it already is 1.
@@ -494,7 +502,8 @@ class ChainJson(NamedTuple):
 
 def read_chain(obj) -> ChainJson:
     """Type a {"n_states", "entries", "marked"} object: n_states an integer >= 2, each
-    entry by `parse_triplet`, marked a list of integers; `chain_from_json` checks ranges."""
+    entry by `parse_triplet`, marked a list of integers. `chain_from_json` checks the
+    entries' ranges, and `mark_states` reads the marked set."""
     if not (isinstance(obj, dict) and obj.keys() == {"n_states", "entries", "marked"}):
         raise ValidationError("malformed chain JSON: the fields are not n_states, entries, marked")
     n, entries, marked = obj["n_states"], obj["entries"], obj["marked"]
@@ -507,14 +516,13 @@ def read_chain(obj) -> ChainJson:
     return ChainJson(int(n), [parse_triplet(item) for item in entries], [int(s) for s in marked])
 
 
-def chain_from_json(obj) -> tuple[MarkovChain, tuple[int, ...]]:
-    """The chain and marked set of a JSON object, or of a `ChainJson` already read from one."""
+def chain_from_json(obj) -> tuple[MarkovChain, list[int]]:
+    """The chain of a JSON object, or of a `ChainJson` already read from one, and its
+    marked list as typed, for `mark_states` to read."""
     n, entries, marked = obj if isinstance(obj, ChainJson) else read_chain(obj)
-    marked = read_marked(marked, n)
-    # Every command needs at least the unmarked block under the cap, so check
-    # it before the n x n matrix is allocated.
-    if n - len(marked) > DIMENSION_CAP:
-        raise ValidationError(f"{n - len(marked)} unmarked states exceed cap {DIMENSION_CAP}")
+    # checked before the n x n matrix is allocated
+    if n > DIMENSION_CAP:
+        raise ValidationError(f"{n} states exceed cap {DIMENSION_CAP}")
     p = np.zeros((n, n))
     seen = set()
     for r, c, prob in entries:

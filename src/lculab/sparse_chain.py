@@ -11,9 +11,10 @@ square-root factor takes one ancilla level of the enlarged operator, whose
 square restricts to the walk Hamiltonian, and expands into four unitary
 terms: the construction's only presentation.
 
-`decomposition_manifest` (the `appendix-verify` path) builds and checks all of
-it from one table of the unmarked edges in O(N d), without any N x N or
-enlarged matrix; its dense views are test oracles. The sparse-access gate
+`decomposition_manifest` (the `appendix-verify` path) reads the chain's edge
+list and the marked mask of a `markov.MarkedPartition`, and builds and checks
+all of it from one table of the unmarked edges in O(N d), without any N x N
+or enlarged matrix; its dense views are test oracles. The sparse-access gate
 cost of simulating the construction is priced by `cost.theorem2_cost`.
 """
 
@@ -22,13 +23,12 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
 from .gap_amplification import UNITARY_ATOL, ancilla_coupler, ancilla_rotations, unitarity_defect
-from .markov import MarkovChain, read_marked
+from .markov import MarkedPartition, MarkovChain
 
 _ATOL = 1e-10
 # Per ancilla level, (scale, weight, signs): the level's block B_k is scale
@@ -38,30 +38,11 @@ _COLOR_TERMS = (math.sqrt(2.0), math.sqrt(2.0) / 4, (1, -1, -1, 1))
 _BOUNDARY_TERMS = (1.0, 0.25, (1j, -1j, 1j, -1j))
 
 
-@dataclass(frozen=True)
-class SparseChainOracle:
-    """Sparse access to a validated chain, through its edge list, plus marked membership."""
-
-    chain: MarkovChain
-    marked: tuple[int, ...]
-
-    @cached_property
-    def marked_mask(self) -> np.ndarray:
-        mask = np.zeros(self.chain.n_states, dtype=bool)
-        mask[list(self.marked)] = True
-        return mask
-
-    @cached_property
-    def pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The chain's edges (s, s'), s != s', by s then s', with Pr(s|s') and Pr(s'|s)."""
-        p = self.chain.transition
-        edges = self.chain.edges
-        s, sp = edges[edges[:, 0] != edges[:, 1]].T
-        return np.stack([s, sp], axis=1), p[s, sp], p[sp, s]
-
-
-def sparse_oracle(chain: MarkovChain, marked) -> SparseChainOracle:
-    return SparseChainOracle(chain=chain, marked=read_marked(marked, chain.n_states))
+def _pair_table(chain: MarkovChain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chain's edges (s, s'), s != s', by s then s', with Pr(s|s') and Pr(s'|s)."""
+    p = chain.transition
+    s, sp = chain.edges[chain.edges[:, 0] != chain.edges[:, 1]].T
+    return np.stack([s, sp], axis=1), p[s, sp], p[sp, s]
 
 
 @dataclass(frozen=True)
@@ -98,14 +79,14 @@ def _outer(mu_bar: np.ndarray) -> np.ndarray:
     return mu_bar[:, :, None] * mu_bar[:, None, :]
 
 
-def _edge_table(oracle: SparseChainOracle) -> tuple[np.ndarray, ...]:
-    """The unmarked edges (a, b), a < b, in pair-table order, with their alpha_bar
-    and mu_bar and one color each. The coloring is greedy: each edge in turn
-    takes the least color free at both ends, so every class is a matching and
-    at most 2d - 1 colors are used."""
-    pairs, p_to, p_from = oracle.pair_table
+def _edge_table(mp: MarkedPartition, table: tuple) -> tuple[np.ndarray, ...]:
+    """The unmarked edges (a, b), a < b, of the pair table, in its order, with their
+    alpha_bar and mu_bar and one color each. The coloring is greedy: each edge in
+    turn takes the least color free at both ends, so every class is a matching
+    and at most 2d - 1 colors are used."""
+    pairs, p_to, p_from = table
     a, b = pairs.T
-    keep = (a < b) & ~oracle.marked_mask[a] & ~oracle.marked_mask[b]
+    keep = (a < b) & ~mp.marked_mask[a] & ~mp.marked_mask[b]
     alpha_bar, mu_bar = _pair_data(p_to[keep], p_from[keep])
     taken: dict[int, set[int]] = defaultdict(set)
     colors = []
@@ -117,12 +98,13 @@ def _edge_table(oracle: SparseChainOracle) -> tuple[np.ndarray, ...]:
     return pairs[keep], alpha_bar, mu_bar, np.array(colors, dtype=int)
 
 
-def _boundary_weights(oracle: SparseChainOracle) -> np.ndarray:
-    """Per state, the total probability of stepping from it into the marked set; 0 if marked."""
-    pairs, _, p_from = oracle.pair_table
+def _boundary_weights(mp: MarkedPartition, table: tuple) -> np.ndarray:
+    """Per state, the total probability of stepping from it into the marked set, read
+    off the pair table; 0 if marked."""
+    pairs, _, p_from = table
     s, sp = pairs.T
-    leaving = ~oracle.marked_mask[s] & oracle.marked_mask[sp]
-    return np.bincount(s[leaving], weights=p_from[leaving], minlength=oracle.chain.n_states)
+    leaving = ~mp.marked_mask[s] & mp.marked_mask[sp]
+    return np.bincount(s[leaving], weights=p_from[leaving], minlength=mp.chain.n_states)
 
 
 def walk_hamiltonian(alpha_bar: np.ndarray, mu_bar: np.ndarray, boundary: np.ndarray) -> tuple:
@@ -133,7 +115,7 @@ def walk_hamiltonian(alpha_bar: np.ndarray, mu_bar: np.ndarray, boundary: np.nda
 
 
 def _levels(
-    oracle: SparseChainOracle, pairs: np.ndarray, alpha_bar: np.ndarray, mu_bar: np.ndarray,
+    mp: MarkedPartition, pairs: np.ndarray, alpha_bar: np.ndarray, mu_bar: np.ndarray,
     colors: np.ndarray, boundary: np.ndarray,
 ) -> list[Level]:
     """The color levels 1..K', level k holding the edges of color k - 1, then the boundary.
@@ -151,7 +133,7 @@ def _levels(
         edges = np.flatnonzero(colors == k)
         parts = (pairs[edges], z_blocks[edges], 1.0)
         levels.append(Level(edges, parts, (-0.5j, 0.5j), _COLOR_TERMS))
-    unmarked = ~oracle.marked_mask
+    unmarked = ~mp.marked_mask
     phases = np.full(len(boundary), 1j, dtype=complex)
     phases[unmarked] = np.exp(1j * np.arccos(np.minimum(np.sqrt(boundary[unmarked]), 1.0)))
     no_blocks = (np.zeros((0, 2), dtype=int), np.zeros((0, 2, 2), dtype=complex), phases)
@@ -239,11 +221,12 @@ def reconstruction_residual(pairs: np.ndarray, projected: tuple, levels: list[Le
     return float(max(misses))
 
 
-def decomposition_manifest(oracle: SparseChainOracle) -> dict:
+def decomposition_manifest(mp: MarkedPartition) -> dict:
     """Run the sparse construction on one edge table and summarize it for the manifest JSON."""
-    pairs, alpha_bar, mu_bar, colors = _edge_table(oracle)
-    boundary = _boundary_weights(oracle)
-    levels = _levels(oracle, pairs, alpha_bar, mu_bar, colors, boundary)
+    table = _pair_table(mp.chain)
+    pairs, alpha_bar, mu_bar, colors = _edge_table(mp, table)
+    boundary = _boundary_weights(mp, table)
+    levels = _levels(mp, pairs, alpha_bar, mu_bar, colors, boundary)
     weights = check_unitary_expansion(levels)
     projected = walk_hamiltonian(alpha_bar, mu_bar, boundary)
     residual = reconstruction_residual(pairs, projected, levels)

@@ -7,8 +7,9 @@ the dense trace distance, the gap-amplified operator, its unitary expansion
 and exact evolutions, the weighted-unitary and evolution-family LCUs with the
 exact dilation, the dense sparse-chain assembly, the eigenvector-based chain
 validation, the walk Hamiltonian H_U cut from the full discriminant and
-checked against two other constructions, and the random operators and chain
-families the tests draw from.
+checked against two other constructions, the hitting time through H_U^{-1}
+(the closed form the package's resolvent is checked against), and the random
+operators and chain families the tests draw from.
 Each object is small, dense and exact, and nothing in `lculab` imports it.
 The JSON Schemas of the CLI configs live here too: the CLI's field readers
 are held to the verdicts of these schemas and the typing that followed them.
@@ -58,7 +59,6 @@ from lculab.operators import (
 )
 from lculab.rand import random_unitary
 from lculab import sparse_chain
-from lculab.sparse_chain import SparseChainOracle
 
 STATE_NORM_ATOL = 1e-12
 _DILATION_TERM_CAP = 1024
@@ -814,6 +814,14 @@ def survival_probability(mp: MarkedPartition, t_prime: int) -> float:
     return float(mp.pi_u * np.ones(mp.n_unmarked) @ power @ mp.pi_u_conditioned)
 
 
+def exact_hitting_time_inverse(mp: MarkedPartition) -> float:
+    """t_h = pi_U <sqrt(pi_U)| H_U^{-1} |sqrt(pi_U)> on the unmarked block: the
+    second closed form, for `markov.exact_hitting_time_resolvent`."""
+    v = mp.sqrt_pi_u
+    sol = np.linalg.solve(mp.h_matrix.matrix, v)
+    return float(mp.pi_u * np.real(v @ sol))
+
+
 # ---------------------------------------------------------------------------
 # The walk Hamiltonian H_U through the full N x N discriminant.
 
@@ -822,7 +830,7 @@ class DiscriminantPair:
     """H_U built the two ways that are cross-checked, and the values read off it.
 
     The reference for `MarkedPartition.h_matrix`, `delta`,
-    `markov.exact_hitting_time_inverse` and `inverse.t_circuit_expectation`.
+    `exact_hitting_time_inverse` and `inverse.t_circuit_expectation`.
     """
 
     h_matrix: HermitianOperator
@@ -907,12 +915,12 @@ class EdgeSum:
         return HermitianOperator(_dense(self.n_states, self.pairs, self.blocks, self.diagonal))
 
 
-def build_h_bar(oracle: SparseChainOracle) -> tuple[EdgeSum, HermitianOperator]:
+def build_h_bar(mp: MarkedPartition) -> tuple[EdgeSum, HermitianOperator]:
     """The ordered-pair states of 1 - S, each orientation of each edge once with
     weight alpha_bar, and their dense sum, which reproduces 1 - S: off-diagonal
     entries -sqrt(Pr(s|s')Pr(s'|s)), diagonal 1 - Pr(s|s)."""
-    pairs, p_to, p_from = oracle.pair_table
-    terms = EdgeSum(oracle.chain.n_states, pairs, *sparse_chain._pair_data(p_to, p_from), 0.0)
+    pairs, p_to, p_from = sparse_chain._pair_table(mp.chain)
+    terms = EdgeSum(mp.chain.n_states, pairs, *sparse_chain._pair_data(p_to, p_from), 0.0)
     return terms, terms.matrix
 
 
@@ -959,12 +967,13 @@ class SparseConstruction:
         return _dense(p.n_states, p.pairs[edges], p.blocks[edges] / 2)
 
 
-def sparse_construction(oracle: SparseChainOracle) -> SparseConstruction:
-    pairs, alpha_bar, mu_bar, colors = sparse_chain._edge_table(oracle)
-    boundary = sparse_chain._boundary_weights(oracle)
-    levels = sparse_chain._levels(oracle, pairs, alpha_bar, mu_bar, colors, boundary)
+def sparse_construction(mp: MarkedPartition) -> SparseConstruction:
+    table = sparse_chain._pair_table(mp.chain)
+    pairs, alpha_bar, mu_bar, colors = sparse_chain._edge_table(mp, table)
+    boundary = sparse_chain._boundary_weights(mp, table)
+    levels = sparse_chain._levels(mp, pairs, alpha_bar, mu_bar, colors, boundary)
     projected = sparse_chain.walk_hamiltonian(alpha_bar, mu_bar, boundary)
-    return SparseConstruction(EdgeSum(oracle.chain.n_states, pairs, *projected), colors, levels)
+    return SparseConstruction(EdgeSum(mp.chain.n_states, pairs, *projected), colors, levels)
 
 
 def assemble_tilde_h_sparse(

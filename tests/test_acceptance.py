@@ -21,7 +21,6 @@ from lculab.errors import ValidationError
 from lculab.gap_amplification import unitarity_defect
 from lculab.lcu import amplification_rounds
 from lculab.markov import (
-    exact_hitting_time_inverse,
     exact_hitting_time_resolvent,
     expected_mc_cost,
     lazy_cycle,
@@ -29,11 +28,11 @@ from lculab.markov import (
 )
 from lculab.operators import DensityMatrix, HermitianOperator, matrix_function
 from lculab.rand import random_hermitian_with_spectrum, random_state
-from lculab.sparse_chain import sparse_oracle
 from oracles import (
     ProjectorDecomposition,
     assemble_tilde_h_sparse,
     build_tilde_h,
+    exact_hitting_time_inverse,
     hs_lcu,
     inverse_lcu,
     psd_split,
@@ -304,7 +303,7 @@ def test_criterion_8_sparse_reconstruction():
             mp = mark_states(chain, marked)
         except ValidationError:
             continue
-        construction = sparse_construction(sparse_oracle(chain, marked))
+        construction = sparse_construction(mp)
         gap = float(np.max(np.abs(construction.restricted(mp.unmarked) - mp.h_matrix.matrix)))
         assert gap <= 1e-10
         worst = max(worst, gap)

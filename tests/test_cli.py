@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lculab import cli, markov, operators
+from lculab import cli, markov, operators, sparse_chain
 from lculab.cli import main
 from lculab.errors import ValidationError
 from lculab.markov import lazy_cycle
@@ -251,10 +251,10 @@ class TestHittingCommand:
         assert main(["--config", config]) == 3
 
 
-    def test_run_takes_three_solves_and_one_eigendecomposition(self, tmp_path, monkeypatch):
+    def test_run_takes_two_solves_and_one_eigendecomposition(self, tmp_path, monkeypatch):
         # H_U is built and diagonalized once, and the partition's one resolvent
         # solve serves the exact hitting time, the variance and the sample
-        # count; the variance's second solve and the inverse form make three
+        # count; the variance's second solve makes two
         calls = {"solve": 0, "eigh": 0}
         for name in calls:
             original = getattr(np.linalg, name)
@@ -267,7 +267,7 @@ class TestHittingCommand:
         payload = {"command": "hitting", "chain": chain_to_json(lazy_cycle(8), [0]), "epsilon": 0.1}
         config = _write_config(tmp_path, {**payload, "out": str(tmp_path / "out")})
         assert main(["--config", config]) == 0
-        assert calls == {"solve": 3, "eigh": 1}
+        assert calls == {"solve": 2, "eigh": 1}
 
     def test_unmarked_block_over_cap_rejected_before_allocation(self, tmp_path, capsys):
         chain = {"n_states": 4098, "entries": [], "marked": [0]}
@@ -276,7 +276,37 @@ class TestHittingCommand:
             {"command": "hitting", "chain": chain, "epsilon": 0.1, "out": str(tmp_path / "o")},
         )
         assert main(["--config", config]) == 3
-        assert "4097 unmarked states exceed cap 4096" in capsys.readouterr().err
+        assert "4098 states exceed cap 4096" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["hitting", "appendix-verify"])
+    def test_chain_over_cap_rejected_whatever_its_unmarked_block(self, tmp_path, capsys, command):
+        # one unmarked state, but the N x N matrix would still be built
+        n = operators.DIMENSION_CAP + 1
+        chain = {"n_states": n, "entries": [], "marked": list(range(1, n))}
+        payload = {"command": command, "chain": chain, "out": str(tmp_path / "o")}
+        if command == "hitting":
+            payload["epsilon"] = 0.1
+        config = _write_config(tmp_path, payload)
+        tracemalloc.start()
+        try:
+            assert main(["--config", config]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"{n} states exceed cap 4096" in capsys.readouterr().err
+        assert peak < n * n
+
+    @pytest.mark.parametrize(
+        "chain, marked", [(lazy_cycle(8), [0]), (symmetric_two_state(), [1])], ids=["cycle", "readme"]
+    )
+    def test_t_exact_is_the_resolvent_form(self, tmp_path, chain, marked):
+        # the written t_exact is the resolvent closed form, bit for bit
+        payload = {"command": "hitting", "chain": chain_to_json(chain, marked), "epsilon": 0.1,
+                   "out": str(tmp_path / "out")}
+        assert main(["--config", _write_config(tmp_path, payload)]) == 0
+        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        mp = markov.mark_states(chain, marked)
+        assert result["t_exact"] == markov.exact_hitting_time_resolvent(mp)
 
 
 class TestAppendixVerify:
@@ -969,6 +999,16 @@ class TestSchemaValidation:
         payload = {"command": "hitting", "chain": chain, "epsilon": 0.1, "out": str(tmp_path / "out")}
         assert main(["--config", _write_config(tmp_path, payload)]) == 0
         assert len(calls) == 24
+
+    @pytest.mark.parametrize("command", ["hitting", "appendix-verify"])
+    def test_marked_set_is_read_once(self, tmp_path, monkeypatch, command):
+        calls = self._count_calls(monkeypatch, "read_marked", cli, markov, sparse_chain)
+        payload = {"command": command, "chain": chain_to_json(lazy_cycle(8), [0, 3]),
+                   "out": str(tmp_path / "out")}
+        if command == "hitting":
+            payload["epsilon"] = 0.1
+        assert main(["--config", _write_config(tmp_path, payload)]) == 0
+        assert len(calls) == 1
 
     def test_matrix_numbers_are_typed_once(self, tmp_path, monkeypatch, one_qubit_matrix):
         calls = self._count_calls(monkeypatch, "check_numbers", cli, operators)

@@ -15,16 +15,12 @@ from lculab.inverse import (
     outcome_distribution,
     t_circuit_expectation,
 )
-from lculab.markov import (
-    exact_hitting_time_inverse,
-    lazy_cycle,
-    mark_states,
-    validate_chain,
-)
+from lculab.markov import lazy_cycle, mark_states, validate_chain
 from lculab.rand import random_hermitian_with_spectrum, random_state
 from oracles import (
     LcuOperator,
     build_tilde_h,
+    exact_hitting_time_inverse,
     exponential_grid_error,
     inverse_lcu,
     perturbed_unitary,

@@ -22,7 +22,7 @@ from lculab.gibbs import GibbsTask, prepare_gibbs
 from lculab.inverse import HittingTimeTask, estimate_hitting_time
 from lculab.markov import chain_from_json, mark_states, validate_chain
 from lculab.operators import HermitianOperator
-from lculab.sparse_chain import decomposition_manifest, sparse_oracle
+from lculab.sparse_chain import decomposition_manifest
 from oracles import random_reversible_chain, random_sparse_dyadic_matrix
 
 THEOREM1_DEFAULTS = {
@@ -138,7 +138,7 @@ def test_estimate_hitting_time_on_readme_config():
 
 
 def _hex_manifest(chain, marked) -> dict:
-    manifest = decomposition_manifest(sparse_oracle(chain, marked))
+    manifest = decomposition_manifest(mark_states(chain, marked))
     return {
         "colors": manifest["colors"],
         "terms": manifest["terms"],

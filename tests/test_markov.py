@@ -15,7 +15,6 @@ from lculab.markov import (
     classical_mc_estimate,
     chebyshev_sample_count,
     discriminant_matrix,
-    exact_hitting_time_inverse,
     exact_hitting_time_resolvent,
     exact_variance,
     expected_mc_cost,
@@ -23,10 +22,10 @@ from lculab.markov import (
     mark_states,
     validate_chain,
 )
-from lculab.sparse_chain import sparse_oracle
 from oracles import (
     chain_to_json,
     discriminant_pair,
+    exact_hitting_time_inverse,
     eig_validate_chain,
     lazify,
     random_reversible_chain,
@@ -254,16 +253,20 @@ class TestMarkedPartition:
         assert mp.marked == (1,) and mp.unmarked == (0,)
 
     def test_one_reader_for_every_marked_set(self):
-        # mark_states, sparse_oracle and chain_from_json read a marked set alike
+        # a marked set given to mark_states and one read from chain JSON are
+        # rejected alike, with the same message
         chain = lazy_cycle(4, 0.5)
         blob = chain_to_json(chain, [0])
         for marked, message in [([], "nonempty"), ([4], "out of range"), ([0, 1, 2, 3], "unmarked set"),
                                 ([0.5], "not a list of integers")]:
             blob["marked"] = marked
-            for read in (lambda: mark_states(chain, marked), lambda: sparse_oracle(chain, marked),
-                         lambda: chain_from_json(blob)):
-                with pytest.raises(ValidationError, match=message):
+            errors = []
+            for read in (lambda: mark_states(chain, marked),
+                         lambda: mark_states(*chain_from_json(blob))):
+                with pytest.raises(ValidationError, match=message) as info:
                     read()
+                errors.append(str(info.value))
+            assert errors[0] == errors[1]
 
 
     def test_hamiltonian_matches_the_two_way_reference(self, rng):
@@ -772,7 +775,7 @@ class TestChainJson:
         blob = chain_to_json(chain, [0, 2])
         back, marked = chain_from_json(blob)
         np.testing.assert_allclose(back.transition, chain.transition, atol=1e-15)
-        assert marked == (0, 2)
+        assert mark_states(back, marked).marked == (0, 2)
 
     def test_malformed_rejected(self):
         with pytest.raises(ValidationError):

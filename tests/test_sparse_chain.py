@@ -20,16 +20,16 @@ from lculab import sparse_chain
 from lculab.markov import (
     chain_from_json,
     discriminant_matrix,
-    exact_hitting_time_inverse,
     lazy_cycle,
     mark_states,
     validate_chain,
 )
-from lculab.sparse_chain import decomposition_manifest, reconstruction_residual, sparse_oracle
+from lculab.sparse_chain import decomposition_manifest, reconstruction_residual
 from oracles import (
     SparseConstruction,
     assemble_tilde_h_sparse,
     build_h_bar,
+    exact_hitting_time_inverse,
     inverse_lcu,
     random_reversible_chain,
     random_sparse_dyadic_chain,
@@ -40,7 +40,7 @@ from oracles import (
 
 
 def _pipeline(chain, marked):
-    construction = sparse_construction(sparse_oracle(chain, marked))
+    construction = sparse_construction(mark_states(chain, marked))
     decomposition, g = assemble_tilde_h_sparse(construction)
     return construction, decomposition, g
 
@@ -63,10 +63,10 @@ def _scan_neighbors(p):
     return tuple(listing)
 
 
-def _dense_manifest(oracle):
+def _dense_manifest(mp):
     """The manifest computed on the dense oracle views: the enlarged operator and its
     Kronecker terms, with the residual read from the sector of its square."""
-    construction = sparse_construction(oracle)
+    construction = sparse_construction(mp)
     decomposition, g = assemble_tilde_h_sparse(construction)
     sector = g.sector_block(g.operator.matrix @ g.operator.matrix)
     residual = np.max(np.abs(sector - construction.projected.matrix.matrix))
@@ -90,7 +90,7 @@ def _sparse_expectation(grid, g, mp):
 class TestOracle:
     def test_lookup_matches_dense(self, rng):
         chain = random_sparse_dyadic_chain(rng, 10, degree=3)
-        pairs, to_s, from_s = sparse_oracle(chain, [0]).pair_table
+        pairs, to_s, from_s = sparse_chain._pair_table(chain)
         p = chain.transition
         for (s, sp), to, frm in zip(pairs.tolist(), to_s, from_s):
             assert to == p[s, sp]
@@ -100,13 +100,13 @@ class TestOracle:
         assert listed == {(sp, s) for s, sp in listed}
 
     def test_marked_membership(self):
-        oracle = sparse_oracle(symmetric_two_state(), [1])
-        assert oracle.marked_mask.tolist() == [False, True]
+        mp = mark_states(symmetric_two_state(), [1])
+        assert mp.marked_mask.tolist() == [False, True]
 
     @pytest.mark.parametrize("marked", [[99], [-1], [0, 3]])
     def test_out_of_range_marked_rejected(self, marked):
         with pytest.raises(ValidationError, match="out of range"):
-            sparse_oracle(lazy_cycle(3, 0.5), marked)
+            mark_states(lazy_cycle(3, 0.5), marked)
 
     def test_neighbors_equal_the_quadratic_scan(self, rng):
         for i in range(12):
@@ -115,7 +115,7 @@ class TestOracle:
                 chain = random_reversible_chain(rng, n, max_degree=4)
             else:
                 chain = random_sparse_dyadic_chain(rng, n, degree=int(rng.integers(1, 5)))
-            pairs, to_s, from_s = sparse_oracle(chain, [0]).pair_table
+            pairs, to_s, from_s = sparse_chain._pair_table(chain)
             scanned = [
                 ((s, sp), to, frm)
                 for s, row in enumerate(_scan_neighbors(chain.transition))
@@ -135,8 +135,8 @@ class TestOracle:
 
 class TestBuildHBar:
     def test_two_state_hand_value(self):
-        oracle = sparse_oracle(symmetric_two_state(), [1])
-        terms, h_bar = build_h_bar(oracle)
+        mp = mark_states(symmetric_two_state(), [1])
+        terms, h_bar = build_h_bar(mp)
         np.testing.assert_allclose(h_bar.matrix, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-14)
         # both orientations of the single pair appear, each a two-coordinate state
         assert terms.pairs.tolist() == [[0, 1], [1, 0]]
@@ -154,21 +154,21 @@ class TestBuildHBar:
             ]
         )
         chain = validate_chain(p)
-        oracle = sparse_oracle(chain, [1])
-        _, h_bar = build_h_bar(oracle)
+        mp = mark_states(chain, [1])
+        _, h_bar = build_h_bar(mp)
         assert h_bar.matrix[2, 2].real == pytest.approx(1 - 0.9)
 
     def test_matches_one_minus_discriminant(self, rng):
         chain = lazy_cycle(8, 0.5)
-        oracle = sparse_oracle(chain, [0])
-        _, h_bar = build_h_bar(oracle)
+        mp = mark_states(chain, [0])
+        _, h_bar = build_h_bar(mp)
         expected = np.eye(8) - discriminant_matrix(chain.transition)
         assert np.max(np.abs(h_bar.matrix - expected)) <= 1e-10
 
 
 class TestProjectH:
     def test_two_state_boundary_only(self):
-        construction = sparse_construction(sparse_oracle(symmetric_two_state(), [1]))
+        construction = sparse_construction(mark_states(symmetric_two_state(), [1]))
         np.testing.assert_allclose(construction.restricted([0]), [[0.5]], atol=1e-14)
         assert len(construction.projected.pairs) == 0
 
@@ -181,7 +181,7 @@ class TestProjectH:
                 mp = mark_states(chain, marked)
             except ValidationError:
                 continue
-            construction = sparse_construction(sparse_oracle(chain, marked))
+            construction = sparse_construction(mark_states(chain, marked))
             restricted = construction.restricted(mp.unmarked)
             assert np.max(np.abs(restricted - mp.h_matrix.matrix)) <= 1e-10
 
@@ -197,11 +197,11 @@ class TestProjectH:
                 mp = mark_states(chain, marked)
             except ValidationError:
                 continue
-            oracle = sparse_oracle(chain, marked)
-            _, h_bar = build_h_bar(oracle)
+            mp = mark_states(chain, marked)
+            _, h_bar = build_h_bar(mp)
             expected_h_bar = np.eye(n) - discriminant_matrix(chain.transition)
             assert np.max(np.abs(h_bar.matrix - expected_h_bar)) <= 1e-10
-            construction = sparse_construction(oracle)
+            construction = sparse_construction(mp)
             restricted = construction.restricted(mp.unmarked)
             assert np.max(np.abs(restricted - mp.h_matrix.matrix)) <= 1e-10
             _, g = assemble_tilde_h_sparse(construction)
@@ -217,7 +217,7 @@ class TestProjectH:
             ]
         )
         chain = validate_chain(p)
-        construction = sparse_construction(sparse_oracle(chain, [1]))
+        construction = sparse_construction(mark_states(chain, [1]))
         assert construction.projected.diagonal[0] == pytest.approx(0.3)  # Pr(1|0), not Pr(0|1)
         mp = mark_states(chain, [1])
         np.testing.assert_allclose(construction.restricted([0]), mp.h_matrix.matrix, atol=1e-12)
@@ -226,7 +226,7 @@ class TestProjectH:
     def test_boundary_support(self):
         # boundary weights vanish on unmarked states with no marked neighbor
         chain = lazy_cycle(8, 0.5)
-        diagonal = sparse_construction(sparse_oracle(chain, [0])).projected.diagonal
+        diagonal = sparse_construction(mark_states(chain, [0])).projected.diagonal
         assert np.all(diagonal[2:7] == 0.0)
         assert diagonal[1] > 0 and diagonal[7] > 0
 
@@ -234,19 +234,19 @@ class TestProjectH:
 class TestColoring:
     def test_path_needs_two_colors(self):
         chain = lazy_cycle(4, 0.5)
-        oracle = sparse_oracle(chain, [0])  # unmarked block is a path 1-2-3
-        assert sparse_construction(oracle).n_colors == 2
+        mp = mark_states(chain, [0])  # unmarked block is a path 1-2-3
+        assert sparse_construction(mp).n_colors == 2
 
     def test_single_edge(self):
         chain = lazy_cycle(3, 0.5)
-        construction = sparse_construction(sparse_oracle(chain, [0]))
+        construction = sparse_construction(mark_states(chain, [0]))
         assert construction.n_colors == 1
         assert construction.classes == (((1, 2),),)
 
     def test_proper_by_exhaustive_scan(self, rng):
         for _ in range(10):
             chain = random_sparse_dyadic_chain(rng, 16, degree=4)
-            construction = sparse_construction(sparse_oracle(chain, [0, 5]))
+            construction = sparse_construction(mark_states(chain, [0, 5]))
             for edge_class in construction.classes:
                 vertices = [v for e in edge_class for v in e]
                 assert len(vertices) == len(set(vertices))
@@ -254,15 +254,15 @@ class TestColoring:
 
     def test_deterministic(self, rng):
         chain = random_sparse_dyadic_chain(rng, 12, degree=3)
-        oracle = sparse_oracle(chain, [2])
-        assert sparse_construction(oracle).classes == sparse_construction(oracle).classes
+        mp = mark_states(chain, [2])
+        assert sparse_construction(mp).classes == sparse_construction(mp).classes
 
 
 class TestSqrtFactors:
     def test_single_edge_quarter_angle(self):
         # alpha_bar = 1/2 gives delta = pi/4; check against the matrix exponential
         chain = lazy_cycle(3, 0.5)  # edge (1,2) has Pr = 0.25 each way -> alpha_bar = 1/4
-        construction = sparse_construction(sparse_oracle(chain, [0]))
+        construction = sparse_construction(mark_states(chain, [0]))
         # independent oracle: scipy expm of the generator
         (a, b), = construction.classes[0]
         p = chain.transition
@@ -281,7 +281,7 @@ class TestSqrtFactors:
 
     def test_sqrt_identity_per_color(self, rng):
         chain = random_sparse_dyadic_chain(rng, 14, degree=4)
-        construction = sparse_construction(sparse_oracle(chain, [3]))
+        construction = sparse_construction(mark_states(chain, [3]))
         for k in range(construction.n_colors):
             assert unitarity_defect(construction.factor(k)) <= 1e-10
             sqrt_h = construction.sqrt_block(k)
@@ -291,7 +291,7 @@ class TestSqrtFactors:
         # full boundary weight -> theta = 0 and diagonal entry 1;
         # zero boundary weight -> theta = pi/2 and entry 0
         chain = lazy_cycle(8, 0.5)
-        construction = sparse_construction(sparse_oracle(chain, [0]))
+        construction = sparse_construction(mark_states(chain, [0]))
         sqrt_h = construction.sqrt_block(-1)
         assert sqrt_h[4, 4].real == pytest.approx(0.0, abs=1e-15)  # no marked neighbor
         assert np.angle(construction.factor(-1)[4, 4]) == pytest.approx(math.pi / 2)
@@ -312,14 +312,14 @@ class TestSqrtFactors:
             ]
         )
         chain = validate_chain(p, require_nonnegative_spectrum=False)
-        construction = sparse_construction(sparse_oracle(chain, [1, 2]))
+        construction = sparse_construction(mark_states(chain, [1, 2]))
         assert np.angle(construction.factor(-1)[0, 0]) == pytest.approx(0.0)
         assert construction.factor(-1)[0, 0] == pytest.approx(1.0)
         assert construction.sqrt_block(-1)[0, 0].real == pytest.approx(1.0)
 
     def test_orthogonality_within_color(self, rng):
         chain = random_sparse_dyadic_chain(rng, 16, degree=4)
-        construction = sparse_construction(sparse_oracle(chain, [1]))
+        construction = sparse_construction(mark_states(chain, [1]))
         p = chain.transition
         for edge_class in construction.classes:
             vectors = []
@@ -336,13 +336,14 @@ class TestSqrtFactors:
         # the levels built from a shuffled edge table (colors kept per edge)
         # have the same dense factors: each Z_k is assembled edge by edge
         chain = random_sparse_dyadic_chain(rng, 12, degree=4)
-        oracle = sparse_oracle(chain, [4])
-        construction = sparse_construction(oracle)
-        pairs, alpha_bar, mu_bar, colors = sparse_chain._edge_table(oracle)
-        boundary = sparse_chain._boundary_weights(oracle)
+        mp = mark_states(chain, [4])
+        construction = sparse_construction(mp)
+        table = sparse_chain._pair_table(mp.chain)
+        pairs, alpha_bar, mu_bar, colors = sparse_chain._edge_table(mp, table)
+        boundary = sparse_chain._boundary_weights(mp, table)
         order = rng.permutation(len(pairs))
         levels = sparse_chain._levels(
-            oracle, pairs[order], alpha_bar[order], mu_bar[order], colors[order], boundary
+            mp, pairs[order], alpha_bar[order], mu_bar[order], colors[order], boundary
         )
         shuffled = SparseConstruction(construction.projected, construction.colors, levels)
         assert construction.n_colors == shuffled.n_colors >= 3
@@ -427,8 +428,8 @@ class TestAssembly:
 
     def test_manifest(self):
         chain = lazy_cycle(8, 0.5)
-        oracle = sparse_oracle(chain, [0])
-        manifest = decomposition_manifest(oracle)
+        mp = mark_states(chain, [0])
+        manifest = decomposition_manifest(mp)
         assert manifest["reconstruction_residual"] <= 1e-10
         assert manifest["terms"] == len(manifest["alpha_list"])
 
@@ -447,11 +448,11 @@ class TestEdgeLevelManifest:
             n_marked = int(rng.integers(1, max(2, n // 4)))
             marked = sorted(rng.choice(n, size=n_marked, replace=False))
             try:
-                oracle = sparse_oracle(chain, marked)
+                mp = mark_states(chain, marked)
             except ValidationError:
                 continue
-            edge = decomposition_manifest(oracle)
-            dense = _dense_manifest(oracle)
+            edge = decomposition_manifest(mp)
+            dense = _dense_manifest(mp)
             for key in ("colors", "terms", "alpha_list"):
                 assert edge[key] == dense[key]
             assert edge["reconstruction_residual"] <= 1e-10
@@ -469,7 +470,7 @@ class TestEdgeLevelManifest:
             "marked": list(range(0, n, 100)),
         }
         chain, marked = chain_from_json(blob)
-        manifest = decomposition_manifest(sparse_oracle(chain, marked))
+        manifest = decomposition_manifest(mark_states(chain, marked))
         assert manifest["reconstruction_residual"] <= 1e-10
         # every column of a dyadic chain's symmetric weights sums to one, so pi is uniform
         pi = chain.stationary
@@ -477,13 +478,14 @@ class TestEdgeLevelManifest:
         assert np.max(np.abs(chain.transition @ pi - pi)) <= 1e-15
 
     def test_one_pass_over_the_edge_table(self, monkeypatch):
-        # alpha_bar, mu_bar and the boundary weights are computed once per
-        # manifest, and nothing of size N x N is allocated (N^2 bytes is 4 MB)
+        # the pair table, alpha_bar, mu_bar and the boundary weights are
+        # computed once per manifest, and nothing of size N x N is allocated
+        # (N^2 bytes is 4 MB)
         n = 2000
         p = random_sparse_dyadic_matrix(np.random.default_rng(7), n, degree=4)
-        oracle = sparse_oracle(validate_chain(p), range(0, n, 100))
+        mp = mark_states(validate_chain(p), range(0, n, 100))
         calls = []
-        for name in ("_pair_data", "_boundary_weights"):
+        for name in ("_pair_table", "_pair_data", "_boundary_weights"):
             original = getattr(sparse_chain, name)
 
             def counted(*args, _name=name, _original=original):
@@ -493,16 +495,23 @@ class TestEdgeLevelManifest:
             monkeypatch.setattr(sparse_chain, name, counted)
         tracemalloc.start()
         try:
-            decomposition_manifest(oracle)
+            decomposition_manifest(mp)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sorted(calls) == ["_boundary_weights", "_pair_data"]
+        assert sorted(calls) == ["_boundary_weights", "_pair_data", "_pair_table"]
         assert peak < n * n
 
+    def test_manifest_leaves_the_unmarked_block_unbuilt(self, rng):
+        # the sparse path reads the edge list and the marked mask only
+        mp = mark_states(random_sparse_dyadic_chain(rng, 24, degree=4), [0, 7])
+        decomposition_manifest(mp)
+        assert "marked_mask" in vars(mp)
+        assert not {"p_uu", "pi_u", "h_matrix", "resolvent"} & vars(mp).keys()
+
     @staticmethod
-    def _oracle(rng):
-        return sparse_oracle(random_sparse_dyadic_chain(rng, 24, degree=4), [0, 7])
+    def _partition(rng):
+        return mark_states(random_sparse_dyadic_chain(rng, 24, degree=4), [0, 7])
 
     def test_non_unitary_z_block_fires(self, rng, monkeypatch):
         build = sparse_chain._levels
@@ -516,13 +525,13 @@ class TestEdgeLevelManifest:
 
         monkeypatch.setattr(sparse_chain, "_levels", broken)
         with pytest.raises(ValidationError, match="term 0: matrix is not unitary"):
-            decomposition_manifest(self._oracle(rng))
+            decomposition_manifest(self._partition(rng))
 
     def test_mis_scaled_term_weight_fires(self, rng, monkeypatch):
         scale, weight, signs = sparse_chain._COLOR_TERMS
         monkeypatch.setattr(sparse_chain, "_COLOR_TERMS", (scale, weight * (1.0 + 1e-6), signs))
         with pytest.raises(ValidationError, match="expansion misses the enlarged operator"):
-            decomposition_manifest(self._oracle(rng))
+            decomposition_manifest(self._partition(rng))
 
     def test_rotation_that_breaks_the_cancellation_fires(self, rng, monkeypatch):
         # a rest entry of R_+ off by a phase: each term stays unitary and the
@@ -537,14 +546,14 @@ class TestEdgeLevelManifest:
 
         monkeypatch.setattr(sparse_chain, "ancilla_rotations", broken)
         with pytest.raises(ValidationError, match="expansion misses the enlarged operator"):
-            decomposition_manifest(self._oracle(rng))
+            decomposition_manifest(self._partition(rng))
 
     @pytest.mark.parametrize("field", ["weights", "mu_bar", "diagonal"])
     def test_perturbed_edge_fires(self, rng, monkeypatch, field):
         # an edge weight off by 1e-6; the sign of one coordinate of an edge
         # vector flipped, which only the off-diagonal entries see; or a
         # boundary weight off by 1e-6, which only the diagonal sees
-        oracle = self._oracle(rng)
+        mp = self._partition(rng)
         project = sparse_chain.walk_hamiltonian
         index = ("weights", "mu_bar", "diagonal").index(field)
 
@@ -558,16 +567,17 @@ class TestEdgeLevelManifest:
             projected[index] = values
             return tuple(projected)
 
-        pairs, alpha_bar, mu_bar, colors = sparse_chain._edge_table(oracle)
-        boundary = sparse_chain._boundary_weights(oracle)
-        levels = sparse_chain._levels(oracle, pairs, alpha_bar, mu_bar, colors, boundary)
+        table = sparse_chain._pair_table(mp.chain)
+        pairs, alpha_bar, mu_bar, colors = sparse_chain._edge_table(mp, table)
+        boundary = sparse_chain._boundary_weights(mp, table)
+        levels = sparse_chain._levels(mp, pairs, alpha_bar, mu_bar, colors, boundary)
         projected = project(alpha_bar, mu_bar, boundary)
         assert reconstruction_residual(pairs, projected, levels) <= 1e-13
         projected = perturbed(alpha_bar, mu_bar, boundary)
         assert reconstruction_residual(pairs, projected, levels) > 1e-10
         monkeypatch.setattr(sparse_chain, "walk_hamiltonian", perturbed)
         with pytest.raises(ValidationError, match="miss the projected walk Hamiltonian"):
-            decomposition_manifest(oracle)
+            decomposition_manifest(mp)
 
 
 def _sparse_unit(d, n_states):
