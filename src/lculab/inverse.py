@@ -16,11 +16,17 @@ filter on the spectrum of H_U and never builds H~, so nothing is larger than
 the chain itself, whose N the dimension cap bounds. The tests build the
 combination over evolutions of H~ as the reference it is checked against.
 
-Grid calibration dominates a run. Its exit test checks the filter on the
-samples a few at a time and rejects a grid at the first miss, so rejected
-rounds cost a fraction of an accepted one. A filter value does not depend on
-how many points share the call, so the grids it accepts are those of a test
-on all samples at once.
+Each calibration round is first decided in closed form, in O(samples). The
+inner y-sum is the trapezoid rule for a Gaussian, so by Poisson summation it
+is exp(-z x) plus an aliasing term and minus a truncation tail, both bounded
+explicitly; the left z-sum of exp(-z x) is geometric. That bounds the
+filter's error at each sample from above and below (`exit_certificate`),
+with a margin for roundoff. A round is accepted or rejected on the bound
+only where the sample test would give the same verdict, so the certificate
+never changes a grid; only the rounds it leaves open run the cosine kernel.
+Those check the samples a few at a time and reject a grid at the first
+miss. A filter value does not depend on how many points share the call, so
+the grids accepted are those of a test on all samples at once.
 """
 
 from __future__ import annotations
@@ -47,6 +53,12 @@ _MAX_ITERATIONS = 20
 _EXIT_BLOCK = 8
 _TARGET_MARGIN = 0.9
 _BASE_CONFIDENCE = 8.0 / math.pi**2
+_UNIT_ROUNDOFF = 2.0**-53
+# The most (K+1) * n * (J+1) cosine-recurrence element-steps one filter call
+# may take: 11x the lazy 32-cycle at eps 0.1 (K = 138,422, n = 31, J = 2,090),
+# the largest run measured to finish. Past it the left-rule z-grid is too fine
+# for the gap, and the call fails before it allocates anything.
+_FILTER_WORK_BUDGET = 10**11
 
 
 @dataclass(frozen=True)
@@ -84,11 +96,75 @@ class InverseGrid:
 
     def inverse_filter(self, x) -> np.ndarray:
         """The scalar double sum approximating 1/x at x >= 0. The z-series is summed
-        in row order at every x, so a value does not depend on the call's width."""
+        in row order at every x, so a value does not depend on the call's width.
+        A call past `_FILTER_WORK_BUDGET` element-steps is a `CalibrationError`."""
         x = np.asarray(x, dtype=float)
+        work = (self.k_max + 1) * x.size * (self.j_max + 1)
+        if work > _FILTER_WORK_BUDGET:
+            raise CalibrationError(
+                f"the inverse filter needs (K+1) n (J+1) = {work:.3g} element-steps "
+                f"(K={self.k_max}, n={x.size}, J={self.j_max}), past the budget of "
+                f"{_FILTER_WORK_BUDGET:.0e}: the gap bound {self.delta_lower:.3g} is too "
+                f"small for the left-rule z-grid"
+            )
         args = np.sqrt(2.0 * np.outer(self.z_nodes, x))
         series = gaussian_cosine_series(args, self.delta_y, self.j_max)
         return self.delta_z * np.cumsum(series, axis=0, out=series)[-1]
+
+
+def exit_certificate(
+    grid: InverseGrid, samples: np.ndarray, target: float
+) -> tuple[bool | None, float]:
+    """Decide the sample exit test from the grid alone: (verdict, max U).
+
+    With G(x) = delta_z expm1(-(K+1) delta_z x) / expm1(-delta_z x), the left
+    z-sum of exp(-z x), the filter lies within B = (K+1) delta_z (alias +
+    tail) of G wherever a_max = sqrt(2 z_K max x) < pi/delta_y:
+    - alias = 2 sum_{m>=1} exp(-(2 pi m/delta_y - a_max)^2/2), the Poisson
+      images of the y-sum, bounded by its first term over a geometric factor;
+    - tail = erfc(J delta_y/sqrt(2)), the weight past |j| = J.
+    The computed filter differs from the exact one by at most the roundoff
+    margin, with u = 2^-53 and s = 1 + delta_y,
+        eta(x) = u (K+1) delta_z [16 ((1 + 1/delta_y)^2 + (J+1) s) + 2 (K+1) s]
+                 + 64 u/x + 1e-9 B.
+    - The cosine recurrence errs by at most 5.5 j^2 u at term j: 4 ulps in
+      its cosine move T_j by at most j^2 times that, and each step's 3u
+      reaches T_j through |U_n| <= n+1. The weights bound the weighted sum:
+      sum_j 2 w_j j^2 <= (1 + 0.6 delta_y)/delta_y^2, since y^2 phi(y) is
+      unimodal. The rounded nodes move the phase by at most 3 pi u, which
+      the series feels through sum_j 2 w_j j <= (0.8 + 0.5 delta_y)/delta_y.
+      With the J additions into the sum and the weights' own rounding,
+      that is 16 ((1 + 1/delta_y)^2 + (J+1) s) u per series, with room.
+    - The row-order z-sum adds K+1 series, each at most s in size.
+    - 64 u/x covers 1/x, the final scaling and subtraction, and the float
+      evaluation of G; 1e-9 B covers that of alias and tail.
+    U(x) = |G - 1/x| + B + eta(x) bounds the error the sample test computes.
+    The verdict is True when max U <= target, False when some sample has
+    |G - 1/x| - B - eta > target, and None when the bound cannot tell or
+    a_max >= pi/delta_y; only then does the sample test run.
+    """
+    k1, dz, dy = grid.k_max + 1, grid.delta_z, grid.delta_y
+    # sqrt(2 z_K x) rounds at most 2u low, so the factor keeps a_max an upper bound.
+    a_max = math.sqrt(2.0 * grid.z_max * float(samples.max())) * (1.0 + 4.0 * _UNIT_ROUNDOFF)
+    if a_max >= math.pi / dy:
+        return None, math.inf
+    # b_m = 2 pi m/dy - a_max grows by 2 pi/dy per m, so the m >= 2 images
+    # shrink geometrically, by exp(-2 pi b_1/dy) or faster.
+    b1 = 2.0 * math.pi / dy - a_max
+    alias = 2.0 * math.exp(-0.5 * b1 * b1) / -math.expm1(-2.0 * math.pi * b1 / dy)
+    tail = math.erfc(grid.j_max * dy / math.sqrt(2.0))
+    bound = k1 * dz * (alias + tail)
+    geometric = dz * np.expm1(-k1 * dz * samples) / np.expm1(-dz * samples)
+    gap = np.abs(geometric - 1.0 / samples)
+    s = 1.0 + dy
+    per_series = 16.0 * ((1.0 + 1.0 / dy) ** 2 + (grid.j_max + 1) * s)
+    eta = _UNIT_ROUNDOFF * (k1 * dz * (per_series + 2.0 * k1 * s) + 64.0 / samples) + 1e-9 * bound
+    upper = float(np.max(gap + bound + eta))
+    if upper <= target:
+        return True, upper
+    if np.any(gap - bound - eta > target):
+        return False, upper
+    return None, upper
 
 
 def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
@@ -99,11 +175,13 @@ def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
     the exponential tail diagnostic decides whether to double z_K or halve
     delta_z. The exit test is the full double sum against 1/x on 64 samples
     of [Delta, 1]: a grid is accepted only when every sample is within
-    target. The samples are checked in ascending blocks of at most
-    `_EXIT_BLOCK` and a round stops at the first block that misses, so a
-    rejected grid costs little. The filter's values do not depend on the
-    width of a call, so the rounds, the accepted grid and its error are those
-    of the full test.
+    target. Each round is first put to `exit_certificate`, which accepts or
+    rejects it in closed form only where the sample test would agree, so it
+    changes no grid. The rounds it leaves open check the samples in
+    ascending blocks of at most `_EXIT_BLOCK` and stop at the first block
+    that misses. The filter's values do not depend on the width of a call,
+    so the rounds, the accepted grid and its error are those of the full
+    test.
     """
     if not (0 < delta_lower <= 1):
         raise ValidationError(f"delta_lower must be in (0, 1], got {delta_lower!r}")
@@ -141,18 +219,24 @@ def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
             j_max=inner.j_max,
             inner_epsilon=inner_eps,
         )
-        err, checked = 0.0, 0
-        for block in blocks:
-            err = max(err, float(np.max(np.abs(1.0 / block - grid.inverse_filter(block)))))
-            checked += block.size
-            if err > target:
-                break
+        accepted, upper = exit_certificate(grid, samples, target)
+        if accepted is None:
+            err, checked = 0.0, 0
+            for block in blocks:
+                err = max(err, float(np.max(np.abs(1.0 / block - grid.inverse_filter(block)))))
+                checked += block.size
+                if err > target:
+                    break
+            accepted = err <= target
+            how = f"kernel, err={err:.3e} over the first {checked} of {samples.size} samples"
+        else:
+            how = "certificate " + ("accept" if accepted else "reject")
         logger.debug(
             "inverse-grid calibration %d: z_K=%.3g delta_z=%.3g K=%d J=%d "
-            "err=%.3e over the first %d of %d samples target=%.3e",
-            iteration, z_max, delta_z, k_max, inner.j_max, err, checked, samples.size, target,
+            "decided by %s; max U=%.3e target=%.3e",
+            iteration, z_max, delta_z, k_max, inner.j_max, how, upper, target,
         )
-        if err <= target:
+        if accepted:
             return grid
         tail = math.exp(-z_max * delta_lower) / delta_lower
         if tail > epsilon / 8:

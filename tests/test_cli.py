@@ -278,6 +278,21 @@ class TestHittingCommand:
         assert main(["--config", config]) == 3
         assert "4098 states exceed cap 4096" in capsys.readouterr().err
 
+    def test_filter_past_the_work_budget_exits_three(self, tmp_path, capsys):
+        # the lazy 64-cycle's gap, 6.0e-4, asks K = 645,383 z-nodes on 63
+        # eigenvalues: a 325 MB argument array, never allocated
+        payload = {"command": "hitting", "chain": chain_to_json(lazy_cycle(64), [0]),
+                   "epsilon": 0.1, "out": str(tmp_path / "o")}
+        tracemalloc.start()
+        try:
+            assert main(["--config", _write_config(tmp_path, payload)]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "past the budget" in capsys.readouterr().err
+        assert peak < 50 * 2**20
+        assert not (tmp_path / "o" / "result.json").exists()
+
     @pytest.mark.parametrize("command", ["hitting", "appendix-verify"])
     def test_chain_over_cap_rejected_whatever_its_unmarked_block(self, tmp_path, capsys, command):
         # one unmarked state, but the N x N matrix would still be built

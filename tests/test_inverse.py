@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from lculab.errors import PreconditionWarning, ValidationError
+from lculab import inverse
+from lculab.errors import CalibrationError, PreconditionWarning, ValidationError
 from lculab.gibbs import calibrate_hs_grid
 from lculab.inverse import (
     HittingTimeTask,
@@ -12,6 +14,7 @@ from lculab.inverse import (
     amplitude_estimation,
     calibrate_inverse_grid,
     estimate_hitting_time,
+    exit_certificate,
     outcome_distribution,
     t_circuit_expectation,
 )
@@ -29,14 +32,20 @@ from oracles import (
 )
 
 
+def _exit_samples(delta_lower):
+    """The 64 calibration samples of [Delta, 1], ascending, duplicates merged."""
+    return np.unique(
+        np.concatenate([np.geomspace(delta_lower, 1.0, 32), np.linspace(delta_lower, 1.0, 32)])
+    )
+
+
 def _full_exit_calibration(delta_lower, epsilon):
-    """The calibration loop with its exit test run on all samples in one call."""
+    """The calibration loop with its exit test run on all samples in one call,
+    and no certificate."""
     kappa = 1.0 / delta_lower
     z_target = kappa * math.log(kappa / epsilon)
     delta_z = epsilon
-    samples = np.unique(
-        np.concatenate([np.geomspace(delta_lower, 1.0, 32), np.linspace(delta_lower, 1.0, 32)])
-    )
+    samples = _exit_samples(delta_lower)
     target = 0.9 * epsilon / 2
     for _ in range(20):
         k_max = max(1, math.ceil(z_target / delta_z))
@@ -123,25 +132,160 @@ class TestGridCalibration:
             assert grid.inverse_filter(xs[i : i + 1])[0] == full[i]
             assert grid.inverse_filter(x)[0] == full[i]
 
-    def test_rejected_round_evaluates_one_block(self, monkeypatch):
+    @staticmethod
+    def _count_filter_calls(monkeypatch):
         calls = []
         original = InverseGrid.inverse_filter
 
         def counting(grid, x):
-            calls.append((grid, np.size(x)))
+            calls.append((grid, np.array(x, dtype=float)))
             return original(grid, x)
 
         monkeypatch.setattr(InverseGrid, "inverse_filter", counting)
-        accepted = calibrate_inverse_grid(_cycle_delta(), 0.1)
-        rejected = [size for grid, size in calls if grid != accepted]
-        assert rejected == [8, 8]
-        assert sum(size for grid, size in calls if grid == accepted) == 62
+        return calls
+
+    def test_cycle_calibration_runs_no_kernel(self, monkeypatch):
+        # the certificate rejects two rounds and accepts the third
+        calls = self._count_filter_calls(monkeypatch)
+        grid = calibrate_inverse_grid(_cycle_delta(), 0.1)
+        assert calls == []
+        assert (grid.k_max, grid.j_max) == (5856, 315)
+
+    @pytest.mark.parametrize(
+        "delta, eps, rejected",
+        [(None, 0.1, [[8], [8]]), (0.5, 0.2, [[8] * 7, [8]])],
+        ids=["cycle", "seventh-block"],
+    )
+    def test_undecided_round_evaluates_ascending_blocks(self, monkeypatch, delta, eps, rejected):
+        # with every round left open, each rejected round stops at its first
+        # missing block and the accepted one checks all samples in order
+        monkeypatch.setattr(inverse, "exit_certificate", lambda grid, samples, target: (None, math.inf))
+        calls = self._count_filter_calls(monkeypatch)
+        delta = _cycle_delta() if delta is None else delta
+        accepted = calibrate_inverse_grid(delta, eps)
+        samples = _exit_samples(delta)
+        rounds = []
+        for grid, x in calls:
+            if not rounds or rounds[-1][0] != grid:
+                rounds.append((grid, []))
+            rounds[-1][1].append(x)
+        assert [grid for grid, _ in rounds][-1] == accepted
+        assert [[x.size for x in xs] for _, xs in rounds[:-1]] == rejected
+        for _, xs in rounds:
+            checked = np.concatenate(xs)
+            assert np.array_equal(checked, samples[: checked.size])
+            assert all(x.size == 8 for x in xs[:-1])
+        assert sum(x.size for x in rounds[-1][1]) == samples.size
 
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError):
             calibrate_inverse_grid(0.0, 0.1)
         with pytest.raises(ValidationError):
             calibrate_inverse_grid(0.5, 1.5)
+
+    def test_certificate_keeps_the_full_test_grids(self):
+        # seeded log-uniform pairs; a few reach Delta = 0.05, where rounds run
+        # thousands of z-nodes
+        rng = np.random.default_rng(19)
+        deltas = np.exp(rng.uniform(math.log(0.05), 0.0, size=50))
+        epsilons = np.exp(rng.uniform(math.log(0.1), math.log(0.6), size=50))
+        for delta, eps in zip(deltas, epsilons):
+            grid = calibrate_inverse_grid(float(delta), float(eps))
+            assert grid.__dict__ == _full_exit_calibration(float(delta), float(eps)).__dict__
+
+
+def _grid(delta_lower, z_max, k_max, ratio, y_max):
+    """A grid with K z-nodes up to z_max, and a_max delta_y = ratio * pi."""
+    delta_y = ratio * math.pi / math.sqrt(2.0 * z_max)
+    return InverseGrid(
+        delta_lower=delta_lower,
+        epsilon=0.1,
+        delta_z=z_max / k_max,
+        k_max=k_max,
+        delta_y=delta_y,
+        j_max=max(1, round(y_max / delta_y)),
+        inner_epsilon=0.1,
+    )
+
+
+class TestExitCertificate:
+    """The certificate against the sample test it stands in for.
+
+    It adds to the closed-form bound the roundoff margin
+    eta(x) = u (K+1) delta_z [16 ((1 + 1/delta_y)^2 + (J+1) s) + 2 (K+1) s]
+    + 64 u/x + 1e-9 B, with u = 2^-53 and s = 1 + delta_y: the cosine
+    recurrence's error, about 5.5 j^2 u at term j, summed against the
+    Gaussian weights; the row-order z-sum of K+1 terms; and the float
+    evaluation of 1/x, G and the bound B itself (see `exit_certificate`).
+    The kernel error is the oracle: an accepted round must have every
+    sample within target, and a rejected one some sample outside it.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        delta=st.floats(0.05, 1.0),
+        z_max=st.floats(0.5, 200.0),
+        k_max=st.integers(1, 400),
+        ratio=st.floats(0.2, 1.2),
+        y_max=st.floats(0.5, 9.0),
+        offsets=st.lists(st.floats(-0.01, 0.01), min_size=1, max_size=4),
+    )
+    # at y_max = 9 the aliasing and tail bound B is below the rounding, so
+    # the verdicts at the error's own bits rest on eta: these two grids need
+    # it above and below
+    @example(delta=0.5, z_max=20.0, k_max=100, ratio=0.25, y_max=9.0, offsets=[0.0])
+    @example(delta=0.5, z_max=8.0, k_max=200, ratio=0.25, y_max=9.0, offsets=[0.0])
+    def test_verdicts_agree_with_the_kernel(self, delta, z_max, k_max, ratio, y_max, offsets):
+        grid = _grid(delta, z_max, k_max, ratio, y_max)
+        samples = _exit_samples(delta)
+        err = float(np.max(np.abs(1.0 / samples - grid.inverse_filter(samples))))
+        # targets within 1% of the error, and at the error to the last bit
+        targets = [err * (1.0 + offset) for offset in offsets]
+        targets += [err, np.nextafter(err, 0.0), np.nextafter(err, np.inf)]
+        for target in targets:
+            verdict, upper = exit_certificate(grid, samples, target)
+            if verdict is True:
+                assert err <= target and err <= upper
+            if verdict is False:
+                assert err > target
+
+    def test_open_at_the_nyquist_phase(self):
+        grid = _grid(0.25, 50.0, 200, 1.0, 6.0)
+        assert exit_certificate(grid, _exit_samples(0.25), 1.0) == (None, math.inf)
+
+    def test_bound_is_tight_on_the_cycle_grid(self):
+        grid = calibrate_inverse_grid(_cycle_delta(), 0.1)
+        samples = _exit_samples(grid.delta_lower)
+        verdict, upper = exit_certificate(grid, samples, 0.045)
+        err = float(np.max(np.abs(1.0 / samples - grid.inverse_filter(samples))))
+        assert verdict is True
+        assert err <= upper <= 1.2 * err
+
+
+class TestFilterWorkBudget:
+    def test_past_the_budget_raises_before_allocating(self):
+        # K + 1 = 10^12 z-nodes: one node array alone would take 8 TB
+        grid = InverseGrid(
+            delta_lower=1e-9, epsilon=0.1, delta_z=1e-3, k_max=10**12,
+            delta_y=1e-3, j_max=10**4, inner_epsilon=1e-12,
+        )
+        with pytest.raises(CalibrationError, match="past the budget"):
+            grid.inverse_filter(np.array([0.5]))
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        grid = calibrate_inverse_grid(0.5, 0.3)
+        x = np.linspace(0.5, 1.0, 5)
+        work = (grid.k_max + 1) * x.size * (grid.j_max + 1)
+        monkeypatch.setattr(inverse, "_FILTER_WORK_BUDGET", work)
+        assert grid.inverse_filter(x).shape == x.shape
+        monkeypatch.setattr(inverse, "_FILTER_WORK_BUDGET", work - 1)
+        with pytest.raises(CalibrationError):
+            grid.inverse_filter(x)
+
+    def test_lazy_32_cycle_is_inside_the_budget(self):
+        # the largest run measured to finish keeps a tenth of the budget
+        grid = calibrate_inverse_grid(mark_states(lazy_cycle(32), [0]).delta, 0.1)
+        assert (grid.k_max + 1) * 31 * (grid.j_max + 1) * 10 <= inverse._FILTER_WORK_BUDGET
 
 
 class TestInverseLcu:
