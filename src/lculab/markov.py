@@ -15,12 +15,12 @@ discriminant) with its lowest eigenvalue delta, and the solve of
 (1 - P_UU) x = pi_U / pi_U, which the exact hitting time, the variance and the
 Monte-Carlo sample count share.
 
-The Monte-Carlo baseline advances its walks in lockstep, one numpy step per
-round for every live walk on a fixed number of lanes. Its uniforms come from a
-stateless counter stream (SplitMix64): draw d of walk w is a pure function of
-(seed, w, d), evaluated for all live lanes at once. So its estimates are those
-of a walk-by-walk loop, bit for bit, and a lane holds only two counters
-however many walks a run takes.
+The Monte-Carlo baseline runs its walks in batches of consecutive walk indices,
+one numpy step per round for every live walk of the batch. Its uniforms come
+from a stateless counter stream (SplitMix64): draw d of walk w is a pure
+function of (seed, w, d). Every walk of a batch is at the same draw index, so
+a round is one stream call, and its estimates are those of a walk-by-walk
+loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ MAX_TOTAL_WALK_STEPS = 10**9
 # A sample count this close to a whole number is that number (see
 # chebyshev_sample_count).
 _SNAP_ULPS = 64
-# Lockstep Monte-Carlo lanes: the live walks stay within this width whatever
-# the number of walks.
-_WALK_LANES = 256
+# Elements of one Monte-Carlo round's threshold gather: a batch holds this
+# many walks divided by the chain's sparsity, at least 256 under the 4096-state
+# cap.
+_BATCH_ELEMENTS = 2**20
 # SplitMix64 constants for the walk stream, as uint64 so that array
 # arithmetic on them wraps modulo 2^64.
 _GAMMA, _MIX1, _MIX2 = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
@@ -355,13 +356,14 @@ def classical_mc_estimate(
     across workers and merged by averaging without changing the result.
     Returns (estimate, samples_used, total P applications).
 
-    The walks run in lockstep on a fixed set of lanes: each lane runs one walk
-    at a time, holding only its walk and draw index, draws for every live
-    lane in one call, and starts the next walk when its walk reaches a marked
-    state. A draw depends on nothing but (seed, walk, draw), so the walks are
+    The walks run in batches of consecutive indices, as many as fit
+    _BATCH_ELEMENTS / sparsity: one stream call starts a whole batch, and
+    since its walks are all at the same draw index, one call draws step d for
+    every walk still live; a walk that reaches a marked state leaves the
+    batch. A draw depends on nothing but (seed, walk, draw), so the walks are
     the ones a walk-by-walk loop takes. A step costs O(sparsity) through a
     per-state table of the column's support. The step total is an integer sum
-    over walks, so the result does not depend on the lane count or on the
+    over walks, so the result does not depend on the batch width or on the
     order in which walks finish. WalkTimeoutError is raised when the total
     step count passes max_total_steps.
     """
@@ -383,68 +385,52 @@ def classical_mc_estimate(
     # and is exact where it already is 1.
     cum_pi = np.cumsum(chain.stationary)
     cum_pi /= cum_pi[-1]
-    cum_cols = np.cumsum(chain.transition, axis=0)
-    cum_cols /= cum_cols[-1]
-    targets, thresholds = _step_table(chain, cum_cols)
+    targets, thresholds = _step_table(chain)
 
-    width = min(_WALK_LANES, m)
-    walk = np.zeros(width, dtype=np.uint64)
-    draw = np.zeros(width, dtype=np.uint64)
-    state = np.zeros(width, dtype=np.intp)
-    next_walk = 0
-
-    def start_walks(lanes: np.ndarray) -> np.ndarray:
-        """Start the next walks on these lanes; return the lanes left walking."""
-        nonlocal next_walk
-        walking = [lanes[:0]]
-        while lanes.size and next_walk < m:
-            lanes = lanes[: m - next_walk]
-            walk[lanes] = np.arange(next_walk, next_walk + lanes.size)
-            next_walk += lanes.size
-            u = stream_uniforms(key, walk[lanes], np.zeros(lanes.size, dtype=np.uint64))
-            draw[lanes] = 1
-            state[lanes] = np.searchsorted(cum_pi, u, side="right")
-            hit = is_marked[state[lanes]]
-            walking.append(lanes[~hit])
-            lanes = lanes[hit]
-        return np.concatenate(walking)
-
+    width = _BATCH_ELEMENTS // chain.sparsity
     total_steps = 0
-    live = start_walks(np.arange(width))
-    while live.size:
-        d = draw[live]
-        u = stream_uniforms(key, walk[live], d)
-        draw[live] = d + _ONE
-        s = state[live]
-        s = targets[s, np.count_nonzero(thresholds[s] <= u[:, None], axis=1)]
-        state[live] = s
-        total_steps += live.size
-        if total_steps > max_total_steps:
-            raise WalkTimeoutError(f"exceeded {max_total_steps} total walk steps")
-        hit = is_marked[s]
-        if hit.any():
-            live = np.concatenate([live[~hit], start_walks(live[hit])])
+    for first in range(0, m, width):
+        walk = np.arange(first, min(first + width, m), dtype=np.uint64)
+        state = np.searchsorted(cum_pi, stream_uniforms(key, walk, np.uint64(0)), side="right")
+        draw = 1
+        while True:
+            hit = is_marked[state]
+            if hit.any():
+                walk, state = walk[~hit], state[~hit]
+            if not walk.size:
+                break
+            u = stream_uniforms(key, walk, np.uint64(draw))
+            state = targets[state, np.count_nonzero(thresholds[state] <= u[:, None], axis=1)]
+            draw += 1
+            total_steps += walk.size
+            if total_steps > max_total_steps:
+                raise WalkTimeoutError(f"exceeded {max_total_steps} total walk steps")
     # every step adds one to one walk's hitting time, so the times sum to it
     return total_steps / m, m, total_steps
 
 
-def _step_table(chain: MarkovChain, cum_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _step_table(chain: MarkovChain) -> tuple[np.ndarray, np.ndarray]:
     """Per-state support of each column and its cumulative sums, padded to the sparsity.
 
     Row s lists the states reachable from s in ascending order (targets) and
-    cum_cols at those states (thresholds), padded with +inf. A step from s on
-    draw u < 1 goes to targets[s, k] with k the count of thresholds <= u: zero
-    entries add 0.0 exactly to a cumulative sum, so this is the state that
-    searchsorted(cum_cols[:, s], u, side="right") picks, found in
-    O(sparsity) work.
+    the cumulative sums of column s at those states, divided by the column's
+    total (thresholds), padded with +inf. A step from s on draw u < 1 goes to
+    targets[s, k] with k the count of thresholds <= u. Zero entries add 0.0
+    exactly to a cumulative sum, so the thresholds are those of the dense
+    column, bit for bit, and this is the state that searchsorted over that
+    column picks, found in O(sparsity) work.
     """
     cols, rows = chain.edges.T
     counts = np.bincount(cols, minlength=chain.n_states)
     rank = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    targets = np.zeros((chain.n_states, chain.sparsity), dtype=np.intp)
-    thresholds = np.full((chain.n_states, chain.sparsity), np.inf)
+    shape = (chain.n_states, chain.sparsity)
+    targets = np.zeros(shape, dtype=np.intp)
     targets[cols, rank] = rows
-    thresholds[cols, rank] = cum_cols[rows, cols]
+    thresholds = np.zeros(shape)
+    thresholds[cols, rank] = chain.transition[rows, cols]
+    thresholds = np.cumsum(thresholds, axis=1)
+    thresholds /= thresholds[:, -1:]
+    thresholds[np.arange(chain.sparsity) >= counts[:, None]] = np.inf
     return targets, thresholds
 
 

@@ -559,22 +559,29 @@ def _splitmix_uniform(seed, walk, draw):
     return (_splitmix_z(seed, walk, draw) >> 11) * 2.0**-53
 
 
-def _walk_by_walk_estimate(
+def _dense_cum_cols(chain):
+    """Column-wise cumulative sums of the dense transition matrix, each divided
+    by its column's total."""
+    cum_cols = np.cumsum(chain.transition, axis=0)
+    cum_cols /= cum_cols[-1]
+    return cum_cols
+
+
+def _walk_times(
     mp, epsilon, seed, constants=DEFAULT_CONSTANTS, max_total_steps=MAX_TOTAL_WALK_STEPS,
     uniform=_splitmix_uniform,
 ):
-    """One walk at a time, one scalar draw and one searchsorted per step: the
-    reference that the lockstep walker must match bit for bit. Walk i takes
-    draw 0 for its start and draw t for step t from `uniform(seed, i, draw)`."""
+    """Each walk's hitting time, one walk at a time, one scalar draw and one
+    searchsorted per step. Walk i takes draw 0 for its start and draw t for
+    step t from `uniform(seed, i, draw)`."""
     m = chebyshev_sample_count(mp, epsilon, constants)
     chain = mp.chain
     marked = frozenset(mp.marked)
     cum_pi = np.cumsum(chain.stationary)
     cum_pi /= cum_pi[-1]
-    cum_cols = np.cumsum(chain.transition, axis=0)
-    cum_cols /= cum_cols[-1]
+    cum_cols = _dense_cum_cols(chain)
     total_steps = 0
-    total_time = 0
+    times = []
     for i in range(m):
         state = int(np.searchsorted(cum_pi, uniform(seed, i, 0), side="right"))
         t = 0
@@ -584,8 +591,27 @@ def _walk_by_walk_estimate(
             if total_steps > max_total_steps:
                 raise WalkTimeoutError(f"exceeded {max_total_steps} total walk steps")
             state = int(np.searchsorted(cum_cols[:, state], uniform(seed, i, t), side="right"))
-        total_time += t
-    return total_time / m, m, total_steps
+        times.append(t)
+    return times
+
+
+def _walk_by_walk_estimate(mp, epsilon, seed, **kwargs):
+    """The reference that the batched walker must match bit for bit."""
+    times = _walk_times(mp, epsilon, seed, **kwargs)
+    return sum(times) / len(times), len(times), sum(times)
+
+
+def _dense_step_table(chain):
+    """The step table read off the dense column cumulative sums."""
+    cum_cols = _dense_cum_cols(chain)
+    cols, rows = chain.edges.T
+    counts = np.bincount(cols, minlength=chain.n_states)
+    rank = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    targets = np.zeros((chain.n_states, chain.sparsity), dtype=np.intp)
+    thresholds = np.full((chain.n_states, chain.sparsity), np.inf)
+    targets[cols, rank] = rows
+    thresholds[cols, rank] = cum_cols[rows, cols]
+    return targets, thresholds
 
 
 def _cycle8():
@@ -613,8 +639,8 @@ _MC_CASES = [
     pytest.param(_sparse_dyadic, 200.0, 1, id="sparse-dyadic-200"),
 ]
 
-# Smaller runs of the same chains, for lane widths that force lane reuse at
-# nearly every round.
+# Smaller runs of the same chains, for batch widths that split a run into many
+# batches and end it on a partial one.
 _SMALL_MC_CASES = [
     pytest.param(_cycle8, 4.0, 501, id="lazy-8-cycle"),
     pytest.param(_two_state, 0.3, 3, id="two-state"),
@@ -623,10 +649,30 @@ _SMALL_MC_CASES = [
 ]
 
 
-# Lane counts. The ids are the (lanes, draw block) pairs these cases ran when
-# each lane also buffered a block of draws, which the counter stream has not.
-_LANES = [pytest.param(256, id="256-32"), pytest.param(3, id="3-2")]
+# Batch widths in walks, None for the default. The ids are the (lanes, draw
+# block) pairs these cases ran when the walks ran on a fixed set of lanes, each
+# buffering a block of draws; they keep the test names.
+_LANES = [pytest.param(None, id="256-32"), pytest.param(3, id="3-2")]
 _TINY_LANES = [pytest.param(3, id="3-2"), pytest.param(1, id="1-1")]
+
+
+def _batch_walks(patch, mp, walks):
+    """Make classical_mc_estimate run `mp` in batches of `walks` walks; setattr
+    raises if the budget it patches is gone."""
+    if walks is not None:
+        patch.setattr(markov, "_BATCH_ELEMENTS", walks * mp.chain.sparsity)
+
+
+class _CountingStream:
+    """The stream, recording the size of every call."""
+
+    def __init__(self):
+        self.sizes = []
+        self._uniforms = markov.stream_uniforms
+
+    def __call__(self, key, walk, draw):
+        self.sizes.append(walk.size)
+        return self._uniforms(key, walk, draw)
 
 
 class TestLockstepWalker:
@@ -639,7 +685,7 @@ class TestLockstepWalker:
     @pytest.mark.parametrize("make, epsilon, seed", _SMALL_MC_CASES)
     def test_matches_with_tiny_lanes(self, monkeypatch, make, epsilon, seed, lanes):
         mp = make()
-        monkeypatch.setattr(markov, "_WALK_LANES", lanes)
+        _batch_walks(monkeypatch, mp, lanes)
         assert classical_mc_estimate(mp, epsilon, seed) == _walk_by_walk_estimate(mp, epsilon, seed)
 
     @settings(max_examples=25, deadline=None)
@@ -664,13 +710,13 @@ class TestLockstepWalker:
         expected = _walk_by_walk_estimate(mp, epsilon, seed)
         assert classical_mc_estimate(mp, epsilon, seed) == expected
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(markov, "_WALK_LANES", lanes)
+            _batch_walks(patch, mp, lanes)
             assert classical_mc_estimate(mp, epsilon, seed) == expected
 
     @pytest.mark.parametrize("lanes", _LANES)
     def test_step_cap_boundary(self, monkeypatch, lanes):
-        monkeypatch.setattr(markov, "_WALK_LANES", lanes)
         mp = _cycle8()
+        _batch_walks(monkeypatch, mp, lanes)
         reference = _walk_by_walk_estimate(mp, 4.0, 501)
         cap = reference[2]
         assert _walk_by_walk_estimate(mp, 4.0, 501, max_total_steps=cap) == reference
@@ -686,9 +732,53 @@ class TestLockstepWalker:
         # sums, where a step must pass over the entry equal to the draw
         mp = mark_states(lazy_cycle(4, 0.5), [0])
         monkeypatch.setattr(markov, "stream_uniforms", _QuarterDraws(markov.stream_uniforms))
-        monkeypatch.setattr(markov, "_WALK_LANES", lanes)
+        _batch_walks(monkeypatch, mp, lanes)
         expected = _walk_by_walk_estimate(mp, 0.5, 9, uniform=_QuarterDraws(_splitmix_uniform))
         assert classical_mc_estimate(mp, 0.5, 9) == expected
+
+    def test_one_stream_call_per_round(self, monkeypatch):
+        # 2520 walks fit one batch: one call starts them all, and one call
+        # draws each step while the longest walk lasts
+        mp = _cycle8()
+        assert markov._BATCH_ELEMENTS // mp.chain.sparsity >= 2520
+        stream = _CountingStream()
+        monkeypatch.setattr(markov, "stream_uniforms", stream)
+        assert classical_mc_estimate(mp, 2.0, 501) == _walk_by_walk_estimate(mp, 2.0, 501)
+        assert stream.sizes[0] == 2520
+        assert len(stream.sizes) == 1 + max(_walk_times(mp, 2.0, 501))
+
+    def test_batch_width_within_the_budget(self, monkeypatch):
+        # a lazy walk on the complete graph with random symmetric weights
+        w = np.random.default_rng(2).uniform(0.2, 1.0, size=(64, 64))
+        w += w.T
+        chain = validate_chain(0.5 * np.eye(64) + 0.5 * w / w.sum(axis=0))
+        assert chain.sparsity == 64
+        mp = mark_states(chain, range(0, 64, 8))
+        budget = 5 * 64 + 63
+        monkeypatch.setattr(markov, "_BATCH_ELEMENTS", budget)
+        stream = _CountingStream()
+        monkeypatch.setattr(markov, "stream_uniforms", stream)
+        assert classical_mc_estimate(mp, 4.0, 4) == _walk_by_walk_estimate(mp, 4.0, 4)
+        assert len(stream.sizes) > 1 and max(stream.sizes) * chain.sparsity <= budget
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _cycle8, _two_state, _random_reversible, _sparse_dyadic,
+            lambda: mark_states(lazy_cycle(4, 0.5), [0]),
+            # the spectrum check, which the table does not read, would double the time
+            lambda: mark_states(validate_chain(
+                random_sparse_dyadic_matrix(np.random.default_rng(20), 2000, 4),
+                require_nonnegative_spectrum=False,
+            ), [0]),
+        ],
+        ids=["lazy-8-cycle", "two-state", "random-reversible", "sparse-dyadic-200",
+             "lazy-4-cycle", "sparse-dyadic-2000"],
+    )
+    def test_step_table_equals_the_dense_one(self, make):
+        chain = make().chain
+        for got, expected in zip(markov._step_table(chain), _dense_step_table(chain)):
+            assert np.array_equal(got, expected)
 
 
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
@@ -702,7 +792,7 @@ class _BelowOneDraws:
         self._first = first
 
     def __call__(self, key, walk, draw):
-        return np.where(draw == 0, self._first, _BELOW_ONE)
+        return np.where(np.broadcast_to(draw, walk.shape) == 0, self._first, _BELOW_ONE)
 
 
 class _QuarterDraws:
