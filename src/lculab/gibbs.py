@@ -50,7 +50,6 @@ class HsGrid:
     j_max: int
     delta_y: float
     beta: float
-    epsilon_prime: float
 
     @property
     def y_max(self) -> float:
@@ -66,13 +65,17 @@ class HsGrid:
         return gaussian_cosine_series(a, self.delta_y, self.j_max)
 
 
-def _grid_error(delta_y: float, y_max: float, beta: float, samples: np.ndarray) -> float:
+def _trial_grid(delta_y: float, y_max: float, beta: float) -> HsGrid:
+    """The grid of spacing delta_y that reaches y_max: J = max(1, ceil(y_max/delta_y))."""
     if not (delta_y > 0 and y_max / delta_y <= _MAX_J):
         raise CalibrationError(
             f"node grid delta_y={delta_y:.3g}, y_max={y_max:.3g} needs over {_MAX_J} nodes"
         )
-    j_max = max(1, math.ceil(y_max / delta_y))
-    approx = gaussian_cosine_series(np.sqrt(beta * samples), delta_y, j_max)
+    return HsGrid(j_max=max(1, math.ceil(y_max / delta_y)), delta_y=delta_y, beta=beta)
+
+
+def _grid_error(delta_y: float, y_max: float, beta: float, samples: np.ndarray) -> float:
+    approx = _trial_grid(delta_y, y_max, beta).kernel(samples)
     return float(np.max(np.abs(np.exp(-beta * samples / 2) - approx)))
 
 
@@ -87,9 +90,10 @@ def calibrate_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> H
 
     Starts from the unit-constant seed delta_y = 1/sqrt(norm * beta * ln(1/eps'))
     and y_max = sqrt(ln(1/eps')), then halves delta_y or grows y_max, whichever
-    helps more, until the max error over 64 samples is below eps'/2. The
-    stated validity window (norm*beta >= 4, ln(1/eps') >= 4) is warned about,
-    not enforced, since the calibration test is self-certifying.
+    helps more, until the max error over 64 samples is below eps'/2. It
+    warns about nothing, since the calibration test is self-certifying:
+    Lemma 1's validity window (norm*beta >= 4, ln(1/eps') >= 4) belongs to
+    the thermal pipeline, and `prepare_gibbs` checks it.
     """
     if not (norm_bound > 0 and math.isfinite(norm_bound)):
         raise ValidationError(f"norm bound must be positive, got {norm_bound!r}")
@@ -99,13 +103,6 @@ def calibrate_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> H
         raise ValidationError(f"epsilon_prime must be in (0, 1), got {epsilon_prime!r}")
 
     log_inv = math.log(1.0 / epsilon_prime)
-    if norm_bound * beta < 4 * (1 - 1e-9) or log_inv < 4 * (1 - 1e-9):
-        message = (
-            f"outside the stated validity window: norm*beta = {norm_bound * beta:.3g} "
-            f"(want >= 4), ln(1/eps') = {log_inv:.3g} (want >= 4)"
-        )
-        warnings.warn(message, PreconditionWarning, stacklevel=2)
-
     # The spacing seed needs beta > 0; at beta = 0 every node grid works and
     # only the weight sum is constrained, so seed as if norm*beta sat at 4.
     beta_seed = max(beta, 4.0 / norm_bound)
@@ -135,12 +132,7 @@ def calibrate_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> H
             f"node grid failed to reach {target:.3e} in {_MAX_DOUBLINGS} refinements "
             f"(err={err:.3e})"
         )
-    return HsGrid(
-        j_max=max(1, math.ceil(y_max / delta_y)),
-        delta_y=delta_y,
-        beta=beta,
-        epsilon_prime=epsilon_prime,
-    )
+    return _trial_grid(delta_y, y_max, beta)
 
 
 @dataclass(frozen=True)
@@ -206,6 +198,10 @@ def prepare_gibbs(
     entangled pair, and the ledger prices the run as
     rounds * (C_W(t, eps') + n + log2 J).
 
+    Lemma 1's validity window (norm*beta >= 4, ln(1/eps') >= 4) is checked
+    here, after calibration: outside it the run warns (`PreconditionWarning`),
+    records the message in `precondition_warnings`, and goes on.
+
     On the ancilla-0 sector the combination is the filter f = grid.kernel(H),
     so the partner-traced state is f(H)^2 / tr f(H)^2 and the success
     amplitude is ||f(H) (x) 1 |pair>|| / gamma = ||f||_2 / (sqrt(N) gamma),
@@ -222,20 +218,21 @@ def prepare_gibbs(
     if mode == "desk":
         z_for_eps = z_exact
     else:
-        if z_lower_bound is None or z_lower_bound <= 0:
+        if z_lower_bound is None or not z_lower_bound > 0:
             raise ValidationError("oracle-free mode needs a positive z_lower_bound")
         z_for_eps = min(float(z_lower_bound), float(n_dim) * math.exp(-task.beta * energies[0]))
     eps_prime = gibbs_eps_prime(task.epsilon, z_for_eps, n_dim, constants)
 
     norm_bound = max(float(np.max(np.abs(energies))), 1e-9)
+    grid = calibrate_hs_grid(norm_bound, task.beta, eps_prime)
     collected: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", PreconditionWarning)
-        grid = calibrate_hs_grid(norm_bound, task.beta, eps_prime)
-        for item in caught:
-            if issubclass(item.category, PreconditionWarning):
-                collected.append(str(item.message))
-    for message in collected:
+    log_inv = math.log(1.0 / eps_prime)
+    if norm_bound * task.beta < 4 * (1 - 1e-9) or log_inv < 4 * (1 - 1e-9):
+        message = (
+            f"outside the stated validity window: norm*beta = {norm_bound * task.beta:.3g} "
+            f"(want >= 4), ln(1/eps') = {log_inv:.3g} (want >= 4)"
+        )
+        collected.append(message)
         warnings.warn(message, PreconditionWarning, stacklevel=2)
 
     # Roundoff can put the lowest eigenvalue of a PSD H just below zero,

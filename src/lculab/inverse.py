@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, Constants
 from .cost import CostEntry, CostReport, hitting_eps_prime, presentation_gate_cost
-from .errors import CalibrationError, PreconditionWarning, ValidationError
+from .errors import CalibrationError, ValidationError
 from .gap_amplification import split_indices
 from .gibbs import calibrate_hs_grid
 from .lcu import gaussian_cosine_series, gaussian_weight_sum
@@ -67,16 +66,14 @@ class InverseGrid:
 
     The combination sum_{k,j} delta_z w_j exp(-i y_j sqrt(2 z_k) H~)
     approximates H^{-1} on spectra inside [delta_lower, 1]; gamma, the total
-    weight, tracks z_K to relative order epsilon.
+    weight, tracks z_K to relative order of the calibration's epsilon.
     """
 
     delta_lower: float
-    epsilon: float
     delta_z: float
     k_max: int
     delta_y: float
     j_max: int
-    inner_epsilon: float
 
     @property
     def z_max(self) -> float:
@@ -204,20 +201,13 @@ def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
     for iteration in range(_MAX_ITERATIONS):
         k_max = max(1, math.ceil(z_target / delta_z))
         z_max = k_max * delta_z
-        inner_eps = epsilon / (2.0 * z_max)
-        # The inner grid's tolerance is derived, not user-chosen, and its exit
-        # test is self-certifying; the thermal validity window does not apply.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PreconditionWarning)
-            inner = calibrate_hs_grid(1.0, 2.0 * z_max, inner_eps)
+        inner = calibrate_hs_grid(1.0, 2.0 * z_max, epsilon / (2.0 * z_max))
         grid = InverseGrid(
             delta_lower=delta_lower,
-            epsilon=epsilon,
             delta_z=delta_z,
             k_max=k_max,
             delta_y=inner.delta_y,
             j_max=inner.j_max,
-            inner_epsilon=inner_eps,
         )
         accepted, upper = exit_certificate(grid, samples, target)
         if accepted is None:
@@ -270,9 +260,7 @@ def t_circuit_expectation(grid: InverseGrid, mp: MarkedPartition) -> float:
     eigs, vecs = mp.h_matrix.eigensystem
     _check_spectrum(grid, eigs)
     weights = np.abs(vecs.conj().T @ mp.sqrt_pi_u) ** 2
-    # Spectator zero modes may sit a roundoff below zero, where sqrt is undefined.
-    filtered = grid.inverse_filter(np.maximum(eigs, 0.0))
-    return mp.pi_u * float(weights @ filtered) / grid.gamma
+    return mp.pi_u * float(weights @ grid.inverse_filter(eigs)) / grid.gamma
 
 
 def outcome_distribution(true_value: float, m: int) -> np.ndarray:

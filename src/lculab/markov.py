@@ -39,6 +39,8 @@ from .operators import DIMENSION_CAP, HermitianOperator, is_integer, is_number
 COLUMN_SUM_ATOL = 1e-12
 DETAILED_BALANCE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
+# The Monte-Carlo estimator's cap on total walk steps. A walk's draw index is
+# at most the cap + 1, and draw + 1 must stay below 2^32 in the walk stream.
 MAX_TOTAL_WALK_STEPS = 10**9
 # A sample count this close to a whole number is that number (see
 # chebyshev_sample_count).
@@ -96,7 +98,7 @@ def _breadth_first(n: int, a: np.ndarray, b: np.ndarray) -> tuple[list, np.ndarr
     return order, np.array(depth), np.array(parent)
 
 
-def validate_chain(p, require_nonnegative_spectrum: bool = True) -> MarkovChain:
+def validate_chain(p) -> MarkovChain:
     """Build a MarkovChain from a raw column-stochastic matrix, or reject it.
 
     The nonzeros of P are read once, as the edges (a, b) with Pr(b|a) > 0.
@@ -109,12 +111,7 @@ def validate_chain(p, require_nonnegative_spectrum: bool = True) -> MarkovChain:
     is reached, a symmetric support, detailed balance on every edge, the
     fixed-point residual, aperiodicity (some edge, self-loops included, joins
     two depths of equal parity), and nonnegativity of the spectrum (through
-    the symmetrized similar matrix).
-
-    A state with no self-loop whose neighbors are all outside its block forces
-    a negative eigenvalue, so the classical hitting-time formulas are also
-    exercised on chains validated with require_nonnegative_spectrum=False;
-    the operator pipeline keeps the strict default.
+    the symmetrized similar matrix), down to EIGENVALUE_FLOOR.
     """
     mat = np.array(p, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -154,13 +151,11 @@ def validate_chain(p, require_nonnegative_spectrum: bool = True) -> MarkovChain:
     if np.all(depth[a] % 2 != depth[b] % 2):
         raise ValidationError("chain is periodic (bipartite support, no self-loops)")
 
-    if require_nonnegative_spectrum:
-        s = discriminant_matrix(mat)
-        eigs = np.linalg.eigvalsh(s)
-        if float(eigs.min()) < EIGENVALUE_FLOOR:
-            raise ValidationError(
-                f"spectrum has negative eigenvalue {eigs.min():.3e}; lazify the chain first"
-            )
+    eigs = np.linalg.eigvalsh(discriminant_matrix(mat))
+    if float(eigs.min()) < EIGENVALUE_FLOOR:
+        raise ValidationError(
+            f"spectrum has negative eigenvalue {eigs.min():.3e}; lazify the chain first"
+        )
 
     edges = np.stack([a, b], axis=1)
     for arr in (mat, pi, edges):
@@ -347,7 +342,6 @@ def classical_mc_estimate(
     epsilon: float,
     seed: int,
     constants: Constants = DEFAULT_CONSTANTS,
-    max_total_steps: int = MAX_TOTAL_WALK_STEPS,
 ) -> tuple[float, int, int]:
     """Monte-Carlo hitting-time estimate from seeded stationary-start walks.
 
@@ -365,7 +359,7 @@ def classical_mc_estimate(
     per-state table of the column's support. The step total is an integer sum
     over walks, so the result does not depend on the batch width or on the
     order in which walks finish. WalkTimeoutError is raised when the total
-    step count passes max_total_steps.
+    step count passes MAX_TOTAL_WALK_STEPS.
     """
     check_seed(seed)
     if seed >= 2**64:
@@ -374,10 +368,6 @@ def classical_mc_estimate(
     m = chebyshev_sample_count(mp, epsilon, constants)
     if m >= 2**32:
         raise ValidationError(f"{m} walks exceed the stream's 2^32 walk indices")
-    # A walk's draw index is at most max_total_steps + 1, so draw + 1 stays
-    # below 2^32 under the default cap MAX_TOTAL_WALK_STEPS = 10^9.
-    if max_total_steps >= 2**32 - 2:
-        raise ValidationError(f"max_total_steps {max_total_steps} must be below 2^32 - 2")
     chain = mp.chain
     is_marked = mp.marked_mask
     # Rounding can leave a cumulative sum just below 1, and a draw above it
@@ -403,8 +393,8 @@ def classical_mc_estimate(
             state = targets[state, np.count_nonzero(thresholds[state] <= u[:, None], axis=1)]
             draw += 1
             total_steps += walk.size
-            if total_steps > max_total_steps:
-                raise WalkTimeoutError(f"exceeded {max_total_steps} total walk steps")
+            if total_steps > MAX_TOTAL_WALK_STEPS:
+                raise WalkTimeoutError(f"exceeded {MAX_TOTAL_WALK_STEPS} total walk steps")
     # every step adds one to one walk's hitting time, so the times sum to it
     return total_steps / m, m, total_steps
 

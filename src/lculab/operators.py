@@ -27,13 +27,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_square_matrix(values, dim: int | None = None) -> np.ndarray:
-    """Coerce to a finite complex square ndarray, optionally of a fixed dimension."""
+def as_square_matrix(values) -> np.ndarray:
+    """Coerce to a finite complex square ndarray."""
     a = np.array(values, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if dim is not None and a.shape[0] != dim:
-        raise ValidationError(f"expected dimension {dim}, got {a.shape[0]}")
     if a.shape[0] > DIMENSION_CAP:
         raise ValidationError(f"dimension {a.shape[0]} exceeds cap {DIMENSION_CAP}")
     if not np.all(np.isfinite(a)):

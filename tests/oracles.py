@@ -58,7 +58,7 @@ from lculab.operators import (
     hermiticity_defect,
 )
 from lculab.rand import random_unitary
-from lculab import sparse_chain
+from lculab import markov, sparse_chain
 
 STATE_NORM_ATOL = 1e-12
 _DILATION_TERM_CAP = 1024
@@ -171,6 +171,14 @@ def matrix_to_json(a: np.ndarray) -> dict:
     }
 
 
+def _of_dim(values, dim: int) -> np.ndarray:
+    """`as_square_matrix` of a matrix that must be dim x dim."""
+    a = as_square_matrix(values)
+    if a.shape[0] != dim:
+        raise ValidationError(f"expected dimension {dim}, got {a.shape[0]}")
+    return a
+
+
 # ---------------------------------------------------------------------------
 # Dense projector presentations and the Kronecker-product parse of Pauli text.
 
@@ -195,7 +203,7 @@ class ProjectorDecomposition:
         checked = []
         for i, (alpha, proj) in enumerate(self.terms):
             alpha = check_weight(i, alpha)
-            p = as_square_matrix(proj, self.dim)
+            p = _of_dim(proj, self.dim)
             if hermiticity_defect(p) > PROJECTOR_ATOL:
                 raise ValidationError(f"term {i}: projector is not Hermitian")
             if np.max(np.abs(p @ p - p)) > PROJECTOR_ATOL:
@@ -324,7 +332,7 @@ def assemble_gap_amplified(blocks: list[np.ndarray], system_dim: int) -> GapAmpl
         raise ValidationError(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
     total = np.zeros((dim, dim), dtype=complex)
     for k, block in enumerate(blocks, start=1):
-        total += np.kron(as_square_matrix(block, system_dim), ancilla_coupler(k, ancilla_dim))
+        total += np.kron(_of_dim(block, system_dim), ancilla_coupler(k, ancilla_dim))
     return GapAmplifiedHamiltonian(
         system_dim=system_dim,
         ancilla_dim=ancilla_dim,
@@ -382,7 +390,7 @@ class LcuOperator:
         checked = []
         for i, (gamma, u) in enumerate(self.terms):
             gamma = check_weight(i, gamma)
-            m = as_square_matrix(u, self.dim)
+            m = _of_dim(u, self.dim)
             if unitarity_defect(m) > UNITARY_ATOL:
                 raise ValidationError(f"term {i}: matrix is not unitary")
             m.flags.writeable = False
@@ -614,7 +622,7 @@ def _is_bipartite(adj: np.ndarray) -> bool:
     return True
 
 
-def eig_validate_chain(p, require_nonnegative_spectrum: bool = True) -> MarkovChain:
+def eig_validate_chain(p) -> MarkovChain:
     """The dense validation `markov.validate_chain` replaced, as its reference.
 
     pi is the eigenvector of eigenvalue 1 from a nonsymmetric `np.linalg.eig`
@@ -658,12 +666,11 @@ def eig_validate_chain(p, require_nonnegative_spectrum: bool = True) -> MarkovCh
     if not np.any(np.diag(mat) > 0) and _is_bipartite(support):
         raise ValidationError("chain is periodic (bipartite support, no self-loops)")
 
-    if require_nonnegative_spectrum:
-        eigs = np.linalg.eigvalsh(discriminant_matrix(mat))
-        if float(eigs.min()) < EIGENVALUE_FLOOR:
-            raise ValidationError(
-                f"spectrum has negative eigenvalue {eigs.min():.3e}; lazify the chain first"
-            )
+    eigs = np.linalg.eigvalsh(discriminant_matrix(mat))
+    if float(eigs.min()) < EIGENVALUE_FLOOR:
+        raise ValidationError(
+            f"spectrum has negative eigenvalue {eigs.min():.3e}; lazify the chain first"
+        )
     return MarkovChain(transition=mat, stationary=pi, edges=np.argwhere(mat.T))
 
 
@@ -678,6 +685,19 @@ def lazify(p) -> np.ndarray:
 
 def symmetric_two_state() -> MarkovChain:
     return validate_chain(np.full((2, 2), 0.5))
+
+
+def validate_chain_any_spectrum(p) -> MarkovChain:
+    """`markov.validate_chain` with every spectrum accepted, for the classical
+    formulas on chains with negative eigenvalues (a state with no self-loop
+    whose neighbors all lie outside its block forces one). pi is the one the
+    library's spanning tree gives, bit for bit."""
+    floor = markov.EIGENVALUE_FLOOR
+    markov.EIGENVALUE_FLOOR = -math.inf
+    try:
+        return validate_chain(p)
+    finally:
+        markov.EIGENVALUE_FLOOR = floor
 
 
 def random_reversible_chain(rng: np.random.Generator, n: int, **kwargs) -> MarkovChain:

@@ -96,6 +96,22 @@ class TestGibbsCommand:
             },
         )
         assert main(["--config", config]) == 2
+        summary = (tmp_path / "out" / "summary.json").read_text()
+        assert (
+            '  "precondition_warnings": [\n'
+            '    "outside the stated validity window: norm*beta = 1 (want >= 4), '
+            'ln(1/eps\') = 2.09 (want >= 4)"\n'
+            '  ],\n'
+        ) in summary
+
+    def test_nan_z_lower_bound_exits_three(self, tmp_path, capsys):
+        # json reads the NaN literal, and the (0, inf] reader lets NaN through
+        payload = {**_PAULI_GIBBS, "mode": "oracle-free", "z_lower_bound": math.nan}
+        config = _write_config(tmp_path, {**payload, "out": str(tmp_path / "out")})
+        assert main(["--config", config]) == 3
+        err = capsys.readouterr().err
+        assert "validation failure: oracle-free mode needs a positive z_lower_bound" in err
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_non_psd_matrix_exits_three(self, tmp_path):
         matrix = {"dim": 2, "re": [-1.0, 0.0, 0.0, 1.0], "im": [0.0, 0.0, 0.0, 0.0]}

@@ -39,8 +39,10 @@ class TestGridCalibration:
         err = np.max(np.abs(np.exp(-4.0 * xs / 2) - grid.kernel(xs)))
         assert err <= EPS4 / 2
 
-    def test_precondition_warning(self):
-        with pytest.warns(PreconditionWarning):
+    def test_warns_about_nothing_outside_the_window(self):
+        # norm*beta = 2 is outside Lemma 1's window, which prepare_gibbs checks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             calibrate_hs_grid(1.0, 2.0, EPS4)
 
     def test_weights_symmetric(self):
@@ -68,9 +70,7 @@ class TestHsLcu:
     def test_zero_hamiltonian_reduces_to_weight_sum(self, rng):
         p = ProjectorDecomposition(dim=2, terms=())
         g = build_tilde_h(p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PreconditionWarning)
-            grid = calibrate_hs_grid(1.0, 4.0, EPS4)
+        grid = calibrate_hs_grid(1.0, 4.0, EPS4)
         combo = hs_lcu(grid, g)
         phi = random_state(rng, 2)
         out = combo.apply_sum(phi)
@@ -229,6 +229,20 @@ class TestPrepareGibbs:
         assert res.precondition_warnings
         # outside the stated window the calibration still achieves its bound
         assert res.trace_dist <= 0.3
+
+    def test_window_warning_message(self):
+        h = HermitianOperator(np.diag([0.0, 1.0]))
+        task = GibbsTask(hamiltonian=h, beta=2.0, epsilon=0.3, weights=psd_split(h).weights)
+        message = (
+            "outside the stated validity window: norm*beta = 2 (want >= 4), "
+            "ln(1/eps') = 2.18 (want >= 4)"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = prepare_gibbs(task)
+        assert [(w.category, str(w.message)) for w in caught] == [(PreconditionWarning, message)]
+        assert caught[0].filename == __file__
+        assert res.precondition_warnings == (message,)
 
     def test_zero_hamiltonian_end_to_end(self):
         # empty presentation: all evolutions are the identity and the

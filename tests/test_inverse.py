@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lculab import inverse
-from lculab.errors import CalibrationError, PreconditionWarning, ValidationError
+from lculab.errors import CalibrationError, ValidationError
 from lculab.gibbs import calibrate_hs_grid
 from lculab.inverse import (
     HittingTimeTask,
@@ -29,6 +29,7 @@ from oracles import (
     perturbed_unitary,
     psd_split,
     symmetric_two_state,
+    validate_chain_any_spectrum,
 )
 
 
@@ -50,18 +51,13 @@ def _full_exit_calibration(delta_lower, epsilon):
     for _ in range(20):
         k_max = max(1, math.ceil(z_target / delta_z))
         z_max = k_max * delta_z
-        inner_eps = epsilon / (2.0 * z_max)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PreconditionWarning)
-            inner = calibrate_hs_grid(1.0, 2.0 * z_max, inner_eps)
+        inner = calibrate_hs_grid(1.0, 2.0 * z_max, epsilon / (2.0 * z_max))
         grid = InverseGrid(
             delta_lower=delta_lower,
-            epsilon=epsilon,
             delta_z=delta_z,
             k_max=k_max,
             delta_y=inner.delta_y,
             j_max=inner.j_max,
-            inner_epsilon=inner_eps,
         )
         if float(np.max(np.abs(1.0 / samples - grid.inverse_filter(samples)))) <= target:
             return grid
@@ -72,8 +68,8 @@ def _full_exit_calibration(delta_lower, epsilon):
     raise AssertionError("reference calibration did not converge")
 
 
-def _cycle_delta():
-    return mark_states(lazy_cycle(8), [0]).delta
+def _cycle_delta(n=8):
+    return mark_states(lazy_cycle(n), [0]).delta
 
 
 class TestGridCalibration:
@@ -177,6 +173,19 @@ class TestGridCalibration:
             assert all(x.size == 8 for x in xs[:-1])
         assert sum(x.size for x in rounds[-1][1]) == samples.size
 
+    @pytest.mark.parametrize(
+        "n, delta, eps",
+        [(8, None, 0.1), (16, None, 0.1), (None, 1.0, 0.5), (None, 0.5, 0.35)],
+        ids=["lazy-8-cycle", "lazy-16-cycle", "delta-1-eps-0.5", "delta-0.5-eps-0.35"],
+    )
+    def test_warns_about_nothing(self, n, delta, eps):
+        # the inner y-grid of the last two lies outside Lemma 1's validity
+        # window, which is the thermal pipeline's to check
+        delta = _cycle_delta(n) if n else delta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            calibrate_inverse_grid(delta, eps)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError):
             calibrate_inverse_grid(0.0, 0.1)
@@ -199,12 +208,10 @@ def _grid(delta_lower, z_max, k_max, ratio, y_max):
     delta_y = ratio * math.pi / math.sqrt(2.0 * z_max)
     return InverseGrid(
         delta_lower=delta_lower,
-        epsilon=0.1,
         delta_z=z_max / k_max,
         k_max=k_max,
         delta_y=delta_y,
         j_max=max(1, round(y_max / delta_y)),
-        inner_epsilon=0.1,
     )
 
 
@@ -265,10 +272,7 @@ class TestExitCertificate:
 class TestFilterWorkBudget:
     def test_past_the_budget_raises_before_allocating(self):
         # K + 1 = 10^12 z-nodes: one node array alone would take 8 TB
-        grid = InverseGrid(
-            delta_lower=1e-9, epsilon=0.1, delta_z=1e-3, k_max=10**12,
-            delta_y=1e-3, j_max=10**4, inner_epsilon=1e-12,
-        )
+        grid = InverseGrid(delta_lower=1e-9, delta_z=1e-3, k_max=10**12, delta_y=1e-3, j_max=10**4)
         with pytest.raises(CalibrationError, match="past the budget"):
             grid.inverse_filter(np.array([0.5]))
 
@@ -453,7 +457,7 @@ class TestEstimateHittingTime:
                 [0.50, 0.25, 0.50],
             ]
         )
-        chain = validate_chain(p, require_nonnegative_spectrum=False)
+        chain = validate_chain_any_spectrum(p)
         mp = mark_states(chain, [1, 2])
         np.testing.assert_allclose(mp.h_matrix.matrix, [[1.0]])
         task = HittingTimeTask(partition=mp, epsilon=0.05)

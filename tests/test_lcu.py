@@ -195,7 +195,7 @@ class TestEvolutionLcu:
         proj = random_projector(rng, 3, 2)
         p = ProjectorDecomposition(dim=3, terms=((0.8, proj),))
         g = build_tilde_h(p)
-        grid = HsGrid(j_max=6, delta_y=0.4, beta=1.7, epsilon_prime=0.1)
+        grid = HsGrid(j_max=6, delta_y=0.4, beta=1.7)
         return hs_lcu(grid, g)
 
     def test_structured_matches_dense(self, rng):

@@ -11,6 +11,7 @@ from lculab.errors import ValidationError, WalkTimeoutError
 from lculab.inverse import InverseGrid, amplitude_estimation, t_circuit_expectation
 from lculab.markov import (
     MAX_TOTAL_WALK_STEPS,
+    MarkovChain,
     chain_from_json,
     classical_mc_estimate,
     chebyshev_sample_count,
@@ -34,6 +35,7 @@ from oracles import (
     random_sparse_dyadic_matrix,
     survival_probability,
     symmetric_two_state,
+    validate_chain_any_spectrum,
 )
 
 
@@ -274,10 +276,7 @@ class TestMarkedPartition:
         # discriminant, which the reference checks against the similarity
         # transform and against D_U^{-1} P_UU D_U; so does every value read
         # off it. The grid is coarse and uncalibrated: only the bits compare.
-        grid = InverseGrid(
-            delta_lower=1e-3, epsilon=0.5, delta_z=0.5, k_max=16,
-            delta_y=0.5, j_max=12, inner_epsilon=0.1,
-        )
+        grid = InverseGrid(delta_lower=1e-3, delta_z=0.5, k_max=16, delta_y=0.5, j_max=12)
         checked = 0
         for i in range(40):
             n = int(rng.integers(3, 13))
@@ -301,7 +300,7 @@ class TestMarkedPartition:
         p = np.zeros((5, 5))
         for s in range(5):
             p[(s + 1) % 5, s] = p[(s - 1) % 5, s] = 0.5
-        mp = mark_states(validate_chain(p, require_nonnegative_spectrum=False), [0])
+        mp = mark_states(validate_chain_any_spectrum(p), [0])
         with pytest.raises(ValidationError, match="restricted Hamiltonian exceeds 1"):
             mp.h_matrix
 
@@ -325,7 +324,7 @@ class TestHittingTimeFormulas:
                 [0.5, 0.25, 0.50],
             ]
         )
-        chain = validate_chain(p, require_nonnegative_spectrum=False)
+        chain = validate_chain_any_spectrum(p)
         mp = mark_states(chain, [1, 2])
         assert exact_hitting_time_resolvent(mp) == pytest.approx(mp.pi_u)
         assert exact_hitting_time_inverse(mp) == pytest.approx(mp.pi_u)
@@ -405,7 +404,7 @@ class TestVariance:
                 [0.5, 0.25, 0.50],
             ]
         )
-        chain = validate_chain(p, require_nonnegative_spectrum=False)
+        chain = validate_chain_any_spectrum(p)
         mp = mark_states(chain, [1, 2])
         expected = mp.pi_u - mp.pi_u**2
         assert exact_variance(mp) == pytest.approx(expected)
@@ -444,7 +443,7 @@ class TestClassicalEstimator:
                 [0.5, 0.25, 0.50],
             ]
         )
-        chain = validate_chain(p, require_nonnegative_spectrum=False)
+        chain = validate_chain_any_spectrum(p)
         mp = mark_states(chain, [1, 2])
         estimate, samples, steps = classical_mc_estimate(mp, epsilon=0.05, seed=11)
         assert abs(estimate - mp.pi_u) <= 0.05
@@ -497,11 +496,12 @@ class TestClassicalEstimator:
         b = classical_mc_estimate(two_state, epsilon=0.2, seed=42)
         assert a == b
 
-    def test_step_cap_raises_timeout(self):
+    def test_step_cap_raises_timeout(self, monkeypatch):
         chain = lazy_cycle(8, 0.5)
         mp = mark_states(chain, [0])
+        monkeypatch.setattr(markov, "MAX_TOTAL_WALK_STEPS", 3)
         with pytest.raises(WalkTimeoutError):
-            classical_mc_estimate(mp, epsilon=0.5, seed=1, max_total_steps=3)
+            classical_mc_estimate(mp, epsilon=0.5, seed=1)
 
     def test_draw_below_one_past_short_stationary_table(self, monkeypatch):
         # this chain's stationary cumulative sum ends below 1; a start draw
@@ -632,6 +632,15 @@ def _sparse_dyadic():
     return mark_states(chain, range(0, 200, 10))
 
 
+def _unvalidated_sparse_dyadic_2000():
+    # The step table reads the transition matrix and its edges alone. This
+    # matrix is symmetric, so pi is uniform; validation would spend twice the
+    # table test's time on the 2000 x 2000 spectrum check.
+    mat = random_sparse_dyadic_matrix(np.random.default_rng(20), 2000, 4)
+    chain = MarkovChain(transition=mat, stationary=np.full(2000, 1 / 2000), edges=np.argwhere(mat.T))
+    return mark_states(chain, [0])
+
+
 _MC_CASES = [
     *[pytest.param(_cycle8, 2.0, seed, id=f"lazy-8-cycle-{seed}") for seed in range(501, 506)],
     pytest.param(_two_state, 0.1, 3, id="two-state"),
@@ -720,11 +729,13 @@ class TestLockstepWalker:
         reference = _walk_by_walk_estimate(mp, 4.0, 501)
         cap = reference[2]
         assert _walk_by_walk_estimate(mp, 4.0, 501, max_total_steps=cap) == reference
-        assert classical_mc_estimate(mp, 4.0, 501, max_total_steps=cap) == reference
+        monkeypatch.setattr(markov, "MAX_TOTAL_WALK_STEPS", cap)
+        assert classical_mc_estimate(mp, 4.0, 501) == reference
         with pytest.raises(WalkTimeoutError):
             _walk_by_walk_estimate(mp, 4.0, 501, max_total_steps=cap - 1)
+        monkeypatch.setattr(markov, "MAX_TOTAL_WALK_STEPS", cap - 1)
         with pytest.raises(WalkTimeoutError):
-            classical_mc_estimate(mp, 4.0, 501, max_total_steps=cap - 1)
+            classical_mc_estimate(mp, 4.0, 501)
 
     @pytest.mark.parametrize("lanes", _LANES)
     def test_draws_on_the_cumulative_sums(self, monkeypatch, lanes):
@@ -766,11 +777,7 @@ class TestLockstepWalker:
         [
             _cycle8, _two_state, _random_reversible, _sparse_dyadic,
             lambda: mark_states(lazy_cycle(4, 0.5), [0]),
-            # the spectrum check, which the table does not read, would double the time
-            lambda: mark_states(validate_chain(
-                random_sparse_dyadic_matrix(np.random.default_rng(20), 2000, 4),
-                require_nonnegative_spectrum=False,
-            ), [0]),
+            _unvalidated_sparse_dyadic_2000,
         ],
         ids=["lazy-8-cycle", "two-state", "random-reversible", "sparse-dyadic-200",
              "lazy-4-cycle", "sparse-dyadic-2000"],
@@ -853,10 +860,10 @@ class TestWalkStream:
         with pytest.raises(ValidationError, match="walks exceed"):
             classical_mc_estimate(two_state, epsilon=0.5, seed=0)
 
-    def test_step_cap_beyond_the_draw_field_rejected(self, two_state):
-        with pytest.raises(ValidationError, match="max_total_steps"):
-            classical_mc_estimate(two_state, epsilon=0.5, seed=0, max_total_steps=2**32 - 2)
-        classical_mc_estimate(two_state, epsilon=0.5, seed=0, max_total_steps=2**32 - 3)
+    def test_step_cap_beyond_the_draw_field_rejected(self):
+        # a walk's draw index reaches the cap + 1, and draw + 1 must stay
+        # below 2^32; the cap is a constant, so no run can set one past that
+        assert MAX_TOTAL_WALK_STEPS + 2 < 2**32
 
 
 class TestChainJson:

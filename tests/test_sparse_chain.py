@@ -36,6 +36,7 @@ from oracles import (
     random_sparse_dyadic_matrix,
     sparse_construction,
     symmetric_two_state,
+    validate_chain_any_spectrum,
 )
 
 
@@ -311,7 +312,7 @@ class TestSqrtFactors:
                 [0.5, 0.25, 0.50],
             ]
         )
-        chain = validate_chain(p, require_nonnegative_spectrum=False)
+        chain = validate_chain_any_spectrum(p)
         construction = sparse_construction(mark_states(chain, [1, 2]))
         assert np.angle(construction.factor(-1)[0, 0]) == pytest.approx(0.0)
         assert construction.factor(-1)[0, 0] == pytest.approx(1.0)
