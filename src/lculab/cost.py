@@ -202,19 +202,14 @@ def theorem2_cost(
     )
 
 
-def theorem2_log_correction(
-    delta_lower: float,
-    epsilon: float,
-    d: float,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> float:
+def theorem2_log_correction(delta_lower: float, epsilon: float, d: float) -> float:
     """Product of the explicit logarithmic factors of the hitting-time total.
 
     Dividing the total by this leaves const * eps^{-1} Delta^{-3/2}, so
     log-log fits of the corrected totals recover the dominant exponents.
     """
     _check_positive(delta_lower=delta_lower, epsilon=epsilon, d=d)
-    eps_prime = hitting_eps_prime(delta_lower, epsilon, constants)
+    eps_prime = hitting_eps_prime(delta_lower, epsilon, DEFAULT_CONSTANTS)
     log_inv, tau = _theorem2_log_and_tau(delta_lower, epsilon, d)
     return log_inv * log_inv * log_over_loglog(tau / eps_prime)
 

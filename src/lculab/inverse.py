@@ -16,6 +16,10 @@ filter on the spectrum of H_U and never builds H~, so nothing is larger than
 the chain itself, whose N the dimension cap bounds. The tests build the
 combination over evolutions of H~ as the reference it is checked against.
 
+The grid and the expectation are fixed by the chain, delta and epsilon, so a
+`HittingTimeTask` builds them on first read; only the amplitude sample
+depends on the seed, and a seed sweep over one task reuses the rest.
+
 Each calibration round is first decided in closed form, in O(samples). The
 inner y-sum is the trapezoid rule for a Gaussian, so by Poisson summation it
 is exp(-z x) plus an aliasing term and minus a truncation tail, both bounded
@@ -34,6 +38,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +61,7 @@ _UNIT_ROUNDOFF = 2.0**-53
 # The most (K+1) * n * (J+1) cosine-recurrence element-steps one filter call
 # may take: 11x the lazy 32-cycle at eps 0.1 (K = 138,422, n = 31, J = 2,090),
 # the largest run measured to finish. Past it the left-rule z-grid is too fine
-# for the gap, and the call fails before it allocates anything.
+# for the gap or the precision, and the call fails before it allocates anything.
 _FILTER_WORK_BUDGET = 10**11
 
 
@@ -101,8 +106,8 @@ class InverseGrid:
             raise CalibrationError(
                 f"the inverse filter needs (K+1) n (J+1) = {work:.3g} element-steps "
                 f"(K={self.k_max}, n={x.size}, J={self.j_max}), past the budget of "
-                f"{_FILTER_WORK_BUDGET:.0e}: the gap bound {self.delta_lower:.3g} is too "
-                f"small for the left-rule z-grid"
+                f"{_FILTER_WORK_BUDGET:.0e}: the left-rule z-grid (delta_z={self.delta_z:.3g}, "
+                f"gap bound {self.delta_lower:.3g}) is too fine"
             )
         args = np.sqrt(2.0 * np.outer(self.z_nodes, x))
         series = gaussian_cosine_series(args, self.delta_y, self.j_max)
@@ -238,27 +243,17 @@ def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
     )
 
 
-def _check_spectrum(grid: InverseGrid, eigs: np.ndarray) -> None:
-    live = eigs[np.abs(eigs) > 1e-9]
-    if live.size and (
-        float(live.min()) < grid.delta_lower - 1e-9 or float(live.max()) > 1.0 + 1e-9
-    ):
-        raise ValidationError(
-            f"sector spectrum [{live.min():.4g}, {live.max():.4g}] leaves "
-            f"[{grid.delta_lower:.4g}, 1]; zero modes are allowed only as spectators"
-        )
-
-
 def t_circuit_expectation(grid: InverseGrid, mp: MarkedPartition) -> float:
     """(pi_U / gamma) <sqrt(pi_U)| X |sqrt(pi_U)> on the sector spectrum of H_U.
 
     X acts on the ancilla-0 sector as inverse_filter(H), so with H = sum_i
     lambda_i |v_i><v_i| the value is pi_U sum_i |<v_i|sqrt(pi_U)>|^2
     inverse_filter(lambda_i) / gamma. This equals t_h / gamma up to the grid's
-    discretization error.
+    discretization error. The spectrum lies inside the grid's [delta_lower, 1]:
+    `MarkedPartition.h_matrix` bounds its top by 1, and a task's delta is at
+    most H_U's lowest eigenvalue.
     """
     eigs, vecs = mp.h_matrix.eigensystem
-    _check_spectrum(grid, eigs)
     weights = np.abs(vecs.conj().T @ mp.sqrt_pi_u) ** 2
     return mp.pi_u * float(weights @ grid.inverse_filter(eigs)) / grid.gamma
 
@@ -345,6 +340,16 @@ class HittingTimeTask:
     def epsilon_prime(self) -> float:
         return hitting_eps_prime(self.delta, self.epsilon, self.constants)
 
+    @cached_property
+    def grid(self) -> InverseGrid:
+        """The inverse grid calibrated at (delta, epsilon), built on first read."""
+        return calibrate_inverse_grid(self.delta, self.epsilon)
+
+    @cached_property
+    def amplitude(self) -> float:
+        """The exact circuit expectation on `grid`, built on first read."""
+        return t_circuit_expectation(self.grid, self.partition)
+
 
 @dataclass(frozen=True)
 class HittingTimeResult:
@@ -353,28 +358,23 @@ class HittingTimeResult:
     z_max: float
     grover_queries: int
     cost: CostReport
-    classical_cost_comparison: tuple[int, float] | None
+    classical_cost_comparison: tuple[int, float]
     exact_hitting_time: float
 
 
-def estimate_hitting_time(
-    task: HittingTimeTask,
-    seed: int = 0,
-    grid: InverseGrid | None = None,
-) -> HittingTimeResult:
-    """Full pipeline: calibrate the inverse grid, compute the exact circuit
-    expectation, sample one amplitude estimate at precision eps', and rescale
-    by z_K. The ledger prices one run as queries * (C_W + C_U + C_sqrt_pi + C_B).
+def estimate_hitting_time(task: HittingTimeTask, seed: int = 0) -> HittingTimeResult:
+    """Full pipeline: sample one amplitude estimate of the task's circuit
+    expectation at precision eps', and rescale by z_K. The ledger prices one
+    run as queries * (C_W + C_U + C_sqrt_pi + C_B).
 
-    `grid` accepts a precomputed grid so seed sweeps over the same task reuse
-    the deterministic part of the pipeline.
+    Only the sample depends on the seed. The task's grid and expectation are
+    built on its first run, so a seed sweep over one task reuses them.
     """
     constants = task.constants
     mp = task.partition
     delta = task.delta
-    if grid is None:
-        grid = calibrate_inverse_grid(delta, task.epsilon)
-    amp = t_circuit_expectation(grid, mp)
+    grid = task.grid
+    amp = task.amplitude
     amp_clipped = min(max(amp, 0.0), 1.0)
     estimate_raw, queries = amplitude_estimation(
         amp_clipped, task.epsilon_prime, task.confidence, seed, constants

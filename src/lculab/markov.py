@@ -337,12 +337,7 @@ def stream_uniforms(key: np.ndarray, walk: np.ndarray, draw: np.ndarray) -> np.n
     return (z >> _U11) * 2.0**-53
 
 
-def classical_mc_estimate(
-    mp: MarkedPartition,
-    epsilon: float,
-    seed: int,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> tuple[float, int, int]:
+def classical_mc_estimate(mp: MarkedPartition, epsilon: float, seed: int) -> tuple[float, int, int]:
     """Monte-Carlo hitting-time estimate from seeded stationary-start walks.
 
     Walk i reads draw 0 (its start) and draw t (its step t) from
@@ -365,7 +360,7 @@ def classical_mc_estimate(
     if seed >= 2**64:
         raise ValidationError(f"seed must be below 2^64, got {seed!r}")
     key = _mix64(np.array([seed], dtype=np.uint64))
-    m = chebyshev_sample_count(mp, epsilon, constants)
+    m = chebyshev_sample_count(mp, epsilon)
     if m >= 2**32:
         raise ValidationError(f"{m} walks exceed the stream's 2^32 walk indices")
     chain = mp.chain

@@ -37,7 +37,7 @@ from lculab.gap_amplification import (
     unitarity_defect,
 )
 from lculab.gibbs import HsGrid
-from lculab.inverse import InverseGrid, _check_spectrum
+from lculab.inverse import InverseGrid
 from lculab.lcu import gaussian_cosine_series, gaussian_weight_sum, gaussian_weights
 from lculab.markov import (
     COLUMN_SUM_ATOL,
@@ -561,6 +561,19 @@ def maximally_entangled_state(n_qubits: int) -> StateVector:
     vec = np.zeros(n * n, dtype=complex)
     vec[np.arange(n) * n + np.arange(n)] = 1.0 / math.sqrt(n)
     return StateVector(vec)
+
+
+def _check_spectrum(grid: InverseGrid, eigs: np.ndarray) -> None:
+    """Raise unless every eigenvalue above 1e-9 in size lies in [delta_lower, 1];
+    zero modes of the enlarged operator pass as spectators."""
+    live = eigs[np.abs(eigs) > 1e-9]
+    if live.size and (
+        float(live.min()) < grid.delta_lower - 1e-9 or float(live.max()) > 1.0 + 1e-9
+    ):
+        raise ValidationError(
+            f"sector spectrum [{live.min():.4g}, {live.max():.4g}] leaves "
+            f"[{grid.delta_lower:.4g}, 1]; zero modes are allowed only as spectators"
+        )
 
 
 def inverse_lcu(grid: InverseGrid, g: GapAmplifiedHamiltonian) -> EvolutionLcu:

@@ -226,12 +226,11 @@ def test_criterion_6_estimator_coverage():
     for label, chain, marked in chains:
         mp = mark_states(chain, marked)
         task = HittingTimeTask(partition=mp, epsilon=epsilon)
-        grid = calibrate_inverse_grid(task.delta, epsilon)
         t_exact = exact_hitting_time_inverse(mp)
         hits = 0
         runs = 400
         for seed in range(runs):
-            res = estimate_hitting_time(task, seed=seed, grid=grid)
+            res = estimate_hitting_time(task, seed=seed)
             err = abs(res.estimate - t_exact)
             worst_err = max(worst_err, err / epsilon)
             if err <= c_tot * epsilon:

@@ -275,6 +275,10 @@ class TestFilterWorkBudget:
         grid = InverseGrid(delta_lower=1e-9, delta_z=1e-3, k_max=10**12, delta_y=1e-3, j_max=10**4)
         with pytest.raises(CalibrationError, match="past the budget"):
             grid.inverse_filter(np.array([0.5]))
+        # K = 336,224,857 comes from delta_z = eps, not from the wide gap
+        with pytest.raises(CalibrationError, match="past the budget") as err:
+            calibrate_inverse_grid(0.5, 1e-7)
+        assert "z-grid (delta_z=1e-07, gap bound 0.5) is too fine" in str(err.value)
 
     def test_budget_is_inclusive(self, monkeypatch):
         grid = calibrate_inverse_grid(0.5, 0.3)
@@ -439,14 +443,29 @@ class TestEstimateHittingTime:
         chain = symmetric_two_state()
         mp = mark_states(chain, [1])
         task = HittingTimeTask(partition=mp, epsilon=0.1)
-        grid = calibrate_inverse_grid(task.delta, task.epsilon)
         hits = 0
         runs = 200
         for seed in range(runs):
-            res = estimate_hitting_time(task, seed=seed, grid=grid)
+            res = estimate_hitting_time(task, seed=seed)
             if abs(res.estimate - 1.0) <= 4 * 0.1:
                 hits += 1
         assert hits / runs >= 0.81
+
+    def test_seed_sweep_builds_grid_and_expectation_once(self, monkeypatch):
+        calls = {"calibrate_inverse_grid": 0, "t_circuit_expectation": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(inverse, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(inverse, name, counted)
+        mp = mark_states(lazy_cycle(8, 0.5), [0])
+        task = HittingTimeTask(partition=mp, epsilon=0.1)
+        results = [estimate_hitting_time(task, seed=seed) for seed in (0, 1, 2)]
+        assert calls == {"calibrate_inverse_grid": 1, "t_circuit_expectation": 1}
+        for seed, res in zip((0, 1, 2), results):
+            fresh = estimate_hitting_time(HittingTimeTask(partition=mp, epsilon=0.1), seed=seed)
+            assert res == fresh
 
     def test_singleton_identity_block(self):
         # U = one state, no self transitions among unmarked: H = [1], t_h = pi_U

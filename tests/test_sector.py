@@ -95,10 +95,11 @@ def test_hitting_matches_enlarged_oracle():
             continue
         assert mp.n_unmarked <= 8
         task = HittingTimeTask(partition=mp, epsilon=0.2, delta_lower=grid.delta_lower)
-        res = estimate_hitting_time(task, seed=checked, grid=grid)
+        res = estimate_hitting_time(task, seed=checked)
+        assert task.grid == grid
 
         g = build_tilde_h(psd_split(mp.h_matrix))
-        combo = inverse_lcu(grid, g)
+        combo = inverse_lcu(task.grid, g)
         state = g.embed_sector_state(mp.sqrt_pi_u)
         image = combo.apply_sum(state)
         assert _leakage(g, image) <= TOL

@@ -392,11 +392,10 @@ class TestAssembly:
         mp = mark_states(chain, [0])
         _, _, g = _pipeline(chain, [0])
         task = HittingTimeTask(partition=mp, epsilon=0.1)
-        grid = calibrate_inverse_grid(task.delta, task.epsilon)
-        res = estimate_hitting_time(task, seed=21, grid=grid)
+        res = estimate_hitting_time(task, seed=21)
         assert abs(res.estimate - res.exact_hitting_time) <= 4 * 0.1
         # evolving the sparse enlarged operator gives the pipeline's expectation
-        assert _sparse_expectation(grid, g, mp) == pytest.approx(res.exact_amplitude, rel=1e-9)
+        assert _sparse_expectation(task.grid, g, mp) == pytest.approx(res.exact_amplitude, rel=1e-9)
 
     def test_deterministic_hitting_consistency_random_chains(self, rng):
         # gamma times the circuit expectation through the sparse enlarged
