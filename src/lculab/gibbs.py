@@ -29,7 +29,13 @@ from .constants import DEFAULT_CONSTANTS, Constants
 from .cost import CostEntry, CostReport, gibbs_eps_prime, presentation_gate_cost
 from .errors import CalibrationError, PreconditionWarning, ValidationError
 from .gap_amplification import check_weight, require_psd
-from .lcu import amplification_rounds, gaussian_cosine_series, gaussian_weight_sum
+from .lcu import (
+    UNIT_ROUNDOFF,
+    amplification_rounds,
+    cosine_series_bounds,
+    gaussian_cosine_series,
+    gaussian_weight_sum,
+)
 from .operators import DensityMatrix, HermitianOperator
 
 logger = logging.getLogger(__name__)
@@ -74,9 +80,43 @@ def _trial_grid(delta_y: float, y_max: float, beta: float) -> HsGrid:
     return HsGrid(j_max=max(1, math.ceil(y_max / delta_y)), delta_y=delta_y, beta=beta)
 
 
-def _grid_error(delta_y: float, y_max: float, beta: float, samples: np.ndarray) -> float:
+def _grid_error(
+    delta_y: float, y_max: float, beta: float, samples: np.ndarray
+) -> tuple[float, float]:
+    """The sample test's max error |exp(-beta x/2) - kernel(x)|, computed on the
+    kernel, as the degenerate interval (err, err)."""
     approx = _trial_grid(delta_y, y_max, beta).kernel(samples)
-    return float(np.max(np.abs(np.exp(-beta * samples / 2) - approx)))
+    err = float(np.max(np.abs(np.exp(-beta * samples / 2) - approx)))
+    return err, err
+
+
+def _error_bounds(
+    delta_y: float, y_max: float, beta: float, samples: np.ndarray
+) -> tuple[float, float]:
+    """An interval (lo, hi) that holds the error `_grid_error` computes, in closed form.
+
+    At a = sqrt(beta x) the kernel is exp(-a^2/2) plus the Poisson images, all
+    positive, minus a truncation tail of size at most erfc(J delta_y/sqrt(2))
+    (`cosine_series_bounds`). So every sample's error is at most images(a_max)
+    + tail, at least the m = 1 image exp(-(2 pi/delta_y - a)^2/2) minus the
+    tail, and at a = 0, where the kernel is the weight sum, at least the
+    weight past |j| = J, erfc((J+1) delta_y/sqrt(2)), minus images(0). Each
+    end is widened by eta = roundoff + 8u + 1e-9 (images + tail): the series'
+    own error, the float evaluation of exp(-beta x/2) (whose argument differs
+    from a^2/2 by 3 ulps) and the subtraction, and that of the bound terms.
+    The kernel's arguments are computed as `HsGrid.kernel` computes them.
+    """
+    grid = _trial_grid(delta_y, y_max, beta)
+    a = np.sqrt(beta * samples)
+    images, tail, roundoff = cosine_series_bounds(float(a.max()), delta_y, grid.j_max)
+    if images == math.inf:
+        return -math.inf, math.inf
+    eta = roundoff + 8.0 * UNIT_ROUNDOFF + 1e-9 * (images + tail)
+    lo = float(np.max(np.exp(-0.5 * (2.0 * math.pi / delta_y - a) ** 2))) - tail
+    if a.min() == 0.0:
+        beyond = math.erfc((grid.j_max + 1) * delta_y / math.sqrt(2.0))
+        lo = max(lo, beyond - cosine_series_bounds(0.0, delta_y, grid.j_max)[0])
+    return lo - eta, images + tail + eta
 
 
 def _sample_points(norm_bound: float) -> np.ndarray:
@@ -90,10 +130,15 @@ def calibrate_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> H
 
     Starts from the unit-constant seed delta_y = 1/sqrt(norm * beta * ln(1/eps'))
     and y_max = sqrt(ln(1/eps')), then halves delta_y or grows y_max, whichever
-    helps more, until the max error over 64 samples is below eps'/2. It
-    warns about nothing, since the calibration test is self-certifying:
-    Lemma 1's validity window (norm*beta >= 4, ln(1/eps') >= 4) belongs to
-    the thermal pipeline, and `prepare_gibbs` checks it.
+    gives the smaller max error over 64 samples, until that error is below
+    eps'/2. Each error is first bounded in closed form (`_error_bounds`): a grid
+    is accepted or rejected on the bound, and a refinement chosen on it, only
+    where the intervals decide what the errors would, so the bound never
+    changes a grid. Only the comparisons it leaves open run the cosine kernel
+    (`_grid_error`). It warns about nothing, since the calibration test is
+    self-certifying: Lemma 1's validity window (norm*beta >= 4,
+    ln(1/eps') >= 4) belongs to the thermal pipeline, and `prepare_gibbs`
+    checks it.
     """
     if not (norm_bound > 0 and math.isfinite(norm_bound)):
         raise ValidationError(f"norm bound must be positive, got {norm_bound!r}")
@@ -111,26 +156,35 @@ def calibrate_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> H
     samples = _sample_points(norm_bound)
     target = _TARGET_MARGIN * epsilon_prime / 2
 
-    err = _grid_error(delta_y, y_max, beta, samples)
+    # Each err is an interval (lo, hi) holding a trial grid's error; the
+    # kernel's own error is the interval (err, err).
+    err = _error_bounds(delta_y, y_max, beta, samples)
     for iteration in range(_MAX_DOUBLINGS):
-        if err <= target:
+        if err[0] <= target < err[1]:
+            err = _grid_error(delta_y, y_max, beta, samples)
+        if err[1] <= target:
             break
-        err_half = _grid_error(delta_y / 2, y_max, beta, samples)
-        err_grow = _grid_error(delta_y, 1.5 * y_max, beta, samples)
-        if err_half <= err_grow:
+        err_half = _error_bounds(delta_y / 2, y_max, beta, samples)
+        err_grow = _error_bounds(delta_y, 1.5 * y_max, beta, samples)
+        if not (err_half[1] <= err_grow[0] or err_grow[1] < err_half[0]):
+            err_half = _grid_error(delta_y / 2, y_max, beta, samples)
+            err_grow = _grid_error(delta_y, 1.5 * y_max, beta, samples)
+        if err_half[1] <= err_grow[0]:
             delta_y /= 2
             err = err_half
         else:
             y_max *= 1.5
             err = err_grow
         logger.debug(
-            "hs-grid calibration %d: delta_y=%.3g y_max=%.3g err=%.3e target=%.3e",
-            iteration, delta_y, y_max, err, target,
+            "hs-grid calibration %d: delta_y=%.3g y_max=%.3g err in [%.3e, %.3e] target=%.3e",
+            iteration, delta_y, y_max, err[0], err[1], target,
         )
     else:
+        if err[0] != err[1]:
+            err = _grid_error(delta_y, y_max, beta, samples)
         raise CalibrationError(
             f"node grid failed to reach {target:.3e} in {_MAX_DOUBLINGS} refinements "
-            f"(err={err:.3e})"
+            f"(err={err[1]:.3e})"
         )
     return _trial_grid(delta_y, y_max, beta)
 

@@ -12,9 +12,10 @@ H_U, the spectrum and gap delta of H_U, and the exact hitting time, read off
 the resolvent solve that the classical cost comparison shares. The
 combination is even in H~, so on the ancilla-0 sector it is the certified
 scalar filter `InverseGrid.inverse_filter` of H_U. The pipeline evaluates that
-filter on the spectrum of H_U and never builds H~, so nothing is larger than
-the chain itself, whose N the dimension cap bounds. The tests build the
-combination over evolutions of H~ as the reference it is checked against.
+filter on the eigenvalues of H_U whose eigenvectors carry stationary weight
+and never builds H~, so nothing is larger than the chain itself, whose N the
+dimension cap bounds. The tests build the combination over evolutions of H~
+as the reference it is checked against.
 
 The grid and the expectation are fixed by the chain, delta and epsilon, so a
 `HittingTimeTask` builds them on first read; only the amplitude sample
@@ -30,7 +31,9 @@ only where the sample test would give the same verdict, so the certificate
 never changes a grid; only the rounds it leaves open run the cosine kernel.
 Those check the samples a few at a time and reject a grid at the first
 miss. A filter value does not depend on how many points share the call, so
-the grids accepted are those of a test on all samples at once.
+the grids accepted are those of a test on all samples at once. The inner
+y-grid's calibration reads the same Poisson bound (`calibrate_hs_grid`), and
+runs only when z_K changes.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .cost import CostEntry, CostReport, hitting_eps_prime, presentation_gate_co
 from .errors import CalibrationError, ValidationError
 from .gap_amplification import split_indices
 from .gibbs import calibrate_hs_grid
-from .lcu import gaussian_cosine_series, gaussian_weight_sum
+from .lcu import UNIT_ROUNDOFF, cosine_series_bounds, gaussian_cosine_series, gaussian_weight_sum
 from .markov import MarkedPartition, check_seed, exact_hitting_time_resolvent, expected_mc_cost
 
 logger = logging.getLogger(__name__)
@@ -57,11 +60,11 @@ _MAX_ITERATIONS = 20
 _EXIT_BLOCK = 8
 _TARGET_MARGIN = 0.9
 _BASE_CONFIDENCE = 8.0 / math.pi**2
-_UNIT_ROUNDOFF = 2.0**-53
 # The most (K+1) * n * (J+1) cosine-recurrence element-steps one filter call
-# may take: 11x the lazy 32-cycle at eps 0.1 (K = 138,422, n = 31, J = 2,090),
-# the largest run measured to finish. Past it the left-rule z-grid is too fine
-# for the gap or the precision, and the call fails before it allocates anything.
+# may take: 11x the lazy 32-cycle's whole spectrum at eps 0.1 (K = 138,422,
+# n = 31, J = 2,090; its expectation filters 16 of them), the largest run
+# measured to finish. Past it the left-rule z-grid is too fine for the gap or
+# the precision, and the call fails before it allocates anything.
 _FILTER_WORK_BUDGET = 10**11
 
 
@@ -120,26 +123,16 @@ def exit_certificate(
     """Decide the sample exit test from the grid alone: (verdict, max U).
 
     With G(x) = delta_z expm1(-(K+1) delta_z x) / expm1(-delta_z x), the left
-    z-sum of exp(-z x), the filter lies within B = (K+1) delta_z (alias +
-    tail) of G wherever a_max = sqrt(2 z_K max x) < pi/delta_y:
-    - alias = 2 sum_{m>=1} exp(-(2 pi m/delta_y - a_max)^2/2), the Poisson
-      images of the y-sum, bounded by its first term over a geometric factor;
-    - tail = erfc(J delta_y/sqrt(2)), the weight past |j| = J.
-    The computed filter differs from the exact one by at most the roundoff
-    margin, with u = 2^-53 and s = 1 + delta_y,
-        eta(x) = u (K+1) delta_z [16 ((1 + 1/delta_y)^2 + (J+1) s) + 2 (K+1) s]
-                 + 64 u/x + 1e-9 B.
-    - The cosine recurrence errs by at most 5.5 j^2 u at term j: 4 ulps in
-      its cosine move T_j by at most j^2 times that, and each step's 3u
-      reaches T_j through |U_n| <= n+1. The weights bound the weighted sum:
-      sum_j 2 w_j j^2 <= (1 + 0.6 delta_y)/delta_y^2, since y^2 phi(y) is
-      unimodal. The rounded nodes move the phase by at most 3 pi u, which
-      the series feels through sum_j 2 w_j j <= (0.8 + 0.5 delta_y)/delta_y.
-      With the J additions into the sum and the weights' own rounding,
-      that is 16 ((1 + 1/delta_y)^2 + (J+1) s) u per series, with room.
-    - The row-order z-sum adds K+1 series, each at most s in size.
-    - 64 u/x covers 1/x, the final scaling and subtraction, and the float
-      evaluation of G; 1e-9 B covers that of alias and tail.
+    z-sum of exp(-z x), the filter lies within B = (K+1) delta_z (images +
+    tail) of G wherever a_max = sqrt(2 z_K max x) < pi/delta_y, where images
+    and tail are the y-sum's Poisson images and truncation tail at a_max
+    (`cosine_series_bounds`). The computed filter differs from the exact one
+    by at most the roundoff margin, with u = 2^-53 and s = 1 + delta_y,
+        eta(x) = (K+1) delta_z [roundoff + 2 (K+1) s u] + 64 u/x + 1e-9 B,
+    where roundoff bounds each series' own error, the row-order z-sum adds
+    K+1 series, each at most s in size, 64 u/x covers 1/x, the final scaling
+    and subtraction, and the float evaluation of G, and 1e-9 B covers that
+    of images and tail.
     U(x) = |G - 1/x| + B + eta(x) bounds the error the sample test computes.
     The verdict is True when max U <= target, False when some sample has
     |G - 1/x| - B - eta > target, and None when the bound cannot tell or
@@ -147,20 +140,18 @@ def exit_certificate(
     """
     k1, dz, dy = grid.k_max + 1, grid.delta_z, grid.delta_y
     # sqrt(2 z_K x) rounds at most 2u low, so the factor keeps a_max an upper bound.
-    a_max = math.sqrt(2.0 * grid.z_max * float(samples.max())) * (1.0 + 4.0 * _UNIT_ROUNDOFF)
-    if a_max >= math.pi / dy:
+    a_max = math.sqrt(2.0 * grid.z_max * float(samples.max())) * (1.0 + 4.0 * UNIT_ROUNDOFF)
+    images, tail, roundoff = cosine_series_bounds(a_max, dy, grid.j_max)
+    if images == math.inf:
         return None, math.inf
-    # b_m = 2 pi m/dy - a_max grows by 2 pi/dy per m, so the m >= 2 images
-    # shrink geometrically, by exp(-2 pi b_1/dy) or faster.
-    b1 = 2.0 * math.pi / dy - a_max
-    alias = 2.0 * math.exp(-0.5 * b1 * b1) / -math.expm1(-2.0 * math.pi * b1 / dy)
-    tail = math.erfc(grid.j_max * dy / math.sqrt(2.0))
-    bound = k1 * dz * (alias + tail)
+    bound = k1 * dz * (images + tail)
     geometric = dz * np.expm1(-k1 * dz * samples) / np.expm1(-dz * samples)
     gap = np.abs(geometric - 1.0 / samples)
-    s = 1.0 + dy
-    per_series = 16.0 * ((1.0 + 1.0 / dy) ** 2 + (grid.j_max + 1) * s)
-    eta = _UNIT_ROUNDOFF * (k1 * dz * (per_series + 2.0 * k1 * s) + 64.0 / samples) + 1e-9 * bound
+    eta = (
+        k1 * dz * (roundoff + 2.0 * k1 * (1.0 + dy) * UNIT_ROUNDOFF)
+        + 64.0 * UNIT_ROUNDOFF / samples
+        + 1e-9 * bound
+    )
     upper = float(np.max(gap + bound + eta))
     if upper <= target:
         return True, upper
@@ -172,18 +163,18 @@ def exit_certificate(
 def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
     """Pick (z_K, delta_z) and the inner node grid so the double sum hits 1/x.
 
-    Seeds z_K = (1/Delta) ln(1/(Delta eps)) and delta_z = eps, recalibrating
-    the inner grid to tolerance eps/(4 z_K) whenever z_K changes; on failure
-    the exponential tail diagnostic decides whether to double z_K or halve
-    delta_z. The exit test is the full double sum against 1/x on 64 samples
-    of [Delta, 1]: a grid is accepted only when every sample is within
-    target. Each round is first put to `exit_certificate`, which accepts or
-    rejects it in closed form only where the sample test would agree, so it
-    changes no grid. The rounds it leaves open check the samples in
-    ascending blocks of at most `_EXIT_BLOCK` and stop at the first block
-    that misses. The filter's values do not depend on the width of a call,
-    so the rounds, the accepted grid and its error are those of the full
-    test.
+    Seeds z_K = (1/Delta) ln(1/(Delta eps)) and delta_z = eps, and calibrates
+    the inner grid to tolerance eps/(4 z_K) whenever z_K changes: a round that
+    keeps z_K keeps the last inner grid, which is a pure function of z_K and
+    eps. On failure the exponential tail diagnostic decides whether to double
+    z_K or halve delta_z. The exit test is the full double sum against 1/x on
+    64 samples of [Delta, 1]: a grid is accepted only when every sample is
+    within target. Each round is first put to `exit_certificate`, which
+    accepts or rejects it in closed form only where the sample test would
+    agree, so it changes no grid. The rounds it leaves open check the samples
+    in ascending blocks of at most `_EXIT_BLOCK` and stop at the first block
+    that misses. The filter's values do not depend on the width of a call, so
+    the rounds, the accepted grid and its error are those of the full test.
     """
     if not (0 < delta_lower <= 1):
         raise ValidationError(f"delta_lower must be in (0, 1], got {delta_lower!r}")
@@ -203,10 +194,13 @@ def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
     blocks = [samples[i : i + _EXIT_BLOCK] for i in range(0, samples.size, _EXIT_BLOCK)]
     target = _TARGET_MARGIN * epsilon / 2
 
+    inner_z_max = None
     for iteration in range(_MAX_ITERATIONS):
         k_max = max(1, math.ceil(z_target / delta_z))
         z_max = k_max * delta_z
-        inner = calibrate_hs_grid(1.0, 2.0 * z_max, epsilon / (2.0 * z_max))
+        if z_max != inner_z_max:
+            inner_z_max = z_max
+            inner = calibrate_hs_grid(1.0, 2.0 * z_max, epsilon / (2.0 * z_max))
         grid = InverseGrid(
             delta_lower=delta_lower,
             delta_z=delta_z,
@@ -247,15 +241,28 @@ def t_circuit_expectation(grid: InverseGrid, mp: MarkedPartition) -> float:
     """(pi_U / gamma) <sqrt(pi_U)| X |sqrt(pi_U)> on the sector spectrum of H_U.
 
     X acts on the ancilla-0 sector as inverse_filter(H), so with H = sum_i
-    lambda_i |v_i><v_i| the value is pi_U sum_i |<v_i|sqrt(pi_U)>|^2
-    inverse_filter(lambda_i) / gamma. This equals t_h / gamma up to the grid's
-    discretization error. The spectrum lies inside the grid's [delta_lower, 1]:
-    `MarkedPartition.h_matrix` bounds its top by 1, and a task's delta is at
-    most H_U's lowest eigenvalue.
+    lambda_i |v_i><v_i| and weights w_i = |<v_i|sqrt(pi_U)>|^2 the value is
+    pi_U sum_i w_i inverse_filter(lambda_i) / gamma. This equals t_h / gamma
+    up to the grid's discretization error. The spectrum lies inside the
+    grid's [delta_lower, 1]: `MarkedPartition.h_matrix` bounds its top by 1,
+    and a task's delta is at most H_U's lowest eigenvalue.
+
+    The filter is evaluated only where w_i gamma > 2^-60 max_k w_k, and a
+    skipped eigenvalue adds 0 in its slot, so the sum keeps its length and
+    order. Every weight of the double sum is positive and every cosine at
+    most 1, so |inverse_filter| <= gamma: skipping moves the value by at
+    most pi_U sum_skipped w_i, and the estimate z_K * value by at most
+    z_K pi_U sum_skipped w_i. Each skipped term is below 2^-60 of the
+    largest one, itself at least w_max since the filter is near 1/x >= 1.
+    On the lazy cycles the reflection-odd eigenvectors carry weight near
+    1e-32 and are skipped; a chain without such a symmetry skips nothing.
     """
     eigs, vecs = mp.h_matrix.eigensystem
     weights = np.abs(vecs.conj().T @ mp.sqrt_pi_u) ** 2
-    return mp.pi_u * float(weights @ grid.inverse_filter(eigs)) / grid.gamma
+    live = weights * grid.gamma > 2.0**-60 * weights.max()
+    f = np.zeros_like(eigs)
+    f[live] = grid.inverse_filter(eigs[live])
+    return mp.pi_u * float(weights @ f) / grid.gamma
 
 
 def outcome_distribution(true_value: float, m: int) -> np.ndarray:
@@ -376,6 +383,10 @@ def estimate_hitting_time(task: HittingTimeTask, seed: int = 0) -> HittingTimeRe
     grid = task.grid
     amp = task.amplitude
     amp_clipped = min(max(amp, 0.0), 1.0)
+    if amp_clipped != amp:
+        # |inverse_filter| <= gamma keeps amp <= pi_U <= 1, so only a negative
+        # amplitude, a filter far off 1/x, can be clamped.
+        logger.warning("circuit expectation %.6g clamped to %g for sampling", amp, amp_clipped)
     estimate_raw, queries = amplitude_estimation(
         amp_clipped, task.epsilon_prime, task.confidence, seed, constants
     )

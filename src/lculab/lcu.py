@@ -7,7 +7,9 @@ on the spectrum of H through `gaussian_cosine_series`. It runs its Chebyshev
 recurrence over cache-sized blocks of the argument with in-place buffer
 updates; every element still sees the same floating-point operations in the
 same order, so its values are those of the plain whole-array recurrence, bit
-for bit.
+for bit. `cosine_series_bounds` bounds how far it lies from exp(-a^2/2) in
+closed form, so both grid calibrations run it only where the bound leaves a
+verdict open.
 
 Amplitude amplification is modeled by round counting on exact success
 amplitudes rather than by simulating reflection circuits: the round count is
@@ -25,6 +27,7 @@ from .constants import DEFAULT_CONSTANTS, Constants
 from .errors import AnnihilationError
 
 _COSINE_BLOCK = 1 << 14
+UNIT_ROUNDOFF = 2.0**-53
 
 
 def gaussian_weights(delta_y: float, j_max: int) -> np.ndarray:
@@ -74,6 +77,42 @@ def gaussian_cosine_series(a, delta_y: float, j_max: int):
             t_next -= t_prev
             t_prev, t_cur, t_next = t_cur, t_next, t_prev
     return out.reshape(a.shape)
+
+
+def cosine_series_bounds(a_max: float, delta_y: float, j_max: int) -> tuple[float, float, float]:
+    """(images, tail, roundoff): closed-form bounds on how the computed
+    `gaussian_cosine_series(a, delta_y, j_max)` differs from exp(-a^2/2) at
+    0 <= a <= a_max < pi/delta_y.
+
+    The series is the trapezoid rule for the Gaussian's Fourier integral,
+    truncated at |j| = J. By Poisson summation the untruncated sum is
+    exp(-a^2/2) plus the images sum_{m!=0} exp(-(a - 2 pi m/delta_y)^2/2), all
+    positive, and truncation subtracts sum_{|j|>J} w_j cos(j delta_y a):
+    - images <= 2 sum_{m>=1} exp(-(2 pi m/delta_y - a_max)^2/2), bounded by its
+      first term over a geometric factor: b_m = 2 pi m/delta_y - a_max grows
+      by 2 pi/delta_y per m, so the m >= 2 terms shrink by exp(-2 pi b_1/delta_y)
+      or faster. It is inf when a_max >= pi/delta_y.
+    - tail = erfc(J delta_y/sqrt(2)) bounds the weight past |j| = J, since the
+      Gaussian falls past every node.
+    - roundoff = 16 ((1 + 1/delta_y)^2 + (J+1) s) u, with u = 2^-53 and
+      s = 1 + delta_y, bounds the floating-point error of one series. The
+      cosine recurrence errs by at most 5.5 j^2 u at term j: 4 ulps in its
+      cosine move T_j by at most j^2 times that, and each step's 3u reaches
+      T_j through |U_n| <= n+1. The weights bound the weighted sum:
+      sum_j 2 w_j j^2 <= (1 + 0.6 delta_y)/delta_y^2, since y^2 phi(y) is
+      unimodal. A rounded argument moves the phase by at most 3 pi u, which
+      the series feels through sum_j 2 w_j j <= (0.8 + 0.5 delta_y)/delta_y.
+      With the J additions into the sum, each at most s in size, and the
+      weights' own rounding, the total fits the bound with room.
+    """
+    if a_max >= math.pi / delta_y:
+        images = math.inf
+    else:
+        b1 = 2.0 * math.pi / delta_y - a_max
+        images = 2.0 * math.exp(-0.5 * b1 * b1) / -math.expm1(-2.0 * math.pi * b1 / delta_y)
+    tail = math.erfc(j_max * delta_y / math.sqrt(2.0))
+    roundoff = 16.0 * UNIT_ROUNDOFF * ((1.0 + 1.0 / delta_y) ** 2 + (j_max + 1) * (1.0 + delta_y))
+    return images, tail, roundoff
 
 
 def amplification_rounds(success_amplitude: float, constants: Constants = DEFAULT_CONSTANTS) -> int:

@@ -61,6 +61,13 @@ from lculab.rand import random_unitary
 from lculab import markov, sparse_chain
 
 STATE_NORM_ATOL = 1e-12
+# The 6-qubit open transverse-field Ising chain the `gibbs-tfim` benchmark
+# workload draws at seed 501.
+BENCH_TFIM_6 = (
+    "-1.0 ZZIIII\n-1.0 IZZIII\n-1.0 IIZZII\n-1.0 IIIZZI\n-1.0 IIIIZZ\n"
+    "-0.6599899729332885 XIIIII\n-0.9200957879425051 IXIIII\n-0.909532777346238 IIXIII\n"
+    "-0.8470933994985628 IIIXII\n-0.94749726079068 IIIIXI\n-0.8027418202173167 IIIIIX\n"
+)
 _DILATION_TERM_CAP = 1024
 _DILATION_SIZE_CAP = 1 << 18
 _FILTER_CHUNK = 1 << 22
@@ -561,6 +568,42 @@ def maximally_entangled_state(n_qubits: int) -> StateVector:
     vec = np.zeros(n * n, dtype=complex)
     vec[np.arange(n) * n + np.arange(n)] = 1.0 / math.sqrt(n)
     return StateVector(vec)
+
+
+def all_kernel_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> HsGrid:
+    """`calibrate_hs_grid` with every verdict and every halve-or-grow choice
+    taken on the kernel's error over the 64 samples, and no closed-form bound."""
+    log_inv = math.log(1.0 / epsilon_prime)
+    delta_y = 1.0 / math.sqrt(norm_bound * max(beta, 4.0 / norm_bound) * log_inv)
+    y_max = math.sqrt(log_inv)
+    samples = _hs_samples(norm_bound)
+    target = 0.9 * epsilon_prime / 2
+
+    def error(dy: float, ym: float) -> float:
+        kernel = _hs_trial(dy, ym, beta).kernel(samples)
+        return float(np.max(np.abs(np.exp(-beta * samples / 2) - kernel)))
+
+    err = error(delta_y, y_max)
+    for _ in range(20):
+        if err <= target:
+            return _hs_trial(delta_y, y_max, beta)
+        err_half, err_grow = error(delta_y / 2, y_max), error(delta_y, 1.5 * y_max)
+        if err_half <= err_grow:
+            delta_y, err = delta_y / 2, err_half
+        else:
+            y_max, err = 1.5 * y_max, err_grow
+    raise AssertionError("reference calibration did not converge")
+
+
+def _hs_trial(delta_y: float, y_max: float, beta: float) -> HsGrid:
+    return HsGrid(j_max=max(1, math.ceil(y_max / delta_y)), delta_y=delta_y, beta=beta)
+
+
+def _hs_samples(norm_bound: float) -> np.ndarray:
+    """The 64 calibration samples of [0, norm]: 32 even, 32 geometric from norm/10^4."""
+    lin = np.linspace(0.0, norm_bound, 32)
+    geo = np.geomspace(max(norm_bound * 1e-4, 1e-12), norm_bound, 32)
+    return np.concatenate([lin, geo])
 
 
 def _check_spectrum(grid: InverseGrid, eigs: np.ndarray) -> None:

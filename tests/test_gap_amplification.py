@@ -13,6 +13,7 @@ from lculab.gap_amplification import parse_pauli_lines, split_indices, unitarity
 from lculab.operators import DIMENSION_CAP, HermitianOperator
 from lculab.rand import random_state
 from oracles import (
+    BENCH_TFIM_6,
     ProjectorDecomposition,
     assemble_gap_amplified,
     build_tilde_h,
@@ -198,13 +199,6 @@ class TestSimulationCost:
         assert weights == pytest.approx(sum(map(math.sqrt, p.weights)), rel=1e-14)
 
 
-_BENCH_TFIM_6 = (
-    "-1.0 ZZIIII\n-1.0 IZZIII\n-1.0 IIZZII\n-1.0 IIIZZI\n-1.0 IIIIZZ\n"
-    "-0.6599899729332885 XIIIII\n-0.9200957879425051 IXIIII\n-0.909532777346238 IIXIII\n"
-    "-0.8470933994985628 IIIXII\n-0.94749726079068 IIIIXI\n-0.8027418202173167 IIIIIX\n"
-)
-
-
 @st.composite
 def pauli_texts(draw):
     """Word sets of 1-8 qubits: I/X/Y/Z letters, signed and zero coefficients
@@ -251,7 +245,7 @@ class TestPauliParsing:
         [
             "1.0 ZZI\n0.7 IZZ\n0.4 XIX\n0.3 IXI",
             "0.8 XYI\n-0.6 IZY\n0.5 YYZ\n-0.3 XIX\n-0.2 IYI",
-            _BENCH_TFIM_6,
+            BENCH_TFIM_6,
         ],
     )
     @settings(max_examples=20, deadline=None)

@@ -4,7 +4,9 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from lculab import gibbs
 from lculab.errors import PreconditionWarning, ValidationError
 from lculab.gap_amplification import parse_pauli_lines
 from lculab.gibbs import GibbsTask, calibrate_hs_grid, prepare_gibbs
@@ -12,8 +14,10 @@ from lculab.lcu import amplification_rounds, gaussian_weights
 from lculab.operators import DensityMatrix, HermitianOperator, matrix_function
 from lculab.rand import random_state
 from oracles import (
+    BENCH_TFIM_6,
     LcuOperator,
     ProjectorDecomposition,
+    all_kernel_hs_grid,
     build_tilde_h,
     hs_lcu,
     maximally_entangled_state,
@@ -64,6 +68,90 @@ class TestGridCalibration:
             calibrate_hs_grid(-1.0, 4.0, EPS4)
         with pytest.raises(ValidationError):
             calibrate_hs_grid(1.0, 4.0, 1.5)
+
+
+def _kernel_calls(monkeypatch):
+    """Record the argument shape of every cosine-kernel call the thermal pipeline makes."""
+    calls = []
+
+    def counting(a, delta_y, j_max, _original=gibbs.gaussian_cosine_series):
+        calls.append(np.shape(a))
+        return _original(a, delta_y, j_max)
+
+    monkeypatch.setattr(gibbs, "gaussian_cosine_series", counting)
+    return calls
+
+
+class TestErrorBounds:
+    """The closed-form interval against the error the kernel computes.
+
+    `_error_bounds` widens the Poisson bounds by eta = roundoff + 8u +
+    1e-9 (images + tail), with roundoff the per-series margin of
+    `cosine_series_bounds`; the kernel's own sample test is the oracle.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        norm=st.floats(0.5, 20.0),
+        beta=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+        ratio=st.floats(0.05, 1.2),
+        y_max=st.floats(0.5, 9.0),
+    )
+    # at y_max = 9 the images and the tail are below the rounding, so the
+    # interval at these grids rests on eta alone
+    @example(norm=1.0, beta=0.0, ratio=0.3, y_max=9.0)
+    @example(norm=20.0, beta=100.0, ratio=0.1, y_max=9.0)
+    def test_interval_holds_the_kernel_error(self, norm, beta, ratio, y_max):
+        # ratio is delta_y * a_max / pi; past 1 the interval is unbounded
+        delta_y = ratio * math.pi / max(math.sqrt(beta * norm), 1.0)
+        samples = gibbs._sample_points(norm)
+        assert samples[0] == 0.0
+        # all 64 samples, the x = 0 sample alone, and the rest without it
+        for points in (samples, samples[:1], samples[1:]):
+            lo, hi = gibbs._error_bounds(delta_y, y_max, beta, points)
+            err, _ = gibbs._grid_error(delta_y, y_max, beta, points)
+            assert lo <= err <= hi
+            if ratio < 1:
+                assert hi < math.inf
+
+    def test_x_zero_bound_decides_a_short_grid(self):
+        # beta = 0: every sample sits at a = 0, where the kernel is the weight
+        # sum; the weight past |j| = J sets the error from both sides
+        samples = gibbs._sample_points(1.0)
+        lo, hi = gibbs._error_bounds(0.5, 1.0, 0.0, samples)
+        err, _ = gibbs._grid_error(0.5, 1.0, 0.0, samples)
+        assert 0.5 * err < lo <= err <= hi < 2.0 * err
+
+    def test_grids_equal_the_all_kernel_loop(self, monkeypatch):
+        calls = _kernel_calls(monkeypatch)
+        rng = np.random.default_rng(23)
+        cases = [
+            (
+                math.exp(rng.uniform(math.log(0.5), math.log(20.0))),
+                math.exp(rng.uniform(math.log(0.2), math.log(100.0))),
+                math.exp(rng.uniform(math.log(1e-8), math.log(0.2))),
+            )
+            for _ in range(120)
+        ]
+        cases += [(1.0, 0.0, EPS4), (3.0, 0.0, 1e-6), (0.5, 0.2, 0.1)]
+        kernel_runs = 0
+        for norm, beta, eps in cases:
+            before = len(calls)
+            grid = calibrate_hs_grid(norm, beta, eps)
+            kernel_runs += len(calls) - before
+            assert grid == all_kernel_hs_grid(norm, beta, eps), (norm, beta, eps)
+        # the reference runs the kernel on every trial grid; over all these
+        # calibrations the bound leaves it two comparisons
+        assert kernel_runs <= 2
+
+    def test_tfim_calibration_runs_no_kernel(self, monkeypatch):
+        # the 6-qubit TFIM of the gibbs-tfim benchmark at beta 2, eps 0.05:
+        # the one kernel call is the filter on the 64 eigenvalues of H
+        calls = _kernel_calls(monkeypatch)
+        matrix, weights, _ = parse_pauli_lines(BENCH_TFIM_6)
+        task = GibbsTask(HermitianOperator(matrix), beta=2.0, epsilon=0.05, weights=weights)
+        prepare_gibbs(task)
+        assert calls == [(64,)]
 
 
 class TestHsLcu:

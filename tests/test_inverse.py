@@ -1,3 +1,4 @@
+import logging
 import math
 import warnings
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lculab import inverse
 from lculab.errors import CalibrationError, ValidationError
-from lculab.gibbs import calibrate_hs_grid
+from lculab import gibbs
 from lculab.inverse import (
     HittingTimeTask,
     InverseGrid,
@@ -22,12 +23,14 @@ from lculab.markov import lazy_cycle, mark_states, validate_chain
 from lculab.rand import random_hermitian_with_spectrum, random_state
 from oracles import (
     LcuOperator,
+    all_kernel_hs_grid,
     build_tilde_h,
     exact_hitting_time_inverse,
     exponential_grid_error,
     inverse_lcu,
     perturbed_unitary,
     psd_split,
+    random_reversible_chain,
     symmetric_two_state,
     validate_chain_any_spectrum,
 )
@@ -42,7 +45,7 @@ def _exit_samples(delta_lower):
 
 def _full_exit_calibration(delta_lower, epsilon):
     """The calibration loop with its exit test run on all samples in one call,
-    and no certificate."""
+    no certificate, and the inner grid calibrated on the kernel at every round."""
     kappa = 1.0 / delta_lower
     z_target = kappa * math.log(kappa / epsilon)
     delta_z = epsilon
@@ -51,7 +54,7 @@ def _full_exit_calibration(delta_lower, epsilon):
     for _ in range(20):
         k_max = max(1, math.ceil(z_target / delta_z))
         z_max = k_max * delta_z
-        inner = calibrate_hs_grid(1.0, 2.0 * z_max, epsilon / (2.0 * z_max))
+        inner = all_kernel_hs_grid(1.0, 2.0 * z_max, epsilon / (2.0 * z_max))
         grid = InverseGrid(
             delta_lower=delta_lower,
             delta_z=delta_z,
@@ -70,6 +73,19 @@ def _full_exit_calibration(delta_lower, epsilon):
 
 def _cycle_delta(n=8):
     return mark_states(lazy_cycle(n), [0]).delta
+
+
+def _count_kernel_calls(monkeypatch):
+    """Record the argument shape of every cosine-kernel call of both grids."""
+    calls = []
+
+    def counting(a, delta_y, j_max, _original=inverse.gaussian_cosine_series):
+        calls.append(np.shape(a))
+        return _original(a, delta_y, j_max)
+
+    monkeypatch.setattr(inverse, "gaussian_cosine_series", counting)
+    monkeypatch.setattr(gibbs, "gaussian_cosine_series", counting)
+    return calls
 
 
 class TestGridCalibration:
@@ -141,11 +157,29 @@ class TestGridCalibration:
         return calls
 
     def test_cycle_calibration_runs_no_kernel(self, monkeypatch):
-        # the certificate rejects two rounds and accepts the third
+        # the certificate rejects two rounds and accepts the third, and the
+        # inner y-grid calibrations run on their own closed-form bound
         calls = self._count_filter_calls(monkeypatch)
+        kernel_calls = _count_kernel_calls(monkeypatch)
         grid = calibrate_inverse_grid(_cycle_delta(), 0.1)
         assert calls == []
+        assert kernel_calls == []
         assert (grid.k_max, grid.j_max) == (5856, 315)
+
+    def test_inner_grid_is_recalibrated_only_when_z_max_changes(self, monkeypatch):
+        # the lazy 8-cycle doubles z_K after round one, then halves delta_z,
+        # which keeps z_K: three rounds, two inner calibrations
+        calls = []
+
+        def counting(norm, beta, eps, _original=gibbs.calibrate_hs_grid):
+            calls.append((norm, beta, eps))
+            return _original(norm, beta, eps)
+
+        monkeypatch.setattr(inverse, "calibrate_hs_grid", counting)
+        grid = calibrate_inverse_grid(_cycle_delta(), 0.1)
+        assert [beta for _, beta, _ in calls] == pytest.approx([grid.z_max, 2.0 * grid.z_max])
+        assert calls[-1][1] == 2.0 * grid.z_max
+        assert grid == _full_exit_calibration(_cycle_delta(), 0.1)
 
     @pytest.mark.parametrize(
         "delta, eps, rejected",
@@ -392,6 +426,42 @@ class TestCircuitExpectation:
         assert abs(substituted - value) <= 0.04 / 4 * abs(value) + 1e-12
 
 
+    @pytest.mark.parametrize(
+        "mp, eps, skipped",
+        [
+            (mark_states(lazy_cycle(8), [0]), 0.1, 3),
+            (mark_states(lazy_cycle(16), [0]), 0.1, 7),
+            # eps 0.8 keeps the full-spectrum reference to K = 12,985 z-nodes
+            (mark_states(lazy_cycle(32), [0]), 0.8, 15),
+            (mark_states(random_reversible_chain(np.random.default_rng(31), 9), [2]), 0.1, 0),
+        ],
+        ids=["lazy-8-cycle", "lazy-16-cycle", "lazy-32-cycle", "no-symmetry"],
+    )
+    def test_skipped_eigenvalues_change_no_bit(self, monkeypatch, mp, eps, skipped):
+        grid = calibrate_inverse_grid(mp.delta, eps)
+        eigs, vecs = mp.h_matrix.eigensystem
+        weights = np.abs(vecs.conj().T @ mp.sqrt_pi_u) ** 2
+        filtered = []
+        original = InverseGrid.inverse_filter
+
+        def recording(grid, x):
+            filtered.append(np.array(x))
+            return original(grid, x)
+
+        monkeypatch.setattr(InverseGrid, "inverse_filter", recording)
+        value = t_circuit_expectation(grid, mp)
+        live = np.isin(eigs, filtered[0])
+        assert len(filtered) == 1 and eigs.size - int(live.sum()) == skipped
+        monkeypatch.undo()
+        full = grid.inverse_filter(eigs)
+        assert value == mp.pi_u * float(weights @ full) / grid.gamma
+        # the certified bound: |filter| <= gamma, so z_K * value moves by at
+        # most z_K pi_U sum_skipped w_i
+        assert np.all(np.abs(full) <= grid.gamma)
+        moved = grid.z_max * mp.pi_u * abs(float(weights[~live] @ full[~live])) / grid.gamma
+        assert moved <= grid.z_max * mp.pi_u * float(weights[~live].sum()) <= 1e-20
+
+
 class TestAmplitudeEstimation:
     def test_exact_at_zero_and_one(self):
         for a in (0.0, 1.0):
@@ -466,6 +536,33 @@ class TestEstimateHittingTime:
         for seed, res in zip((0, 1, 2), results):
             fresh = estimate_hitting_time(HittingTimeTask(partition=mp, epsilon=0.1), seed=seed)
             assert res == fresh
+
+    def test_hitting_run_calls_the_kernel_once(self, monkeypatch):
+        # calibration is decided in closed form; the expectation filters the
+        # 4 weighted eigenvalues of the lazy 8-cycle's 7
+        calls = _count_kernel_calls(monkeypatch)
+        task = HittingTimeTask(partition=mark_states(lazy_cycle(8, 0.5), [0]), epsilon=0.1)
+        estimate_hitting_time(task, seed=0)
+        assert calls == [(task.grid.k_max + 1, 4)]
+
+    def test_clamped_amplitude_warns(self, monkeypatch, caplog):
+        mp = mark_states(lazy_cycle(8, 0.5), [0])
+        task = HittingTimeTask(partition=mp, epsilon=0.1)
+        with caplog.at_level(logging.WARNING, logger="lculab.inverse"):
+            estimate_hitting_time(task, seed=0)
+        assert caplog.records == []
+        monkeypatch.setattr(inverse, "t_circuit_expectation", lambda grid, mp: -1e-3)
+        clamped = HittingTimeTask(partition=mp, epsilon=0.1)
+        with caplog.at_level(logging.WARNING, logger="lculab.inverse"):
+            res = estimate_hitting_time(clamped, seed=0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "circuit expectation -0.001 clamped to 0 for sampling"
+        ]
+        # the estimate samples the clamped amplitude; the record keeps the raw one
+        assert res.exact_amplitude == -1e-3
+        assert res.estimate == res.z_max * amplitude_estimation(
+            0.0, clamped.epsilon_prime, clamped.confidence, 0, clamped.constants
+        )[0]
 
     def test_singleton_identity_block(self):
         # U = one state, no self transitions among unmarked: H = [1], t_h = pi_U
