@@ -293,7 +293,10 @@ def prepare_gibbs(
     # where the kernel's sqrt(beta x) is undefined.
     f = grid.kernel(np.maximum(energies, 0.0))
     f_norm = float(np.linalg.norm(f))
-    success_amplitude = min(f_norm / (math.sqrt(n_dim) * grid.weight_sum), 1.0)
+    raw_amplitude = f_norm / (math.sqrt(n_dim) * grid.weight_sum)
+    success_amplitude = min(raw_amplitude, 1.0)
+    if success_amplitude != raw_amplitude:
+        logger.warning("success amplitude %.6g clamped to 1", raw_amplitude)
     rounds = amplification_rounds(success_amplitude, constants)
 
     # Both states are diagonal in H's eigenbasis, so their trace distance is

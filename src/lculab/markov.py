@@ -16,11 +16,11 @@ discriminant) with its lowest eigenvalue delta, and the solve of
 Monte-Carlo sample count share.
 
 The Monte-Carlo baseline runs its walks in batches of consecutive walk indices,
-one numpy step per round for every live walk of the batch. Its uniforms come
-from a stateless counter stream (SplitMix64): draw d of walk w is a pure
-function of (seed, w, d). Every walk of a batch is at the same draw index, so
-a round is one stream call, and its estimates are those of a walk-by-walk
-loop, bit for bit.
+one numpy step per round for the whole batch. Its uniforms come from a
+stateless counter stream (SplitMix64): draw d of walk w is a pure function of
+(seed, w, d). Every walk of a batch is at the same draw index, so one stream
+call draws a chunk of several rounds for every live walk, and its estimates
+are those of a walk-by-walk loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ from .operators import DIMENSION_CAP, HermitianOperator, is_integer, is_number
 COLUMN_SUM_ATOL = 1e-12
 DETAILED_BALANCE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
-# The Monte-Carlo estimator's cap on total walk steps. A walk's draw index is
-# at most the cap + 1, and draw + 1 must stay below 2^32 in the walk stream.
+# The Monte-Carlo estimator's cap on total walk steps, checked once per chunk.
+# A chunk starts at a draw index of at most the cap + 1 and draws at most
+# _CHUNK_DRAWS rounds, so a draw index can run one chunk past the cap; draw + 1
+# must stay below 2^32 in the walk stream, and cap + _CHUNK_DRAWS + 1 does.
 MAX_TOTAL_WALK_STEPS = 10**9
 # A sample count this close to a whole number is that number (see
 # chebyshev_sample_count).
@@ -49,6 +51,9 @@ _SNAP_ULPS = 64
 # many walks divided by the chain's sparsity, at least 256 under the 4096-state
 # cap.
 _BATCH_ELEMENTS = 2**20
+# Uniforms one stream call draws: a chunk of _CHUNK_DRAWS // live rounds (at
+# least one) for the live walks of a batch.
+_CHUNK_DRAWS = 2**13
 # SplitMix64 constants for the walk stream, as uint64 so that array
 # arithmetic on them wraps modulo 2^64.
 _GAMMA, _MIX1, _MIX2 = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
@@ -323,17 +328,19 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U31)
 
 
-def stream_uniforms(key: np.ndarray, walk: np.ndarray, draw: np.ndarray) -> np.ndarray:
-    """Uniform draw `draw` of walk `walk` in [0, 1), elementwise over uint64 arrays.
+def stream_uniforms(base: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """Uniform draw `draw` of the walk whose term is `base`, in [0, 1),
+    elementwise over broadcast uint64 arrays.
 
-    z = mix64(key + (walk * 2^32 + draw + 1) * gamma mod 2^64) is output
-    walk * 2^32 + draw of the SplitMix64 sequence from state key, and
-    u = (z >> 11) * 2^-53, as numpy's Generator.random converts. A seed's key
-    is mix64(seed), a bijection, so distinct seeds have distinct keys, and
-    seed 0 reads the sequence from state 0. walk and draw + 1 must stay below
-    2^32.
+    Walk w's term under key is key + (w * 2^32 + 1) * gamma mod 2^64, and
+    z = mix64(base + draw * gamma mod 2^64) is output w * 2^32 + draw of the
+    SplitMix64 sequence from state key; u = (z >> 11) * 2^-53, as numpy's
+    Generator.random converts. A seed's key is mix64(seed), a bijection, so
+    distinct seeds have distinct keys, and seed 0 reads the sequence from
+    state 0. w and draw + 1 must stay below 2^32. A walk keeps its term while
+    it runs, so a call pays only for the draw indices.
     """
-    z = _mix64(key + ((walk << _U32) + draw + _ONE) * _GAMMA)
+    z = _mix64(base + draw * _GAMMA)
     return (z >> _U11) * 2.0**-53
 
 
@@ -346,15 +353,20 @@ def classical_mc_estimate(mp: MarkedPartition, epsilon: float, seed: int) -> tup
     Returns (estimate, samples_used, total P applications).
 
     The walks run in batches of consecutive indices, as many as fit
-    _BATCH_ELEMENTS / sparsity: one stream call starts a whole batch, and
-    since its walks are all at the same draw index, one call draws step d for
-    every walk still live; a walk that reaches a marked state leaves the
-    batch. A draw depends on nothing but (seed, walk, draw), so the walks are
-    the ones a walk-by-walk loop takes. A step costs O(sparsity) through a
-    per-state table of the column's support. The step total is an integer sum
-    over walks, so the result does not depend on the batch width or on the
-    order in which walks finish. WalkTimeoutError is raised when the total
-    step count passes MAX_TOTAL_WALK_STEPS.
+    _BATCH_ELEMENTS / sparsity, and each walk carries its stream term. One
+    stream call starts a whole batch. Its walks are all at the same draw
+    index, so one call draws a chunk of max(1, _CHUNK_DRAWS // live) rounds
+    for every live walk. Within a chunk a marked state steps to itself, each
+    round adds the live count to the step total, and the chunk ends early
+    once no walk is live; walks that reached a marked state leave the batch
+    between chunks. A draw depends on nothing but (seed, walk, draw), so the
+    walks are the ones a walk-by-walk loop takes. A step is a bisection of
+    ceil(log2(sparsity)) rounds over the column's cumulative sums (see
+    _step_table).
+    The step total is an integer sum over walks, so the result does not depend
+    on the batch width, the chunk length or the order in which walks finish.
+    WalkTimeoutError is raised when the total step count passes
+    MAX_TOTAL_WALK_STEPS, checked after each chunk.
     """
     check_seed(seed)
     if seed >= 2**64:
@@ -364,30 +376,45 @@ def classical_mc_estimate(mp: MarkedPartition, epsilon: float, seed: int) -> tup
     if m >= 2**32:
         raise ValidationError(f"{m} walks exceed the stream's 2^32 walk indices")
     chain = mp.chain
-    is_marked = mp.marked_mask
+    unmarked = ~mp.marked_mask
     # Rounding can leave a cumulative sum just below 1, and a draw above it
     # would index past the last state. Dividing by the last entry pins it at 1
     # and is exact where it already is 1.
     cum_pi = np.cumsum(chain.stationary)
     cum_pi /= cum_pi[-1]
     targets, thresholds = _step_table(chain)
+    targets[mp.marked_mask] = np.flatnonzero(mp.marked_mask)[:, None]
+    row = targets.shape[1]
+    targets, thresholds = targets.ravel(), thresholds.ravel()
+    # bisection level k compares the entry `stride - 1` past the current one
+    levels = [(row >> k, thresholds[(row >> k) - 1 :]) for k in range(1, row.bit_length())]
 
     width = _BATCH_ELEMENTS // chain.sparsity
     total_steps = 0
     for first in range(0, m, width):
         walk = np.arange(first, min(first + width, m), dtype=np.uint64)
-        state = np.searchsorted(cum_pi, stream_uniforms(key, walk, np.uint64(0)), side="right")
+        base = key + ((walk << _U32) + _ONE) * _GAMMA
+        start = stream_uniforms(base, np.zeros(1, dtype=np.uint64))
+        state = np.searchsorted(cum_pi, start, side="right")
+        live = unmarked[state]
+        live_count = int(np.count_nonzero(live))
         draw = 1
-        while True:
-            hit = is_marked[state]
-            if hit.any():
-                walk, state = walk[~hit], state[~hit]
-            if not walk.size:
-                break
-            u = stream_uniforms(key, walk, np.uint64(draw))
-            state = targets[state, np.count_nonzero(thresholds[state] <= u[:, None], axis=1)]
-            draw += 1
-            total_steps += walk.size
+        while live_count:
+            if live_count < base.size:
+                base, state = base[live], state[live]
+            rounds = max(1, _CHUNK_DRAWS // live_count)
+            chunk = stream_uniforms(base, np.arange(draw, draw + rounds, dtype=np.uint64)[:, None])
+            for u in chunk:
+                total_steps += live_count
+                pos = state * row
+                for stride, level in levels:
+                    pos += stride * (level[pos] <= u)
+                state = targets[pos]
+                live = unmarked[state]
+                live_count = int(np.count_nonzero(live))
+                if not live_count:
+                    break
+            draw += rounds
             if total_steps > MAX_TOTAL_WALK_STEPS:
                 raise WalkTimeoutError(f"exceeded {MAX_TOTAL_WALK_STEPS} total walk steps")
     # every step adds one to one walk's hitting time, so the times sum to it
@@ -395,7 +422,8 @@ def classical_mc_estimate(mp: MarkedPartition, epsilon: float, seed: int) -> tup
 
 
 def _step_table(chain: MarkovChain) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state support of each column and its cumulative sums, padded to the sparsity.
+    """Per-state support of each column and its cumulative sums, padded to the
+    power of two at or above the sparsity.
 
     Row s lists the states reachable from s in ascending order (targets) and
     the cumulative sums of column s at those states, divided by the column's
@@ -403,19 +431,21 @@ def _step_table(chain: MarkovChain) -> tuple[np.ndarray, np.ndarray]:
     targets[s, k] with k the count of thresholds <= u. Zero entries add 0.0
     exactly to a cumulative sum, so the thresholds are those of the dense
     column, bit for bit, and this is the state that searchsorted over that
-    column picks, found in O(sparsity) work.
+    column picks. A row ascends and ends at 1.0 or +inf, so a row of length
+    2^j finds k by a j-round bisection.
     """
     cols, rows = chain.edges.T
     counts = np.bincount(cols, minlength=chain.n_states)
     rank = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    shape = (chain.n_states, chain.sparsity)
+    row = 1 << (chain.sparsity - 1).bit_length()
+    shape = (chain.n_states, row)
     targets = np.zeros(shape, dtype=np.intp)
     targets[cols, rank] = rows
     thresholds = np.zeros(shape)
     thresholds[cols, rank] = chain.transition[rows, cols]
     thresholds = np.cumsum(thresholds, axis=1)
     thresholds /= thresholds[:, -1:]
-    thresholds[np.arange(chain.sparsity) >= counts[:, None]] = np.inf
+    thresholds[np.arange(row) >= counts[:, None]] = np.inf
     return targets, thresholds
 
 

@@ -1,3 +1,4 @@
+import logging
 import math
 import warnings
 
@@ -289,6 +290,23 @@ class TestPrepareGibbs:
         dense = trace_distance(res.prepared_density, exact)
         assert dense <= 0.1
         assert res.trace_dist == pytest.approx(dense, abs=1e-14)
+
+    def test_clamped_amplitude_warns(self, monkeypatch, caplog):
+        h = HermitianOperator(np.diag([0.0, 1.0]))
+        task = GibbsTask(hamiltonian=h, beta=4.0, epsilon=0.05, weights=psd_split(h).weights)
+        with caplog.at_level(logging.WARNING, logger="lculab"):
+            res = prepare_gibbs(task)
+        assert caplog.records == []
+        # a kernel twice too large puts the amplitude ratio past 1
+        kernel = gibbs.HsGrid.kernel
+        monkeypatch.setattr(gibbs.HsGrid, "kernel", lambda grid, x: 2 * kernel(grid, x))
+        with caplog.at_level(logging.WARNING, logger="lculab"):
+            clamped = prepare_gibbs(task)
+        raw = 2 * res.success_amplitude
+        assert [r.getMessage() for r in caplog.records] == [
+            f"success amplitude {raw:.6g} clamped to 1"
+        ]
+        assert (clamped.success_amplitude, clamped.amplification_rounds) == (1.0, 1)
 
     def test_rounds_track_amplitude_target(self):
         h = HermitianOperator(np.diag([0.0, 0.5, 0.75, 1.0]))

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -66,6 +67,19 @@ class TestAmplificationRounds:
         assert amplification_rounds(a, c) == math.ceil((math.pi / 4) / math.asin(a))
         with pytest.raises(AnnihilationError):
             amplification_rounds(0.0, c)
+
+    def test_clamped_amplitude_warns(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="lculab.lcu"):
+            for a in (1.0, 0.5, 0.01):
+                amplification_rounds(a)
+            assert caplog.records == []
+            assert amplification_rounds(1.5) == 1
+            with pytest.raises(AnnihilationError):
+                amplification_rounds(-0.25)
+        assert [r.getMessage() for r in caplog.records] == [
+            "success amplitude 1.5 clamped to 1 for round counting",
+            "success amplitude -0.25 clamped to 0 for round counting",
+        ]
 
 
 class TestDilation:

@@ -510,8 +510,10 @@ class TestClassicalEstimator:
         assert np.cumsum(chain.stationary)[-1] < 1.0
         mp = mark_states(chain, [11])
         monkeypatch.setattr(markov, "stream_uniforms", _BelowOneDraws())
-        estimate, samples, steps = classical_mc_estimate(mp, epsilon=1.0, seed=0)
-        assert (estimate, steps) == (0.0, 0) and samples >= 1
+        for estimate, samples, steps in _at_each_chunk_budget(
+            lambda: classical_mc_estimate(mp, epsilon=1.0, seed=0)
+        ):
+            assert (estimate, steps) == (0.0, 0) and samples >= 1
 
     def test_draw_below_one_past_short_column_table(self, monkeypatch):
         # column 0 sums to 1 - 2^-53 in floating point; from state 0 a step
@@ -520,8 +522,10 @@ class TestClassicalEstimator:
         assert np.cumsum(p[:, 0])[-1] < 1.0
         mp = mark_states(validate_chain(p), [2])
         monkeypatch.setattr(markov, "stream_uniforms", _BelowOneDraws(first=0.0))
-        estimate, samples, steps = classical_mc_estimate(mp, epsilon=1.0, seed=0)
-        assert estimate == 1.0 and steps == samples
+        for estimate, samples, steps in _at_each_chunk_budget(
+            lambda: classical_mc_estimate(mp, epsilon=1.0, seed=0)
+        ):
+            assert estimate == 1.0 and steps == samples
 
     def test_rejects_nan_epsilon_and_negative_seed(self, two_state):
         with pytest.raises(ValidationError):
@@ -618,6 +622,10 @@ def _cycle8():
     return mark_states(lazy_cycle(8, 0.5), [0])
 
 
+def _cycle4():
+    return mark_states(lazy_cycle(4, 0.5), [0])
+
+
 def _two_state():
     return mark_states(symmetric_two_state(), [1])
 
@@ -630,6 +638,14 @@ def _sparse_dyadic():
     # 200 states of sparsity 5: the step table is far narrower than a column
     chain = random_sparse_dyadic_chain(np.random.default_rng(3), 200, 4, edge_cap_divisor=2)
     return mark_states(chain, range(0, 200, 10))
+
+
+def _dense64():
+    # a lazy walk on the complete graph with random symmetric weights
+    w = np.random.default_rng(2).uniform(0.2, 1.0, size=(64, 64))
+    w += w.T
+    chain = validate_chain(0.5 * np.eye(64) + 0.5 * w / w.sum(axis=0))
+    return mark_states(chain, range(0, 64, 8))
 
 
 def _unvalidated_sparse_dyadic_2000():
@@ -665,6 +681,35 @@ _LANES = [pytest.param(None, id="256-32"), pytest.param(3, id="3-2")]
 _TINY_LANES = [pytest.param(3, id="3-2"), pytest.param(1, id="1-1")]
 
 
+def _chunk_budgets(walks=None):
+    """_CHUNK_DRAWS values to run at: one round per stream call, the default,
+    and a chunk longer than any walk here, for batches of `walks` walks (None
+    for the default width). A budget of 2^30 would hold 8 GiB of draws, and
+    2^20 costs a narrow batch 8 MiB of draws per chunk."""
+    return [1, markov._CHUNK_DRAWS, 2**20 if walks is None else walks * 2**12]
+
+
+# Chains for the chunk budgets: sparsity 2, 3 and 3 (rows padded to 4), 5
+# (padded to 8) and 64.
+_CHUNK_CASES = [
+    pytest.param(_two_state, 0.1, 3, id="two-state"),
+    pytest.param(_cycle4, 0.5, 9, id="lazy-4-cycle"),
+    pytest.param(_cycle8, 2.0, 501, id="lazy-8-cycle"),
+    pytest.param(_sparse_dyadic, 200.0, 1, id="sparse-dyadic-200"),
+    pytest.param(_dense64, 4.0, 4, id="dense-64"),
+]
+
+
+def _at_each_chunk_budget(run, walks=None):
+    """What run() returns with _CHUNK_DRAWS patched to each of _chunk_budgets(walks)."""
+    results = []
+    for draws in _chunk_budgets(walks):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(markov, "_CHUNK_DRAWS", draws)
+            results.append(run())
+    return results
+
+
 def _batch_walks(patch, mp, walks):
     """Make classical_mc_estimate run `mp` in batches of `walks` walks; setattr
     raises if the budget it patches is gone."""
@@ -673,15 +718,15 @@ def _batch_walks(patch, mp, walks):
 
 
 class _CountingStream:
-    """The stream, recording the size of every call."""
+    """The stream, recording every call's walk count and draw indices."""
 
     def __init__(self):
-        self.sizes = []
+        self.calls = []
         self._uniforms = markov.stream_uniforms
 
-    def __call__(self, key, walk, draw):
-        self.sizes.append(walk.size)
-        return self._uniforms(key, walk, draw)
+    def __call__(self, base, draw):
+        self.calls.append((base.size, draw.ravel().tolist()))
+        return self._uniforms(base, draw)
 
 
 class TestLockstepWalker:
@@ -722,6 +767,13 @@ class TestLockstepWalker:
             _batch_walks(patch, mp, lanes)
             assert classical_mc_estimate(mp, epsilon, seed) == expected
 
+    @pytest.mark.parametrize("make, epsilon, seed", _CHUNK_CASES)
+    def test_matches_at_each_chunk_budget(self, make, epsilon, seed):
+        mp = make()
+        expected = _walk_by_walk_estimate(mp, epsilon, seed)
+        results = _at_each_chunk_budget(lambda: classical_mc_estimate(mp, epsilon, seed))
+        assert results == [expected] * 3
+
     @pytest.mark.parametrize("lanes", _LANES)
     def test_step_cap_boundary(self, monkeypatch, lanes):
         mp = _cycle8()
@@ -729,63 +781,75 @@ class TestLockstepWalker:
         reference = _walk_by_walk_estimate(mp, 4.0, 501)
         cap = reference[2]
         assert _walk_by_walk_estimate(mp, 4.0, 501, max_total_steps=cap) == reference
-        monkeypatch.setattr(markov, "MAX_TOTAL_WALK_STEPS", cap)
-        assert classical_mc_estimate(mp, 4.0, 501) == reference
         with pytest.raises(WalkTimeoutError):
             _walk_by_walk_estimate(mp, 4.0, 501, max_total_steps=cap - 1)
-        monkeypatch.setattr(markov, "MAX_TOTAL_WALK_STEPS", cap - 1)
-        with pytest.raises(WalkTimeoutError):
-            classical_mc_estimate(mp, 4.0, 501)
+        for draws in _chunk_budgets(lanes):
+            monkeypatch.setattr(markov, "_CHUNK_DRAWS", draws)
+            monkeypatch.setattr(markov, "MAX_TOTAL_WALK_STEPS", cap)
+            assert classical_mc_estimate(mp, 4.0, 501) == reference
+            monkeypatch.setattr(markov, "MAX_TOTAL_WALK_STEPS", cap - 1)
+            with pytest.raises(WalkTimeoutError):
+                classical_mc_estimate(mp, 4.0, 501)
 
     @pytest.mark.parametrize("lanes", _LANES)
     def test_draws_on_the_cumulative_sums(self, monkeypatch, lanes):
         # quarter-point draws land exactly on the lazy 4-cycle's cumulative
         # sums, where a step must pass over the entry equal to the draw
-        mp = mark_states(lazy_cycle(4, 0.5), [0])
+        mp = _cycle4()
         monkeypatch.setattr(markov, "stream_uniforms", _QuarterDraws(markov.stream_uniforms))
         _batch_walks(monkeypatch, mp, lanes)
         expected = _walk_by_walk_estimate(mp, 0.5, 9, uniform=_QuarterDraws(_splitmix_uniform))
-        assert classical_mc_estimate(mp, 0.5, 9) == expected
+        results = _at_each_chunk_budget(lambda: classical_mc_estimate(mp, 0.5, 9), lanes)
+        assert results == [expected] * 3
 
-    def test_one_stream_call_per_round(self, monkeypatch):
-        # 2520 walks fit one batch: one call starts them all, and one call
-        # draws each step while the longest walk lasts
+    def test_stream_calls_stay_within_a_chunk(self, monkeypatch):
+        # 2520 walks fit one batch: one call starts them all. Each later call
+        # draws the next rounds, at most max(_CHUNK_DRAWS, live) values, and
+        # the last starts at a round the longest walk still takes.
         mp = _cycle8()
         assert markov._BATCH_ELEMENTS // mp.chain.sparsity >= 2520
         stream = _CountingStream()
         monkeypatch.setattr(markov, "stream_uniforms", stream)
         assert classical_mc_estimate(mp, 2.0, 501) == _walk_by_walk_estimate(mp, 2.0, 501)
-        assert stream.sizes[0] == 2520
-        assert len(stream.sizes) == 1 + max(_walk_times(mp, 2.0, 501))
+        longest = max(_walk_times(mp, 2.0, 501))
+        assert stream.calls[0] == (2520, [0])
+        draws = [d for _, call_draws in stream.calls for d in call_draws]
+        assert draws == list(range(len(draws)))
+        for live, call_draws in stream.calls:
+            assert live * len(call_draws) <= max(markov._CHUNK_DRAWS, live)
+        assert stream.calls[-1][1][0] <= longest <= stream.calls[-1][1][-1]
+        assert len(stream.calls) < 1 + longest
 
     def test_batch_width_within_the_budget(self, monkeypatch):
-        # a lazy walk on the complete graph with random symmetric weights
-        w = np.random.default_rng(2).uniform(0.2, 1.0, size=(64, 64))
-        w += w.T
-        chain = validate_chain(0.5 * np.eye(64) + 0.5 * w / w.sum(axis=0))
-        assert chain.sparsity == 64
-        mp = mark_states(chain, range(0, 64, 8))
+        mp = _dense64()
+        assert mp.chain.sparsity == 64
         budget = 5 * 64 + 63
         monkeypatch.setattr(markov, "_BATCH_ELEMENTS", budget)
         stream = _CountingStream()
         monkeypatch.setattr(markov, "stream_uniforms", stream)
         assert classical_mc_estimate(mp, 4.0, 4) == _walk_by_walk_estimate(mp, 4.0, 4)
-        assert len(stream.sizes) > 1 and max(stream.sizes) * chain.sparsity <= budget
+        walks = [live for live, _ in stream.calls]
+        assert len(walks) > 1 and max(walks) * mp.chain.sparsity <= budget
 
     @pytest.mark.parametrize(
         "make",
         [
-            _cycle8, _two_state, _random_reversible, _sparse_dyadic,
-            lambda: mark_states(lazy_cycle(4, 0.5), [0]),
+            _cycle8, _two_state, _random_reversible, _sparse_dyadic, _cycle4,
             _unvalidated_sparse_dyadic_2000,
         ],
         ids=["lazy-8-cycle", "two-state", "random-reversible", "sparse-dyadic-200",
              "lazy-4-cycle", "sparse-dyadic-2000"],
     )
     def test_step_table_equals_the_dense_one(self, make):
+        # the dense table, padded with +inf thresholds to a power of two
         chain = make().chain
-        for got, expected in zip(markov._step_table(chain), _dense_step_table(chain)):
-            assert np.array_equal(got, expected)
+        targets, thresholds = markov._step_table(chain)
+        row = targets.shape[1]
+        assert row & (row - 1) == 0 and chain.sparsity <= row < 2 * chain.sparsity
+        expected_targets, expected_thresholds = _dense_step_table(chain)
+        assert np.array_equal(targets[:, : chain.sparsity], expected_targets)
+        assert np.array_equal(thresholds[:, : chain.sparsity], expected_thresholds)
+        assert np.all(thresholds[:, chain.sparsity :] == np.inf)
 
 
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
@@ -798,13 +862,15 @@ class _BelowOneDraws:
     def __init__(self, first: float = _BELOW_ONE):
         self._first = first
 
-    def __call__(self, key, walk, draw):
-        return np.where(np.broadcast_to(draw, walk.shape) == 0, self._first, _BELOW_ONE)
+    def __call__(self, base, draw):
+        draw = np.broadcast_to(draw, np.broadcast_shapes(base.shape, draw.shape))
+        return np.where(draw == 0, self._first, _BELOW_ONE)
 
 
 class _QuarterDraws:
     """A stream stand-in whose draws are multiples of 1/4: floor(4u) / 4 of
-    the uniforms u that `uniforms` gives for the same arguments."""
+    the uniforms u that `uniforms` gives for the same arguments, (base, draw)
+    for the stream and (seed, walk, draw) for the reference."""
 
     def __init__(self, uniforms):
         self._uniforms = uniforms
@@ -813,8 +879,10 @@ class _QuarterDraws:
         return np.floor(self._uniforms(*args) * 4) / 4
 
 
-def _array_key(seed):
-    return markov._mix64(np.array([seed], dtype=np.uint64))
+def _walk_terms(seed, walks):
+    """Each walk's stream term, mix64(seed) + (walk * 2^32 + 1) * gamma mod 2^64."""
+    terms = [(_mix64_int(seed) + (w * 2**32 + 1) * 0x9E3779B97F4A7C15) & _MASK64 for w in walks]
+    return np.array(terms, dtype=np.uint64)
 
 
 class TestWalkStream:
@@ -822,19 +890,17 @@ class TestWalkStream:
         # splitmix64.c from state 0
         golden = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
         assert [_splitmix_z(0, 0, d) for d in range(3)] == golden
-        walk, draw = np.zeros(3, dtype=np.uint64), np.arange(3, dtype=np.uint64)
-        uniforms = markov.stream_uniforms(_array_key(0), walk, draw)
+        uniforms = markov.stream_uniforms(_walk_terms(0, [0]), np.arange(3, dtype=np.uint64))
         assert uniforms.tolist() == [(z >> 11) * 2.0**-53 for z in golden]
 
     @pytest.mark.parametrize("seed", [0, 1, 501, 2**63, 2**64 - 1])
     def test_array_stream_equals_the_scalar_one(self, seed):
         walks = [0, 1, 7, 2**31, 2**32 - 1]
         draws = [0, 1, 2, 10**6, 10**9 + 1]
-        walk = np.array([w for w in walks for _ in draws], dtype=np.uint64)
-        draw = np.array(draws * len(walks), dtype=np.uint64)
-        got = markov.stream_uniforms(_array_key(seed), walk, draw).tolist()
-        assert got == [_splitmix_uniform(seed, w, d) for w in walks for d in draws]
-        assert all(0.0 <= u < 1.0 for u in got)
+        base = _walk_terms(seed, walks)[:, None]
+        got = markov.stream_uniforms(base, np.array(draws, dtype=np.uint64)).tolist()
+        assert got == [[_splitmix_uniform(seed, w, d) for d in draws] for w in walks]
+        assert all(0.0 <= u < 1.0 for row in got for u in row)
 
     def test_consecutive_seeds_have_distinct_keys(self):
         seeds = np.arange(10**5, dtype=np.uint64)
@@ -861,9 +927,10 @@ class TestWalkStream:
             classical_mc_estimate(two_state, epsilon=0.5, seed=0)
 
     def test_step_cap_beyond_the_draw_field_rejected(self):
-        # a walk's draw index reaches the cap + 1, and draw + 1 must stay
-        # below 2^32; the cap is a constant, so no run can set one past that
-        assert MAX_TOTAL_WALK_STEPS + 2 < 2**32
+        # a chunk starts at a draw index of at most the cap + 1 and draws at
+        # most _CHUNK_DRAWS rounds, and draw + 1 must stay below 2^32; both
+        # are constants, so no run can set one past that
+        assert MAX_TOTAL_WALK_STEPS + markov._CHUNK_DRAWS + 1 < 2**32
 
 
 class TestChainJson:
