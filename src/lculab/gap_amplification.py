@@ -47,6 +47,10 @@ def parse_pauli_lines(text: str) -> tuple[np.ndarray, tuple[float, ...], float]:
     so that sum c_l P_l = H - offset with offset = sum(alpha_k)/2. A word is an
     x-mask, a z-mask and a Y count, with P|c> = i^{n_Y} (-1)^{|c & z|} |c ^ x>
     (Y sets both masks), so H is summed by index arithmetic in line order.
+
+    H is float64 when every word has an even Y count, with i^{n_Y} read as
+    (-1)^{n_Y/2}; its bytes are then the real part of the complex sum, whose
+    imaginary part is all zero. A set with any odd-Y word is complex128.
     """
     words = []
     n_qubits = None
@@ -84,14 +88,16 @@ def parse_pauli_lines(text: str) -> tuple[np.ndarray, tuple[float, ...], float]:
     odd = np.zeros(dim, dtype=int)  # parity of each index's set bits
     for bit in range(n_qubits):
         odd ^= (cols >> bit) & 1
-    matrix = np.zeros((dim, dim), dtype=complex)
+    real = all(n_y % 2 == 0 for *_, n_y in words)
+    matrix = np.zeros((dim, dim), dtype=float if real else complex)
     for alpha, (coeff, x, z, n_y) in zip(weights, words):
         sign = math.copysign(1.0, coeff) * (1.0 - 2.0 * odd[cols & z])
         if x == 0:
             matrix[cols, cols] += alpha * ((1 + sign) / 2)
         else:
+            phase = 1j**n_y
             matrix[cols, cols] += alpha / 2
-            matrix[cols ^ x, cols] += alpha / 2 * 1j**n_y * sign
+            matrix[cols ^ x, cols] += alpha / 2 * (phase.real if real else phase) * sign
     return matrix, weights, sum(weights) / 2
 
 

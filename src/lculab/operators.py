@@ -1,10 +1,16 @@
-"""Dense complex linear algebra: Hermitian operators and density matrices.
+"""Dense linear algebra: Hermitian operators and density matrices.
 
 Everything here routes through the eigendecomposition of a Hermitian matrix,
 which is computed once per operator and cached: the pipelines read their
 filters off its spectrum, and `matrix_function` applies a scalar function
 through it. Values are immutable after construction and safe to share across
 workers.
+
+A matrix keeps the type of its data. Real input (bool, integer or float), and
+complex input whose imaginary parts are all exactly 0, is held in float64, so
+its eigendecomposition runs the real symmetric LAPACK driver; any other input
+is held in complex128. The TFIM, Pauli sets whose words all have an even Y
+count, real matrix configs and every walk Hamiltonian H_U are real.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ from .errors import SingularityError, ValidationError
 HERMITICITY_ATOL = 1e-12
 DENSITY_ATOL = 1e-12
 DIMENSION_CAP = 4096
+# Elements per panel of `symmetrize`: its temporaries stay at a few panels,
+# never the size of the matrix.
+_PANEL_ELEMENTS = 1 << 16
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -28,41 +37,77 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def as_square_matrix(values) -> np.ndarray:
-    """Coerce to a finite complex square ndarray."""
-    a = np.array(values, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    """A new finite, non-empty square ndarray of the numbers in `values`.
+
+    It is float64 when the input is real-typed (bool, integer or float), or
+    complex-typed with every imaginary part exactly 0, and complex128
+    otherwise. The shape and the dimension cap are checked before any
+    conversion copy (`np.asarray` copies no ndarray); ragged, non-numeric
+    (strings, None, objects) or non-finite input is a ValidationError.
+    """
+    try:
+        a = np.asarray(values)
+    except ValueError as exc:  # a ragged list
+        raise ValidationError(f"matrix rows are not of one length: {exc}") from None
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValidationError(f"expected a non-empty square matrix, got shape {a.shape}")
     if a.shape[0] > DIMENSION_CAP:
         raise ValidationError(f"dimension {a.shape[0]} exceeds cap {DIMENSION_CAP}")
-    if not np.all(np.isfinite(a)):
+    if a.dtype.kind not in "biufc":
+        raise ValidationError(f"matrix entries are not numbers (dtype {a.dtype})")
+    if a.dtype.kind == "c" and not a.imag.any():
+        a = a.real
+    a = np.array(a, dtype=complex if a.dtype.kind == "c" else float)
+    if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
     return a
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Max-entry deviation from A = A^dagger."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+def symmetrize(a: np.ndarray) -> float:
+    """Overwrite a square array with (A + A^dagger)/2 and return the max-entry
+    defect |A - A^dagger| it removed.
+
+    The work goes panel by panel, a strip of rows against the matching strip
+    of columns, so no temporary is the size of the matrix. Both strips are
+    computed from the entries as they were, each entry as (a_ij + conj(a_ji))/2,
+    so the result equals (a + a.conj().T) / 2 bit for bit. (Writing the column
+    strip as the conjugate of the row strip would turn an imaginary part that
+    cancels exactly, +0.0, into -0.0.)
+    """
+    n = a.shape[0]
+    step = max(1, _PANEL_ELEMENTS // n)
+    defect = 0.0
+    for i in range(0, n, step):
+        rows, cols = a[i : i + step, i:], a[i:, i : i + step]
+        rows_adjoint = cols.conj().T
+        defect = max(defect, float(np.abs(rows - rows_adjoint).max()))
+        new_rows = (rows + rows_adjoint) / 2
+        cols[...] = (cols + rows.conj().T) / 2
+        rows[...] = new_rows
+    return defect
 
 
 @dataclass(frozen=True)
 class HermitianOperator:
     """A dense Hermitian matrix with a cached eigendecomposition.
 
-    Inputs within 1e-12 of Hermitian (max-entry norm) are symmetrized to
-    (A + A^dagger)/2; anything farther is rejected rather than silently
-    repaired.
+    The matrix is one frozen copy of the input, float64 or complex128 by the
+    rule of `as_square_matrix`, so a real symmetric input gets a real `eigh`
+    and real eigenvectors. Inputs within 1e-12 of Hermitian (max-entry norm)
+    are symmetrized to (A + A^dagger)/2 in place; anything farther is
+    rejected rather than silently repaired.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         a = as_square_matrix(self.matrix)
-        defect = hermiticity_defect(a)
+        defect = symmetrize(a)
         if defect > HERMITICITY_ATOL:
             raise ValidationError(
                 f"matrix is not Hermitian: max-entry defect {defect:.3e} > {HERMITICITY_ATOL:g}"
             )
-        object.__setattr__(self, "matrix", _freeze((a + a.conj().T) / 2))
+        object.__setattr__(self, "matrix", _freeze(a))
 
     @property
     def dim(self) -> int:
@@ -101,15 +146,18 @@ def matrix_function(h: HermitianOperator, f: Callable[[float], complex]) -> np.n
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix."""
+    """Hermitian, unit-trace, positive-semidefinite matrix.
+
+    Held as one frozen copy of the input, float64 or complex128 by the rule of
+    `as_square_matrix`, and symmetrized in place like `HermitianOperator`.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         a = as_square_matrix(self.matrix)
-        if hermiticity_defect(a) > HERMITICITY_ATOL:
+        if symmetrize(a) > HERMITICITY_ATOL:
             raise ValidationError("density matrix is not Hermitian within tolerance")
-        a = (a + a.conj().T) / 2
         tr = float(np.trace(a).real)
         if abs(tr - 1.0) > DENSITY_ATOL * max(1, a.shape[0]):
             raise ValidationError(f"density matrix trace {tr!r} deviates from 1")
@@ -170,12 +218,15 @@ def read_matrix(obj) -> MatrixJson:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """The matrix of a JSON object, or of a `MatrixJson` already read from one."""
+    """The matrix of a JSON object, or of a `MatrixJson` already read from one:
+    float64 when every `im` entry is 0, with no complex array built, and
+    complex128 otherwise."""
     dim, re, im = obj if isinstance(obj, MatrixJson) else read_matrix(obj)
     if len(re) != dim * dim or len(im) != dim * dim:
         raise ValidationError("matrix JSON entry count does not match dim*dim")
     try:
-        a = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     except OverflowError:
         raise ValidationError("malformed matrix JSON: an entry is too large for a double") from None
+    a = re + 1j * im if im.any() else re
     return as_square_matrix(a.reshape(dim, dim))

@@ -37,7 +37,7 @@ from lculab.gap_amplification import (
     unitarity_defect,
 )
 from lculab.gibbs import HsGrid
-from lculab.inverse import InverseGrid
+from lculab.inverse import InverseGrid, calibrate_inverse_grid
 from lculab.lcu import gaussian_cosine_series, gaussian_weight_sum, gaussian_weights
 from lculab.markov import (
     COLUMN_SUM_ATOL,
@@ -55,7 +55,7 @@ from lculab.operators import (
     HermitianOperator,
     as_square_matrix,
     check_numbers,
-    hermiticity_defect,
+    symmetrize,
 )
 from lculab.rand import random_unitary
 from lculab import markov, sparse_chain
@@ -211,11 +211,11 @@ class ProjectorDecomposition:
         for i, (alpha, proj) in enumerate(self.terms):
             alpha = check_weight(i, alpha)
             p = _of_dim(proj, self.dim)
-            if hermiticity_defect(p) > PROJECTOR_ATOL:
+            idempotence_defect = np.max(np.abs(p @ p - p))
+            if symmetrize(p) > PROJECTOR_ATOL:
                 raise ValidationError(f"term {i}: projector is not Hermitian")
-            if np.max(np.abs(p @ p - p)) > PROJECTOR_ATOL:
+            if idempotence_defect > PROJECTOR_ATOL:
                 raise ValidationError(f"term {i}: matrix is not idempotent")
-            p = (p + p.conj().T) / 2
             p.flags.writeable = False
             checked.append((alpha, p))
         object.__setattr__(self, "terms", tuple(checked))
@@ -896,6 +896,17 @@ def exact_hitting_time_inverse(mp: MarkedPartition) -> float:
     v = mp.sqrt_pi_u
     sol = np.linalg.solve(mp.h_matrix.matrix, v)
     return float(mp.pi_u * np.real(v @ sol))
+
+
+def complex_path_hitting(mp: MarkedPartition, epsilon: float) -> tuple[InverseGrid, float]:
+    """A hitting task's grid and circuit expectation with H_U decomposed in
+    complex128, the reference for the float64 path `MarkedPartition.h_matrix`
+    takes. The expectation sums the filter over the whole spectrum."""
+    h = (np.eye(mp.n_unmarked) - discriminant_matrix(mp.p_uu)).astype(complex)
+    eigs, vecs = np.linalg.eigh((h + h.conj().T) / 2)
+    grid = calibrate_inverse_grid(float(eigs[0]), epsilon)
+    weights = np.abs(vecs.conj().T @ mp.sqrt_pi_u) ** 2
+    return grid, mp.pi_u * float(weights @ grid.inverse_filter(eigs)) / grid.gamma
 
 
 # ---------------------------------------------------------------------------

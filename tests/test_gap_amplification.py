@@ -215,6 +215,12 @@ def pauli_texts(draw):
     return "# a word set\n\n" + "\n".join(draw(st.permutations(lines))) + "\n"
 
 
+def _words(text: str) -> list[str]:
+    """The Pauli words of a text's nonzero lines, the ones the parser keeps."""
+    lines = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
+    return [word for coeff, word in filter(None, lines) if float(coeff) != 0.0]
+
+
 class TestPauliParsing:
     def test_single_line(self):
         h, weights, offset = parse_pauli_lines("0.5 XZ")
@@ -252,11 +258,18 @@ class TestPauliParsing:
     @given(drawn=pauli_texts())
     def test_matches_reflection_route_bit_for_bit(self, text, drawn):
         # the reference builds each projector (sign(c) P + 1)/2 from Kronecker
-        # products of the letters and sums them in line order
+        # products of the letters and sums them in line order, in complex; a
+        # word set with even Y counts only parses to its real part
         for t in (text, drawn):
             h, weights, offset = parse_pauli_lines(t)
             ref, ref_offset = pauli_projectors(t)
-            assert h.tobytes() == ref.sum_matrix().tobytes()
+            ref_sum = ref.sum_matrix()
+            real = all(word.count("Y") % 2 == 0 for word in _words(t))
+            assert h.dtype == (np.float64 if real else np.complex128)
+            if real:
+                assert not ref_sum.imag.any()
+                ref_sum = ref_sum.real
+            assert h.tobytes() == ref_sum.tobytes()
             assert weights == ref.weights and offset == ref_offset
 
     def test_comments_and_blank_lines(self):

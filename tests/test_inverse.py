@@ -25,6 +25,7 @@ from oracles import (
     LcuOperator,
     all_kernel_hs_grid,
     build_tilde_h,
+    complex_path_hitting,
     exact_hitting_time_inverse,
     exponential_grid_error,
     inverse_lcu,
@@ -425,6 +426,28 @@ class TestCircuitExpectation:
         substituted = value * grid.gamma / grid.z_max
         assert abs(substituted - value) <= 0.04 / 4 * abs(value) + 1e-12
 
+
+    @pytest.mark.parametrize(
+        "mp",
+        [
+            mark_states(symmetric_two_state(), [1]),
+            mark_states(lazy_cycle(8), [0]),
+            mark_states(lazy_cycle(16), [0]),
+            mark_states(random_reversible_chain(np.random.default_rng(31), 9), [2]),
+        ],
+        ids=["two-state", "lazy-8-cycle", "lazy-16-cycle", "reversible-9"],
+    )
+    def test_real_h_u_keeps_the_complex_path_grid(self, mp):
+        # H_U is real symmetric, so it is decomposed in float64; the grid is
+        # calibrated from its lowest eigenvalue and must not move
+        assert mp.h_matrix.matrix.dtype == np.float64
+        task = HittingTimeTask(mp, 0.1)
+        ref_grid, ref_amplitude = complex_path_hitting(mp, 0.1)
+        grid = task.grid
+        assert (grid.k_max, grid.j_max, grid.delta_y) == (
+            ref_grid.k_max, ref_grid.j_max, ref_grid.delta_y
+        )
+        assert task.amplitude == pytest.approx(ref_amplitude, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize(
         "mp, eps, skipped",
