@@ -6,11 +6,12 @@ experiment. Each command has a table of field readers: --seed, --out and
 --jobs override the matching fields the command takes, unknown and missing
 fields are config errors, and each field is typed once, with its default
 filled in, before a runner indexes it. --constants overrides the constants.
-`gibbs` and `lemma1-sweep` run one thermal point function. Outputs are
-byte-identical for identical (config, seed) pairs: sweep points may run in a
-worker pool, but results are merged in sorted order before anything is
-written. Exit codes: 0 success, 1 malformed config, 2 a stated precondition
-was violated during the run, 3 domain validation failure.
+`gibbs` and `lemma1-sweep` run one thermal point function, on one decomposed
+Hamiltonian per run. Outputs are byte-identical for identical (config, seed)
+pairs: each sweep runs its points in sorted order, in this process, and
+`jobs` is checked but changes nothing. Exit codes: 0 success, 1 malformed
+config, 2 a stated precondition was violated during the run, 3 domain
+validation failure.
 """
 
 from __future__ import annotations
@@ -102,6 +103,7 @@ _STRING = _reader(lambda v: isinstance(v, str), "a string")
 _NUMBER = _bounded("[-inf, inf]")
 _COUNT = _bounded("[-inf, inf]", "an integer", is_integer, lambda v, name: int(_double(v, name)))
 _UNIT, _POSITIVE, _NONNEGATIVE = _bounded("(0, 1)"), _bounded("(0, inf]"), _bounded("[0, inf]")
+# `jobs` is only checked, so that configs setting it stay valid: sweeps run in-process
 _JOBS, _MODE = (_integer("[1, inf]"), 1), (_enum("desk", "oracle-free"), "desk")
 
 
@@ -204,16 +206,17 @@ def _write_plot(path: Path, xs, ys) -> None:
 
 
 def _thermal_point(
-    spec: dict,
+    h: HermitianOperator,
+    weights: tuple[float, ...],
     beta: float,
     epsilon: float,
     constants: Constants,
     mode: str = "desk",
     z_lower_bound: float | None = None,
 ) -> tuple[GibbsResult, dict]:
-    """Prepare the thermal state of a config's Hamiltonian at one (beta, eps),
-    priced on the config's own presentation; returns the result and its row."""
-    h, weights = _hamiltonian_from_config(spec)
+    """Prepare the thermal state of H at one (beta, eps), priced on the
+    presentation `weights`; returns the result and its row. H's cached
+    eigensystem serves every point of a run."""
     task = GibbsTask(hamiltonian=h, beta=beta, epsilon=epsilon, weights=weights)
     result = prepare_gibbs(task, constants=constants, mode=mode, z_lower_bound=z_lower_bound)
     row = {
@@ -232,8 +235,8 @@ def _thermal_point(
 
 def _run_gibbs(config: dict, constants: Constants, out: Path, seed: int) -> dict:
     result, row = _thermal_point(
-        config["hamiltonian"], config["beta"], config["epsilon"], constants,
-        config["mode"], config["z_lower_bound"],
+        *_hamiltonian_from_config(config["hamiltonian"]), config["beta"], config["epsilon"],
+        constants, config["mode"], config["z_lower_bound"],
     )
     summary = {
         "command": "gibbs",
@@ -245,34 +248,6 @@ def _run_gibbs(config: dict, constants: Constants, out: Path, seed: int) -> dict
     }
     _write_json(out / "summary.json", summary)
     return summary
-
-
-def _recording_warnings(args: tuple) -> tuple:
-    worker, payload = args
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = worker(payload)
-    return value, [(w.category, str(w.message)) for w in caught]
-
-
-def _map_points(worker, payloads: list, jobs: int) -> list:
-    """worker over the payloads in order: serially, or in a pool of min(jobs, points)
-    processes whose warnings are raised again here, so both runs exit alike."""
-    jobs = min(jobs, len(payloads))
-    if jobs <= 1:
-        return [worker(p) for p in payloads]
-    # imported here, as only a pool needs them (about 16 ms of a cold start)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # spawn, not fork: numpy's BLAS threads are already running here
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-        results = list(pool.map(_recording_warnings, [(worker, p) for p in payloads]))
-    for _, caught in results:
-        for category, message in caught:
-            warnings.warn(message, category, stacklevel=2)
-    return [value for value, _ in results]
 
 
 def _write_sweep(
@@ -287,18 +262,12 @@ def _write_sweep(
     return summary
 
 
-def _lemma1_point(args: tuple) -> dict:
-    spec, beta, epsilon, constants = args
-    result, row = _thermal_point(spec, beta, epsilon, constants)
-    return {**row, "warnings": len(result.precondition_warnings)}
-
-
 def _run_lemma1_sweep(config: dict, constants: Constants, out: Path, seed: int) -> dict:
-    payloads = [
-        (config["hamiltonian"], beta, eps, constants)
-        for beta, eps in sorted(product(config["betas"], config["epsilons"]))
-    ]
-    rows = _map_points(_lemma1_point, payloads, config["jobs"])
+    h, weights = _hamiltonian_from_config(config["hamiltonian"])
+    rows = []
+    for beta, eps in sorted(product(config["betas"], config["epsilons"])):
+        result, row = _thermal_point(h, weights, beta, eps, constants)
+        rows.append({**row, "warnings": len(result.precondition_warnings)})
     header = [
         "beta", "epsilon", "eps_prime", "J", "delta_y",
         "trace_dist", "success_amp", "rounds", "total_gate_model",
@@ -360,8 +329,7 @@ def _run_appendix_verify(config: dict, constants: Constants, out: Path, seed: in
     return summary
 
 
-def _lemma2_point(args: tuple) -> dict:
-    delta, epsilon, dim, n_samples, seed = args
+def _lemma2_point(delta: float, epsilon: float, dim: int, n_samples: int, seed: int) -> dict:
     grid = calibrate_inverse_grid(delta, epsilon)
     # Key the stream on the exact bits of both parameters, so distinct sweep
     # points never share random operators.
@@ -391,9 +359,10 @@ def _lemma2_point(args: tuple) -> dict:
 
 
 def _run_lemma2_sweep(config: dict, constants: Constants, out: Path, seed: int) -> dict:
-    points = sorted(product(config["deltas"], config["epsilons"]))
-    payloads = [(d, e, config["dim"], config["samples"], seed) for d, e in points]
-    rows = _map_points(_lemma2_point, payloads, config["jobs"])
+    rows = [
+        _lemma2_point(delta, eps, config["dim"], config["samples"], seed)
+        for delta, eps in sorted(product(config["deltas"], config["epsilons"]))
+    ]
     header = [
         "delta", "epsilon", "z_K", "K", "J", "delta_z", "delta_y",
         "gamma", "gamma_gap", "residual_max",
@@ -404,9 +373,10 @@ def _run_lemma2_sweep(config: dict, constants: Constants, out: Path, seed: int) 
     )
 
 
-def _cost_point(args: tuple) -> tuple[float, cost_mod.CostReport]:
+def _cost_point(
+    model: str, sweep_var: str, value: float, fixed: dict, constants: Constants
+) -> tuple[float, cost_mod.CostReport]:
     """One cost-sweep point: the reported x value and the model's ledger there."""
-    model, sweep_var, value, fixed, constants = args
     params = {**fixed, sweep_var: value}
     epsilon = params["epsilon"]
     if model == "hitting-quantum":
@@ -445,10 +415,10 @@ def _cost_point(args: tuple) -> tuple[float, cost_mod.CostReport]:
 
 def _run_cost_sweep(config: dict, constants: Constants, out: Path, seed: int) -> dict:
     model, sweep_var = config["model"], config["sweep_var"]
-    payloads = [
-        (model, sweep_var, value, config["fixed"], constants) for value in sorted(config["values"])
+    points = [
+        _cost_point(model, sweep_var, value, config["fixed"], constants)
+        for value in sorted(config["values"])
     ]
-    points = _map_points(_cost_point, payloads, config["jobs"])
     entry_names = sorted(points[0][1].entries)
     rows = [
         [sweep_var, reported_value]
@@ -517,7 +487,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="experiment config JSON")
     parser.add_argument("--seed", type=int, default=None, help="64-bit seed override")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--jobs", type=int, default=None, help="worker pool size for sweeps")
+    parser.add_argument(
+        "--jobs", type=int, default=None,
+        help="sweeps take it and check it is at least 1; they run in-process regardless",
+    )
     parser.add_argument("--constants", default=None, help="constants override JSON")
     args = parser.parse_args(argv)
 

@@ -54,22 +54,25 @@ def gaussian_cosine_series(a, delta_y: float, j_max: int):
     is a C-ordered float array of its shape.
 
     The recurrence runs over the flattened argument in blocks of
-    `_COSINE_BLOCK` elements, updating five block-sized buffers in place so
-    they stay in cache. Each element sees the same operations in the same
-    order, acc += (2 w_j) T_j then T_{j+1} = (2c) T_j - T_{j-1}, so the
-    result does not depend on the block size, bit for bit.
+    `_COSINE_BLOCK` elements, updating the output block and four buffers in
+    place so they stay in cache; the buffers are allocated once, and the last
+    block uses their leading part. Each element sees the same operations in
+    the same order, acc += (2 w_j) T_j then T_{j+1} = (2c) T_j - T_{j-1}, so
+    the result does not depend on the block size, bit for bit.
     """
     a = np.asarray(a, dtype=float)
     w = gaussian_weights(delta_y, j_max)
     flat = a.reshape(-1)
     out = np.empty(flat.shape)
+    buffers = np.empty((4, min(_COSINE_BLOCK, flat.size)))
     for start in range(0, flat.size, _COSINE_BLOCK):
         acc = out[start : start + _COSINE_BLOCK]
         acc.fill(w[0])
-        t_cur = np.cos(delta_y * flat[start : start + _COSINE_BLOCK])
-        c2 = 2.0 * t_cur
-        t_prev = np.ones_like(t_cur)
-        t_next = np.empty_like(t_cur)
+        t_cur, c2, t_prev, t_next = buffers[:, : acc.size]
+        np.multiply(delta_y, flat[start : start + _COSINE_BLOCK], out=t_cur)
+        np.cos(t_cur, out=t_cur)
+        np.multiply(2.0, t_cur, out=c2)
+        t_prev.fill(1.0)
         for j in range(1, j_max + 1):
             wj = w[j]
             if wj == 0.0:

@@ -390,11 +390,11 @@ class TestAppendixVerify:
 
 
 class TestSweeps:
-    def test_matrix_lemma1_point_takes_one_eigendecomposition(
+    def test_matrix_lemma1_sweep_takes_one_eigendecomposition(
         self, tmp_path, one_qubit_matrix, monkeypatch
     ):
-        # the Hamiltonian's cached eigensystem serves the split weights, the
-        # task's checks and prepare_gibbs
+        # the sweep decomposes H once: its cached eigensystem serves the split
+        # weights, and the task's checks and prepare_gibbs at every point
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
@@ -409,7 +409,7 @@ class TestSweeps:
             },
         )
         assert main(["--config", config]) == 0
-        assert len(calls) == 4
+        assert len(calls) == 1
 
     def test_lemma1_sweep_csv_columns(self, tmp_path, one_qubit_matrix):
         config = _write_config(
@@ -496,7 +496,7 @@ class TestSweeps:
         original = cli.random_hermitian_with_spectrum
         monkeypatch.setattr(cli, "random_hermitian_with_spectrum", recording)
         for delta in (0.3, 0.33):
-            cli._lemma2_point((delta, 0.2, 3, 1, 5))
+            cli._lemma2_point(delta, 0.2, dim=3, n_samples=1, seed=5)
         assert len(seen) == 2 and seen[0] != seen[1]
 
     def test_cost_sweep_classical_reports_true_gap(self, tmp_path):

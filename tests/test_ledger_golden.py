@@ -125,7 +125,8 @@ def test_prepare_gibbs_on_matrix_config():
             "im": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.5, 0.0, 0.0, 0.5, 0.0],
         }
     }
-    result, _ = cli._thermal_point(spec, 2.0, 0.05, DEFAULT_CONSTANTS)
+    h, weights = cli._hamiltonian_from_config(spec)
+    result, _ = cli._thermal_point(h, weights, 2.0, 0.05, DEFAULT_CONSTANTS)
     assert _hex_ledger(result.cost) == MATRIX_GIBBS
     assert float(result.trace_dist).hex() == MATRIX_GIBBS_TRACE_DIST
 
