@@ -8,10 +8,11 @@ fields are config errors, and each field is typed once, with its default
 filled in, before a runner indexes it. --constants overrides the constants.
 `gibbs` and `lemma1-sweep` run one thermal point function, on one decomposed
 Hamiltonian per run. Outputs are byte-identical for identical (config, seed)
-pairs: each sweep runs its points in sorted order, in this process, and
-`jobs` is checked but changes nothing. Exit codes: 0 success, 1 malformed
-config, 2 a stated precondition was violated during the run, 3 domain
-validation failure.
+pairs under one BLAS build and thread count (from about dimension 224 up, 1
+and 2 threads round the eigen-solves apart): each sweep runs its points in
+sorted order, in this process, and `jobs` is checked but changes nothing. Exit
+codes: 0 success, 1 malformed config, 2 a stated precondition was violated
+during the run, 3 domain validation failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import csv
 import json
 import logging
-import math
 import os
 import sys
 import warnings
@@ -34,7 +34,7 @@ from .constants import Constants
 from .errors import LculabError, PreconditionWarning, ValidationError
 from .gap_amplification import parse_pauli_lines, split_indices
 from .gibbs import GibbsResult, GibbsTask, prepare_gibbs
-from .inverse import HittingTimeTask, calibrate_inverse_grid, estimate_hitting_time
+from .inverse import BASE_CONFIDENCE, HittingTimeTask, calibrate_inverse_grid, estimate_hitting_time
 from .markov import chain_from_json, expected_mc_cost, lazy_cycle, mark_states, read_chain
 from .operators import (
     DIMENSION_CAP, HermitianOperator, is_integer, is_number, matrix_from_json, read_matrix,
@@ -155,7 +155,7 @@ def _cost_sweep_fields(config: dict) -> dict:
 _READERS = {
     "gibbs": _fields(hamiltonian=_hamiltonian, beta=_NONNEGATIVE, epsilon=_UNIT, mode=_MODE,
                      z_lower_bound=(_POSITIVE, None)),
-    "hitting": _fields(chain=_chain, epsilon=_UNIT, confidence=(_UNIT, 8 / math.pi**2),
+    "hitting": _fields(chain=_chain, epsilon=_UNIT, confidence=(_UNIT, BASE_CONFIDENCE),
                        mode=_MODE, delta_lower_bound=(_POSITIVE, None)),
     "appendix-verify": _fields(chain=_chain),
     "lemma1-sweep": _fields(hamiltonian=_hamiltonian, betas=_nonempty(_NONNEGATIVE),
@@ -392,15 +392,7 @@ def _cost_point(
             params["stay"] = 1.0 - value
         mp = mark_states(lazy_cycle(params["n_states"], params["stay"]), [0])
         reported_value = mp.delta if sweep_var == "delta" else value
-        samples, steps = expected_mc_cost(mp, epsilon, constants)
-        return reported_value, cost_mod.CostReport.build(
-            entries={
-                "samples": cost_mod.CostEntry(samples, "ceil(c var / eps^2)"),
-                "expected_steps": cost_mod.CostEntry(steps, "samples * t_h"),
-            },
-            total=steps,
-            total_formula="samples * t_h",
-        )
+        return reported_value, cost_mod.classical_ledger(*expected_mc_cost(mp, epsilon, constants))
     # self-consistent thermal model: a linear spectrum on [0, norm]
     # supplies the partition function at each beta; a count below 1 gives an
     # empty spectrum, and theorem1_cost rejects the count itself

@@ -1,7 +1,9 @@
 """Unified gate-count ledger with explicit constants, plus scaling-fit helpers.
 
 Every entry carries a provenance string naming the closed form it evaluates,
-and totals are recomputable from the entries. Both theorems price their
+and totals are recomputable from the entries. Every ledger is built here, and
+each pipeline shares `thermal_ledger` or `hitting_ledger` with its closed form,
+passing only its own C_W and round count. Both theorems price their
 evolutions with one gate model, `evolution_gate_cost`: c u tau ln(tau/eps) /
 lnln(tau/eps) (truncated-Taylor-series simulation), where only the per-unit
 factor u differs between the projector LCU (`select_unit_cost`) and sparse
@@ -94,6 +96,51 @@ def presentation_gate_cost(
     return evolution_gate_cost(tau, epsilon, select_unit_cost(len(weights), constants), constants)
 
 
+def thermal_ledger(
+    c_w: CostEntry, n_dim: float, j_nodes: float, rounds: CostEntry, **extra: CostEntry
+) -> CostReport:
+    """Theorem 1's ledger rounds * (C_W + n + log2 J) on the caller's C_W and rounds:
+    n = max(1, ceil(log2 N)) gates prepare the entangled pair and log2 J gates, J
+    floored at 2, the coefficient state. `extra` entries are listed, not summed."""
+    n_qubits = max(1, math.ceil(math.log2(n_dim)))
+    log_j = math.log2(max(j_nodes, 2))
+    entries = {
+        "C_W": c_w,
+        "state_prep": CostEntry(n_qubits, "entangled-pair preparation, n two-qubit gates"),
+        "C_B": CostEntry(log_j, "coefficient state over 2J+1 nodes, log2 J gates"),
+        "amplification_rounds": rounds,
+    }
+    total = rounds.value * (c_w.value + n_qubits + log_j)
+    return CostReport.build({**entries, **extra}, total, "rounds * (C_W + n + log2 J)")
+
+
+def hitting_ledger(
+    c_w: CostEntry, delta: float, epsilon: float, reps: CostEntry, constants: Constants
+) -> CostReport:
+    """Theorem 2's ledger ae_repetitions * (C_W + C_U + C_sqrt_pi + C_B) on the
+    caller's C_W and repetitions, with C_B = c ln(1/(Delta eps))."""
+    c_u, c_sqrt_pi = constants.marked_oracle_cost, constants.sqrt_pi_oracle_cost
+    c_b = constants.b_gate_cost_constant * math.log(1.0 / (delta * epsilon))
+    entries = {
+        "C_W": c_w,
+        "C_U": CostEntry(c_u, "marked-membership oracle"),
+        "C_sqrt_pi": CostEntry(c_sqrt_pi, "stationary-state oracle"),
+        "C_B": CostEntry(c_b, "coefficient state, c ln(1/(Delta eps)) gates"),
+        "ae_repetitions": reps,
+    }
+    total = reps.value * (c_w.value + c_u + c_sqrt_pi + c_b)
+    return CostReport.build(entries, total, "ae_repetitions * (C_W + C_U + C_sqrt_pi + C_B)")
+
+
+def classical_ledger(samples: int, steps: float) -> CostReport:
+    """The Monte-Carlo baseline's ledger: `samples` walks, `steps` = samples * t_h."""
+    entries = {
+        "samples": CostEntry(samples, "ceil(c var / eps^2)"),
+        "expected_steps": CostEntry(steps, "samples * t_h"),
+    }
+    return CostReport.build(entries, steps, "samples * t_h")
+
+
 def _check_positive(**values: float) -> None:
     for name, value in values.items():
         if not (value > 0 and math.isfinite(value)):
@@ -110,11 +157,10 @@ def theorem1_cost(
 ) -> CostReport:
     """Closed-form ledger for the thermal-preparation pipeline.
 
-    rounds ~ ceil(c/asin(sqrt(Z/N))); per round one simulated evolution of a
-    single unit-weight projector at t = sqrt(beta ln(1/eps')), plus n gates of
-    state preparation and log2 J gates for the coefficient state. A companion
-    entry evaluates the qubit-Hamiltonian specialization sqrt(N beta / Z)
-    polylog for comparison.
+    rounds ~ ceil(c/asin(sqrt(Z/N))) of `thermal_ledger`, each evolving a single
+    unit-weight projector for t = sqrt(beta ln(1/eps')). A companion entry
+    evaluates the qubit-Hamiltonian specialization sqrt(N beta / Z) polylog
+    for comparison.
     """
     _check_positive(n_dim=n_dim, z=z, epsilon=epsilon)
     if beta < 0 or not math.isfinite(beta):
@@ -124,26 +170,18 @@ def theorem1_cost(
     eps_prime = gibbs_eps_prime(epsilon, z, n_dim, constants)
     log_inv = math.log(1.0 / eps_prime)
     t = math.sqrt(max(beta, 1e-300) * log_inv)
-    j_nodes = max(math.sqrt(max(norm_bound * beta, 1.0)) * log_inv, 2.0)
+    j_nodes = math.sqrt(max(norm_bound * beta, 1.0)) * log_inv
     amplitude = min(math.sqrt(z / n_dim), 1.0)
     rounds = amplification_rounds(amplitude, constants)
     c_w = presentation_gate_cost(t, (1.0,), eps_prime, constants)
-    n_qubits = max(1.0, math.ceil(math.log2(n_dim)))
-    total = rounds * (c_w + n_qubits + math.log2(j_nodes))
     qubit_arg = math.sqrt(n_dim * max(beta, 1.0) / z) / epsilon
     qubit_form = math.sqrt(n_dim * max(beta, 1.0) / z) * math.log(qubit_arg) ** 2
-    return CostReport.build(
-        entries={
-            "C_W": CostEntry(c_w, "evolution gate model at t = sqrt(beta ln(1/eps'))"),
-            "state_prep": CostEntry(n_qubits, "n two-qubit gates"),
-            "C_B": CostEntry(math.log2(j_nodes), "coefficient state, log2 J gates"),
-            "amplification_rounds": CostEntry(rounds, "ceil(c/asin(sqrt(Z/N)))"),
-            "qubit_form": CostEntry(
-                qubit_form, "sqrt(N beta/Z) polylog(sqrt(N beta/Z)/eps), ln^2 convention"
-            ),
-        },
-        total=total,
-        total_formula="rounds * (C_W + n + log2 J)",
+    return thermal_ledger(
+        CostEntry(c_w, "evolution gate model at t = sqrt(beta ln(1/eps'))"), n_dim, j_nodes,
+        CostEntry(rounds, "ceil(c/asin(sqrt(Z/N)))"),
+        qubit_form=CostEntry(
+            qubit_form, "sqrt(N beta/Z) polylog(sqrt(N beta/Z)/eps), ln^2 convention"
+        ),
     )
 
 
@@ -172,33 +210,20 @@ def theorem2_cost(
 ) -> CostReport:
     """Closed-form ledger for the hitting-time pipeline with sparse-access oracles.
 
-    Estimation repetitions ~ c/eps'; each repetition simulates the enlarged
-    evolution for t ~ ln(1/(eps Delta))/sqrt(Delta) with tau = |t| d^2, queries
-    the marked and amplitude oracles, and prepares the coefficient state at
-    C_B = c ln(1/(Delta eps)).
+    Estimation repetitions ~ c/eps' of `hitting_ledger`, each simulating the
+    enlarged evolution for t ~ ln(1/(eps Delta))/sqrt(Delta) with tau = |t| d^2.
     """
     _check_positive(delta_lower=delta_lower, epsilon=epsilon, d=d, n_states=n_states)
     if delta_lower > 1:
         raise ValidationError("delta_lower must lie in (0, 1]")
     eps_prime = hitting_eps_prime(delta_lower, epsilon, constants)
-    log_inv, tau = _theorem2_log_and_tau(delta_lower, epsilon, d)
+    _, tau = _theorem2_log_and_tau(delta_lower, epsilon, d)
     per_unit = d * math.log(n_states) + constants.sparse_oracle_cost + constants.marked_oracle_cost
     c_w = evolution_gate_cost(tau, eps_prime, per_unit, constants)
-    c_b = constants.b_gate_cost_constant * log_inv
-    repetitions = constants.ae_query_constant / eps_prime
-    per_rep = (
-        c_w + constants.marked_oracle_cost + constants.sqrt_pi_oracle_cost + c_b
-    )
-    return CostReport.build(
-        entries={
-            "C_W": CostEntry(c_w, "sparse evolution gate model, tau = |t| d^2"),
-            "C_U": CostEntry(constants.marked_oracle_cost, "marked-membership oracle"),
-            "C_sqrt_pi": CostEntry(constants.sqrt_pi_oracle_cost, "stationary-state oracle"),
-            "C_B": CostEntry(c_b, "coefficient state, c ln(1/(Delta eps)) gates"),
-            "ae_repetitions": CostEntry(repetitions, "c / eps' estimation repetitions"),
-        },
-        total=repetitions * per_rep,
-        total_formula="ae_repetitions * (C_W + C_U + C_sqrt_pi + C_B)",
+    return hitting_ledger(
+        CostEntry(c_w, "sparse evolution gate model, tau = |t| d^2"), delta_lower, epsilon,
+        CostEntry(constants.ae_query_constant / eps_prime, "c / eps' estimation repetitions"),
+        constants,
     )
 
 

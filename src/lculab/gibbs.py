@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, Constants
-from .cost import CostEntry, CostReport, gibbs_eps_prime, presentation_gate_cost
+from .cost import CostEntry, CostReport, gibbs_eps_prime, presentation_gate_cost, thermal_ledger
 from .errors import CalibrationError, PreconditionWarning, ValidationError
 from .gap_amplification import check_weight, require_psd
 from .lcu import (
@@ -277,7 +277,7 @@ def prepare_gibbs(
         z_for_eps = min(float(z_lower_bound), float(n_dim) * math.exp(-task.beta * energies[0]))
     eps_prime = gibbs_eps_prime(task.epsilon, z_for_eps, n_dim, constants)
 
-    norm_bound = max(float(np.max(np.abs(energies))), 1e-9)
+    norm_bound = max(h.spectral_norm, 1e-9)
     grid = calibrate_hs_grid(norm_bound, task.beta, eps_prime)
     collected: list[str] = []
     log_inv = math.log(1.0 / eps_prime)
@@ -307,18 +307,9 @@ def prepare_gibbs(
 
     t_max = grid.y_max * math.sqrt(task.beta)
     c_w = presentation_gate_cost(t_max, task.weights, eps_prime, constants)
-    n_qubits = max(1, math.ceil(math.log2(n_dim)))
-    log_j = math.log2(max(grid.j_max, 2))
-    total = rounds * (c_w + n_qubits + log_j)
-    cost = CostReport.build(
-        entries={
-            "C_W": CostEntry(c_w, "evolution gate model at t = y_J sqrt(beta), precision eps'"),
-            "state_prep": CostEntry(n_qubits, "entangled-pair preparation, n two-qubit gates"),
-            "C_B": CostEntry(log_j, "coefficient state over 2J+1 nodes, log2 J gates"),
-            "amplification_rounds": CostEntry(rounds, "ceil(c/asin(a)) at the measured amplitude"),
-        },
-        total=total,
-        total_formula="rounds * (C_W + n + log2 J)",
+    cost = thermal_ledger(
+        CostEntry(c_w, "evolution gate model at t = y_J sqrt(beta), precision eps'"), n_dim,
+        grid.j_max, CostEntry(rounds, "ceil(c/asin(a)) at the measured amplitude"),
     )
     return GibbsResult(
         hamiltonian=h,

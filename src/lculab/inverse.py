@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, Constants
-from .cost import CostEntry, CostReport, hitting_eps_prime, presentation_gate_cost
+from .cost import CostEntry, CostReport, hitting_eps_prime, hitting_ledger, presentation_gate_cost
 from .errors import CalibrationError, ValidationError
 from .gap_amplification import split_indices
 from .gibbs import calibrate_hs_grid
@@ -59,7 +59,7 @@ _N_SAMPLES = 64
 _MAX_ITERATIONS = 20
 _EXIT_BLOCK = 8
 _TARGET_MARGIN = 0.9
-_BASE_CONFIDENCE = 8.0 / math.pi**2
+BASE_CONFIDENCE = 8.0 / math.pi**2
 # The most (K+1) * n * (J+1) cosine-recurrence element-steps one filter call
 # may take: 11x the lazy 32-cycle's whole spectrum at eps 0.1 (K = 138,422,
 # n = 31, J = 2,090; its expectation filters 16 of them), the largest run
@@ -287,7 +287,7 @@ def outcome_distribution(true_value: float, m: int) -> np.ndarray:
 def amplitude_estimation(
     true_value: float,
     epsilon: float,
-    confidence: float = _BASE_CONFIDENCE,
+    confidence: float = BASE_CONFIDENCE,
     seed: int = 0,
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> tuple[float, int]:
@@ -309,7 +309,7 @@ def amplitude_estimation(
     m += m % 2
     probs = outcome_distribution(true_value, m)
     probs = probs / probs.sum()
-    if confidence <= _BASE_CONFIDENCE + 1e-12:
+    if confidence <= BASE_CONFIDENCE + 1e-12:
         repetitions = 1
     else:
         repetitions = 1 + 2 * math.ceil(
@@ -327,7 +327,7 @@ class HittingTimeTask:
 
     partition: MarkedPartition
     epsilon: float
-    confidence: float = _BASE_CONFIDENCE
+    confidence: float = BASE_CONFIDENCE
     delta_lower: float | None = None
     constants: Constants = field(default=DEFAULT_CONSTANTS)
 
@@ -379,7 +379,6 @@ def estimate_hitting_time(task: HittingTimeTask, seed: int = 0) -> HittingTimeRe
     """
     constants = task.constants
     mp = task.partition
-    delta = task.delta
     grid = task.grid
     amp = task.amplitude
     amp_clipped = min(max(amp, 0.0), 1.0)
@@ -395,18 +394,9 @@ def estimate_hitting_time(task: HittingTimeTask, seed: int = 0) -> HittingTimeRe
     t_evolve = grid.y_max * math.sqrt(2.0 * grid.z_max)
     eigs = mp.h_matrix.eigensystem[0]
     c_w = presentation_gate_cost(t_evolve, eigs[split_indices(eigs)], task.epsilon_prime, constants)
-    c_b = constants.b_gate_cost_constant * math.log(1.0 / (delta * task.epsilon))
-    per_rep = c_w + constants.marked_oracle_cost + constants.sqrt_pi_oracle_cost + c_b
-    cost = CostReport.build(
-        entries={
-            "C_W": CostEntry(c_w, "evolution gate model at t = y_J sqrt(2 z_K)"),
-            "C_U": CostEntry(constants.marked_oracle_cost, "marked-membership oracle"),
-            "C_sqrt_pi": CostEntry(constants.sqrt_pi_oracle_cost, "stationary-state oracle"),
-            "C_B": CostEntry(c_b, "coefficient state, c ln(1/(Delta eps)) gates"),
-            "ae_repetitions": CostEntry(queries, "measured grover queries"),
-        },
-        total=queries * per_rep,
-        total_formula="grover_queries * (C_W + C_U + C_sqrt_pi + C_B)",
+    cost = hitting_ledger(
+        CostEntry(c_w, "evolution gate model at t = y_J sqrt(2 z_K)"), task.delta,
+        task.epsilon, CostEntry(queries, "measured grover queries"), constants,
     )
     classical = expected_mc_cost(mp, task.epsilon, constants)
     return HittingTimeResult(

@@ -3,8 +3,8 @@
 Everything here routes through the eigendecomposition of a Hermitian matrix,
 which is computed once per operator and cached: the pipelines read their
 filters off its spectrum, and `matrix_function` applies a scalar function
-through it. Values are immutable after construction and safe to share across
-workers.
+through it. Values are immutable after construction, so every point of a
+sweep can read one operator's cached eigensystem.
 
 A matrix keeps the type of its data. Real input (bool, integer or float), and
 complex input whose imaginary parts are all exactly 0, is held in float64, so

@@ -5,14 +5,18 @@ Every entry and total is compared through `float.hex`, so any change in how a
 closed form is evaluated (operand order included) shows up here. The inputs
 are the `cost-sweep` defaults for the two theorem ledgers, the README's two
 example configs for the pipeline ledgers, and a literal 4x4 matrix for the
-thermal pipeline's matrix front door. The manifest is pinned on the README
-two-state chain, a seeded 80-state dyadic chain and an asymmetric reversible
-chain.
+thermal pipeline's matrix front door. The thermal pipeline's ledger is also
+pinned as the `cost` object `gibbs` writes to summary.json, formulas and
+value types included, and each theorem's pipeline and closed form are checked
+to share their entry names and shared formulas. The manifest is pinned on the
+README two-state chain, a seeded 80-state dyadic chain and an asymmetric
+reversible chain.
 """
 
 import math
 
 import numpy as np
+import pytest
 
 from lculab import cli
 from lculab.constants import DEFAULT_CONSTANTS
@@ -56,6 +60,35 @@ MATRIX_GIBBS = {
     "total": "0x1.059e51952a770p+9",
 }
 MATRIX_GIBBS_TRACE_DIST = "0x1.bcd6e4b097450p-13"
+# the thermal pipeline's formulas, as `gibbs` writes them to summary.json
+GIBBS_FORMULAS = {
+    "C_B": "coefficient state over 2J+1 nodes, log2 J gates",
+    "C_W": "evolution gate model at t = y_J sqrt(beta), precision eps'",
+    "amplification_rounds": "ceil(c/asin(a)) at the measured amplitude",
+    "state_prep": "entangled-pair preparation, n two-qubit gates",
+}
+GIBBS_TOTAL_FORMULA = "rounds * (C_W + n + log2 J)"
+# `to_json()` with floats through float.hex: the round and qubit counts stay ints
+README_GIBBS_JSON = {
+    "entries": {
+        "C_B": {"value": README_GIBBS["C_B"], "formula": GIBBS_FORMULAS["C_B"]},
+        "C_W": {"value": README_GIBBS["C_W"], "formula": GIBBS_FORMULAS["C_W"]},
+        "amplification_rounds": {"value": 3, "formula": GIBBS_FORMULAS["amplification_rounds"]},
+        "state_prep": {"value": 3, "formula": GIBBS_FORMULAS["state_prep"]},
+    },
+    "total": README_GIBBS["total"],
+    "total_formula": GIBBS_TOTAL_FORMULA,
+}
+MATRIX_GIBBS_JSON = {
+    "entries": {
+        "C_B": {"value": MATRIX_GIBBS["C_B"], "formula": GIBBS_FORMULAS["C_B"]},
+        "C_W": {"value": MATRIX_GIBBS["C_W"], "formula": GIBBS_FORMULAS["C_W"]},
+        "amplification_rounds": {"value": 2, "formula": GIBBS_FORMULAS["amplification_rounds"]},
+        "state_prep": {"value": 2, "formula": GIBBS_FORMULAS["state_prep"]},
+    },
+    "total": MATRIX_GIBBS["total"],
+    "total_formula": GIBBS_TOTAL_FORMULA,
+}
 README_HITTING = {
     "C_B": "0x1.7f7427b73e391p+1",
     "C_U": "0x1.0000000000000p+0",
@@ -99,6 +132,32 @@ def _hex_ledger(report) -> dict:
     return ledger
 
 
+def _hex_json(report) -> dict:
+    """`report.to_json()` with each float value through `float.hex` and ints kept,
+    so the comparison sees the value's type as well as its bits."""
+
+    def exact(value):
+        return value.hex() if isinstance(value, float) else value
+
+    doc = report.to_json()
+    for entry in doc["entries"].values():
+        entry["value"] = exact(entry["value"])
+    return {**doc, "total": exact(doc["total"])}
+
+
+def _readme_gibbs():
+    matrix, weights, _ = parse_pauli_lines("1.0 ZZI\n0.7 IZZ\n0.4 XIX\n0.3 IXI")
+    task = GibbsTask(hamiltonian=HermitianOperator(matrix), beta=2.0, epsilon=0.05, weights=weights)
+    return prepare_gibbs(task)
+
+
+def _readme_hitting():
+    chain, marked = chain_from_json(README_CHAIN)
+    mp = mark_states(chain, marked)
+    task = HittingTimeTask(partition=mp, epsilon=0.1, confidence=8 / math.pi**2)
+    return estimate_hitting_time(task, seed=7)
+
+
 def test_theorem1_at_cost_sweep_defaults():
     # the `gibbs` cost-sweep model: a linear spectrum on [0, 1], N = 8, beta 4, eps 0.1
     z = float(np.sum(np.exp(-4.0 * np.linspace(0.0, 1.0, 8))))
@@ -110,9 +169,9 @@ def test_theorem2_at_cost_sweep_defaults():
 
 
 def test_prepare_gibbs_on_readme_config():
-    matrix, weights, _ = parse_pauli_lines("1.0 ZZI\n0.7 IZZ\n0.4 XIX\n0.3 IXI")
-    task = GibbsTask(hamiltonian=HermitianOperator(matrix), beta=2.0, epsilon=0.05, weights=weights)
-    assert _hex_ledger(prepare_gibbs(task).cost) == README_GIBBS
+    cost = _readme_gibbs().cost
+    assert _hex_ledger(cost) == README_GIBBS
+    assert _hex_json(cost) == README_GIBBS_JSON
 
 
 def test_prepare_gibbs_on_matrix_config():
@@ -128,14 +187,38 @@ def test_prepare_gibbs_on_matrix_config():
     h, weights = cli._hamiltonian_from_config(spec)
     result, _ = cli._thermal_point(h, weights, 2.0, 0.05, DEFAULT_CONSTANTS)
     assert _hex_ledger(result.cost) == MATRIX_GIBBS
+    assert _hex_json(result.cost) == MATRIX_GIBBS_JSON
     assert float(result.trace_dist).hex() == MATRIX_GIBBS_TRACE_DIST
 
 
 def test_estimate_hitting_time_on_readme_config():
-    chain, marked = chain_from_json(README_CHAIN)
-    mp = mark_states(chain, marked)
-    task = HittingTimeTask(partition=mp, epsilon=0.1, confidence=8 / math.pi**2)
-    assert _hex_ledger(estimate_hitting_time(task, seed=7).cost) == README_HITTING
+    assert _hex_ledger(_readme_hitting().cost) == README_HITTING
+
+
+@pytest.mark.parametrize(
+    "pipeline, closed_form, shared",
+    [
+        (
+            lambda: _readme_gibbs().cost,
+            lambda: theorem1_cost(8, 4.0, 4.0, 0.1, norm_bound=1.0),
+            ["state_prep", "C_B"],
+        ),
+        (
+            lambda: _readme_hitting().cost,
+            lambda: theorem2_cost(0.25, 0.1, 3.0, 32.0),
+            ["C_U", "C_sqrt_pi", "C_B"],
+        ),
+    ],
+    ids=["theorem1", "theorem2"],
+)
+def test_pipeline_and_closed_form_share_one_ledger(pipeline, closed_form, shared):
+    # the closed form may list extra entries (Theorem 1's qubit_form), never fewer
+    run, formula = pipeline(), closed_form()
+    assert set(run.entries) <= set(formula.entries)
+    assert set(formula.entries) - set(run.entries) <= {"qubit_form"}
+    for name in shared:
+        assert run.entries[name].formula == formula.entries[name].formula, name
+    assert run.total_formula == formula.total_formula
 
 
 def _hex_manifest(chain, marked) -> dict:
