@@ -2,10 +2,13 @@
 summaries plus CSV tables and plot data.
 
 One entry point reads a config JSON whose "command" field selects the
-experiment. Each command has a table of field readers: --seed, --out and
+experiment. Each command has a table of field readers, and one object reader
+types every JSON object in a config with its table: the config itself, a
+cost-sweep's `fixed`, and the matrix and chain wire formats. --seed, --out and
 --jobs override the matching fields the command takes, unknown and missing
-fields are config errors, and each field is typed once, with its default
-filled in, before a runner indexes it. --constants overrides the constants.
+fields are config errors named by their path (e.g. `chain.entries[3]`), and
+each field is typed once, with its default filled in, before a runner indexes
+it. --constants overrides the constants.
 `gibbs` and `lemma1-sweep` run one thermal point function, on one decomposed
 Hamiltonian per run. Outputs are byte-identical for identical (config, seed)
 pairs under one BLAS build and thread count (from about dimension 224 up, 1
@@ -35,10 +38,8 @@ from .errors import LculabError, PreconditionWarning, ValidationError
 from .gap_amplification import parse_pauli_lines, split_indices
 from .gibbs import GibbsResult, GibbsTask, prepare_gibbs
 from .inverse import BASE_CONFIDENCE, HittingTimeTask, calibrate_inverse_grid, estimate_hitting_time
-from .markov import chain_from_json, expected_mc_cost, lazy_cycle, mark_states, read_chain
-from .operators import (
-    DIMENSION_CAP, HermitianOperator, is_integer, is_number, matrix_from_json, read_matrix,
-)
+from .markov import chain_from_json, expected_mc_cost, lazy_cycle, mark_states
+from .operators import DIMENSION_CAP, HermitianOperator, is_integer, is_number, matrix_from_json
 from .rand import random_hermitian_with_spectrum, random_state
 from .sparse_chain import decomposition_manifest
 
@@ -54,7 +55,7 @@ _COST_MODELS = {
     "hitting-classical": (["delta", "epsilon"], {"n_states": 16, "stay": 0.75, "epsilon": 1.0}),
     "gibbs": (["beta", "epsilon"], {"beta": 4.0, "epsilon": 0.1, "n_dim": 8, "norm": 1.0}),
 }
-_REQUIRED = object()  # the default of a field every config of its command sets
+_REQUIRED = object()  # the default of a required field
 
 
 def _reader(test, what: str, convert=lambda value, name: value):
@@ -107,57 +108,96 @@ _UNIT, _POSITIVE, _NONNEGATIVE = _bounded("(0, 1)"), _bounded("(0, inf]"), _boun
 _JOBS, _MODE = (_integer("[1, inf]"), 1), (_enum("desk", "oracle-free"), "desk")
 
 
-def _fixed(defaults: dict):
-    """cost-sweep `fixed` for one model: `defaults` updated from the config."""
-    return _reader(
-        lambda v: isinstance(v, dict) and v.keys() <= defaults.keys(),
-        f"an object with keys from {sorted(defaults)}",
-        lambda v, name: {**defaults, **{
-            k: (_COUNT if type(defaults[k]) is int else _NUMBER)(x, f"{name}.{k}")
-            for k, x in v.items()
-        }},
-    )
+def _object(specs: dict, label: str | None = None):
+    """A reader of a JSON object: `specs` maps each key to (reader, default), or to
+    a bare reader for a required key, read under its path (e.g. `chain.entries`).
+    An unknown or missing required key is a config error naming the object by
+    its path, or by `label` for a config, whose keys are their own names."""
+    fields = {k: s if isinstance(s, tuple) else (s, _REQUIRED) for k, s in specs.items()}
+    required = [k for k, (_, default) in fields.items() if default is _REQUIRED]
+
+    def read(value, name):
+        if not isinstance(value, dict):
+            raise ValidationError(f"{name} must be an object, got {value!r}")
+        owner, prefix = (label, "") if label else (name, f"{name}.")
+        unknown = sorted(value.keys() - fields.keys())
+        if unknown:
+            raise ValidationError(f"unknown fields {unknown}; {owner} takes {list(fields)}")
+        missing = [k for k in required if k not in value]
+        if missing:
+            raise ValidationError(f"missing fields {missing}; {owner} needs them")
+        return {k: read_field(value[k], prefix + k) if k in value else default
+                for k, (read_field, default) in fields.items()}
+
+    return read
 
 
-def _chain(value, name):
-    return read_chain(value)
+def _list_of(test, what: str, convert):
+    """A reader of a list whose items pass `test`, checked in one pass (only an
+    item that fails gets its name formatted), and typed by `convert`."""
+    def read(value, name):
+        if not isinstance(value, list):
+            raise ValidationError(f"{name} must be a list, got {value!r}")
+        if not all(map(test, value)):
+            i = next(i for i, x in enumerate(value) if not test(x))
+            raise ValidationError(f"{name}[{i}] must be {what}, got {value[i]!r}")
+        try:
+            return convert(value)
+        except OverflowError:
+            raise ValidationError(f"{name} holds a number too large for a double") from None
+
+    return read
+
+
+def _is_entry(item) -> bool:
+    return (isinstance(item, list) and len(item) == 3
+            and is_integer(item[0]) and is_integer(item[1]) and is_number(item[2]))
+
+
+_FLOATS = _list_of(is_number, "a number", lambda v: np.asarray(v, dtype=float))
+_MATRIX = _object({"dim": _integer("[1, inf]"), "re": _FLOATS, "im": _FLOATS})
+_CHAIN = _object({
+    "n_states": _integer("[2, inf]"),
+    "entries": _list_of(_is_entry, "[integer, integer, number]",
+                        lambda v: [(int(r), int(c), float(p)) for r, c, p in v]),
+    "marked": _list_of(is_integer, "an integer", lambda v: [int(s) for s in v]),
+})
 
 
 def _hamiltonian(value, name) -> dict:
-    """{"pauli": text}, or {"matrix": {dim, re, im}} typed by `read_matrix`."""
+    """{"pauli": text}, or {"matrix": {dim, re, im}}."""
     if isinstance(value, dict) and value.keys() == {"pauli"}:
         return {"pauli": _STRING(value["pauli"], f"{name}.pauli")}
     if isinstance(value, dict) and value.keys() == {"matrix"}:
-        return {"matrix": read_matrix(value["matrix"])}
+        return {"matrix": _MATRIX(value["matrix"], f"{name}.matrix")}
     raise ValidationError(f"{name} must hold one field, pauli or matrix, got {value!r}")
 
 
 def _fields(**specs) -> dict:
-    """A command's table, field -> (reader, default): the fields every command
-    takes and `specs`, in which a bare reader is a required field."""
-    specs = {
+    """A command's table for `_object`: the fields every command takes and `specs`."""
+    return {
         "command": _STRING, "seed": (_integer("[0, inf]"), 0), "out": (_STRING, "lculab_out"),
         "constants": (_reader(lambda v: isinstance(v, dict), "an object"), {}), **specs,
     }
-    return {k: spec if isinstance(spec, tuple) else (spec, _REQUIRED) for k, spec in specs.items()}
 
 
 def _cost_sweep_fields(config: dict) -> dict:
     """cost-sweep's table, whose `sweep_var` and `fixed` follow the model (read first)."""
     model = config.get("model")
     sweep_vars, defaults = _COST_MODELS.get(model, ((), {})) if isinstance(model, str) else ((), {})
+    fixed = _object({k: (_COUNT if type(d) is int else _NUMBER, d) for k, d in defaults.items()})
     return _fields(
         model=_enum(*_COST_MODELS), sweep_var=_enum(*sweep_vars), values=_nonempty(_POSITIVE),
-        fixed=(_fixed(defaults), defaults), jobs=_JOBS,
+        fixed=(fixed, defaults), jobs=_JOBS,
     )
 
 
 _READERS = {
     "gibbs": _fields(hamiltonian=_hamiltonian, beta=_NONNEGATIVE, epsilon=_UNIT, mode=_MODE,
                      z_lower_bound=(_POSITIVE, None)),
-    "hitting": _fields(chain=_chain, epsilon=_UNIT, confidence=(_UNIT, BASE_CONFIDENCE),
+    "hitting": _fields(chain=_CHAIN, epsilon=_UNIT, confidence=(_UNIT, BASE_CONFIDENCE),
                        mode=_MODE, delta_lower_bound=(_POSITIVE, None)),
-    "appendix-verify": _fields(chain=_chain),
+    "appendix-verify": _fields(chain=_CHAIN),
     "lemma1-sweep": _fields(hamiltonian=_hamiltonian, betas=_nonempty(_NONNEGATIVE),
                             epsilons=_nonempty(_UNIT), jobs=_JOBS),
     "lemma2-sweep": _fields(deltas=_nonempty(_bounded("(0, 1]")), epsilons=_nonempty(_UNIT),
@@ -442,10 +482,10 @@ _RUNNERS = {
 
 
 def load_config(path: str, overrides: dict | None = None) -> dict:
-    """Read a config and type it: apply the non-None overrides its command takes
-    (so --jobs reaches sweeps only), reject unknown and missing fields, and read
-    each field once. Every field of the command is in the result, typed or at
-    its default."""
+    """Read a config and type it with its command's table: apply the non-None
+    overrides the command takes (so --jobs reaches sweeps only), reject unknown
+    and missing fields, and read each field once. Every field of the command
+    is in the result, typed or at its default."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -460,14 +500,7 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     if callable(fields):
         fields = fields(config)
     config.update((k, v) for k, v in (overrides or {}).items() if v is not None and k in fields)
-    unknown = sorted(set(config) - set(fields))
-    if unknown:
-        raise ValidationError(f"unknown fields {unknown}; {command} takes {list(fields)}")
-    missing = [k for k, (_, default) in fields.items() if default is _REQUIRED and k not in config]
-    if missing:
-        raise ValidationError(f"missing fields {missing}; {command} needs them")
-    return {key: read(config[key], key) if key in config else default
-            for key, (read, default) in fields.items()}
+    return _object(fields, command)(config, "")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,6 +5,8 @@ baseline.
 Transition matrices are column-stochastic: entry (s', s) is Pr(s'|s). The
 stationary vector, detailed balance, irreducibility, aperiodicity and spectrum
 nonnegativity are all checked at construction; nothing downstream re-validates.
+`chain_from_json` builds a chain from the sparse-triplet wire format
+{n_states, entries, marked}, which the CLI types.
 
 A `MarkedPartition` is the one object that pairs a chain with its marked set,
 and every chain command reads it; `mark_states` is the one reader of a marked
@@ -28,13 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, Constants
 from .errors import ValidationError, WalkTimeoutError
-from .operators import DIMENSION_CAP, HermitianOperator, is_integer, is_number
+from .operators import DIMENSION_CAP, HermitianOperator, is_integer
 
 COLUMN_SUM_ATOL = 1e-12
 DETAILED_BALANCE_ATOL = 1e-10
@@ -246,8 +247,8 @@ class MarkedPartition:
 def read_marked(marked, n_states: int) -> tuple[int, ...]:
     """The sorted distinct states of a marked set over n_states states.
 
-    A state is an integer, a numpy integer or an integral float, as in
-    `parse_triplet`. Anything else, an empty or full set, or a state out of
+    A state is an integer, a numpy integer or an integral float, as a chain
+    entry's index is. Anything else, an empty or full set, or a state out of
     range raises ValidationError.
     """
     try:
@@ -473,64 +474,20 @@ def lazy_cycle(n: int, stay: float = 0.5) -> MarkovChain:
 # ---------------------------------------------------------------------------
 # Sparse-triplet JSON wire format.
 
-def parse_triplet(item) -> tuple[int, int, float]:
-    """(row, col, Pr(row|col)) from a chain entry [integer, integer, number].
-
-    Python and numpy integers and floats are numbers; bools, strings, nulls,
-    fractional indices and integers too large for a double raise
-    ValidationError.
-    """
-    if (
-        not isinstance(item, (list, tuple))
-        or len(item) != 3
-        or not (is_integer(item[0]) and is_integer(item[1]) and is_number(item[2]))
-    ):
-        raise ValidationError(f"chain entry {item!r} is not [integer, integer, number]")
-    try:
-        return int(item[0]), int(item[1]), float(item[2])
-    except OverflowError:
-        message = f"chain entry ({item[0]}, {item[1]}): probability too large for a double"
-        raise ValidationError(message) from None
-
-
-class ChainJson(NamedTuple):
-    """The sparse-triplet JSON form of a chain as `read_chain` types it."""
-
-    n_states: int
-    entries: list[tuple[int, int, float]]
-    marked: list[int]
-
-
-def read_chain(obj) -> ChainJson:
-    """Type a {"n_states", "entries", "marked"} object: n_states an integer >= 2, each
-    entry by `parse_triplet`, marked a list of integers. `chain_from_json` checks the
-    entries' ranges, and `mark_states` reads the marked set."""
-    if not (isinstance(obj, dict) and obj.keys() == {"n_states", "entries", "marked"}):
-        raise ValidationError("malformed chain JSON: the fields are not n_states, entries, marked")
-    n, entries, marked = obj["n_states"], obj["entries"], obj["marked"]
-    if not (is_integer(n) and n >= 2):
-        raise ValidationError(f"malformed chain JSON: n_states {n!r} is not an integer >= 2")
-    if not isinstance(entries, (list, tuple)):
-        raise ValidationError(f"malformed chain JSON: entries {entries!r} is not a list")
-    if not (isinstance(marked, (list, tuple)) and all(map(is_integer, marked))):
-        raise ValidationError(f"marked set {marked!r} is not a list of integers")
-    return ChainJson(int(n), [parse_triplet(item) for item in entries], [int(s) for s in marked])
-
-
 def chain_from_json(obj) -> tuple[MarkovChain, list[int]]:
-    """The chain of a JSON object, or of a `ChainJson` already read from one, and its
-    marked list as typed, for `mark_states` to read."""
-    n, entries, marked = obj if isinstance(obj, ChainJson) else read_chain(obj)
+    """The chain of a {"n_states", "entries", "marked"} object as the CLI types it,
+    each entry [row, col, Pr(row|col)], and its marked list for `mark_states`."""
+    n = obj["n_states"]
     # checked before the n x n matrix is allocated
     if n > DIMENSION_CAP:
         raise ValidationError(f"{n} states exceed cap {DIMENSION_CAP}")
     p = np.zeros((n, n))
     seen = set()
-    for r, c, prob in entries:
+    for r, c, prob in obj["entries"]:
         if not (0 <= r < n and 0 <= c < n):
             raise ValidationError(f"triplet index out of range: {[r, c, prob]!r}")
         if (r, c) in seen:
             raise ValidationError("a (row, col) index repeats in the triplets")
         seen.add((r, c))
         p[r, c] = prob
-    return validate_chain(p), marked
+    return validate_chain(p), obj["marked"]

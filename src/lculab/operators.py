@@ -11,13 +11,15 @@ complex input whose imaginary parts are all exactly 0, is held in float64, so
 its eigendecomposition runs the real symmetric LAPACK driver; any other input
 is held in complex128. The TFIM, Pauli sets whose words all have an even Y
 count, real matrix configs and every walk Hamiltonian H_U are real.
+`matrix_from_json` lays out the matrix wire format {dim, re, im}, which the
+CLI types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -172,7 +174,7 @@ class DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format: {"dim": n, "re": [...], "im": [...]} in row-major order.
+# JSON numbers, and the matrix wire format {"dim": n, "re": [...], "im": [...]}.
 # Double-precision values round-trip exactly (json uses shortest repr).
 
 _NUMBERS = (int, float, np.integer, np.floating)
@@ -188,45 +190,11 @@ def is_integer(x) -> bool:
     return is_number(x) and x % 1 == 0
 
 
-def check_numbers(values, name: str) -> None:
-    """Raise ValidationError unless `values` is a list, tuple or 1-D array of numbers."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    if not (isinstance(values, (list, tuple)) and all(map(is_number, values))):
-        raise ValidationError(f"malformed matrix JSON: {name} is not a list of numbers")
-
-
-class MatrixJson(NamedTuple):
-    """The JSON wire format of a matrix as `read_matrix` types it."""
-
-    dim: int
-    re: list
-    im: list
-
-
-def read_matrix(obj) -> MatrixJson:
-    """Type a {"dim", "re", "im"} object: dim an integer >= 1, re and im lists of
-    numbers; `matrix_from_json` checks their lengths."""
-    if not (isinstance(obj, dict) and obj.keys() == {"dim", "re", "im"}):
-        raise ValidationError("malformed matrix JSON: the fields are not dim, re and im")
-    dim = obj["dim"]
-    if not (is_integer(dim) and dim >= 1):
-        raise ValidationError(f"malformed matrix JSON: dim {dim!r} is not a positive integer")
-    check_numbers(obj["re"], "re")
-    check_numbers(obj["im"], "im")
-    return MatrixJson(int(dim), obj["re"], obj["im"])
-
-
 def matrix_from_json(obj) -> np.ndarray:
-    """The matrix of a JSON object, or of a `MatrixJson` already read from one:
-    float64 when every `im` entry is 0, with no complex array built, and
-    complex128 otherwise."""
-    dim, re, im = obj if isinstance(obj, MatrixJson) else read_matrix(obj)
-    if len(re) != dim * dim or len(im) != dim * dim:
+    """The row-major dim x dim matrix of a {"dim", "re", "im"} object as the CLI
+    types it: float64 when every `im` entry is 0, with no complex array built,
+    and complex128 otherwise. `HermitianOperator` checks and copies it."""
+    dim, re, im = obj["dim"], np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+    if re.size != dim * dim or im.size != dim * dim:
         raise ValidationError("matrix JSON entry count does not match dim*dim")
-    try:
-        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
-    except OverflowError:
-        raise ValidationError("malformed matrix JSON: an entry is too large for a double") from None
-    a = re + 1j * im if im.any() else re
-    return as_square_matrix(a.reshape(dim, dim))
+    return (re + 1j * im if im.any() else re).reshape(dim, dim)

@@ -1,7 +1,9 @@
+import contextlib
 import copy
 import json
 import math
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lculab import cli, markov, operators, sparse_chain
+from lculab import cli, markov, operators
 from lculab.cli import main
 from lculab.errors import ValidationError
 from lculab.markov import lazy_cycle
@@ -58,6 +60,61 @@ _BAD_TRIPLET_IDS = [
     "short", "long", "string-entry", "object-entry",
 ]
 _BAD_NUMBERS = ["0.5", True, None, [0.0]]
+
+
+def _chain_config(**chain):
+    return {"command": "hitting", "chain": {**_two_state_chain_json(), **chain}, "epsilon": 0.1}
+
+
+def _entries_with(i, entry):
+    entries = _two_state_chain_json()["entries"]
+    entries[i] = entry
+    return entries
+
+
+def _matrix_config(**matrix):
+    base = {"dim": 2, "re": [0.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
+    hamiltonian = {"matrix": {**base, **matrix}}
+    return {"command": "gibbs", "hamiltonian": hamiltonian, "beta": 1.0, "epsilon": 0.1}
+
+
+# Per malformed chain, matrix or cost-sweep `fixed` object: the exit code and a
+# piece of the message, which names the field by its path.
+_WIRE_ERRORS = [
+    (_chain_config(entries=_entries_with(0, ["a", 0, 0.5])), 1,
+     "config error: chain.entries[0] must be [integer, integer, number], got ['a', 0, 0.5]"),
+    (_chain_config(entries=_entries_with(1, [0, 1])), 1, "config error: chain.entries[1] must be"),
+    (_chain_config(entries=_entries_with(2, [0, 1, 0.5, 2])), 1,
+     "config error: chain.entries[2] must be"),
+    (_chain_config(entries=_entries_with(0, [0, 0, 10**400])), 1,
+     "config error: chain.entries holds a number too large for a double"),
+    (_chain_config(entries=_entries_with(0, [10**400, 0, 0.5])), 3,
+     "validation failure: triplet index out of range"),
+    (_chain_config(entries=[]), 3, "validation failure: columns must sum to 1"),
+    (_chain_config(marked=[0.5]), 1, "config error: chain.marked[0] must be an integer, got 0.5"),
+    (_chain_config(marked=[]), 3, "validation failure: marked set must be nonempty"),
+    (_chain_config(stay=0.5), 1, "config error: unknown fields ['stay']; chain takes"),
+    ({"command": "appendix-verify", "chain": {"n_states": 2, "entries": []}}, 1,
+     "config error: missing fields ['marked']; chain needs them"),
+    (_chain_config(n_states="2"), 1, "config error: chain.n_states must be an integer"),
+    (_matrix_config(re=[0.0, "a", 0.0, 1.0]), 1,
+     "config error: hamiltonian.matrix.re[1] must be a number, got 'a'"),
+    (_matrix_config(re=[0.0, 10**400, 0.0, 1.0]), 1,
+     "config error: hamiltonian.matrix.re holds a number too large for a double"),
+    (_matrix_config(re=[0.0, 0.0, 1.0]), 3,
+     "validation failure: matrix JSON entry count does not match dim*dim"),
+    (_matrix_config(dim=0), 1, "config error: hamiltonian.matrix.dim must be an integer"),
+    ({**_GIBBS_COST_SWEEP, "fixed": {"n_sates": 8}}, 1,
+     "config error: unknown fields ['n_sates']; fixed takes"),
+    ({**_GIBBS_COST_SWEEP, "fixed": {"n_dim": 8.5}}, 1,
+     "config error: fixed.n_dim must be an integer"),
+]
+_WIRE_ERROR_IDS = [
+    "bad-triplet", "short-triplet", "long-triplet", "huge-probability", "huge-index",
+    "empty-entries", "float-marked", "empty-marked", "unknown-chain-key", "missing-chain-key",
+    "string-n_states", "bad-re", "huge-re", "entry-count", "dim-0", "unknown-fixed-key",
+    "fractional-fixed-key",
+]
 
 
 @pytest.fixture
@@ -782,6 +839,18 @@ class TestConfigHandling:
         assert "too large for a double" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("payload, code, message", _WIRE_ERRORS, ids=_WIRE_ERROR_IDS)
+    def test_malformed_wire_format_exit_code_and_field(
+        self, tmp_path, capsys, payload, code, message
+    ):
+        # load_config's verdict alone cannot tell a config error (exit 1) from
+        # a chain or matrix the run rejects (exit 3)
+        config = _write_config(tmp_path, {**payload, "out": str(tmp_path / "out")})
+        assert main(["--config", config]) == code
+        assert message in capsys.readouterr().err
+        if code == 1:
+            assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "text", [b'{"epsilon": ' + b"9" * 5000 + b"}", b'{"command": "\xff"}'],
         ids=["5000-digit-integer", "not-utf-8"],
@@ -1009,45 +1078,49 @@ class TestSchemaValidation:
         assert not _reader_verdict(tmp_path, _LEMMA2, {field: value})[0]
 
     @staticmethod
-    def _count_calls(monkeypatch, name: str, *modules) -> list:
-        """Count calls to `name` through each module that holds it, so a direct
-        import of the function is counted as well."""
+    @contextlib.contextmanager
+    def _calls_of(function):
+        """Count the runs of `function`'s code, however it is reached: through
+        its module, an import of it or a reference held in a reader table."""
         calls = []
-        for module in modules:
-            original = getattr(module, name, None)
-            if original is not None:
-                def counting(*args, _original=original, **kwargs):
-                    calls.append(None)
-                    return _original(*args, **kwargs)
 
-                monkeypatch.setattr(module, name, counting)
-        return calls
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is function.__code__:
+                calls.append(None)
 
-    def test_chain_entries_are_typed_once(self, tmp_path, monkeypatch):
-        calls = self._count_calls(monkeypatch, "parse_triplet", cli, markov)
+        sys.setprofile(profile)
+        try:
+            yield calls
+        finally:
+            sys.setprofile(None)
+
+    def test_chain_entries_are_typed_once(self, tmp_path):
         chain = chain_to_json(lazy_cycle(8), [0])
         assert len(chain["entries"]) == 24
         payload = {"command": "hitting", "chain": chain, "epsilon": 0.1, "out": str(tmp_path / "out")}
-        assert main(["--config", _write_config(tmp_path, payload)]) == 0
+        with self._calls_of(cli._is_entry) as calls:
+            assert main(["--config", _write_config(tmp_path, payload)]) == 0
         assert len(calls) == 24
 
     @pytest.mark.parametrize("command", ["hitting", "appendix-verify"])
-    def test_marked_set_is_read_once(self, tmp_path, monkeypatch, command):
-        calls = self._count_calls(monkeypatch, "read_marked", cli, markov, sparse_chain)
+    def test_marked_set_is_read_once(self, tmp_path, command):
         payload = {"command": command, "chain": chain_to_json(lazy_cycle(8), [0, 3]),
                    "out": str(tmp_path / "out")}
         if command == "hitting":
             payload["epsilon"] = 0.1
-        assert main(["--config", _write_config(tmp_path, payload)]) == 0
+        with self._calls_of(markov.read_marked) as calls:
+            assert main(["--config", _write_config(tmp_path, payload)]) == 0
         assert len(calls) == 1
 
-    def test_matrix_numbers_are_typed_once(self, tmp_path, monkeypatch, one_qubit_matrix):
-        calls = self._count_calls(monkeypatch, "check_numbers", cli, operators)
+    def test_matrix_numbers_are_typed_once(self, tmp_path, one_qubit_matrix):
+        # every list reader runs one code object; the matrix's re and im are
+        # the only lists a matrix lemma1-sweep reads with it
         payload = {
             "command": "lemma1-sweep", "hamiltonian": {"matrix": one_qubit_matrix},
             "betas": [4.0, 6.0, 8.0], "epsilons": [0.05], "out": str(tmp_path / "out"),
         }
-        assert main(["--config", _write_config(tmp_path, payload)]) == 0
+        with self._calls_of(cli._FLOATS) as calls:
+            assert main(["--config", _write_config(tmp_path, payload)]) == 0
         assert len(calls) == 2
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lculab import markov
+from lculab import cli, markov
 from lculab.constants import DEFAULT_CONSTANTS
 from lculab.errors import ValidationError, WalkTimeoutError
 from lculab.inverse import InverseGrid, amplitude_estimation, t_circuit_expectation
@@ -933,7 +934,17 @@ class TestWalkStream:
         assert MAX_TOTAL_WALK_STEPS + markov._CHUNK_DRAWS + 1 < 2**32
 
 
+def _typed_by_cli(tmp_path, chain: dict) -> dict:
+    """A chain object as the CLI's config reader types it, in an appendix-verify config."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"command": "appendix-verify", "chain": chain}))
+    return cli.load_config(str(path))["chain"]
+
+
 class TestChainJson:
+    """Round trips call the library; malformed objects are typed at the CLI
+    boundary, where a message names the field by its path."""
+
     def test_round_trip(self, rng):
         chain = random_reversible_chain(rng, 6)
         blob = chain_to_json(chain, [0, 2])
@@ -941,37 +952,39 @@ class TestChainJson:
         np.testing.assert_allclose(back.transition, chain.transition, atol=1e-15)
         assert mark_states(back, marked).marked == (0, 2)
 
-    def test_malformed_rejected(self):
-        with pytest.raises(ValidationError):
-            chain_from_json({"n_states": 2, "entries": [[0, 0]], "marked": []})
+    def test_malformed_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match=r"^chain\.entries\[0\] must be "):
+            _typed_by_cli(tmp_path, {"n_states": 2, "entries": [[0, 0]], "marked": []})
 
     @pytest.mark.parametrize(
         "field, value", [("n_states", "x"), ("n_states", 2.5), ("entries", 5)],
         ids=["string-n-states", "fractional-n-states", "integer-entries"],
     )
-    def test_unreadable_field_is_a_validation_error(self, field, value):
+    def test_unreadable_field_is_a_validation_error(self, tmp_path, field, value):
         blob = chain_to_json(symmetric_two_state(), [1])
         blob[field] = value
-        with pytest.raises(ValidationError, match="malformed chain JSON"):
-            chain_from_json(blob)
+        with pytest.raises(ValidationError, match=rf"^chain\.{field} must be "):
+            _typed_by_cli(tmp_path, blob)
 
     @pytest.mark.parametrize(
         "triplet",
         [["a", 0, 0.5], [0, 0, None], [1.7, 0, 0.5], [True, 0, 0.5], ["1", 0, "0.5"]],
         ids=["string-row", "null-probability", "fractional-row", "bool-row", "strings"],
     )
-    def test_triplets_are_typed(self, triplet):
+    def test_triplets_are_typed(self, tmp_path, triplet):
         # each stands in for [1, 0, 0.5], which the last three coerce to
         blob = chain_to_json(symmetric_two_state(), [1])
-        blob["entries"][blob["entries"].index([1, 0, 0.5])] = triplet
-        with pytest.raises(ValidationError, match=r"is not \[integer, integer, number\]"):
-            chain_from_json(blob)
+        i = blob["entries"].index([1, 0, 0.5])
+        blob["entries"][i] = triplet
+        message = rf"^chain\.entries\[{i}\] must be \[integer, integer, number\], got "
+        with pytest.raises(ValidationError, match=message):
+            _typed_by_cli(tmp_path, blob)
 
-    def test_probability_past_the_double_range_rejected(self):
+    def test_probability_past_the_double_range_rejected(self, tmp_path):
         blob = chain_to_json(symmetric_two_state(), [1])
         blob["entries"][0][2] = 10**400
-        with pytest.raises(ValidationError, match="too large for a double"):
-            chain_from_json(blob)
+        with pytest.raises(ValidationError, match="^chain.entries .*too large for a double"):
+            _typed_by_cli(tmp_path, blob)
 
     def test_numpy_numbers_accepted(self):
         blob = chain_to_json(symmetric_two_state(), [1])

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lculab import operators
+from lculab import cli, operators
 from lculab.errors import SingularityError, ValidationError
 from lculab.operators import (
     DIMENSION_CAP,
     DensityMatrix,
     HermitianOperator,
-    MatrixJson,
     as_square_matrix,
     matrix_from_json,
     matrix_function,
@@ -168,7 +167,18 @@ class TestStateAndDensityValidation:
         assert np.trace(rho.matrix).real == pytest.approx(1.0)
 
 
+def _typed_by_cli(tmp_path, matrix: dict) -> dict:
+    """A matrix object as the CLI's config reader types it, in a gibbs config."""
+    path = tmp_path / "config.json"
+    payload = {"command": "gibbs", "hamiltonian": {"matrix": matrix}, "beta": 1.0, "epsilon": 0.1}
+    path.write_text(json.dumps(payload))
+    return cli.load_config(str(path))["hamiltonian"]["matrix"]
+
+
 class TestJsonRoundTrip:
+    """Round trips call the library; malformed objects are typed at the CLI
+    boundary, where a message names the field by its path."""
+
     def test_matrix_exact_round_trip(self, rng):
         a = random_hermitian(rng, 5) + 1j * 0.1 * random_hermitian(rng, 5)
         a = a + a.conj().T  # any square complex matrix works; make it interesting
@@ -177,38 +187,39 @@ class TestJsonRoundTrip:
         assert np.array_equal(back, a)
 
     def test_malformed_matrix_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="entry count does not match"):
             matrix_from_json({"dim": 2, "re": [1.0], "im": [0.0]})
 
     @pytest.mark.parametrize(
-        "field, value",
+        "field, value, path",
         [
-            ("dim", "x"),
-            ("re", [1.0, "a", 0.0, 1.0]),
-            ("dim", 2.5),
-            ("dim", True),
-            ("dim", -1),
-            ("re", [1.0, True, 0.0, 1.0]),
-            ("im", [0.0, "1.5", 0.0, 0.0]),
-            ("re", [1.0, None, 0.0, 1.0]),
+            ("dim", "x", "dim"),
+            ("re", [1.0, "a", 0.0, 1.0], r"re\[1\]"),
+            ("dim", 2.5, "dim"),
+            ("dim", True, "dim"),
+            ("dim", -1, "dim"),
+            ("re", [1.0, True, 0.0, 1.0], r"re\[1\]"),
+            ("im", [0.0, "1.5", 0.0, 0.0], r"im\[1\]"),
+            ("re", [1.0, None, 0.0, 1.0], r"re\[1\]"),
         ],
         ids=[
             "string-dim", "string-entry", "fractional-dim", "bool-dim", "negative-dim",
             "bool-entry", "string-im-entry", "null-entry",
         ],
     )
-    def test_unreadable_field_is_a_validation_error(self, field, value):
+    def test_unreadable_field_is_a_validation_error(self, tmp_path, field, value, path):
         obj = {"dim": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
         obj[field] = value
-        with pytest.raises(ValidationError, match="malformed matrix JSON"):
-            matrix_from_json(obj)
+        with pytest.raises(ValidationError, match=rf"^hamiltonian\.matrix\.{path} must be "):
+            _typed_by_cli(tmp_path, obj)
 
     @pytest.mark.parametrize("field", ["re", "im"])
-    def test_integer_past_the_double_range_is_a_validation_error(self, field):
+    def test_integer_past_the_double_range_is_a_validation_error(self, tmp_path, field):
         obj = {"dim": 1, "re": [0], "im": [0]}
         obj[field] = [10**400]
-        with pytest.raises(ValidationError, match="too large for a double"):
-            matrix_from_json(obj)
+        message = rf"^hamiltonian\.matrix\.{field} holds a number too large for a double$"
+        with pytest.raises(ValidationError, match=message):
+            _typed_by_cli(tmp_path, obj)
 
     def test_numpy_numbers_are_numbers(self):
         obj = {"dim": np.int64(1), "re": [np.float64(2.0)], "im": [np.int32(0)]}
@@ -219,11 +230,12 @@ class TestJsonRoundTrip:
         assert np.array_equal(matrix_from_json(obj), [[1.0, 2.0], [2.0, 3.0]])
 
     @pytest.mark.parametrize(
-        "re", [np.ones((2, 2)), np.ones(4, dtype=bool)], ids=["two-dimensional", "bool-array"]
+        "re", [[[1.0, 1.0], [1.0, 1.0]], [True] * 4], ids=["two-dimensional", "bool-array"]
     )
-    def test_array_that_is_not_a_list_of_numbers_is_refused(self, re):
-        with pytest.raises(ValidationError, match="re is not a list of numbers"):
-            matrix_from_json({"dim": 2, "re": re, "im": [0.0] * 4})
+    def test_array_that_is_not_a_list_of_numbers_is_refused(self, tmp_path, re):
+        message = r"^hamiltonian\.matrix\.re\[0\] must be a number"
+        with pytest.raises(ValidationError, match=message):
+            _typed_by_cli(tmp_path, {"dim": 2, "re": re, "im": [0.0] * 4})
 
 
 class TestAsSquareMatrix:
@@ -337,7 +349,7 @@ class TestDtypeRule:
         # a 512 x 512 complex array would take 4 MiB, twice the real matrix
         n = 512
         re = np.random.default_rng(4).uniform(-1.0, 1.0, size=n * n)
-        obj = MatrixJson(n, re, np.zeros(n * n))
+        obj = {"dim": n, "re": re, "im": np.zeros(n * n)}
         tracemalloc.start()
         try:
             a = matrix_from_json(obj)
