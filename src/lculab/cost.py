@@ -168,6 +168,8 @@ def theorem1_cost(
     if z > n_dim * (1 + 1e-9):
         raise ValidationError("partition function exceeds dimension; shift the spectrum first")
     eps_prime = gibbs_eps_prime(epsilon, z, n_dim, constants)
+    if not 0 < eps_prime <= 1:
+        raise ValidationError(f"eps' = c eps sqrt(Z/N) must lie in (0, 1], got {eps_prime!r}")
     log_inv = math.log(1.0 / eps_prime)
     t = math.sqrt(max(beta, 1e-300) * log_inv)
     j_nodes = math.sqrt(max(norm_bound * beta, 1.0)) * log_inv
@@ -191,6 +193,8 @@ def gibbs_eps_prime(epsilon: float, z: float, n_dim: float, constants: Constants
 
 
 def hitting_eps_prime(delta_lower: float, epsilon: float, constants: Constants) -> float:
+    if epsilon * delta_lower == 0:
+        raise ValidationError(f"eps Delta underflows to 0 at eps {epsilon!r}, Delta {delta_lower!r}")
     log_inv = math.log(1.0 / (epsilon * delta_lower))
     return constants.hitting_eps_prime_constant * epsilon * delta_lower / max(log_inv, 1.0)
 

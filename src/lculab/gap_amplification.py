@@ -10,10 +10,10 @@ The weight and PSD rules of every presentation are written once here.
 Gap amplification couples term k to ancilla level k, so that the enlarged
 operator sum_k sqrt(alpha_k) Pi_k (x) (|k><0| + |0><k|) squares back to H on
 the ancilla-0 sector. The pipelines never build it: their combinations are
-even in it, hence functions of sqrt(H) on that sector. What stays here are the
-couplers, the rotation pair that expands a coupling into unitaries, and the
-unitarity defect; `sparse_chain` bounds each of its unitary terms by the
-rotation's defect and its factor's, level by level, without forming a term.
+even in it, hence functions of sqrt(H) on that sector. The ancilla couplers
+and the rotation pair that expands a coupling into unitaries are test
+oracles; `sparse_chain` checks its factors, the only part of a unitary term
+that depends on the chain, without forming a term.
 """
 
 from __future__ import annotations
@@ -24,12 +24,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .operators import DIMENSION_CAP
-
-UNITARY_ATOL = 1e-10
-
-
-def unitarity_defect(u: np.ndarray) -> float:
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
 def check_weight(index: int, alpha: float) -> float:
@@ -110,20 +104,4 @@ def require_psd(eigenvalues: np.ndarray) -> None:
 def split_indices(eigenvalues: np.ndarray) -> np.ndarray:
     """Indices of the eigenvalues that the rank-1 split keeps as terms, in ascending order."""
     return np.flatnonzero(eigenvalues > 1e-12)
-
-
-def ancilla_coupler(k: int, ancilla_dim: int) -> np.ndarray:
-    a = np.zeros((ancilla_dim, ancilla_dim))
-    a[k, 0] = a[0, k] = 1.0
-    return a
-
-
-def ancilla_rotations(k: int, ancilla_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pair exp(-+ i(pi/2)(|k><0| + |0><k|)) = (1 - support) -+ i coupler on the
-    ancilla, where support is |0><0| + |k><k|."""
-    coupler = ancilla_coupler(k, ancilla_dim)
-    rest = np.eye(ancilla_dim, dtype=complex)
-    rest[0, 0] = rest[k, k] = 0.0
-    return rest - 1j * coupler, rest + 1j * coupler
-
 

@@ -196,7 +196,13 @@ def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
 
     inner_z_max = None
     for iteration in range(_MAX_ITERATIONS):
-        k_max = max(1, math.ceil(z_target / delta_z))
+        nodes = z_target / delta_z
+        if not math.isfinite(nodes):
+            raise CalibrationError(
+                f"inverse grid needs z_K/delta_z = {nodes} nodes at "
+                f"delta_lower {delta_lower!r}, epsilon {epsilon!r}"
+            )
+        k_max = max(1, math.ceil(nodes))
         z_max = k_max * delta_z
         if z_max != inner_z_max:
             inner_z_max = z_max

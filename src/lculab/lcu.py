@@ -19,15 +19,12 @@ deterministic.
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, Constants
-from .errors import AnnihilationError
-
-logger = logging.getLogger(__name__)
+from .errors import AnnihilationError, ValidationError
 
 _COSINE_BLOCK = 1 << 14
 UNIT_ROUNDOFF = 2.0**-53
@@ -123,11 +120,10 @@ def cosine_series_bounds(a_max: float, delta_y: float, j_max: int) -> tuple[floa
 
 def amplification_rounds(success_amplitude: float, constants: Constants = DEFAULT_CONSTANTS) -> int:
     """ceil(c / asin(a)): the round count that amplifies amplitude a to order one."""
-    a = min(max(success_amplitude, 0.0), 1.0)
-    if a != success_amplitude:
-        logger.warning("success amplitude %.6g clamped to %g for round counting", success_amplitude, a)
-    if a == 0.0:
+    if not 0.0 <= success_amplitude <= 1.0:
+        raise ValidationError(f"success amplitude must lie in [0, 1], got {success_amplitude!r}")
+    if success_amplitude == 0.0:
         raise AnnihilationError("cannot amplify a zero amplitude")
-    return max(1, math.ceil(constants.amp_round_constant / math.asin(a)))
+    return max(1, math.ceil(constants.amp_round_constant / math.asin(success_amplitude)))
 
 

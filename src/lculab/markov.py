@@ -301,8 +301,14 @@ def chebyshev_sample_count(
     # on the lazy 16-cycle at stay 0.9 and epsilon 1, and 49 on the lazy
     # 32-cycle at stay 0.75 and epsilon 0.1. Taking it as that number keeps a
     # one-ulp move of the variance from moving the count by one.
-    x = constants.mc_sample_constant * exact_variance(mp) / epsilon**2
-    if math.isfinite(x) and abs(x - round(x)) <= _SNAP_ULPS * math.ulp(x):
+    variance = exact_variance(mp)
+    try:
+        x = constants.mc_sample_constant * variance / epsilon**2
+    except (OverflowError, ZeroDivisionError):  # epsilon^2 leaves the double range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValidationError(f"sample count at epsilon {epsilon!r} is not a finite double")
+    if abs(x - round(x)) <= _SNAP_ULPS * math.ulp(x):
         x = round(x)
     return max(1, math.ceil(x))
 

@@ -12,9 +12,11 @@ square restricts to the walk Hamiltonian, and expands into four unitary
 terms: the construction's only presentation.
 
 `decomposition_manifest` (the `appendix-verify` path) reads the chain's edge
-list and the marked mask of a `markov.MarkedPartition`, and builds and checks
-all of it from one table of the unmarked edges in O(N d), without any N x N
-or enlarged matrix; its dense views are test oracles. The sparse-access gate
+list and the marked mask of a `markov.MarkedPartition`, and builds all of it
+from one table of the unmarked edges in O(N d), without any N x N or
+enlarged matrix; its dense views are test oracles. It checks only what a
+chain decides: pair weights at most 1, each factor and its adjoint unitary,
+and the squared blocks against the walk Hamiltonian. The sparse-access gate
 cost of simulating the construction is priced by `cost.theorem2_cost`.
 """
 
@@ -27,15 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gap_amplification import UNITARY_ATOL, ancilla_coupler, ancilla_rotations, unitarity_defect
 from .markov import MarkedPartition, MarkovChain
 
-_ATOL = 1e-10
-# Per ancilla level, (scale, weight, signs): the level's block B_k is scale
-# times the square root of its part of H, and it expands into four unitaries
-# sign * (F_t (x) R_t) of one weight (see `Level`).
-_COLOR_TERMS = (math.sqrt(2.0), math.sqrt(2.0) / 4, (1, -1, -1, 1))
-_BOUNDARY_TERMS = (1.0, 0.25, (1j, -1j, 1j, -1j))
+# The tolerance of the factor unitarity and the reconstruction checks.
+ATOL = 1e-10
+# Per ancilla level, (scale, weight): the level's block B_k is scale times the
+# square root of its part of H, and it expands into four unitaries of one
+# weight (see `Level`).
+_COLOR_TERMS = (math.sqrt(2.0), math.sqrt(2.0) / 4)
+_BOUNDARY_TERMS = (1.0, 0.25)
 
 
 def _pair_table(chain: MarkovChain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -54,8 +56,9 @@ class Level:
     B_k = scale * (p F + q F^dagger), (p, q) the coefficients, and it expands
     into four unitaries sign * (F_t (x) R_t) of one weight, with F_t = F, F,
     F^dagger, F^dagger and R_t = R_-, R_+, R_-, R_+ the ancilla rotations of
-    level k; `terms` is (scale, weight, signs). `edges` are the edge-table
-    rows of F's blocks.
+    level k; `terms` is (scale, weight). The signs (1, -1, -1, 1) on a color
+    level and (i, -i, i, -i) on the boundary, and the rotations, depend on no
+    chain, so only F is kept. `edges` are the edge-table rows of F's blocks.
     """
 
     edges: np.ndarray
@@ -150,49 +153,28 @@ def _combine(parts: tuple, p: complex, q: complex) -> tuple:
     return pairs, p * blocks + q * _adjoint(blocks), p * off + q * np.conj(off)
 
 
-def _max_entry(parts: tuple) -> float:
+def _factor_defect(parts: tuple, adjoint: bool) -> float:
+    """max |G - 1| over the entries, G = F^dagger F, or F F^dagger, from the parts of F."""
     _, blocks, off = parts
-    return float(max(np.max(np.abs(blocks), initial=0.0), np.max(np.abs(off))))
-
-
-def _unitarity_defect(parts: tuple, adjoint: bool) -> float:
-    """`unitarity_defect` of F, or of F^dagger, from the parts of F."""
-    pairs, blocks, off = parts
     gram = blocks @ _adjoint(blocks) if adjoint else _adjoint(blocks) @ blocks
-    return _max_entry((pairs, gram - np.eye(2), np.abs(off) ** 2 - 1.0))
+    return float(max(np.max(np.abs(gram - np.eye(2)), initial=0.0),
+                     np.max(np.abs(np.abs(off) ** 2 - 1.0))))
 
 
-def check_unitary_expansion(levels: list[Level]) -> list[float]:
-    """Check the 4(K'+1) unitary terms from their factors; return their weights.
+def check_factors(levels: list[Level]) -> list[float]:
+    """Check each level's factor F, and F^dagger, once; return the weights of
+    the 4(K'+1) unitary terms sign * (F_t (x) R_t), four per level.
 
-    A term sign * (F_t (x) R_t) has unitarity defect at most
-    (1 + d_sign)(1 + d_F)(1 + d_R) - 1, from the defects of its factors: F_t's
-    per block and on the diagonal, R_t's once per level. The terms of level k
-    sum to F (x) X + F^dagger (x) Y, so they miss
-    B_k (x) C_k = F (x) b C + F^dagger (x) b' C by the largest entry of
-    (X - b C)_ij F + (Y - b' C)_ij F^dagger over the ancilla entries ij.
+    A term is unitary when F_t is, since its sign and rotation are, so a
+    factor failing the check is reported as the first term that uses it.
     """
-    ancilla_dim = len(levels) + 1
     weights: list[float] = []
-    for k, level in enumerate(levels, start=1):
-        scale, weight, signs = level.terms
-        rotations = ancilla_rotations(k, ancilla_dim)
-        for t, sign in enumerate(signs):
-            d_f = _unitarity_defect(level.parts, adjoint=t >= 2)
-            d_r = unitarity_defect(rotations[t % 2])
-            if (1 + abs(abs(sign) ** 2 - 1)) * (1 + d_f) * (1 + d_r) - 1 > UNITARY_ATOL:
+    for level in levels:
+        _, weight = level.terms
+        for adjoint in (False, True):
+            if _factor_defect(level.parts, adjoint) > ATOL:
                 raise ValidationError(f"term {len(weights)}: matrix is not unitary")
-            weights.append(weight)
-        coupler = ancilla_coupler(k, ancilla_dim)
-        b, b_adjoint = (scale * c * coupler for c in level.coefficients)
-        x = weight * (signs[0] * rotations[0] + signs[1] * rotations[1]) - b
-        y = weight * (signs[2] * rotations[0] + signs[3] * rotations[1]) - b_adjoint
-        miss = max(
-            (_max_entry(_combine(level.parts, p, q)) for p, q in zip(x.flat, y.flat) if p or q),
-            default=0.0,
-        )
-        if miss > _ATOL:
-            raise ValidationError(f"unitary expansion misses the enlarged operator by {miss:.3e}")
+            weights += [weight, weight]
     return weights
 
 
@@ -227,10 +209,10 @@ def decomposition_manifest(mp: MarkedPartition) -> dict:
     pairs, alpha_bar, mu_bar, colors = _edge_table(mp, table)
     boundary = _boundary_weights(mp, table)
     levels = _levels(mp, pairs, alpha_bar, mu_bar, colors, boundary)
-    weights = check_unitary_expansion(levels)
+    weights = check_factors(levels)
     projected = walk_hamiltonian(alpha_bar, mu_bar, boundary)
     residual = reconstruction_residual(pairs, projected, levels)
-    if residual > _ATOL:
+    if residual > ATOL:
         raise ValidationError(
             f"squared blocks miss the projected walk Hamiltonian by {residual:.3e}"
         )

@@ -27,15 +27,7 @@ import numpy as np
 
 from lculab.cli import _COST_MODELS
 from lculab.errors import ValidationError
-from lculab.gap_amplification import (
-    UNITARY_ATOL,
-    ancilla_coupler,
-    ancilla_rotations,
-    check_weight,
-    require_psd,
-    split_indices,
-    unitarity_defect,
-)
+from lculab.gap_amplification import check_weight, require_psd, split_indices
 from lculab.gibbs import HsGrid
 from lculab.inverse import InverseGrid, calibrate_inverse_grid
 from lculab.lcu import gaussian_cosine_series, gaussian_weight_sum, gaussian_weights
@@ -295,6 +287,31 @@ def psd_split(h: HermitianOperator | np.ndarray) -> ProjectorDecomposition:
     return ProjectorDecomposition(dim=h.dim, terms=tuple(terms))
 
 
+def unitarity_defect(u: np.ndarray) -> float:
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+
+
+def ancilla_coupler(k: int, ancilla_dim: int) -> np.ndarray:
+    a = np.zeros((ancilla_dim, ancilla_dim))
+    a[k, 0] = a[0, k] = 1.0
+    return a
+
+
+def ancilla_rotations(k: int, ancilla_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair exp(-+ i(pi/2)(|k><0| + |0><k|)) = (1 - support) -+ i coupler on the
+    ancilla, where support is |0><0| + |k><k|."""
+    coupler = ancilla_coupler(k, ancilla_dim)
+    rest = np.eye(ancilla_dim, dtype=complex)
+    rest[0, 0] = rest[k, k] = 0.0
+    return rest - 1j * coupler, rest + 1j * coupler
+
+
+# The signs of the four unitaries sign * (F_t (x) R_t) of a level of the sparse
+# construction (see `sparse_chain.Level`), on a color level and on the boundary.
+COLOR_SIGNS = (1, -1, -1, 1)
+BOUNDARY_SIGNS = (1j, -1j, 1j, -1j)
+
+
 @dataclass(frozen=True)
 class GapAmplifiedHamiltonian:
     """The enlarged operator sum_k B_k (x) (|k><0| + |0><k|) with B_k = sqrt(alpha_k) Pi_k.
@@ -396,7 +413,7 @@ class LcuOperator:
         for i, (gamma, u) in enumerate(self.terms):
             gamma = check_weight(i, gamma)
             m = _of_dim(u, self.dim)
-            if unitarity_defect(m) > UNITARY_ATOL:
+            if unitarity_defect(m) > sparse_chain.ATOL:
                 raise ValidationError(f"term {i}: matrix is not unitary")
             m.flags.writeable = False
             checked.append((gamma, m))
@@ -1065,8 +1082,8 @@ def assemble_tilde_h_sparse(
     construction: SparseConstruction,
 ) -> tuple[LcuOperator, GapAmplifiedHamiltonian]:
     """The enlarged operator and its 4(K'+1) unitaries as matrices, built from
-    the levels' dense views and the expansion table of
-    `sparse_chain.check_unitary_expansion`. Each color block enters as
+    the levels' dense views, their (scale, weight) and the term signs, the
+    last level being the boundary. Each color block enters as
     sqrt(2) * sqrt(h_k) so the ancilla-0 sector of the square recovers the
     doubled (ordered-pair) edge weights; the boundary block enters unscaled.
     The weighted sum is checked against the enlarged operator.
@@ -1076,13 +1093,14 @@ def assemble_tilde_h_sparse(
     g = assemble_gap_amplified(blocks, construction.projected.n_states)
     terms: list[tuple[float, np.ndarray]] = []
     for k, level in enumerate(levels, start=1):
-        _, weight, signs = level.terms
+        _, weight = level.terms
+        signs = BOUNDARY_SIGNS if k == len(levels) else COLOR_SIGNS
         u = construction.factor(k - 1)
         for t, (sign, rotation) in enumerate(zip(signs, 2 * ancilla_rotations(k, g.ancilla_dim))):
             terms.append((weight, sign * np.kron(u.conj().T if t >= 2 else u, rotation)))
     decomposition = LcuOperator(dim=g.dim, terms=tuple(terms))
     residual = float(np.max(np.abs(decomposition.weighted_sum() - g.operator.matrix)))
-    if residual > sparse_chain._ATOL:
+    if residual > sparse_chain.ATOL:
         raise ValidationError(f"unitary expansion misses the enlarged operator by {residual:.3e}")
     return decomposition, g
 

@@ -18,7 +18,6 @@ from lculab.inverse import (
 )
 from lculab.cost import fit_scaling, theorem2_cost, theorem2_log_correction
 from lculab.errors import ValidationError
-from lculab.gap_amplification import unitarity_defect
 from lculab.lcu import amplification_rounds
 from lculab.markov import (
     exact_hitting_time_resolvent,
@@ -43,6 +42,7 @@ from oracles import (
     sparse_construction,
     symmetric_two_state,
     trace_distance,
+    unitarity_defect,
 )
 
 SEED = 20260810

@@ -648,6 +648,52 @@ class TestSweeps:
         err = capsys.readouterr().err
         assert re.search(rf"\b{count} .*exceeds? cap {operators.DIMENSION_CAP}", err)
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_cost_sweep_ends_with_an_exit_code(self, tmp_path, data):
+        # every double the readers take, NaN and the infinities among them;
+        # counts stay small enough for a quick chain, or past the cap
+        model = data.draw(st.sampled_from(sorted(cli._COST_MODELS)))
+        sweep_vars, defaults = cli._COST_MODELS[model]
+        counts = st.one_of(
+            st.integers(-(2**1023), 0), st.integers(1, 64),
+            st.integers(operators.DIMENSION_CAP + 1, 2**1023),
+        )
+        fixed = data.draw(st.fixed_dictionaries({}, optional={
+            k: counts if type(d) is int else st.floats() for k, d in defaults.items()
+        }))
+        values = st.floats(min_value=0.0, exclude_min=True) | st.just(math.nan)
+        payload = {
+            "command": "cost-sweep", "model": model,
+            "sweep_var": data.draw(st.sampled_from(sweep_vars)),
+            "values": data.draw(st.lists(values, min_size=1, max_size=3)), "fixed": fixed,
+            "out": str(tmp_path / "out"),
+        }
+        assert main(["--config", _write_config(tmp_path, payload)]) in (0, 2, 3)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({**_GIBBS_COST_SWEEP, "sweep_var": "epsilon", "values": [7.0]}, "eps'"),
+            ({**_GIBBS_COST_SWEEP, "fixed": {"epsilon": 7.0}}, "eps'"),
+            *(({"command": "cost-sweep", "model": "hitting-classical", "sweep_var": "epsilon",
+                "values": [eps]}, "sample count") for eps in (1e-300, 1e-160, 1e300)),
+            ({"command": "cost-sweep", "model": "hitting-quantum", "sweep_var": "delta",
+              "values": [5e-324]}, "underflows to 0"),
+            ({"command": "lemma2-sweep", "deltas": [1e-160], "epsilons": [1e-160]}, "inverse grid"),
+            ({"command": "hitting", "chain": chain_to_json(lazy_cycle(8), [0]), "epsilon": 1e-300,
+              "mode": "oracle-free", "delta_lower_bound": 1e-300}, "inverse grid"),
+        ],
+        ids=["gibbs-values", "gibbs-fixed", "classical-1e-300", "classical-1e-160",
+             "classical-1e300", "quantum-5e-324", "lemma2", "hitting-oracle-free"],
+    )
+    def test_out_of_range_arithmetic_exits_three(self, tmp_path, capsys, payload, message):
+        config = _write_config(tmp_path, {**payload, "out": str(tmp_path / "out")})
+        assert main(["--config", config]) == 3
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+
 
 class TestConfigHandling:
     def test_empty_config_rejected(self, tmp_path):

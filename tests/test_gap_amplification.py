@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lculab.constants import DEFAULT_CONSTANTS
 from lculab.cost import evolution_gate_cost, select_unit_cost
 from lculab.errors import ValidationError
-from lculab.gap_amplification import parse_pauli_lines, split_indices, unitarity_defect
+from lculab.gap_amplification import parse_pauli_lines, split_indices
 from lculab.operators import DIMENSION_CAP, HermitianOperator
 from lculab.rand import random_state
 from oracles import (
@@ -23,6 +23,7 @@ from oracles import (
     random_projector,
     random_psd,
     tilde_h_unitary_terms,
+    unitarity_defect,
 )
 
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)

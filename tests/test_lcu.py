@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -68,18 +67,12 @@ class TestAmplificationRounds:
         with pytest.raises(AnnihilationError):
             amplification_rounds(0.0, c)
 
-    def test_clamped_amplitude_warns(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="lculab.lcu"):
-            for a in (1.0, 0.5, 0.01):
+    def test_amplitude_outside_the_unit_interval_raises(self):
+        # no caller passes one: prepare_gibbs clamps to 1 and theorem1_cost
+        # takes min(sqrt(Z/N), 1), so a value outside [0, 1] is a fault
+        for a in (1.5, -0.25, 1.0 + 2**-52, -(2**-1074), math.nan):
+            with pytest.raises(ValidationError, match="success amplitude must lie in"):
                 amplification_rounds(a)
-            assert caplog.records == []
-            assert amplification_rounds(1.5) == 1
-            with pytest.raises(AnnihilationError):
-                amplification_rounds(-0.25)
-        assert [r.getMessage() for r in caplog.records] == [
-            "success amplitude 1.5 clamped to 1 for round counting",
-            "success amplitude -0.25 clamped to 0 for round counting",
-        ]
 
 
 class TestDilation:

@@ -8,7 +8,6 @@ import scipy.linalg
 
 from lculab.constants import DEFAULT_CONSTANTS
 from lculab.cost import evolution_gate_cost, theorem2_cost
-from lculab.gap_amplification import unitarity_defect
 from lculab.inverse import (
     HittingTimeTask,
     calibrate_inverse_grid,
@@ -26,7 +25,11 @@ from lculab.markov import (
 )
 from lculab.sparse_chain import decomposition_manifest, reconstruction_residual
 from oracles import (
+    BOUNDARY_SIGNS,
+    COLOR_SIGNS,
     SparseConstruction,
+    ancilla_coupler,
+    ancilla_rotations,
     assemble_tilde_h_sparse,
     build_h_bar,
     exact_hitting_time_inverse,
@@ -36,6 +39,7 @@ from oracles import (
     random_sparse_dyadic_matrix,
     sparse_construction,
     symmetric_two_state,
+    unitarity_defect,
     validate_chain_any_spectrum,
 )
 
@@ -527,26 +531,23 @@ class TestEdgeLevelManifest:
         with pytest.raises(ValidationError, match="term 0: matrix is not unitary"):
             decomposition_manifest(self._partition(rng))
 
-    def test_mis_scaled_term_weight_fires(self, rng, monkeypatch):
-        scale, weight, signs = sparse_chain._COLOR_TERMS
-        monkeypatch.setattr(sparse_chain, "_COLOR_TERMS", (scale, weight * (1.0 + 1e-6), signs))
-        with pytest.raises(ValidationError, match="expansion misses the enlarged operator"):
-            decomposition_manifest(self._partition(rng))
-
-    def test_rotation_that_breaks_the_cancellation_fires(self, rng, monkeypatch):
-        # a rest entry of R_+ off by a phase: each term stays unitary and the
-        # coupler entries are right, but the rest parts no longer cancel
-        rotations = sparse_chain.ancilla_rotations
-
-        def broken(k, ancilla_dim):
-            rot_minus, rot_plus = rotations(k, ancilla_dim)
-            rot_plus = rot_plus.copy()
-            rot_plus[-1, -1] *= np.exp(1e-6j)  # a rest entry on every level but the last
-            return rot_minus, rot_plus
-
-        monkeypatch.setattr(sparse_chain, "ancilla_rotations", broken)
-        with pytest.raises(ValidationError, match="expansion misses the enlarged operator"):
-            decomposition_manifest(self._partition(rng))
+    @pytest.mark.parametrize(
+        "k, ancilla_dim", [(1, 2), (1, 3), (2, 3), (3, 5), (1, 8), (4, 8), (7, 8), (12, 13)]
+    )
+    def test_level_constants_expand_exactly(self, k, ancilla_dim):
+        # what no manifest checks, since no chain can change it: the ancilla
+        # rotations and the signs are unitary, and the four terms of a color
+        # level and of the boundary level sum exactly to scale (p, q) C_k
+        levels = sparse_construction(mark_states(lazy_cycle(8, 0.5), [0])).levels
+        rotations = ancilla_rotations(k, ancilla_dim)
+        assert [unitarity_defect(r) for r in rotations] == [0.0, 0.0]
+        coupler = ancilla_coupler(k, ancilla_dim)
+        for level, signs in ((levels[0], COLOR_SIGNS), (levels[-1], BOUNDARY_SIGNS)):
+            assert [abs(sign) ** 2 - 1 for sign in signs] == [0.0] * 4
+            scale, weight = level.terms
+            for (s_minus, s_plus), c in zip((signs[:2], signs[2:]), level.coefficients):
+                terms = weight * (s_minus * rotations[0] + s_plus * rotations[1])
+                assert np.array_equal(terms, scale * c * coupler)
 
     @pytest.mark.parametrize("field", ["weights", "mu_bar", "diagonal"])
     def test_perturbed_edge_fires(self, rng, monkeypatch, field):
