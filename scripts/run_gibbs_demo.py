@@ -29,8 +29,8 @@ def main() -> None:
     for beta in betas:
         task = GibbsTask(hamiltonian=h, beta=beta, epsilon=args.epsilon, weights=weights)
         res = prepare_gibbs(task)
-        target = math.sqrt(res.partition_function / h.dim)
-        print(f"{beta:8.3f} {res.epsilon_prime:10.2e} {res.grid.j_max:5d} "
+        target = math.sqrt(task.partition_function / h.dim)
+        print(f"{beta:8.3f} {task.epsilon_prime:10.2e} {res.grid.j_max:5d} "
               f"{res.trace_dist:11.3e} {res.success_amplitude:12.6f} {target:10.6f} "
               f"{res.amplification_rounds:7d}")
         for message in res.precondition_warnings:

@@ -9,6 +9,8 @@ cost-sweep's `fixed`, and the matrix and chain wire formats. --seed, --out and
 fields are config errors named by their path (e.g. `chain.entries[3]`), and
 each field is typed once, with its default filled in, before a runner indexes
 it. --constants overrides the constants.
+`mode` is read here only: in oracle-free mode `gibbs` and `hitting` give their
+task `z_lower_bound` or `delta_lower_bound`, and in desk mode no bound.
 `gibbs` and `lemma1-sweep` run one thermal point function, on one decomposed
 Hamiltonian per run. Outputs are byte-identical for identical (config, seed)
 pairs under one BLAS build and thread count (from about dimension 224 up, 1
@@ -246,23 +248,19 @@ def _write_plot(path: Path, xs, ys) -> None:
 
 
 def _thermal_point(
-    h: HermitianOperator,
-    weights: tuple[float, ...],
-    beta: float,
-    epsilon: float,
-    constants: Constants,
-    mode: str = "desk",
-    z_lower_bound: float | None = None,
+    h: HermitianOperator, weights: tuple[float, ...], beta: float, epsilon: float,
+    constants: Constants, z_lower_bound: float | None = None,
 ) -> tuple[GibbsResult, dict]:
     """Prepare the thermal state of H at one (beta, eps), priced on the
-    presentation `weights`; returns the result and its row. H's cached
-    eigensystem serves every point of a run."""
-    task = GibbsTask(hamiltonian=h, beta=beta, epsilon=epsilon, weights=weights)
-    result = prepare_gibbs(task, constants=constants, mode=mode, z_lower_bound=z_lower_bound)
+    presentation `weights` and with eps' set from Z or `z_lower_bound`; returns
+    the result and its row. H's cached eigensystem serves every point of a run."""
+    task = GibbsTask(hamiltonian=h, beta=beta, epsilon=epsilon, weights=weights,
+                     z_lower_bound=z_lower_bound, constants=constants)
+    result = prepare_gibbs(task)
     row = {
         "beta": task.beta,
         "epsilon": task.epsilon,
-        "eps_prime": result.epsilon_prime,
+        "eps_prime": task.epsilon_prime,
         "J": result.grid.j_max,
         "delta_y": result.grid.delta_y,
         "trace_dist": result.trace_dist,
@@ -273,16 +271,27 @@ def _thermal_point(
     return result, row
 
 
+def _lower_bound(config: dict, name: str) -> float | None:
+    """The task's bound on Z or Delta: None in desk mode, which ignores the field
+    `name`; in oracle-free mode, the field, given and positive (not NaN)."""
+    if config["mode"] == "desk":
+        return None
+    bound = config[name]
+    if bound is None or not bound > 0:
+        raise ValidationError(f"oracle-free mode needs a positive {name}")
+    return bound
+
+
 def _run_gibbs(config: dict, constants: Constants, out: Path, seed: int) -> dict:
     result, row = _thermal_point(
         *_hamiltonian_from_config(config["hamiltonian"]), config["beta"], config["epsilon"],
-        constants, config["mode"], config["z_lower_bound"],
+        constants, _lower_bound(config, "z_lower_bound"),
     )
     summary = {
         "command": "gibbs",
         "seed": seed,
         **row,
-        "partition_function": result.partition_function,
+        "partition_function": result.task.partition_function,
         "cost": result.cost.to_json(),
         "precondition_warnings": list(result.precondition_warnings),
     }
@@ -324,16 +333,10 @@ def _run_lemma1_sweep(config: dict, constants: Constants, out: Path, seed: int) 
 def _run_hitting(config: dict, constants: Constants, out: Path, seed: int) -> dict:
     chain, marked = chain_from_json(config["chain"])
     mp = mark_states(chain, marked)
-    mp.delta  # builds and checks H_U before the mode is checked
-    oracle_free = config["mode"] == "oracle-free"
-    if oracle_free and config["delta_lower_bound"] is None:
-        raise ValidationError("oracle-free mode needs delta_lower_bound")
+    mp.delta  # builds and checks H_U before the bound is read
     task = HittingTimeTask(
-        partition=mp,
-        epsilon=config["epsilon"],
-        confidence=config["confidence"],
-        delta_lower=config["delta_lower_bound"] if oracle_free else None,
-        constants=constants,
+        partition=mp, epsilon=config["epsilon"], confidence=config["confidence"],
+        delta_lower=_lower_bound(config, "delta_lower_bound"), constants=constants,
     )
     result = estimate_hitting_time(task, seed=seed)
     summary = {

@@ -7,7 +7,9 @@ ancilla-0 sector exactly as the same scalar filter of H, which is what the
 grid calibration certifies sample by sample. Acting on half of a maximally
 entangled pair and tracing the ancillas yields the thermal state.
 
-`prepare_gibbs` evaluates that certified filter on the spectrum of H, so it
+A `GibbsTask` sets the precision eps' = c eps sqrt(Z/N) from the exact Z of H
+or a lower bound on it, as a `HittingTimeTask` sets its eps' from Delta.
+`prepare_gibbs` evaluates the certified filter on the spectrum of H, so it
 never builds H~ and the dimension cap applies to H itself; its ledger reads
 only the weights of H's projector presentation. The trace distance to the
 exact thermal state is taken on the same spectrum, so one eigendecomposition
@@ -20,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -40,9 +42,9 @@ from .operators import DensityMatrix, HermitianOperator
 
 logger = logging.getLogger(__name__)
 
-_N_SAMPLES = 64
-_MAX_DOUBLINGS = 20
-_TARGET_MARGIN = 0.9
+# Both grid calibrations' sample test: a grid passes at error <= TARGET_MARGIN *
+# tolerance/2 on SAMPLE_COUNT points, and a calibration fails after MAX_REFINEMENTS.
+SAMPLE_COUNT, TARGET_MARGIN, MAX_REFINEMENTS = 64, 0.9, 20
 # Largest J a trial grid may take (Gibbs on "1.0 Z" at beta = 1e12 reaches 9.5e6);
 # past it, or at a spacing of 0, calibration fails before allocating a node array.
 _MAX_J = 10**7
@@ -120,8 +122,8 @@ def _error_bounds(
 
 
 def _sample_points(norm_bound: float) -> np.ndarray:
-    lin = np.linspace(0.0, norm_bound, _N_SAMPLES // 2)
-    geo = np.geomspace(max(norm_bound * 1e-4, 1e-12), norm_bound, _N_SAMPLES // 2)
+    lin = np.linspace(0.0, norm_bound, SAMPLE_COUNT // 2)
+    geo = np.geomspace(max(norm_bound * 1e-4, 1e-12), norm_bound, SAMPLE_COUNT // 2)
     return np.concatenate([lin, geo])
 
 
@@ -154,12 +156,12 @@ def calibrate_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> H
     delta_y = 1.0 / math.sqrt(norm_bound * beta_seed * log_inv)
     y_max = math.sqrt(log_inv)
     samples = _sample_points(norm_bound)
-    target = _TARGET_MARGIN * epsilon_prime / 2
+    target = TARGET_MARGIN * epsilon_prime / 2
 
     # Each err is an interval (lo, hi) holding a trial grid's error; the
     # kernel's own error is the interval (err, err).
     err = _error_bounds(delta_y, y_max, beta, samples)
-    for iteration in range(_MAX_DOUBLINGS):
+    for iteration in range(MAX_REFINEMENTS):
         if err[0] <= target < err[1]:
             err = _grid_error(delta_y, y_max, beta, samples)
         if err[1] <= target:
@@ -183,7 +185,7 @@ def calibrate_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> H
         if err[0] != err[1]:
             err = _grid_error(delta_y, y_max, beta, samples)
         raise CalibrationError(
-            f"node grid failed to reach {target:.3e} in {_MAX_DOUBLINGS} refinements "
+            f"node grid failed to reach {target:.3e} in {MAX_REFINEMENTS} refinements "
             f"(err={err[1]:.3e})"
         )
     return _trial_grid(delta_y, y_max, beta)
@@ -193,12 +195,16 @@ def calibrate_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> H
 class GibbsTask:
     """A thermal-preparation problem: Hamiltonian, temperature, precision, and the
     weights alpha_k of a presentation H = sum_k alpha_k Pi_k, which is all the
-    ledger reads of it. H must be PSD with lambda_max(H) <= sum_k alpha_k."""
+    ledger reads of it. H must be PSD with lambda_max(H) <= sum_k alpha_k.
+    eps' = c eps sqrt(Z/N) reads the exact partition function Z of H, or
+    `z_lower_bound` capped at N e^{-beta E_0}; a bound above Z (1 + 1e-12) is rejected."""
 
     hamiltonian: HermitianOperator
     beta: float
     epsilon: float
     weights: tuple[float, ...]
+    z_lower_bound: float | None = None
+    constants: Constants = field(default=DEFAULT_CONSTANTS)
 
     def __post_init__(self):
         if self.beta < 0 or not math.isfinite(self.beta):
@@ -211,43 +217,52 @@ class GibbsTask:
         require_psd(energies)
         if sum(weights) < energies[-1] - 1e-8:
             raise ValidationError(f"weights sum below lambda_max(H) = {energies[-1]:.6g}")
+        bound = self.z_lower_bound
+        if bound is not None and not 0 < bound <= self.partition_function * (1 + 1e-12):
+            raise ValidationError(
+                f"z_lower_bound must be a positive lower bound on Z = "
+                f"{self.partition_function:.6g}, got {bound!r}"
+            )
+
+    @cached_property
+    def partition_function(self) -> float:
+        """The exact Z = sum_i exp(-beta E_i) over the spectrum of H."""
+        return float(np.sum(np.exp(-self.beta * self.hamiltonian.eigensystem[0])))
+
+    @property
+    def epsilon_prime(self) -> float:
+        energies, n_dim = self.hamiltonian.eigensystem[0], self.hamiltonian.dim
+        z = self.partition_function
+        if self.z_lower_bound is not None:
+            z = min(float(self.z_lower_bound), float(n_dim) * math.exp(-self.beta * energies[0]))
+        return gibbs_eps_prime(self.epsilon, z, n_dim, self.constants)
 
 
 @dataclass(frozen=True)
 class GibbsResult:
-    """A prepared thermal state, kept as the filter values f on the spectrum of H."""
+    """A prepared thermal state of its task, kept as the filter values f on spec(H)."""
 
-    hamiltonian: HermitianOperator
+    task: GibbsTask
     filter_values: np.ndarray
     trace_dist: float
     success_amplitude: float
     amplification_rounds: int
     cost: CostReport
     grid: HsGrid
-    epsilon_prime: float
-    partition_function: float
     precondition_warnings: tuple[str, ...]
 
     @cached_property
     def prepared_density(self) -> DensityMatrix:
-        """The dense state f(H)^2 / tr f(H)^2, built on first read."""
-        vectors = self.hamiltonian.eigensystem[1]
+        """The dense state f(H)^2 / tr f(H)^2 (symmetrized in place), built on first read."""
+        vectors = self.task.hamiltonian.eigensystem[1]
         f = self.filter_values
-        rho = (vectors * f**2) @ vectors.conj().T / float(np.linalg.norm(f)) ** 2
-        return DensityMatrix((rho + rho.conj().T) / 2)
+        return DensityMatrix((vectors * f**2) @ vectors.conj().T / float(np.linalg.norm(f)) ** 2)
 
 
-def prepare_gibbs(
-    task: GibbsTask,
-    constants: Constants = DEFAULT_CONSTANTS,
-    mode: str = "desk",
-    z_lower_bound: float | None = None,
-) -> GibbsResult:
+def prepare_gibbs(task: GibbsTask) -> GibbsResult:
     """Run the thermal pipeline end to end and compare against the exact state.
 
-    Desk mode reads the exact partition function off the spectrum to set the
-    internal precision eps' = c * eps * sqrt(Z/N); oracle-free mode uses a
-    caller-supplied lower bound on Z instead. The prepared density is the
+    The internal precision is the task's eps'. The prepared density is the
     ancilla trace of the normalized combination acting on half of a maximally
     entangled pair, and the ledger prices the run as
     rounds * (C_W(t, eps') + n + log2 J).
@@ -263,19 +278,8 @@ def prepare_gibbs(
     share H's eigenbasis, so the trace distance is read off the spectrum too;
     the dense prepared state is built only when `prepared_density` is read.
     """
-    if mode not in ("desk", "oracle-free"):
-        raise ValidationError(f"unknown mode {mode!r}")
-    h = task.hamiltonian
-    n_dim = h.dim
-    energies = h.eigensystem[0]
-    z_exact = float(np.sum(np.exp(-task.beta * energies)))
-    if mode == "desk":
-        z_for_eps = z_exact
-    else:
-        if z_lower_bound is None or not z_lower_bound > 0:
-            raise ValidationError("oracle-free mode needs a positive z_lower_bound")
-        z_for_eps = min(float(z_lower_bound), float(n_dim) * math.exp(-task.beta * energies[0]))
-    eps_prime = gibbs_eps_prime(task.epsilon, z_for_eps, n_dim, constants)
+    h, constants, eps_prime = task.hamiltonian, task.constants, task.epsilon_prime
+    n_dim, energies = h.dim, h.eigensystem[0]
 
     norm_bound = max(h.spectral_norm, 1e-9)
     grid = calibrate_hs_grid(norm_bound, task.beta, eps_prime)
@@ -312,14 +316,12 @@ def prepare_gibbs(
         grid.j_max, CostEntry(rounds, "ceil(c/asin(a)) at the measured amplitude"),
     )
     return GibbsResult(
-        hamiltonian=h,
+        task=task,
         filter_values=f,
         trace_dist=dist,
         success_amplitude=success_amplitude,
         amplification_rounds=rounds,
         cost=cost,
         grid=grid,
-        epsilon_prime=eps_prime,
-        partition_function=z_exact,
         precondition_warnings=tuple(collected),
     )

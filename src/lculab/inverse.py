@@ -49,16 +49,13 @@ from .constants import DEFAULT_CONSTANTS, Constants
 from .cost import CostEntry, CostReport, hitting_eps_prime, hitting_ledger, presentation_gate_cost
 from .errors import CalibrationError, ValidationError
 from .gap_amplification import split_indices
-from .gibbs import calibrate_hs_grid
+from .gibbs import MAX_REFINEMENTS, SAMPLE_COUNT, TARGET_MARGIN, calibrate_hs_grid
 from .lcu import UNIT_ROUNDOFF, cosine_series_bounds, gaussian_cosine_series, gaussian_weight_sum
 from .markov import MarkedPartition, check_seed, exact_hitting_time_resolvent, expected_mc_cost
 
 logger = logging.getLogger(__name__)
 
-_N_SAMPLES = 64
-_MAX_ITERATIONS = 20
 _EXIT_BLOCK = 8
-_TARGET_MARGIN = 0.9
 BASE_CONFIDENCE = 8.0 / math.pi**2
 # The most (K+1) * n * (J+1) cosine-recurrence element-steps one filter call
 # may take: 11x the lazy 32-cycle's whole spectrum at eps 0.1 (K = 138,422,
@@ -183,19 +180,15 @@ def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
     kappa = 1.0 / delta_lower
     z_target = kappa * math.log(kappa / epsilon)
     delta_z = epsilon
-    samples = np.unique(
-        np.concatenate(
-            [
-                np.geomspace(delta_lower, 1.0, _N_SAMPLES // 2),
-                np.linspace(delta_lower, 1.0, _N_SAMPLES - _N_SAMPLES // 2),
-            ]
-        )
-    )
+    half = SAMPLE_COUNT // 2
+    samples = np.unique(np.concatenate([
+        np.geomspace(delta_lower, 1.0, half), np.linspace(delta_lower, 1.0, SAMPLE_COUNT - half)
+    ]))
     blocks = [samples[i : i + _EXIT_BLOCK] for i in range(0, samples.size, _EXIT_BLOCK)]
-    target = _TARGET_MARGIN * epsilon / 2
+    target = TARGET_MARGIN * epsilon / 2
 
     inner_z_max = None
-    for iteration in range(_MAX_ITERATIONS):
+    for iteration in range(MAX_REFINEMENTS):
         nodes = z_target / delta_z
         if not math.isfinite(nodes):
             raise CalibrationError(
@@ -239,7 +232,7 @@ def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
         else:
             delta_z /= 2
     raise CalibrationError(
-        f"inverse grid failed to reach {target:.3e} within {_MAX_ITERATIONS} refinements"
+        f"inverse grid failed to reach {target:.3e} within {MAX_REFINEMENTS} refinements"
     )
 
 

@@ -140,7 +140,7 @@ def test_criterion_3_gibbs_end_to_end():
         res = prepare_gibbs(
             GibbsTask(hamiltonian=h2, beta=beta, epsilon=0.05, weights=weights2)
         )
-        amplitude = math.sqrt(res.partition_function / h2.dim)
+        amplitude = math.sqrt(res.task.partition_function / h2.dim)
         target = amplification_rounds(min(amplitude, 1.0))
         assert res.amplification_rounds <= 2 * target
         assert target <= 2 * res.amplification_rounds

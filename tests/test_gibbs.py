@@ -11,7 +11,9 @@ from lculab import gibbs
 from lculab.errors import PreconditionWarning, ValidationError
 from lculab.gap_amplification import parse_pauli_lines
 from lculab.gibbs import GibbsTask, calibrate_hs_grid, prepare_gibbs
+from lculab.inverse import HittingTimeTask, estimate_hitting_time
 from lculab.lcu import amplification_rounds, gaussian_weights
+from lculab.markov import mark_states, validate_chain
 from lculab.operators import DensityMatrix, HermitianOperator, matrix_function
 from lculab.rand import random_state
 from oracles import (
@@ -261,7 +263,7 @@ class TestPrepareGibbs:
             warnings.simplefilter("ignore", PreconditionWarning)
             res = prepare_gibbs(task)
         np.testing.assert_allclose(res.prepared_density.matrix, np.eye(2) / 2, atol=1e-10)
-        assert res.partition_function == pytest.approx(2.0)
+        assert res.task.partition_function == pytest.approx(2.0)
         assert res.success_amplitude == pytest.approx(1.0, abs=0.01)
 
     def test_one_qubit_diagonal(self):
@@ -273,8 +275,8 @@ class TestPrepareGibbs:
         dense = trace_distance(res.prepared_density, exact)
         assert dense <= 0.05
         assert res.trace_dist == pytest.approx(dense, abs=1e-14)
-        expected_amp = math.sqrt(res.partition_function / 2)
-        assert abs(res.success_amplitude - expected_amp) <= 2 * res.epsilon_prime
+        expected_amp = math.sqrt(res.task.partition_function / 2)
+        assert abs(res.success_amplitude - expected_amp) <= 2 * res.task.epsilon_prime
 
     def test_three_qubit_pauli_hamiltonian(self, rng):
         # shifted two-local Hamiltonian, beta chosen so that norm * beta = 8
@@ -314,18 +316,40 @@ class TestPrepareGibbs:
         for beta in [4.5, 6.0, 9.0, 12.0]:
             task = GibbsTask(hamiltonian=h, beta=beta, epsilon=0.05, weights=dec.weights)
             res = prepare_gibbs(task)
-            target = amplification_rounds(math.sqrt(res.partition_function / 4))
+            target = amplification_rounds(math.sqrt(res.task.partition_function / 4))
             assert res.amplification_rounds <= 2 * target
             assert target <= 2 * res.amplification_rounds
 
     def test_oracle_free_mode(self):
+        # the task carries the bound on Z; eps' reads it in place of Z
         h = HermitianOperator(np.diag([0.0, 1.0]))
-        task = GibbsTask(hamiltonian=h, beta=8.0, epsilon=0.05, weights=psd_split(h).weights)
         z_true = 1.0 + math.exp(-8.0)
-        res = prepare_gibbs(task, mode="oracle-free", z_lower_bound=0.5 * z_true)
+        task = GibbsTask(hamiltonian=h, beta=8.0, epsilon=0.05, weights=psd_split(h).weights,
+                         z_lower_bound=0.5 * z_true)
+        assert task.partition_function == z_true
+        assert task.epsilon_prime == pytest.approx(0.5 * 0.05 * math.sqrt(0.5 * z_true / 2))
+        res = prepare_gibbs(task)
         assert res.trace_dist <= 0.05
-        with pytest.raises(ValidationError):
-            prepare_gibbs(task, mode="oracle-free")
+        with pytest.raises(ValidationError, match="lower bound on Z"):
+            GibbsTask(hamiltonian=h, beta=8.0, epsilon=0.05, weights=psd_split(h).weights,
+                      z_lower_bound=2.0 * z_true)
+
+    @pytest.mark.parametrize(
+        "text", [BENCH_TFIM_6, "0.8 XYI\n-0.6 IZY\n0.5 YYZ\n-0.3 XIX\n-0.2 IYI"],
+        ids=["tfim-real", "odd-y-complex"],
+    )
+    def test_prepared_density_bytes_match_the_twice_symmetrized_state(self, text):
+        # DensityMatrix symmetrizes in place, so the state it is handed needs no
+        # (A + A^dagger)/2 pass of its own: a second pass changes no bit
+        matrix, weights, _ = parse_pauli_lines(text)
+        res = prepare_gibbs(
+            GibbsTask(HermitianOperator(matrix), beta=2.0, epsilon=0.05, weights=weights)
+        )
+        vectors, f = res.task.hamiltonian.eigensystem[1], res.filter_values
+        rho = (vectors * f**2) @ vectors.conj().T / float(np.linalg.norm(f)) ** 2
+        old = DensityMatrix((rho + rho.conj().T) / 2).matrix
+        assert res.prepared_density.matrix.dtype == matrix.dtype
+        assert res.prepared_density.matrix.tobytes() == old.tobytes()
 
     def test_precondition_flagged_not_masked(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))
@@ -413,6 +437,37 @@ class TestPrepareGibbs:
         h = HermitianOperator(np.diag([-1e-11, 1.0]))
         assert GibbsTask(hamiltonian=h, beta=4.0, epsilon=0.1, weights=(1.0,)).weights == (1.0,)
         assert psd_split(h).weights == (1.0,)
+
+
+def _two_level_gibbs_task(bound):
+    h = HermitianOperator(np.diag([0.0, 1.0]))
+    return GibbsTask(hamiltonian=h, beta=8.0, epsilon=0.05, weights=(1.0,), z_lower_bound=bound)
+
+
+def _two_state_hitting_task(bound):
+    chain = validate_chain(np.full((2, 2), 0.5))
+    return HittingTimeTask(partition=mark_states(chain, [1]), epsilon=0.1, delta_lower=bound)
+
+
+# Per pipeline: a task at a given bound (None for none), the exact value that
+# bound stands for, and the run.
+_BOUNDED_PIPELINES = {
+    "gibbs": (_two_level_gibbs_task, lambda task: task.partition_function, prepare_gibbs),
+    "hitting": (_two_state_hitting_task, lambda task: task.partition.delta, estimate_hitting_time),
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(_BOUNDED_PIPELINES))
+def test_lower_bound_at_the_exact_value_runs_and_past_it_is_rejected(pipeline):
+    make, exact, run = _BOUNDED_PIPELINES[pipeline]
+    desk = make(None)
+    value = exact(desk)
+    at_exact = make(value)
+    assert at_exact.epsilon_prime == desk.epsilon_prime
+    run(at_exact)
+    for bound in (1.01 * value, math.nan, 0.0, math.inf):
+        with pytest.raises(ValidationError, match="must be a positive lower bound"):
+            make(bound)
 
 
 def _criterion_3_hamiltonians():
