@@ -197,7 +197,7 @@ class GibbsTask:
     weights alpha_k of a presentation H = sum_k alpha_k Pi_k, which is all the
     ledger reads of it. H must be PSD with lambda_max(H) <= sum_k alpha_k.
     eps' = c eps sqrt(Z/N) reads the exact partition function Z of H, or
-    `z_lower_bound` capped at N e^{-beta E_0}; a bound above Z (1 + 1e-12) is rejected."""
+    `z_lower_bound` capped at Z; a bound above Z (1 + 1e-12) is rejected."""
 
     hamiltonian: HermitianOperator
     beta: float
@@ -231,11 +231,10 @@ class GibbsTask:
 
     @property
     def epsilon_prime(self) -> float:
-        energies, n_dim = self.hamiltonian.eigensystem[0], self.hamiltonian.dim
         z = self.partition_function
         if self.z_lower_bound is not None:
-            z = min(float(self.z_lower_bound), float(n_dim) * math.exp(-self.beta * energies[0]))
-        return gibbs_eps_prime(self.epsilon, z, n_dim, self.constants)
+            z = min(float(self.z_lower_bound), z)
+        return gibbs_eps_prime(self.epsilon, z, self.hamiltonian.dim, self.constants)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,13 @@ and never builds H~, so nothing is larger than the chain itself, whose N the
 dimension cap bounds. The tests build the combination over evolutions of H~
 as the reference it is checked against.
 
+Every argument sqrt(2 z_k x) of the filter meets the same y-series, so a
+grid reads it off one `GaussianCosineTable` over its whole domain x <= 1,
+built on first use: 16 Clenshaw steps per argument instead of the J steps
+of the cosine recurrence, and an error near float64's resolution. The
+row-order z-sum carries the exact rounding error of each of its additions,
+so it adds about one rounding to the value instead of one per z-node.
+
 The grid and the expectation are fixed by the chain, delta and epsilon, so a
 `HittingTimeTask` builds them on first read; only the amplitude sample
 depends on the seed, and a seed sweep over one task reuses the rest.
@@ -28,7 +35,7 @@ explicitly; the left z-sum of exp(-z x) is geometric. That bounds the
 filter's error at each sample from above and below (`exit_certificate`),
 with a margin for roundoff. A round is accepted or rejected on the bound
 only where the sample test would give the same verdict, so the certificate
-never changes a grid; only the rounds it leaves open run the cosine kernel.
+never changes a grid; only the rounds it leaves open evaluate the filter.
 Those check the samples a few at a time and reject a grid at the first
 miss. A filter value does not depend on how many points share the call, so
 the grids accepted are those of a test on all samples at once. The inner
@@ -50,7 +57,13 @@ from .cost import CostEntry, CostReport, hitting_eps_prime, hitting_ledger, pres
 from .errors import CalibrationError, ValidationError
 from .gap_amplification import split_indices
 from .gibbs import MAX_REFINEMENTS, SAMPLE_COUNT, TARGET_MARGIN, calibrate_hs_grid
-from .lcu import UNIT_ROUNDOFF, cosine_series_bounds, gaussian_cosine_series, gaussian_weight_sum
+from .lcu import (
+    UNIT_ROUNDOFF,
+    GaussianCosineTable,
+    cosine_series_bounds,
+    cosine_table_bound,
+    gaussian_weight_sum,
+)
 from .markov import MarkedPartition, check_seed, exact_hitting_time_resolvent, expected_mc_cost
 
 logger = logging.getLogger(__name__)
@@ -63,6 +76,9 @@ BASE_CONFIDENCE = 8.0 / math.pi**2
 # measured to finish. Past it the left-rule z-grid is too fine for the gap or
 # the precision, and the call fails before it allocates anything.
 _FILTER_WORK_BUDGET = 10**11
+# The top of the filter's domain: a spectrum in [delta, 1], with room for its
+# rounding (`MarkedPartition.h_matrix` admits a top up to 1 + 1e-9).
+_X_MAX = 1.0 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -96,10 +112,21 @@ class InverseGrid:
     def gamma(self) -> float:
         return (self.k_max + 1) * self.delta_z * gaussian_weight_sum(self.delta_y, self.j_max)
 
+    @cached_property
+    def table(self) -> GaussianCosineTable:
+        """The y-series on every argument sqrt(2 z_k x) of the filter's domain
+        0 <= x <= `_X_MAX`, built on first read. Its top is rounded as the
+        arguments are, so it bounds each of them."""
+        a_max = float(np.sqrt(2.0 * (self.z_max * _X_MAX)))
+        return GaussianCosineTable(a_max, self.delta_y, self.j_max)
+
     def inverse_filter(self, x) -> np.ndarray:
-        """The scalar double sum approximating 1/x at x >= 0. The z-series is summed
-        in row order at every x, so a value does not depend on the call's width.
-        A call past `_FILTER_WORK_BUDGET` element-steps is a `CalibrationError`."""
+        """The scalar double sum approximating 1/x at 0 <= x <= 1 (+1e-6). Each
+        y-series is read off `table`, and the z-series is summed in row order at
+        every x, with each addition's rounding error added back, so a value does
+        not depend on the call's width. A call past `_FILTER_WORK_BUDGET`
+        element-steps of the y-series, counted as its recurrence would take
+        them, is a `CalibrationError`."""
         x = np.asarray(x, dtype=float)
         work = (self.k_max + 1) * x.size * (self.j_max + 1)
         if work > _FILTER_WORK_BUDGET:
@@ -109,9 +136,24 @@ class InverseGrid:
                 f"{_FILTER_WORK_BUDGET:.0e}: the left-rule z-grid (delta_z={self.delta_z:.3g}, "
                 f"gap bound {self.delta_lower:.3g}) is too fine"
             )
-        args = np.sqrt(2.0 * np.outer(self.z_nodes, x))
-        series = gaussian_cosine_series(args, self.delta_y, self.j_max)
-        return self.delta_z * np.cumsum(series, axis=0, out=series)[-1]
+        if x.size and not (x.min() >= 0.0 and x.max() <= _X_MAX):
+            raise ValidationError(
+                f"the inverse filter takes 0 <= x <= {_X_MAX!r}, got [{x.min()!r}, {x.max()!r}]"
+            )
+        series = self.table(np.sqrt(2.0 * np.outer(self.z_nodes, x)))
+        # Row-order partial sums s_k = fl(s_{k-1} + x_k), and each addition's
+        # exact rounding error by TwoSum: with b = s_k - s_{k-1}, it is
+        # (s_{k-1} - (s_k - b)) + (x_k - b). The errors are summed in row order too.
+        sums = np.cumsum(series, axis=0)
+        errors = np.empty_like(series)
+        errors[0] = 0.0
+        rounded = errors[1:]
+        np.subtract(sums[1:], sums[:-1], out=rounded)
+        series[1:] -= rounded
+        np.subtract(sums[1:], rounded, out=rounded)
+        np.subtract(sums[:-1], rounded, out=rounded)
+        rounded += series[1:]
+        return self.delta_z * (sums[-1] + np.cumsum(errors, axis=0, out=errors)[-1])
 
 
 def exit_certificate(
@@ -126,10 +168,13 @@ def exit_certificate(
     (`cosine_series_bounds`). The computed filter differs from the exact one
     by at most the roundoff margin, with u = 2^-53 and s = 1 + delta_y,
         eta(x) = (K+1) delta_z [roundoff + 2 (K+1) s u] + 64 u/x + 1e-9 B,
-    where roundoff bounds each series' own error, the row-order z-sum adds
-    K+1 series, each at most s in size, 64 u/x covers 1/x, the final scaling
-    and subtraction, and the float evaluation of G, and 1e-9 B covers that
-    of images and tail.
+    where roundoff bounds each y-series value the grid's `table` reads off
+    (`cosine_table_bound`: coefficient and phase rounding, Chebyshev
+    truncation and Clenshaw roundoff; at most the cosine recurrence's), the
+    z-sum adds K+1 series, each at most s in size, with its additions'
+    rounding errors added back in (which errs by less than the plain sum the
+    term covers), 64 u/x covers 1/x, the final scaling and subtraction, and
+    the float evaluation of G, and 1e-9 B covers that of images and tail.
     U(x) = |G - 1/x| + B + eta(x) bounds the error the sample test computes.
     The verdict is True when max U <= target, False when some sample has
     |G - 1/x| - B - eta > target, and None when the bound cannot tell or
@@ -138,12 +183,13 @@ def exit_certificate(
     k1, dz, dy = grid.k_max + 1, grid.delta_z, grid.delta_y
     # sqrt(2 z_K x) rounds at most 2u low, so the factor keeps a_max an upper bound.
     a_max = math.sqrt(2.0 * grid.z_max * float(samples.max())) * (1.0 + 4.0 * UNIT_ROUNDOFF)
-    images, tail, roundoff = cosine_series_bounds(a_max, dy, grid.j_max)
+    images, tail, _ = cosine_series_bounds(a_max, dy, grid.j_max)
     if images == math.inf:
         return None, math.inf
     bound = k1 * dz * (images + tail)
     geometric = dz * np.expm1(-k1 * dz * samples) / np.expm1(-dz * samples)
     gap = np.abs(geometric - 1.0 / samples)
+    roundoff = cosine_table_bound(a_max, dy, grid.j_max)
     eta = (
         k1 * dz * (roundoff + 2.0 * k1 * (1.0 + dy) * UNIT_ROUNDOFF)
         + 64.0 * UNIT_ROUNDOFF / samples

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lculab import gibbs
+from lculab.cost import gibbs_eps_prime
 from lculab.errors import PreconditionWarning, ValidationError
 from lculab.gap_amplification import parse_pauli_lines
 from lculab.gibbs import GibbsTask, calibrate_hs_grid, prepare_gibbs
@@ -468,6 +469,24 @@ def test_lower_bound_at_the_exact_value_runs_and_past_it_is_rejected(pipeline):
     for bound in (1.01 * value, math.nan, 0.0, math.inf):
         with pytest.raises(ValidationError, match="must be a positive lower bound"):
             make(bound)
+
+
+@pytest.mark.parametrize(
+    "diagonal, beta", [([0.0, 1.0, 3.0], 0.0), ([0.0, 0.0, 0.0], 2.0), ([0.0, 1.0, 3.0], 2.0)],
+    ids=["beta-0", "h-0", "spread"],
+)
+def test_a_bound_within_rounding_above_z_reads_as_z(diagonal, beta):
+    # a bound the task accepts as rounding of Z, up to Z (1 + 1e-12), is
+    # capped at Z itself; on a flat spectrum (beta = 0 or H = 0) Z is
+    # N e^{-beta E_0}, the cap the task used to apply
+    h = HermitianOperator(np.diag(diagonal))
+    desk = GibbsTask(hamiltonian=h, beta=beta, epsilon=0.05, weights=(3.0,))
+    z = desk.partition_function
+    for bound in (z, z * (1 + 5e-13), z * (1 + 1e-12)):
+        task = GibbsTask(hamiltonian=h, beta=beta, epsilon=0.05, weights=(3.0,), z_lower_bound=bound)
+        assert task.epsilon_prime == desk.epsilon_prime
+    below = GibbsTask(hamiltonian=h, beta=beta, epsilon=0.05, weights=(3.0,), z_lower_bound=z / 2)
+    assert below.epsilon_prime == gibbs_eps_prime(0.05, z / 2, 3, desk.constants)
 
 
 def _criterion_3_hamiltonians():

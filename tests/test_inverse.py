@@ -2,11 +2,12 @@ import logging
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lculab import inverse
+from lculab import inverse, lcu
 from lculab.errors import CalibrationError, ValidationError
 from lculab import gibbs
 from lculab.inverse import (
@@ -77,14 +78,14 @@ def _cycle_delta(n=8):
 
 
 def _count_kernel_calls(monkeypatch):
-    """Record the argument shape of every cosine-kernel call of both grids."""
+    """Record the argument shape of every cosine-recurrence call of both grids."""
     calls = []
 
-    def counting(a, delta_y, j_max, _original=inverse.gaussian_cosine_series):
+    def counting(a, delta_y, j_max, _original=lcu.gaussian_cosine_series):
         calls.append(np.shape(a))
         return _original(a, delta_y, j_max)
 
-    monkeypatch.setattr(inverse, "gaussian_cosine_series", counting)
+    monkeypatch.setattr(lcu, "gaussian_cosine_series", counting)
     monkeypatch.setattr(gibbs, "gaussian_cosine_series", counting)
     return calls
 
@@ -126,7 +127,7 @@ class TestGridCalibration:
     def test_block_exit_test_picks_the_full_test_grid(self, delta, eps):
         delta = _cycle_delta() if delta is None else delta
         grid = calibrate_inverse_grid(delta, eps)
-        assert grid.__dict__ == _full_exit_calibration(delta, eps).__dict__
+        assert grid == _full_exit_calibration(delta, eps)
 
     def test_filter_on_a_block_matches_the_full_call(self):
         grid = calibrate_inverse_grid(_cycle_delta(), 0.1)
@@ -144,6 +145,34 @@ class TestGridCalibration:
         for i, x in enumerate(xs):
             assert grid.inverse_filter(xs[i : i + 1])[0] == full[i]
             assert grid.inverse_filter(x)[0] == full[i]
+
+    def test_filter_is_within_a_few_units_of_roundoff_of_the_exact_double_sum(self):
+        # the table errs near float64's resolution and the z-sum adds back its
+        # own rounding errors, so on the two-state chain's grid (K = 240,
+        # J = 41) each value is within 4u relative of the double sum at 30
+        # digits; the cosine recurrence under a plain row-order sum erred by
+        # 5.1u, 4.4u and 7.3u at these points
+        grid = calibrate_inverse_grid(0.5, 0.1)
+        xs = np.array([0.3, 0.7, 1.0])
+        with mpmath.workdps(30):
+            dy, dz = mpmath.mpf(grid.delta_y), mpmath.mpf(grid.delta_z)
+            w = [(1 if j == 0 else 2) * mpmath.exp(-((j * dy) ** 2) / 2) for j in range(grid.j_max + 1)]
+            for x, value in zip(xs, grid.inverse_filter(xs)):
+                exact = dz * dy / mpmath.sqrt(2 * mpmath.pi) * mpmath.fsum(
+                    wj * mpmath.cos(j * dy * mpmath.sqrt(2 * k * dz * mpmath.mpf(x)))
+                    for k in range(grid.k_max + 1)
+                    for j, wj in enumerate(w)
+                )
+                assert abs(value - exact) <= 4 * 2.0**-53 * exact
+
+    def test_filter_takes_the_unit_interval_with_room_for_rounding(self):
+        # the table covers sqrt(2 z_K x) up to x = 1 + 1e-6; a spectrum's top
+        # may round past 1, and anything further is refused
+        grid = calibrate_inverse_grid(0.5, 0.1)
+        assert grid.inverse_filter(np.array([0.0, 1.0, 1.0 + 1e-9, 1.0 + 1e-6])).shape == (4,)
+        for bad in (-1e-300, np.nextafter(1.0 + 1e-6, 2.0), math.nan):
+            with pytest.raises(ValidationError, match="the inverse filter takes"):
+                grid.inverse_filter(np.array([0.5, bad]))
 
     @staticmethod
     def _count_filter_calls(monkeypatch):
@@ -235,7 +264,7 @@ class TestGridCalibration:
         epsilons = np.exp(rng.uniform(math.log(0.1), math.log(0.6), size=50))
         for delta, eps in zip(deltas, epsilons):
             grid = calibrate_inverse_grid(float(delta), float(eps))
-            assert grid.__dict__ == _full_exit_calibration(float(delta), float(eps)).__dict__
+            assert grid == _full_exit_calibration(float(delta), float(eps))
 
 
 def _grid(delta_lower, z_max, k_max, ratio, y_max):
@@ -254,10 +283,9 @@ class TestExitCertificate:
     """The certificate against the sample test it stands in for.
 
     It adds to the closed-form bound the roundoff margin
-    eta(x) = u (K+1) delta_z [16 ((1 + 1/delta_y)^2 + (J+1) s) + 2 (K+1) s]
-    + 64 u/x + 1e-9 B, with u = 2^-53 and s = 1 + delta_y: the cosine
-    recurrence's error, about 5.5 j^2 u at term j, summed against the
-    Gaussian weights; the row-order z-sum of K+1 terms; and the float
+    eta(x) = (K+1) delta_z [roundoff + 2 (K+1) s u] + 64 u/x + 1e-9 B, with
+    u = 2^-53 and s = 1 + delta_y: the cosine table's error
+    (`cosine_table_bound`); the row-order z-sum of K+1 terms; and the float
     evaluation of 1/x, G and the bound B itself (see `exit_certificate`).
     The kernel error is the oracle: an accepted round must have every
     sample within target, and a rejected one some sample outside it.
@@ -561,12 +589,28 @@ class TestEstimateHittingTime:
             assert res == fresh
 
     def test_hitting_run_calls_the_kernel_once(self, monkeypatch):
-        # calibration is decided in closed form; the expectation filters the
-        # 4 weighted eigenvalues of the lazy 8-cycle's 7
-        calls = _count_kernel_calls(monkeypatch)
+        # calibration is decided in closed form; the expectation builds one
+        # table for its grid and reads the 4 weighted eigenvalues of the lazy
+        # 8-cycle's 7 off it, and no cosine recurrence runs
+        recurrence_calls = _count_kernel_calls(monkeypatch)
+        builds, reads = [], []
+
+        class CountingTable(lcu.GaussianCosineTable):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
+
+            def __call__(self, a):
+                reads.append(np.shape(a))
+                return super().__call__(a)
+
+        monkeypatch.setattr(inverse, "GaussianCosineTable", CountingTable)
         task = HittingTimeTask(partition=mark_states(lazy_cycle(8, 0.5), [0]), epsilon=0.1)
         estimate_hitting_time(task, seed=0)
-        assert calls == [(task.grid.k_max + 1, 4)]
+        grid = task.grid
+        assert recurrence_calls == []
+        assert builds == [(grid.table.a_max, grid.delta_y, grid.j_max)]
+        assert reads == [(grid.k_max + 1, 4)]
 
     def test_clamped_amplitude_warns(self, monkeypatch, caplog):
         mp = mark_states(lazy_cycle(8, 0.5), [0])

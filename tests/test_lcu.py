@@ -1,15 +1,20 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lculab.constants import DEFAULT_CONSTANTS
-from lculab.errors import AnnihilationError, ValidationError
-from lculab.gibbs import HsGrid
+from lculab.errors import AnnihilationError, CalibrationError, ValidationError
+from lculab.gibbs import HsGrid, calibrate_hs_grid
+from lculab.inverse import InverseGrid
 from lculab.lcu import (
+    GaussianCosineTable,
     amplification_rounds,
     _COSINE_BLOCK,
+    cosine_series_bounds,
+    cosine_table_bound,
     gaussian_cosine_series,
     gaussian_weights,
 )
@@ -227,3 +232,102 @@ class TestEvolutionLcu:
         combo = self._small_combo(rng)
         total = sum(w for w, _ in combo.iter_terms())
         assert total == pytest.approx(combo.gamma_total, rel=1e-12)
+
+
+def _mpmath_series(points, delta_y: float, j_max: int) -> list:
+    """w_0 + 2 sum_j w_j cos(j delta_y a) at each point a, with exact Gaussian
+    weights, at 30 digits."""
+    with mpmath.workdps(30):
+        dy = mpmath.mpf(delta_y)
+        y = [j * dy for j in range(1, j_max + 1)]
+        w = [mpmath.exp(-yj * yj / 2) for yj in y]
+        scale = dy / mpmath.sqrt(2 * mpmath.pi)
+        return [
+            (1 + 2 * mpmath.fsum(wj * mpmath.cos(yj * mpmath.mpf(a)) for wj, yj in zip(w, y))) * scale
+            for a in points
+        ]
+
+
+# Inner grids that `calibrate_inverse_grid` accepts, as (delta_lower, delta_z, K,
+# delta_y, J): the lazy 8-cycle at eps 0.1 (the `hitting-cycle` benchmark),
+# the lazy 16-cycle at eps 0.1, and the two-state chain at eps 0.1 with the
+# oracle-free bound delta_lower_bound = 1e-4.
+_TABLE_GRIDS = {
+    "lazy-8-cycle": (0.03806023374435666, 0.05, 5856, 0.014030048294086332, 315),
+    "lazy-16-cycle": (0.009607359798384832, 0.05, 28928, 0.005800979638086831, 829),
+    "two-state-1e-4": (1e-4, 0.05, 4605171, 0.00037620655572812267, 15618),
+}
+
+
+class TestGaussianCosineTable:
+    @staticmethod
+    def _table(name):
+        return InverseGrid(*_TABLE_GRIDS[name]).table
+
+    @pytest.mark.parametrize("name", list(_TABLE_GRIDS))
+    def test_error_is_under_the_stated_bound(self, name):
+        # against a 30-digit sum at a = 0, a = a_max, the cell edges on both
+        # sides and seeded points
+        table = self._table(name)
+        edges = 2.0 * table.half_width * np.array([1, table.coefficients.shape[1] - 1])
+        points = np.concatenate([
+            [0.0, table.a_max], edges, np.nextafter(edges, 0.0),
+            np.random.default_rng(11).uniform(0.0, table.a_max, size=2),
+        ])
+        bound = cosine_table_bound(table.a_max, table.delta_y, table.j_max)
+        exact = _mpmath_series(points, table.delta_y, table.j_max)
+        for value, reference in zip(table(points), exact):
+            assert abs(value - reference) <= bound
+
+    def test_value_does_not_depend_on_the_call_width(self):
+        # bit for bit, across block boundaries, shapes and strides
+        table = self._table("lazy-8-cycle")
+        rng = np.random.default_rng(23)
+        a = rng.uniform(0.0, table.a_max, size=2 * _COSINE_BLOCK + 37)
+        full = table(a)
+        assert full.shape == a.shape
+        for start, stop in [(0, 1), (5, 9), (_COSINE_BLOCK - 3, _COSINE_BLOCK + 4), (a.size - 1, a.size)]:
+            assert np.array_equal(table(a[start:stop]), full[start:stop])
+        assert table(a[7]).shape == ()
+        assert table(a[7]) == full[7]
+        wide = a[: 90 * 300].reshape(90, 300)
+        assert np.array_equal(table(wide[::3, 1::2]), full[: 90 * 300].reshape(90, 300)[::3, 1::2])
+        assert np.array_equal(table(wide.T), full[: 90 * 300].reshape(90, 300).T)
+        assert table(np.empty(0)).shape == (0,)
+
+    def test_arguments_outside_the_domain_are_rejected(self):
+        table = GaussianCosineTable(3.0, 0.2, 30)
+        for bad in (-1e-300, np.nextafter(3.0, 4.0), math.nan):
+            with pytest.raises(ValidationError, match="must lie in"):
+                table(np.array([1.0, bad]))
+        with pytest.raises(ValidationError):
+            GaussianCosineTable(math.inf, 0.2, 30)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        delta=st.floats(1e-4, 1.0),
+        epsilon=st.floats(1e-3, 0.99),
+        doublings=st.integers(0, 4),
+        halvings=st.integers(0, 4),
+        fraction=st.floats(0.0, 1.0),
+    )
+    # the closest call: J = 1 at delta_y = 1.46, where the table's bound is
+    # 0.86 of the recurrence's
+    @example(delta=0.9, epsilon=0.99, doublings=2, halvings=4, fraction=1.0)
+    def test_bound_never_exceeds_the_recurrence_roundoff(
+        self, delta, epsilon, doublings, halvings, fraction
+    ):
+        # over the (delta_y, J, a_max) a calibration round reaches: z_K from
+        # the seed after its doublings, delta_z after its halvings, and the
+        # inner grid calibrated for z_K, up to the table's domain
+        z_target = math.log(1.0 / (delta * epsilon)) / delta * 2.0**doublings
+        delta_z = epsilon / 2.0**halvings
+        z_max = max(1, math.ceil(z_target / delta_z)) * delta_z
+        assume(epsilon < 2.0 * z_max)
+        try:
+            inner = calibrate_hs_grid(1.0, 2.0 * z_max, epsilon / (2.0 * z_max))
+        except CalibrationError:
+            assume(False)
+        a_max = fraction * math.sqrt(2.0 * z_max * (1.0 + 1e-6))
+        table_bound = cosine_table_bound(a_max, inner.delta_y, inner.j_max)
+        assert table_bound <= cosine_series_bounds(a_max, inner.delta_y, inner.j_max)[2]
