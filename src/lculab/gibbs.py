@@ -137,7 +137,11 @@ def calibrate_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> H
     is accepted or rejected on the bound, and a refinement chosen on it, only
     where the intervals decide what the errors would, so the bound never
     changes a grid. Only the comparisons it leaves open run the cosine kernel
-    (`_grid_error`). It warns about nothing, since the calibration test is
+    (`_grid_error`). A grid the kernel rejects while its discretization bound
+    (images + tail at a_max = sqrt(beta norm)) is at most half the target
+    misses on the kernel's roundoff, which no refinement lowers: halving
+    delta_y or growing J only raises it, so that grid fails the calibration
+    at once. It warns about nothing, since the calibration test is
     self-certifying: Lemma 1's validity window (norm*beta >= 4,
     ln(1/eps') >= 4) belongs to the thermal pipeline, and `prepare_gibbs`
     checks it.
@@ -156,6 +160,7 @@ def calibrate_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> H
     delta_y = 1.0 / math.sqrt(norm_bound * beta_seed * log_inv)
     y_max = math.sqrt(log_inv)
     samples = _sample_points(norm_bound)
+    a_max = math.sqrt(beta * norm_bound)
     target = TARGET_MARGIN * epsilon_prime / 2
 
     # Each err is an interval (lo, hi) holding a trial grid's error; the
@@ -166,6 +171,15 @@ def calibrate_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> H
             err = _grid_error(delta_y, y_max, beta, samples)
         if err[1] <= target:
             break
+        if err[0] == err[1]:
+            j_max = _trial_grid(delta_y, y_max, beta).j_max
+            images, tail, _ = cosine_series_bounds(a_max, delta_y, j_max)
+            if images + tail <= target / 2:
+                raise CalibrationError(
+                    f"node grid failed to reach {target:.3e}: at delta_y={delta_y:.3g}, "
+                    f"J={j_max} the kernel errs by {err[1]:.3e} with a discretization "
+                    f"bound of {images + tail:.3e}, so its roundoff misses the target"
+                )
         err_half = _error_bounds(delta_y / 2, y_max, beta, samples)
         err_grow = _error_bounds(delta_y, 1.5 * y_max, beta, samples)
         if not (err_half[1] <= err_grow[0] or err_grow[1] < err_half[0]):

@@ -28,19 +28,17 @@ The grid and the expectation are fixed by the chain, delta and epsilon, so a
 `HittingTimeTask` builds them on first read; only the amplitude sample
 depends on the seed, and a seed sweep over one task reuses the rest.
 
-Each calibration round is first decided in closed form, in O(samples). The
+Each calibration round is first bounded in closed form, in O(samples). The
 inner y-sum is the trapezoid rule for a Gaussian, so by Poisson summation it
 is exp(-z x) plus an aliasing term and minus a truncation tail, both bounded
-explicitly; the left z-sum of exp(-z x) is geometric. That bounds the
-filter's error at each sample from above and below (`exit_certificate`),
-with a margin for roundoff. A round is accepted or rejected on the bound
-only where the sample test would give the same verdict, so the certificate
-never changes a grid; only the rounds it leaves open evaluate the filter.
-Those check the samples a few at a time and reject a grid at the first
-miss. A filter value does not depend on how many points share the call, so
-the grids accepted are those of a test on all samples at once. The inner
-y-grid's calibration reads the same Poisson bound (`calibrate_hs_grid`), and
-runs only when z_K changes.
+explicitly; the left z-sum of exp(-z x) is geometric. That gives an interval
+(lo, hi) holding the sample test's max error (`exit_certificate`), with a
+margin for roundoff. A round is accepted when hi is within target and
+rejected when lo is past it, where the sample test would give the same
+verdict, so the interval never changes a grid; only a round whose interval
+holds the target evaluates the filter, in one call on all samples. The
+inner y-grid's calibration applies the same rule to the same Poisson bound
+(`calibrate_hs_grid`), and runs only when z_K changes.
 """
 
 from __future__ import annotations
@@ -68,7 +66,6 @@ from .markov import MarkedPartition, check_seed, exact_hitting_time_resolvent, e
 
 logger = logging.getLogger(__name__)
 
-_EXIT_BLOCK = 8
 BASE_CONFIDENCE = 8.0 / math.pi**2
 # The most (K+1) * n * (J+1) cosine-recurrence element-steps one filter call
 # may take: 11x the lazy 32-cycle's whole spectrum at eps 0.1 (K = 138,422,
@@ -156,10 +153,9 @@ class InverseGrid:
         return self.delta_z * (sums[-1] + np.cumsum(errors, axis=0, out=errors)[-1])
 
 
-def exit_certificate(
-    grid: InverseGrid, samples: np.ndarray, target: float
-) -> tuple[bool | None, float]:
-    """Decide the sample exit test from the grid alone: (verdict, max U).
+def exit_certificate(grid: InverseGrid, samples: np.ndarray) -> tuple[float, float]:
+    """An interval (lo, hi) that holds the sample test's max error
+    max |1/x - inverse_filter(x)|, in closed form.
 
     With G(x) = delta_z expm1(-(K+1) delta_z x) / expm1(-delta_z x), the left
     z-sum of exp(-z x), the filter lies within B = (K+1) delta_z (images +
@@ -175,17 +171,15 @@ def exit_certificate(
     rounding errors added back in (which errs by less than the plain sum the
     term covers), 64 u/x covers 1/x, the final scaling and subtraction, and
     the float evaluation of G, and 1e-9 B covers that of images and tail.
-    U(x) = |G - 1/x| + B + eta(x) bounds the error the sample test computes.
-    The verdict is True when max U <= target, False when some sample has
-    |G - 1/x| - B - eta > target, and None when the bound cannot tell or
-    a_max >= pi/delta_y; only then does the sample test run.
+    So lo = max(|G - 1/x| - B - eta) and hi = max(|G - 1/x| + B + eta); at
+    a_max >= pi/delta_y the interval is (-inf, inf).
     """
     k1, dz, dy = grid.k_max + 1, grid.delta_z, grid.delta_y
     # sqrt(2 z_K x) rounds at most 2u low, so the factor keeps a_max an upper bound.
     a_max = math.sqrt(2.0 * grid.z_max * float(samples.max())) * (1.0 + 4.0 * UNIT_ROUNDOFF)
     images, tail, _ = cosine_series_bounds(a_max, dy, grid.j_max)
     if images == math.inf:
-        return None, math.inf
+        return -math.inf, math.inf
     bound = k1 * dz * (images + tail)
     geometric = dz * np.expm1(-k1 * dz * samples) / np.expm1(-dz * samples)
     gap = np.abs(geometric - 1.0 / samples)
@@ -195,12 +189,7 @@ def exit_certificate(
         + 64.0 * UNIT_ROUNDOFF / samples
         + 1e-9 * bound
     )
-    upper = float(np.max(gap + bound + eta))
-    if upper <= target:
-        return True, upper
-    if np.any(gap - bound - eta > target):
-        return False, upper
-    return None, upper
+    return float(np.max(gap - bound - eta)), float(np.max(gap + bound + eta))
 
 
 def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
@@ -212,12 +201,11 @@ def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
     eps. On failure the exponential tail diagnostic decides whether to double
     z_K or halve delta_z. The exit test is the full double sum against 1/x on
     64 samples of [Delta, 1]: a grid is accepted only when every sample is
-    within target. Each round is first put to `exit_certificate`, which
-    accepts or rejects it in closed form only where the sample test would
-    agree, so it changes no grid. The rounds it leaves open check the samples
-    in ascending blocks of at most `_EXIT_BLOCK` and stop at the first block
-    that misses. The filter's values do not depend on the width of a call, so
-    the rounds, the accepted grid and its error are those of the full test.
+    within target. Each round's error is first bounded by `exit_certificate`'s
+    interval (lo, hi), and a round is accepted at hi <= target and rejected at
+    lo > target, as `calibrate_hs_grid` settles its rounds. Only a round with
+    lo <= target < hi evaluates the filter, in one call on all samples, so
+    the interval changes no grid.
     """
     if not (0 < delta_lower <= 1):
         raise ValidationError(f"delta_lower must be in (0, 1], got {delta_lower!r}")
@@ -230,7 +218,6 @@ def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
     samples = np.unique(np.concatenate([
         np.geomspace(delta_lower, 1.0, half), np.linspace(delta_lower, 1.0, SAMPLE_COUNT - half)
     ]))
-    blocks = [samples[i : i + _EXIT_BLOCK] for i in range(0, samples.size, _EXIT_BLOCK)]
     target = TARGET_MARGIN * epsilon / 2
 
     inner_z_max = None
@@ -253,24 +240,16 @@ def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
             delta_y=inner.delta_y,
             j_max=inner.j_max,
         )
-        accepted, upper = exit_certificate(grid, samples, target)
-        if accepted is None:
-            err, checked = 0.0, 0
-            for block in blocks:
-                err = max(err, float(np.max(np.abs(1.0 / block - grid.inverse_filter(block)))))
-                checked += block.size
-                if err > target:
-                    break
-            accepted = err <= target
-            how = f"kernel, err={err:.3e} over the first {checked} of {samples.size} samples"
-        else:
-            how = "certificate " + ("accept" if accepted else "reject")
+        # The error is the interval (lo, hi); the filter's own is (err, err).
+        lo, hi = exit_certificate(grid, samples)
+        if lo <= target < hi:
+            lo = hi = float(np.max(np.abs(1.0 / samples - grid.inverse_filter(samples))))
         logger.debug(
             "inverse-grid calibration %d: z_K=%.3g delta_z=%.3g K=%d J=%d "
-            "decided by %s; max U=%.3e target=%.3e",
-            iteration, z_max, delta_z, k_max, inner.j_max, how, upper, target,
+            "err in [%.3e, %.3e] target=%.3e",
+            iteration, z_max, delta_z, k_max, inner.j_max, lo, hi, target,
         )
-        if accepted:
+        if hi <= target:
             return grid
         tail = math.exp(-z_max * delta_lower) / delta_lower
         if tail > epsilon / 8:

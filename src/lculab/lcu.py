@@ -3,20 +3,22 @@
 Both pipelines apply an LCU of evolutions exp(-i y_j t H~) over a symmetric
 Gaussian node grid. Because the grid is symmetric, the sum is the real even
 filter sum_j w_j cos(y_j t E) of the generator, evaluated on the spectrum of H.
-- `gaussian_cosine_series` runs the Chebyshev recurrence over cache-sized
-  blocks of the argument with in-place buffer updates; every element still
-  sees the same floating-point operations in the same order, so its values
-  are those of the plain whole-array recurrence, bit for bit. It costs J
-  steps per argument, and its error grows as J^2. The thermal pipeline
-  (`HsGrid.kernel`) reads it.
+- `gaussian_cosine_series` runs the Chebyshev recurrence over the whole
+  argument with in-place buffer updates, which give each element the same
+  floating-point operations in the same order as the plain recurrence, so
+  its values are that recurrence's, bit for bit. It costs J steps per
+  argument, and its error grows as J^2. The thermal pipeline
+  (`HsGrid.kernel`) reads it, on at most 4096 eigenvalues (the dimension
+  cap) or 64 calibration samples, so its buffers stay small.
 - `GaussianCosineTable` holds the same series on a fixed interval as a
   piecewise Chebyshev series of degree 15, built in closed form by
   Jacobi-Anger. It costs 16 Clenshaw steps per argument and errs near
   float64's resolution. The hitting pipeline's inverse filter reads it.
 `cosine_series_bounds` bounds how far the series lies from exp(-a^2/2) in
 closed form, and the recurrence's roundoff; `cosine_table_bound` bounds the
-table's. Both grid calibrations decide a round on those bounds, and evaluate
-the series only where they leave a verdict open.
+table's. Both grid calibrations bound a round's error by an interval from
+those bounds, and evaluate the series only when the interval holds the
+target.
 
 Amplitude amplification is modeled by round counting on exact success
 amplitudes rather than by simulating reflection circuits: the round count is
@@ -60,35 +62,29 @@ def gaussian_cosine_series(a, delta_y: float, j_max: int):
     not a transcendental call. `a` may be a scalar or any ndarray; the result
     is a C-ordered float array of its shape.
 
-    The recurrence runs over the flattened argument in blocks of
-    `_COSINE_BLOCK` elements, updating the output block and four buffers in
-    place so they stay in cache; the buffers are allocated once, and the last
-    block uses their leading part. Each element sees the same operations in
-    the same order, acc += (2 w_j) T_j then T_{j+1} = (2c) T_j - T_{j-1}, so
-    the result does not depend on the block size, bit for bit.
+    The recurrence updates the output and four buffers in place over the
+    flattened argument. Each element sees the same operations in the same
+    order as in the plain recurrence, S += (2 w_j) T_j then
+    T_{j+1} = (2c) T_j - T_{j-1}, so the values are the same, bit for bit.
     """
     a = np.asarray(a, dtype=float)
     w = gaussian_weights(delta_y, j_max)
     flat = a.reshape(-1)
-    out = np.empty(flat.shape)
-    buffers = np.empty((4, min(_COSINE_BLOCK, flat.size)))
-    for start in range(0, flat.size, _COSINE_BLOCK):
-        acc = out[start : start + _COSINE_BLOCK]
-        acc.fill(w[0])
-        t_cur, c2, t_prev, t_next = buffers[:, : acc.size]
-        np.multiply(delta_y, flat[start : start + _COSINE_BLOCK], out=t_cur)
-        np.cos(t_cur, out=t_cur)
-        np.multiply(2.0, t_cur, out=c2)
-        t_prev.fill(1.0)
-        for j in range(1, j_max + 1):
-            wj = w[j]
-            if wj == 0.0:
-                break
-            np.multiply(t_cur, 2.0 * wj, out=t_next)
-            acc += t_next
-            np.multiply(c2, t_cur, out=t_next)
-            t_next -= t_prev
-            t_prev, t_cur, t_next = t_cur, t_next, t_prev
+    out = np.full(flat.shape, w[0])
+    t_cur, c2, t_prev, t_next = np.empty((4, flat.size))
+    np.multiply(delta_y, flat, out=t_cur)
+    np.cos(t_cur, out=t_cur)
+    np.multiply(2.0, t_cur, out=c2)
+    t_prev.fill(1.0)
+    for j in range(1, j_max + 1):
+        wj = w[j]
+        if wj == 0.0:
+            break
+        np.multiply(t_cur, 2.0 * wj, out=t_next)
+        out += t_next
+        np.multiply(c2, t_cur, out=t_next)
+        t_next -= t_prev
+        t_prev, t_cur, t_next = t_cur, t_next, t_prev
     return out.reshape(a.shape)
 
 

@@ -8,8 +8,8 @@ and exact evolutions, the weighted-unitary and evolution-family LCUs with the
 exact dilation, the dense sparse-chain assembly, the eigenvector-based chain
 validation, the walk Hamiltonian H_U cut from the full discriminant and
 checked against two other constructions, the hitting time through H_U^{-1}
-(the closed form the package's resolvent is checked against), and the random
-operators and chain families the tests draw from.
+(the closed form the package's resolvent is checked against), the y-series
+at 30 digits, and the random operators and chain families the tests draw from.
 Each object is small, dense and exact, and nothing in `lculab` imports it.
 The JSON Schemas of the CLI configs live here too: the CLI's field readers
 are held to the verdicts of these schemas and the typing that followed them.
@@ -23,6 +23,7 @@ from functools import cached_property
 from typing import Iterator
 
 import jsonschema
+import mpmath
 import numpy as np
 
 from lculab.cli import _COST_MODELS
@@ -60,7 +61,9 @@ BENCH_TFIM_6 = (
 )
 _DILATION_TERM_CAP = 1024
 _DILATION_SIZE_CAP = 1 << 18
-_FILTER_CHUNK = 1 << 22
+# Arguments per cosine-series call of `EvolutionLcu.filter_values`: the
+# recurrence's five arrays of this size stay in cache.
+_FILTER_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +611,23 @@ def all_kernel_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> 
         else:
             y_max, err = 1.5 * y_max, err_grow
     raise AssertionError("reference calibration did not converge")
+
+
+def y_series_reference(points, delta_y: float, j_max: int) -> list:
+    """The y-series w_0 + 2 sum_{j=1..J} w_j cos(j delta_y a) at each point a,
+    with exact Gaussian weights w_j = delta_y exp(-(j delta_y)^2/2)/sqrt(2 pi),
+    as mpmath numbers at 30 digits. `gaussian_cosine_series` and
+    `GaussianCosineTable` compute this sum in float64; a point may be a float
+    or an mpmath number."""
+    with mpmath.workdps(30):
+        dy = mpmath.mpf(delta_y)
+        y = [j * dy for j in range(1, j_max + 1)]
+        w = [mpmath.exp(-yj * yj / 2) for yj in y]
+        scale = dy / mpmath.sqrt(2 * mpmath.pi)
+        return [
+            (1 + 2 * mpmath.fsum(wj * mpmath.cos(yj * mpmath.mpf(a)) for wj, yj in zip(w, y))) * scale
+            for a in points
+        ]
 
 
 def _hs_trial(delta_y: float, y_max: float, beta: float) -> HsGrid:

@@ -37,6 +37,8 @@ _PAULI_GIBBS = {"command": "gibbs", "hamiltonian": {"pauli": "1.0 Z"}, "beta": 1
 _PAULI_GIBBS_SWEEP = {
     "command": "lemma1-sweep", "hamiltonian": {"pauli": "1.0 Z"}, "betas": [1.0], "epsilons": [0.1],
 }
+# The 3-qubit open TFIM of the CI hash-seed step.
+_TFIM_3 = "-1.0 ZZI\n-1.0 IZZ\n-0.7 XII\n-0.8 IXI\n-0.9 IIX"
 _GIBBS_COST_SWEEP = {"command": "cost-sweep", "model": "gibbs", "sweep_var": "beta", "values": [1.0]}
 _COST_SWEEP_ERRORS = [
     ("hitting-quantum", "delta", {"d": "x"}),
@@ -707,6 +709,43 @@ class TestSweeps:
             "out": str(tmp_path / "out"),
         }
         assert main(["--config", _write_config(tmp_path, payload)]) in (0, 2, 3)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_thermal_and_inverse_sweeps_end_with_an_exit_code(self, tmp_path, capsys, data):
+        # every double the readers take, NaN and inf among them: lemma1-sweep on
+        # the 3-qubit TFIM, whose tight-eps points stop at the y-grid's first
+        # roundoff miss, and lemma2-sweep. A lemma2-sweep point's left-rule
+        # z-grid has about ln(1/(delta eps))/(delta eps) nodes, so below
+        # delta eps = 1e-3 a point can take seconds before it exits 0 or 3:
+        # 2.6 s at delta 1e-3, eps 0.1, where the filter reads 64 eigenvalues
+        # off it, 21 s at delta 0.24, eps 6.1e-5, and 7 s at delta 1e-3,
+        # eps 1e-300, where the inner y-grid's seed already has J = 1.2e6. So
+        # points with delta eps below 1e-3 are left out, and with them every
+        # delta below 1e-3.
+        eps = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+        epsilons = data.draw(st.lists(eps | st.just(math.nan), min_size=1, max_size=2))
+        if data.draw(st.booleans()):
+            betas = st.floats(min_value=0.0) | st.just(math.nan)
+            payload = {
+                "command": "lemma1-sweep", "hamiltonian": {"pauli": _TFIM_3},
+                "betas": data.draw(st.lists(betas, min_size=1, max_size=2)),
+            }
+        else:
+            deltas = data.draw(st.lists(
+                st.floats(min_value=1e-3, max_value=1.0) | st.just(math.nan), min_size=1, max_size=2
+            ))
+            assume(not any(d * e < 1e-3 for d in deltas for e in epsilons))
+            payload = {
+                "command": "lemma2-sweep", "deltas": deltas,
+                "dim": data.draw(st.integers(1, 64)), "samples": data.draw(st.integers(1, 64)),
+            }
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        payload.update(epsilons=epsilons, out=str(out))
+        assert main(["--config", _write_config(tmp_path, payload)]) in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "payload, message",

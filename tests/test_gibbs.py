@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lculab import gibbs
 from lculab.cost import gibbs_eps_prime
-from lculab.errors import PreconditionWarning, ValidationError
+from lculab.errors import CalibrationError, PreconditionWarning, ValidationError
 from lculab.gap_amplification import parse_pauli_lines
 from lculab.gibbs import GibbsTask, calibrate_hs_grid, prepare_gibbs
 from lculab.inverse import HittingTimeTask, estimate_hitting_time
@@ -30,6 +30,7 @@ from oracles import (
     random_psd,
     reduced_density,
     trace_distance,
+    y_series_reference,
 )
 
 EPS4 = math.exp(-4)
@@ -147,6 +148,21 @@ class TestErrorBounds:
         # the reference runs the kernel on every trial grid; over all these
         # calibrations the bound leaves it two comparisons
         assert kernel_runs <= 2
+
+    @pytest.mark.parametrize(
+        "norm, beta, eps",
+        # the second is near float64's resolution at 1: target 4.5e-17, where
+        # only the recurrence's rounding could decide a refinement
+        [(1.0, 64.0, 1e-18), (1.0, 0.0, 1e-16)],
+    )
+    def test_roundoff_miss_fails_at_once(self, monkeypatch, norm, beta, eps):
+        # the seed grid's discretization bound is far below the target, so the
+        # kernel's miss is roundoff, which halving delta_y or growing J only
+        # raises: the calibration stops on its first kernel call
+        calls = _kernel_calls(monkeypatch)
+        with pytest.raises(CalibrationError, match="so its roundoff misses the target"):
+            calibrate_hs_grid(norm, beta, eps)
+        assert len(calls) == 1
 
     def test_tfim_calibration_runs_no_kernel(self, monkeypatch):
         # the 6-qubit TFIM of the gibbs-tfim benchmark at beta 2, eps 0.05:
@@ -515,20 +531,15 @@ class TestSpectralTraceDistance:
 
     @staticmethod
     def _mpmath_trace_distance(h: HermitianOperator, grid, beta: float):
-        """Half the l1 distance between the two populations on spec(H), at 40 digits."""
+        """Half the l1 distance between the two populations on spec(H), at 40
+        digits, with the filter values at 30."""
         with mpmath.workdps(40):
             a = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in h.matrix])
             spectrum, _ = mpmath.eighe(a)
             energies = [spectrum[i] for i in range(h.dim)]
-            dy, b = mpmath.mpf(grid.delta_y), mpmath.mpf(beta)
-            w = [dy * mpmath.exp(-((j * dy) ** 2) / 2) / mpmath.sqrt(2 * mpmath.pi)
-                 for j in range(grid.j_max + 1)]
-
-            def kernel(x):
-                arg = mpmath.sqrt(b * max(x, 0))
-                return w[0] + 2 * mpmath.fsum(w[j] * mpmath.cos(j * dy * arg) for j in range(1, len(w)))
-
-            prepared = [kernel(x) ** 2 for x in energies]
+            b = mpmath.mpf(beta)
+            args = [mpmath.sqrt(b * max(x, 0)) for x in energies]
+            prepared = [f**2 for f in y_series_reference(args, grid.delta_y, grid.j_max)]
             exact = [mpmath.exp(-b * (x - min(energies))) for x in energies]
             p_sum, q_sum = mpmath.fsum(prepared), mpmath.fsum(exact)
             return mpmath.fsum(abs(p / p_sum - q / q_sum) for p, q in zip(prepared, exact)) / 2

@@ -35,6 +35,7 @@ from oracles import (
     random_reversible_chain,
     symmetric_two_state,
     validate_chain_any_spectrum,
+    y_series_reference,
 )
 
 
@@ -120,7 +121,7 @@ class TestGridCalibration:
             (None, 0.1),  # the lazy 8-cycle marked at 0: two rejected rounds
             (0.5, 0.35),  # accepted on the first round
             (0.25, 0.2),  # a lemma2-sweep point
-            (0.5, 0.2),  # a round rejected on its seventh block
+            (0.5, 0.2),  # a round the interval leaves open, rejected on the filter
             (1.0, 0.5),  # a single sample
         ],
     )
@@ -155,14 +156,10 @@ class TestGridCalibration:
         grid = calibrate_inverse_grid(0.5, 0.1)
         xs = np.array([0.3, 0.7, 1.0])
         with mpmath.workdps(30):
-            dy, dz = mpmath.mpf(grid.delta_y), mpmath.mpf(grid.delta_z)
-            w = [(1 if j == 0 else 2) * mpmath.exp(-((j * dy) ** 2) / 2) for j in range(grid.j_max + 1)]
+            dz = mpmath.mpf(grid.delta_z)
             for x, value in zip(xs, grid.inverse_filter(xs)):
-                exact = dz * dy / mpmath.sqrt(2 * mpmath.pi) * mpmath.fsum(
-                    wj * mpmath.cos(j * dy * mpmath.sqrt(2 * k * dz * mpmath.mpf(x)))
-                    for k in range(grid.k_max + 1)
-                    for j, wj in enumerate(w)
-                )
+                points = [mpmath.sqrt(2 * k * dz * mpmath.mpf(x)) for k in range(grid.k_max + 1)]
+                exact = dz * mpmath.fsum(y_series_reference(points, grid.delta_y, grid.j_max))
                 assert abs(value - exact) <= 4 * 2.0**-53 * exact
 
     def test_filter_takes_the_unit_interval_with_room_for_rounding(self):
@@ -212,30 +209,26 @@ class TestGridCalibration:
         assert grid == _full_exit_calibration(_cycle_delta(), 0.1)
 
     @pytest.mark.parametrize(
-        "delta, eps, rejected",
-        [(None, 0.1, [[8], [8]]), (0.5, 0.2, [[8] * 7, [8]])],
-        ids=["cycle", "seventh-block"],
+        "delta, eps, rounds", [(None, 0.1, 3), (0.5, 0.2, 3)], ids=["cycle", "delta-0.5-eps-0.2"]
     )
-    def test_undecided_round_evaluates_ascending_blocks(self, monkeypatch, delta, eps, rejected):
-        # with every round left open, each rejected round stops at its first
-        # missing block and the accepted one checks all samples in order
-        monkeypatch.setattr(inverse, "exit_certificate", lambda grid, samples, target: (None, math.inf))
+    def test_open_round_makes_one_filter_call(self, monkeypatch, delta, eps, rounds):
+        # with every round left open, each round evaluates the filter once, on
+        # all samples, and the grid is the one the interval would pick
+        monkeypatch.setattr(inverse, "exit_certificate", lambda grid, samples: (-math.inf, math.inf))
         calls = self._count_filter_calls(monkeypatch)
         delta = _cycle_delta() if delta is None else delta
         accepted = calibrate_inverse_grid(delta, eps)
+        assert len({grid for grid, _ in calls}) == len(calls) == rounds
+        assert calls[-1][0] == accepted
         samples = _exit_samples(delta)
-        rounds = []
-        for grid, x in calls:
-            if not rounds or rounds[-1][0] != grid:
-                rounds.append((grid, []))
-            rounds[-1][1].append(x)
-        assert [grid for grid, _ in rounds][-1] == accepted
-        assert [[x.size for x in xs] for _, xs in rounds[:-1]] == rejected
-        for _, xs in rounds:
-            checked = np.concatenate(xs)
-            assert np.array_equal(checked, samples[: checked.size])
-            assert all(x.size == 8 for x in xs[:-1])
-        assert sum(x.size for x in rounds[-1][1]) == samples.size
+        assert all(np.array_equal(x, samples) for _, x in calls)
+        assert accepted == _full_exit_calibration(delta, eps)
+
+    def test_interval_opens_a_round_only_around_the_target(self, monkeypatch):
+        # (0.5, 0.2) opens its first round and settles its second in closed form
+        calls = self._count_filter_calls(monkeypatch)
+        calibrate_inverse_grid(0.5, 0.2)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "n, delta, eps",
@@ -280,15 +273,16 @@ def _grid(delta_lower, z_max, k_max, ratio, y_max):
 
 
 class TestExitCertificate:
-    """The certificate against the sample test it stands in for.
+    """The certificate's interval against the sample test it stands in for.
 
     It adds to the closed-form bound the roundoff margin
     eta(x) = (K+1) delta_z [roundoff + 2 (K+1) s u] + 64 u/x + 1e-9 B, with
     u = 2^-53 and s = 1 + delta_y: the cosine table's error
     (`cosine_table_bound`); the row-order z-sum of K+1 terms; and the float
     evaluation of 1/x, G and the bound B itself (see `exit_certificate`).
-    The kernel error is the oracle: an accepted round must have every
-    sample within target, and a rejected one some sample outside it.
+    The kernel error is the oracle: the interval must hold it, so a round
+    accepted at hi <= target has every sample within target, and one
+    rejected at lo > target some sample outside it.
     """
 
     @settings(max_examples=80, deadline=None)
@@ -298,38 +292,30 @@ class TestExitCertificate:
         k_max=st.integers(1, 400),
         ratio=st.floats(0.2, 1.2),
         y_max=st.floats(0.5, 9.0),
-        offsets=st.lists(st.floats(-0.01, 0.01), min_size=1, max_size=4),
     )
     # at y_max = 9 the aliasing and tail bound B is below the rounding, so
-    # the verdicts at the error's own bits rest on eta: these two grids need
-    # it above and below
-    @example(delta=0.5, z_max=20.0, k_max=100, ratio=0.25, y_max=9.0, offsets=[0.0])
-    @example(delta=0.5, z_max=8.0, k_max=200, ratio=0.25, y_max=9.0, offsets=[0.0])
-    def test_verdicts_agree_with_the_kernel(self, delta, z_max, k_max, ratio, y_max, offsets):
+    # the interval's ends at the error's own bits rest on eta: these two
+    # grids need it above and below
+    @example(delta=0.5, z_max=20.0, k_max=100, ratio=0.25, y_max=9.0)
+    @example(delta=0.5, z_max=8.0, k_max=200, ratio=0.25, y_max=9.0)
+    def test_interval_holds_the_kernel_error(self, delta, z_max, k_max, ratio, y_max):
         grid = _grid(delta, z_max, k_max, ratio, y_max)
         samples = _exit_samples(delta)
         err = float(np.max(np.abs(1.0 / samples - grid.inverse_filter(samples))))
-        # targets within 1% of the error, and at the error to the last bit
-        targets = [err * (1.0 + offset) for offset in offsets]
-        targets += [err, np.nextafter(err, 0.0), np.nextafter(err, np.inf)]
-        for target in targets:
-            verdict, upper = exit_certificate(grid, samples, target)
-            if verdict is True:
-                assert err <= target and err <= upper
-            if verdict is False:
-                assert err > target
+        lo, hi = exit_certificate(grid, samples)
+        assert lo <= err <= hi
 
     def test_open_at_the_nyquist_phase(self):
         grid = _grid(0.25, 50.0, 200, 1.0, 6.0)
-        assert exit_certificate(grid, _exit_samples(0.25), 1.0) == (None, math.inf)
+        assert exit_certificate(grid, _exit_samples(0.25)) == (-math.inf, math.inf)
 
     def test_bound_is_tight_on_the_cycle_grid(self):
         grid = calibrate_inverse_grid(_cycle_delta(), 0.1)
         samples = _exit_samples(grid.delta_lower)
-        verdict, upper = exit_certificate(grid, samples, 0.045)
+        lo, hi = exit_certificate(grid, samples)
         err = float(np.max(np.abs(1.0 / samples - grid.inverse_filter(samples))))
-        assert verdict is True
-        assert err <= upper <= 1.2 * err
+        assert hi <= 0.045
+        assert 0.8 * err <= lo <= err <= hi <= 1.2 * err
 
 
 class TestFilterWorkBudget:
