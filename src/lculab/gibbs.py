@@ -38,7 +38,7 @@ from .lcu import (
     gaussian_cosine_series,
     gaussian_weight_sum,
 )
-from .operators import DensityMatrix, HermitianOperator
+from .operators import HermitianOperator
 
 logger = logging.getLogger(__name__)
 
@@ -265,11 +265,11 @@ class GibbsResult:
     precondition_warnings: tuple[str, ...]
 
     @cached_property
-    def prepared_density(self) -> DensityMatrix:
+    def prepared_density(self) -> HermitianOperator:
         """The dense state f(H)^2 / tr f(H)^2 (symmetrized in place), built on first read."""
         vectors = self.task.hamiltonian.eigensystem[1]
         f = self.filter_values
-        return DensityMatrix((vectors * f**2) @ vectors.conj().T / float(np.linalg.norm(f)) ** 2)
+        return HermitianOperator((vectors * f**2) @ vectors.conj().T / float(np.linalg.norm(f)) ** 2)
 
 
 def prepare_gibbs(task: GibbsTask) -> GibbsResult:

@@ -7,13 +7,14 @@ the gap-amplified H~. The hitting time is then gamma times the expectation of
 that combination in the stationary state conditioned on the unmarked block,
 estimated by a phase-estimation amplitude sampler at the metrology rate.
 
-Every chain quantity comes from one `MarkedPartition`: its walk Hamiltonian
-H_U, the spectrum and gap delta of H_U, and the exact hitting time, read off
-the resolvent solve that the classical cost comparison shares. The
-combination is even in H~, so on the ancilla-0 sector it is the certified
-scalar filter `InverseGrid.inverse_filter` of H_U. The pipeline evaluates that
-filter on the eigenvalues of H_U whose eigenvectors carry stationary weight
-and never builds H~, so nothing is larger than the chain itself, whose N the
+Every chain quantity comes from one `MarkedPartition`: the spectral measure
+of sqrt(pi_U) under the walk Hamiltonian H_U (its eigenvalues and their
+weights), the gap delta, and the exact hitting time, read off the resolvent
+solve that the classical cost comparison shares. The combination is even in
+H~, so on the ancilla-0 sector it is the certified scalar filter
+`InverseGrid.inverse_filter` of H_U. The pipeline evaluates that filter on
+the eigenvalues of H_U that carry stationary weight, reads no eigenvector and
+never builds H~, so nothing is larger than the chain itself, whose N the
 dimension cap bounds. The tests build the combination over evolutions of H~
 as the reference it is checked against.
 
@@ -74,7 +75,7 @@ BASE_CONFIDENCE = 8.0 / math.pi**2
 # the precision, and the call fails before it allocates anything.
 _FILTER_WORK_BUDGET = 10**11
 # The top of the filter's domain: a spectrum in [delta, 1], with room for its
-# rounding (`MarkedPartition.h_matrix` admits a top up to 1 + 1e-9).
+# rounding (`MarkedPartition.spectral_measure` admits a top up to 1 + 1e-9).
 _X_MAX = 1.0 + 1e-6
 
 
@@ -265,11 +266,12 @@ def t_circuit_expectation(grid: InverseGrid, mp: MarkedPartition) -> float:
     """(pi_U / gamma) <sqrt(pi_U)| X |sqrt(pi_U)> on the sector spectrum of H_U.
 
     X acts on the ancilla-0 sector as inverse_filter(H), so with H = sum_i
-    lambda_i |v_i><v_i| and weights w_i = |<v_i|sqrt(pi_U)>|^2 the value is
+    lambda_i |v_i><v_i| and weights w_i = |<v_i|sqrt(pi_U)>|^2, the
+    partition's `spectral_measure`, the value is
     pi_U sum_i w_i inverse_filter(lambda_i) / gamma. This equals t_h / gamma
     up to the grid's discretization error. The spectrum lies inside the
-    grid's [delta_lower, 1]: `MarkedPartition.h_matrix` bounds its top by 1,
-    and a task's delta is at most H_U's lowest eigenvalue.
+    grid's [delta_lower, 1]: `spectral_measure` bounds its top by 1, and a
+    task's delta is at most H_U's lowest eigenvalue.
 
     The filter is evaluated only where w_i gamma > 2^-60 max_k w_k, and a
     skipped eigenvalue adds 0 in its slot, so the sum keeps its length and
@@ -281,8 +283,7 @@ def t_circuit_expectation(grid: InverseGrid, mp: MarkedPartition) -> float:
     On the lazy cycles the reflection-odd eigenvectors carry weight near
     1e-32 and are skipped; a chain without such a symmetry skips nothing.
     """
-    eigs, vecs = mp.h_matrix.eigensystem
-    weights = np.abs(vecs.conj().T @ mp.sqrt_pi_u) ** 2
+    eigs, weights = mp.spectral_measure
     live = weights * grid.gamma > 2.0**-60 * weights.max()
     f = np.zeros_like(eigs)
     f[live] = grid.inverse_filter(eigs[live])
@@ -416,7 +417,7 @@ def estimate_hitting_time(task: HittingTimeTask, seed: int = 0) -> HittingTimeRe
     t_hat = grid.z_max * estimate_raw
 
     t_evolve = grid.y_max * math.sqrt(2.0 * grid.z_max)
-    eigs = mp.h_matrix.eigensystem[0]
+    eigs = mp.spectral_measure[0]
     c_w = presentation_gate_cost(t_evolve, eigs[split_indices(eigs)], task.epsilon_prime, constants)
     cost = hitting_ledger(
         CostEntry(c_w, "evolution gate model at t = y_J sqrt(2 z_K)"), task.delta,

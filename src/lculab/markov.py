@@ -13,9 +13,10 @@ and every chain command reads it; `mark_states` is the one reader of a marked
 set. Everything else on it is built on first read: the marked mask, the
 unmarked block P_UU and its weight pi_U, the walk Hamiltonian
 H_U = 1 - sqrt(P_UU o P_UU^T) cut from that block alone (never the N x N
-discriminant) with its lowest eigenvalue delta, and the solve of
-(1 - P_UU) x = pi_U / pi_U, which the exact hitting time, the variance and the
-Monte-Carlo sample count share.
+discriminant), the spectral measure of sqrt(pi_U) under H_U (its eigenvalues
+and their weights, all that the hitting pipeline reads of H_U) with the lowest
+eigenvalue delta, and the solve of (1 - P_UU) x = pi_U / pi_U, which the exact
+hitting time, the variance and the Monte-Carlo sample count share.
 
 The Monte-Carlo baseline runs its walks in batches of consecutive walk indices,
 one numpy step per round for the whole batch. Its uniforms come from a
@@ -35,7 +36,7 @@ import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, Constants
 from .errors import ValidationError, WalkTimeoutError
-from .operators import DIMENSION_CAP, HermitianOperator, is_integer
+from .operators import DIMENSION_CAP, is_integer
 
 COLUMN_SUM_ATOL = 1e-12
 DETAILED_BALANCE_ATOL = 1e-10
@@ -113,16 +114,19 @@ def validate_chain(p) -> MarkovChain:
     pi_b / pi_a = Pr(b|a) / Pr(a|b); detailed balance on every edge then
     certifies pi (Kolmogorov's criterion).
 
-    Checks, in order: shape and nonnegativity, column sums, that every state
-    is reached, a symmetric support, detailed balance on every edge, the
-    fixed-point residual, aperiodicity (some edge, self-loops included, joins
-    two depths of equal parity), and nonnegativity of the spectrum (through
-    the symmetrized similar matrix), down to EIGENVALUE_FLOOR.
+    Checks, in order: shape, the dimension cap, nonnegativity, column sums,
+    that every state is reached, a symmetric support, detailed balance on
+    every edge, the fixed-point residual, aperiodicity (some edge, self-loops
+    included, joins two depths of equal parity), and nonnegativity of the
+    spectrum (through the symmetrized similar matrix), down to
+    EIGENVALUE_FLOOR.
     """
     mat = np.array(p, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"transition matrix must be square, got shape {mat.shape}")
     n = mat.shape[0]
+    if n > DIMENSION_CAP:
+        raise ValidationError(f"{n} states exceed cap {DIMENSION_CAP}")
     if n < 2:
         raise ValidationError("need at least two states")
     if not np.all(np.isfinite(mat)) or np.any(mat < 0):
@@ -217,24 +221,36 @@ class MarkedPartition:
         return np.sqrt(self.chain.stationary[list(self.unmarked)] / self.pi_u)
 
     @cached_property
-    def h_matrix(self) -> HermitianOperator:
-        """H_U = 1 - D_U^{-1} P_UU D_U = 1 - sqrt(P_UU o P_UU^T), with D_U = diag(sqrt(pi_U)).
+    def h_matrix(self) -> np.ndarray:
+        """H_U = 1 - D_U^{-1} P_UU D_U = 1 - sqrt(P_UU o P_UU^T), with D_U = diag(sqrt(pi_U)),
+        read-only. sqrt(p q) and sqrt(q p) round alike, so it is exactly symmetric."""
+        h = np.eye(self.n_unmarked) - discriminant_matrix(self.p_uu)
+        h.flags.writeable = False
+        return h
 
-        Its spectrum must lie in (0, 1]: delta > 0 for an irreducible chain,
+    @cached_property
+    def spectral_measure(self) -> tuple[np.ndarray, np.ndarray]:
+        """The spectral measure of sqrt(pi_U) under H_U: the eigenvalues lambda_i
+        in ascending order and the weights w_i = |<v_i|sqrt(pi_U)>|^2, from one
+        `eigh` whose eigenvectors are dropped.
+
+        The spectrum must lie in (0, 1]: delta > 0 for an irreducible chain,
         and the top stays at 1 only if the chain's spectrum is nonnegative.
         """
-        h = HermitianOperator(np.eye(self.n_unmarked) - discriminant_matrix(self.p_uu))
-        eigs = h.eigensystem[0]
+        eigs, vecs = np.linalg.eigh(self.h_matrix)
         if float(eigs[0]) <= 0:
             raise ValidationError(f"restricted Hamiltonian is not positive: delta = {eigs[0]:.3e}")
         if float(eigs[-1]) > 1.0 + 1e-9:
             raise ValidationError("restricted Hamiltonian exceeds 1; chain spectrum has negatives")
-        return h
+        weights = np.abs(vecs.conj().T @ self.sqrt_pi_u) ** 2
+        for arr in (eigs, weights):
+            arr.flags.writeable = False
+        return eigs, weights
 
     @cached_property
     def delta(self) -> float:
         """The smallest eigenvalue of H_U; 1/delta upper-bounds t_h / pi_U."""
-        return float(self.h_matrix.eigensystem[0][0])
+        return float(self.spectral_measure[0][0])
 
     @cached_property
     def resolvent(self) -> np.ndarray:

@@ -1,16 +1,19 @@
-"""Dense linear algebra: Hermitian operators and density matrices.
+"""Dense linear algebra: the Hermitian operator.
 
 Everything here routes through the eigendecomposition of a Hermitian matrix,
-which is computed once per operator and cached: the pipelines read their
-filters off its spectrum, and `matrix_function` applies a scalar function
-through it. Values are immutable after construction, so every point of a
-sweep can read one operator's cached eigensystem.
+which is computed once per operator and cached: the Gibbs pipeline and
+`lemma2-sweep` read their filters off its spectrum, and `matrix_function`
+applies a scalar function through it. Values are immutable after
+construction, so every point of a sweep can read one operator's cached
+eigensystem. A prepared thermal state is one too; the test oracle
+`DensityMatrix` holds it to a unit trace and a nonnegative spectrum. H_U is a
+plain array, decomposed once by `MarkedPartition.spectral_measure`.
 
 A matrix keeps the type of its data. Real input (bool, integer or float), and
 complex input whose imaginary parts are all exactly 0, is held in float64, so
 its eigendecomposition runs the real symmetric LAPACK driver; any other input
 is held in complex128. The TFIM, Pauli sets whose words all have an even Y
-count, real matrix configs and every walk Hamiltonian H_U are real.
+count and real matrix configs are real.
 `matrix_from_json` lays out the matrix wire format {dim, re, im}, which the
 CLI types.
 """
@@ -26,7 +29,6 @@ import numpy as np
 from .errors import SingularityError, ValidationError
 
 HERMITICITY_ATOL = 1e-12
-DENSITY_ATOL = 1e-12
 DIMENSION_CAP = 4096
 # Elements per panel of `symmetrize`: its temporaries stay at a few panels,
 # never the size of the matrix.
@@ -144,33 +146,6 @@ def matrix_function(h: HermitianOperator, f: Callable[[float], complex]) -> np.n
         bad = w[~np.isfinite(values)]
         raise SingularityError(f"function non-finite at eigenvalues {bad}")
     return (v * values) @ v.conj().T
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix.
-
-    Held as one frozen copy of the input, float64 or complex128 by the rule of
-    `as_square_matrix`, and symmetrized in place like `HermitianOperator`.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        a = as_square_matrix(self.matrix)
-        if symmetrize(a) > HERMITICITY_ATOL:
-            raise ValidationError("density matrix is not Hermitian within tolerance")
-        tr = float(np.trace(a).real)
-        if abs(tr - 1.0) > DENSITY_ATOL * max(1, a.shape[0]):
-            raise ValidationError(f"density matrix trace {tr!r} deviates from 1")
-        w = np.linalg.eigvalsh(a)
-        if float(w.min()) < -DENSITY_ATOL:
-            raise ValidationError(f"density matrix has negative eigenvalue {w.min():.3e}")
-        object.__setattr__(self, "matrix", _freeze(a))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 The pipelines evaluate their certified filters on the spectrum of H and never
 build the enlarged space or a projector. Everything that does lives here: the
 dense projector decomposition and the Kronecker-product parse of Pauli text,
-the dense trace distance, the gap-amplified operator, its unitary expansion
-and exact evolutions, the weighted-unitary and evolution-family LCUs with the
-exact dilation, the dense sparse-chain assembly, the eigenvector-based chain
-validation, the walk Hamiltonian H_U cut from the full discriminant and
-checked against two other constructions, the hitting time through H_U^{-1}
-(the closed form the package's resolvent is checked against), the y-series
-at 30 digits, and the random operators and chain families the tests draw from.
+the density matrix (which holds a prepared thermal state to a unit trace and
+a nonnegative spectrum) and the dense trace distance, the gap-amplified
+operator, its unitary expansion and exact evolutions, the weighted-unitary
+and evolution-family LCUs with the exact dilation, the dense sparse-chain
+assembly, the eigenvector-based chain validation, the walk Hamiltonian H_U
+cut from the full discriminant and checked against two other constructions,
+the hitting time through H_U^{-1} (the closed form the package's resolvent is
+checked against), the y-series at 30 digits, and the random operators and
+chain families the tests draw from.
 Each object is small, dense and exact, and nothing in `lculab` imports it.
 The JSON Schemas of the CLI configs live here too: the CLI's field readers
 are held to the verdicts of these schemas and the typing that followed them.
@@ -43,7 +45,7 @@ from lculab.markov import (
 )
 from lculab.operators import (
     DIMENSION_CAP,
-    DensityMatrix,
+    HERMITICITY_ATOL,
     HermitianOperator,
     as_square_matrix,
     symmetrize,
@@ -52,6 +54,7 @@ from lculab.rand import random_unitary
 from lculab import markov, sparse_chain
 
 STATE_NORM_ATOL = 1e-12
+DENSITY_ATOL = 1e-12
 # The 6-qubit open transverse-field Ising chain the `gibbs-tfim` benchmark
 # workload draws at seed 501.
 BENCH_TFIM_6 = (
@@ -121,6 +124,34 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Hermitian, unit-trace, positive-semidefinite matrix.
+
+    Held as one frozen copy of the input, float64 or complex128 by the rule of
+    `as_square_matrix`, and symmetrized in place like `HermitianOperator`.
+    """
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        a = as_square_matrix(self.matrix)
+        if symmetrize(a) > HERMITICITY_ATOL:
+            raise ValidationError("density matrix is not Hermitian within tolerance")
+        tr = float(np.trace(a).real)
+        if abs(tr - 1.0) > DENSITY_ATOL * max(1, a.shape[0]):
+            raise ValidationError(f"density matrix trace {tr!r} deviates from 1")
+        w = np.linalg.eigvalsh(a)
+        if float(w.min()) < -DENSITY_ATOL:
+            raise ValidationError(f"density matrix has negative eigenvalue {w.min():.3e}")
+        a.flags.writeable = False
+        object.__setattr__(self, "matrix", a)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
 
 def spectral_projector(h: HermitianOperator, eigenvalue: float, atol: float = 1e-8) -> np.ndarray:
@@ -845,6 +876,20 @@ def random_reversible_matrix(
     return p
 
 
+def seeded_regular_partition(n: int) -> MarkedPartition:
+    """The seeded random regular chain on n states with every 8th state marked:
+    P = 1/2 + 1/8 sum_k (Pi_k + Pi_k^T), with Pi_1 and Pi_2 the matrices of
+    two permutations drawn in turn from default_rng(1) (a fixed point adds
+    1/4 to P_ii). It is the chain of CI's `hitting-regular-256` config."""
+    rng = np.random.default_rng(1)
+    p = 0.5 * np.eye(n)
+    states = np.arange(n)
+    for perm in (rng.permutation(n), rng.permutation(n)):
+        np.add.at(p, (perm, states), 0.125)
+        np.add.at(p, (states, perm), 0.125)
+    return markov.mark_states(validate_chain(p), range(0, n, 8))
+
+
 def random_sparse_dyadic_chain(
     rng: np.random.Generator, n: int, degree: int, **kwargs
 ) -> MarkovChain:
@@ -929,14 +974,15 @@ def exact_hitting_time_inverse(mp: MarkedPartition) -> float:
     """t_h = pi_U <sqrt(pi_U)| H_U^{-1} |sqrt(pi_U)> on the unmarked block: the
     second closed form, for `markov.exact_hitting_time_resolvent`."""
     v = mp.sqrt_pi_u
-    sol = np.linalg.solve(mp.h_matrix.matrix, v)
+    sol = np.linalg.solve(mp.h_matrix, v)
     return float(mp.pi_u * np.real(v @ sol))
 
 
 def complex_path_hitting(mp: MarkedPartition, epsilon: float) -> tuple[InverseGrid, float]:
     """A hitting task's grid and circuit expectation with H_U decomposed in
-    complex128, the reference for the float64 path `MarkedPartition.h_matrix`
-    takes. The expectation sums the filter over the whole spectrum."""
+    complex128, the reference for the float64 path
+    `MarkedPartition.spectral_measure` takes. The expectation sums the filter
+    over the whole spectrum."""
     h = (np.eye(mp.n_unmarked) - discriminant_matrix(mp.p_uu)).astype(complex)
     eigs, vecs = np.linalg.eigh((h + h.conj().T) / 2)
     grid = calibrate_inverse_grid(float(eigs[0]), epsilon)
@@ -951,7 +997,7 @@ def complex_path_hitting(mp: MarkedPartition, epsilon: float) -> tuple[InverseGr
 class DiscriminantPair:
     """H_U built the two ways that are cross-checked, and the values read off it.
 
-    The reference for `MarkedPartition.h_matrix`, `delta`,
+    The reference for `MarkedPartition.h_matrix`, `spectral_measure`, `delta`,
     `exact_hitting_time_inverse` and `inverse.t_circuit_expectation`.
     """
 

@@ -19,7 +19,8 @@ from lculab.cli import main
 from lculab.errors import ValidationError
 from lculab.markov import lazy_cycle
 from oracles import (
-    _SCHEMAS, chain_to_json, random_sparse_dyadic_chain, schema_accepts, symmetric_two_state,
+    _SCHEMAS, chain_to_json, random_reversible_matrix, random_sparse_dyadic_chain, schema_accepts,
+    symmetric_two_state,
 )
 
 
@@ -482,6 +483,49 @@ class TestAppendixVerify:
         )
         assert main(["--config", config]) == 3
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_chains_the_reader_takes_end_with_an_exit_code(self, tmp_path, capsys, data):
+        # 2 to 12 states: a random lazy reversible chain's triplets, some of
+        # them dropped, moved to an index in or out of range, or given a
+        # probability that is zero, negative, or a few ulps or parts in 1e9
+        # off the chain's, and a marked set in or out of range
+        n = data.draw(st.integers(2, 12))
+        p = random_reversible_matrix(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n)
+        entries = [[int(r), int(c), float(p[r, c])] for r, c in zip(*np.nonzero(p))]
+        index = st.integers(-2, n + 1)
+        edits = st.lists(st.tuples(
+            st.integers(0, len(entries) - 1),
+            st.sampled_from(["drop", "row", "col", "zero", "negative", "ulps", "scale"]),
+            index, st.integers(-8, 8), st.floats(-1e-9, 1e-9),
+        ), max_size=4)
+        dropped = set()
+        for i, kind, where, ulps, scale in data.draw(edits):
+            entry = entries[i]
+            if kind == "drop":
+                dropped.add(i)
+            elif kind in ("row", "col"):
+                entry[kind == "col"] = where
+            elif kind == "zero":
+                entry[2] = 0.0
+            elif kind == "negative":
+                entry[2] = -abs(entry[2])
+            elif kind == "ulps":
+                entry[2] += ulps * math.ulp(entry[2])
+            else:
+                entry[2] *= 1.0 + scale
+        entries = [e for i, e in enumerate(entries) if i not in dropped]
+        marked = data.draw(st.just([0]) | st.lists(index, max_size=n + 1))
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        payload = {"command": "appendix-verify", "out": str(out),
+                   "chain": {"n_states": n, "entries": entries, "marked": marked}}
+        code = main(["--config", _write_config(tmp_path, payload)])
+        assert code in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        assert (out / "manifest.json").exists() == (code == 0)
 
 
 class TestSweeps:

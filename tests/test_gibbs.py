@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lculab import gibbs
+from lculab import cli, gibbs
 from lculab.cost import gibbs_eps_prime
 from lculab.errors import CalibrationError, PreconditionWarning, ValidationError
 from lculab.gap_amplification import parse_pauli_lines
@@ -15,10 +15,11 @@ from lculab.gibbs import GibbsTask, calibrate_hs_grid, prepare_gibbs
 from lculab.inverse import HittingTimeTask, estimate_hitting_time
 from lculab.lcu import amplification_rounds, gaussian_weights
 from lculab.markov import mark_states, validate_chain
-from lculab.operators import DensityMatrix, HermitianOperator, matrix_function
+from lculab.operators import HermitianOperator, matrix_function
 from lculab.rand import random_state
 from oracles import (
     BENCH_TFIM_6,
+    DensityMatrix,
     LcuOperator,
     ProjectorDecomposition,
     all_kernel_hs_grid,
@@ -356,8 +357,8 @@ class TestPrepareGibbs:
         ids=["tfim-real", "odd-y-complex"],
     )
     def test_prepared_density_bytes_match_the_twice_symmetrized_state(self, text):
-        # DensityMatrix symmetrizes in place, so the state it is handed needs no
-        # (A + A^dagger)/2 pass of its own: a second pass changes no bit
+        # prepared_density symmetrizes in place, so the state it is handed needs
+        # no (A + A^dagger)/2 pass of its own: a second pass changes no bit
         matrix, weights, _ = parse_pauli_lines(text)
         res = prepare_gibbs(
             GibbsTask(HermitianOperator(matrix), beta=2.0, epsilon=0.05, weights=weights)
@@ -367,6 +368,26 @@ class TestPrepareGibbs:
         old = DensityMatrix((rho + rho.conj().T) / 2).matrix
         assert res.prepared_density.matrix.dtype == matrix.dtype
         assert res.prepared_density.matrix.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize(
+        "hamiltonian, beta",
+        [
+            ({"pauli": "-1.0 ZZI\n-1.0 IZZ\n-0.7 XII\n-0.8 IXI\n-0.9 IIX"}, 2.0),
+            ({"pauli": "0.8 XYI\n-0.6 IZY\n0.5 YYZ\n-0.3 XIX\n-0.2 IYI"}, 2.0),
+            ({"matrix": {"dim": 3, "re": [1.0, -0.5, 0.0, -0.5, 1.0, -0.5, 0.0, -0.5, 1.0],
+                         "im": [0.0] * 9}}, 4.0),
+        ],
+        ids=["tfim", "odd-y", "matrix"],
+    )
+    def test_prepared_density_is_a_density_matrix(self, hamiltonian, beta):
+        # the CI hash-seed step's gibbs configs: the prepared state has unit
+        # trace and no negative eigenvalue, and the oracle's own symmetrizing
+        # pass changes no bit of it
+        h, weights = cli._hamiltonian_from_config(hamiltonian)
+        res = prepare_gibbs(GibbsTask(h, beta=beta, epsilon=0.05, weights=weights))
+        rho = DensityMatrix(res.prepared_density.matrix)
+        assert rho.matrix.tobytes() == res.prepared_density.matrix.tobytes()
+        assert trace_distance(rho, _exact_thermal(h, beta)) <= 0.05
 
     def test_precondition_flagged_not_masked(self):
         h = HermitianOperator(np.diag([0.0, 1.0]))

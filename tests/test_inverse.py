@@ -454,7 +454,7 @@ class TestCircuitExpectation:
     def test_real_h_u_keeps_the_complex_path_grid(self, mp):
         # H_U is real symmetric, so it is decomposed in float64; the grid is
         # calibrated from its lowest eigenvalue and must not move
-        assert mp.h_matrix.matrix.dtype == np.float64
+        assert mp.h_matrix.dtype == np.float64
         task = HittingTimeTask(mp, 0.1)
         ref_grid, ref_amplitude = complex_path_hitting(mp, 0.1)
         grid = task.grid
@@ -476,8 +476,7 @@ class TestCircuitExpectation:
     )
     def test_skipped_eigenvalues_change_no_bit(self, monkeypatch, mp, eps, skipped):
         grid = calibrate_inverse_grid(mp.delta, eps)
-        eigs, vecs = mp.h_matrix.eigensystem
-        weights = np.abs(vecs.conj().T @ mp.sqrt_pi_u) ** 2
+        eigs, weights = mp.spectral_measure
         filtered = []
         original = InverseGrid.inverse_filter
 
@@ -628,7 +627,7 @@ class TestEstimateHittingTime:
         )
         chain = validate_chain_any_spectrum(p)
         mp = mark_states(chain, [1, 2])
-        np.testing.assert_allclose(mp.h_matrix.matrix, [[1.0]])
+        np.testing.assert_allclose(mp.h_matrix, [[1.0]])
         task = HittingTimeTask(partition=mp, epsilon=0.05)
         res = estimate_hitting_time(task, seed=5)
         assert abs(res.estimate - mp.pi_u) <= 4 * 0.05

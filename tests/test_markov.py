@@ -24,6 +24,7 @@ from lculab.markov import (
     mark_states,
     validate_chain,
 )
+from lculab.operators import DIMENSION_CAP, HermitianOperator
 from oracles import (
     chain_to_json,
     discriminant_pair,
@@ -34,6 +35,7 @@ from oracles import (
     random_reversible_matrix,
     random_sparse_dyadic_chain,
     random_sparse_dyadic_matrix,
+    seeded_regular_partition,
     survival_probability,
     symmetric_two_state,
     validate_chain_any_spectrum,
@@ -74,6 +76,21 @@ class TestValidateChain:
     def test_reducible_rejected(self):
         with pytest.raises(ValidationError):
             validate_chain(np.eye(4))
+
+    def test_chain_over_cap_rejected_before_any_eigensolve(self, monkeypatch):
+        # the lazy 4097-cycle is otherwise a valid chain, so only the cap stops it
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigen-solve ran on a chain over the cap")
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        n = DIMENSION_CAP + 1
+        states = np.arange(n)
+        p = np.zeros((n, n))
+        p[states, states] = 0.5
+        p[(states + 1) % n, states] = p[(states - 1) % n, states] = 0.25
+        with pytest.raises(ValidationError, match=f"^{n} states exceed cap {DIMENSION_CAP}$"):
+            validate_chain(p)
 
     def test_irreversible_rejected(self):
         # three-state directed cycle with a uniform fixed point but no detailed balance
@@ -225,6 +242,23 @@ class TestTreeStationaryVector:
         assert chain.sparsity == np.count_nonzero(chain.transition, axis=0).max()
 
 
+# The chains the spectral measure is checked on, built when a test reads them.
+_MEASURE_CHAINS = {
+    "lazy-8-cycle": lambda: mark_states(lazy_cycle(8), [0]),
+    "lazy-16-cycle": lambda: mark_states(lazy_cycle(16), [0]),
+    "lazy-32-cycle": lambda: mark_states(lazy_cycle(32), [0]),
+    "regular-256": lambda: seeded_regular_partition(256),
+    "dense-64": lambda: _dense64(),
+}
+# A cycle marked at one state leaves a path, whose eigenvalues are distinct;
+# marked at two antipodal states it leaves two equal paths, and every
+# eigenvalue is double.
+_DOUBLE_SPECTRUM_CHAINS = {
+    "lazy-16-cycle-two-marked": lambda: mark_states(lazy_cycle(16), [0, 8]),
+    "lazy-32-cycle-two-marked": lambda: mark_states(lazy_cycle(32), [0, 16]),
+}
+
+
 class TestMarkedPartition:
     def test_blocks(self, two_state):
         assert two_state.pi_u == pytest.approx(0.5)
@@ -288,12 +322,41 @@ class TestMarkedPartition:
                 continue
             mp = mark_states(chain, rng.choice(n, size=int(rng.integers(1, n)), replace=False))
             ref = discriminant_pair(mp)
-            assert np.array_equal(mp.h_matrix.matrix, ref.h_matrix.matrix)
+            assert np.array_equal(mp.h_matrix, ref.h_matrix.matrix)
             assert mp.delta == ref.delta
             assert exact_hitting_time_inverse(mp) == ref.t_exact(mp)
             assert t_circuit_expectation(grid, mp) == ref.exact_amplitude(grid, mp)
             checked += 1
         assert checked >= 20
+
+    @pytest.mark.parametrize("name", _MEASURE_CHAINS)
+    def test_spectral_measure_is_the_eigensystem_path_bit_for_bit(self, name):
+        # the measure once came from H_U wrapped in a HermitianOperator, its
+        # cached eigensystem, and the weights read off its eigenvectors
+        mp = _MEASURE_CHAINS[name]()
+        h = HermitianOperator(np.eye(mp.n_unmarked) - discriminant_matrix(mp.p_uu))
+        eigs, vecs = h.eigensystem
+        weights = np.abs(vecs.conj().T @ mp.sqrt_pi_u) ** 2
+        assert mp.spectral_measure[0].tobytes() == eigs.tobytes()
+        assert mp.spectral_measure[1].tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize("name", _MEASURE_CHAINS)
+    def test_h_matrix_is_exactly_symmetric(self, name):
+        h = _MEASURE_CHAINS[name]().h_matrix
+        assert h.dtype == np.float64 and np.array_equal(h, h.T)
+
+    @pytest.mark.parametrize("name", [*_MEASURE_CHAINS, *_DOUBLE_SPECTRUM_CHAINS])
+    def test_spectral_measure_integrates_to_the_hitting_time(self, name):
+        # pi_U sum_i w_i / lambda_i = pi_U <sqrt(pi_U)| H_U^{-1} |sqrt(pi_U)> = t_h
+        mp = {**_MEASURE_CHAINS, **_DOUBLE_SPECTRUM_CHAINS}[name]()
+        eigs, weights = mp.spectral_measure
+        gaps = np.diff(eigs)
+        if name in _DOUBLE_SPECTRUM_CHAINS:
+            assert np.max(gaps[::2]) <= 1e-12
+        else:
+            assert np.min(gaps) > 1e-6
+        t_h = exact_hitting_time_resolvent(mp)
+        assert mp.pi_u * float(weights @ (1.0 / eigs)) == pytest.approx(t_h, rel=1e-10, abs=0)
 
     def test_hamiltonian_above_one_rejected(self):
         # the 5-cycle without self-loops is aperiodic but has negative
@@ -303,7 +366,7 @@ class TestMarkedPartition:
             p[(s + 1) % 5, s] = p[(s - 1) % 5, s] = 0.5
         mp = mark_states(validate_chain_any_spectrum(p), [0])
         with pytest.raises(ValidationError, match="restricted Hamiltonian exceeds 1"):
-            mp.h_matrix
+            mp.spectral_measure
 
 class TestHittingTimeFormulas:
     def test_two_state_resolvent_equals_one(self, two_state):
@@ -331,7 +394,7 @@ class TestHittingTimeFormulas:
         assert exact_hitting_time_inverse(mp) == pytest.approx(mp.pi_u)
 
     def test_two_state_inverse_formula(self, two_state):
-        np.testing.assert_allclose(two_state.h_matrix.matrix, [[0.5]])
+        np.testing.assert_allclose(two_state.h_matrix, [[0.5]])
         assert exact_hitting_time_inverse(two_state) == pytest.approx(1.0)
 
     def test_lazy_cycle_series_oracle(self):
@@ -363,7 +426,7 @@ class TestHittingTimeFormulas:
     def test_spectrum_similarity(self, rng):
         chain = random_reversible_chain(rng, 10)
         mp = mark_states(chain, [0, 3])
-        h_spec = np.sort(np.linalg.eigvalsh(mp.h_matrix.matrix))
+        h_spec = np.sort(np.linalg.eigvalsh(mp.h_matrix))
         p_spec = np.sort(1.0 - np.linalg.eigvals(mp.p_uu).real)
         np.testing.assert_allclose(h_spec, p_spec, atol=1e-9)
         assert mp.delta == pytest.approx(1.0 - np.linalg.eigvals(mp.p_uu).real.max(), abs=1e-9)

@@ -10,7 +10,6 @@ from lculab import cli, operators
 from lculab.errors import SingularityError, ValidationError
 from lculab.operators import (
     DIMENSION_CAP,
-    DensityMatrix,
     HermitianOperator,
     as_square_matrix,
     matrix_from_json,
@@ -19,6 +18,7 @@ from lculab.operators import (
 )
 from lculab.rand import random_state, random_unitary
 from oracles import (
+    DensityMatrix,
     StateVector,
     matrix_to_json,
     pure_density,

@@ -188,7 +188,7 @@ class TestProjectH:
                 continue
             construction = sparse_construction(mark_states(chain, marked))
             restricted = construction.restricted(mp.unmarked)
-            assert np.max(np.abs(restricted - mp.h_matrix.matrix)) <= 1e-10
+            assert np.max(np.abs(restricted - mp.h_matrix)) <= 1e-10
 
     def test_matches_dense_on_asymmetric_chains(self, rng):
         # reversible does not mean symmetric: unequal degrees make
@@ -208,7 +208,7 @@ class TestProjectH:
             assert np.max(np.abs(h_bar.matrix - expected_h_bar)) <= 1e-10
             construction = sparse_construction(mp)
             restricted = construction.restricted(mp.unmarked)
-            assert np.max(np.abs(restricted - mp.h_matrix.matrix)) <= 1e-10
+            assert np.max(np.abs(restricted - mp.h_matrix)) <= 1e-10
             _, g = assemble_tilde_h_sparse(construction)
             sq = g.sector_block(g.operator.matrix @ g.operator.matrix)
             assert np.max(np.abs(sq - construction.projected.matrix.matrix)) <= 1e-10
@@ -225,7 +225,7 @@ class TestProjectH:
         construction = sparse_construction(mark_states(chain, [1]))
         assert construction.projected.diagonal[0] == pytest.approx(0.3)  # Pr(1|0), not Pr(0|1)
         mp = mark_states(chain, [1])
-        np.testing.assert_allclose(construction.restricted([0]), mp.h_matrix.matrix, atol=1e-12)
+        np.testing.assert_allclose(construction.restricted([0]), mp.h_matrix, atol=1e-12)
         assert construction.sqrt_block(-1)[0, 0].real == pytest.approx(np.sqrt(0.3))
 
     def test_boundary_support(self):
@@ -389,7 +389,7 @@ class TestAssembly:
             _, _, g = _pipeline(chain, marked)
             u_idx = list(mp.unmarked)
             sq = g.sector_block(g.operator.matrix @ g.operator.matrix)
-            assert np.max(np.abs(sq[np.ix_(u_idx, u_idx)] - mp.h_matrix.matrix)) <= 1e-10
+            assert np.max(np.abs(sq[np.ix_(u_idx, u_idx)] - mp.h_matrix)) <= 1e-10
 
     def test_hitting_time_through_sparse_path(self):
         chain = lazy_cycle(8, 0.5)
@@ -511,7 +511,7 @@ class TestEdgeLevelManifest:
         mp = mark_states(random_sparse_dyadic_chain(rng, 24, degree=4), [0, 7])
         decomposition_manifest(mp)
         assert "marked_mask" in vars(mp)
-        assert not {"p_uu", "pi_u", "h_matrix", "resolvent"} & vars(mp).keys()
+        assert not {"p_uu", "pi_u", "h_matrix", "spectral_measure", "resolvent"} & vars(mp).keys()
 
     @staticmethod
     def _partition(rng):
