@@ -20,8 +20,8 @@ as the reference it is checked against.
 
 Every argument sqrt(2 z_k x) of the filter meets the same y-series, so a
 grid reads it off one `GaussianCosineTable` over its whole domain x <= 1,
-built on first use: 16 Clenshaw steps per argument instead of the J steps
-of the cosine recurrence, and an error near float64's resolution. The
+built on first use: 16 Clenshaw steps per argument instead of the J + 1
+cosines of the direct sum, and an error near float64's resolution. The
 row-order z-sum carries the exact rounding error of each of its additions,
 so it adds about one rounding to the value instead of one per z-node.
 
@@ -68,7 +68,7 @@ from .markov import MarkedPartition, check_seed, exact_hitting_time_resolvent, e
 logger = logging.getLogger(__name__)
 
 BASE_CONFIDENCE = 8.0 / math.pi**2
-# The most (K+1) * n * (J+1) cosine-recurrence element-steps one filter call
+# The most (K+1) * n * (J+1) node terms of the double sum one filter call
 # may take: 11x the lazy 32-cycle's whole spectrum at eps 0.1 (K = 138,422,
 # n = 31, J = 2,090; its expectation filters 16 of them), the largest run
 # measured to finish. Past it the left-rule z-grid is too fine for the gap or
@@ -123,8 +123,7 @@ class InverseGrid:
         y-series is read off `table`, and the z-series is summed in row order at
         every x, with each addition's rounding error added back, so a value does
         not depend on the call's width. A call past `_FILTER_WORK_BUDGET`
-        element-steps of the y-series, counted as its recurrence would take
-        them, is a `CalibrationError`."""
+        node terms of the double sum, (K+1) n (J+1), is a `CalibrationError`."""
         x = np.asarray(x, dtype=float)
         work = (self.k_max + 1) * x.size * (self.j_max + 1)
         if work > _FILTER_WORK_BUDGET:
@@ -167,11 +166,11 @@ def exit_certificate(grid: InverseGrid, samples: np.ndarray) -> tuple[float, flo
         eta(x) = (K+1) delta_z [roundoff + 2 (K+1) s u] + 64 u/x + 1e-9 B,
     where roundoff bounds each y-series value the grid's `table` reads off
     (`cosine_table_bound`: coefficient and phase rounding, Chebyshev
-    truncation and Clenshaw roundoff; at most the cosine recurrence's), the
-    z-sum adds K+1 series, each at most s in size, with its additions'
-    rounding errors added back in (which errs by less than the plain sum the
-    term covers), 64 u/x covers 1/x, the final scaling and subtraction, and
-    the float evaluation of G, and 1e-9 B covers that of images and tail.
+    truncation and Clenshaw roundoff), the z-sum adds K+1 series, each at
+    most s in size, with its additions' rounding errors added back in (which
+    errs by less than the plain sum the term covers), 64 u/x covers 1/x, the
+    final scaling and subtraction, and the float evaluation of G, and 1e-9 B
+    covers that of images and tail.
     So lo = max(|G - 1/x| - B - eta) and hi = max(|G - 1/x| + B + eta); at
     a_max >= pi/delta_y the interval is (-inf, inf).
     """

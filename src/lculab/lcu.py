@@ -3,19 +3,18 @@
 Both pipelines apply an LCU of evolutions exp(-i y_j t H~) over a symmetric
 Gaussian node grid. Because the grid is symmetric, the sum is the real even
 filter sum_j w_j cos(y_j t E) of the generator, evaluated on the spectrum of H.
-- `gaussian_cosine_series` runs the Chebyshev recurrence over the whole
-  argument with in-place buffer updates, which give each element the same
-  floating-point operations in the same order as the plain recurrence, so
-  its values are that recurrence's, bit for bit. It costs J steps per
-  argument, and its error grows as J^2. The thermal pipeline
-  (`HsGrid.kernel`) reads it, on at most 4096 eigenvalues (the dimension
-  cap) or 64 calibration samples, so its buffers stay small.
+- `gaussian_cosine_series` sums the series directly, a block of arguments at
+  a time: np.cos of the phases y_j a, weighted by one BLAS product, so a
+  value errs by about (J+1) u. The thermal pipeline (`HsGrid.kernel`) reads
+  it, on at most 4096 eigenvalues (the dimension cap) or 64 calibration
+  samples.
 - `GaussianCosineTable` holds the same series on a fixed interval as a
   piecewise Chebyshev series of degree 15, built in closed form by
-  Jacobi-Anger. It costs 16 Clenshaw steps per argument and errs near
-  float64's resolution. The hitting pipeline's inverse filter reads it.
+  Jacobi-Anger. It costs 16 Clenshaw steps per argument, whatever J is, and
+  errs near float64's resolution. The hitting pipeline's inverse filter
+  reads it.
 `cosine_series_bounds` bounds how far the series lies from exp(-a^2/2) in
-closed form, and the recurrence's roundoff; `cosine_table_bound` bounds the
+closed form, and the direct sum's roundoff; `cosine_table_bound` bounds the
 table's. Both grid calibrations bound a round's error by an interval from
 those bounds, and evaluate the series only when the interval holds the
 target.
@@ -57,34 +56,26 @@ def gaussian_weight_sum(delta_y: float, j_max: int) -> float:
 def gaussian_cosine_series(a, delta_y: float, j_max: int):
     """Evaluate sum_{j=-J..J} w_j exp(-i y_j a) over the symmetric Gaussian grid.
 
-    Real by symmetry: w_0 + 2 sum_{j>=1} w_j cos(j delta_y a). Uses the
-    Chebyshev cosine recurrence so the cost per grid node is a multiply-add,
-    not a transcendental call. `a` may be a scalar or any ndarray; the result
-    is a C-ordered float array of its shape.
-
-    The recurrence updates the output and four buffers in place over the
-    flattened argument. Each element sees the same operations in the same
-    order as in the plain recurrence, S += (2 w_j) T_j then
-    T_{j+1} = (2c) T_j - T_{j-1}, so the values are the same, bit for bit.
+    Real by symmetry: S(a) = sum_{j=0..J} w'_j cos(y_j a), with y_j = j delta_y,
+    w'_0 = w_0 and w'_j = 2 w_j. Summed directly, a block of arguments at a
+    time: np.cos of the block's outer product with the nodes, weighted by one
+    BLAS matrix-vector product, so a value errs by about (J+1) u
+    (`cosine_series_bounds`); its last bits may depend on the arguments that
+    share its block, in whatever order the BLAS kernel sums. A block holds at
+    most max(_COSINE_BLOCK, J+1) phases. `a` may be a scalar or any ndarray;
+    the result is a C-ordered float array of its shape.
     """
     a = np.asarray(a, dtype=float)
-    w = gaussian_weights(delta_y, j_max)
     flat = a.reshape(-1)
-    out = np.full(flat.shape, w[0])
-    t_cur, c2, t_prev, t_next = np.empty((4, flat.size))
-    np.multiply(delta_y, flat, out=t_cur)
-    np.cos(t_cur, out=t_cur)
-    np.multiply(2.0, t_cur, out=c2)
-    t_prev.fill(1.0)
-    for j in range(1, j_max + 1):
-        wj = w[j]
-        if wj == 0.0:
-            break
-        np.multiply(t_cur, 2.0 * wj, out=t_next)
-        out += t_next
-        np.multiply(c2, t_cur, out=t_next)
-        t_next -= t_prev
-        t_prev, t_cur, t_next = t_cur, t_next, t_prev
+    y = np.arange(j_max + 1) * delta_y
+    w = gaussian_weights(delta_y, j_max)
+    w[1:] *= 2.0
+    out = np.empty(flat.shape)
+    rows = max(1, _COSINE_BLOCK // (j_max + 1))
+    phases = np.empty((min(rows, flat.size), j_max + 1))
+    for start in range(0, flat.size, rows):
+        p = np.multiply.outer(flat[start : start + rows], y, out=phases[: flat.size - start])
+        np.matmul(np.cos(p, out=p), w, out=out[start : start + rows])
     return out.reshape(a.shape)
 
 
@@ -103,16 +94,15 @@ def cosine_series_bounds(a_max: float, delta_y: float, j_max: int) -> tuple[floa
       or faster. It is inf when a_max >= pi/delta_y.
     - tail = erfc(J delta_y/sqrt(2)) bounds the weight past |j| = J, since the
       Gaussian falls past every node.
-    - roundoff = 16 ((1 + 1/delta_y)^2 + (J+1) s) u, with u = 2^-53 and
-      s = 1 + delta_y, bounds the floating-point error of one series. The
-      cosine recurrence errs by at most 5.5 j^2 u at term j: 4 ulps in its
-      cosine move T_j by at most j^2 times that, and each step's 3u reaches
-      T_j through |U_n| <= n+1. The weights bound the weighted sum:
-      sum_j 2 w_j j^2 <= (1 + 0.6 delta_y)/delta_y^2, since y^2 phi(y) is
-      unimodal. A rounded argument moves the phase by at most 3 pi u, which
-      the series feels through sum_j 2 w_j j <= (0.8 + 0.5 delta_y)/delta_y.
-      With the J additions into the sum, each at most s in size, and the
-      weights' own rounding, the total fits the bound with room.
+    - roundoff bounds the floating-point error of one direct sum. With
+      u = 2^-53, n = J+1, gamma_n = n u/(1 - n u) and the weight sums
+      s = 1 + 0.4 delta_y >= sum_j w'_j (at most w_0 plus the Gaussian's
+      integral), sum_j w'_j y_j <= 0.8 + 0.5 delta_y and sum_j w'_j y_j^2
+      <= 1 + 0.6 delta_y (y phi(y) and y^2 phi(y) are unimodal), it adds the
+      product's summation, gamma_n s in any order; the cosines, each within
+      4 ulps, 4 s u; the weights' rounding, (12 + 1.5 y_j^2) u w'_j each (see
+      `cosine_table_bound`); the phases, as y_j and y_j a each round once,
+      2u y_j a_max per term; and s u for the products of these errors.
     """
     if a_max >= math.pi / delta_y:
         images = math.inf
@@ -120,7 +110,10 @@ def cosine_series_bounds(a_max: float, delta_y: float, j_max: int) -> tuple[floa
         b1 = 2.0 * math.pi / delta_y - a_max
         images = 2.0 * math.exp(-0.5 * b1 * b1) / -math.expm1(-2.0 * math.pi * b1 / delta_y)
     tail = math.erfc(j_max * delta_y / math.sqrt(2.0))
-    roundoff = 16.0 * UNIT_ROUNDOFF * ((1.0 + 1.0 / delta_y) ** 2 + (j_max + 1) * (1.0 + delta_y))
+    n, s = j_max + 1, 1.0 + 0.4 * delta_y
+    gamma_n = n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+    moments = 1.5 * (1.0 + 0.6 * delta_y) + 2.0 * (0.8 + 0.5 * delta_y) * a_max
+    roundoff = gamma_n * s + (17.0 * s + moments) * UNIT_ROUNDOFF
     return images, tail, roundoff
 
 
@@ -265,8 +258,9 @@ def cosine_table_bound(a_max: float, delta_y: float, j_max: int) -> float:
     """A closed-form bound on how far a `GaussianCosineTable` value at 0 <= a <= a_max
     lies from the exact series w_0 + 2 sum_j w_j cos(j delta_y a) with exact
     Gaussian weights. With u = 2^-53, s = 1 + 0.4 delta_y >= sum_j w'_j (the
-    sum is at most w_0 plus the Gaussian's integral) and the weight moments sum_j w'_j y_j <= 0.8 + 0.5 delta_y and sum_j w'_j y_j^2
-    <= 1 + 0.6 delta_y (see `cosine_series_bounds`), it adds:
+    sum is at most w_0 plus the Gaussian's integral) and the weight moments
+    sum_j w'_j y_j <= 0.8 + 0.5 delta_y and sum_j w'_j y_j^2 <= 1 + 0.6 delta_y
+    (see `cosine_series_bounds`), it adds:
     - coefficient roundoff. Since sum_m eps_m |J_m(z)| <= 2 sqrt(e) - 1 < 2.3
       at z <= 1, the products F G_g over 2(J+1) terms, with the rounding of
       G_g's entries, err by at most 2.3 (2J+3) s u. The Bessel values and the
@@ -283,9 +277,6 @@ def cosine_table_bound(a_max: float, delta_y: float, j_max: int) -> float:
       sum_{k>=m} (k-m+1) |c_k| with |c_k| <= 2 s (1/2)^k/k!; the sum of
       their errors is below 8.5 s u, and t's own rounding, at most u/2 in
       the first cell, adds sum_m m^2 |c_m| u/2 < 1.3 s u.
-    On every grid the inverse-grid calibration reaches this is at most
-    `cosine_series_bounds`' recurrence roundoff, 16 ((1 + 1/delta_y)^2 +
-    (J+1) s) u, and far below it on large grids.
     """
     s = 1.0 + 0.4 * delta_y
     h = _table_half_width(delta_y, j_max)

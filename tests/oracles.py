@@ -10,8 +10,8 @@ and evolution-family LCUs with the exact dilation, the dense sparse-chain
 assembly, the eigenvector-based chain validation, the walk Hamiltonian H_U
 cut from the full discriminant and checked against two other constructions,
 the hitting time through H_U^{-1} (the closed form the package's resolvent is
-checked against), the y-series at 30 digits, and the random operators and
-chain families the tests draw from.
+checked against), the y-series at 30 or 40 digits and a thermal run's fields
+at 40, and the random operators and chain families the tests draw from.
 Each object is small, dense and exact, and nothing in `lculab` imports it.
 The JSON Schemas of the CLI configs live here too: the CLI's field readers
 are held to the verdicts of these schemas and the typing that followed them.
@@ -64,8 +64,7 @@ BENCH_TFIM_6 = (
 )
 _DILATION_TERM_CAP = 1024
 _DILATION_SIZE_CAP = 1 << 18
-# Arguments per cosine-series call of `EvolutionLcu.filter_values`: the
-# recurrence's five arrays of this size stay in cache.
+# Arguments per cosine-series call of `EvolutionLcu.filter_values`.
 _FILTER_CHUNK = 1 << 14
 
 
@@ -527,8 +526,14 @@ class EvolutionLcu:
 
     @cached_property
     def _own_filter(self) -> np.ndarray:
+        """F on the spectrum of H~. Its zero modes (|E| <= 1e-9, as
+        `_check_spectrum` counts them) share F(0), evaluated once: F is even,
+        so F(E) - F(0) = O(E^2), far below the roundoff of F."""
         w, _ = self.hamiltonian.operator.eigensystem
-        return self.filter_values(w)
+        live = np.abs(w) > 1e-9
+        f = np.full(w.shape, self.filter_values(np.zeros(1))[0])
+        f[live] = self.filter_values(w[live])
+        return f
 
     def apply_sum(self, x: np.ndarray) -> np.ndarray:
         _, v = self.hamiltonian.operator.eigensystem
@@ -644,13 +649,13 @@ def all_kernel_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> 
     raise AssertionError("reference calibration did not converge")
 
 
-def y_series_reference(points, delta_y: float, j_max: int) -> list:
+def y_series_reference(points, delta_y: float, j_max: int, digits: int = 30) -> list:
     """The y-series w_0 + 2 sum_{j=1..J} w_j cos(j delta_y a) at each point a,
     with exact Gaussian weights w_j = delta_y exp(-(j delta_y)^2/2)/sqrt(2 pi),
-    as mpmath numbers at 30 digits. `gaussian_cosine_series` and
+    as mpmath numbers at `digits` digits. `gaussian_cosine_series` and
     `GaussianCosineTable` compute this sum in float64; a point may be a float
     or an mpmath number."""
-    with mpmath.workdps(30):
+    with mpmath.workdps(digits):
         dy = mpmath.mpf(delta_y)
         y = [j * dy for j in range(1, j_max + 1)]
         w = [mpmath.exp(-yj * yj / 2) for yj in y]
@@ -659,6 +664,25 @@ def y_series_reference(points, delta_y: float, j_max: int) -> list:
             (1 + 2 * mpmath.fsum(wj * mpmath.cos(yj * mpmath.mpf(a)) for wj, yj in zip(w, y))) * scale
             for a in points
         ]
+
+
+def thermal_reference(energies, beta: float, grid: HsGrid) -> tuple:
+    """(trace_dist, success_amp) of a thermal run at 40 digits, as mpmath numbers,
+    from the eigenvalues E_i of H (the run's float64 ones, or mpmath numbers)
+    and the run's grid. The filter is f_i = S(sqrt(beta max(E_i, 0))), the
+    y-series of `y_series_reference`; the trace distance is half the l1
+    distance between f^2/sum f^2 and exp(-beta E)/Z, and the amplitude is
+    ||f||_2/(sqrt(N) S(0)), capped at 1, with S(0) the grid's weight sum."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        e = [mpmath.mpf(x) for x in energies]
+        args = [mpmath.sqrt(b * max(x, 0)) for x in e] + [0]
+        *f, weight_sum = y_series_reference(args, grid.delta_y, grid.j_max, digits=40)
+        prepared = [v * v for v in f]
+        exact = [mpmath.exp(-b * x) for x in e]
+        p_sum, q_sum = mpmath.fsum(prepared), mpmath.fsum(exact)
+        dist = mpmath.fsum(abs(p / p_sum - q / q_sum) for p, q in zip(prepared, exact)) / 2
+        return dist, min(mpmath.sqrt(p_sum / len(e)) / weight_sum, 1)
 
 
 def _hs_trial(delta_y: float, y_max: float, beta: float) -> HsGrid:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lculab import cli, gibbs
+from lculab.constants import DEFAULT_CONSTANTS
 from lculab.cost import gibbs_eps_prime
 from lculab.errors import CalibrationError, PreconditionWarning, ValidationError
 from lculab.gap_amplification import parse_pauli_lines
@@ -30,6 +31,7 @@ from oracles import (
     psd_split,
     random_psd,
     reduced_density,
+    thermal_reference,
     trace_distance,
     y_series_reference,
 )
@@ -153,7 +155,7 @@ class TestErrorBounds:
     @pytest.mark.parametrize(
         "norm, beta, eps",
         # the second is near float64's resolution at 1: target 4.5e-17, where
-        # only the recurrence's rounding could decide a refinement
+        # only the kernel's rounding could decide a refinement
         [(1.0, 64.0, 1e-18), (1.0, 0.0, 1e-16)],
     )
     def test_roundoff_miss_fails_at_once(self, monkeypatch, norm, beta, eps):
@@ -552,18 +554,11 @@ class TestSpectralTraceDistance:
 
     @staticmethod
     def _mpmath_trace_distance(h: HermitianOperator, grid, beta: float):
-        """Half the l1 distance between the two populations on spec(H), at 40
-        digits, with the filter values at 30."""
+        """The trace distance at 40 digits, on H's spectrum at 40 digits."""
         with mpmath.workdps(40):
             a = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in h.matrix])
             spectrum, _ = mpmath.eighe(a)
-            energies = [spectrum[i] for i in range(h.dim)]
-            b = mpmath.mpf(beta)
-            args = [mpmath.sqrt(b * max(x, 0)) for x in energies]
-            prepared = [f**2 for f in y_series_reference(args, grid.delta_y, grid.j_max)]
-            exact = [mpmath.exp(-b * (x - min(energies))) for x in energies]
-            p_sum, q_sum = mpmath.fsum(prepared), mpmath.fsum(exact)
-            return mpmath.fsum(abs(p / p_sum - q / q_sum) for p, q in zip(prepared, exact)) / 2
+            return thermal_reference([spectrum[i] for i in range(h.dim)], beta, grid)[0]
 
     @pytest.mark.parametrize("text", ["1.0 Z\n0.5 X", "1.0 ZI\n0.5 XX\n0.3 IY"])
     def test_matches_forty_digit_evaluation(self, text):
@@ -573,3 +568,41 @@ class TestSpectralTraceDistance:
         res = prepare_gibbs(GibbsTask(hamiltonian=h, beta=4.0, epsilon=0.1, weights=weights))
         reference = self._mpmath_trace_distance(h, res.grid, 4.0)
         assert float(abs(res.trace_dist - reference) / reference) <= 2e-12
+
+
+# The 5-qubit open TFIM of CI's lemma1-sweep config.
+_TFIM_5 = (
+    "-1.0 ZZIII\n-1.0 IZZII\n-1.0 IIZZI\n-1.0 IIIZZ\n"
+    "-0.5 XIIII\n-0.625 IXIII\n-0.75 IIXII\n-0.875 IIIXI\n-1.0 IIIIX"
+)
+_TFIM_3 = {"pauli": "-1.0 ZZI\n-1.0 IZZ\n-0.7 XII\n-0.8 IXI\n-0.9 IIX"}
+# (hamiltonian, beta, eps, z_lower_bound): CI's four gibbs configs, the README
+# gibbs example, the golden 4x4 matrix config, and CI's 5-qubit TFIM
+# lemma1-sweep, row by row
+_REFEREE_RUNS = [
+    (_TFIM_3, 2.0, 0.05, None),
+    (_TFIM_3, 2.0, 0.05, 0.04),
+    ({"pauli": "0.8 XYI\n-0.6 IZY\n0.5 YYZ\n-0.3 XIX\n-0.2 IYI"}, 2.0, 0.05, None),
+    ({"matrix": {"dim": 3, "re": [1.0, -0.5, 0.0, -0.5, 1.0, -0.5, 0.0, -0.5, 1.0],
+                 "im": [0.0] * 9}}, 4.0, 0.05, None),
+    ({"pauli": "1.0 ZZI\n0.7 IZZ\n0.4 XIX\n0.3 IXI"}, 2.0, 0.05, None),
+    ({"matrix": {"dim": 4,
+                 "re": [2.0, 1.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.25],
+                 "im": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.5, 0.0, 0.0, 0.5, 0.0]}},
+     2.0, 0.05, None),
+] + [
+    ({"pauli": _TFIM_5}, beta, eps, None)
+    for beta in (0.5, 1.0, 2.0, 4.0, 8.0) for eps in (0.1, 0.01, 0.001)
+]
+
+
+def test_thermal_fields_match_the_forty_digit_referee():
+    # trace_dist and success_amp as the CLI writes them, against a 40-digit
+    # recomputation on the run's own float64 eigenvalues and grid
+    for spec, beta, eps, bound in _REFEREE_RUNS:
+        h, weights = cli._hamiltonian_from_config(spec)
+        result, row = cli._thermal_point(h, weights, beta, eps, DEFAULT_CONSTANTS, bound)
+        dist, amp = thermal_reference(h.eigensystem[0], beta, result.grid)
+        where = (spec, beta, eps, bound)
+        assert abs(row["trace_dist"] - dist) <= 1e-12, where
+        assert abs(row["success_amp"] - amp) <= 1e-15, where

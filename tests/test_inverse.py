@@ -79,7 +79,7 @@ def _cycle_delta(n=8):
 
 
 def _count_kernel_calls(monkeypatch):
-    """Record the argument shape of every cosine-recurrence call of both grids."""
+    """Record the argument shape of every `gaussian_cosine_series` call of both grids."""
     calls = []
 
     def counting(a, delta_y, j_max, _original=lcu.gaussian_cosine_series):
@@ -151,8 +151,7 @@ class TestGridCalibration:
         # the table errs near float64's resolution and the z-sum adds back its
         # own rounding errors, so on the two-state chain's grid (K = 240,
         # J = 41) each value is within 4u relative of the double sum at 30
-        # digits; the cosine recurrence under a plain row-order sum erred by
-        # 5.1u, 4.4u and 7.3u at these points
+        # digits
         grid = calibrate_inverse_grid(0.5, 0.1)
         xs = np.array([0.3, 0.7, 1.0])
         with mpmath.workdps(30):
@@ -576,8 +575,8 @@ class TestEstimateHittingTime:
     def test_hitting_run_calls_the_kernel_once(self, monkeypatch):
         # calibration is decided in closed form; the expectation builds one
         # table for its grid and reads the 4 weighted eigenvalues of the lazy
-        # 8-cycle's 7 off it, and no cosine recurrence runs
-        recurrence_calls = _count_kernel_calls(monkeypatch)
+        # 8-cycle's 7 off it, and `gaussian_cosine_series` never runs
+        kernel_calls = _count_kernel_calls(monkeypatch)
         builds, reads = [], []
 
         class CountingTable(lcu.GaussianCosineTable):
@@ -593,7 +592,7 @@ class TestEstimateHittingTime:
         task = HittingTimeTask(partition=mark_states(lazy_cycle(8, 0.5), [0]), epsilon=0.1)
         estimate_hitting_time(task, seed=0)
         grid = task.grid
-        assert recurrence_calls == []
+        assert kernel_calls == []
         assert builds == [(grid.table.a_max, grid.delta_y, grid.j_max)]
         assert reads == [(grid.k_max + 1, 4)]
 

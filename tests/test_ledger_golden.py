@@ -59,7 +59,8 @@ MATRIX_GIBBS = {
     "state_prep": "0x1.0000000000000p+1",
     "total": "0x1.059e51952a770p+9",
 }
-MATRIX_GIBBS_TRACE_DIST = "0x1.bcd6e4b097450p-13"
+# 2.3e-17 from the 40-digit `thermal_reference` on the run's eigenvalues and grid
+MATRIX_GIBBS_TRACE_DIST = "0x1.bcd6e4b0973c0p-13"
 # the thermal pipeline's formulas, as `gibbs` writes them to summary.json
 GIBBS_FORMULAS = {
     "C_B": "coefficient state over 2J+1 nodes, log2 J gates",
