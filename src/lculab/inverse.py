@@ -289,23 +289,22 @@ def t_circuit_expectation(grid: InverseGrid, mp: MarkedPartition) -> float:
     return mp.pi_u * float(weights @ f) / grid.gamma
 
 
-def outcome_distribution(true_value: float, m: int) -> np.ndarray:
-    """The exact M-point phase-estimation outcome distribution for an amplitude.
-
-    Pr(y) = sin^2(M pi d_y) / (M^2 sin^2(pi d_y)) with d_y = theta - y/M and
-    theta = asin(sqrt(a))/pi; the removable singularity at d_y = 0 takes its
-    limit value 1. Sums to 1 exactly for every M.
-    """
-    if not (0.0 <= true_value <= 1.0):
-        raise ValidationError(f"amplitude must be in [0, 1], got {true_value!r}")
-    if m < 1:
-        raise ValidationError("m must be positive")
-    theta = math.asin(math.sqrt(true_value)) / math.pi
-    delta = theta - np.arange(m) / m
-    sin_delta = np.sin(np.pi * delta)
-    tiny = np.abs(sin_delta) < 1e-15
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(tiny, 1.0, np.sin(m * np.pi * delta) ** 2 / (m**2 * sin_delta**2))
+def _fejer_outcome(theta: float, m: int, u: float) -> int:
+    """Inverse transform: the outcome in [0, M) that a uniform u in [0, 1) draws.
+    Walk k = 0, +1, -1, +2, ... mod M from y0 = round(M theta) = M theta - f, adding
+    Pr(y0 + k) = (sin(pi f) / (M sin(pi (f - k) / M)))^2 (1 at a zero denominator) until
+    the sum passes u: O(log M) steps expected, as tails fall like 1/(pi^2 k^2). Roundoff
+    alone, in at most about M 2^-53 of all u, leaves u unpassed: the last outcome is taken."""
+    y0 = round(m * theta)
+    f = m * theta - y0
+    s, total = math.sin(math.pi * f), 0.0
+    for step in range(m):
+        k = (step + 1) // 2 if step % 2 else -(step // 2)
+        den = m * math.sin(math.pi * (f - k) / m)
+        total += 1.0 if den == 0.0 else (s / den) ** 2
+        if total > u:
+            break
+    return (y0 + k) % m
 
 
 def amplitude_estimation(
@@ -318,29 +317,30 @@ def amplitude_estimation(
     """Sample the canonical phase-estimation estimate of an amplitude in [0, 1].
 
     The M-point outcome distribution Pr(y) = sin^2(M pi d_y)/(M^2 sin^2(pi d_y)),
-    d_y = theta - y/M with theta = asin(sqrt(a))/pi, is sampled exactly; the
-    estimate is sin^2(pi y / M). M = ceil(c/eps) rounded up to even so that
-    a = 0 and a = 1 sit exactly on the grid. Confidence above the single-run
-    level 8/pi^2 is bought by median boosting; returns (estimate, total grover
-    queries).
+    d_y = theta - y/M with theta = asin(sqrt(a))/pi, is sampled exactly, one
+    uniform per outcome, by `_fejer_outcome`; the estimate is sin^2(pi y / M).
+    M = ceil(c/eps) rounded up to even so that a = 0 and a = 1 sit exactly on
+    the grid. Confidence above the single-run level 8/pi^2 is bought by median
+    boosting; returns (estimate, total grover queries).
     """
     if not epsilon > 0:
         raise ValidationError("epsilon must be positive")
     if not (0.0 < confidence < 1.0):
         raise ValidationError("confidence must be in (0, 1)")
     check_seed(seed)
+    if not (0.0 <= true_value <= 1.0):
+        raise ValidationError(f"amplitude must be in [0, 1], got {true_value!r}")
     m = math.ceil(constants.ae_query_constant / epsilon)
     m += m % 2
-    probs = outcome_distribution(true_value, m)
-    probs = probs / probs.sum()
     if confidence <= BASE_CONFIDENCE + 1e-12:
         repetitions = 1
     else:
         repetitions = 1 + 2 * math.ceil(
             constants.ae_boost_constant * math.log(1.0 / (1.0 - confidence))
         )
+    theta = math.asin(math.sqrt(true_value)) / math.pi
     rng = np.random.default_rng([seed])
-    outcomes = rng.choice(m, size=repetitions, p=probs)
+    outcomes = np.array([_fejer_outcome(theta, m, u) for u in rng.random(repetitions)])
     estimates = np.sin(np.pi * outcomes / m) ** 2
     return float(np.median(estimates)), repetitions * m
 

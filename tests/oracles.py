@@ -10,11 +10,13 @@ and evolution-family LCUs with the exact dilation, the dense sparse-chain
 assembly, the eigenvector-based chain validation, the walk Hamiltonian H_U
 cut from the full discriminant and checked against two other constructions,
 the hitting time through H_U^{-1} (the closed form the package's resolvent is
-checked against), the y-series at 30 or 40 digits and a thermal run's fields
-at 40, and the random operators and chain families the tests draw from.
-Each object is small, dense and exact, and nothing in `lculab` imports it.
-The JSON Schemas of the CLI configs live here too: the CLI's field readers
-are held to the verdicts of these schemas and the typing that followed them.
+checked against), the exact M-point outcome distribution of amplitude
+estimation (the reference for the sampler's walk), the y-series at 30 or 40
+digits and a thermal run's fields at 40, and the random operators and chain
+families the tests draw from. Each object is small, dense and exact, and
+nothing in `lculab` imports it. The JSON Schemas of the CLI configs live here
+too: the CLI's field readers are held to the verdicts of these schemas and
+the typing that followed them.
 """
 
 from __future__ import annotations
@@ -528,11 +530,20 @@ class EvolutionLcu:
     def _own_filter(self) -> np.ndarray:
         """F on the spectrum of H~. Its zero modes (|E| <= 1e-9, as
         `_check_spectrum` counts them) share F(0), evaluated once: F is even,
-        so F(E) - F(0) = O(E^2), far below the roundoff of F."""
+        so F(E) - F(0) = O(E^2), far below the roundoff of F. H~ couples
+        ancilla level 0 only to the other levels, so its live spectrum is
+        symmetric about 0: F is evaluated on the positive eigenvalues, in
+        ascending order, and mirrored onto the negative ones, in descending
+        order, which moves it at roundoff only."""
         w, _ = self.hamiltonian.operator.eigensystem
-        live = np.abs(w) > 1e-9
+        pos, neg = w > 1e-9, w < -1e-9
+        if pos.sum() != neg.sum():
+            raise ValidationError(
+                f"H~ has {pos.sum()} positive and {neg.sum()} negative live eigenvalues"
+            )
         f = np.full(w.shape, self.filter_values(np.zeros(1))[0])
-        f[live] = self.filter_values(w[live])
+        f[pos] = self.filter_values(w[pos])
+        f[neg] = f[pos][::-1]
         return f
 
     def apply_sum(self, x: np.ndarray) -> np.ndarray:
@@ -1012,6 +1023,26 @@ def complex_path_hitting(mp: MarkedPartition, epsilon: float) -> tuple[InverseGr
     grid = calibrate_inverse_grid(float(eigs[0]), epsilon)
     weights = np.abs(vecs.conj().T @ mp.sqrt_pi_u) ** 2
     return grid, mp.pi_u * float(weights @ grid.inverse_filter(eigs)) / grid.gamma
+
+
+def outcome_distribution(true_value: float, m: int) -> np.ndarray:
+    """The exact M-point phase-estimation outcome distribution for an amplitude,
+    the reference `inverse.amplitude_estimation`'s sampler is checked against.
+
+    Pr(y) = sin^2(M pi d_y) / (M^2 sin^2(pi d_y)) with d_y = theta - y/M and
+    theta = asin(sqrt(a))/pi; the removable singularity at d_y = 0 takes its
+    limit value 1. Sums to 1 exactly for every M.
+    """
+    if not (0.0 <= true_value <= 1.0):
+        raise ValidationError(f"amplitude must be in [0, 1], got {true_value!r}")
+    if m < 1:
+        raise ValidationError("m must be positive")
+    theta = math.asin(math.sqrt(true_value)) / math.pi
+    delta = theta - np.arange(m) / m
+    sin_delta = np.sin(np.pi * delta)
+    tiny = np.abs(sin_delta) < 1e-15
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(tiny, 1.0, np.sin(m * np.pi * delta) ** 2 / (m**2 * sin_delta**2))
 
 
 # ---------------------------------------------------------------------------

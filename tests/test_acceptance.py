@@ -14,7 +14,6 @@ from lculab.inverse import (
     HittingTimeTask,
     calibrate_inverse_grid,
     estimate_hitting_time,
-    outcome_distribution,
 )
 from lculab.cost import fit_scaling, theorem2_cost, theorem2_log_correction
 from lculab.errors import ValidationError
@@ -35,6 +34,7 @@ from oracles import (
     exact_hitting_time_inverse,
     hs_lcu,
     inverse_lcu,
+    outcome_distribution,
     psd_split,
     random_projector,
     random_psd,
@@ -335,7 +335,7 @@ def test_criterion_9_amplitude_estimation():
         for a in (0.0, 0.13, 0.5, 0.77, 1.0):
             probs = outcome_distribution(a, m_check)
             assert abs(probs.sum() - 1.0) <= 1e-10
-    from lculab.inverse import amplitude_estimation
+    from lculab.inverse import _fejer_outcome, amplitude_estimation
 
     for a in (0.0, 1.0):
         est, _ = amplitude_estimation(a, epsilon, seed=3)
@@ -343,8 +343,8 @@ def test_criterion_9_amplitude_estimation():
     rng = np.random.default_rng(SEED + 9)
     coverages = {}
     for a in (0.1, 0.3, 0.7):
-        probs = outcome_distribution(a, m)
-        outcomes = rng.choice(m, size=10_000, p=probs / probs.sum())
+        theta = math.asin(math.sqrt(a)) / math.pi
+        outcomes = np.array([_fejer_outcome(theta, m, u) for u in rng.random(10_000)])
         estimates = np.sin(np.pi * outcomes / m) ** 2
         coverage = float(np.mean(np.abs(estimates - a) <= epsilon))
         assert coverage >= 0.81

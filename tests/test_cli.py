@@ -329,10 +329,12 @@ class TestHittingCommand:
         doubles = st.floats(min_value=0.0, max_value=1e308, exclude_min=True)
         near = st.floats(min_value=0.0, max_value=2.0, exclude_min=True)
         bound = data.draw(st.none() | st.sampled_from([math.nan, math.inf]) | doubles | near)
-        # Below 1e-4 the two-state chain's run takes seconds before it exits 0
-        # or 3 (17 s at 1e-8, 21 s at 5e-10): the inner y-grid's calibration
-        # and the left-rule z-grid are slow on a tiny gap bound. From 1e-4 up it
-        # ends within 1.5 s. So oracle-free hitting leaves [1e-10, 1e-4) out.
+        # Oracle-free hitting leaves [1e-10, 1e-4) out. On the two-state chain
+        # every bound tried there, from 1e-10 to 8e-5, exits 3 within 0.35 s
+        # on a 2-core host, except 1e-8: it takes 1.6-5 s before the work
+        # budget stops its grid at K = 2.07e10. The window stays until the
+        # budget is counted in table arguments. From 1e-4 up a run ends
+        # within 1.5 s.
         assume(command == "gibbs" or mode == "desk" or not 1e-10 <= (bound or 0) < 1e-4)
         out = tmp_path / "out"
         shutil.rmtree(out, ignore_errors=True)

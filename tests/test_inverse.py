@@ -1,11 +1,13 @@
 import logging
 import math
+import tracemalloc
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import stats
 
 from lculab import inverse, lcu
 from lculab.errors import CalibrationError, ValidationError
@@ -17,7 +19,6 @@ from lculab.inverse import (
     calibrate_inverse_grid,
     estimate_hitting_time,
     exit_certificate,
-    outcome_distribution,
     t_circuit_expectation,
 )
 from lculab.markov import lazy_cycle, mark_states, validate_chain
@@ -30,6 +31,7 @@ from oracles import (
     exact_hitting_time_inverse,
     exponential_grid_error,
     inverse_lcu,
+    outcome_distribution,
     perturbed_unitary,
     psd_split,
     random_reversible_chain,
@@ -526,8 +528,8 @@ class TestAmplitudeEstimation:
         rng = np.random.default_rng(99)
         m = math.ceil(math.pi / eps)
         m += m % 2
-        probs = outcome_distribution(0.3, m)
-        outcomes = rng.choice(m, size=runs, p=probs / probs.sum())
+        theta, _ = _walk_order(0.3, m)
+        outcomes = np.array([inverse._fejer_outcome(theta, m, u) for u in rng.random(runs)])
         estimates = np.sin(np.pi * outcomes / m) ** 2
         hits = int(np.sum(np.abs(estimates - 0.3) <= eps))
         assert hits / runs >= 0.81
@@ -541,6 +543,72 @@ class TestAmplitudeEstimation:
         a = amplitude_estimation(0.42, 0.03, seed=11)
         b = amplitude_estimation(0.42, 0.03, seed=11)
         assert a == b
+
+    def test_rejects_amplitude_outside_unit_interval(self):
+        for a in (-1e-300, 1.0 + 2**-52, float("nan")):
+            with pytest.raises(ValidationError, match=r"amplitude must be in \[0, 1\]"):
+                amplitude_estimation(a, 0.1)
+
+    @pytest.mark.parametrize("m", [16, 20])
+    @pytest.mark.parametrize("a", [0.13, 0.3, 0.77])
+    def test_walk_is_the_oracle_inverse_transform(self, m, a):
+        # c_k: the oracle's probabilities summed in walk order. The walk must
+        # turn at each c_k, to within 1e-12.
+        theta, order = _walk_order(a, m)
+        c = np.cumsum(outcome_distribution(a, m)[order])
+        for k in range(m):
+            assert inverse._fejer_outcome(theta, m, c[k] - 1e-12) == order[k]
+            if k + 1 < m:
+                assert inverse._fejer_outcome(theta, m, c[k] + 1e-12) == order[k + 1]
+
+    @pytest.mark.parametrize("m,a", [(20, 0.3), (38, 0.123), (9198, 0.0123)])
+    def test_walk_draws_match_the_oracle(self, m, a):
+        # 2e4 seeded uniforms through the walk; adjacent outcomes are pooled
+        # until each bin expects at least 5, and the chi-square statistic is
+        # held to its 1e-6 upper quantile.
+        n = 20_000
+        theta, _ = _walk_order(a, m)
+        draws = [inverse._fejer_outcome(theta, m, u) for u in np.random.default_rng(0).random(n)]
+        observed = np.bincount(draws, minlength=m)
+        expected = n * outcome_distribution(a, m)
+        bins, obs, exp = [], 0.0, 0.0
+        for o, e in zip(observed, expected):
+            obs, exp = obs + o, exp + e
+            if exp >= 5:
+                bins.append([obs, exp])
+                obs = exp = 0.0
+        bins[-1][0] += obs
+        bins[-1][1] += exp
+        obs_b, exp_b = np.array(bins).T
+        statistic = float(np.sum((obs_b - exp_b) ** 2 / exp_b))
+        assert statistic < stats.chi2.isf(1e-6, len(bins) - 1)
+
+    def test_walk_ends_on_a_uniform_one_ulp_below_one(self):
+        # At M = 16, a = 0.3 the walk's sum of all 16 probabilities is
+        # 1 - 3.3e-16, below this u: the walk still ends after M outcomes,
+        # on the last one it visits.
+        theta, order = _walk_order(0.3, 16)
+        y = inverse._fejer_outcome(theta, 16, np.nextafter(1.0, 0.0))
+        assert 0 <= y < 16 and y == order[-1]
+
+    def test_sampler_holds_no_outcome_array(self):
+        # M = 4e7 outcomes: an M-point array of probabilities alone is 320 MB.
+        tracemalloc.start()
+        try:
+            _, queries = amplitude_estimation(0.3, math.pi / 4e7, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert queries >= 4e7
+        assert peak < 1 << 20
+
+
+def _walk_order(a, m):
+    """theta and the outcomes in the order the sampler's walk visits them:
+    round(M theta) + 0, +1, -1, +2, -2, ... mod M."""
+    theta = math.asin(math.sqrt(a)) / math.pi
+    y0 = round(m * theta)
+    return theta, [(y0 + ((s + 1) // 2 if s % 2 else -(s // 2))) % m for s in range(m)]
 
 
 class TestEstimateHittingTime:
