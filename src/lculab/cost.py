@@ -64,7 +64,7 @@ class CostReport:
 
 def log_over_loglog(ratio: float) -> float:
     """ln(r)/lnln(r) with the lnln factor clamped at 1 for r <= e^e (and ln clamped at 0)."""
-    log_r = max(math.log(ratio), 0.0)
+    log_r = 0.0 if ratio <= 1.0 else math.log(ratio)
     loglog = math.log(log_r) if log_r > 1.0 else 0.0
     return log_r / max(loglog, 1.0)
 
@@ -201,6 +201,8 @@ def hitting_eps_prime(delta_lower: float, epsilon: float, constants: Constants) 
 
 def _theorem2_log_and_tau(delta_lower: float, epsilon: float, d: float) -> tuple[float, float]:
     """ln(1/(eps Delta)) and Theorem 2's tau = |t| d^2 at t = ln(1/(eps Delta))/sqrt(Delta)."""
+    if epsilon * delta_lower > 1.0:
+        raise ValidationError(f"eps Delta must be at most 1, got eps {epsilon!r}, Delta {delta_lower!r}")
     log_inv = math.log(1.0 / (epsilon * delta_lower))
     return log_inv, log_inv / math.sqrt(delta_lower) * d * d
 

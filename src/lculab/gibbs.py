@@ -53,7 +53,8 @@ _MAX_J = 10**7
 @dataclass(frozen=True)
 class HsGrid:
     """Symmetric Gaussian node grid y_j = j * delta_y, j = -J..J, with weights
-    w_j = delta_y exp(-y_j^2/2)/sqrt(2 pi)."""
+    w_j = delta_y exp(-y_j^2/2)/sqrt(2 pi). It answers its own sample test
+    (`error_bounds`, `sample_error`); an `InverseGrid`'s inner grid is one."""
 
     j_max: int
     delta_y: float
@@ -67,10 +68,47 @@ class HsGrid:
     def weight_sum(self) -> float:
         return gaussian_weight_sum(self.delta_y, self.j_max)
 
+    @property
+    def evolution_time(self) -> float:
+        """The longest evolution the combination applies, t = y_J sqrt(beta)."""
+        return self.y_max * math.sqrt(self.beta)
+
     def kernel(self, x) -> np.ndarray:
         """The scalar filter sum_j w_j exp(-i y_j sqrt(beta x)) for x >= 0 (real by symmetry)."""
         a = np.sqrt(self.beta * np.asarray(x, dtype=float))
         return gaussian_cosine_series(a, self.delta_y, self.j_max)
+
+    def sample_error(self, samples: np.ndarray) -> tuple[float, float]:
+        """The sample test's max error |exp(-beta x/2) - kernel(x)|, as (err, err)."""
+        approx = self.kernel(samples)
+        err = float(np.max(np.abs(np.exp(-self.beta * samples / 2) - approx)))
+        return err, err
+
+    def error_bounds(self, samples: np.ndarray) -> tuple[float, float]:
+        """An interval (lo, hi) that holds the error `sample_error` computes, in closed form.
+
+        At a = sqrt(beta x) the kernel is exp(-a^2/2) plus the Poisson images, all
+        positive, minus a truncation tail of size at most erfc(J delta_y/sqrt(2))
+        (`cosine_series_bounds`). So every sample's error is at most images(a_max)
+        + tail, at least the m = 1 image exp(-(2 pi/delta_y - a)^2/2) minus the
+        tail, and at a = 0, where the kernel is the weight sum, at least the
+        weight past |j| = J, erfc((J+1) delta_y/sqrt(2)), minus images(0). Each
+        end is widened by eta = roundoff + 8u + 1e-9 (images + tail): the series'
+        own error, the float evaluation of exp(-beta x/2) (whose argument differs
+        from a^2/2 by 3 ulps) and the subtraction, and that of the bound terms.
+        The kernel's arguments are computed as `kernel` computes them.
+        """
+        dy, j_max = self.delta_y, self.j_max
+        a = np.sqrt(self.beta * samples)
+        images, tail, roundoff = cosine_series_bounds(float(a.max()), dy, j_max)
+        if images == math.inf:
+            return -math.inf, math.inf
+        eta = roundoff + 8.0 * UNIT_ROUNDOFF + 1e-9 * (images + tail)
+        lo = float(np.max(np.exp(-0.5 * (2.0 * math.pi / dy - a) ** 2))) - tail
+        if a.min() == 0.0:
+            beyond = math.erfc((j_max + 1) * dy / math.sqrt(2.0))
+            lo = max(lo, beyond - cosine_series_bounds(0.0, dy, j_max)[0])
+        return lo - eta, images + tail + eta
 
 
 def _trial_grid(delta_y: float, y_max: float, beta: float) -> HsGrid:
@@ -80,45 +118,6 @@ def _trial_grid(delta_y: float, y_max: float, beta: float) -> HsGrid:
             f"node grid delta_y={delta_y:.3g}, y_max={y_max:.3g} needs over {_MAX_J} nodes"
         )
     return HsGrid(j_max=max(1, math.ceil(y_max / delta_y)), delta_y=delta_y, beta=beta)
-
-
-def _grid_error(
-    delta_y: float, y_max: float, beta: float, samples: np.ndarray
-) -> tuple[float, float]:
-    """The sample test's max error |exp(-beta x/2) - kernel(x)|, computed on the
-    kernel, as the degenerate interval (err, err)."""
-    approx = _trial_grid(delta_y, y_max, beta).kernel(samples)
-    err = float(np.max(np.abs(np.exp(-beta * samples / 2) - approx)))
-    return err, err
-
-
-def _error_bounds(
-    delta_y: float, y_max: float, beta: float, samples: np.ndarray
-) -> tuple[float, float]:
-    """An interval (lo, hi) that holds the error `_grid_error` computes, in closed form.
-
-    At a = sqrt(beta x) the kernel is exp(-a^2/2) plus the Poisson images, all
-    positive, minus a truncation tail of size at most erfc(J delta_y/sqrt(2))
-    (`cosine_series_bounds`). So every sample's error is at most images(a_max)
-    + tail, at least the m = 1 image exp(-(2 pi/delta_y - a)^2/2) minus the
-    tail, and at a = 0, where the kernel is the weight sum, at least the
-    weight past |j| = J, erfc((J+1) delta_y/sqrt(2)), minus images(0). Each
-    end is widened by eta = roundoff + 8u + 1e-9 (images + tail): the series'
-    own error, the float evaluation of exp(-beta x/2) (whose argument differs
-    from a^2/2 by 3 ulps) and the subtraction, and that of the bound terms.
-    The kernel's arguments are computed as `HsGrid.kernel` computes them.
-    """
-    grid = _trial_grid(delta_y, y_max, beta)
-    a = np.sqrt(beta * samples)
-    images, tail, roundoff = cosine_series_bounds(float(a.max()), delta_y, grid.j_max)
-    if images == math.inf:
-        return -math.inf, math.inf
-    eta = roundoff + 8.0 * UNIT_ROUNDOFF + 1e-9 * (images + tail)
-    lo = float(np.max(np.exp(-0.5 * (2.0 * math.pi / delta_y - a) ** 2))) - tail
-    if a.min() == 0.0:
-        beyond = math.erfc((grid.j_max + 1) * delta_y / math.sqrt(2.0))
-        lo = max(lo, beyond - cosine_series_bounds(0.0, delta_y, grid.j_max)[0])
-    return lo - eta, images + tail + eta
 
 
 def _sample_points(norm_bound: float) -> np.ndarray:
@@ -133,12 +132,13 @@ def calibrate_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> H
     Starts from the unit-constant seed delta_y = 1/sqrt(norm * beta * ln(1/eps'))
     and y_max = sqrt(ln(1/eps')), then halves delta_y or grows y_max, whichever
     gives the smaller max error over 64 samples, until that error is below
-    eps'/2. Each error is first bounded in closed form (`_error_bounds`): a grid
-    is accepted or rejected on the bound, and a refinement chosen on it, only
+    eps'/2. Each trial grid is built once and bounds its own error in closed
+    form (`HsGrid.error_bounds`): a grid is accepted or rejected on the bound,
+    and a refinement chosen on it, only
     where the intervals decide what the errors would, so the bound never
     changes a grid. Only the comparisons it leaves open run the cosine kernel
-    (`_grid_error`). A grid the kernel rejects while its discretization bound
-    (images + tail at a_max = sqrt(beta norm)) is at most half the target
+    (`HsGrid.sample_error`). A grid the kernel rejects while its discretization
+    bound (images + tail at a_max = sqrt(beta norm)) is at most half the target
     misses on the kernel's roundoff, which no refinement lowers: halving
     delta_y or growing J only raises it, so that grid fails the calibration
     at once. It warns about nothing, since the calibration test is
@@ -165,44 +165,43 @@ def calibrate_hs_grid(norm_bound: float, beta: float, epsilon_prime: float) -> H
 
     # Each err is an interval (lo, hi) holding a trial grid's error; the
     # kernel's own error is the interval (err, err).
-    err = _error_bounds(delta_y, y_max, beta, samples)
+    grid = _trial_grid(delta_y, y_max, beta)
+    err = grid.error_bounds(samples)
     for iteration in range(MAX_REFINEMENTS):
         if err[0] <= target < err[1]:
-            err = _grid_error(delta_y, y_max, beta, samples)
+            err = grid.sample_error(samples)
         if err[1] <= target:
             break
         if err[0] == err[1]:
-            j_max = _trial_grid(delta_y, y_max, beta).j_max
-            images, tail, _ = cosine_series_bounds(a_max, delta_y, j_max)
+            images, tail, _ = cosine_series_bounds(a_max, grid.delta_y, grid.j_max)
             if images + tail <= target / 2:
                 raise CalibrationError(
-                    f"node grid failed to reach {target:.3e}: at delta_y={delta_y:.3g}, "
-                    f"J={j_max} the kernel errs by {err[1]:.3e} with a discretization "
+                    f"node grid failed to reach {target:.3e}: at delta_y={grid.delta_y:.3g}, "
+                    f"J={grid.j_max} the kernel errs by {err[1]:.3e} with a discretization "
                     f"bound of {images + tail:.3e}, so its roundoff misses the target"
                 )
-        err_half = _error_bounds(delta_y / 2, y_max, beta, samples)
-        err_grow = _error_bounds(delta_y, 1.5 * y_max, beta, samples)
+        half = _trial_grid(grid.delta_y / 2, y_max, beta)
+        grow = _trial_grid(grid.delta_y, 1.5 * y_max, beta)
+        err_half, err_grow = half.error_bounds(samples), grow.error_bounds(samples)
         if not (err_half[1] <= err_grow[0] or err_grow[1] < err_half[0]):
-            err_half = _grid_error(delta_y / 2, y_max, beta, samples)
-            err_grow = _grid_error(delta_y, 1.5 * y_max, beta, samples)
+            err_half, err_grow = half.sample_error(samples), grow.sample_error(samples)
         if err_half[1] <= err_grow[0]:
-            delta_y /= 2
-            err = err_half
+            grid, err = half, err_half
         else:
             y_max *= 1.5
-            err = err_grow
+            grid, err = grow, err_grow
         logger.debug(
             "hs-grid calibration %d: delta_y=%.3g y_max=%.3g err in [%.3e, %.3e] target=%.3e",
-            iteration, delta_y, y_max, err[0], err[1], target,
+            iteration, grid.delta_y, y_max, err[0], err[1], target,
         )
     else:
         if err[0] != err[1]:
-            err = _grid_error(delta_y, y_max, beta, samples)
+            err = grid.sample_error(samples)
         raise CalibrationError(
             f"node grid failed to reach {target:.3e} in {MAX_REFINEMENTS} refinements "
             f"(err={err[1]:.3e})"
         )
-    return _trial_grid(delta_y, y_max, beta)
+    return grid
 
 
 @dataclass(frozen=True)
@@ -322,8 +321,7 @@ def prepare_gibbs(task: GibbsTask) -> GibbsResult:
     populations = f**2 / np.sum(f**2)
     dist = 0.5 * float(np.sum(np.abs(populations - boltzmann / np.sum(boltzmann))))
 
-    t_max = grid.y_max * math.sqrt(task.beta)
-    c_w = presentation_gate_cost(t_max, task.weights, eps_prime, constants)
+    c_w = presentation_gate_cost(grid.evolution_time, task.weights, eps_prime, constants)
     cost = thermal_ledger(
         CostEntry(c_w, "evolution gate model at t = y_J sqrt(beta), precision eps'"), n_dim,
         grid.j_max, CostEntry(rounds, "ceil(c/asin(a)) at the measured amplitude"),

@@ -33,13 +33,13 @@ Each calibration round is first bounded in closed form, in O(samples). The
 inner y-sum is the trapezoid rule for a Gaussian, so by Poisson summation it
 is exp(-z x) plus an aliasing term and minus a truncation tail, both bounded
 explicitly; the left z-sum of exp(-z x) is geometric. That gives an interval
-(lo, hi) holding the sample test's max error (`exit_certificate`), with a
-margin for roundoff. A round is accepted when hi is within target and
+(lo, hi) holding the sample test's max error (`InverseGrid.error_bounds`),
+with a margin for roundoff. A round is accepted when hi is within target and
 rejected when lo is past it, where the sample test would give the same
 verdict, so the interval never changes a grid; only a round whose interval
-holds the target evaluates the filter, in one call on all samples. The
-inner y-grid's calibration applies the same rule to the same Poisson bound
-(`calibrate_hs_grid`), and runs only when z_K changes.
+holds the target evaluates the filter (`sample_error`), on all samples. The
+grid holds its inner y-grid, the `HsGrid` at beta = 2 z_K, whose calibration
+settles its rounds by the same two methods and runs only when z_K changes.
 """
 
 from __future__ import annotations
@@ -55,14 +55,8 @@ from .constants import DEFAULT_CONSTANTS, Constants
 from .cost import CostEntry, CostReport, hitting_eps_prime, hitting_ledger, presentation_gate_cost
 from .errors import CalibrationError, ValidationError
 from .gap_amplification import split_indices
-from .gibbs import MAX_REFINEMENTS, SAMPLE_COUNT, TARGET_MARGIN, calibrate_hs_grid
-from .lcu import (
-    UNIT_ROUNDOFF,
-    GaussianCosineTable,
-    cosine_series_bounds,
-    cosine_table_bound,
-    gaussian_weight_sum,
-)
+from .gibbs import MAX_REFINEMENTS, SAMPLE_COUNT, TARGET_MARGIN, HsGrid, calibrate_hs_grid
+from .lcu import UNIT_ROUNDOFF, GaussianCosineTable, cosine_series_bounds, cosine_table_bound
 from .markov import MarkedPartition, check_seed, exact_hitting_time_resolvent, expected_mc_cost
 
 logger = logging.getLogger(__name__)
@@ -81,7 +75,8 @@ _X_MAX = 1.0 + 1e-6
 
 @dataclass(frozen=True)
 class InverseGrid:
-    """Double grid z_k = k*delta_z (k = 0..K) and y_j = j*delta_y (j = -J..J).
+    """Double grid z_k = k*delta_z (k = 0..K) over `inner`, the y-grid
+    y_j = j*delta_y (j = -J..J) calibrated for exp(-z_K x) at beta = 2 z_K.
 
     The combination sum_{k,j} delta_z w_j exp(-i y_j sqrt(2 z_k) H~)
     approximates H^{-1} on spectra inside [delta_lower, 1]; gamma, the total
@@ -91,8 +86,15 @@ class InverseGrid:
     delta_lower: float
     delta_z: float
     k_max: int
-    delta_y: float
-    j_max: int
+    inner: HsGrid
+
+    @property
+    def delta_y(self) -> float:
+        return self.inner.delta_y
+
+    @property
+    def j_max(self) -> int:
+        return self.inner.j_max
 
     @property
     def z_max(self) -> float:
@@ -103,12 +105,8 @@ class InverseGrid:
         return np.arange(self.k_max + 1) * self.delta_z
 
     @property
-    def y_max(self) -> float:
-        return self.j_max * self.delta_y
-
-    @property
     def gamma(self) -> float:
-        return (self.k_max + 1) * self.delta_z * gaussian_weight_sum(self.delta_y, self.j_max)
+        return (self.k_max + 1) * self.delta_z * self.inner.weight_sum
 
     @cached_property
     def table(self) -> GaussianCosineTable:
@@ -152,44 +150,47 @@ class InverseGrid:
         rounded += series[1:]
         return self.delta_z * (sums[-1] + np.cumsum(errors, axis=0, out=errors)[-1])
 
+    def sample_error(self, samples: np.ndarray) -> tuple[float, float]:
+        """The sample test's max error |1/x - inverse_filter(x)|, as (err, err)."""
+        err = float(np.max(np.abs(1.0 / samples - self.inverse_filter(samples))))
+        return err, err
 
-def exit_certificate(grid: InverseGrid, samples: np.ndarray) -> tuple[float, float]:
-    """An interval (lo, hi) that holds the sample test's max error
-    max |1/x - inverse_filter(x)|, in closed form.
+    def error_bounds(self, samples: np.ndarray) -> tuple[float, float]:
+        """An interval (lo, hi) that holds the error `sample_error` computes, in closed form.
 
-    With G(x) = delta_z expm1(-(K+1) delta_z x) / expm1(-delta_z x), the left
-    z-sum of exp(-z x), the filter lies within B = (K+1) delta_z (images +
-    tail) of G wherever a_max = sqrt(2 z_K max x) < pi/delta_y, where images
-    and tail are the y-sum's Poisson images and truncation tail at a_max
-    (`cosine_series_bounds`). The computed filter differs from the exact one
-    by at most the roundoff margin, with u = 2^-53 and s = 1 + delta_y,
-        eta(x) = (K+1) delta_z [roundoff + 2 (K+1) s u] + 64 u/x + 1e-9 B,
-    where roundoff bounds each y-series value the grid's `table` reads off
-    (`cosine_table_bound`: coefficient and phase rounding, Chebyshev
-    truncation and Clenshaw roundoff), the z-sum adds K+1 series, each at
-    most s in size, with its additions' rounding errors added back in (which
-    errs by less than the plain sum the term covers), 64 u/x covers 1/x, the
-    final scaling and subtraction, and the float evaluation of G, and 1e-9 B
-    covers that of images and tail.
-    So lo = max(|G - 1/x| - B - eta) and hi = max(|G - 1/x| + B + eta); at
-    a_max >= pi/delta_y the interval is (-inf, inf).
-    """
-    k1, dz, dy = grid.k_max + 1, grid.delta_z, grid.delta_y
-    # sqrt(2 z_K x) rounds at most 2u low, so the factor keeps a_max an upper bound.
-    a_max = math.sqrt(2.0 * grid.z_max * float(samples.max())) * (1.0 + 4.0 * UNIT_ROUNDOFF)
-    images, tail, _ = cosine_series_bounds(a_max, dy, grid.j_max)
-    if images == math.inf:
-        return -math.inf, math.inf
-    bound = k1 * dz * (images + tail)
-    geometric = dz * np.expm1(-k1 * dz * samples) / np.expm1(-dz * samples)
-    gap = np.abs(geometric - 1.0 / samples)
-    roundoff = cosine_table_bound(a_max, dy, grid.j_max)
-    eta = (
-        k1 * dz * (roundoff + 2.0 * k1 * (1.0 + dy) * UNIT_ROUNDOFF)
-        + 64.0 * UNIT_ROUNDOFF / samples
-        + 1e-9 * bound
-    )
-    return float(np.max(gap - bound - eta)), float(np.max(gap + bound + eta))
+        With G(x) = delta_z expm1(-(K+1) delta_z x) / expm1(-delta_z x), the left
+        z-sum of exp(-z x), the filter lies within B = (K+1) delta_z (images +
+        tail) of G wherever a_max = sqrt(2 z_K max x) < pi/delta_y, where images
+        and tail are the y-sum's Poisson images and truncation tail at a_max
+        (`cosine_series_bounds`). The computed filter differs from the exact one
+        by at most the roundoff margin, with u = 2^-53 and s = 1 + delta_y,
+            eta(x) = (K+1) delta_z [roundoff + 2 (K+1) s u] + 64 u/x + 1e-9 B,
+        where roundoff bounds each y-series value the grid's `table` reads off
+        (`cosine_table_bound`: coefficient and phase rounding, Chebyshev
+        truncation and Clenshaw roundoff), the z-sum adds K+1 series, each at
+        most s in size, with its additions' rounding errors added back in (which
+        errs by less than the plain sum the term covers), 64 u/x covers 1/x, the
+        final scaling and subtraction, and the float evaluation of G, and 1e-9 B
+        covers that of images and tail.
+        So lo = max(|G - 1/x| - B - eta) and hi = max(|G - 1/x| + B + eta); at
+        a_max >= pi/delta_y the interval is (-inf, inf).
+        """
+        k1, dz, dy = self.k_max + 1, self.delta_z, self.delta_y
+        # sqrt(2 z_K x) rounds at most 2u low, so the factor keeps a_max an upper bound.
+        a_max = math.sqrt(2.0 * self.z_max * float(samples.max())) * (1.0 + 4.0 * UNIT_ROUNDOFF)
+        images, tail, _ = cosine_series_bounds(a_max, dy, self.j_max)
+        if images == math.inf:
+            return -math.inf, math.inf
+        bound = k1 * dz * (images + tail)
+        geometric = dz * np.expm1(-k1 * dz * samples) / np.expm1(-dz * samples)
+        gap = np.abs(geometric - 1.0 / samples)
+        roundoff = cosine_table_bound(a_max, dy, self.j_max)
+        eta = (
+            k1 * dz * (roundoff + 2.0 * k1 * (1.0 + dy) * UNIT_ROUNDOFF)
+            + 64.0 * UNIT_ROUNDOFF / samples
+            + 1e-9 * bound
+        )
+        return float(np.max(gap - bound - eta)), float(np.max(gap + bound + eta))
 
 
 def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
@@ -201,11 +202,11 @@ def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
     eps. On failure the exponential tail diagnostic decides whether to double
     z_K or halve delta_z. The exit test is the full double sum against 1/x on
     64 samples of [Delta, 1]: a grid is accepted only when every sample is
-    within target. Each round's error is first bounded by `exit_certificate`'s
-    interval (lo, hi), and a round is accepted at hi <= target and rejected at
-    lo > target, as `calibrate_hs_grid` settles its rounds. Only a round with
-    lo <= target < hi evaluates the filter, in one call on all samples, so
-    the interval changes no grid.
+    within target. Each round's error is first bounded by the grid's
+    `error_bounds` interval (lo, hi), and a round is accepted at hi <= target
+    and rejected at lo > target, as `calibrate_hs_grid` settles its rounds.
+    Only a round with lo <= target < hi runs `sample_error`, one filter call
+    on all samples, so the interval changes no grid.
     """
     if not (0 < delta_lower <= 1):
         raise ValidationError(f"delta_lower must be in (0, 1], got {delta_lower!r}")
@@ -220,7 +221,7 @@ def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
     ]))
     target = TARGET_MARGIN * epsilon / 2
 
-    inner_z_max = None
+    inner = None
     for iteration in range(MAX_REFINEMENTS):
         nodes = z_target / delta_z
         if not math.isfinite(nodes):
@@ -230,20 +231,13 @@ def calibrate_inverse_grid(delta_lower: float, epsilon: float) -> InverseGrid:
             )
         k_max = max(1, math.ceil(nodes))
         z_max = k_max * delta_z
-        if z_max != inner_z_max:
-            inner_z_max = z_max
+        if inner is None or inner.beta != 2.0 * z_max:
             inner = calibrate_hs_grid(1.0, 2.0 * z_max, epsilon / (2.0 * z_max))
-        grid = InverseGrid(
-            delta_lower=delta_lower,
-            delta_z=delta_z,
-            k_max=k_max,
-            delta_y=inner.delta_y,
-            j_max=inner.j_max,
-        )
+        grid = InverseGrid(delta_lower=delta_lower, delta_z=delta_z, k_max=k_max, inner=inner)
         # The error is the interval (lo, hi); the filter's own is (err, err).
-        lo, hi = exit_certificate(grid, samples)
+        lo, hi = grid.error_bounds(samples)
         if lo <= target < hi:
-            lo = hi = float(np.max(np.abs(1.0 / samples - grid.inverse_filter(samples))))
+            lo, hi = grid.sample_error(samples)
         logger.debug(
             "inverse-grid calibration %d: z_K=%.3g delta_z=%.3g K=%d J=%d "
             "err in [%.3e, %.3e] target=%.3e",
@@ -415,7 +409,7 @@ def estimate_hitting_time(task: HittingTimeTask, seed: int = 0) -> HittingTimeRe
     )
     t_hat = grid.z_max * estimate_raw
 
-    t_evolve = grid.y_max * math.sqrt(2.0 * grid.z_max)
+    t_evolve = grid.inner.evolution_time
     eigs = mp.spectral_measure[0]
     c_w = presentation_gate_cost(t_evolve, eigs[split_indices(eigs)], task.epsilon_prime, constants)
     cost = hitting_ledger(

@@ -802,12 +802,17 @@ class TestSweeps:
                 "values": [eps]}, "sample count") for eps in (1e-300, 1e-160, 1e300)),
             ({"command": "cost-sweep", "model": "hitting-quantum", "sweep_var": "delta",
               "values": [5e-324]}, "underflows to 0"),
+            # the sweep names its own variable, eps, not Theorem 2's internal tau
+            ({"command": "cost-sweep", "model": "hitting-quantum", "sweep_var": "epsilon",
+              "values": [0.1, 5.0]},
+             "validation failure: eps Delta must be at most 1, got eps 5.0, Delta 0.25"),
             ({"command": "lemma2-sweep", "deltas": [1e-160], "epsilons": [1e-160]}, "inverse grid"),
             ({"command": "hitting", "chain": chain_to_json(lazy_cycle(8), [0]), "epsilon": 1e-300,
               "mode": "oracle-free", "delta_lower_bound": 1e-300}, "inverse grid"),
         ],
         ids=["gibbs-values", "gibbs-fixed", "classical-1e-300", "classical-1e-160",
-             "classical-1e300", "quantum-5e-324", "lemma2", "hitting-oracle-free"],
+             "classical-1e300", "quantum-5e-324", "quantum-eps-delta-past-1", "lemma2",
+             "hitting-oracle-free"],
     )
     def test_out_of_range_arithmetic_exits_three(self, tmp_path, capsys, payload, message):
         config = _write_config(tmp_path, {**payload, "out": str(tmp_path / "out")})

@@ -9,6 +9,7 @@ from lculab.cost import (
     CostEntry,
     fit_scaling,
     hitting_eps_prime,
+    log_over_loglog,
     presentation_gate_cost,
     theorem1_cost,
     theorem2_cost,
@@ -111,6 +112,26 @@ class TestTheorem2:
             theorem2_cost(0.0, 0.1, 3, 32)
         with pytest.raises(ValidationError):
             theorem2_cost(1.5, 0.1, 3, 32)
+
+    def test_eps_delta_past_one_is_a_validation_error(self):
+        # ln(1/(eps Delta)) < 0 would make tau negative; eps Delta = 1 gives tau = 0
+        with pytest.raises(ValidationError, match=r"eps Delta must be at most 1, got eps 5.0, Delta 0.25"):
+            theorem2_log_correction(0.25, 5.0, 3)
+        with pytest.raises(ValidationError, match="eps Delta must be at most 1"):
+            theorem2_cost(0.25, 5.0, 3, 32)
+        assert theorem2_log_correction(0.25, 4.0, 3) == 0.0
+        assert theorem2_cost(0.25, 4.0, 3, 32).value("C_W") == 0.0
+
+
+class TestLogOverLoglog:
+    def test_ln_is_clamped_at_zero(self):
+        assert log_over_loglog(0.0) == 0.0
+        assert log_over_loglog(0.5) == 0.0
+        assert log_over_loglog(1.0) == 0.0
+
+    def test_lnln_is_clamped_at_one_up_to_e_to_the_e(self):
+        assert log_over_loglog(math.e) == math.log(math.e)
+        assert log_over_loglog(1e6) == math.log(1e6) / math.log(math.log(1e6))
 
 
 class TestFitScaling:

@@ -93,7 +93,7 @@ def _kernel_calls(monkeypatch):
 class TestErrorBounds:
     """The closed-form interval against the error the kernel computes.
 
-    `_error_bounds` widens the Poisson bounds by eta = roundoff + 8u +
+    `HsGrid.error_bounds` widens the Poisson bounds by eta = roundoff + 8u +
     1e-9 (images + tail), with roundoff the per-series margin of
     `cosine_series_bounds`; the kernel's own sample test is the oracle.
     """
@@ -114,10 +114,11 @@ class TestErrorBounds:
         delta_y = ratio * math.pi / max(math.sqrt(beta * norm), 1.0)
         samples = gibbs._sample_points(norm)
         assert samples[0] == 0.0
+        grid = gibbs._trial_grid(delta_y, y_max, beta)
         # all 64 samples, the x = 0 sample alone, and the rest without it
         for points in (samples, samples[:1], samples[1:]):
-            lo, hi = gibbs._error_bounds(delta_y, y_max, beta, points)
-            err, _ = gibbs._grid_error(delta_y, y_max, beta, points)
+            lo, hi = grid.error_bounds(points)
+            err, _ = grid.sample_error(points)
             assert lo <= err <= hi
             if ratio < 1:
                 assert hi < math.inf
@@ -126,8 +127,9 @@ class TestErrorBounds:
         # beta = 0: every sample sits at a = 0, where the kernel is the weight
         # sum; the weight past |j| = J sets the error from both sides
         samples = gibbs._sample_points(1.0)
-        lo, hi = gibbs._error_bounds(0.5, 1.0, 0.0, samples)
-        err, _ = gibbs._grid_error(0.5, 1.0, 0.0, samples)
+        grid = gibbs._trial_grid(0.5, 1.0, 0.0)
+        lo, hi = grid.error_bounds(samples)
+        err, _ = grid.sample_error(samples)
         assert 0.5 * err < lo <= err <= hi < 2.0 * err
 
     def test_grids_equal_the_all_kernel_loop(self, monkeypatch):

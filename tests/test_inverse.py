@@ -12,13 +12,13 @@ from scipy import stats
 from lculab import inverse, lcu
 from lculab.errors import CalibrationError, ValidationError
 from lculab import gibbs
+from lculab.gibbs import HsGrid
 from lculab.inverse import (
     HittingTimeTask,
     InverseGrid,
     amplitude_estimation,
     calibrate_inverse_grid,
     estimate_hitting_time,
-    exit_certificate,
     t_circuit_expectation,
 )
 from lculab.markov import lazy_cycle, mark_states, validate_chain
@@ -60,13 +60,7 @@ def _full_exit_calibration(delta_lower, epsilon):
         k_max = max(1, math.ceil(z_target / delta_z))
         z_max = k_max * delta_z
         inner = all_kernel_hs_grid(1.0, 2.0 * z_max, epsilon / (2.0 * z_max))
-        grid = InverseGrid(
-            delta_lower=delta_lower,
-            delta_z=delta_z,
-            k_max=k_max,
-            delta_y=inner.delta_y,
-            j_max=inner.j_max,
-        )
+        grid = InverseGrid(delta_lower=delta_lower, delta_z=delta_z, k_max=k_max, inner=inner)
         if float(np.max(np.abs(1.0 / samples - grid.inverse_filter(samples)))) <= target:
             return grid
         if math.exp(-z_max * delta_lower) / delta_lower > epsilon / 8:
@@ -206,7 +200,7 @@ class TestGridCalibration:
         monkeypatch.setattr(inverse, "calibrate_hs_grid", counting)
         grid = calibrate_inverse_grid(_cycle_delta(), 0.1)
         assert [beta for _, beta, _ in calls] == pytest.approx([grid.z_max, 2.0 * grid.z_max])
-        assert calls[-1][1] == 2.0 * grid.z_max
+        assert calls[-1][1] == 2.0 * grid.z_max == grid.inner.beta
         assert grid == _full_exit_calibration(_cycle_delta(), 0.1)
 
     @pytest.mark.parametrize(
@@ -215,7 +209,7 @@ class TestGridCalibration:
     def test_open_round_makes_one_filter_call(self, monkeypatch, delta, eps, rounds):
         # with every round left open, each round evaluates the filter once, on
         # all samples, and the grid is the one the interval would pick
-        monkeypatch.setattr(inverse, "exit_certificate", lambda grid, samples: (-math.inf, math.inf))
+        monkeypatch.setattr(InverseGrid, "error_bounds", lambda grid, samples: (-math.inf, math.inf))
         calls = self._count_filter_calls(monkeypatch)
         delta = _cycle_delta() if delta is None else delta
         accepted = calibrate_inverse_grid(delta, eps)
@@ -263,14 +257,11 @@ class TestGridCalibration:
 
 def _grid(delta_lower, z_max, k_max, ratio, y_max):
     """A grid with K z-nodes up to z_max, and a_max delta_y = ratio * pi."""
+    delta_z = z_max / k_max
     delta_y = ratio * math.pi / math.sqrt(2.0 * z_max)
-    return InverseGrid(
-        delta_lower=delta_lower,
-        delta_z=z_max / k_max,
-        k_max=k_max,
-        delta_y=delta_y,
-        j_max=max(1, round(y_max / delta_y)),
-    )
+    j_max = max(1, round(y_max / delta_y))
+    inner = HsGrid(j_max=j_max, delta_y=delta_y, beta=2.0 * (k_max * delta_z))
+    return InverseGrid(delta_lower=delta_lower, delta_z=delta_z, k_max=k_max, inner=inner)
 
 
 class TestExitCertificate:
@@ -280,7 +271,7 @@ class TestExitCertificate:
     eta(x) = (K+1) delta_z [roundoff + 2 (K+1) s u] + 64 u/x + 1e-9 B, with
     u = 2^-53 and s = 1 + delta_y: the cosine table's error
     (`cosine_table_bound`); the row-order z-sum of K+1 terms; and the float
-    evaluation of 1/x, G and the bound B itself (see `exit_certificate`).
+    evaluation of 1/x, G and the bound B itself (see `InverseGrid.error_bounds`).
     The kernel error is the oracle: the interval must hold it, so a round
     accepted at hi <= target has every sample within target, and one
     rejected at lo > target some sample outside it.
@@ -303,17 +294,18 @@ class TestExitCertificate:
         grid = _grid(delta, z_max, k_max, ratio, y_max)
         samples = _exit_samples(delta)
         err = float(np.max(np.abs(1.0 / samples - grid.inverse_filter(samples))))
-        lo, hi = exit_certificate(grid, samples)
+        lo, hi = grid.error_bounds(samples)
         assert lo <= err <= hi
+        assert grid.sample_error(samples) == (err, err)
 
     def test_open_at_the_nyquist_phase(self):
         grid = _grid(0.25, 50.0, 200, 1.0, 6.0)
-        assert exit_certificate(grid, _exit_samples(0.25)) == (-math.inf, math.inf)
+        assert grid.error_bounds(_exit_samples(0.25)) == (-math.inf, math.inf)
 
     def test_bound_is_tight_on_the_cycle_grid(self):
         grid = calibrate_inverse_grid(_cycle_delta(), 0.1)
         samples = _exit_samples(grid.delta_lower)
-        lo, hi = exit_certificate(grid, samples)
+        lo, hi = grid.error_bounds(samples)
         err = float(np.max(np.abs(1.0 / samples - grid.inverse_filter(samples))))
         assert hi <= 0.045
         assert 0.8 * err <= lo <= err <= hi <= 1.2 * err
@@ -322,7 +314,8 @@ class TestExitCertificate:
 class TestFilterWorkBudget:
     def test_past_the_budget_raises_before_allocating(self):
         # K + 1 = 10^12 z-nodes: one node array alone would take 8 TB
-        grid = InverseGrid(delta_lower=1e-9, delta_z=1e-3, k_max=10**12, delta_y=1e-3, j_max=10**4)
+        inner = HsGrid(j_max=10**4, delta_y=1e-3, beta=2e9)
+        grid = InverseGrid(delta_lower=1e-9, delta_z=1e-3, k_max=10**12, inner=inner)
         with pytest.raises(CalibrationError, match="past the budget"):
             grid.inverse_filter(np.array([0.5]))
         # K = 336,224,857 comes from delta_z = eps, not from the wide gap

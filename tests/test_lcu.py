@@ -262,7 +262,9 @@ _TABLE_GRIDS = {
 class TestGaussianCosineTable:
     @staticmethod
     def _table(name):
-        return InverseGrid(*_TABLE_GRIDS[name]).table
+        delta_lower, delta_z, k_max, delta_y, j_max = _TABLE_GRIDS[name]
+        inner = HsGrid(j_max=j_max, delta_y=delta_y, beta=2.0 * (k_max * delta_z))
+        return InverseGrid(delta_lower, delta_z, k_max, inner).table
 
     @pytest.mark.parametrize("name", list(_TABLE_GRIDS))
     def test_error_is_under_the_stated_bound(self, name):

@@ -10,7 +10,9 @@ pinned as the `cost` object `gibbs` writes to summary.json, formulas and
 value types included, and each theorem's pipeline and closed form are checked
 to share their entry names and shared formulas. The manifest is pinned on the
 README two-state chain, a seeded 80-state dyadic chain and an asymmetric
-reversible chain.
+reversible chain. The calibrated grids both ledgers read are pinned too:
+y-grids from a seeded sweep of `calibrate_hs_grid`, and the inverse grids of
+the lazy cycles and the CI `lemma2-sweep` points.
 """
 
 import math
@@ -20,11 +22,13 @@ import pytest
 
 from lculab import cli
 from lculab.constants import DEFAULT_CONSTANTS
+from lculab import gibbs
 from lculab.cost import theorem1_cost, theorem2_cost
+from lculab.errors import CalibrationError
 from lculab.gap_amplification import parse_pauli_lines
-from lculab.gibbs import GibbsTask, prepare_gibbs
-from lculab.inverse import HittingTimeTask, estimate_hitting_time
-from lculab.markov import chain_from_json, mark_states, validate_chain
+from lculab.gibbs import GibbsTask, calibrate_hs_grid, prepare_gibbs
+from lculab.inverse import HittingTimeTask, calibrate_inverse_grid, estimate_hitting_time
+from lculab.markov import chain_from_json, lazy_cycle, mark_states, validate_chain
 from lculab.operators import HermitianOperator
 from lculab.sparse_chain import decomposition_manifest
 from oracles import random_reversible_chain, random_sparse_dyadic_matrix
@@ -245,3 +249,82 @@ def test_appendix_manifest_on_asymmetric_chain():
     chain = random_reversible_chain(np.random.default_rng(12), 20, max_degree=4)
     assert np.max(np.abs(chain.transition - chain.transition.T)) > 0.1
     assert _hex_manifest(chain, [3, 11]) == REVERSIBLE_20_MANIFEST
+
+
+# calibrate_hs_grid(norm, beta, eps') -> (J, delta_y, kernel calls), or the
+# roundoff stop's message. Drawn from 600 calls at default_rng(0), each
+# drawing norm 10^U(-2, 2), beta 10^U(-2, 4) and eps' 10^U(-16, -1) in turn:
+# four grids accepted on the closed-form interval alone, five settled by one
+# kernel call, and three targets below float64's resolution.
+HS_GRIDS = {
+    "bound-484": ((0.18769420005625026, 0.020792864772360604, 0.08862535369276861),
+                  (8, "0x1.48e63c657588bp-2", 0)),
+    "bound-8": ((2.894279349282436, 2.0047735580877157, 0.09081321204123737),
+                (9, "0x1.1276f3c06fbf8p-2", 0)),
+    "bound-213": ((10.61373992010266, 0.05042413400827574, 5.130011114889714e-13),
+                  (85, "0x1.80fd2b6168ab5p-4", 0)),
+    "bound-24": ((0.5774423323278052, 5340.020965812331, 3.1509187555881445e-09),
+                 (1631, "0x1.0abed177a0edap-8", 0)),
+    "kernel-270": ((0.05315586056676334, 6.575921447088688, 0.07629890373415857),
+                   (8, "0x1.3f2f40d61de55p-2", 1)),
+    "kernel-149": ((0.801271102542066, 0.3545246202222939, 2.1980229408552784e-14),
+                   (95, "0x1.6d32d55bc75dbp-4", 1)),
+    "kernel-57": ((95.42658730564736, 0.7864321729971159, 5.5040919930153974e-14),
+                  (397, "0x1.5648a12a520c5p-6", 1)),
+    "kernel-490": ((0.13983313706558095, 670.4017804656951, 6.497476584664102e-14),
+                   (441, "0x1.33166bf02ff66p-6", 1)),
+    "kernel-34": ((16.12583882823954, 3476.810004842601, 9.816441535862317e-13),
+                  (9821, "0x1.a516e03614180p-11", 1)),
+    "roundoff-336": ((0.015775271080513853, 0.39663822179212294, 9.844138676449197e-16),
+                     "node grid failed to reach 4.430e-16: at delta_y=0.0851, J=104 the kernel "
+                     "errs by 4.441e-16 with a discretization bound of 9.064e-19, so its "
+                     "roundoff misses the target"),
+    "roundoff-0": ((3.5305856304085927, 0.41564281988291657, 4.1172084842135977e-16),
+                   "node grid failed to reach 1.853e-16: at delta_y=0.084, J=107 the kernel "
+                   "errs by 4.441e-16 with a discretization bound of 2.504e-19, so its "
+                   "roundoff misses the target"),
+    "roundoff-6": ((0.15806931168292107, 3.4365552236420367, 2.6594698256711817e-16),
+                   "node grid failed to reach 1.197e-16: at delta_y=0.0835, J=108 the kernel "
+                   "errs by 3.331e-16 with a discretization bound of 1.931e-19, so its "
+                   "roundoff misses the target"),
+}
+# calibrate_inverse_grid(delta, eps) -> (K, delta_z, J, delta_y): the lazy 8-
+# and 16-cycles marked at state 0 (delta = None: the partition's gap) and the
+# CI lemma2-sweep points; (0.5, 0.2) is the one whose round the filter decides
+INVERSE_GRIDS = {
+    "lazy-8-cycle": ((8, 0.1), (5856, "0x1.999999999999ap-5", 315, "0x1.cbbc934acdaa2p-7")),
+    "lazy-16-cycle": ((16, 0.1), (28928, "0x1.999999999999ap-5", 829, "0x1.7c2c49d4917b0p-8")),
+    "delta-0.5-eps-0.2": ((0.5, 0.2), (93, "0x1.999999999999ap-4", 30, "0x1.be18f6ab96c08p-4")),
+    "delta-0.5-eps-0.1": ((0.5, 0.1), (240, "0x1.999999999999ap-5", 41, "0x1.6523e3d6617f4p-4")),
+    "delta-0.25-eps-0.2": ((0.25, 0.2), (240, "0x1.999999999999ap-4", 57, "0x1.f9128fdf6c932p-5")),
+    "delta-0.25-eps-0.1": ((0.25, 0.1), (591, "0x1.999999999999ap-5", 74, "0x1.a5d125f0a44dfp-5")),
+}
+
+
+@pytest.mark.parametrize("name", list(HS_GRIDS))
+def test_hs_grid_calibration(monkeypatch, name):
+    calls = []
+
+    def counting(a, delta_y, j_max, _original=gibbs.gaussian_cosine_series):
+        calls.append(np.shape(a))
+        return _original(a, delta_y, j_max)
+
+    monkeypatch.setattr(gibbs, "gaussian_cosine_series", counting)
+    args, pinned = HS_GRIDS[name]
+    if isinstance(pinned, str):
+        with pytest.raises(CalibrationError) as err:
+            calibrate_hs_grid(*args)
+        assert str(err.value) == pinned
+    else:
+        grid = calibrate_hs_grid(*args)
+        assert (grid.j_max, grid.delta_y.hex(), len(calls)) == pinned
+        assert grid.beta == args[1]
+
+
+@pytest.mark.parametrize("name", list(INVERSE_GRIDS))
+def test_inverse_grid_calibration(name):
+    (delta, eps), pinned = INVERSE_GRIDS[name]
+    if name.startswith("lazy"):
+        delta = mark_states(lazy_cycle(delta), [0]).delta
+    grid = calibrate_inverse_grid(delta, eps)
+    assert (grid.k_max, grid.delta_z.hex(), grid.j_max, grid.delta_y.hex()) == pinned

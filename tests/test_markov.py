@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lculab import cli, markov
 from lculab.constants import DEFAULT_CONSTANTS
 from lculab.errors import ValidationError, WalkTimeoutError
+from lculab.gibbs import HsGrid
 from lculab.inverse import InverseGrid, amplitude_estimation, t_circuit_expectation
 from lculab.markov import (
     MAX_TOTAL_WALK_STEPS,
@@ -311,7 +312,8 @@ class TestMarkedPartition:
         # discriminant, which the reference checks against the similarity
         # transform and against D_U^{-1} P_UU D_U; so does every value read
         # off it. The grid is coarse and uncalibrated: only the bits compare.
-        grid = InverseGrid(delta_lower=1e-3, delta_z=0.5, k_max=16, delta_y=0.5, j_max=12)
+        inner = HsGrid(j_max=12, delta_y=0.5, beta=16.0)
+        grid = InverseGrid(delta_lower=1e-3, delta_z=0.5, k_max=16, inner=inner)
         checked = 0
         for i in range(40):
             n = int(rng.integers(3, 13))
